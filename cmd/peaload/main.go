@@ -1,22 +1,26 @@
 // Command peaload drives a live peaserve with N concurrent tenants and
 // reports request latency percentiles (p50/p90/p99) plus the server's
-// two-tier cache effectiveness: in-memory hits, disk hits, pipeline
-// compiles, and the combined hit rate. It is the measurement tool for the
-// persistent-artifact story — run it against a fresh store, restart the
+// two-tier cache effectiveness over the run (the server's /stats after
+// minus before): in-memory hits, disk hits, pipeline compiles, first-call
+// warm installs, and the combined hit rate. It is the measurement tool for
+// the persistent-artifact story — run it against a fresh store, restart the
 // server, run it again: the second report should show pipeline_compiles=0
-// and hit_rate near 1.0.
+// and hit_rate near 1.0. A second run against the same live server should
+// show pipeline_compiles=0 and warm_installs>0.
 //
 // Usage:
 //
 //	peaload [-url http://host:port] [-tenants N] [-requests N] [-runs N]
 //	        [-src prog.mj] [-out report.json]
 //	        [-min-hit-rate F] [-min-disk-hits N] [-max-pipeline-compiles N]
+//	        [-min-warm-installs N]
 //
 // The threshold flags turn the report into an assertion: peaload exits
-// nonzero when the measured hit rate, disk-hit count, or pipeline-compile
-// count misses the bound, which is how CI checks that a warm restart
-// actually replays persisted artifacts. -max-pipeline-compiles is -1
-// (unchecked) by default since cold runs legitimately compile.
+// nonzero when the measured hit rate, disk-hit count, pipeline-compile
+// count, or warm-install count misses the bound, which is how CI checks that
+// a warm restart actually replays persisted artifacts and that a second pass
+// installs cache-first. -max-pipeline-compiles is -1 (unchecked) by default
+// since cold runs legitimately compile.
 package main
 
 import (
@@ -38,6 +42,7 @@ func main() {
 	minHitRate := flag.Float64("min-hit-rate", 0, "fail if the two-tier cache hit rate is below this")
 	minDiskHits := flag.Int64("min-disk-hits", 0, "fail if fewer artifacts were replayed from disk")
 	maxPipeline := flag.Int64("max-pipeline-compiles", -1, "fail if more pipeline compiles ran (-1 = unchecked)")
+	minWarmInstalls := flag.Int64("min-warm-installs", 0, "fail if fewer first-call installs came out of the shared cache")
 	flag.Parse()
 
 	opts := bench.LoadOptions{URL: *url, Tenants: *tenants, Requests: *requests, Runs: *runs}
@@ -75,6 +80,10 @@ func main() {
 	}
 	if rep.DiskHits < *minDiskHits {
 		fmt.Fprintf(os.Stderr, "peaload: disk hits %d below required %d\n", rep.DiskHits, *minDiskHits)
+		failed = true
+	}
+	if rep.WarmInstalls < *minWarmInstalls {
+		fmt.Fprintf(os.Stderr, "peaload: warm installs %d below required %d\n", rep.WarmInstalls, *minWarmInstalls)
 		failed = true
 	}
 	if *maxPipeline >= 0 && rep.PipelineCompiles > *maxPipeline {

@@ -12,16 +12,20 @@
 // Usage:
 //
 //	peaserve [-addr host:port] [-store DIR] [-ea off|ea|pea]
-//	         [-backend oracle|closure] [-threshold N] [-jit-workers N]
+//	         [-backend oracle|closure] [-threshold N] [-osr-threshold N]
+//	         [-jit-workers N]
 //	         [-cache-entries N] [-compile-deadline D] [-max-ir-nodes N]
 //	         [-check off|basic|strict] [-max-source-bytes N] [-max-runs N]
 //
 // API:
 //
 //	POST /run     {"source": "<minijava>", "runs": N}
-//	              → {"output": [...], "compiled_methods": ..., "pipeline_compiles": ..., ...}
+//	              → {"output": [...], "compiled_methods": ..., "pipeline_compiles": ...,
+//	                 "warm_installs": ..., "guest_allocs": ..., ...}
 //	GET  /stats   → broker/cache/store counters and the two-tier hit rate
 //	GET  /healthz → 200 ok
+//	GET  /debug/pea/flight → the server's flight recorder as JSON lines
+//	                         (one ring for all tenants; feed it to peastat)
 //
 // SIGINT/SIGTERM drains in-flight requests before exiting. Drive it with
 // cmd/peaload to measure latency percentiles and cache hit rates.
@@ -51,6 +55,7 @@ func main() {
 	eaMode := flag.String("ea", "pea", "escape analysis: off, ea (flow-insensitive), or pea")
 	backendName := flag.String("backend", "closure", "execution backend: oracle or closure")
 	threshold := flag.Int64("threshold", 20, "JIT compile threshold (invocations)")
+	osrThreshold := flag.Int64("osr-threshold", 1000, "back-edge count at which a hot loop is compiled and entered mid-invocation (0 = 1000, negative = off)")
 	jitWorkers := flag.Int("jit-workers", 0, "shared background JIT workers (0 = compile on request goroutines)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory code cache bound (0 = default)")
 	compileDeadline := flag.Duration("compile-deadline", 2*time.Second, "per-tenant compile wall-clock budget (0 = unbounded)")
@@ -62,6 +67,7 @@ func main() {
 
 	opts := serve.Options{
 		CompileThreshold: *threshold,
+		OSRThreshold:     *osrThreshold,
 		CompileDeadline:  *compileDeadline,
 		MaxIRNodes:       *maxIRNodes,
 		Workers:          *jitWorkers,

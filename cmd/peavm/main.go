@@ -280,9 +280,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "field loads/stores: %d/%d\n", s.FieldLoads, s.FieldStores)
 		fmt.Fprintf(os.Stderr, "materializations: %d\n", s.Materializations)
 		fmt.Fprintf(os.Stderr, "deoptimizations:  %d\n", s.Deopts)
-		fmt.Fprintf(os.Stderr, "compiled methods: %d (invalidated %d)\n",
-			machine.VMStats.CompiledMethods, machine.VMStats.InvalidatedMethods)
 		vs := machine.Stats()
+		fmt.Fprintf(os.Stderr, "compiled methods: %d (invalidated %d, warm installs %d)\n",
+			vs.CompiledMethods, vs.InvalidatedMethods, vs.WarmInstalls)
 		fmt.Fprintf(os.Stderr, "osr:              requests %d, compiled %d, entries %d\n",
 			vs.OSRRequests, vs.OSRCompilations, vs.OSREntries)
 		bs := machine.Broker().Stats()

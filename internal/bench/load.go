@@ -122,12 +122,17 @@ type LoadReport struct {
 
 	WallMs float64 `json:"wall_ms"` // whole load run
 
-	// Server-side cache effectiveness over both tiers, from /stats.
+	// Server-side cache effectiveness over both tiers during this load
+	// run: /stats after the run minus /stats before it, so a second run
+	// against the same live server reports only its own traffic.
 	HitRate          float64 `json:"hit_rate"`
 	CacheHits        int64   `json:"cache_hits"`
 	DiskHits         int64   `json:"disk_hits"`
 	PipelineCompiles int64   `json:"pipeline_compiles"`
-	StoreArtifacts   int     `json:"store_artifacts"`
+	// WarmInstalls counts code the request VMs installed from the shared
+	// cache at first call / first back edge, before it was hot.
+	WarmInstalls   int64 `json:"warm_installs"`
+	StoreArtifacts int   `json:"store_artifacts"`
 
 	// FirstError preserves one failure for the report reader (counting
 	// alone buries the reason).
@@ -139,19 +144,22 @@ type LoadReport struct {
 // drives any live server, in-process or another process entirely).
 type serverStats struct {
 	Broker struct {
-		CacheHits int64 `json:"CacheHits"`
-		DiskHits  int64 `json:"DiskHits"`
-		Compiled  int64 `json:"Compiled"`
+		CacheHits   int64 `json:"CacheHits"`
+		CacheMisses int64 `json:"CacheMisses"`
+		DiskHits    int64 `json:"DiskHits"`
+		Compiled    int64 `json:"Compiled"`
 	} `json:"broker"`
-	HitRate        float64 `json:"hit_rate"`
-	StoreArtifacts int     `json:"store_artifacts"`
+	WarmInstalls   int64 `json:"warm_installs"`
+	StoreArtifacts int   `json:"store_artifacts"`
 }
 
 // RunLoad drives a live peaserve with N concurrent tenants and reports
 // request latency percentiles plus the server's cache effectiveness. It is
 // the measurement half of the warm-restart story: run it once against a
 // fresh store (compiles happen), restart the server, run it again — the
-// second report's PipelineCompiles should be ~0 and its HitRate ~1.
+// second report's PipelineCompiles should be ~0 and its HitRate ~1. Run it
+// twice against one live server and the second report additionally shows
+// WarmInstalls: every request found its code in the memory tier.
 func RunLoad(o LoadOptions) (LoadReport, error) {
 	body, err := json.Marshal(map[string]any{"source": o.source(), "runs": o.runs()})
 	if err != nil {
@@ -159,6 +167,10 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 	}
 	client := o.client()
 	nTenants, nReq := o.tenants(), o.requests()
+	before, err := fetchStats(client, o.URL)
+	if err != nil {
+		return LoadReport{}, fmt.Errorf("bench: reading /stats: %w", err)
+	}
 
 	type result struct {
 		latency time.Duration
@@ -207,11 +219,14 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 	if err != nil {
 		return rep, fmt.Errorf("bench: reading /stats: %w", err)
 	}
-	rep.HitRate = st.HitRate
-	rep.CacheHits = st.Broker.CacheHits
-	rep.DiskHits = st.Broker.DiskHits
-	rep.PipelineCompiles = st.Broker.Compiled
+	rep.CacheHits = st.Broker.CacheHits - before.Broker.CacheHits
+	rep.DiskHits = st.Broker.DiskHits - before.Broker.DiskHits
+	rep.PipelineCompiles = st.Broker.Compiled - before.Broker.Compiled
+	rep.WarmInstalls = st.WarmInstalls - before.WarmInstalls
 	rep.StoreArtifacts = st.StoreArtifacts
+	if lookups := rep.CacheHits + st.Broker.CacheMisses - before.Broker.CacheMisses; lookups > 0 {
+		rep.HitRate = float64(rep.CacheHits+rep.DiskHits) / float64(lookups)
+	}
 	return rep, nil
 }
 

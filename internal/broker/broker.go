@@ -7,7 +7,9 @@
 // interpreter keeps running (true tier-up). A compiled-code cache keyed by
 // (method, EA mode, speculation, profile fingerprint) lets recompiles after
 // deoptimization-invalidation and repeated benchmark runs replay earlier
-// work instead of re-running the build→inline→GVN→PEA pipeline.
+// work instead of re-running the build→inline→GVN→PEA pipeline. Submission
+// is the only way code enters the cache; Cached is an earlier read of it,
+// for a VM that wants an artifact before its method is hot.
 //
 // A broker with zero workers is synchronous: Submit compiles (or replays
 // from cache) on the calling goroutine and returns with the code installed.
@@ -101,10 +103,11 @@ type Options struct {
 	// nil-safe.
 	Sink *obs.Sink
 
-	// Flight, when non-nil, is the VM's always-on flight recorder. The
-	// broker records compile start/finish (with wall time and outcome),
-	// queue-depth changes, and contained compiler panics there. A nil
-	// recorder is inert.
+	// Flight, when non-nil, is the always-on flight recorder. The broker
+	// records compile start/finish (with wall time and outcome),
+	// queue-depth changes, and contained compiler panics there, through
+	// the submission's own view when its Hooks carry one. A nil recorder
+	// is inert.
 	Flight *flight.Recorder
 }
 
@@ -162,6 +165,11 @@ type Hooks struct {
 	// Resolver decodes persisted artifacts against the submitting VM's
 	// program.
 	Resolver ir.Resolver
+	// Flight is the submitting VM's view of the flight recorder. On a ring
+	// shared by every tenant of the broker a method ID only means something
+	// together with the view's program tag, so the broker records a
+	// submission's events through it.
+	Flight *flight.Recorder
 }
 
 // task is one pending compilation.
@@ -245,6 +253,7 @@ func New(opts Options) *Broker {
 			Install:  opts.Install,
 			Fail:     opts.Fail,
 			Resolver: opts.Resolver,
+			Flight:   opts.Flight,
 		},
 		inflight: make(map[inflightKey]bool),
 	}
@@ -350,7 +359,7 @@ func (b *Broker) SubmitHooks(m *bc.Method, hotness int64, k Key, h *Hooks) bool 
 	b.mu.Unlock()
 
 	b.opts.Sink.BrokerSubmit(m.QualifiedName(), int(hotness), depth)
-	b.opts.Flight.Record(flight.KindQueueDepth, int32(m.ID), -1, int64(depth), highwater, 0)
+	h.Flight.Record(flight.KindQueueDepth, int32(m.ID), -1, int64(depth), highwater, 0)
 	b.setGauge(obs.GaugeBrokerQueueDepth, int64(depth))
 	b.setGauge(obs.GaugeBrokerQueueHighWater, highwater)
 	b.cond.Signal()
@@ -374,6 +383,9 @@ func (b *Broker) resolveHooks(h *Hooks) *Hooks {
 	}
 	if r.Resolver == nil {
 		r.Resolver = b.defaults.Resolver
+	}
+	if r.Flight == nil {
+		r.Flight = b.defaults.Flight
 	}
 	return &r
 }
@@ -417,28 +429,14 @@ func (b *Broker) worker(i int) {
 // installation (or failure recording). worker is the background worker's
 // index for busy-time accounting (-1 for the synchronous submit path).
 func (b *Broker) compileOne(t *task, worker int) {
-	fl := b.opts.Flight
+	fl := t.hooks.Flight
 	start := time.Now()
-	defer func() {
-		el := time.Since(start).Nanoseconds()
-		b.mu.Lock()
-		b.stats.BusyNS += el
-		if worker >= 0 && worker < len(b.workerBusy) {
-			b.workerBusy[worker] += el
-		}
-		b.mu.Unlock()
-	}()
+	defer b.addBusy(start, worker)
 
 	name := t.m.QualifiedName()
 	fl.Record(flight.KindCompileStart, int32(t.m.ID), int32(t.key.EntryBCI), t.hotness, 0, 0)
 	if a, ok := b.cache.Get(t.key); ok {
-		b.mu.Lock()
-		b.stats.CacheHits++
-		b.stats.Installed++
-		b.mu.Unlock()
-		b.opts.Sink.BrokerInstall(name, "cache")
-		fl.Record(flight.KindCompileFinish, int32(t.m.ID), int32(t.key.EntryBCI),
-			time.Since(start).Nanoseconds(), 0, fl.Reason("cache"))
+		b.replayed(t, name, start)
 		if t.hooks.Install != nil {
 			t.hooks.Install(t.m, t.key, a, true)
 		}
@@ -472,18 +470,7 @@ func (b *Broker) compileOne(t *task, worker int) {
 
 	a, err := b.runCompile(t, name)
 	if err != nil {
-		b.mu.Lock()
-		b.stats.Failed++
-		b.mu.Unlock()
-		outcome := "error"
-		if Transient(err) {
-			outcome = "transient"
-		}
-		fl.Record(flight.KindCompileFinish, int32(t.m.ID), int32(t.key.EntryBCI),
-			time.Since(start).Nanoseconds(), 1, fl.Reason(outcome))
-		if t.hooks.Fail != nil {
-			t.hooks.Fail(t.m, t.key, err)
-		}
+		b.failed(t, start, err)
 		return
 	}
 	// First writer wins so every VM sharing the cache installs the same
@@ -508,6 +495,77 @@ func (b *Broker) compileOne(t *task, worker int) {
 	}
 }
 
+// Cached looks k up in the memory tier only, for a VM that wants m's code
+// before m is hot (first call, or a loop header's first back edge). A hit is
+// accounted exactly like a submission's cache replay — CacheHits, Installed,
+// the "cache" install event and flight record, the FaultInstall point inside
+// the fault boundary — and the artifact is returned for the caller to
+// install. A miss counts as nothing, so the hit rate keeps describing
+// submissions: most methods a VM calls were never hot enough to have an
+// artifact. The disk tier is not consulted; an artifact that lives only
+// there reaches memory through the ordinary threshold submission.
+//
+// h carries the caller's flight view and, should the injected install fault
+// panic, its Fail callback; nil fields fall back as in SubmitHooks.
+func (b *Broker) Cached(m *bc.Method, k Key, h *Hooks) (Artifact, bool) {
+	a, ok := b.cache.Probe(k)
+	if !ok {
+		return nil, false
+	}
+	start := time.Now()
+	defer b.addBusy(start, -1)
+	t := &task{m: m, key: k, hooks: b.resolveHooks(h)}
+	name := m.QualifiedName()
+	if err := b.faultInstall(t, name); err != nil {
+		b.failed(t, start, err)
+		return nil, false
+	}
+	b.replayed(t, name, start)
+	return a, true
+}
+
+// addBusy charges the wall time since start to the broker (and to the
+// background worker, when there is one).
+func (b *Broker) addBusy(start time.Time, worker int) {
+	el := time.Since(start).Nanoseconds()
+	b.mu.Lock()
+	b.stats.BusyNS += el
+	if worker >= 0 && worker < len(b.workerBusy) {
+		b.workerBusy[worker] += el
+	}
+	b.mu.Unlock()
+}
+
+// replayed accounts one installation served from the memory tier.
+func (b *Broker) replayed(t *task, name string, start time.Time) {
+	b.mu.Lock()
+	b.stats.CacheHits++
+	b.stats.Installed++
+	b.mu.Unlock()
+	b.opts.Sink.BrokerInstall(name, "cache")
+	fl := t.hooks.Flight
+	fl.Record(flight.KindCompileFinish, int32(t.m.ID), int32(t.key.EntryBCI),
+		time.Since(start).Nanoseconds(), 0, fl.Reason("cache"))
+}
+
+// failed accounts one unit that produced no installable code and hands the
+// error to the submitter.
+func (b *Broker) failed(t *task, start time.Time, err error) {
+	b.mu.Lock()
+	b.stats.Failed++
+	b.mu.Unlock()
+	outcome := "error"
+	if Transient(err) {
+		outcome = "transient"
+	}
+	fl := t.hooks.Flight
+	fl.Record(flight.KindCompileFinish, int32(t.m.ID), int32(t.key.EntryBCI),
+		time.Since(start).Nanoseconds(), 1, fl.Reason(outcome))
+	if t.hooks.Fail != nil {
+		t.hooks.Fail(t.m, t.key, err)
+	}
+}
+
 // runCompile runs the pipeline for one task inside the broker's fault
 // boundary: a panic anywhere in build→inline→GVN→PEA (or in an injected
 // fault) is recovered, counted, reported as a broker_panic event, and
@@ -516,19 +574,7 @@ func (b *Broker) compileOne(t *task, worker int) {
 // rather than a process death. Successful graphs are re-verified before
 // they may enter the shared code cache.
 func (b *Broker) runCompile(t *task, name string) (a Artifact, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			a = nil
-			err = &PanicError{Method: name, Value: r, Stack: string(debug.Stack())}
-			b.mu.Lock()
-			b.stats.Panics++
-			b.mu.Unlock()
-			b.opts.Sink.BrokerPanic(name, fmt.Sprint(r))
-			fl := b.opts.Flight
-			fl.Record(flight.KindPanic, int32(t.m.ID), int32(t.key.EntryBCI),
-				0, 0, fl.Reason(fmt.Sprint(r)))
-		}
-	}()
+	defer b.contain(t, name, &err)
 	if f := b.opts.InjectFault; f != nil {
 		f(FaultCompile, name)
 	}
@@ -542,11 +588,36 @@ func (b *Broker) runCompile(t *task, name string) (a Artifact, err error) {
 		}
 	}
 	if err == nil {
-		if f := b.opts.InjectFault; f != nil {
-			f(FaultInstall, name)
-		}
+		err = b.faultInstall(t, name)
 	}
 	return a, err
+}
+
+// faultInstall fires the FaultInstall injection point inside the fault
+// boundary.
+func (b *Broker) faultInstall(t *task, name string) (err error) {
+	if f := b.opts.InjectFault; f != nil {
+		defer b.contain(t, name, &err)
+		f(FaultInstall, name)
+	}
+	return nil
+}
+
+// contain is the fault boundary: deferred around compiler (or injected
+// fault) code, it turns a panic into *err.
+func (b *Broker) contain(t *task, name string, err *error) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	*err = &PanicError{Method: name, Value: r, Stack: string(debug.Stack())}
+	b.mu.Lock()
+	b.stats.Panics++
+	b.mu.Unlock()
+	b.opts.Sink.BrokerPanic(name, fmt.Sprint(r))
+	fl := t.hooks.Flight
+	fl.Record(flight.KindPanic, int32(t.m.ID), int32(t.key.EntryBCI),
+		0, 0, fl.Reason(fmt.Sprint(r)))
 }
 
 func (b *Broker) setGauge(name string, v int64) {

@@ -9,6 +9,7 @@ import (
 	"pea/internal/bc"
 	"pea/internal/build"
 	"pea/internal/ir"
+	"pea/internal/obs/flight"
 )
 
 // testMethods assembles n trivial methods so tasks have distinct identities.
@@ -105,6 +106,72 @@ func TestCacheReplay(t *testing.T) {
 	b.Submit(ms[0], 1, k2)
 	if compiles != 2 {
 		t.Fatalf("compiles = %d, want 2 after fingerprint change", compiles)
+	}
+}
+
+// TestCachedIsAnEarlierReadOfTheCache pins the first-call entry point's
+// accounting: a miss leaves no trace (neither in the broker's nor in the
+// cache's counters), a hit counts exactly like a submission's replay and
+// hands the canonical artifact back without calling Install, and a panic at
+// the install fault point is contained and routed to Fail.
+func TestCachedIsAnEarlierReadOfTheCache(t *testing.T) {
+	ms := testMethods(t, 2)
+	var faulty bool
+	var failed error
+	fl := flight.New(64)
+	b := New(Options{
+		Compile: func(m *bc.Method, k Key) (Artifact, error) { return mustBuild(m), nil },
+		Install: func(m *bc.Method, k Key, a Artifact, fromCache bool) {},
+		Fail:    func(m *bc.Method, k Key, err error) { failed = err },
+		Flight:  fl,
+		InjectFault: func(point, method string) {
+			if faulty && point == FaultInstall {
+				panic("injected at install")
+			}
+		},
+	})
+	k := key(ms[0])
+	if a, ok := b.Cached(ms[0], k, nil); ok || a != nil {
+		t.Fatal("hit on an empty cache")
+	}
+	if st := b.Stats(); st.CacheMisses != 0 || st.CacheHits != 0 || st.Installed != 0 || st.BusyNS != 0 {
+		t.Fatalf("a miss left a trace: %+v", st)
+	}
+	if hits, misses := b.Cache().Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("a miss left a trace in the cache: %d hits, %d misses", hits, misses)
+	}
+	if fl.Len() != 0 {
+		t.Fatalf("a miss left %d flight records", fl.Len())
+	}
+
+	b.Submit(ms[0], 1, k)
+	want, _ := b.Cache().Get(k)
+	a, ok := b.Cached(ms[0], k, nil)
+	if !ok || a != want {
+		t.Fatalf("Cached = %v, %v; want the cache's canonical artifact", a, ok)
+	}
+	st := b.Stats()
+	if st.CacheHits != 1 || st.CacheMisses != 1 || st.Installed != 2 || st.Submitted != 1 {
+		t.Fatalf("stats after one compile and one early read = %+v", st)
+	}
+	recs := fl.Snapshot()
+	if last := recs[len(recs)-1]; last.Kind != flight.KindCompileFinish || fl.ReasonString(last.Reason) != "cache" {
+		t.Fatalf("last flight record = %+v (%q), want compile_finish/cache", last, fl.ReasonString(last.Reason))
+	}
+	if _, ok := b.Cached(ms[1], key(ms[1]), nil); ok {
+		t.Fatal("hit for a method that was never compiled")
+	}
+
+	faulty = true
+	if _, ok := b.Cached(ms[0], k, nil); ok {
+		t.Fatal("install-point panic still handed the artifact out")
+	}
+	var pe *PanicError
+	if !errors.As(failed, &pe) {
+		t.Fatalf("failure is %T (%v), want *PanicError", failed, failed)
+	}
+	if st := b.Stats(); st.Panics != 1 || st.Failed != 1 || st.CacheHits != 1 {
+		t.Fatalf("stats after the contained panic = %+v", st)
 	}
 }
 

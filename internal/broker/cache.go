@@ -31,11 +31,14 @@ import (
 //     which is a different key — the non-speculative artifact is cached
 //     separately and replayed on later invalidations instead of re-running
 //     the pipeline.
-//   - Fingerprint condenses the profile information the pipeline consumes
-//     (monomorphic call-site targets for devirtualization, branch-pruning
-//     verdicts when speculating; see interp.Profile.Fingerprint). Profiles
-//     that would drive the compiler to different decisions hash
-//     differently, so stale code is never replayed.
+//   - Fingerprint condenses the profile information the pipeline consumes:
+//     the branch-pruning verdicts of a speculative compile (see
+//     interp.Profile.Fingerprint). Profiles that would drive the pruner to
+//     different decisions hash differently, so stale speculative code is
+//     never replayed. A non-speculative compile (Spec=false) reads no
+//     profile, so its Fingerprint is always 0: the key is computable before
+//     the method has ever run, which is what lets a VM install a cached
+//     artifact at the method's first call (Broker.Cached).
 //   - EntryBCI distinguishes on-stack-replacement compilations: NoOSR for
 //     a regular method compile, or the loop-header bytecode index of the
 //     alternate OSR entry. OSR artifacts for different headers of the same
@@ -82,10 +85,10 @@ type Artifact interface {
 }
 
 // DefaultCacheEntries is the in-memory artifact bound applied by NewCache.
-// A long-lived multi-tenant server churns through fingerprints (every
-// profile change is a fresh key), so the in-memory tier must be bounded;
-// evicted artifacts are not lost when a disk Store backs the cache — they
-// reload as disk hits.
+// A long-lived multi-tenant server churns through program fingerprints
+// (every distinct tenant program, and every edit of one, is a fresh set of
+// keys), so the in-memory tier must be bounded; evicted artifacts are not
+// lost when a disk Store backs the cache — they reload as disk hits.
 const DefaultCacheEntries = 4096
 
 type cacheEntry struct {
@@ -127,7 +130,15 @@ func NewCacheSize(max int) *Cache {
 }
 
 // Get returns the cached artifact for k, counting a hit or miss.
-func (c *Cache) Get(k Key) (Artifact, bool) {
+func (c *Cache) Get(k Key) (Artifact, bool) { return c.get(k, true) }
+
+// Probe is Get for a lookup that nothing was promised to: a hit counts (and
+// refreshes the entry's recency), a miss leaves no trace. It serves the
+// first-call install path, which asks about every method a VM calls — most
+// of which were never hot enough to have an artifact.
+func (c *Cache) Probe(k Key) (Artifact, bool) { return c.get(k, false) }
+
+func (c *Cache) get(k Key, countMiss bool) (Artifact, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -135,7 +146,9 @@ func (c *Cache) Get(k Key) (Artifact, bool) {
 	e := c.entries[k]
 	c.mu.RUnlock()
 	if e == nil {
-		c.misses.Add(1)
+		if countMiss {
+			c.misses.Add(1)
+		}
 		return nil, false
 	}
 	e.used.Store(c.clock.Add(1))

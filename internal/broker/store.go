@@ -3,8 +3,10 @@ package broker
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -61,6 +63,18 @@ type StoreStats struct {
 // key race benignly (last rename wins; both files hold equivalent content
 // because keys are content-addressed).
 //
+// Artifacts are spread over 16 shard directories named by the first hex
+// digit of that hash (dir/3/3f….json), each made when its first artifact is
+// written; only the per-program summary sets live in the root. The shards
+// keep the write path steady: a cold server creates a file per compiled
+// method, and in one flat directory a create cost 10 µs or 300–500 µs — as
+// much as compiling a small method — depending on what had lately been
+// created and deleted beside it (ext4 without a journal steps over recently
+// freed inodes one at a time), so the server's cold throughput swung by a
+// fifth with the directory's history. Sixteen directories were enough to
+// take the swing out; 256 did no better and cost a small store (a few
+// hundred artifacts) more in mkdirs than it had cost in writes.
+//
 // Everything read back is treated as untrusted input — the trust-boundary
 // stance the GraalVM IR formal-semantics work argues for: the envelope
 // must parse, carry the current version, and echo the exact key; the graph
@@ -109,9 +123,10 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// path returns the artifact filename for k: a 64-bit FNV-1a hash over every
-// key field. Collisions are harmless — Load compares the envelope's full
-// key — they just alias two artifacts onto one file slot.
+// path returns the artifact filename for k, inside its shard directory: a
+// 64-bit FNV-1a hash over every key field, sharded by its first hex digit. Collisions are harmless — Load
+// compares the envelope's full key — they just alias two artifacts onto one
+// file slot.
 func (s *Store) path(k Key) string {
 	h := fnv.New64a()
 	var b [8]byte
@@ -135,7 +150,8 @@ func (s *Store) path(k Key) string {
 	} else {
 		h.Write([]byte{0})
 	}
-	return filepath.Join(s.dir, fmt.Sprintf("%016x.json", h.Sum64()))
+	sum := h.Sum64()
+	return filepath.Join(s.dir, fmt.Sprintf("%x", sum>>60), fmt.Sprintf("%016x.json", sum))
 }
 
 // Put persists the scheduled graph compiled under k. The write is atomic
@@ -172,10 +188,17 @@ func (s *Store) put(k Key, g *ir.Graph) error {
 	return nil
 }
 
-// atomicWrite writes data to final via a temp file and a same-filesystem
-// rename, so concurrent readers never observe a partial file.
+// atomicWrite writes data to final via a temp file beside it and a rename,
+// so concurrent readers never observe a partial file. final's directory (a
+// shard) is created if this is its first file.
 func (s *Store) atomicWrite(final string, data []byte) error {
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
+	dir := filepath.Dir(final)
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.Mkdir(dir, 0o755); err == nil || errors.Is(err, fs.ErrExist) {
+			tmp, err = os.CreateTemp(dir, ".tmp-*")
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -220,28 +243,21 @@ func (s *Store) enforceMaxBytes() {
 	}
 	s.evictMu.Lock()
 	defer s.evictMu.Unlock()
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return
-	}
 	type file struct {
-		name  string
+		name  string // relative to s.dir
 		size  int64
 		mtime int64
 	}
 	var files []file
 	var total int64
-	for _, e := range ents {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
-			continue
-		}
+	s.each(func(rel string, e fs.DirEntry) {
 		info, err := e.Info()
 		if err != nil {
-			continue
+			return
 		}
-		files = append(files, file{e.Name(), info.Size(), info.ModTime().UnixNano()})
+		files = append(files, file{rel, info.Size(), info.ModTime().UnixNano()})
 		total += info.Size()
-	}
+	})
 	if total <= max {
 		return
 	}
@@ -354,17 +370,31 @@ func (s *Store) Len() int {
 	if s == nil {
 		return 0
 	}
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
 	n := 0
-	for _, e := range ents {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" {
-			n++
-		}
-	}
+	s.each(func(string, fs.DirEntry) { n++ })
 	return n
+}
+
+// each calls f for every .json file of the store, named relative to the
+// root: the summary sets in the root itself and the code artifacts one level
+// down in their shard directories. Directories that cannot be read (or that
+// another process removed meanwhile) are skipped.
+func (s *Store) each(f func(rel string, e fs.DirEntry)) {
+	visit := func(sub string) []fs.DirEntry {
+		ents, _ := os.ReadDir(filepath.Join(s.dir, sub))
+		var dirs []fs.DirEntry
+		for _, e := range ents {
+			if e.IsDir() {
+				dirs = append(dirs, e)
+			} else if filepath.Ext(e.Name()) == ".json" {
+				f(filepath.Join(sub, e.Name()), e)
+			}
+		}
+		return dirs
+	}
+	for _, shard := range visit("") {
+		visit(shard.Name())
+	}
 }
 
 // Stats snapshots the store counters.

@@ -3,6 +3,7 @@ package broker
 import (
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -74,6 +75,43 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// Artifacts live in shard directories named by the first hex digit of their
+// file name, made on first use; the root holds directories (and summary sets)
+// only, and Len counts through the shards.
+func TestStoreShardsArtifactsByHashPrefix(t *testing.T) {
+	p, ms := testProgram(t, 8)
+	dir := t.TempDir()
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("fresh store holds %d entries, want none", len(ents))
+	}
+	for _, m := range ms {
+		k := contentKey(p, m)
+		if err := s.Put(k, mustBuild(m)); err != nil {
+			t.Fatal(err)
+		}
+		shard, name := filepath.Base(filepath.Dir(s.path(k))), filepath.Base(s.path(k))
+		if filepath.Dir(filepath.Dir(s.path(k))) != dir || len(shard) != 1 || name[:1] != shard {
+			t.Fatalf("artifact path %s is not <root>/<first hex digit>/<hash>.json", s.path(k))
+		}
+		if _, ok := s.Load(k, p, check.Basic); !ok {
+			t.Fatalf("%s: not loadable from its shard", k.Name)
+		}
+	}
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		if !e.IsDir() {
+			t.Fatalf("file %s in the store root", e.Name())
+		}
+	}
+	if got := s.Len(); got != len(ms) {
+		t.Fatalf("Len = %d, want %d", got, len(ms))
+	}
+}
+
 func TestStoreMissOnUnknownKey(t *testing.T) {
 	p, ms := testProgram(t, 1)
 	s, err := NewStore(t.TempDir())
@@ -139,6 +177,9 @@ func TestStoreRejectsBadFiles(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := NewStore(t.TempDir())
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Dir(s.path(k)), 0o755); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(s.path(k), tc.data, 0o644); err != nil {
@@ -304,17 +345,11 @@ func TestStoreEvictionDeterministicTieBreak(t *testing.T) {
 		}
 	}
 
+	// Artifacts live one level down, in their shard directories; names are
+	// relative to the store root.
 	list := func() []string {
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var names []string
-		for _, e := range ents {
-			if !e.IsDir() {
-				names = append(names, e.Name())
-			}
-		}
+		s.each(func(rel string, _ fs.DirEntry) { names = append(names, rel) })
 		sort.Strings(names)
 		return names
 	}

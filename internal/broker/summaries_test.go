@@ -1,8 +1,8 @@
 package broker
 
 import (
+	"io/fs"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -175,12 +175,11 @@ func TestStoreMaxBytesExpelsOldestFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total int64
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		if info, err := e.Info(); err == nil && filepath.Ext(e.Name()) == ".json" {
+	s.each(func(_ string, e fs.DirEntry) {
+		if info, err := e.Info(); err == nil {
 			total += info.Size()
 		}
-	}
+	})
 	if total > sizes[2]+sizes[3] {
 		t.Fatalf("store size %d exceeds bound %d after write", total, sizes[2]+sizes[3])
 	}

@@ -434,6 +434,49 @@ func TestProfileCollection(t *testing.T) {
 	}
 }
 
+// TestFingerprintHashesOnlyPruningVerdicts: the fingerprint covers what the
+// branch pruner decides and nothing else the profile collects.
+func TestFingerprintHashesOnlyPruningVerdicts(t *testing.T) {
+	p := compile(t, []bc.Kind{bc.KindInt}, bc.KindInt, func(m *bc.MethodAsm, _ *bc.ClassAsm) {
+		m.Load(0).ReturnValue()
+	})
+	m := p.ClassByName("C").MethodByName("m")
+	const minTotal = 10
+	observe := func(taken, notTaken int) *Profile {
+		prof := NewProfile(p)
+		for i := 0; i < taken; i++ {
+			prof.CountBranch(m, 4, true)
+		}
+		for i := 0; i < notTaken; i++ {
+			prof.CountBranch(m, 4, false)
+		}
+		return prof
+	}
+	never := observe(0, 20)
+	base := never.Fingerprint(minTotal)
+	if observe(0, 500).Fingerprint(minTotal) != base {
+		t.Fatal("raw counts leaked into the fingerprint")
+	}
+	for name, other := range map[string]*Profile{
+		"always taken": observe(20, 0),
+		"mixed":        observe(1, 19),
+		"too cold":     observe(0, 5),
+	} {
+		if other.Fingerprint(minTotal) == base {
+			t.Fatalf("%s branch fingerprints like a never-taken one", name)
+		}
+	}
+	// What no compiler phase reads must not move the hash.
+	never.CountInvocation(m)
+	never.CountCallSite(m, 2, m)
+	for i := 0; i < 5000; i++ {
+		never.CountBackEdge(m, 0)
+	}
+	if never.Fingerprint(minTotal) != base {
+		t.Fatal("invocation, call-site or back-edge counts moved the fingerprint")
+	}
+}
+
 func TestCallHookDiversion(t *testing.T) {
 	a := bc.NewAssembler()
 	c := a.Class("C", "")

@@ -177,19 +177,20 @@ func (p *Profile) BranchCounts(m *bc.Method, pc int) (notTaken, taken int64) {
 	return c[0], c[1]
 }
 
-// Fingerprint hashes exactly the profile facts that influence what the
-// compiler emits: the monomorphic-target verdict of every observed call
-// site (devirtualization and therefore inlining); when speculate is set,
-// the pruning verdict of every branch site under the given MinTotal
-// threshold (prunable-taken / prunable-not-taken / not prunable); and,
-// when osrThreshold > 0, the set of loop headers whose back-edge counts
-// have crossed the OSR threshold (the OSR-hotness verdict). Raw counts are
-// deliberately excluded — two profiles that would drive the pipeline to
-// identical decisions produce identical fingerprints, which is what makes
-// the compiled-code cache hit across repeated runs, while any
-// decision-relevant divergence changes the hash and forces a fresh
-// compile.
-func (p *Profile) Fingerprint(speculate bool, minTotal, osrThreshold int64) uint64 {
+// Fingerprint hashes the one kind of profile fact the compiler reads: the
+// pruning verdict of every branch site under the given MinTotal threshold
+// (prunable-taken / prunable-not-taken; unprunable sites contribute
+// nothing), which opt.BranchPruner turns into deoptimization points when a
+// compile speculates. Raw counts are deliberately excluded — two profiles
+// that would drive the pruner to identical decisions produce identical
+// fingerprints, which is what lets speculative code hit the compiled-code
+// cache across repeated runs, while any decision-relevant divergence
+// changes the hash and forces a fresh compile. Call-site receivers and
+// back-edge counts are not hashed: devirtualization is exact-type/CHA only
+// and OSR entry points are named by the cache key itself, so neither changes
+// what a compile emits. A non-speculative compile reads no profile at all;
+// its cache key carries no fingerprint (see vm.VM.cacheKey).
+func (p *Profile) Fingerprint(minTotal int64) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -203,61 +204,28 @@ func (p *Profile) Fingerprint(speculate bool, minTotal, osrThreshold int64) uint
 	}
 	for i := range p.methods {
 		mp := &p.methods[i]
-		if len(mp.callSites) == 0 && (!speculate || len(mp.branches) == 0) &&
-			(osrThreshold <= 0 || len(mp.backEdges) == 0) {
+		if len(mp.branches) == 0 {
 			continue
 		}
 		mix(uint64(i) + 0x9e3779b97f4a7c15)
-		if len(mp.callSites) > 0 {
-			pcs := make([]int, 0, len(mp.callSites))
-			for pc := range mp.callSites {
-				pcs = append(pcs, pc)
-			}
-			sort.Ints(pcs)
-			for _, pc := range pcs {
-				mix(uint64(pc)<<1 | 1)
-				s := mp.callSites[pc]
-				if len(s) == 1 {
-					for callee := range s {
-						mix(uint64(callee.ID) + 2)
-					}
-				} else {
-					mix(1) // polymorphic (or empty): no devirtualization
-				}
-			}
+		pcs := make([]int, 0, len(mp.branches))
+		for pc := range mp.branches {
+			pcs = append(pcs, pc)
 		}
-		if speculate && len(mp.branches) > 0 {
-			pcs := make([]int, 0, len(mp.branches))
-			for pc := range mp.branches {
-				pcs = append(pcs, pc)
-			}
-			sort.Ints(pcs)
-			for _, pc := range pcs {
-				c := mp.branches[pc]
-				verdict := uint64(0) // not prunable (mixed or cold)
-				if total := c[0] + c[1]; total >= minTotal {
-					switch {
-					case c[1] == 0:
-						verdict = 1 // taken side never executed
-					case c[0] == 0:
-						verdict = 2 // fall-through side never executed
-					}
-				}
-				if verdict != 0 {
-					mix(uint64(pc)<<2 + verdict)
+		sort.Ints(pcs)
+		for _, pc := range pcs {
+			c := mp.branches[pc]
+			verdict := uint64(0) // not prunable (mixed or cold)
+			if total := c[0] + c[1]; total >= minTotal {
+				switch {
+				case c[1] == 0:
+					verdict = 1 // taken side never executed
+				case c[0] == 0:
+					verdict = 2 // fall-through side never executed
 				}
 			}
-		}
-		if osrThreshold > 0 && len(mp.backEdges) > 0 {
-			pcs := make([]int, 0, len(mp.backEdges))
-			for pc, c := range mp.backEdges {
-				if *c >= osrThreshold {
-					pcs = append(pcs, pc)
-				}
-			}
-			sort.Ints(pcs)
-			for _, pc := range pcs {
-				mix(uint64(pc)<<3 + 5)
+			if verdict != 0 {
+				mix(uint64(pc)<<2 + verdict)
 			}
 		}
 	}

@@ -19,6 +19,11 @@
 //   - A nil *Recorder is valid and inert, mirroring the obs.Sink contract,
 //     so the recorder can be threaded unconditionally.
 //
+//   - One ring serves a whole process. Method IDs are dense per program, so
+//     a server running many programs hands each one a view of the shared
+//     ring (Recorder.Program) that stamps its records with a program tag;
+//     the dump resolves a record's method through its program's name table.
+//
 //   - Writers must be race-free under `go test -race` with many broker
 //     workers recording concurrently. Slots are guarded by per-shard
 //     mutexes; a global atomic sequence counter distributes consecutive
@@ -114,8 +119,10 @@ func (k Kind) String() string {
 
 // Record is one fixed-size flight event. It carries no pointers: recording
 // copies scalars into a preallocated slot, and dumps copy slots wholesale.
-// Method is a dense bc.Method ID (-1 unknown) resolved to a name at dump
-// time; Reason is an interned string code (see Recorder.Reason).
+// Method is a dense bc.Method ID (-1 unknown) of the program tagged Prog (0
+// for the root view), resolved to a name at dump time; Reason is an interned
+// string code (see Recorder.Reason). Prog sits in what used to be padding:
+// the record stays 48 bytes.
 type Record struct {
 	Seq    uint64
 	TNS    int64 // nanoseconds since the recorder was created
@@ -123,6 +130,7 @@ type Record struct {
 	Reason uint16
 	Method int32
 	BCI    int32
+	Prog   uint32
 	A, B   int64
 }
 
@@ -144,17 +152,26 @@ type shard struct {
 	next uint64 // total records ever written to this shard
 }
 
-// Recorder is the sharded ring buffer. The zero value is not usable; call
-// New. A nil *Recorder is inert.
+// Recorder is one program's view of a sharded ring buffer: New creates the
+// ring with its root view, Program derives further views that share the
+// ring and differ only in the program tag they stamp on records. The zero
+// value is not usable; a nil *Recorder is inert.
 type Recorder struct {
+	*ring
+	prog uint32
+}
+
+// ring is the state every view of one recorder shares.
+type ring struct {
 	start  time.Time
 	seq    atomic.Uint64
 	shards [shardCount]shard
 
-	mu      sync.RWMutex
-	names   []string          // dense method ID → qualified name
-	reasons []string          // reason code → string; [0]="", [1]="<other>"
-	codeOf  map[string]uint16 // reverse intern map
+	mu       sync.RWMutex
+	names    map[uint32][]string // program tag → dense method ID → qualified name
+	lastProg uint32              // highest program tag handed out
+	reasons  []string            // reason code → string; [0]="", [1]="<other>"
+	codeOf   map[string]uint16   // reverse intern map
 }
 
 // New creates a recorder with the given total slot capacity (<=0 selects
@@ -167,15 +184,46 @@ func New(capacity int) *Recorder {
 	if per < 1 {
 		per = 1
 	}
-	r := &Recorder{
+	r := &ring{
 		start:   time.Now(),
+		names:   make(map[uint32][]string),
 		reasons: []string{"", "<other>"},
 		codeOf:  make(map[string]uint16),
 	}
 	for i := range r.shards {
 		r.shards[i].buf = make([]Record, per)
 	}
-	return r
+	return &Recorder{ring: r}
+}
+
+// Program returns a view of the same ring for one more program: records
+// made through it carry a fresh program tag, and dumps resolve their method
+// IDs through names (indexed by dense method ID; the slice is retained, not
+// copied). A long-lived owner registers each program once and calls Release
+// when it forgets the program, so the tables stay bounded by the owner's
+// working set.
+func (r *Recorder) Program(names []string) *Recorder {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	r.lastProg++
+	v := &Recorder{ring: r.ring, prog: r.lastProg}
+	r.names[v.prog] = names
+	r.mu.Unlock()
+	return v
+}
+
+// Release drops the view's method-name table. Records already in the ring
+// (and any made later through the view) still dump, with their program tag
+// but without a method name.
+func (r *Recorder) Release() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	delete(r.names, r.prog)
+	r.mu.Unlock()
 }
 
 // Record appends one event. It is the always-on fast path: safe for
@@ -198,6 +246,7 @@ func (r *Recorder) Record(k Kind, method, bci int32, a, b int64, reason uint16) 
 	slot.Reason = reason
 	slot.Method = method
 	slot.BCI = bci
+	slot.Prog = r.prog
 	slot.A = a
 	slot.B = b
 	sh.next++
@@ -234,26 +283,44 @@ func (r *Recorder) Reason(s string) uint16 {
 	return c
 }
 
-// SetMethodNames installs the dense-method-ID → qualified-name table used
-// to resolve Record.Method at dump time. The VM calls it once at startup.
+// SetMethodNames installs the dense-method-ID → qualified-name table of the
+// view's own program. A VM given a recorder without one calls it at startup.
 func (r *Recorder) SetMethodNames(names []string) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.names = append([]string(nil), names...)
+	r.names[r.prog] = append([]string(nil), names...)
 	r.mu.Unlock()
 }
 
-// MethodName resolves a dense method ID ("" if unknown).
+// HasMethodNames reports whether the view's program has a name table.
+func (r *Recorder) HasMethodNames() bool {
+	if r == nil {
+		return false
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.names[r.prog] != nil
+}
+
+// MethodName resolves a dense method ID of the view's own program ("" if
+// unknown).
 func (r *Recorder) MethodName(id int32) string {
-	if r == nil || id < 0 {
+	if r == nil {
+		return ""
+	}
+	return r.methodName(r.prog, id)
+}
+
+func (r *Recorder) methodName(prog uint32, id int32) string {
+	if id < 0 {
 		return ""
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if int(id) < len(r.names) {
-		return r.names[id]
+	if names := r.names[prog]; int(id) < len(names) {
+		return names[id]
 	}
 	return ""
 }
@@ -318,6 +385,10 @@ func (r *Recorder) Snapshot() []Record {
 //
 //	{"seq":12,"t_ns":51034,"kind":"compile_finish","method":"Main.getValue","bci":-1,"a":48211,"b":0}
 //
+// Records made through a Program view additionally carry "prog":<tag>, which
+// tells the tenants of a shared ring apart even when their methods share a
+// name.
+//
 // The format is hand-rolled (the fields are scalars and pre-escaped
 // identifiers) so dumping never depends on reflection; peastat parses it
 // with the ordinary JSON decoder.
@@ -334,7 +405,11 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 		bw.WriteString(`,"kind":"`)
 		bw.WriteString(rec.Kind.String())
 		bw.WriteString(`"`)
-		if name := r.MethodName(rec.Method); name != "" {
+		if rec.Prog != 0 {
+			bw.WriteString(`,"prog":`)
+			bw.WriteString(strconv.FormatUint(uint64(rec.Prog), 10))
+		}
+		if name := r.methodName(rec.Prog, rec.Method); name != "" {
 			bw.WriteString(`,"method":`)
 			bw.WriteString(strconv.Quote(name))
 		}

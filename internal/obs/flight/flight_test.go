@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestRecordZeroAlloc is the CI guard for the always-on contract: recording
@@ -30,12 +33,30 @@ func TestRecordZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRecordLayout pins the slot layout the ring's memory budget assumes:
+// the program tag lives in former padding, and a slot holds no pointers.
+func TestRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 48 {
+		t.Fatalf("Record is %d bytes, want 48", got)
+	}
+	rt := reflect.TypeOf(Record{})
+	for i := 0; i < rt.NumField(); i++ {
+		if k := rt.Field(i).Type.Kind(); k < reflect.Int || k > reflect.Uint64 {
+			t.Fatalf("Record.%s is a %s; slots must stay plain integers", rt.Field(i).Name, k)
+		}
+	}
+}
+
 func TestNilRecorderInert(t *testing.T) {
 	var r *Recorder
 	r.Record(KindCompileStart, 0, -1, 0, 0, 0)
 	if r.Reason("x") != 0 || r.MethodName(0) != "" || r.Len() != 0 || r.Snapshot() != nil {
 		t.Fatal("nil recorder must be inert")
 	}
+	if r.Program([]string{"Main.main"}) != nil || r.HasMethodNames() {
+		t.Fatal("nil recorder must derive inert views")
+	}
+	r.Release()
 	if err := r.WriteJSON(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +164,55 @@ func TestWriteJSONResolvesNames(t *testing.T) {
 		if lines[i].Seq <= lines[i-1].Seq {
 			t.Fatal("dump not seq-ordered")
 		}
+	}
+}
+
+// TestProgramViewsShareOneRing: two programs whose dense method IDs collide
+// record into one ring through their own views; the dump resolves each
+// record through its own program's table, and a released program's records
+// keep their tag but lose the name.
+func TestProgramViewsShareOneRing(t *testing.T) {
+	root := New(64)
+	a := root.Program([]string{"A.main", "A.step"})
+	b := root.Program([]string{"B.main", "B.fold"})
+	if !a.HasMethodNames() || root.HasMethodNames() {
+		t.Fatal("only program views carry a name table here")
+	}
+	a.Record(KindCompileFinish, 1, -1, 10, 0, a.Reason("cache"))
+	b.Record(KindCompileFinish, 1, -1, 20, 0, b.Reason("cache"))
+	root.Record(KindQueueDepth, 1, -1, 0, 0, 0)
+	if a.MethodName(1) != "A.step" || b.MethodName(1) != "B.fold" {
+		t.Fatalf("views resolve %q / %q", a.MethodName(1), b.MethodName(1))
+	}
+	if a.Reason("cache") != b.Reason("cache") {
+		t.Fatal("views must share the reason table")
+	}
+
+	dump := func() []string {
+		var buf bytes.Buffer
+		if err := root.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSpace(buf.String()), "\n")
+	}
+	lines := dump()
+	if len(lines) != 3 {
+		t.Fatalf("dumped %d lines through the root view, want 3", len(lines))
+	}
+	if !strings.Contains(lines[0], `"method":"A.step"`) || !strings.Contains(lines[1], `"method":"B.fold"`) {
+		t.Fatalf("methods resolved through the wrong table:\n%s\n%s", lines[0], lines[1])
+	}
+	if strings.Contains(lines[2], `"prog"`) || strings.Contains(lines[2], `"method"`) {
+		t.Fatalf("root-view record gained a program: %s", lines[2])
+	}
+
+	a.Release()
+	lines = dump()
+	if strings.Contains(lines[0], `"method"`) || !strings.Contains(lines[0], `"prog":1`) {
+		t.Fatalf("released program still resolves (or lost its tag): %s", lines[0])
+	}
+	if !strings.Contains(lines[1], `"method":"B.fold"`) {
+		t.Fatalf("releasing one program disturbed another: %s", lines[1])
 	}
 }
 

@@ -481,12 +481,25 @@ func (s *Sink) EAVerdict(method, node, verdict, reason, site string) {
 	}
 }
 
-// VMCompile records a tier-up compilation of a method.
-func (s *Sink) VMCompile(method string, invocations int) {
+// What asked for the code a vm_compile event installs (its Reason).
+const (
+	// TriggerThreshold: the unit crossed its hotness threshold and was
+	// submitted to the broker (which compiled it or replayed a cache tier).
+	TriggerThreshold = "threshold"
+	// TriggerCacheFirst: the VM found the artifact in the broker's memory
+	// tier before the unit was hot — at the method's first call or the
+	// loop header's first back edge.
+	TriggerCacheFirst = "cache-first"
+)
+
+// VMCompile records the installation of compiled code for a method (or,
+// named "Class.method@osr<bci>", one OSR entry point); trigger is
+// TriggerThreshold or TriggerCacheFirst.
+func (s *Sink) VMCompile(method string, invocations int, trigger string) {
 	if s == nil {
 		return
 	}
-	s.emit(&Event{Kind: KindVMCompile, Phase: "vm", Method: method, Round: invocations})
+	s.emit(&Event{Kind: KindVMCompile, Phase: "vm", Method: method, Round: invocations, Reason: trigger})
 	s.Metrics().Add(MetricVMCompiles, 1)
 }
 

@@ -34,7 +34,7 @@ func TestNilSinkNoAllocs(t *testing.T) {
 		s.PEABailout("M.m", "no fixpoint")
 		s.PEAState("M.m", "b1", "state")
 		s.EAVerdict("M.m", "v1", "captured", "", "M.m@0")
-		s.VMCompile("M.m", 20)
+		s.VMCompile("M.m", 20, TriggerThreshold)
 		s.VMDeopt("M.m", "v7", "branch-mispredict")
 		s.VMRematerialize("M.m", "vobj0", "Key", "M.m@0")
 		s.VMInvalidate("M.m", "deopt")
@@ -111,7 +111,7 @@ func TestSinkMetricsAgreement(t *testing.T) {
 	s.PEABailout("M.m", "no fixpoint")
 	s.EAVerdict("M.m", "v1", "captured", "", "M.m@0")
 	s.EAVerdict("M.m", "v2", "escapes", "returned", "M.m@4")
-	s.VMCompile("M.m", 20)
+	s.VMCompile("M.m", 20, TriggerThreshold)
 	s.VMDeopt("M.m", "v7", "speculation-failed")
 	s.VMRematerialize("M.m", "vobj0", "Key", "M.m@0")
 	s.VMInvalidate("M.m", "deopt")

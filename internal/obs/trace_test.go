@@ -30,7 +30,7 @@ func TestTraceWriterChromeFormat(t *testing.T) {
 	s.PhaseStart("pea", "Main.getValue", 12, 2)
 	s.Virtualize("Main.getValue", "o0", "Key", "v1", "Main.getValue@0") // no trace output
 	s.PhaseEnd("pea", "Main.getValue", 12, 2, 8, 2, time.Millisecond)
-	s.VMCompile("Main.main", 20)
+	s.VMCompile("Main.main", 20, TriggerThreshold)
 	s.VMDeopt("Main.main", "v7", "speculation-failed")
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)

@@ -21,9 +21,10 @@ type Inliner struct {
 	BuildGraph func(m *bc.Method) (*ir.Graph, error)
 	// Program provides the class hierarchy for devirtualization.
 	Program *bc.Program
-	// Profile, if non-nil, devirtualizes monomorphic call sites.
-	// Speculative devirtualization by profile alone is only sound with a
-	// guard, so it is used only when CHA already proves the target.
+	// Profile is reserved for guarded devirtualization of monomorphic call
+	// sites. No code reads it today — devirtualization is exact-type/CHA
+	// only, since a profile-only target is unsound without a guard — which
+	// is why non-speculative cache keys carry no profile fingerprint.
 	Profile *interp.Profile
 
 	// MaxCalleeCode is the largest callee bytecode size inlined

@@ -6,7 +6,10 @@
 // and one content-addressed persistent artifact store. Because cache keys
 // are content fingerprints, two tenants posting the same program share
 // compiled artifacts, and a restarted server warm-starts from the store
-// directory instead of recompiling its working set.
+// directory instead of recompiling its working set. Tenant compiles never
+// speculate, so their cache keys carry no profile: once a program's hot
+// methods and loops are in the cache, a later request's fresh VM installs
+// them at first call / first back edge and interprets almost nothing.
 package serve
 
 import (
@@ -25,6 +28,8 @@ import (
 	"pea/internal/broker"
 	"pea/internal/check"
 	"pea/internal/mj"
+	"pea/internal/obs"
+	"pea/internal/obs/flight"
 	"pea/internal/vm"
 )
 
@@ -37,6 +42,14 @@ type Options struct {
 	Backend vm.Backend
 	// CompileThreshold is the tenant VMs' hotness threshold (0 = vm default).
 	CompileThreshold int64
+	// OSRThreshold is the back-edge count at which a tenant's hot loop is
+	// compiled and entered mid-invocation (vm.Options.OSRThreshold). A
+	// request is a fresh VM making a handful of calls, so a loop inside
+	// Main.main never tiers up at a call boundary; OSR is what gets it out
+	// of the interpreter, and what puts its code into the shared cache for
+	// the next request's first back edge. 0 selects 1000; negative turns
+	// OSR off.
+	OSRThreshold int64
 	// CompileDeadline and MaxIRNodes are the per-tenant compile budgets: a
 	// tenant whose program drives a compile past either bound degrades that
 	// method to interpretation (transient failure, backoff) without
@@ -77,6 +90,14 @@ type Options struct {
 	InjectFault func(point, method string)
 }
 
+// osrThreshold is the value handed to vm.Options, where <= 0 means off.
+func (o Options) osrThreshold() int64 {
+	if o.OSRThreshold == 0 {
+		return 1000
+	}
+	return o.OSRThreshold
+}
+
 func (o Options) maxSourceBytes() int64 {
 	if o.MaxSourceBytes > 0 {
 		return o.MaxSourceBytes
@@ -100,22 +121,39 @@ func (o Options) maxPrograms() int {
 
 // Server shares one broker across tenant VMs and serves the HTTP API:
 //
-//	POST /run     {"source": "...", "runs": N} → RunResponse
-//	GET  /stats   → StatsResponse
-//	GET  /healthz → 200 "ok"
+//	POST /run              {"source": "...", "runs": N} → RunResponse
+//	GET  /stats            → StatsResponse
+//	GET  /healthz          → 200 "ok"
+//	GET  /debug/pea/flight → the flight recorder's ring as JSON lines
 type Server struct {
 	opts  Options
 	jit   *broker.Broker
 	store *broker.Store
 	mux   *http.ServeMux
+	// flight is the one always-on recorder of the process: the broker and
+	// every request VM record into its ring, each program through its own
+	// view (linked.flight).
+	flight *flight.Recorder
 
-	progMu sync.Mutex
-	progs  map[uint64]*bc.Program
+	progMu    sync.Mutex
+	progs     map[uint64]*linked
+	progClock int64 // logical time of the last memo use
 
-	tenants   atomic.Int64 // requests served (each is one tenant VM)
-	active    atomic.Int64 // requests currently executing
-	panicked  atomic.Int64 // handler panics contained (server stayed up)
-	badSource atomic.Int64 // requests rejected at the front door
+	tenants      atomic.Int64 // requests served (each is one tenant VM)
+	active       atomic.Int64 // requests currently executing
+	panicked     atomic.Int64 // handler panics contained (server stayed up)
+	badSource    atomic.Int64 // requests rejected at the front door
+	warmInstalls atomic.Int64 // vm.Stats.WarmInstalls summed over requests
+}
+
+// linked is one memoized tenant program with what the server keeps per
+// program rather than per request.
+type linked struct {
+	prog *bc.Program
+	// flight is the program's view of the server's recorder; its method-name
+	// table is built once here, not in every request's vm.New.
+	flight *flight.Recorder
+	used   int64 // progClock at the last request for this program
 }
 
 // New creates a Server. The store directory is opened (and created) up
@@ -133,20 +171,24 @@ func New(opts Options) (*Server, error) {
 	if cacheMax == 0 {
 		cacheMax = broker.DefaultCacheEntries
 	}
+	fl := flight.New(0)
 	s := &Server{
-		opts:  opts,
-		store: store,
+		opts:   opts,
+		store:  store,
+		flight: fl,
 		jit: broker.New(broker.Options{
 			Workers: opts.Workers,
 			Cache:   broker.NewCacheSize(cacheMax),
 			Store:   store,
 			Check:   opts.CheckLevel,
+			Flight:  fl,
 		}),
-		progs: make(map[uint64]*bc.Program),
+		progs: make(map[uint64]*linked),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/run", s.handleRun)
 	s.mux.HandleFunc("/stats", s.handleStats)
+	s.mux.Handle("/debug/pea/", obs.Handler(fl, nil, nil))
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -194,22 +236,32 @@ type RunResponse struct {
 	// warm cache).
 	CompiledMethods  int64 `json:"compiled_methods"`
 	PipelineCompiles int64 `json:"pipeline_compiles"`
+	// WarmInstalls counts code this request's VM installed from the shared
+	// cache before it was hot — at a method's first call or a loop's first
+	// back edge — instead of interpreting up to the threshold first.
+	WarmInstalls int64 `json:"warm_installs"`
 	// FailedCompiles counts methods that permanently failed to compile and
 	// degraded to interpretation (contained panics included).
 	FailedCompiles int `json:"failed_compiles"`
+	// GuestAllocs is the number of guest objects and arrays the tenant
+	// program allocated over all runs (rt.Stats.Allocations): what scalar
+	// replacement removes is visible here.
+	GuestAllocs int64 `json:"guest_allocs"`
 	// WallNS is the server-side execution time of all runs.
 	WallNS int64 `json:"wall_ns"`
 }
 
 // StatsResponse is the GET /stats payload.
 type StatsResponse struct {
-	Tenants  int64              `json:"tenants"`
-	Active   int64              `json:"active"`
-	Panicked int64              `json:"panicked"`
-	Rejected int64              `json:"rejected_requests"`
-	Programs int                `json:"programs"`
-	Broker   broker.Stats       `json:"broker"`
-	Store    *broker.StoreStats `json:"store,omitempty"`
+	Tenants  int64 `json:"tenants"`
+	Active   int64 `json:"active"`
+	Panicked int64 `json:"panicked"`
+	Rejected int64 `json:"rejected_requests"`
+	Programs int   `json:"programs"`
+	// WarmInstalls sums RunResponse.WarmInstalls over all requests.
+	WarmInstalls int64              `json:"warm_installs"`
+	Broker       broker.Stats       `json:"broker"`
+	Store        *broker.StoreStats `json:"store,omitempty"`
 	// HitRate is the fraction of submissions resolved without a pipeline
 	// run, over both cache tiers: (CacheHits+DiskHits)/(CacheHits+CacheMisses).
 	HitRate        float64 `json:"hit_rate"`
@@ -220,16 +272,19 @@ type StatsResponse struct {
 
 // program links source, memoized by content hash so identical tenant
 // programs share one immutable *bc.Program (and therefore hit the shared
-// cache without rebinding). The memo is bounded; on overflow it is simply
-// cleared — programs relink cheaply and artifacts live in the cache/store.
-func (s *Server) program(source string) (*bc.Program, error) {
+// cache without rebinding). The memo is bounded; a new program evicts the
+// single least-recently-used one, so a burst of one-off programs cannot
+// make the hot tenants relink.
+func (s *Server) program(source string) (*linked, error) {
 	h := fnv.New64a()
 	h.Write([]byte(source))
 	key := h.Sum64()
 	s.progMu.Lock()
-	if p, ok := s.progs[key]; ok {
+	if l, ok := s.progs[key]; ok {
+		s.progClock++
+		l.used = s.progClock
 		s.progMu.Unlock()
-		return p, nil
+		return l, nil
 	}
 	s.progMu.Unlock()
 
@@ -238,12 +293,27 @@ func (s *Server) program(source string) (*bc.Program, error) {
 		return nil, err
 	}
 	s.progMu.Lock()
-	if len(s.progs) >= s.opts.maxPrograms() {
-		s.progs = make(map[uint64]*bc.Program)
+	defer s.progMu.Unlock()
+	s.progClock++
+	if l, ok := s.progs[key]; ok {
+		// A concurrent request linked the same source first; share its link.
+		l.used = s.progClock
+		return l, nil
 	}
-	s.progs[key] = p
-	s.progMu.Unlock()
-	return p, nil
+	if len(s.progs) >= s.opts.maxPrograms() {
+		var victim uint64
+		oldest := int64(-1)
+		for k, l := range s.progs {
+			if oldest < 0 || l.used < oldest {
+				victim, oldest = k, l.used
+			}
+		}
+		s.progs[victim].flight.Release()
+		delete(s.progs, victim)
+	}
+	l := &linked{prog: p, flight: s.flight.Program(vm.MethodNames(p)), used: s.progClock}
+	s.progs[key] = l
+	return l, nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -271,7 +341,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("runs capped at %d", s.opts.maxRuns()), http.StatusBadRequest)
 		return
 	}
-	prog, err := s.program(req.Source)
+	l, err := s.program(req.Source)
 	if err != nil {
 		s.badSource.Add(1)
 		http.Error(w, "compile error: "+err.Error(), http.StatusBadRequest)
@@ -283,16 +353,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer s.active.Add(-1)
 
 	before := s.jit.Stats()
-	machine := vm.New(prog, vm.Options{
+	machine := vm.New(l.prog, vm.Options{
 		EA:               s.opts.EA,
 		Backend:          s.opts.Backend,
 		CompileThreshold: s.opts.CompileThreshold,
+		OSRThreshold:     s.opts.osrThreshold(),
 		CompileDeadline:  s.opts.CompileDeadline,
 		MaxIRNodes:       s.opts.MaxIRNodes,
 		CheckLevel:       s.opts.CheckLevel,
 		Summaries:        s.opts.Summaries,
 		InjectFault:      s.opts.InjectFault,
 		JIT:              s.jit,
+		Flight:           l.flight,
 	})
 	defer machine.Close()
 
@@ -307,12 +379,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	wall := time.Since(start)
 	after := s.jit.Stats()
 
+	vs := machine.Stats()
+	s.warmInstalls.Add(vs.WarmInstalls)
 	resp := RunResponse{
 		Output:           append([]int64(nil), machine.Env.Output...),
 		Runs:             req.Runs,
-		CompiledMethods:  machine.Stats().CompiledMethods,
+		CompiledMethods:  vs.CompiledMethods,
 		PipelineCompiles: after.Compiled - before.Compiled,
+		WarmInstalls:     vs.WarmInstalls,
 		FailedCompiles:   len(machine.FailedCompilations()),
+		GuestAllocs:      machine.Env.Stats.Allocations,
 		WallNS:           wall.Nanoseconds(),
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -331,6 +407,7 @@ func (s *Server) statsLocked() StatsResponse {
 		Active:         s.active.Load(),
 		Panicked:       s.panicked.Load(),
 		Rejected:       s.badSource.Load(),
+		WarmInstalls:   s.warmInstalls.Load(),
 		Broker:         bs,
 		CacheEntries:   s.jit.Cache().Len(),
 		CacheEvictions: s.jit.Cache().Evictions(),

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -150,11 +152,21 @@ func TestBadRequestsRejected(t *testing.T) {
 	resp.Body.Close()
 }
 
-// TestTenantsShareCompiledArtifacts: concurrent tenants posting the same
-// program share the broker's cache — the pipeline runs once per method, not
-// once per tenant. Run under -race in CI.
+// TestTenantsShareCompiledArtifacts: tenants posting the same program share
+// the broker's cache — the pipeline runs once per method, not once per
+// tenant: after one tenant has paid for the compiles, every concurrent
+// tenant's fresh VM takes its code out of the cache at first call. Run
+// under -race in CI.
 func TestTenantsShareCompiledArtifacts(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
+	if resp, _ := postRun(t, ts.URL, tenantSrc, 2); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first tenant: %s", resp.Status)
+	}
+	first := getStats(t, ts.URL)
+	if first.Broker.Compiled == 0 {
+		t.Fatal("nothing compiled")
+	}
+
 	const tenants = 8
 	var wg sync.WaitGroup
 	errs := make(chan string, tenants)
@@ -180,24 +192,201 @@ func TestTenantsShareCompiledArtifacts(t *testing.T) {
 		t.Fatal(e)
 	}
 	st := getStats(t, ts.URL)
-	if st.Tenants != tenants {
-		t.Fatalf("tenants = %d, want %d", st.Tenants, tenants)
+	if st.Tenants != tenants+1 {
+		t.Fatalf("tenants = %d, want %d", st.Tenants, tenants+1)
 	}
-	// Every tenant shares one linked program, so each method compiled at
-	// most once (dedup may make it exactly once; never once per tenant).
-	if st.Broker.Compiled == 0 {
-		t.Fatal("nothing compiled")
+	// Every tenant shares one linked program and one set of artifacts: the
+	// eight later tenants compile nothing and each installs from the cache.
+	if st.Broker.Compiled != first.Broker.Compiled {
+		t.Fatalf("later tenants recompiled: %d pipeline runs, first tenant %d",
+			st.Broker.Compiled, first.Broker.Compiled)
 	}
 	if st.Broker.Installed != st.Broker.Compiled+st.Broker.CacheHits+st.Broker.DiskHits ||
-		st.Broker.CacheHits < int64(tenants-1) {
-		t.Fatalf("no artifact sharing visible: compiled %d, cache hits %d, installed %d across %d tenants",
-			st.Broker.Compiled, st.Broker.CacheHits, st.Broker.Installed, tenants)
+		st.Broker.CacheHits < tenants || st.WarmInstalls < tenants {
+		t.Fatalf("no artifact sharing visible: compiled %d, cache hits %d, installed %d, warm installs %d across %d tenants",
+			st.Broker.Compiled, st.Broker.CacheHits, st.Broker.Installed, st.WarmInstalls, tenants)
 	}
 	if st.Programs != 1 {
 		t.Fatalf("program memo holds %d entries, want 1", st.Programs)
 	}
 	if s.panicked.Load() != 0 {
 		t.Fatalf("handler panics: %d", s.panicked.Load())
+	}
+}
+
+// pairloopSrc is examples/pairloop.mj: one call of a 5000-iteration loop
+// whose per-iteration allocation PEA removes entirely.
+func pairloopSrc(t *testing.T) string {
+	t.Helper()
+	src, err := os.ReadFile("../../examples/pairloop.mj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(src)
+}
+
+// TestSecondRequestRunsCompiledFromTheStart is the tentpole over HTTP. The
+// first pairloop request interprets Main.hot's loop up to the OSR threshold
+// and compiles it mid-call; the second request's fresh VM finds that code at
+// the loop's first back edge: no pipeline run, and of the 15 000 objects
+// three interpreted runs allocate, only the three allocated before each
+// run's first back edge remain.
+func TestSecondRequestRunsCompiledFromTheStart(t *testing.T) {
+	_, ts := newTestServer(t, Options{CompileThreshold: 20})
+	src := pairloopSrc(t)
+	resp, first := postRun(t, ts.URL, src, 3)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first request: %s", resp.Status)
+	}
+	if first.PipelineCompiles == 0 || first.WarmInstalls != 0 {
+		t.Fatalf("first request: %+v, want compiles and nothing to install from", first)
+	}
+	// 1000 interpreted iterations up to the OSR threshold, then one per run.
+	if first.GuestAllocs != 1002 {
+		t.Fatalf("first request allocated %d guest objects, want 1002", first.GuestAllocs)
+	}
+	resp, second := postRun(t, ts.URL, src, 3)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second request: %s", resp.Status)
+	}
+	if second.PipelineCompiles != 0 || second.WarmInstalls < 1 {
+		t.Fatalf("second request: %+v, want 0 pipeline compiles and a warm install", second)
+	}
+	if second.GuestAllocs != 3 {
+		t.Fatalf("second request allocated %d guest objects, want 3", second.GuestAllocs)
+	}
+	if fmt.Sprint(second.Output) != fmt.Sprint(first.Output) {
+		t.Fatalf("outputs differ: %v vs %v", second.Output, first.Output)
+	}
+
+	// With OSR off a loop inside a method called three times per request
+	// never leaves the interpreter, however often the program is posted.
+	_, off := newTestServer(t, Options{CompileThreshold: 20, OSRThreshold: -1})
+	for i := 0; i < 2; i++ {
+		resp, rr := postRun(t, off.URL, src, 3)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("osr-off request %d: %s", i, resp.Status)
+		}
+		if rr.GuestAllocs != 15000 {
+			t.Fatalf("osr-off request %d: %+v, want all 15000 allocations of the interpreted loop", i, rr)
+		}
+		if fmt.Sprint(rr.Output) != fmt.Sprint(first.Output) {
+			t.Fatalf("osr-off output %v, want %v", rr.Output, first.Output)
+		}
+	}
+}
+
+// TestProbeMissesLeaveHitRateAlone: the first-call look into the cache is
+// made for every method a tenant calls, most of which were never compiled;
+// those misses must not count, or the hit rate would stop describing
+// submissions.
+func TestProbeMissesLeaveHitRateAlone(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for i := 0; i < 2; i++ {
+		if resp, _ := postRun(t, ts.URL, tenantSrc, 2); resp.StatusCode != http.StatusOK {
+			t.Fatalf("tenant %d: %s", i, resp.Status)
+		}
+	}
+	before := getStats(t, ts.URL)
+	if before.HitRate <= 0 || before.Broker.CacheHits == 0 {
+		t.Fatalf("second tenant hit nothing: %+v", before.Broker)
+	}
+	// A program whose only method runs once per Run: probed, never compiled.
+	const cold = `class Main { static void main() { print(7); } }`
+	for i := 0; i < 5; i++ {
+		resp, rr := postRun(t, ts.URL, cold, 3)
+		if resp.StatusCode != http.StatusOK || rr.CompiledMethods != 0 {
+			t.Fatalf("cold tenant %d: %s %+v", i, resp.Status, rr)
+		}
+	}
+	after := getStats(t, ts.URL)
+	if after.HitRate != before.HitRate || after.Broker.CacheMisses != before.Broker.CacheMisses ||
+		after.Broker.CacheHits != before.Broker.CacheHits {
+		t.Fatalf("probe misses moved the counters: hit rate %.3f → %.3f, broker %+v → %+v",
+			before.HitRate, after.HitRate, before.Broker, after.Broker)
+	}
+}
+
+// TestSharedRecorderTellsTenantsApart: all request VMs record into the
+// server's one ring. Two tenant programs whose hot methods share a dense
+// method ID must come out of the dump under their own names.
+func TestSharedRecorderTellsTenantsApart(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	srcA := tenantSrc
+	srcB := strings.ReplaceAll(strings.ReplaceAll(tenantSrc, "Main.f(", "Main.g("), "int f(", "int g(")
+	for _, src := range []string{srcA, srcB, srcA} {
+		if resp, rr := postRun(t, ts.URL, src, 2); resp.StatusCode != http.StatusOK || rr.CompiledMethods == 0 {
+			t.Fatalf("tenant: %s %+v", resp.Status, rr)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/debug/pea/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("flight dump: %s", resp.Status)
+	}
+	type line struct {
+		Kind   string `json:"kind"`
+		Prog   uint32 `json:"prog"`
+		Method string `json:"method"`
+		Reason string `json:"reason"`
+	}
+	progOf := map[string]uint32{}
+	warm := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var l line
+		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+			t.Fatalf("bad flight line %q: %v", sc.Text(), err)
+		}
+		if l.Kind != "compile_finish" {
+			continue
+		}
+		if l.Method != "Main.f" && l.Method != "Main.g" {
+			t.Fatalf("compile_finish of %q (prog %d): neither tenant has such a hot method", l.Method, l.Prog)
+		}
+		if prev, ok := progOf[l.Method]; ok && prev != l.Prog {
+			t.Fatalf("%s recorded under programs %d and %d", l.Method, prev, l.Prog)
+		}
+		progOf[l.Method] = l.Prog
+		if l.Reason == "cache" {
+			warm++
+		}
+	}
+	if len(progOf) != 2 || progOf["Main.f"] == 0 || progOf["Main.f"] == progOf["Main.g"] {
+		t.Fatalf("tenants not told apart: %v", progOf)
+	}
+	if warm == 0 {
+		t.Fatal("the repeated tenant's cache-first install left no record")
+	}
+}
+
+// TestProgramMemoEvictsOnlyTheColdest: a burst of one-off programs must not
+// make a tenant that keeps posting relink (the memo used to be dropped
+// wholesale at the bound).
+func TestProgramMemoEvictsOnlyTheColdest(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	hot, err := s.program(tenantSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		cold := fmt.Sprintf("class Main { static void main() { print(%d); } }", i)
+		if _, err := s.program(cold); err != nil {
+			t.Fatal(err)
+		}
+		again, err := s.program(tenantSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.prog != hot.prog {
+			t.Fatalf("hot program relinked after %d cold sources", i+1)
+		}
+	}
+	if st := s.statsLocked(); st.Programs != s.opts.maxPrograms() {
+		t.Fatalf("memo holds %d programs, want the bound %d", st.Programs, s.opts.maxPrograms())
 	}
 }
 
@@ -256,6 +445,16 @@ func TestLoadHarnessAgainstServer(t *testing.T) {
 	}
 	if rep.PipelineCompiles == 0 || rep.HitRate == 0 {
 		t.Fatalf("cache metrics missing: %+v", rep)
+	}
+
+	// A second pass against the same live server reports only its own
+	// traffic: nothing left to compile, every request installs cache-first.
+	again, err := bench.RunLoad(bench.LoadOptions{URL: ts.URL, Tenants: 8, Requests: 2, Runs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Errors != 0 || again.PipelineCompiles != 0 || again.WarmInstalls < int64(again.Requests) || again.HitRate != 1 {
+		t.Fatalf("second pass on the live server: %+v", again)
 	}
 	ts.Close()
 

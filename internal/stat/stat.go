@@ -55,6 +55,14 @@ type Report struct {
 	CacheHits   int64
 	CacheMisses int64
 
+	// Installs counts vm_compile events (code published into a VM's code
+	// table); WarmInstalls is the share of them triggered cache-first — at
+	// a method's first call or a loop's first back edge, before the unit
+	// was hot. Obs events only: a flight record does not say what asked
+	// for the code.
+	Installs     int64
+	WarmInstalls int64
+
 	// DeoptReasons histograms vm_deopt events and flight deopt records.
 	Deopts       int64
 	DeoptReasons map[string]int64
@@ -142,6 +150,11 @@ func Analyze(r io.Reader) (*Report, error) {
 		case obs.KindVMDeopt:
 			rep.Deopts++
 			rep.DeoptReasons[reasonOr(e.Reason)]++
+		case obs.KindVMCompile:
+			rep.Installs++
+			if e.Reason == obs.TriggerCacheFirst {
+				rep.WarmInstalls++
+			}
 		case obs.KindBrokerInstall:
 			if e.Detail == "cache" {
 				obsCacheHits++
@@ -245,6 +258,9 @@ func (rep *Report) Text() string {
 	if tot := rep.CacheHits + rep.CacheMisses; tot > 0 {
 		fmt.Fprintf(&b, "code cache: %d/%d hits (%.0f%%)\n",
 			rep.CacheHits, tot, 100*float64(rep.CacheHits)/float64(tot))
+	}
+	if rep.Installs > 0 {
+		fmt.Fprintf(&b, "installs: %d (%d warm, cache-first)\n", rep.Installs, rep.WarmInstalls)
 	}
 	if rep.Deopts > 0 {
 		fmt.Fprintf(&b, "deopts: %d\n", rep.Deopts)

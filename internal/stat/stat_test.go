@@ -73,6 +73,9 @@ func TestAnalyzeObsStream(t *testing.T) {
 	s.PhaseStart("build", "Main.getValue", 0, 0)
 	s.PhaseEnd("build", "Main.getValue", 0, 0, 10, 2, 5*time.Millisecond)
 	s.BrokerInstall("Main.getValue", "cache")
+	s.VMCompile("Main.getValue", 20, obs.TriggerThreshold)
+	s.VMCompile("Main.getValue", 1, obs.TriggerCacheFirst)
+	s.VMCompile("Main.main@osr4", 1, obs.TriggerCacheFirst)
 	s.VMDeopt("Main.getValue", "v7", "branch-mispredict")
 
 	rep, err := Analyze(&buf)
@@ -94,6 +97,12 @@ func TestAnalyzeObsStream(t *testing.T) {
 	if rep.DeoptReasons["branch-mispredict"] != 1 {
 		t.Errorf("deopt reasons = %v", rep.DeoptReasons)
 	}
+	if rep.Installs != 3 || rep.WarmInstalls != 2 {
+		t.Errorf("installs = %d (%d warm), want 3 (2 warm)", rep.Installs, rep.WarmInstalls)
+	}
+	if !strings.Contains(rep.Text(), "installs: 3 (2 warm, cache-first)") {
+		t.Errorf("report text missing the install line:\n%s", rep.Text())
+	}
 	snap := rep.Escape.Snapshot()
 	if len(snap) != 1 || snap[0].Virtualized != 1 {
 		t.Errorf("escape = %+v", snap)
@@ -112,7 +121,7 @@ func TestAnalyzeMixedAndErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := obs.NewSink(obs.NewJSONBackend(&buf))
-	s.VMCompile("M.m", 20)
+	s.VMCompile("M.m", 20, obs.TriggerThreshold)
 
 	rep, err := Analyze(&buf)
 	if err != nil {

@@ -3,6 +3,7 @@ package vm
 import (
 	"testing"
 
+	"pea/internal/broker"
 	"pea/internal/check"
 	"pea/internal/obs"
 	"pea/internal/rt"
@@ -25,6 +26,7 @@ type backendOutcome struct {
 	deopts  int64
 	remats  int64
 	escapes string
+	warm    int64 // Stats.WarmInstalls
 }
 
 // runBackendConfig executes every argument set several times in one VM (so
@@ -72,6 +74,7 @@ func runBackendConfig(t *testing.T, p testprog.Program, opts Options) backendOut
 	o.deopts = machine.Env.Stats.Deopts
 	o.remats = machine.Env.Stats.Materializations
 	o.escapes = et.Table()
+	o.warm = machine.Stats().WarmInstalls
 	return o
 }
 
@@ -96,22 +99,34 @@ func TestFuzzBackendDifferential(t *testing.T) {
 		name   string
 		strict bool // deterministic: compare heap effects + escape table too
 		opts   Options
+		// warm observes, per backend, a second VM on a shared broker the
+		// first one populated: every artifact it runs was lowered for
+		// another VM and installed cache-first.
+		warm bool
 	}{
-		{"sync", true, Options{EA: EAPartial, Speculate: true}},
-		{"sync-osr", true, Options{EA: EAPartial, Speculate: true, OSRThreshold: 8}},
-		{"async", false, Options{EA: EAPartial, Speculate: true, Async: true, JITWorkers: 2}},
-		{"async-osr", false, Options{EA: EAPartial, Speculate: true, OSRThreshold: 8, Async: true, JITWorkers: 2}},
-		{"sync-sum", true, Options{EA: EAPartial, Speculate: true, Summaries: true}},
+		{name: "sync", strict: true, opts: Options{EA: EAPartial, Speculate: true}},
+		{name: "sync-osr", strict: true, opts: Options{EA: EAPartial, Speculate: true, OSRThreshold: 8}},
+		{name: "async", opts: Options{EA: EAPartial, Speculate: true, Async: true, JITWorkers: 2}},
+		{name: "async-osr", opts: Options{EA: EAPartial, Speculate: true, OSRThreshold: 8, Async: true, JITWorkers: 2}},
+		{name: "sync-sum", strict: true, opts: Options{EA: EAPartial, Speculate: true, Summaries: true}},
+		{name: "sync-osr-warm", strict: true, opts: Options{EA: EAPartial, OSRThreshold: 8}, warm: true},
 	}
 	for seed := 0; seed < seeds; seed++ {
 		p := testprog.Generate(int64(seed))
 		for _, cfg := range configs {
-			oo := cfg.opts
-			oo.Backend = BackendOracle
-			co := cfg.opts
-			co.Backend = BackendClosure
-			ref := runBackendConfig(t, p, oo)
-			got := runBackendConfig(t, p, co)
+			run := func(b Backend) backendOutcome {
+				o := cfg.opts
+				o.Backend = b
+				if !cfg.warm {
+					return runBackendConfig(t, p, o)
+				}
+				o.JIT = broker.New(broker.Options{Check: check.Strict})
+				defer o.JIT.Close()
+				runBackendConfig(t, p, o)
+				return runBackendConfig(t, p, o)
+			}
+			ref := run(BackendOracle)
+			got := run(BackendClosure)
 
 			if len(got.results) != len(ref.results) {
 				t.Fatalf("seed %d %s: %d final-round calls vs oracle %d",
@@ -165,6 +180,10 @@ func TestFuzzBackendDifferential(t *testing.T) {
 			if got.escapes != ref.escapes {
 				t.Fatalf("seed %d %s: escape tables diverge\nclosure:\n%s\noracle:\n%s",
 					seed, cfg.name, got.escapes, ref.escapes)
+			}
+			if got.warm != ref.warm || (cfg.warm && got.warm == 0) {
+				t.Fatalf("seed %d %s: %d cache-first installs, oracle %d",
+					seed, cfg.name, got.warm, ref.warm)
 			}
 		}
 	}

@@ -79,7 +79,7 @@ func TestNonSpeculativeDeoptKeepsCode(t *testing.T) {
 	if machine.CompiledGraph(m) == nil {
 		t.Fatal("non-speculative deopt dropped the installed code")
 	}
-	if !machine.cacheKey(m).Spec {
+	if !machine.speculates(m) {
 		t.Fatal("non-speculative deopt blacklisted future speculation")
 	}
 }
@@ -110,7 +110,7 @@ func TestSpeculationDeoptInvalidatesWithReason(t *testing.T) {
 	if machine.CompiledGraph(m) != nil {
 		t.Fatal("speculation-failure deopt left the code installed")
 	}
-	if machine.cacheKey(m).Spec {
+	if machine.speculates(m) {
 		t.Fatal("speculation still allowed after a speculation-failure deopt")
 	}
 

@@ -15,12 +15,14 @@ import (
 type fuzzOutcome struct {
 	results []rt.Value
 	errs    []bool
+	traps   []string // identity (reason, innermost method, bci) of each trap
 	out     []int64
 	allocs  int64
 	monOps  int64
 	sinkSet bool
 	sinkV   int64
 	acc     int64
+	vm      Stats
 }
 
 // runFuzzConfig executes every argument set several times in one VM (so
@@ -38,6 +40,11 @@ func runFuzzConfig(t *testing.T, p testprog.Program, opts Options) fuzzOutcome {
 			if round == 6 {
 				o.results = append(o.results, v)
 				o.errs = append(o.errs, err != nil)
+				trap := ""
+				if err != nil {
+					trap = err.Error()
+				}
+				o.traps = append(o.traps, trap)
 			}
 			if err != nil {
 				// Traps abort only this call; state may diverge
@@ -67,7 +74,18 @@ func runFuzzConfig(t *testing.T, p testprog.Program, opts Options) fuzzOutcome {
 		o.sinkSet = true
 		o.sinkV = sv.Ref.Fields[0].I
 	}
+	o.vm = machine.Stats()
 	return o
+}
+
+// runFuzzConfigWarm is the server's shape: the configuration runs twice on
+// one shared broker, and the observation is the second VM's — the one that
+// finds the first VM's artifacts in the cache and, unless it speculates,
+// installs them at first call / first back edge instead of warming up.
+func runFuzzConfigWarm(t *testing.T, p testprog.Program, opts Options) (cold, warm fuzzOutcome) {
+	t.Helper()
+	opts.JIT = sharedBroker(t)
+	return runFuzzConfig(t, p, opts), runFuzzConfig(t, p, opts)
 }
 
 // TestFuzzedProgramsAgreeAcrossModes generates pseudo-random programs and
@@ -85,22 +103,36 @@ func TestFuzzedProgramsAgreeAcrossModes(t *testing.T) {
 	configs := []struct {
 		name string
 		opts Options
+		// warm observes a second VM on a broker the first one populated.
+		warm bool
 	}{
-		{"interp", Options{Interpret: true}},
-		{"jit", Options{EA: EAOff, Validate: true}},
-		{"jit-ea", Options{EA: EAFlowInsensitive, Validate: true}},
-		{"jit-pea", Options{EA: EAPartial, Validate: true}},
-		{"jit-pea-spec", Options{EA: EAPartial, Speculate: true, Validate: true}},
-		{"jit-pea-osr", Options{EA: EAPartial, OSRThreshold: 8, Validate: true}},
-		{"jit-pea-osr-spec", Options{EA: EAPartial, OSRThreshold: 8, Speculate: true, Validate: true}},
-		{"jit-pea-sum", Options{EA: EAPartial, Summaries: true, Validate: true}},
-		{"jit-pea-sum-spec", Options{EA: EAPartial, Summaries: true, Speculate: true, Validate: true}},
+		{name: "interp", opts: Options{Interpret: true}},
+		{name: "jit", opts: Options{EA: EAOff, Validate: true}},
+		{name: "jit-ea", opts: Options{EA: EAFlowInsensitive, Validate: true}},
+		{name: "jit-pea", opts: Options{EA: EAPartial, Validate: true}},
+		{name: "jit-pea-spec", opts: Options{EA: EAPartial, Speculate: true, Validate: true}},
+		{name: "jit-pea-osr", opts: Options{EA: EAPartial, OSRThreshold: 8, Validate: true}},
+		{name: "jit-pea-osr-spec", opts: Options{EA: EAPartial, OSRThreshold: 8, Speculate: true, Validate: true}},
+		{name: "jit-pea-sum", opts: Options{EA: EAPartial, Summaries: true, Validate: true}},
+		{name: "jit-pea-sum-spec", opts: Options{EA: EAPartial, Summaries: true, Speculate: true, Validate: true}},
+		{name: "jit-pea-warm", opts: Options{EA: EAPartial, Validate: true}, warm: true},
+		{name: "jit-pea-osr-warm", opts: Options{EA: EAPartial, OSRThreshold: 8, Validate: true}, warm: true},
+		{name: "jit-pea-osr-spec-warm", opts: Options{EA: EAPartial, OSRThreshold: 8, Speculate: true, Validate: true}, warm: true},
 	}
+	// A speculating VM installs cache-first only once a method has
+	// deoptimized out of speculation, so that configuration is held to it
+	// over the whole seed range rather than per program.
+	var specWarmInstalls int64
 	for seed := 0; seed < seeds; seed++ {
 		p := testprog.Generate(int64(seed))
 		ref := runFuzzConfig(t, p, configs[0].opts)
 		for _, cfg := range configs[1:] {
-			o := runFuzzConfig(t, p, cfg.opts)
+			var cold, o fuzzOutcome
+			if cfg.warm {
+				cold, o = runFuzzConfigWarm(t, p, cfg.opts)
+			} else {
+				o = runFuzzConfig(t, p, cfg.opts)
+			}
 			if len(o.results) != len(ref.results) {
 				t.Fatalf("seed %d %s: %d final-round calls vs %d",
 					seed, cfg.name, len(o.results), len(ref.results))
@@ -139,6 +171,25 @@ func TestFuzzedProgramsAgreeAcrossModes(t *testing.T) {
 				t.Fatalf("seed %d %s: %d monitor ops vs interp %d",
 					seed, cfg.name, o.monOps, ref.monOps)
 			}
+			if !cfg.warm {
+				continue
+			}
+			for i := range ref.traps {
+				if o.traps[i] != ref.traps[i] {
+					t.Fatalf("seed %d %s call %d: trap %q, interp %q",
+						seed, cfg.name, i, o.traps[i], ref.traps[i])
+				}
+			}
+			switch {
+			case cfg.opts.Speculate:
+				specWarmInstalls += o.vm.WarmInstalls
+			case cold.vm.CompiledMethods+cold.vm.OSRCompilations > 0 && o.vm.WarmInstalls == 0:
+				t.Fatalf("seed %d %s: second VM installed nothing cache-first (first VM: %+v)",
+					seed, cfg.name, cold.vm)
+			}
 		}
+	}
+	if specWarmInstalls == 0 {
+		t.Fatalf("no speculating second VM ever installed cache-first after a deopt over %d seeds", seeds)
 	}
 }

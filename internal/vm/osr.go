@@ -23,17 +23,24 @@ type osrSite struct {
 // It fires after the interpreter has taken a backward branch, with f.PC at
 // the loop header and count the header's cumulative back-edge count. When an
 // OSR graph for (f.Method, f.PC) is installed, the hook transfers the live
-// interpreter frame into it and finishes the invocation in compiled code;
-// otherwise, once count crosses the threshold, it submits an OSR compile to
-// the broker and lets the interpreter continue (async mode) or enters the
-// freshly installed code immediately (sync mode).
+// interpreter frame into it and finishes the invocation in compiled code —
+// whatever the count: code installed by an earlier invocation serves every
+// later one from its first back edge. Otherwise the header's first back
+// edge asks the broker's memory tier for a non-speculative artifact (see
+// warmInstall), and once count crosses the threshold the hook submits an
+// OSR compile to the broker and lets the interpreter continue (async mode)
+// or enters the freshly installed code immediately (sync mode). Below the
+// threshold the hook takes no lock.
 func (vm *VM) osrHook(f *interp.Frame, count int64) (rt.Value, bool, error) {
-	if count < vm.Opts.OSRThreshold {
-		return rt.Value{}, false, nil
-	}
 	site := osrSite{f.Method, f.PC}
 	if c := vm.osrInstalled(site); c != nil {
 		return vm.enterOSR(f, c)
+	}
+	if count == 1 && !vm.speculates(f.Method) && vm.warmInstall(f.Method, f.PC) {
+		return vm.enterOSR(f, vm.osrInstalled(site))
+	}
+	if count < vm.Opts.OSRThreshold {
+		return rt.Value{}, false, nil
 	}
 	if vm.hasFailed[f.Method.ID].Load() || vm.osrHasFailed(site) {
 		return rt.Value{}, false, nil
@@ -49,7 +56,7 @@ func (vm *VM) osrHook(f *interp.Frame, count int64) (rt.Value, bool, error) {
 	if s := vm.Opts.Sink; s != nil {
 		s.VMOSRRequest(f.Method.QualifiedName(), f.PC, int(count))
 	}
-	if !vm.jit.SubmitHooks(f.Method, count, vm.osrCacheKey(f.Method, f.PC), &vm.hooks) {
+	if !vm.jit.SubmitHooks(f.Method, count, vm.cacheKey(f.Method, f.PC), &vm.hooks) {
 		// Rejected (queue full, closing, or a racing duplicate): re-arm
 		// this entry point's trigger with backoff instead of resubmitting
 		// on every back edge.
@@ -63,11 +70,13 @@ func (vm *VM) osrHook(f *interp.Frame, count int64) (rt.Value, bool, error) {
 	return rt.Value{}, false, nil
 }
 
-// osrInstalled returns the installed OSR code for site (nil if none).
+// osrInstalled returns the installed OSR code for site (nil if none),
+// without locking.
 func (vm *VM) osrInstalled(site osrSite) exec.Code {
-	vm.osrMu.Lock()
-	defer vm.osrMu.Unlock()
-	return vm.osrCode[site]
+	if codes := vm.osrCode.Load(); codes != nil {
+		return (*codes)[site]
+	}
+	return nil
 }
 
 // osrBackedOff reports whether site is inside a transient-failure backoff
@@ -118,9 +127,6 @@ func (vm *VM) enterOSR(f *interp.Frame, c exec.Code) (rt.Value, bool, error) {
 // (m, entryBCI), or nil. Safe to call concurrently with compilation;
 // exposed for tests and tools.
 func (vm *VM) OSRGraph(m *bc.Method, entryBCI int) *ir.Graph {
-	if vm.osrCode == nil {
-		return nil
-	}
 	if c := vm.osrInstalled(osrSite{m, entryBCI}); c != nil {
 		return c.Graph()
 	}

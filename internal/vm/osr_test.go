@@ -133,22 +133,35 @@ func TestOSREntersHotLoop(t *testing.T) {
 }
 
 // TestOSRDifferentialAgreement is the golden differential: interpreter-only,
-// standard tier-up, synchronous OSR, and asynchronous OSR must produce
-// identical results, output streams, and allocation/monitor counts.
+// standard tier-up, synchronous OSR, asynchronous OSR, and a second VM that
+// takes the first one's OSR code out of a shared broker at the loop's first
+// back edge must produce identical results, output streams, and
+// allocation/monitor counts.
 func TestOSRDifferentialAgreement(t *testing.T) {
 	for _, src := range []string{hotLoopSrc, scalarLoopSrc} {
 		base := runMode(t, src, Options{Interpret: true})
 		modes := []struct {
 			name string
 			opts Options
+			warm bool
 		}{
-			{"tierup", Options{EA: EAPartial, CompileThreshold: 2, Validate: true}},
-			{"osr-sync", Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Validate: true}},
-			{"osr-async", Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Async: true, JITWorkers: 2, Validate: true}},
-			{"osr-spec", Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Speculate: true, Validate: true}},
+			{name: "tierup", opts: Options{EA: EAPartial, CompileThreshold: 2, Validate: true}},
+			{name: "osr-sync", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Validate: true}},
+			{name: "osr-async", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Async: true, JITWorkers: 2, Validate: true}},
+			{name: "osr-spec", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Speculate: true, Validate: true}},
+			{name: "osr-warm", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Validate: true}, warm: true},
 		}
 		for _, mode := range modes {
+			if mode.warm {
+				// A fresh link per VM, as runMode makes: the second VM must
+				// also rebind what it takes.
+				mode.opts.JIT = sharedBroker(t)
+				runMode(t, src, mode.opts)
+			}
 			got := runMode(t, src, mode.opts)
+			if mode.warm && (got.vmStats.WarmInstalls == 0 || got.vmStats.OSRRequests != 0) {
+				t.Errorf("%s: second VM did not enter at the first back edge: %+v", mode.name, got.vmStats)
+			}
 			if !sameOutput(got.output, base.output) {
 				t.Errorf("%s: output diverged from interpreter", mode.name)
 				continue

@@ -17,7 +17,11 @@
 // locking. Either way, artifacts land in a compiled-code cache keyed by
 // (method, EA mode, speculation, profile fingerprint) and recompiles after
 // deoptimization or across VMs sharing the cache replay cached code
-// instead of re-running the pipeline.
+// instead of re-running the pipeline. Non-speculative keys carry no
+// profile fingerprint, so a VM asks the cache's memory tier for them before
+// a method has ever run — at its first call, and at a loop header's first
+// back edge — and a hit installs without one interpreted warm-up
+// invocation (Stats.WarmInstalls).
 //
 // With Options.OSRThreshold the VM also performs on-stack replacement:
 // the interpreter counts loop back edges, and a loop that crosses the
@@ -203,7 +207,9 @@ type Options struct {
 	// VM, the broker, and the PEA pipeline. nil (the default) makes New
 	// create a private recorder with DefaultCapacity — the recorder is
 	// meant to stay on, JFR-style, so every VM has one; pass a recorder
-	// explicitly to share it across VMs or to pick a capacity.
+	// explicitly to pick a capacity, or pass one flight.Recorder.Program
+	// view per program to share a ring across VMs (New registers the
+	// program's method names only on a recorder that has none).
 	Flight *flight.Recorder
 }
 
@@ -250,6 +256,11 @@ type Stats struct {
 	// OSREntries counts transfers from an interpreter frame into compiled
 	// OSR code at a loop-header back-edge.
 	OSREntries int64
+	// WarmInstalls counts code installed from the broker's memory tier
+	// before its unit was hot: at a method's first call or a loop header's
+	// first back edge (each also counts in CompiledMethods or
+	// OSRCompilations).
+	WarmInstalls int64
 	// TransientFailures counts compilations that failed with a transient
 	// error (compile deadline, IR budget) and were re-armed instead of
 	// blacklisted.
@@ -284,12 +295,18 @@ type VM struct {
 	// recompiled without speculation.
 	noSpec []atomic.Bool
 
+	// warmProbed marks methods whose non-speculative key has been looked
+	// up in the broker's memory tier (see warmInstall); cleared by
+	// Invalidate so a deoptimized method asks again. Indexed by method ID.
+	warmProbed []atomic.Bool
+
 	// osrCode holds installed on-stack-replacement code keyed by
-	// (method, loop-header BCI). OSR entries are consulted only on
-	// interpreter back-edges (orders of magnitude rarer than calls), so a
-	// mutex-guarded map suffices where the method code table needs atomics.
+	// (method, loop-header BCI). Every interpreted back edge consults it,
+	// so readers load the current map without locking (nil while the VM
+	// has no OSR code at all); writers replace it copy-on-write under
+	// osrMu, which also guards the rarely touched failure and backoff maps.
+	osrCode   atomic.Pointer[map[osrSite]exec.Code]
 	osrMu     sync.Mutex
-	osrCode   map[osrSite]exec.Code
 	osrFailed map[osrSite]bool
 
 	jit *broker.Broker
@@ -381,13 +398,9 @@ func New(prog *bc.Program, opts Options) *VM {
 	if opts.Flight == nil {
 		opts.Flight = flight.New(0)
 	}
-	// The recorder resolves dense method IDs to names at dump time;
-	// Program.Methods is indexed by Method.ID.
-	names := make([]string, len(prog.Methods))
-	for i, m := range prog.Methods {
-		names[i] = m.QualifiedName()
+	if !opts.Flight.HasMethodNames() {
+		opts.Flight.SetMethodNames(MethodNames(prog))
 	}
-	opts.Flight.SetMethodNames(names)
 	vm := &VM{
 		Prog:        prog,
 		Env:         rt.NewEnv(prog, opts.Seed),
@@ -395,6 +408,7 @@ func New(prog *bc.Program, opts Options) *VM {
 		backend:     opts.Backend.impl(),
 		code:        make([]atomic.Pointer[codeCell], len(prog.Methods)),
 		noSpec:      make([]atomic.Bool, len(prog.Methods)),
+		warmProbed:  make([]atomic.Bool, len(prog.Methods)),
 		failed:      make(map[failKey]error),
 		hasFailed:   make([]atomic.Bool, len(prog.Methods)),
 		retryAt:     make([]atomic.Int64, len(prog.Methods)),
@@ -406,7 +420,6 @@ func New(prog *bc.Program, opts Options) *VM {
 	vm.Interp.MaxSteps = opts.MaxSteps
 	vm.Interp.CallHook = vm.interpCallHook
 	if opts.OSRThreshold > 0 && !opts.Interpret {
-		vm.osrCode = make(map[osrSite]exec.Code)
 		vm.osrFailed = make(map[osrSite]bool)
 		vm.Interp.OSRHook = vm.osrHook
 	}
@@ -419,6 +432,7 @@ func New(prog *bc.Program, opts Options) *VM {
 		Install:  vm.install,
 		Fail:     vm.recordFailure,
 		Resolver: prog,
+		Flight:   vm.flight,
 	}
 	if opts.JIT != nil {
 		vm.jit = opts.JIT
@@ -447,6 +461,16 @@ func New(prog *bc.Program, opts Options) *VM {
 		Flight:      vm.flight,
 	})
 	return vm
+}
+
+// MethodNames is the flight recorder's name table for prog: qualified
+// names indexed by dense method ID.
+func MethodNames(prog *bc.Program) []string {
+	names := make([]string, len(prog.Methods))
+	for i, m := range prog.Methods {
+		names[i] = m.QualifiedName()
+	}
+	return names
 }
 
 // Run executes the program's entry point.
@@ -503,7 +527,9 @@ func (vm *VM) CompiledGraph(m *bc.Method) *ir.Graph {
 // maybeCompiled returns the installed code for m, requesting compilation if
 // it just became hot. In synchronous mode the request completes before this
 // returns; in asynchronous mode the interpreter keeps executing m until the
-// broker publishes code.
+// broker publishes code. Before the hotness test, the first call of m that
+// would compile without speculation asks the broker's memory tier for an
+// artifact some earlier VM already paid for.
 func (vm *VM) maybeCompiled(m *bc.Method) exec.Code {
 	if vm.Opts.Interpret {
 		return nil
@@ -513,6 +539,12 @@ func (vm *VM) maybeCompiled(m *bc.Method) exec.Code {
 	}
 	if vm.hasFailed[m.ID].Load() {
 		return nil
+	}
+	if !vm.warmProbed[m.ID].Load() && !vm.speculates(m) {
+		vm.warmProbed[m.ID].Store(true)
+		if vm.warmInstall(m, broker.NoOSR) {
+			return vm.installed(m)
+		}
 	}
 	inv := vm.Interp.Profile.Invocations(m)
 	if inv < vm.Opts.threshold() {
@@ -524,7 +556,7 @@ func (vm *VM) maybeCompiled(m *bc.Method) exec.Code {
 	if vm.jit.Pending(m, broker.NoOSR) {
 		return nil // already queued or being compiled; keep interpreting
 	}
-	if !vm.jit.SubmitHooks(m, inv, vm.cacheKey(m), &vm.hooks) {
+	if !vm.jit.SubmitHooks(m, inv, vm.cacheKey(m, broker.NoOSR), &vm.hooks) {
 		// Rejected (queue full, closing, or a racing duplicate): re-arm
 		// the hotness trigger with backoff so the method stays
 		// submit-eligible instead of hammering — or silently losing —
@@ -585,40 +617,47 @@ func (vm *VM) rearmOSR(m *bc.Method, entryBCI int, reason string) {
 	}
 }
 
-// cacheKey builds the compiled-code cache key for m under the VM's current
-// configuration and profile: EA mode, whether speculation applies (globally
-// enabled and not invalidated for m), and the fingerprint of the profile
-// decisions the pipeline would consume.
-func (vm *VM) cacheKey(m *bc.Method) broker.Key {
-	spec := vm.Opts.Speculate && !vm.noSpec[m.ID].Load()
-	return broker.Key{
-		MethodFP:    vm.Prog.MethodFingerprint(m),
-		Name:        m.QualifiedName(),
-		Mode:        int(vm.Opts.EA),
-		Spec:        spec,
-		Fingerprint: vm.Interp.Profile.Fingerprint(spec, vm.Opts.minPruneTotal(), 0),
-		EntryBCI:    broker.NoOSR,
-		Backend:     vm.backend.Name(),
-		Summaries:   vm.Opts.Summaries,
-	}
+// speculates reports whether a compile of m would apply speculative branch
+// pruning: speculation is enabled and m has not deoptimized out of it.
+func (vm *VM) speculates(m *bc.Method) bool {
+	return vm.Opts.Speculate && !vm.noSpec[m.ID].Load()
 }
 
-// osrCacheKey is cacheKey for an on-stack-replacement compilation entered
-// at the loop header entryBCI. The fingerprint additionally mixes which
-// loop headers crossed the OSR threshold, so profiles that would drive
-// different OSR decisions never replay each other's artifacts.
-func (vm *VM) osrCacheKey(m *bc.Method, entryBCI int) broker.Key {
-	spec := vm.Opts.Speculate && !vm.noSpec[m.ID].Load()
-	return broker.Key{
-		MethodFP:    vm.Prog.MethodFingerprint(m),
-		Name:        m.QualifiedName(),
-		Mode:        int(vm.Opts.EA),
-		Spec:        spec,
-		Fingerprint: vm.Interp.Profile.Fingerprint(spec, vm.Opts.minPruneTotal(), vm.Opts.OSRThreshold),
-		EntryBCI:    entryBCI,
-		Backend:     vm.backend.Name(),
-		Summaries:   vm.Opts.Summaries,
+// cacheKey builds the compiled-code cache key for m's entry point entryBCI
+// (broker.NoOSR for the standard entry, a loop-header bytecode index for an
+// on-stack-replacement compile) under the VM's configuration. The profile
+// enters the key only when the compile speculates, as the fingerprint of
+// the branch-pruning verdicts — the pruner is the pipeline's one profile
+// reader. Without speculation the key is a pure function of program and
+// options: equal across VMs whatever they have executed, and computable
+// before m has ever run.
+func (vm *VM) cacheKey(m *bc.Method, entryBCI int) broker.Key {
+	k := broker.Key{
+		MethodFP:  vm.Prog.MethodFingerprint(m),
+		Name:      m.QualifiedName(),
+		Mode:      int(vm.Opts.EA),
+		Spec:      vm.speculates(m),
+		EntryBCI:  entryBCI,
+		Backend:   vm.backend.Name(),
+		Summaries: vm.Opts.Summaries,
 	}
+	if k.Spec {
+		k.Fingerprint = vm.Interp.Profile.Fingerprint(vm.Opts.minPruneTotal())
+	}
+	return k
+}
+
+// warmInstall asks the broker's memory tier for the non-speculative
+// artifact of (m, entryBCI) before the unit is hot, and on a hit installs
+// it through the same install boundary a threshold submission's replay
+// crosses. It reports whether code was published. The caller asks once per
+// unit and only while m would compile without speculation; a miss costs a
+// map lookup, counts nowhere, and leaves the unit to the ordinary hotness
+// trigger, which also covers the disk tier.
+func (vm *VM) warmInstall(m *bc.Method, entryBCI int) bool {
+	k := vm.cacheKey(m, entryBCI)
+	a, ok := vm.jit.Cached(m, k, &vm.hooks)
+	return ok && vm.installFrom(m, k, a, true, obs.TriggerCacheFirst)
 }
 
 // summarySet resolves the program's inter-procedural summary set, computing
@@ -700,10 +739,17 @@ func (vm *VM) fault(point string, m *bc.Method) {
 	}
 }
 
-// install is the broker's installation callback. It publishes the lowered
-// code atomically into the code table; it may run on a broker worker
-// goroutine.
+// install is the broker's installation callback for code a hotness-triggered
+// submission resolved; it may run on a broker worker goroutine.
 func (vm *VM) install(m *bc.Method, k broker.Key, a broker.Artifact, fromCache bool) {
+	vm.installFrom(m, k, a, fromCache, obs.TriggerThreshold)
+}
+
+// installFrom is the install boundary: it publishes the lowered code
+// atomically into the code table and reports whether it did. trigger names
+// what asked for the code (the unit's hotness threshold, or a first-call
+// look into the cache).
+func (vm *VM) installFrom(m *bc.Method, k broker.Key, a broker.Artifact, fromCache bool, trigger string) bool {
 	code, ok := a.(exec.Code)
 	if !ok || code.Graph().Method != m {
 		// Two ways to land here: the artifact is a bare graph (a disk
@@ -726,14 +772,14 @@ func (vm *VM) install(m *bc.Method, k broker.Key, a broker.Artifact, fromCache b
 				} else {
 					vm.rearm(m, "rebind: "+err.Error(), vm.Interp.Profile.Invocations(m))
 				}
-				return
+				return false
 			}
 		}
 		var err error
 		code, err = vm.lower(m, g)
 		if err != nil {
 			vm.recordFailure(m, k, err)
-			return
+			return false
 		}
 	}
 	if k.Spec && vm.noSpec[m.ID].Load() {
@@ -741,12 +787,17 @@ func (vm *VM) install(m *bc.Method, k broker.Key, a broker.Artifact, fromCache b
 		// flight; installing it would immediately deoptimize again.
 		// Drop the artifact — the next hot call resubmits with
 		// Spec=false.
-		return
+		return false
+	}
+	if trigger == obs.TriggerCacheFirst {
+		atomic.AddInt64(&vm.VMStats.WarmInstalls, 1)
 	}
 	if k.IsOSR() {
 		site := osrSite{m, k.EntryBCI}
 		vm.osrMu.Lock()
-		vm.osrCode[site] = code
+		codes := vm.osrCodeCopy()
+		codes[site] = code
+		vm.osrCode.Store(&codes)
 		// A successful install clears the site's transient-failure backoff.
 		delete(vm.osrRetryAt, site)
 		delete(vm.osrRetryN, site)
@@ -754,9 +805,9 @@ func (vm *VM) install(m *bc.Method, k broker.Key, a broker.Artifact, fromCache b
 		atomic.AddInt64(&vm.VMStats.OSRCompilations, 1)
 		if s := vm.Opts.Sink; s != nil {
 			s.VMCompile(fmt.Sprintf("%s@osr%d", m.QualifiedName(), k.EntryBCI),
-				int(vm.Interp.Profile.BackEdges(m, k.EntryBCI)))
+				int(vm.Interp.Profile.BackEdges(m, k.EntryBCI)), trigger)
 		}
-		return
+		return true
 	}
 	vm.code[m.ID].Store(&codeCell{code: code})
 	// A successful install clears the transient-failure backoff, so a later
@@ -765,7 +816,7 @@ func (vm *VM) install(m *bc.Method, k broker.Key, a broker.Artifact, fromCache b
 	vm.retryAt[m.ID].Store(0)
 	atomic.AddInt64(&vm.VMStats.CompiledMethods, 1)
 	if s := vm.Opts.Sink; s != nil {
-		s.VMCompile(m.QualifiedName(), int(vm.Interp.Profile.Invocations(m)))
+		s.VMCompile(m.QualifiedName(), int(vm.Interp.Profile.Invocations(m)), trigger)
 	}
 	if vm.noSpec[m.ID].Load() && !fromCache {
 		// Only pipeline re-runs count as recompilations; cache replays
@@ -775,6 +826,22 @@ func (vm *VM) install(m *bc.Method, k broker.Key, a broker.Artifact, fromCache b
 			s.VMRecompile(m.QualifiedName(), int(n))
 		}
 	}
+	return true
+}
+
+// osrCodeCopy returns a private copy of the OSR code table for the caller
+// (who holds osrMu) to edit and publish: the map readers hold is never
+// written.
+func (vm *VM) osrCodeCopy() map[osrSite]exec.Code {
+	cur := vm.osrCode.Load()
+	if cur == nil {
+		return make(map[osrSite]exec.Code, 1)
+	}
+	next := make(map[osrSite]exec.Code, len(*cur)+1)
+	for site, c := range *cur {
+		next[site] = c
+	}
+	return next
 }
 
 // recordFailure is the broker's failure callback. It classifies the
@@ -832,13 +899,13 @@ func (vm *VM) recordFailure(m *bc.Method, k broker.Key, err error) {
 // bypassing the broker and cache. Exposed for tests and tools that need a
 // fresh pipeline run.
 func (vm *VM) Compile(m *bc.Method) (*ir.Graph, error) {
-	return vm.compileEntry(m, vm.Opts.Speculate && !vm.noSpec[m.ID].Load(), broker.NoOSR)
+	return vm.compileEntry(m, vm.speculates(m), broker.NoOSR)
 }
 
 // CompileOSR builds and optimizes an on-stack-replacement graph for m
 // entered at the loop header entryBCI, bypassing the broker and cache.
 func (vm *VM) CompileOSR(m *bc.Method, entryBCI int) (*ir.Graph, error) {
-	return vm.compileEntry(m, vm.Opts.Speculate && !vm.noSpec[m.ID].Load(), entryBCI)
+	return vm.compileEntry(m, vm.speculates(m), entryBCI)
 }
 
 // compileEntry runs the full pipeline for m; spec selects speculative
@@ -969,18 +1036,21 @@ func (vm *VM) compileEntry(m *bc.Method, spec bool, entryBCI int) (*ir.Graph, er
 // when one exists).
 func (vm *VM) Invalidate(m *bc.Method, reason string) {
 	invalidated := vm.code[m.ID].Swap(nil) != nil
-	if vm.osrCode != nil {
+	if vm.osrCode.Load() != nil {
 		vm.osrMu.Lock()
-		for site := range vm.osrCode {
+		codes := vm.osrCodeCopy()
+		for site := range codes {
 			if site.m == m {
-				delete(vm.osrCode, site)
+				delete(codes, site)
 				invalidated = true
 			}
 		}
+		vm.osrCode.Store(&codes)
 		vm.osrMu.Unlock()
 	}
 	if invalidated {
 		vm.noSpec[m.ID].Store(true)
+		vm.warmProbed[m.ID].Store(false)
 		atomic.AddInt64(&vm.VMStats.InvalidatedMethods, 1)
 		if s := vm.Opts.Sink; s != nil {
 			s.VMInvalidate(m.QualifiedName(), reason)
@@ -1018,6 +1088,7 @@ func (vm *VM) Stats() Stats {
 		OSRCompilations:    atomic.LoadInt64(&vm.VMStats.OSRCompilations),
 		OSRRequests:        atomic.LoadInt64(&vm.VMStats.OSRRequests),
 		OSREntries:         atomic.LoadInt64(&vm.VMStats.OSREntries),
+		WarmInstalls:       atomic.LoadInt64(&vm.VMStats.WarmInstalls),
 		TransientFailures:  atomic.LoadInt64(&vm.VMStats.TransientFailures),
 		Rearms:             atomic.LoadInt64(&vm.VMStats.Rearms),
 		CrashRepros:        atomic.LoadInt64(&vm.VMStats.CrashRepros),

@@ -35,21 +35,26 @@ func runVM(t *testing.T, p testprog.Program, opts Options, args []int64, warmup 
 	return v, machine, err
 }
 
-// TestAllModesAgree runs every corpus program under every VM configuration
-// and demands identical results and outputs, with escape analysis modes
-// never allocating more than the interpreter.
+// TestAllModesAgree runs every corpus program — the throwing ones included —
+// under every VM configuration and demands identical results and outputs,
+// with escape analysis modes never allocating more than the interpreter. The
+// warm configuration is a second VM on a shared broker the first populated:
+// it runs the same calls on code installed cache-first, and must trap with
+// the interpreter's exact trap identity.
 func TestAllModesAgree(t *testing.T) {
 	configs := []struct {
 		name string
 		opts Options
+		warm bool
 	}{
-		{"interp", Options{Interpret: true}},
-		{"jit", Options{EA: EAOff}},
-		{"jit-ea", Options{EA: EAFlowInsensitive}},
-		{"jit-pea", Options{EA: EAPartial}},
-		{"jit-pea-spec", Options{EA: EAPartial, Speculate: true}},
-		{"jit-pea-sum", Options{EA: EAPartial, Summaries: true}},
-		{"jit-pea-sum-spec", Options{EA: EAPartial, Summaries: true, Speculate: true}},
+		{name: "interp", opts: Options{Interpret: true}},
+		{name: "jit", opts: Options{EA: EAOff}},
+		{name: "jit-ea", opts: Options{EA: EAFlowInsensitive}},
+		{name: "jit-pea", opts: Options{EA: EAPartial}},
+		{name: "jit-pea-spec", opts: Options{EA: EAPartial, Speculate: true}},
+		{name: "jit-pea-sum", opts: Options{EA: EAPartial, Summaries: true}},
+		{name: "jit-pea-sum-spec", opts: Options{EA: EAPartial, Summaries: true, Speculate: true}},
+		{name: "jit-pea-warm", opts: Options{EA: EAPartial}, warm: true},
 	}
 	const warmup = 30
 	for _, p := range testprog.Corpus() {
@@ -59,7 +64,11 @@ func TestAllModesAgree(t *testing.T) {
 				var refSet bool
 				var refErr error
 				for _, cfg := range configs {
-					v, _, err := runVM(t, p, cfg.opts, args, warmup)
+					if cfg.warm {
+						cfg.opts.JIT = sharedBroker(t)
+						runVM(t, p, cfg.opts, args, warmup)
+					}
+					v, machine, err := runVM(t, p, cfg.opts, args, warmup)
 					if !refSet {
 						ref, refErr, refSet = v, err, true
 						continue
@@ -69,6 +78,17 @@ func TestAllModesAgree(t *testing.T) {
 					}
 					if err == nil && !v.Equal(ref) {
 						t.Fatalf("%s args %v: got %v, interp %v", cfg.name, args, v, ref)
+					}
+					if !cfg.warm {
+						continue
+					}
+					if err != nil && err.Error() != refErr.Error() {
+						t.Fatalf("%s args %v: trap %q, interp %q", cfg.name, args, err, refErr)
+					}
+					// Whatever the first VM compiled, the second takes from
+					// the cache at first call; it compiles nothing itself.
+					if st := machine.Stats(); st.WarmInstalls != st.CompiledMethods {
+						t.Fatalf("%s args %v: %+v, want every install cache-first", cfg.name, args, st)
 					}
 				}
 			}
