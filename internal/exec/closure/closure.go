@@ -1,12 +1,13 @@
 // Package closure is the template-JIT execution backend: it compiles each
 // scheduled ir.Graph once, at install time, into flat per-block closure
 // sequences (threaded code). Every node becomes a small Go func with its
-// operands pre-resolved to dense value-slot indices and constants folded
+// operands pre-resolved to dense slot indices in one of two typed arrays
+// (ints, refs — a node's array is fixed by its Kind) and constants folded
 // into captures; block successors are pre-linked, so steady-state dispatch
 // is a tight loop over []func(*frame) plus one terminator func per block
-// returning the next block index — no map lookups, no switch on n.Op, and
-// zero allocations per invocation (value slots live in a pooled frame
-// arena).
+// returning the next block index — no map lookups, no switch on n.Op, no
+// tagged values, and zero allocations per invocation (slots and the invoke
+// argument scratch live in a pooled frame).
 //
 // The backend pays no cost-model overhead: modeled cycles are the oracle
 // backend's job (internal/exec). Heap effects (allocations, field and
@@ -26,6 +27,7 @@ import (
 	"fmt"
 	"sync"
 
+	"pea/internal/bc"
 	"pea/internal/exec"
 	"pea/internal/ir"
 	"pea/internal/rt"
@@ -49,7 +51,7 @@ func (Backend) Compile(g *ir.Graph) (exec.Code, error) { return compile(g) }
 type op func(f *frame)
 
 // term executes a block terminator, performing the successor edge's phi
-// parallel copy, and returns the next dense block index (done = -1).
+// copy, and returns the next dense block index (done = -1).
 type term func(f *frame) int
 
 const done = -1
@@ -71,37 +73,45 @@ type Code struct {
 	blocks []block
 	entry  int
 
-	nSlots int
-	nPhi   int // widest phi parallel copy; sizes the frame scratch
-	params []paramSlot
-	consts []constSlot
-	// slot maps value nodes to their frame slot. Used at compile time to
-	// resolve operands and at deopt time to serve the eval hook; never
-	// touched by steady-state dispatch.
-	slot map[*ir.Node]int
+	nInts, nRefs int
+	nArgs        int // widest invoke; sizes the frame's argument scratch
+	params       []paramSlot
+	consts       []constSlot
+	// slot maps value nodes to their index in the array their Kind selects.
+	// Used at compile time to resolve operands and at deopt time to serve
+	// the eval hook; never touched by steady-state dispatch.
+	slot map[*ir.Node]int32
 
 	pool sync.Pool
 }
 
 type paramSlot struct {
-	arg, slot int
+	arg  int
+	slot int32
+	ref  bool
 }
 
 type constSlot struct {
-	slot int
-	v    rt.Value
+	slot int32
+	v    int64
 }
 
 // frame is the per-invocation value arena. Frames are pooled per Code:
 // constant slots are written once when the frame is built and never
-// overwritten, so a reused frame skips constant initialization entirely.
+// overwritten, so a reused frame skips constant initialization entirely (a
+// null constant is a ref slot nobody writes).
 type frame struct {
-	slots []rt.Value
-	tmp   []rt.Value // phi parallel-copy scratch
-	ret   rt.Value
-	eng   *exec.Engine
-	env   *rt.Env
-	code  *Code
+	ints []int64
+	refs []*rt.Object
+	// args is the argument vector of whichever invoke of this frame is in
+	// flight. Callees copy their arguments out before running and the
+	// caller is suspended for the call's duration, so one buffer per frame
+	// serves every call site; a re-entrant call runs in another frame.
+	args []rt.Value
+	ret  rt.Value
+	eng  *exec.Engine
+	env  *rt.Env
+	code *Code
 	// pending is the in-flight exception: set by a guarded op that
 	// trapped (or a covered Throw), tested by the OnException terminator,
 	// read by ExceptionObject, re-raised by Unwind. Guarded ops clear it
@@ -117,15 +127,19 @@ type abort struct{ err error }
 func (c *Code) Graph() *ir.Graph { return c.g }
 
 // Run executes the code. Steady state allocates nothing: the frame comes
-// from the pool, values move between dense slots, and the only allocations
-// happen on program-visible paths (object allocations, invoke argument
-// vectors) or error paths (traps, deopts).
+// from the pool, values move between dense typed slots, calls pass their
+// arguments in the frame's scratch, and the only allocations happen on
+// program-visible paths (object allocations) or error paths (traps, deopts).
 func (c *Code) Run(e *exec.Engine, args []rt.Value) (ret rt.Value, err error) {
 	f := c.pool.Get().(*frame)
 	f.eng, f.env = e, e.Env
 	f.pending = nil
 	for _, p := range c.params {
-		f.slots[p.slot] = args[p.arg]
+		if p.ref {
+			f.refs[p.slot] = args[p.arg].Ref
+		} else {
+			f.ints[p.slot] = args[p.arg].I
+		}
 	}
 	defer func() {
 		f.eng, f.env = nil, nil
@@ -156,6 +170,20 @@ func (c *Code) Run(e *exec.Engine, args []rt.Value) (ret rt.Value, err error) {
 	}
 }
 
+// value reads x's current runtime value out of the frame as a tagged
+// rt.Value: the deopt runtime's eval hook. ok is false for nodes that own no
+// slot (virtual objects, void nodes).
+func (f *frame) value(x *ir.Node) (rt.Value, bool) {
+	s, ok := f.code.slot[x]
+	if !ok {
+		return rt.Value{}, false
+	}
+	if x.Kind == bc.KindRef {
+		return rt.RefValue(f.refs[s]), true
+	}
+	return rt.IntValue(f.ints[s]), true
+}
+
 // guarded wraps a lowered op so that a trap it raises is captured into the
 // frame's pending register rather than unwinding the run; non-trap aborts
 // (step-budget exhaustion, structural errors) still propagate.
@@ -179,22 +207,16 @@ func guarded(inner op) op {
 	}
 }
 
-// move copies one phi input slot to the phi's slot along a CFG edge.
-type move struct {
-	src, dst int32
-}
-
-// copyEdge performs the edge's phi parallel copy in two phases through the
-// frame scratch, so phis that read other phis of the same block observe
-// the pre-copy values (SSA semantics).
-func (f *frame) copyEdge(moves []move) {
-	tmp := f.tmp
-	for i, mv := range moves {
-		tmp[i] = f.slots[mv.src]
+// cannotTrap reports whether n, the node an OnException terminator guards,
+// is a division or remainder by a non-zero constant: the one guarded shape
+// that provably never raises, so it needs no recover frame and its
+// OnException always continues normally.
+func cannotTrap(n *ir.Node) bool {
+	if n.Op != ir.OpArith || (n.Aux2 != bc.OpDiv && n.Aux2 != bc.OpRem) {
+		return false
 	}
-	for i, mv := range moves {
-		f.slots[mv.dst] = tmp[i]
-	}
+	d := n.Inputs[1]
+	return d != nil && d.Op == ir.OpConst && d.AuxInt != 0
 }
 
 // compiler carries the per-compile lowering state.
@@ -202,42 +224,65 @@ type compiler struct {
 	g      *ir.Graph
 	code   *Code
 	blkIdx map[*ir.Block]int
+	// fusedIf[i] says block i's If tests the operands of its condition (a
+	// compare placed in that block) directly; the compare then owns no slot
+	// and no closure.
+	fusedIf []bool
+	// scratch is the cycle-breaking slot of each typed array, -1 until an
+	// edge first needs one.
+	scratchInt, scratchRef int32
 }
 
 func compile(g *ir.Graph) (*Code, error) {
 	if len(g.Blocks) == 0 {
 		return nil, fmt.Errorf("closure: %s has no blocks", g.Method.QualifiedName())
 	}
-	c := &Code{g: g, slot: make(map[*ir.Node]int)}
-	cc := &compiler{g: g, code: c, blkIdx: make(map[*ir.Block]int, len(g.Blocks))}
+	values := 0
+	for _, b := range g.Blocks {
+		values += len(b.Phis) + len(b.Nodes)
+	}
+	c := &Code{g: g, slot: make(map[*ir.Node]int32, values)}
+	cc := &compiler{
+		g: g, code: c,
+		blkIdx:     make(map[*ir.Block]int, len(g.Blocks)),
+		fusedIf:    fusedIfs(g),
+		scratchInt: -1, scratchRef: -1,
+	}
 
-	// Pass 1: dense block numbering and value-slot assignment. Every
-	// placed node except OpVirtualObject (which exists only inside frame
-	// states) gets a slot; constants and parameters additionally record
-	// their initialization so no per-node op is needed for them at run
-	// time.
+	// Pass 1: dense block numbering and slot assignment. Every phi and
+	// every placed value node gets a slot in the array of its Kind, except
+	// OpVirtualObject (which exists only inside frame states) and fused
+	// compares; constants and parameters additionally record their
+	// initialization so no per-node op is needed for them at run time.
 	for i, b := range g.Blocks {
 		cc.blkIdx[b] = i
-		if len(b.Phis) > c.nPhi {
-			c.nPhi = len(b.Phis)
-		}
 		for _, phi := range b.Phis {
-			cc.assign(phi)
+			if _, err := cc.assign(phi); err != nil {
+				return nil, err
+			}
 		}
 		for _, n := range b.Nodes {
-			if n.Op == ir.OpVirtualObject {
+			if n.Kind == bc.KindVoid || n.Op == ir.OpVirtualObject || cc.fused(i, n) {
 				continue
 			}
-			s := cc.assign(n)
-			// oplint:ignore — only params and constants need slot
+			s, err := cc.assign(n)
+			if err != nil {
+				return nil, err
+			}
+			// oplint:ignore — only params and int constants need slot
 			// pre-population; every other op is handled by lowerNode.
 			switch n.Op {
 			case ir.OpParam:
-				c.params = append(c.params, paramSlot{arg: int(n.AuxInt), slot: s})
+				c.params = append(c.params, paramSlot{arg: int(n.AuxInt), slot: s, ref: n.Kind == bc.KindRef})
 			case ir.OpConst:
-				c.consts = append(c.consts, constSlot{slot: s, v: rt.IntValue(n.AuxInt)})
+				if n.Kind != bc.KindInt {
+					return nil, cc.kindErr(n, bc.KindInt)
+				}
+				c.consts = append(c.consts, constSlot{slot: s, v: n.AuxInt})
 			case ir.OpConstNull:
-				c.consts = append(c.consts, constSlot{slot: s, v: rt.Null})
+				if n.Kind != bc.KindRef {
+					return nil, cc.kindErr(n, bc.KindRef)
+				}
 			}
 		}
 	}
@@ -251,24 +296,29 @@ func compile(g *ir.Graph) (*Code, error) {
 	// terminator.
 	c.blocks = make([]block, len(g.Blocks))
 	for i, b := range g.Blocks {
+		if b.Term == nil {
+			return nil, fmt.Errorf("closure: %s has no terminator", b)
+		}
 		ops := make([]op, 0, len(b.Nodes))
 		for _, n := range b.Nodes {
+			if cc.fused(i, n) {
+				continue
+			}
 			o, err := cc.lowerNode(n)
 			if err != nil {
 				return nil, err
 			}
-			if o != nil {
-				// The node an OnException terminator guards has its trap
-				// intercepted and recorded instead of aborting the run;
-				// the terminator then routes to the dispatch chain.
-				if b.Term != nil && b.Term.Op == ir.OpOnException && b.Term.Inputs[0] == n {
-					o = guarded(o)
-				}
-				ops = append(ops, o)
+			if o == nil {
+				continue
 			}
-		}
-		if b.Term == nil {
-			return nil, fmt.Errorf("closure: %s has no terminator", b)
+			// The node an OnException terminator guards has its trap
+			// intercepted and recorded instead of aborting the run; the
+			// terminator then routes to the dispatch chain. A guard that
+			// cannot trap runs bare, and its terminator is a plain jump.
+			if b.Term.Op == ir.OpOnException && b.Term.Inputs[0] == n && !cannotTrap(n) {
+				o = guarded(o)
+			}
+			ops = append(ops, o)
 		}
 		t, err := cc.lowerTerm(b, b.Term)
 		if err != nil {
@@ -279,69 +329,143 @@ func compile(g *ir.Graph) (*Code, error) {
 
 	c.pool.New = func() any {
 		f := &frame{
-			slots: make([]rt.Value, c.nSlots),
-			tmp:   make([]rt.Value, c.nPhi),
-			code:  c,
+			ints: make([]int64, c.nInts),
+			refs: make([]*rt.Object, c.nRefs),
+			args: make([]rt.Value, c.nArgs),
+			code: c,
 		}
 		for _, cs := range c.consts {
-			f.slots[cs.slot] = cs.v
+			f.ints[cs.slot] = cs.v
 		}
 		return f
 	}
 	return c, nil
 }
 
-// assign gives n a dense slot (idempotent) and returns it.
-func (cc *compiler) assign(n *ir.Node) int {
-	if s, ok := cc.code.slot[n]; ok {
-		return s
-	}
-	s := cc.code.nSlots
-	cc.code.slot[n] = s
-	cc.code.nSlots++
-	return s
+// isCompare reports whether n is a node an If can absorb.
+func isCompare(n *ir.Node) bool {
+	return n != nil && (n.Op == ir.OpCmp || n.Op == ir.OpRefEq)
 }
 
-// slotOf resolves an operand to its slot; a missing slot is a scheduling
-// bug surfaced as a compile error rather than a runtime panic.
-func (cc *compiler) slotOf(n *ir.Node) (int32, error) {
-	s, ok := cc.code.slot[n]
+// fusedIfs decides, per block, whether its OpIf absorbs its condition: an
+// OpCmp/OpRefEq placed in the same block whose only use in the whole graph is
+// that If. Compare uses are counted in one walk over inputs and frame
+// states; a frame-state reference counts double, so it always disqualifies
+// (deopt must be able to read the value out of a slot).
+func fusedIfs(g *ir.Graph) []bool {
+	var uses map[*ir.Node]int
+	use := func(n *ir.Node, by int) {
+		if isCompare(n) {
+			if uses == nil {
+				uses = make(map[*ir.Node]int)
+			}
+			uses[n] += by
+		}
+	}
+	inFrameState := func(n *ir.Node) { use(n, 2) }
+	g.ForEachNode(func(_ *ir.Block, n *ir.Node) {
+		for _, in := range n.Inputs {
+			use(in, 1)
+		}
+		if n.FrameState != nil {
+			n.FrameState.ForEachValue(inFrameState)
+		}
+	})
+	fused := make([]bool, len(g.Blocks))
+	for i, b := range g.Blocks {
+		if t := b.Term; t != nil && t.Op == ir.OpIf && len(t.Inputs) == 1 {
+			c := t.Inputs[0]
+			fused[i] = isCompare(c) && c.Block == b && uses[c] == 1
+		}
+	}
+	return fused
+}
+
+// fused reports whether n, a node of block i, is the compare that block's If
+// absorbed.
+func (cc *compiler) fused(i int, n *ir.Node) bool {
+	return cc.fusedIf[i] && n == cc.g.Blocks[i].Term.Inputs[0]
+}
+
+// assign gives n the next slot of the array its Kind selects.
+func (cc *compiler) assign(n *ir.Node) (int32, error) {
+	var s int32
+	switch n.Kind {
+	case bc.KindInt:
+		s = cc.newInt()
+	case bc.KindRef:
+		s = cc.newRef()
+	default:
+		return 0, fmt.Errorf("closure: %s: %s has no value kind", cc.g.Method.QualifiedName(), n)
+	}
+	cc.code.slot[n] = s
+	return s, nil
+}
+
+func (cc *compiler) newInt() int32 {
+	cc.code.nInts++
+	return int32(cc.code.nInts - 1)
+}
+
+func (cc *compiler) newRef() int32 {
+	cc.code.nRefs++
+	return int32(cc.code.nRefs - 1)
+}
+
+func (cc *compiler) kindErr(x *ir.Node, want bc.Kind) error {
+	return fmt.Errorf("closure: %s: %s is %s, want %s",
+		cc.g.Method.QualifiedName(), x, x.Kind, want)
+}
+
+// slotOf resolves operand x, which must be of kind k, to its index in k's
+// array. A kind mismatch or a missing slot is a verifier or scheduling bug
+// surfaced as a compile error — never a read of the wrong array at run time.
+func (cc *compiler) slotOf(x *ir.Node, k bc.Kind) (int32, error) {
+	if x == nil {
+		return 0, fmt.Errorf("closure: %s: nil operand", cc.g.Method.QualifiedName())
+	}
+	if x.Kind != k {
+		return 0, cc.kindErr(x, k)
+	}
+	s, ok := cc.code.slot[x]
 	if !ok {
 		return 0, fmt.Errorf("closure: %s: operand %s has no slot (unscheduled?)",
-			cc.g.Method.QualifiedName(), n)
+			cc.g.Method.QualifiedName(), x)
 	}
-	return int32(s), nil
+	return s, nil
 }
 
-// in resolves input i of n.
-func (cc *compiler) in(n *ir.Node, i int) (int32, error) { return cc.slotOf(n.Inputs[i]) }
+// intIn and refIn resolve input i of n as an operand of that kind; intDst
+// and refDst resolve n's own slot.
+func (cc *compiler) intIn(n *ir.Node, i int) (int32, error) {
+	return cc.slotOf(n.Inputs[i], bc.KindInt)
+}
+func (cc *compiler) refIn(n *ir.Node, i int) (int32, error) {
+	return cc.slotOf(n.Inputs[i], bc.KindRef)
+}
+func (cc *compiler) intDst(n *ir.Node) (int32, error) { return cc.slotOf(n, bc.KindInt) }
+func (cc *compiler) refDst(n *ir.Node) (int32, error) { return cc.slotOf(n, bc.KindRef) }
 
-// edge builds the phi parallel-copy move list for the CFG edge from → to.
-// A nil phi input is lowered to a runtime abort matching the oracle's
-// error, so graphs that never take the broken edge still execute.
-func (cc *compiler) edge(from, to *ir.Block) ([]move, error) {
-	if len(to.Phis) == 0 {
-		return nil, nil
+// operand is a frame value read where either kind is legal (invoke
+// arguments, materialized fields): the slot plus which array it indexes.
+type operand struct {
+	slot int32
+	ref  bool
+}
+
+// operandOf resolves x under its own kind.
+func (cc *compiler) operandOf(x *ir.Node) (operand, error) {
+	if x == nil {
+		return operand{}, fmt.Errorf("closure: %s: nil operand", cc.g.Method.QualifiedName())
 	}
-	idx := to.PredIndex(from)
-	if idx < 0 {
-		return nil, fmt.Errorf("closure: %s is not a predecessor of %s", from, to)
+	s, err := cc.slotOf(x, x.Kind)
+	return operand{slot: s, ref: x.Kind == bc.KindRef}, err
+}
+
+// load builds the tagged value of o for the heap or a callee.
+func (f *frame) load(o operand) rt.Value {
+	if o.ref {
+		return rt.RefValue(f.refs[o.slot])
 	}
-	moves := make([]move, 0, len(to.Phis))
-	for _, phi := range to.Phis {
-		in := phi.Inputs[idx]
-		if in == nil {
-			return nil, fmt.Errorf("exec: phi v%d missing input %d", phi.ID, idx)
-		}
-		src, err := cc.slotOf(in)
-		if err != nil {
-			return nil, err
-		}
-		dst, err := cc.slotOf(phi)
-		if err != nil {
-			return nil, err
-		}
-		moves = append(moves, move{src: src, dst: dst})
-	}
-	return moves, nil
+	return rt.IntValue(f.ints[o.slot])
 }

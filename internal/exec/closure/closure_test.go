@@ -1,8 +1,12 @@
 package closure_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
+	"pea/internal/exec/closure"
+	"pea/internal/ir"
 	"pea/internal/mj"
 	"pea/internal/rt"
 	"pea/internal/vm"
@@ -49,6 +53,38 @@ class Main {
 		return acc;
 	}
 	static void main() { print(hot(1000)); }
+}
+`
+
+// callSrc is a compiled caller looping over a compiled callee that is too big
+// to inline (past the inliner's 80-instruction bound), taking one reference
+// and two int arguments: every iteration is a real closure→closure invoke.
+const callSrc = `
+class Acc {
+	int v;
+}
+class Main {
+	static int mix(Acc a, int x, int y) {
+		int r = x * 31 + y;
+		r = r ^ (r >> 3); r = r + x * 7; r = r ^ (r << 2); r = r - y * 5;
+		r = r ^ (r >> 5); r = r + x * 11; r = r ^ (r << 1); r = r - y * 3;
+		r = r ^ (r >> 7); r = r + x * 13; r = r ^ (r << 4); r = r - y * 9;
+		r = r ^ (r >> 2); r = r + x * 17; r = r ^ (r << 3); r = r - y * 2;
+		a.v = r % 65536;
+		return a.v;
+	}
+	static Acc acc;
+	static int hot(int n) {
+		if (acc == null) { acc = new Acc(); }
+		int s = 0;
+		int i = 0;
+		while (i < n) {
+			s = (s + mix(acc, i, s)) % 65536;
+			i = i + 1;
+		}
+		return s;
+	}
+	static void main() { print(hot(64)); }
 }
 `
 
@@ -136,6 +172,42 @@ func TestClosureSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestClosureCallZeroAlloc is the zero-alloc guard for calls: a compiled
+// method invoking a compiled, non-inlined callee passes its arguments in the
+// frame's scratch vector and the callee runs in a pooled frame, so a warmed
+// call chain allocates nothing per call.
+func TestClosureCallZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops frames at random under the race detector")
+	}
+	machine := warmHot(t, callSrc, vm.BackendClosure)
+	main := machine.Prog.ClassByName("Main")
+	hot, mix := main.MethodByName("hot"), main.MethodByName("mix")
+	if machine.CompiledGraph(mix) == nil {
+		t.Fatal("Main.mix did not tier up")
+	}
+	calls := 0
+	for _, b := range machine.CompiledGraph(hot).Blocks {
+		for _, n := range b.Nodes {
+			if n.Op == ir.OpInvoke && n.Method == mix {
+				calls++
+			}
+		}
+	}
+	if calls == 0 {
+		t.Fatal("Main.mix was inlined into Main.hot; the test needs a real invoke")
+	}
+	args := []rt.Value{rt.IntValue(256)}
+	avg := testing.AllocsPerRun(100, func() {
+		if _, err := machine.Call(hot, args); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("%.2f Go allocations per 256 compiled calls, want 0", avg)
+	}
+}
+
 // BenchmarkClosureSteadyState measures one warmed call of the PEA hot loop
 // under each executor. The closure backend's wall-clock advantage over the
 // oracle (and both compiled backends over the interpreter) is the honest
@@ -166,4 +238,43 @@ func BenchmarkClosureSteadyState(b *testing.B) {
 	b.Run("closure", func(b *testing.B) {
 		bench(b, warmHot(b, pairSrc, vm.BackendClosure))
 	})
+}
+
+// BenchmarkLower measures lowering alone (closure.lower_us in peaperf) over
+// graphs the full pipeline produced — inlined, PEA-transformed, with the
+// frame states that make the use-count walk expensive.
+func BenchmarkLower(b *testing.B) {
+	var graphs []*ir.Graph
+	files, err := filepath.Glob("../../../examples/*.mj")
+	if err != nil || len(files) == 0 {
+		b.Fatalf("no example programs: %v", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := mj.Compile(string(src), "Main.main")
+		if err != nil {
+			b.Fatalf("%s: %v", file, err)
+		}
+		machine := vm.New(prog, vm.Options{EA: vm.EAPartial, Interpret: true})
+		for _, m := range prog.Methods {
+			g, err := machine.Compile(m)
+			if err != nil {
+				b.Fatalf("%s: %v", m.QualifiedName(), err)
+			}
+			graphs = append(graphs, g)
+		}
+	}
+	backend := closure.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			if _, err := backend.Compile(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

@@ -14,10 +14,19 @@ func trap(reason string, m *bc.Method, bci int) {
 	panic(abort{rt.NewTrap(reason, m, bci)})
 }
 
+// b2i is the 0/1 encoding of a guest boolean.
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // lowerNode lowers one non-terminator node to a closure with operands
-// pre-resolved to slot indices and auxiliaries folded into captures. A nil
-// op (with nil error) means the node needs no runtime work (constants and
-// parameters are frame-initialization, virtual objects are
+// pre-resolved to typed slot indices and auxiliaries folded into captures.
+// An rt.Value is built only where a value crosses into the heap or out of
+// the frame. A nil op (with nil error) means the node needs no runtime work
+// (constants and parameters are frame-initialization, virtual objects are
 // deopt-metadata-only).
 func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 	m, bci := n.OriginMethod(cc.g.Method), n.BCI
@@ -33,223 +42,245 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 		return cc.lowerArith(n)
 
 	case ir.OpNeg:
-		a, err := cc.in(n, 0)
+		a, err := cc.intIn(n, 0)
 		if err != nil {
 			return nil, err
 		}
-		d, err := cc.slotOf(n)
+		d, err := cc.intDst(n)
 		if err != nil {
 			return nil, err
 		}
-		return func(f *frame) { f.slots[d] = rt.IntValue(-f.slots[a].I) }, nil
+		return func(f *frame) { f.ints[d] = -f.ints[a] }, nil
 
 	case ir.OpCmp:
-		a, b, d, err := cc.binDst(n)
+		a, b, d, err := cc.intBin(n)
 		if err != nil {
 			return nil, err
 		}
 		cond := n.Cond
-		return func(f *frame) {
-			f.slots[d] = rt.BoolValue(cond.EvalInt(f.slots[a].I, f.slots[b].I))
-		}, nil
+		return func(f *frame) { f.ints[d] = b2i(cond.EvalInt(f.ints[a], f.ints[b])) }, nil
 
 	case ir.OpRefEq:
-		a, b, d, err := cc.binDst(n)
+		a, b, err := cc.refPair(n)
+		if err != nil {
+			return nil, err
+		}
+		d, err := cc.intDst(n)
 		if err != nil {
 			return nil, err
 		}
 		if n.Cond == bc.CondNE {
-			return func(f *frame) {
-				f.slots[d] = rt.BoolValue(f.slots[a].Ref != f.slots[b].Ref)
-			}, nil
+			return func(f *frame) { f.ints[d] = b2i(f.refs[a] != f.refs[b]) }, nil
 		}
-		return func(f *frame) {
-			f.slots[d] = rt.BoolValue(f.slots[a].Ref == f.slots[b].Ref)
-		}, nil
+		return func(f *frame) { f.ints[d] = b2i(f.refs[a] == f.refs[b]) }, nil
 
 	case ir.OpInstanceOf:
-		a, err := cc.in(n, 0)
+		a, err := cc.refIn(n, 0)
 		if err != nil {
 			return nil, err
 		}
-		d, err := cc.slotOf(n)
+		d, err := cc.intDst(n)
 		if err != nil {
 			return nil, err
 		}
 		cls := n.Class
 		return func(f *frame) {
-			v := f.slots[a]
-			f.slots[d] = rt.BoolValue(v.Ref != nil && !v.Ref.IsArray() && v.Ref.Class.IsSubclassOf(cls))
+			o := f.refs[a]
+			f.ints[d] = b2i(o != nil && !o.IsArray() && o.Class.IsSubclassOf(cls))
 		}, nil
 
 	case ir.OpNew:
-		d, err := cc.slotOf(n)
+		d, err := cc.refDst(n)
 		if err != nil {
 			return nil, err
 		}
 		cls := n.Class
-		return func(f *frame) { f.slots[d] = rt.RefValue(f.env.AllocObject(cls)) }, nil
+		return func(f *frame) { f.refs[d] = f.env.AllocObject(cls) }, nil
 
 	case ir.OpNewArray:
-		a, err := cc.in(n, 0)
+		a, err := cc.intIn(n, 0)
 		if err != nil {
 			return nil, err
 		}
-		d, err := cc.slotOf(n)
+		d, err := cc.refDst(n)
 		if err != nil {
 			return nil, err
 		}
 		ek := n.ElemKind
 		return func(f *frame) {
-			ln := f.slots[a].I
+			ln := f.ints[a]
 			if ln < 0 {
 				trap(fmt.Sprintf("negative array size %d", ln), m, bci)
 			}
-			f.slots[d] = rt.RefValue(f.env.AllocArray(ek, ln))
+			f.refs[d] = f.env.AllocArray(ek, ln)
 		}, nil
 
 	case ir.OpMaterialize:
 		return cc.lowerMaterialize(n)
 
 	case ir.OpLoadField:
-		a, err := cc.in(n, 0)
+		a, err := cc.refIn(n, 0)
 		if err != nil {
 			return nil, err
 		}
-		d, err := cc.slotOf(n)
+		d, err := cc.slotOf(n, n.Field.Kind)
 		if err != nil {
 			return nil, err
 		}
 		off := n.Field.Offset
 		name := n.Field.QualifiedName()
+		if n.Field.Kind == bc.KindRef {
+			return func(f *frame) {
+				o := f.refs[a]
+				if o == nil {
+					trap("null dereference in getfield "+name, m, bci)
+				}
+				f.env.Stats.FieldLoads++
+				f.refs[d] = o.Fields[off].Ref
+			}, nil
+		}
 		return func(f *frame) {
-			o := f.slots[a]
-			if o.Ref == nil {
+			o := f.refs[a]
+			if o == nil {
 				trap("null dereference in getfield "+name, m, bci)
 			}
 			f.env.Stats.FieldLoads++
-			f.slots[d] = o.Ref.Fields[off]
+			f.ints[d] = o.Fields[off].I
 		}, nil
 
 	case ir.OpStoreField:
-		a, err := cc.in(n, 0)
+		a, err := cc.refIn(n, 0)
 		if err != nil {
 			return nil, err
 		}
-		v, err := cc.in(n, 1)
+		v, err := cc.slotOf(n.Inputs[1], n.Field.Kind)
 		if err != nil {
 			return nil, err
 		}
 		off := n.Field.Offset
 		name := n.Field.QualifiedName()
+		if n.Field.Kind == bc.KindRef {
+			return func(f *frame) {
+				o := f.refs[a]
+				if o == nil {
+					trap("null dereference in putfield "+name, m, bci)
+				}
+				f.env.Stats.FieldStores++
+				o.Fields[off] = rt.RefValue(f.refs[v])
+			}, nil
+		}
 		return func(f *frame) {
-			o := f.slots[a]
-			if o.Ref == nil {
+			o := f.refs[a]
+			if o == nil {
 				trap("null dereference in putfield "+name, m, bci)
 			}
 			f.env.Stats.FieldStores++
-			o.Ref.Fields[off] = f.slots[v]
+			o.Fields[off] = rt.IntValue(f.ints[v])
 		}, nil
 
 	case ir.OpLoadStatic:
-		d, err := cc.slotOf(n)
+		d, err := cc.slotOf(n, n.Field.Kind)
 		if err != nil {
 			return nil, err
 		}
 		fld := n.Field
-		return func(f *frame) { f.slots[d] = f.env.GetStatic(fld) }, nil
+		if fld.Kind == bc.KindRef {
+			return func(f *frame) { f.refs[d] = f.env.GetStatic(fld).Ref }, nil
+		}
+		return func(f *frame) { f.ints[d] = f.env.GetStatic(fld).I }, nil
 
 	case ir.OpStoreStatic:
-		a, err := cc.in(n, 0)
+		a, err := cc.slotOf(n.Inputs[0], n.Field.Kind)
 		if err != nil {
 			return nil, err
 		}
 		fld := n.Field
-		return func(f *frame) { f.env.SetStatic(fld, f.slots[a]) }, nil
+		if fld.Kind == bc.KindRef {
+			return func(f *frame) { f.env.SetStatic(fld, rt.RefValue(f.refs[a])) }, nil
+		}
+		return func(f *frame) { f.env.SetStatic(fld, rt.IntValue(f.ints[a])) }, nil
 
 	case ir.OpLoadIndexed:
-		a, i, d, err := cc.binDst(n)
+		a, err := cc.refIn(n, 0)
 		if err != nil {
 			return nil, err
 		}
-		return func(f *frame) {
-			arr := f.slots[a]
-			idx := f.slots[i].I
-			if arr.Ref == nil {
-				trap("null dereference in arrayload", m, bci)
-			}
-			if idx < 0 || idx >= int64(arr.Ref.Len()) {
-				trap(fmt.Sprintf("array index %d out of range [0,%d)", idx, arr.Ref.Len()), m, bci)
-			}
-			f.slots[d] = arr.Ref.Fields[idx]
-		}, nil
+		i, err := cc.intIn(n, 1)
+		if err != nil {
+			return nil, err
+		}
+		d, err := cc.slotOf(n, n.ElemKind)
+		if err != nil {
+			return nil, err
+		}
+		if n.ElemKind == bc.KindRef {
+			return func(f *frame) { f.refs[d] = element(f.refs[a], f.ints[i], "arrayload", m, bci).Ref }, nil
+		}
+		return func(f *frame) { f.ints[d] = element(f.refs[a], f.ints[i], "arrayload", m, bci).I }, nil
 
 	case ir.OpStoreIndexed:
-		a, err := cc.in(n, 0)
+		a, err := cc.refIn(n, 0)
 		if err != nil {
 			return nil, err
 		}
-		i, err := cc.in(n, 1)
+		i, err := cc.intIn(n, 1)
 		if err != nil {
 			return nil, err
 		}
-		v, err := cc.in(n, 2)
+		v, err := cc.slotOf(n.Inputs[2], n.ElemKind)
 		if err != nil {
 			return nil, err
+		}
+		if n.ElemKind == bc.KindRef {
+			return func(f *frame) {
+				*element(f.refs[a], f.ints[i], "arraystore", m, bci) = rt.RefValue(f.refs[v])
+			}, nil
 		}
 		return func(f *frame) {
-			arr := f.slots[a]
-			idx := f.slots[i].I
-			if arr.Ref == nil {
-				trap("null dereference in arraystore", m, bci)
-			}
-			if idx < 0 || idx >= int64(arr.Ref.Len()) {
-				trap(fmt.Sprintf("array index %d out of range [0,%d)", idx, arr.Ref.Len()), m, bci)
-			}
-			arr.Ref.Fields[idx] = f.slots[v]
+			*element(f.refs[a], f.ints[i], "arraystore", m, bci) = rt.IntValue(f.ints[v])
 		}, nil
 
 	case ir.OpArrayLength:
-		a, err := cc.in(n, 0)
+		a, err := cc.refIn(n, 0)
 		if err != nil {
 			return nil, err
 		}
-		d, err := cc.slotOf(n)
+		d, err := cc.intDst(n)
 		if err != nil {
 			return nil, err
 		}
 		return func(f *frame) {
-			arr := f.slots[a]
-			if arr.Ref == nil {
+			arr := f.refs[a]
+			if arr == nil {
 				trap("null dereference in arraylen", m, bci)
 			}
-			f.slots[d] = rt.IntValue(int64(arr.Ref.Len()))
+			f.ints[d] = int64(arr.Len())
 		}, nil
 
 	case ir.OpMonitorEnter:
-		a, err := cc.in(n, 0)
+		a, err := cc.refIn(n, 0)
 		if err != nil {
 			return nil, err
 		}
 		return func(f *frame) {
-			o := f.slots[a]
-			if o.Ref == nil {
+			o := f.refs[a]
+			if o == nil {
 				trap("null dereference in monitorenter", m, bci)
 			}
-			f.env.MonitorEnter(o.Ref)
+			f.env.MonitorEnter(o)
 		}, nil
 
 	case ir.OpMonitorExit:
-		a, err := cc.in(n, 0)
+		a, err := cc.refIn(n, 0)
 		if err != nil {
 			return nil, err
 		}
 		return func(f *frame) {
-			o := f.slots[a]
-			if o.Ref == nil {
+			o := f.refs[a]
+			if o == nil {
 				trap("null dereference in monitorexit", m, bci)
 			}
-			if merr := f.env.MonitorExit(o.Ref); merr != nil {
+			if merr := f.env.MonitorExit(o); merr != nil {
 				trap(merr.Error(), m, bci)
 			}
 		}, nil
@@ -258,22 +289,22 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 		return cc.lowerInvoke(n)
 
 	case ir.OpPrint:
-		a, err := cc.in(n, 0)
+		a, err := cc.intIn(n, 0)
 		if err != nil {
 			return nil, err
 		}
-		return func(f *frame) { f.env.Print(f.slots[a].I) }, nil
+		return func(f *frame) { f.env.Print(f.ints[a]) }, nil
 
 	case ir.OpRand:
-		d, err := cc.slotOf(n)
+		d, err := cc.intDst(n)
 		if err != nil {
 			return nil, err
 		}
 		mod := n.AuxInt
-		return func(f *frame) { f.slots[d] = rt.IntValue(f.env.Rand(mod)) }, nil
+		return func(f *frame) { f.ints[d] = f.env.Rand(mod) }, nil
 
 	case ir.OpExceptionObject:
-		d, err := cc.slotOf(n)
+		d, err := cc.refDst(n)
 		if err != nil {
 			return nil, err
 		}
@@ -281,7 +312,8 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 			if f.pending == nil {
 				panic(abort{fmt.Errorf("closure: ExceptionObject with no pending exception")})
 			}
-			f.slots[d] = rt.HandlerValue(f.pending)
+			// The thrown object, or null for an intrinsic trap.
+			f.refs[d] = f.pending.Value
 		}, nil
 
 	default:
@@ -289,15 +321,37 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 	}
 }
 
-// binDst resolves the two inputs and the destination slot of a binary node.
-func (cc *compiler) binDst(n *ir.Node) (a, b int32, d int32, err error) {
-	if a, err = cc.in(n, 0); err != nil {
+// element returns the address of arr[idx] after the null and bounds checks
+// every indexed access shares; what names the access in the null trap.
+func element(arr *rt.Object, idx int64, what string, m *bc.Method, bci int) *rt.Value {
+	if arr == nil {
+		trap("null dereference in "+what, m, bci)
+	}
+	if idx < 0 || idx >= int64(arr.Len()) {
+		trap(fmt.Sprintf("array index %d out of range [0,%d)", idx, arr.Len()), m, bci)
+	}
+	return &arr.Fields[idx]
+}
+
+// intBin resolves the two int inputs and the int destination of a binary
+// node.
+func (cc *compiler) intBin(n *ir.Node) (a, b, d int32, err error) {
+	if a, err = cc.intIn(n, 0); err != nil {
 		return
 	}
-	if b, err = cc.in(n, 1); err != nil {
+	if b, err = cc.intIn(n, 1); err != nil {
 		return
 	}
-	d, err = cc.slotOf(n)
+	d, err = cc.intDst(n)
+	return
+}
+
+// refPair resolves the two ref inputs of a reference comparison.
+func (cc *compiler) refPair(n *ir.Node) (a, b int32, err error) {
+	if a, err = cc.refIn(n, 0); err != nil {
+		return
+	}
+	b, err = cc.refIn(n, 1)
 	return
 }
 
@@ -305,7 +359,7 @@ func (cc *compiler) binDst(n *ir.Node) (a, b int32, d int32, err error) {
 // the shift masking and division trap semantics of interp.EvalArith baked
 // in (the three executors must agree exactly).
 func (cc *compiler) lowerArith(n *ir.Node) (op, error) {
-	a, b, d, err := cc.binDst(n)
+	a, b, d, err := cc.intBin(n)
 	if err != nil {
 		return nil, err
 	}
@@ -314,45 +368,39 @@ func (cc *compiler) lowerArith(n *ir.Node) (op, error) {
 	// bc.Op (interp.EvalArith's domain); the default case rejects the rest.
 	switch n.Aux2 {
 	case bc.OpAdd:
-		return func(f *frame) { f.slots[d] = rt.IntValue(f.slots[a].I + f.slots[b].I) }, nil
+		return func(f *frame) { f.ints[d] = f.ints[a] + f.ints[b] }, nil
 	case bc.OpSub:
-		return func(f *frame) { f.slots[d] = rt.IntValue(f.slots[a].I - f.slots[b].I) }, nil
+		return func(f *frame) { f.ints[d] = f.ints[a] - f.ints[b] }, nil
 	case bc.OpMul:
-		return func(f *frame) { f.slots[d] = rt.IntValue(f.slots[a].I * f.slots[b].I) }, nil
+		return func(f *frame) { f.ints[d] = f.ints[a] * f.ints[b] }, nil
 	case bc.OpDiv:
 		return func(f *frame) {
-			bv := f.slots[b].I
+			bv := f.ints[b]
 			if bv == 0 {
 				trap("division by zero", m, bci)
 			}
-			f.slots[d] = rt.IntValue(f.slots[a].I / bv)
+			f.ints[d] = f.ints[a] / bv
 		}, nil
 	case bc.OpRem:
 		return func(f *frame) {
-			bv := f.slots[b].I
+			bv := f.ints[b]
 			if bv == 0 {
 				trap("division by zero", m, bci)
 			}
-			f.slots[d] = rt.IntValue(f.slots[a].I % bv)
+			f.ints[d] = f.ints[a] % bv
 		}, nil
 	case bc.OpAnd:
-		return func(f *frame) { f.slots[d] = rt.IntValue(f.slots[a].I & f.slots[b].I) }, nil
+		return func(f *frame) { f.ints[d] = f.ints[a] & f.ints[b] }, nil
 	case bc.OpOr:
-		return func(f *frame) { f.slots[d] = rt.IntValue(f.slots[a].I | f.slots[b].I) }, nil
+		return func(f *frame) { f.ints[d] = f.ints[a] | f.ints[b] }, nil
 	case bc.OpXor:
-		return func(f *frame) { f.slots[d] = rt.IntValue(f.slots[a].I ^ f.slots[b].I) }, nil
+		return func(f *frame) { f.ints[d] = f.ints[a] ^ f.ints[b] }, nil
 	case bc.OpShl:
-		return func(f *frame) {
-			f.slots[d] = rt.IntValue(f.slots[a].I << uint64(f.slots[b].I&63))
-		}, nil
+		return func(f *frame) { f.ints[d] = f.ints[a] << uint64(f.ints[b]&63) }, nil
 	case bc.OpShr:
-		return func(f *frame) {
-			f.slots[d] = rt.IntValue(f.slots[a].I >> uint64(f.slots[b].I&63))
-		}, nil
+		return func(f *frame) { f.ints[d] = f.ints[a] >> uint64(f.ints[b]&63) }, nil
 	case bc.OpUShr:
-		return func(f *frame) {
-			f.slots[d] = rt.IntValue(int64(uint64(f.slots[a].I) >> uint64(f.slots[b].I&63)))
-		}, nil
+		return func(f *frame) { f.ints[d] = int64(uint64(f.ints[a]) >> uint64(f.ints[b]&63)) }, nil
 	default:
 		return nil, fmt.Errorf("closure: %s: not an arithmetic op: %s", cc.g.Method.QualifiedName(), n.Aux2)
 	}
@@ -362,106 +410,133 @@ func (cc *compiler) lowerArith(n *ir.Node) (op, error) {
 // mismatches are compile errors here, runtime traps in the oracle — both
 // only reachable from malformed IR), leaving a pure fill at run time.
 func (cc *compiler) lowerMaterialize(n *ir.Node) (op, error) {
-	d, err := cc.slotOf(n)
+	d, err := cc.refDst(n)
 	if err != nil {
 		return nil, err
 	}
-	srcs := make([]int32, len(n.Inputs))
-	for i := range n.Inputs {
-		if srcs[i], err = cc.in(n, i); err != nil {
+	srcs := make([]operand, len(n.Inputs))
+	for i, in := range n.Inputs {
+		if srcs[i], err = cc.operandOf(in); err != nil {
 			return nil, err
 		}
 	}
 	locks := n.AuxLock
-	if n.Class != nil {
-		cls := n.Class
+	cls, ek, ln := n.Class, n.ElemKind, n.AuxInt
+	if cls != nil {
 		if len(n.Inputs) != cls.NumFields() {
 			return nil, fmt.Errorf("closure: materialize %s with %d values for %d fields",
 				cls.Name, len(n.Inputs), cls.NumFields())
 		}
-		return func(f *frame) {
-			obj := f.env.AllocObject(cls)
-			for i, s := range srcs {
-				obj.Fields[i] = f.slots[s]
+		for i, fld := range cls.Fields {
+			if n.Inputs[i].Kind != fld.Kind {
+				return nil, cc.kindErr(n.Inputs[i], fld.Kind)
 			}
-			for k := 0; k < locks; k++ {
-				f.env.MonitorEnter(obj)
+		}
+	} else {
+		if int64(len(n.Inputs)) != ln {
+			return nil, fmt.Errorf("closure: materialize array with %d values for length %d",
+				len(n.Inputs), ln)
+		}
+		for _, in := range n.Inputs {
+			if in.Kind != ek {
+				return nil, cc.kindErr(in, ek)
 			}
-			f.env.Stats.Materializations++
-			f.slots[d] = rt.RefValue(obj)
-		}, nil
-	}
-	ek, ln := n.ElemKind, n.AuxInt
-	if int64(len(n.Inputs)) != ln {
-		return nil, fmt.Errorf("closure: materialize array with %d values for length %d",
-			len(n.Inputs), ln)
+		}
 	}
 	return func(f *frame) {
-		obj := f.env.AllocArray(ek, ln)
+		var obj *rt.Object
+		if cls != nil {
+			obj = f.env.AllocObject(cls)
+		} else {
+			obj = f.env.AllocArray(ek, ln)
+		}
 		for i, s := range srcs {
-			obj.Fields[i] = f.slots[s]
+			obj.Fields[i] = f.load(s)
 		}
 		for k := 0; k < locks; k++ {
 			f.env.MonitorEnter(obj)
 		}
 		f.env.Stats.Materializations++
-		f.slots[d] = rt.RefValue(obj)
+		f.refs[d] = obj
 	}, nil
 }
 
-// lowerInvoke pre-resolves the callee, dispatch kind, and argument slots.
-// The argument vector is allocated per call — the callee owns it, exactly
-// as in the oracle and the interpreter.
+// callSite is one lowered OpInvoke: callee, dispatch kind and argument
+// operands pre-resolved, trap identity captured.
+type callSite struct {
+	callee   *bc.Method
+	dispatch bc.Op
+	args     []operand
+	m        *bc.Method
+	bci      int
+}
+
+// lowerInvoke pre-resolves the call site and specializes the result store.
 func (cc *compiler) lowerInvoke(n *ir.Node) (op, error) {
-	m, bci := n.OriginMethod(cc.g.Method), n.BCI
-	argSlots := make([]int32, len(n.Inputs))
-	for i := range n.Inputs {
+	s := &callSite{
+		callee:   n.Method,
+		dispatch: n.Aux2,
+		args:     make([]operand, len(n.Inputs)),
+		m:        n.OriginMethod(cc.g.Method),
+		bci:      n.BCI,
+	}
+	for i, in := range n.Inputs {
 		var err error
-		if argSlots[i], err = cc.in(n, i); err != nil {
+		if s.args[i], err = cc.operandOf(in); err != nil {
 			return nil, err
 		}
 	}
-	var d int32
-	hasDst := n.Kind != bc.KindVoid
-	if hasDst {
-		var err error
-		if d, err = cc.slotOf(n); err != nil {
-			return nil, err
+	if s.dispatch != bc.OpInvokeStatic && (len(s.args) == 0 || !s.args[0].ref) {
+		return nil, fmt.Errorf("closure: %s: %s has no reference receiver", cc.g.Method.QualifiedName(), n)
+	}
+	if len(s.args) > cc.code.nArgs {
+		cc.code.nArgs = len(s.args)
+	}
+	if n.Kind == bc.KindVoid {
+		return func(f *frame) { f.call(s) }, nil
+	}
+	d, err := cc.slotOf(n, n.Kind)
+	if err != nil {
+		return nil, err
+	}
+	if n.Kind == bc.KindRef {
+		return func(f *frame) { f.refs[d] = f.call(s).Ref }, nil
+	}
+	return func(f *frame) { f.ints[d] = f.call(s).I }, nil
+}
+
+// call performs the invoke at s. Arguments are passed in the frame's scratch
+// vector, not a fresh one: every callee copies them out before running
+// (closure.Run into its slots, interp.NewFrame into its locals; the oracle
+// reads them only while this frame is suspended in the call), and a
+// re-entrant call of this code runs in another pooled frame.
+func (f *frame) call(s *callSite) rt.Value {
+	args := f.args[:len(s.args)]
+	for i, a := range s.args {
+		args[i] = f.load(a)
+	}
+	target := s.callee
+	if s.dispatch != bc.OpInvokeStatic {
+		recv := args[0].Ref
+		if recv == nil {
+			trap("null receiver calling "+s.callee.QualifiedName(), s.m, s.bci)
+		}
+		if s.dispatch == bc.OpInvokeVirtual {
+			target = recv.Class.VTable[s.callee.VSlot]
 		}
 	}
-	callee := n.Method
-	dispatch := n.Aux2
-	vslot := callee.VSlot
-	return func(f *frame) {
-		args := make([]rt.Value, len(argSlots))
-		for i, s := range argSlots {
-			args[i] = f.slots[s]
-		}
-		target := callee
-		if dispatch != bc.OpInvokeStatic {
-			recv := args[0]
-			if recv.Ref == nil {
-				trap("null receiver calling "+callee.QualifiedName(), m, bci)
-			}
-			if dispatch == bc.OpInvokeVirtual {
-				target = recv.Ref.Class.VTable[vslot]
-			}
-		}
-		if f.eng.Invoke == nil {
-			trap("no invoke handler for "+target.QualifiedName(), m, bci)
-		}
-		r, cerr := f.eng.Invoke(target, args)
-		if cerr != nil {
-			panic(abort{cerr})
-		}
-		if hasDst {
-			f.slots[d] = r
-		}
-	}, nil
+	if f.eng.Invoke == nil {
+		trap("no invoke handler for "+target.QualifiedName(), s.m, s.bci)
+	}
+	r, err := f.eng.Invoke(target, args)
+	if err != nil {
+		panic(abort{err})
+	}
+	return r
 }
 
 // lowerTerm lowers a block terminator: successor indices are pre-linked and
-// each outgoing edge's phi parallel copy is baked into the returned func.
+// each outgoing edge's phi copy is baked into the returned func.
 func (cc *compiler) lowerTerm(b *ir.Block, t *ir.Node) (term, error) {
 	m, bci := t.OriginMethod(cc.g.Method), t.BCI
 	// oplint:ignore — intentionally partial: only terminators reach
@@ -469,60 +544,53 @@ func (cc *compiler) lowerTerm(b *ir.Block, t *ir.Node) (term, error) {
 	// default rejects the rest at compile time.
 	switch t.Op {
 	case ir.OpGoto:
-		succ := b.Succs[0]
-		next := cc.blkIdx[succ]
-		moves, err := cc.edge(b, succ)
+		e, err := cc.edge(b, b.Succs[0])
 		if err != nil {
 			return nil, err
 		}
-		if len(moves) == 0 {
+		if len(e.ints) == 0 && len(e.refs) == 0 {
+			next := e.next
 			return func(f *frame) int { return next }, nil
 		}
-		return func(f *frame) int {
-			f.copyEdge(moves)
-			return next
-		}, nil
+		return func(f *frame) int { return f.take(e.ints, e.refs, e.next) }, nil
 
 	case ir.OpIf:
-		c, err := cc.in(t, 0)
+		yes, err := cc.edge(b, b.Succs[0])
 		if err != nil {
 			return nil, err
 		}
-		tSucc, fSucc := b.Succs[0], b.Succs[1]
-		tNext, fNext := cc.blkIdx[tSucc], cc.blkIdx[fSucc]
-		tMoves, err := cc.edge(b, tSucc)
+		no, err := cc.edge(b, b.Succs[1])
 		if err != nil {
 			return nil, err
 		}
-		fMoves, err := cc.edge(b, fSucc)
+		if cc.fusedIf[cc.blkIdx[b]] {
+			return cc.lowerFusedIf(t.Inputs[0], yes, no)
+		}
+		c, err := cc.intIn(t, 0)
 		if err != nil {
 			return nil, err
-		}
-		if len(tMoves) == 0 && len(fMoves) == 0 {
-			return func(f *frame) int {
-				if f.slots[c].I != 0 {
-					return tNext
-				}
-				return fNext
-			}, nil
 		}
 		return func(f *frame) int {
-			if f.slots[c].I != 0 {
-				f.copyEdge(tMoves)
-				return tNext
+			if f.ints[c] != 0 {
+				return f.take(yes.ints, yes.refs, yes.next)
 			}
-			f.copyEdge(fMoves)
-			return fNext
+			return f.take(no.ints, no.refs, no.next)
 		}, nil
 
 	case ir.OpReturn:
 		if len(t.Inputs) == 1 {
-			v, err := cc.in(t, 0)
+			v, err := cc.operandOf(t.Inputs[0])
 			if err != nil {
 				return nil, err
 			}
+			if v.ref {
+				return func(f *frame) int {
+					f.ret = rt.RefValue(f.refs[v.slot])
+					return done
+				}, nil
+			}
 			return func(f *frame) int {
-				f.ret = f.slots[v]
+				f.ret = rt.IntValue(f.ints[v.slot])
 				return done
 			}, nil
 		}
@@ -532,50 +600,51 @@ func (cc *compiler) lowerTerm(b *ir.Block, t *ir.Node) (term, error) {
 		}, nil
 
 	case ir.OpThrow:
-		v, err := cc.in(t, 0)
+		v, err := cc.refIn(t, 0)
 		if err != nil {
 			return nil, err
 		}
 		if len(b.Succs) == 1 {
 			// Covered throw: record the exception and enter the dispatch
 			// chain directly.
-			next := cc.blkIdx[b.Succs[0]]
+			e, err := cc.edge(b, b.Succs[0])
+			if err != nil {
+				return nil, err
+			}
 			return func(f *frame) int {
-				x := f.slots[v]
-				if x.Ref == nil {
+				if x := f.refs[v]; x == nil {
 					f.pending = rt.NewTrap("null throw", m, bci)
 				} else {
-					f.pending = rt.NewThrow(x.Ref, m, bci)
+					f.pending = rt.NewThrow(x, m, bci)
 				}
-				return next
+				return f.take(e.ints, e.refs, e.next)
 			}, nil
 		}
 		return func(f *frame) int {
-			x := f.slots[v]
-			if x.Ref == nil {
+			x := f.refs[v]
+			if x == nil {
 				trap("null throw", m, bci)
 			}
-			panic(abort{rt.NewThrow(x.Ref, m, bci)})
+			panic(abort{rt.NewThrow(x, m, bci)})
 		}, nil
 
 	case ir.OpOnException:
-		nSucc, dSucc := b.Succs[0], b.Succs[1]
-		nNext, dNext := cc.blkIdx[nSucc], cc.blkIdx[dSucc]
-		nMoves, err := cc.edge(b, nSucc)
+		normal, err := cc.edge(b, b.Succs[0])
 		if err != nil {
 			return nil, err
 		}
-		dMoves, err := cc.edge(b, dSucc)
+		if cannotTrap(t.Inputs[0]) {
+			return func(f *frame) int { return f.take(normal.ints, normal.refs, normal.next) }, nil
+		}
+		dispatch, err := cc.edge(b, b.Succs[1])
 		if err != nil {
 			return nil, err
 		}
 		return func(f *frame) int {
 			if f.pending != nil {
-				f.copyEdge(dMoves)
-				return dNext
+				return f.take(dispatch.ints, dispatch.refs, dispatch.next)
 			}
-			f.copyEdge(nMoves)
-			return nNext
+			return f.take(normal.ints, normal.refs, normal.next)
 		}, nil
 
 	case ir.OpUnwind:
@@ -587,15 +656,9 @@ func (cc *compiler) lowerTerm(b *ir.Block, t *ir.Node) (term, error) {
 		}, nil
 
 	case ir.OpDeopt:
-		g, n, code := cc.g, t, cc.code
+		g := cc.g
 		return func(f *frame) int {
-			v, derr := f.eng.DeoptTransfer(g, n, func(x *ir.Node) (rt.Value, bool) {
-				s, ok := code.slot[x]
-				if !ok {
-					return rt.Value{}, false
-				}
-				return f.slots[s], true
-			})
+			v, derr := f.eng.DeoptTransfer(g, t, f.value)
 			if derr != nil {
 				panic(abort{derr})
 			}
@@ -605,5 +668,85 @@ func (cc *compiler) lowerTerm(b *ir.Block, t *ir.Node) (term, error) {
 
 	default:
 		return nil, fmt.Errorf("closure: bad terminator %s in %s", t, cc.g.Method.QualifiedName())
+	}
+}
+
+// lowerFusedIf lowers an If whose condition is a fused compare: the
+// terminator tests the compare's operands directly, one closure per
+// condition, so the compare costs no dispatch and no slot traffic.
+func (cc *compiler) lowerFusedIf(c *ir.Node, yes, no edge) (term, error) {
+	if c.Op == ir.OpRefEq {
+		a, b, err := cc.refPair(c)
+		if err != nil {
+			return nil, err
+		}
+		if c.Cond == bc.CondNE {
+			return func(f *frame) int {
+				if f.refs[a] != f.refs[b] {
+					return f.take(yes.ints, yes.refs, yes.next)
+				}
+				return f.take(no.ints, no.refs, no.next)
+			}, nil
+		}
+		return func(f *frame) int {
+			if f.refs[a] == f.refs[b] {
+				return f.take(yes.ints, yes.refs, yes.next)
+			}
+			return f.take(no.ints, no.refs, no.next)
+		}, nil
+	}
+	a, err := cc.intIn(c, 0)
+	if err != nil {
+		return nil, err
+	}
+	b, err := cc.intIn(c, 1)
+	if err != nil {
+		return nil, err
+	}
+	switch c.Cond {
+	case bc.CondEQ:
+		return func(f *frame) int {
+			if f.ints[a] == f.ints[b] {
+				return f.take(yes.ints, yes.refs, yes.next)
+			}
+			return f.take(no.ints, no.refs, no.next)
+		}, nil
+	case bc.CondNE:
+		return func(f *frame) int {
+			if f.ints[a] != f.ints[b] {
+				return f.take(yes.ints, yes.refs, yes.next)
+			}
+			return f.take(no.ints, no.refs, no.next)
+		}, nil
+	case bc.CondLT:
+		return func(f *frame) int {
+			if f.ints[a] < f.ints[b] {
+				return f.take(yes.ints, yes.refs, yes.next)
+			}
+			return f.take(no.ints, no.refs, no.next)
+		}, nil
+	case bc.CondLE:
+		return func(f *frame) int {
+			if f.ints[a] <= f.ints[b] {
+				return f.take(yes.ints, yes.refs, yes.next)
+			}
+			return f.take(no.ints, no.refs, no.next)
+		}, nil
+	case bc.CondGT:
+		return func(f *frame) int {
+			if f.ints[a] > f.ints[b] {
+				return f.take(yes.ints, yes.refs, yes.next)
+			}
+			return f.take(no.ints, no.refs, no.next)
+		}, nil
+	case bc.CondGE:
+		return func(f *frame) int {
+			if f.ints[a] >= f.ints[b] {
+				return f.take(yes.ints, yes.refs, yes.next)
+			}
+			return f.take(no.ints, no.refs, no.next)
+		}, nil
+	default:
+		return nil, fmt.Errorf("closure: %s: bad condition in %s", cc.g.Method.QualifiedName(), c)
 	}
 }

@@ -228,3 +228,41 @@ func TestMatchHandler(t *testing.T) {
 		t.Fatalf("uncovered pc matched %+v", h)
 	}
 }
+
+// TestSmallObjectsAreOneAllocation: up to four slots share the header's Go
+// allocation, and the embedded storage behaves like any Fields slice — right
+// length, default-initialized, writable, independent between objects.
+func TestSmallObjectsAreOneAllocation(t *testing.T) {
+	env := NewEnv(prog(t), 1)
+	var keep *Object
+	for n := int64(0); n <= 6; n++ {
+		want := 1.0
+		if n > 4 {
+			want = 2 // header + separate backing array
+		}
+		if got := testing.AllocsPerRun(50, func() { keep = env.AllocArray(bc.KindInt, n) }); got != want {
+			t.Errorf("AllocArray(int, %d) makes %v Go allocations, want %v", n, got, want)
+		}
+		a, b := env.AllocArray(bc.KindRef, n), env.AllocArray(bc.KindRef, n)
+		if a.Len() != int(n) || cap(a.Fields) != int(n) {
+			t.Fatalf("array of %d has len %d cap %d", n, a.Len(), cap(a.Fields))
+		}
+		for i := range a.Fields {
+			if !a.Fields[i].IsNull() {
+				t.Fatalf("array of %d: element %d is %v, want null", n, i, a.Fields[i])
+			}
+			a.Fields[i] = RefValue(b)
+			if !b.Fields[i].IsNull() {
+				t.Fatalf("array of %d: write to one object showed in another", n)
+			}
+		}
+		if a.Serial == b.Serial || !a.IsArray() {
+			t.Fatalf("array of %d: header wrong: %+v", n, a)
+		}
+	}
+	box := env.Program.ClassByName("Box")
+	if got := testing.AllocsPerRun(50, func() { keep = env.AllocObject(box) }); got != 1 {
+		t.Errorf("AllocObject(Box) makes %v Go allocations, want 1", got)
+	}
+	_ = keep
+}

@@ -51,6 +51,8 @@ func Corpus() []Program {
 		loopSum(),
 		nestedLoops(),
 		loopTwoBackEdges(),
+		phiSwap(),
+		phiRotate3(),
 		nonEscaping(),
 		partialEscape(),
 		escapeBothBranches(),
@@ -281,6 +283,92 @@ func loopTwoBackEdges() Program {
 	p := mustFinish(a, "loopTwoBackEdges")
 	return Program{"loopTwoBackEdges", p, entry(p, "P", "run"),
 		[][]int64{{0}, {1}, {2}, {3}, {10}, {31}}}
+}
+
+// phiSwap: `t=a; a=b; b=t` on two ints and on two references in one loop,
+// plus a second int pair that is swapped on every third iteration only. Once
+// the trivial merge phis are gone the unconditional swaps are loop-header
+// phis that read each other on the back edge (a two-cycle per kind), while
+// the conditional swap merges a swapped with an unswapped pair (a plain copy
+// on one edge, all self-moves on the other). An engine that copies phis one
+// after another without ordering them returns x==y here.
+func phiSwap() Program {
+	a := bc.NewAssembler()
+	box, v, _, _ := boxClass(a)
+	c := a.Class("P", "")
+	m := c.Method("run", []bc.Kind{bc.KindInt}, bc.KindInt, true)
+	i := m.NewLocal(bc.KindInt)
+	x := m.NewLocal(bc.KindInt)
+	y := m.NewLocal(bc.KindInt)
+	u := m.NewLocal(bc.KindInt)
+	w := m.NewLocal(bc.KindInt)
+	t := m.NewLocal(bc.KindInt)
+	p := m.NewLocal(bc.KindRef)
+	q := m.NewLocal(bc.KindRef)
+	r := m.NewLocal(bc.KindRef)
+	m.Const(0).Store(i).Const(1).Store(x).Const(2).Store(y).Const(5).Store(u).Const(6).Store(w)
+	m.New(box.Ref()).Store(p).Load(p).Const(3).PutField(v)
+	m.New(box.Ref()).Store(q).Load(q).Const(4).PutField(v)
+	m.Label("head").Load(i).Load(0).IfCmp(bc.CondGE, "done")
+	m.Load(x).Store(t).Load(y).Store(x).Load(t).Store(y)
+	m.Load(p).Store(r).Load(q).Store(p).Load(r).Store(q)
+	m.Load(i).Const(3).Rem().If(bc.CondNE, "next")
+	m.Load(u).Store(t).Load(w).Store(u).Load(t).Store(w)
+	m.Label("next").Load(u).Load(i).Add().Store(u)
+	m.Load(i).Const(1).Add().Store(i)
+	m.Goto("head")
+	m.Label("done")
+	m.Load(x).Const(10).Mul().Load(y).Add()
+	m.Const(10).Mul().Load(p).GetField(v).Add()
+	m.Const(10).Mul().Load(q).GetField(v).Add()
+	m.Const(1000).Mul().Load(u).Const(100).Mul().Add().Load(w).Add()
+	m.ReturnValue()
+	prog := mustFinish(a, "phiSwap")
+	return Program{"phiSwap", prog, entry(prog, "P", "run"),
+		[][]int64{{0}, {1}, {2}, {3}, {4}, {9}, {40}}}
+}
+
+// phiRotate3: `t=a; a=b; b=c; c=t` on three ints and on three references in
+// the same loop — a three-cycle per kind on the back edge, which a
+// sequentialized copy must break through a scratch slot exactly once each.
+func phiRotate3() Program {
+	a := bc.NewAssembler()
+	box, v, _, _ := boxClass(a)
+	c := a.Class("P", "")
+	m := c.Method("run", []bc.Kind{bc.KindInt}, bc.KindInt, true)
+	i := m.NewLocal(bc.KindInt)
+	ints := []int{m.NewLocal(bc.KindInt), m.NewLocal(bc.KindInt), m.NewLocal(bc.KindInt)}
+	ti := m.NewLocal(bc.KindInt)
+	refs := []int{m.NewLocal(bc.KindRef), m.NewLocal(bc.KindRef), m.NewLocal(bc.KindRef)}
+	tr := m.NewLocal(bc.KindRef)
+	m.Const(0).Store(i)
+	for k := range ints {
+		m.Const(int64(k + 1)).Store(ints[k])
+		m.New(box.Ref()).Store(refs[k]).Load(refs[k]).Const(int64(k + 4)).PutField(v)
+	}
+	m.Label("head").Load(i).Load(0).IfCmp(bc.CondGE, "done")
+	for _, l := range []struct {
+		tmp  int
+		vars []int
+	}{{ti, ints}, {tr, refs}} {
+		m.Load(l.vars[0]).Store(l.tmp)
+		m.Load(l.vars[1]).Store(l.vars[0])
+		m.Load(l.vars[2]).Store(l.vars[1])
+		m.Load(l.tmp).Store(l.vars[2])
+	}
+	m.Load(i).Const(1).Add().Store(i)
+	m.Goto("head")
+	m.Label("done").Const(0)
+	for k := range ints {
+		m.Const(10).Mul().Load(ints[k]).Add()
+	}
+	for k := range refs {
+		m.Const(10).Mul().Load(refs[k]).GetField(v).Add()
+	}
+	m.ReturnValue()
+	prog := mustFinish(a, "phiRotate3")
+	return Program{"phiRotate3", prog, entry(prog, "P", "run"),
+		[][]int64{{0}, {1}, {2}, {3}, {4}, {10}, {41}}}
 }
 
 // boxClass declares `class Box { int v; Box next; }` plus a static sink.

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"errors"
+	"os"
 	"testing"
 
 	"pea/internal/broker"
@@ -27,6 +29,10 @@ type backendOutcome struct {
 	remats  int64
 	escapes string
 	warm    int64 // Stats.WarmInstalls
+
+	// degraded: an injected compiler panic (PEA_FAULT) left some method in
+	// the interpreter, so the heap-effect counters are not comparable.
+	degraded bool
 }
 
 // runBackendConfig executes every argument set several times in one VM (so
@@ -59,6 +65,15 @@ func runBackendConfig(t *testing.T, p testprog.Program, opts Options) backendOut
 	}
 	machine.DrainJIT()
 	for m, cerr := range machine.FailedCompilations() {
+		// Under PEA_FAULT the fault-smoke job injects compiler panics on
+		// purpose (exactly as in runFuzzConfig); the containment layer
+		// degrades the victim to the interpreter. Any other failure kind
+		// remains fatal.
+		var pe *broker.PanicError
+		if os.Getenv("PEA_FAULT") != "" && errors.As(cerr, &pe) {
+			o.degraded = true
+			continue
+		}
 		t.Fatalf("%s: compiling %s: %v", p.Name, m.QualifiedName(), cerr)
 	}
 	sink := p.Prog.ClassByName("Box").StaticByName("sink")
@@ -86,7 +101,9 @@ func runBackendConfig(t *testing.T, p testprog.Program, opts Options) backendOut
 // escape-attribution table must all match. Asynchronous configurations
 // compile on background workers, so install timing (and hence how many
 // calls run compiled vs interpreted) legitimately varies; there the
-// comparison covers everything semantically visible to the program.
+// comparison covers everything semantically visible to the program. The same
+// holds for a run in which an injected compiler panic (PEA_FAULT) degraded a
+// method to the interpreter on either side.
 //
 // The name contains "Fuzz" so CI's race-mode fuzz smoke job
 // (-run Fuzz ./internal/vm) exercises both backends under the detector.
@@ -158,7 +175,7 @@ func TestFuzzBackendDifferential(t *testing.T) {
 						seed, cfg.name, i, got.out[i], ref.out[i])
 				}
 			}
-			if !cfg.strict {
+			if !cfg.strict || ref.degraded || got.degraded {
 				continue
 			}
 			if got.allocs != ref.allocs {

@@ -55,6 +55,9 @@ func TestAllModesAgree(t *testing.T) {
 		{name: "jit-pea-sum", opts: Options{EA: EAPartial, Summaries: true}},
 		{name: "jit-pea-sum-spec", opts: Options{EA: EAPartial, Summaries: true, Speculate: true}},
 		{name: "jit-pea-warm", opts: Options{EA: EAPartial}, warm: true},
+		{name: "closure", opts: Options{EA: EAOff, Backend: BackendClosure}},
+		{name: "closure-pea-spec", opts: Options{EA: EAPartial, Speculate: true, Backend: BackendClosure}},
+		{name: "closure-pea-osr", opts: Options{EA: EAPartial, OSRThreshold: 8, Backend: BackendClosure}},
 	}
 	const warmup = 30
 	for _, p := range testprog.Corpus() {
