@@ -48,13 +48,12 @@ func setupWorkload(b *testing.B, w bench.WorkloadSpec, mode vm.EAMode) (*vm.VM, 
 }
 
 // benchSuite runs every workload of a suite under the given mode, reporting
-// simulated cycles and allocations per benchmark iteration.
+// guest allocations and bytes per benchmark iteration.
 func benchSuite(b *testing.B, suite string, mode vm.EAMode) {
 	for _, w := range bench.BySuite(suite) {
 		w := w
 		b.Run(fmt.Sprintf("%s/%s", w.Name, mode), func(b *testing.B) {
 			machine, iterate := setupWorkload(b, w, mode)
-			startCycles := machine.Env.Cycles
 			startAllocs := machine.Env.Stats.Allocations
 			startBytes := machine.Env.Stats.AllocatedBytes
 			b.ResetTimer()
@@ -63,7 +62,6 @@ func benchSuite(b *testing.B, suite string, mode vm.EAMode) {
 			}
 			b.StopTimer()
 			n := float64(b.N)
-			b.ReportMetric(float64(machine.Env.Cycles-startCycles)/n, "cycles/iter")
 			b.ReportMetric(float64(machine.Env.Stats.Allocations-startAllocs)/n, "allocs/iter")
 			b.ReportMetric(float64(machine.Env.Stats.AllocatedBytes-startBytes)/n, "heapB/iter")
 		})
@@ -71,8 +69,8 @@ func benchSuite(b *testing.B, suite string, mode vm.EAMode) {
 }
 
 // BenchmarkTable1DaCapo regenerates the DaCapo block of Table 1: run each
-// workload without and with Partial Escape Analysis and compare the
-// cycles/iter and allocs/iter metrics between the paired sub-benchmarks.
+// workload without and with Partial Escape Analysis and compare ns/op and
+// the allocs/iter metric between the paired sub-benchmarks.
 func BenchmarkTable1DaCapo(b *testing.B) {
 	benchSuite(b, "dacapo", vm.EAOff)
 	benchSuite(b, "dacapo", vm.EAPartial)
@@ -153,7 +151,6 @@ func BenchmarkListing4CacheKey(b *testing.B) {
 				}
 			}
 			start := machine.Env.Stats.Allocations
-			startCycles := machine.Env.Cycles
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := machine.Call(run, nil); err != nil {
@@ -163,7 +160,6 @@ func BenchmarkListing4CacheKey(b *testing.B) {
 			b.StopTimer()
 			n := float64(b.N)
 			b.ReportMetric(float64(machine.Env.Stats.Allocations-start)/n, "allocs/iter")
-			b.ReportMetric(float64(machine.Env.Cycles-startCycles)/n, "cycles/iter")
 		})
 	}
 }

@@ -176,11 +176,13 @@ func main() {
 	if *phase == "inlined" {
 		return
 	}
-	conf := pea.Config{Sink: sink}
+	var tracer obs.Backend
 	if *trace {
-		conf.Trace = os.Stderr
+		tracer = obs.NewTextBackend(os.Stderr)
+		sink.AddBackend(tracer)
 	}
-	res, err := pea.Run(g, conf)
+	res, err := pea.Run(g, pea.Config{Sink: sink})
+	sink.RemoveBackend(tracer)
 	if err != nil {
 		fatal(err)
 	}

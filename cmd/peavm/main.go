@@ -19,7 +19,7 @@
 // -backend selects how compiled methods execute: "closure" (the default)
 // runs graphs lowered to closure sequences — a template JIT with real
 // wall-clock speedups — while "oracle" runs the tree-walking reference
-// executor that also charges the repo's machine-independent cycle model.
+// evaluator the closure backend is checked against.
 // "both" runs the program on two VMs, one per backend, in lockstep and
 // cross-checks per-run results and errors, printed output, and (in the
 // deterministic synchronous configuration) the guest-visible heap effects:
@@ -91,7 +91,7 @@ import (
 
 func main() {
 	eaMode := flag.String("ea", "pea", "escape analysis: off, ea (flow-insensitive), or pea")
-	backendName := flag.String("backend", "closure", "execution backend: oracle (tree-walking cycle model), closure (template JIT), or both (lockstep cross-check)")
+	backendName := flag.String("backend", "closure", "execution backend: oracle (tree-walking reference evaluator), closure (template JIT), or both (lockstep cross-check)")
 	speculate := flag.Bool("speculate", false, "enable speculative branch pruning with deoptimization")
 	summaries := flag.Bool("summaries", false, "enable inter-procedural escape summaries: EA/PEA keep provably-unobserved call arguments virtual across non-inlined calls, and the inliner prioritizes sites whose inlining unlocks scalar replacement")
 	summariesReport := flag.Bool("summaries-report", false, "print the per-method summary table (param escape lattice, fresh returns, predicates) to stderr after the run; implies -summaries")
@@ -307,7 +307,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "jit faults:       panics %d, transient %d, rearms %d, crash repros %d\n",
 				bs.Panics, vs.TransientFailures, vs.Rearms, vs.CrashRepros)
 		}
-		fmt.Fprintf(os.Stderr, "model cycles:     %d\n", machine.Env.Cycles)
 		for m, cerr := range machine.FailedCompilations() {
 			fmt.Fprintf(os.Stderr, "compile failure:  %s: %v\n", m.QualifiedName(), cerr)
 		}

@@ -55,7 +55,6 @@ func run(mode vm.EAMode) *vm.VM {
 	}
 	// Reset counters so the numbers below show the compiled steady state.
 	machine.Env.Stats = rt.Stats{}
-	machine.Env.Cycles = 0
 	for i := 0; i < 10; i++ {
 		if _, err := machine.Run(); err != nil {
 			log.Fatal(err)
@@ -72,7 +71,6 @@ func main() {
 	fmt.Printf("%-22s %15s %15s\n", "", "JIT without EA", "JIT with PEA")
 	fmt.Printf("%-22s %15d %15d\n", "allocations", base.Env.Stats.Allocations, peavm.Env.Stats.Allocations)
 	fmt.Printf("%-22s %15d %15d\n", "allocated bytes", base.Env.Stats.AllocatedBytes, peavm.Env.Stats.AllocatedBytes)
-	fmt.Printf("%-22s %15d %15d\n", "model cycles", base.Env.Cycles, peavm.Env.Cycles)
 	if peavm.Env.Stats.Allocations < base.Env.Stats.Allocations {
 		fmt.Println("\nPartial Escape Analysis removed the per-iteration Point allocations.")
 	}

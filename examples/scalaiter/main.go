@@ -79,7 +79,6 @@ func run(mode vm.EAMode) *vm.VM {
 		}
 	}
 	machine.Env.Stats = rt.Stats{}
-	machine.Env.Cycles = 0
 	for i := 0; i < 10; i++ {
 		if _, err := machine.Run(); err != nil {
 			log.Fatal(err)
@@ -103,7 +102,6 @@ func main() {
 	}
 	fmt.Printf("%-20s %12d %12d %+8.1f%%\n", "allocations", b.Allocations, p.Allocations, pct(b.Allocations, p.Allocations))
 	fmt.Printf("%-20s %12d %12d %+8.1f%%\n", "allocated bytes", b.AllocatedBytes, p.AllocatedBytes, pct(b.AllocatedBytes, p.AllocatedBytes))
-	fmt.Printf("%-20s %12d %12d %+8.1f%%\n", "model cycles", base.Env.Cycles, peavm.Env.Cycles, pct(base.Env.Cycles, peavm.Env.Cycles))
 	fmt.Println("\nEvery IntBox, the iterator, the range and both function objects are")
 	fmt.Println("per-call or per-step temporaries: after inlining, Partial Escape Analysis")
 	fmt.Println("removes essentially all of them — the paper's ScalaDaCapo story in miniature.")

@@ -156,13 +156,3 @@ func BySuite(suite string) []WorkloadSpec {
 	}
 	return out
 }
-
-// ShownInTable1 reports whether the paper's Table 1 prints this DaCapo row
-// (the others enter only the average).
-func ShownInTable1(name string) bool {
-	switch name {
-	case "avrora", "batik", "eclipse", "luindex", "lusearch", "pmd", "tradesoap":
-		return false
-	}
-	return true
-}

@@ -1,12 +1,12 @@
-// Package bench reproduces the paper's evaluation (§6): for every
+// Package bench holds the inputs of the paper's evaluation (§6): for every
 // benchmark row of Table 1 — the DaCapo and ScalaDaCapo suites and
-// SPECjbb2005 — it provides a synthetic MiniJava workload whose allocation
-// and locking *structure* models the behaviour the paper reports for that
-// benchmark, and a harness that runs each workload under the JIT with and
-// without (Partial) Escape Analysis, measuring exactly what the paper
-// measures: MB allocated per iteration, millions of allocations per
-// iteration, monitor operations, and iterations per minute (from the
-// deterministic cycle model).
+// SPECjbb2005 — a synthetic MiniJava workload whose allocation and locking
+// *structure* models the behaviour the paper reports for that benchmark,
+// plus the closed-loop client behind peaload (load.go). Wall clock is
+// measured by peaperf (benchmarks/), which freezes these workloads as its
+// steady programs; the package's own tests pin what the exact guest
+// counters prove — Table 1's allocation and byte columns, the §6.1 monitor
+// reductions, §6.2 in allocations, and the ablation study.
 //
 // The real benchmarks are large proprietary Java programs that cannot run
 // on this VM; what the paper's claims depend on is the *distribution* of

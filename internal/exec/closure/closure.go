@@ -9,11 +9,10 @@
 // tagged values, and zero allocations per invocation (slots and the invoke
 // argument scratch live in a pooled frame).
 //
-// The backend pays no cost-model overhead: modeled cycles are the oracle
-// backend's job (internal/exec). Heap effects (allocations, field and
-// monitor counters, materializations, deopts) are mirrored exactly, so the
-// differential fuzzer can compare the two backends observation for
-// observation.
+// Heap effects (allocations, field and monitor counters,
+// materializations, deopts) mirror the oracle backend's (internal/exec)
+// exactly, so the differential fuzzer can compare the two backends
+// observation for observation.
 //
 // Traps and invoke errors propagate by panicking with an abort wrapper,
 // recovered once per Run — the steady-state loop carries no error returns.

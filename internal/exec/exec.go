@@ -9,13 +9,13 @@
 // Two backends implement the Backend interface:
 //
 //   - the oracle (this package, oracle.go): a tree-walking engine that
-//     evaluates the scheduled graph node by node and charges the
-//     deterministic cycle cost model. It is slow but simple enough to audit,
-//     and serves as the differential-testing oracle for every other backend.
+//     evaluates the scheduled graph node by node. It is slow but simple
+//     enough to audit, and serves as the differential-testing oracle for
+//     every other backend.
 //   - closure (package exec/closure): a template JIT that lowers the graph
 //     once, at install time, into flat per-block closure sequences with
-//     operands pre-resolved to dense value slots — real wall-clock speed,
-//     no cost model.
+//     operands pre-resolved to dense value slots — the backend every
+//     wall-clock number is measured on.
 //
 // The Engine carries the per-VM runtime hooks (environment, invoke, deopt,
 // step budget) shared by all backends; per-invocation state lives in
@@ -99,8 +99,7 @@ func (e *Engine) ChargeSteps(n int64, g *ir.Graph) error {
 
 // DeoptTransfer hands control to the interpreter via the Deopt hook,
 // recording the deopt event and runtime stats. Backends call it when
-// execution reaches an OpDeopt terminator; cost-model charging (the
-// oracle's deopt penalty) stays with the oracle.
+// execution reaches an OpDeopt terminator.
 func (e *Engine) DeoptTransfer(g *ir.Graph, n *ir.Node, eval func(x *ir.Node) (rt.Value, bool)) (rt.Value, error) {
 	if e.Deopt == nil {
 		return rt.Value{}, rt.NewTrap("deopt without handler: "+n.DeoptReason, g.Method, n.BCI)

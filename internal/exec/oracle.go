@@ -4,16 +4,14 @@ import (
 	"fmt"
 
 	"pea/internal/bc"
-	"pea/internal/cost"
 	"pea/internal/interp"
 	"pea/internal/ir"
 	"pea/internal/rt"
 )
 
-// Oracle returns the tree-walking cycle-model backend. It evaluates the
-// scheduled graph node by node per invocation, charging the deterministic
-// cost model (internal/cost is referenced from this backend only), and is
-// the differential-testing oracle the faster backends are checked against.
+// Oracle returns the tree-walking reference backend. It evaluates the
+// scheduled graph node by node per invocation and is the
+// differential-testing oracle the faster backends are checked against.
 func Oracle() Backend { return oracleBackend{} }
 
 type oracleBackend struct{}
@@ -56,7 +54,6 @@ func (f *frame) get(n *ir.Node) rt.Value {
 // returns the method result. It is the oracle backend's entry point, kept as
 // a public Engine method because tests and tools run graphs directly.
 func (e *Engine) Run(g *ir.Graph, args []rt.Value) (rt.Value, error) {
-	e.Env.Cycles += g.CodeCycles
 	f := &frame{values: make(map[*ir.Node]rt.Value, 64), args: args}
 	block := g.Entry()
 	var prev *ir.Block
@@ -108,7 +105,6 @@ outer:
 		if err := e.ChargeSteps(1, g); err != nil {
 			return rt.Value{}, err
 		}
-		e.Env.Cycles += costOf(t)
 		// oplint:ignore — t is a block terminator; value and fixed ops
 		// are dispatched by evalNode, and the default rejects anything
 		// that is not a terminator.
@@ -164,7 +160,6 @@ func (e *Engine) trap(g *ir.Graph, n *ir.Node, reason string) error {
 // evalNode executes one non-terminator node. done=true means the whole
 // method completed (a deopt path returned through the interpreter).
 func (e *Engine) evalNode(g *ir.Graph, f *frame, n *ir.Node) (done bool, ret rt.Value, err error) {
-	e.Env.Cycles += costOf(n)
 	// oplint:ignore — evalNode sees only non-terminators (phis and
 	// terminators are handled in the block loop); the default rejects
 	// the rest.
@@ -199,14 +194,12 @@ func (e *Engine) evalNode(g *ir.Graph, f *frame, n *ir.Node) (done bool, ret rt.
 		ok := v.Ref != nil && !v.Ref.IsArray() && v.Ref.Class.IsSubclassOf(n.Class)
 		f.set(n, rt.BoolValue(ok))
 	case ir.OpNew:
-		e.Env.Cycles += cost.AllocPerField * int64(n.Class.NumFields())
 		f.set(n, rt.RefValue(e.Env.AllocObject(n.Class)))
 	case ir.OpNewArray:
 		ln := f.get(n.Inputs[0]).I
 		if ln < 0 {
 			return false, rt.Value{}, e.trap(g, n, fmt.Sprintf("negative array size %d", ln))
 		}
-		e.Env.Cycles += cost.AllocPerField * ln
 		f.set(n, rt.RefValue(e.Env.AllocArray(n.ElemKind, ln)))
 	case ir.OpMaterialize:
 		v, merr := e.materializeNode(f, n)
@@ -322,14 +315,12 @@ func (e *Engine) evalNode(g *ir.Graph, f *frame, n *ir.Node) (done bool, ret rt.
 func (e *Engine) materializeNode(f *frame, n *ir.Node) (rt.Value, error) {
 	var obj *rt.Object
 	if n.Class != nil {
-		e.Env.Cycles += cost.AllocPerField * int64(n.Class.NumFields())
 		obj = e.Env.AllocObject(n.Class)
 		if len(n.Inputs) != n.Class.NumFields() {
 			return rt.Value{}, fmt.Errorf("materialize %s with %d values for %d fields",
 				n.Class.Name, len(n.Inputs), n.Class.NumFields())
 		}
 	} else {
-		e.Env.Cycles += cost.AllocPerField * n.AuxInt
 		obj = e.Env.AllocArray(n.ElemKind, n.AuxInt)
 		if int64(len(n.Inputs)) != n.AuxInt {
 			return rt.Value{}, fmt.Errorf("materialize array with %d values for length %d",
@@ -347,63 +338,10 @@ func (e *Engine) materializeNode(f *frame, n *ir.Node) (rt.Value, error) {
 }
 
 // deopt hands control to the interpreter via the engine's shared transfer
-// path, charging the oracle's modeled deopt penalty on top.
+// path.
 func (e *Engine) deopt(g *ir.Graph, f *frame, n *ir.Node) (rt.Value, error) {
-	if e.Deopt != nil {
-		e.Env.Cycles += cost.DeoptPenalty
-	}
 	return e.DeoptTransfer(g, n, func(x *ir.Node) (rt.Value, bool) {
 		v, ok := f.values[x]
 		return v, ok
 	})
-}
-
-// costOf maps an IR node to its cycle cost in compiled code.
-func costOf(n *ir.Node) int64 {
-	switch n.Op {
-	case ir.OpParam, ir.OpConst, ir.OpConstNull, ir.OpPhi, ir.OpVirtualObject:
-		return 0 // register-allocated; no runtime work
-	case ir.OpNeg, ir.OpCmp, ir.OpRefEq:
-		return cost.ALU
-	case ir.OpArith:
-		return cost.OfOp(n.Aux2)
-	case ir.OpInstanceOf:
-		return cost.TypeCheck
-	case ir.OpNew, ir.OpNewArray, ir.OpMaterialize:
-		return cost.AllocBase
-	case ir.OpLoadField, ir.OpStoreField:
-		return cost.FieldAccess
-	case ir.OpLoadStatic, ir.OpStoreStatic:
-		return cost.StaticAccess
-	case ir.OpLoadIndexed, ir.OpStoreIndexed:
-		return cost.ArrayAccess
-	case ir.OpArrayLength:
-		return cost.ALU
-	case ir.OpMonitorEnter, ir.OpMonitorExit:
-		return cost.Monitor
-	case ir.OpInvoke:
-		c := int64(cost.CallOverhead)
-		if n.Aux2 == bc.OpInvokeVirtual {
-			c += cost.VirtualDispatch
-		}
-		return c
-	case ir.OpPrint:
-		return cost.Print
-	case ir.OpRand:
-		return cost.Rand
-	case ir.OpIf:
-		return cost.Branch
-	case ir.OpGoto:
-		return 1
-	case ir.OpReturn:
-		return 2
-	case ir.OpThrow, ir.OpDeopt:
-		return 0 // charged separately
-	case ir.OpOnException, ir.OpExceptionObject, ir.OpUnwind:
-		// The non-throwing path through a guard is free — exception
-		// tables cost nothing until a trap actually fires.
-		return 0
-	default:
-		return cost.ALU
-	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"pea/internal/bc"
-	"pea/internal/cost"
 	"pea/internal/rt"
 )
 
@@ -123,7 +122,6 @@ func (it *Interp) step(f *Frame) (done bool, ret rt.Value, err error) {
 	m := f.Method
 	pc := f.PC
 	in := &m.Code[pc]
-	it.Env.Cycles += cost.OfOp(in.Op) * cost.InterpFactor
 
 	// trap raises an intrinsic trap at the current pc: the nearest
 	// matching exception-table entry of this frame receives control, or
@@ -190,14 +188,12 @@ func (it *Interp) step(f *Frame) (done bool, ret rt.Value, err error) {
 		}
 		return it.branch(f, in, taken)
 	case bc.OpNew:
-		it.Env.Cycles += cost.AllocPerField * int64(in.Class.NumFields()) * cost.InterpFactor
 		f.push(rt.RefValue(it.Env.AllocObject(in.Class)))
 	case bc.OpNewArray:
 		n := f.pop().I
 		if n < 0 {
 			return trap(fmt.Sprintf("negative array size %d", n))
 		}
-		it.Env.Cycles += cost.AllocPerField * n * cost.InterpFactor
 		f.push(rt.RefValue(it.Env.AllocArray(in.Kind, n)))
 	case bc.OpGetField:
 		obj := f.pop()

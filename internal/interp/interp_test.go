@@ -530,17 +530,3 @@ func TestResumeMidMethod(t *testing.T) {
 		t.Fatalf("resumed result = %d, want 42", got.I)
 	}
 }
-
-func TestCyclesAdvance(t *testing.T) {
-	p := compile(t, nil, bc.KindInt,
-		func(m *bc.MethodAsm, _ *bc.ClassAsm) {
-			m.Const(1).Const(2).Add().ReturnValue()
-		})
-	_, env, err := run(t, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if env.Cycles <= 0 {
-		t.Fatal("interpreting should consume cycles")
-	}
-}

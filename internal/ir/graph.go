@@ -35,12 +35,9 @@ type Graph struct {
 	Method *bc.Method
 	Blocks []*Block // Blocks[0] is the entry block
 
-	// CodeCycles is a per-invocation cycle charge modeling front-end
-	// and instruction-cache pressure proportional to compiled code
-	// size. The JIT sets it after optimization; the executor adds it on
-	// every entry. This reproduces the paper's observation that PEA
-	// "can in rare cases increase the size of compiled methods, which
-	// has a negative influence" (§6.1, jython).
+	// CodeCycles is inert: nothing reads or serializes it. It exists
+	// only because the frozen benchmarks/pipeline.go assigns it; delete
+	// the two together.
 	CodeCycles int64
 
 	// IsOSR marks an on-stack-replacement graph: the entry block is an

@@ -25,7 +25,6 @@ type Resolver interface {
 // useful error instead of silently resolving to the wrong entity.
 type jsonGraph struct {
 	Method        string      `json:"method"`
-	CodeCycles    int64       `json:"codeCycles,omitempty"`
 	IsOSR         bool        `json:"isOSR,omitempty"`
 	OSREntryBCI   int         `json:"osrEntryBCI,omitempty"`
 	NextNodeID    int         `json:"nextNodeID"`
@@ -123,7 +122,6 @@ func EncodeJSON(g *Graph) ([]byte, error) {
 
 	jg := jsonGraph{
 		Method:        g.Method.QualifiedName(),
-		CodeCycles:    g.CodeCycles,
 		IsOSR:         g.IsOSR,
 		OSREntryBCI:   g.OSREntryBCI,
 		NextNodeID:    g.nextNodeID,
@@ -476,7 +474,6 @@ func DecodeJSON(data []byte, r Resolver) (*Graph, error) {
 	g := &Graph{
 		Method:        method,
 		Blocks:        blocks,
-		CodeCycles:    jg.CodeCycles,
 		IsOSR:         jg.IsOSR,
 		OSREntryBCI:   jg.OSREntryBCI,
 		nextNodeID:    maxInt(jg.NextNodeID, maxNodeID+1),

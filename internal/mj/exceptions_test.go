@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pea/internal/check"
 	"pea/internal/interp"
 	"pea/internal/rt"
 	"pea/internal/vm"
@@ -254,7 +255,7 @@ func TestTryCatchScalarReplacement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		machine := vm.New(prog, vm.Options{EA: mode, CompileThreshold: 10, Validate: true, MaxSteps: 20_000_000})
+		machine := vm.New(prog, vm.Options{EA: mode, CompileThreshold: 10, CheckLevel: check.Basic, MaxSteps: 20_000_000})
 		main := prog.Main
 		for i := 0; i < 30; i++ {
 			if _, err := machine.Call(main, nil); err != nil {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pea/internal/check"
 	"pea/internal/interp"
 	"pea/internal/rt"
 	"pea/internal/vm"
@@ -410,7 +411,7 @@ func TestPaperListing1EndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		machine := vm.New(prog, vm.Options{EA: mode, CompileThreshold: 10, Validate: true, MaxSteps: 20_000_000})
+		machine := vm.New(prog, vm.Options{EA: mode, CompileThreshold: 10, CheckLevel: check.Basic, MaxSteps: 20_000_000})
 		main := prog.Main
 		// Warm up: interpret, compile, then measure steady state.
 		for i := 0; i < 30; i++ {
@@ -509,7 +510,7 @@ func TestVMModesAgreeOnMJPrograms(t *testing.T) {
 					t.Fatal(err)
 				}
 				opts.MaxSteps = 50_000_000
-				opts.Validate = true
+				opts.CheckLevel = check.Basic
 				opts.CompileThreshold = 3
 				machine := vm.New(prog, opts)
 				for r := 0; r < 8; r++ {

@@ -224,9 +224,9 @@ func (s *Sink) AddBackend(b Backend) {
 }
 
 // RemoveBackend detaches a backend previously added with AddBackend (or
-// passed to NewSink). Used by transient attachments such as the pea legacy
-// trace shim. Identity is decided by sameBackend, which is safe for
-// uncomparable backend types (such as FuncBackend).
+// passed to NewSink). Used by transient attachments such as irdump -trace,
+// which logs the escape analysis only. Identity is decided by sameBackend,
+// which is safe for uncomparable backend types (such as FuncBackend).
 func (s *Sink) RemoveBackend(b Backend) {
 	if s == nil || b == nil {
 		return

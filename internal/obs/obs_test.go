@@ -193,8 +193,8 @@ func TestSnapshotLazyRender(t *testing.T) {
 	}
 }
 
-// TestBackendAddRemove checks the dynamic backend list used by the legacy
-// trace compatibility shim.
+// TestBackendAddRemove checks the dynamic backend list used by transient
+// attachments (irdump -trace).
 func TestBackendAddRemove(t *testing.T) {
 	var events []Kind
 	fb := FuncBackend(func(e *Event) { events = append(events, e.Kind) })

@@ -6,6 +6,7 @@ import (
 
 	"pea/internal/bc"
 	"pea/internal/build"
+	"pea/internal/check"
 	"pea/internal/exec"
 	"pea/internal/interp"
 	"pea/internal/ir"
@@ -31,7 +32,7 @@ func optimizeAll(t *testing.T, prog *bc.Program) map[*bc.Method]*ir.Graph {
 				GVN{},
 				DCE{},
 			},
-			Validate: true,
+			Check: check.Basic,
 		}
 		if err := pipe.Run(g); err != nil {
 			t.Fatalf("optimize %s: %v", m.QualifiedName(), err)

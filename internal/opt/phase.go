@@ -34,10 +34,6 @@ type Pipeline struct {
 	// PEA_CHECK=strict turns every pipeline in the process strict. At
 	// check.Off (and no floor) the pipeline adds no checking work at all.
 	Check check.Level
-	// Validate is the historical switch for the structural verifier;
-	// setting it is equivalent to Check = check.Basic. Deprecated: set
-	// Check instead.
-	Validate bool
 	// Budget, when non-nil, is the per-compile resource bound. The
 	// pipeline polls it at every phase boundary and unwinds with a
 	// structured budget error (wrapping budget.ErrBudget) when the
@@ -53,16 +49,6 @@ type Pipeline struct {
 	Sink *obs.Sink
 }
 
-// level returns the effective check level: the configured level, floored
-// by the legacy Validate switch and the PEA_CHECK environment variable.
-func (p *Pipeline) level() check.Level {
-	l := p.Check
-	if p.Validate {
-		l = check.Max(l, check.Basic)
-	}
-	return check.Effective(l)
-}
-
 // Run executes the pipeline on g.
 func (p *Pipeline) Run(g *ir.Graph) error {
 	rounds := p.MaxRounds
@@ -73,7 +59,7 @@ func (p *Pipeline) Run(g *ir.Graph) error {
 	if p.Sink != nil {
 		method = g.Method.QualifiedName()
 	}
-	lvl := p.level()
+	lvl := check.Effective(p.Check)
 	// Failure forensics: under strict checking, keep the previous
 	// phase's dump so a violation can be pinpointed as a diff. The
 	// capture only happens at strict level — dumping per phase is far

@@ -2,19 +2,15 @@ package pea
 
 import (
 	"fmt"
-	"io"
 
 	"pea/internal/ir"
-	"pea/internal/obs"
 	"pea/internal/obs/flight"
 )
 
 // This file connects the analysis to the observability layer. All PEA
 // decisions — virtualizations, materializations with their cause and
 // position, merge materializations, lock elisions, fixpoint rounds,
-// bailouts — are emitted as typed obs events; the legacy Config.Trace
-// io.Writer is served by LegacyTraceBackend, which renders those events in
-// the historical "pea[phase] ..." line format.
+// bailouts — are emitted as typed obs events.
 //
 // Decision events (virtualize/materialize/lock_elide) are emitted only
 // during the emit phase, exactly once per transformation, so that the
@@ -139,42 +135,4 @@ func (a *analyzer) allocDesc(id objID) string {
 		return oi.class.Name
 	}
 	return fmt.Sprintf("%s[%d]", oi.elemKind, oi.length)
-}
-
-// LegacyTraceBackend renders pea obs events in the historical line format
-// that Config.Trace consumers (and TestTraceOutput) expect:
-//
-//	pea[analyze] round 1
-//	pea[analyze]   b3 entry changed: {o0=virt(locks=0, fields=[v4])}
-//	pea[analyze] fixpoint after 2 rounds
-//	pea[emit]   virtualize o0 (Key) at v5
-//	pea[emit]   materialize o0 before v9 in b2
-//	pea[emit]   materialize o1 at the end of b4 (edge)
-//
-// Fixpoint progress is an analysis-phase concern and decision events fire
-// during emit, so the phase tag is derived from the event kind.
-type LegacyTraceBackend struct {
-	W io.Writer
-}
-
-// Write implements obs.Backend.
-func (l *LegacyTraceBackend) Write(e *obs.Event) {
-	switch e.Kind {
-	case obs.KindPEARound:
-		fmt.Fprintf(l.W, "pea[analyze] round %d\n", e.Round)
-	case obs.KindPEAState:
-		fmt.Fprintf(l.W, "pea[analyze]   %s entry changed: %s\n", e.Block, e.Detail)
-	case obs.KindPEAFixpoint:
-		fmt.Fprintf(l.W, "pea[analyze] fixpoint after %d rounds\n", e.Round)
-	case obs.KindPEABailout:
-		fmt.Fprintf(l.W, "pea[analyze] bailout: %s\n", e.Reason)
-	case obs.KindVirtualize:
-		fmt.Fprintf(l.W, "pea[emit]   virtualize %s (%s) at %s\n", e.Obj, e.Detail, e.Node)
-	case obs.KindMaterialize:
-		fmt.Fprintf(l.W, "pea[emit]   materialize %s before %s in %s (%s)\n", e.Obj, e.Node, e.Block, e.Reason)
-	case obs.KindMergeMaterialize:
-		fmt.Fprintf(l.W, "pea[emit]   materialize %s at the end of %s (edge, %s)\n", e.Obj, e.Block, e.Reason)
-	case obs.KindLockElide:
-		fmt.Fprintf(l.W, "pea[emit]   elide %s on %s at %s\n", e.Detail, e.Obj, e.Node)
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pea/internal/build"
+	"pea/internal/check"
 	"pea/internal/ir"
 	"pea/internal/obs"
 	"pea/internal/opt"
@@ -31,7 +32,7 @@ func TestMetricsMatchResult(t *testing.T) {
 						opt.GVN{},
 						opt.DCE{},
 					},
-					Validate: true,
+					Check: check.Basic,
 				}
 				if err := pre.Run(g); err != nil {
 					t.Fatalf("pre-opt %s: %v", m.QualifiedName(), err)

@@ -2,7 +2,6 @@ package pea
 
 import (
 	"fmt"
-	"io"
 
 	"pea/internal/bc"
 	"pea/internal/budget"
@@ -70,10 +69,6 @@ type Config struct {
 	// site regardless of whether a Sink is attached — the recorder is the
 	// black box that stays on when event tracing is off.
 	Flight *flight.Recorder
-	// Trace, when non-nil, receives the same events rendered as a
-	// line-oriented log (compatibility shim over the event sink; see
-	// LegacyTraceBackend).
-	Trace io.Writer
 }
 
 func (c Config) maxArrayLen() int64 {
@@ -123,15 +118,6 @@ type Result struct {
 // result is verified by the caller's pipeline (tests always do).
 func Run(g *ir.Graph, conf Config) (Result, error) {
 	sink := conf.Sink
-	if conf.Trace != nil {
-		lb := &LegacyTraceBackend{W: conf.Trace}
-		if sink == nil {
-			sink = obs.NewSink(lb)
-		} else {
-			sink.AddBackend(lb)
-			defer sink.RemoveBackend(lb)
-		}
-	}
 	if conf.Budget != nil {
 		// Check before the first graph mutation (splitCriticalEdges), so
 		// an already-blown budget leaves the graph untouched.

@@ -1,14 +1,15 @@
 package pea
 
 import (
-	"strings"
 	"testing"
 
 	"pea/internal/bc"
 	"pea/internal/build"
+	"pea/internal/check"
 	"pea/internal/exec"
 	"pea/internal/interp"
 	"pea/internal/ir"
+	"pea/internal/obs"
 	"pea/internal/opt"
 	"pea/internal/rt"
 	"pea/internal/testprog"
@@ -39,7 +40,7 @@ func compileOne(t *testing.T, prog *bc.Program, m *bc.Method) *ir.Graph {
 			opt.GVN{},
 			opt.DCE{},
 		},
-		Validate: true,
+		Check: check.Basic,
 	}
 	if err := pre.Run(g); err != nil {
 		t.Fatalf("pre-opt %s: %v", m.QualifiedName(), err)
@@ -55,7 +56,7 @@ func compileOne(t *testing.T, prog *bc.Program, m *bc.Method) *ir.Graph {
 		t.Fatalf("pea %s produced invalid graph: %v\n%s", m.QualifiedName(), err, ir.Dump(g))
 	}
 	post := opt.Standard()
-	post.Validate = true
+	post.Check = check.Basic
 	if err := post.Run(g); err != nil {
 		t.Fatalf("post-opt %s: %v", m.QualifiedName(), err)
 	}
@@ -321,7 +322,8 @@ func TestResultCounters(t *testing.T) {
 	}
 }
 
-// TestTraceOutput checks the analysis trace facility.
+// TestTraceOutput checks the analysis trace: fixpoint progress and every
+// decision reach an attached backend as typed events.
 func TestTraceOutput(t *testing.T) {
 	var p testprog.Program
 	for _, c := range testprog.Corpus() {
@@ -333,17 +335,14 @@ func TestTraceOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if _, err := Run(g, Config{Trace: &buf}); err != nil {
+	seen := map[obs.Kind]int{}
+	sink := obs.NewSink(obs.FuncBackend(func(e *obs.Event) { seen[e.Kind]++ }))
+	if _, err := Run(g, Config{Sink: sink}); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"pea[analyze] round 1", "virtualize o0", "materialize o0", "fixpoint after"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("trace missing %q:\n%s", want, out)
+	for _, want := range []obs.Kind{obs.KindPEARound, obs.KindVirtualize, obs.KindMaterialize, obs.KindPEAFixpoint} {
+		if seen[want] == 0 {
+			t.Fatalf("trace has no %s event: %v", want, seen)
 		}
-	}
-	if !strings.Contains(out, "pea[emit]") {
-		t.Fatalf("no emit-phase events:\n%s", out)
 	}
 }

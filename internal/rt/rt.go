@@ -159,10 +159,6 @@ type Env struct {
 	rngState uint64
 
 	serial int64
-
-	// Cycles is the simulated execution time in cost-model cycles,
-	// advanced by whoever executes code (interpreter or executor).
-	Cycles int64
 }
 
 // NewEnv creates an execution environment for the program with the given

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pea/internal/bc"
+	"pea/internal/check"
 	"pea/internal/interp"
 	"pea/internal/rt"
 )
@@ -50,7 +51,7 @@ func TestArithEdgeCasesAgreeAcrossTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	machine := New(prog, Options{EA: EAPartial, Validate: true})
+	machine := New(prog, Options{EA: EAPartial, CheckLevel: check.Basic})
 	for i, cse := range cases {
 		want, err := interp.EvalArith(cse.op, cse.a, cse.b)
 		if err != nil {

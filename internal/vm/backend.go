@@ -11,13 +11,13 @@ import (
 type Backend int
 
 const (
-	// BackendOracle is the tree-walking engine with the deterministic
-	// cycle cost model (the default): slow, auditable, and the
-	// differential-testing oracle for every other backend.
+	// BackendOracle is the tree-walking reference evaluator (the
+	// default): slow, auditable, and the differential-testing oracle for
+	// every other backend.
 	BackendOracle Backend = iota
 	// BackendClosure is the template JIT: graphs are lowered once at
 	// install time into flat per-block closure sequences with dense value
-	// slots — real wall-clock speed, no cycle model.
+	// slots — the backend every wall-clock number is measured on.
 	BackendClosure
 )
 

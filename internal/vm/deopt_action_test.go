@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pea/internal/bc"
+	"pea/internal/check"
 	"pea/internal/ir"
 	"pea/internal/obs"
 	"pea/internal/rt"
@@ -54,7 +55,7 @@ func deoptAtReturn(t *testing.T, machine *VM, m *bc.Method, action ir.DeoptActio
 // blacklist future speculation for the method.
 func TestNonSpeculativeDeoptKeepsCode(t *testing.T) {
 	prog, m := buildCounter(t)
-	machine := New(prog, Options{EA: EAPartial, Speculate: true, CompileThreshold: 1 << 30, Validate: true})
+	machine := New(prog, Options{EA: EAPartial, Speculate: true, CompileThreshold: 1 << 30, CheckLevel: check.Basic})
 	deoptAtReturn(t, machine, m, ir.DeoptActionNone, "uncommon trap")
 
 	for i := 0; i < 3; i++ {
@@ -92,7 +93,7 @@ func TestSpeculationDeoptInvalidatesWithReason(t *testing.T) {
 	prog, m := buildCounter(t)
 	var buf bytes.Buffer
 	sink := obs.NewSink(obs.NewJSONBackend(&buf))
-	machine := New(prog, Options{EA: EAPartial, Speculate: true, CompileThreshold: 1 << 30, Validate: true, Sink: sink})
+	machine := New(prog, Options{EA: EAPartial, Speculate: true, CompileThreshold: 1 << 30, CheckLevel: check.Basic, Sink: sink})
 	const reason = "untaken branch at C.m"
 	deoptAtReturn(t, machine, m, ir.DeoptActionInvalidateSpeculation, reason)
 

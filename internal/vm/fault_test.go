@@ -36,7 +36,7 @@ func panicAt(point, filter string) func(string, string) {
 func TestSyncPanicContainedMethodDegrades(t *testing.T) {
 	prog, m := buildCounter(t)
 	machine := New(prog, Options{
-		EA: EAPartial, CompileThreshold: 2, Validate: true,
+		EA: EAPartial, CompileThreshold: 2, CheckLevel: check.Basic,
 		InjectFault: panicAt(broker.FaultCompile, ""),
 	})
 	for i := 0; i < 10; i++ {
@@ -77,7 +77,7 @@ func TestAsyncPanicContainment(t *testing.T) {
 	// Panic on every compile of methods whose name contains "make" (the
 	// allocation helpers in the example); everything else compiles.
 	machine := New(prog, Options{
-		EA: EAPartial, CompileThreshold: 4, Async: true, JITWorkers: 2, Validate: true,
+		EA: EAPartial, CompileThreshold: 4, Async: true, JITWorkers: 2, CheckLevel: check.Basic,
 		InjectFault: panicAt(broker.FaultCompile, "Main."),
 	})
 	defer machine.Close()
@@ -163,7 +163,7 @@ func TestCrashReproCapturedAndReplayable(t *testing.T) {
 		t.Fatal("replayed repro did not reproduce the panic")
 	}
 	// Without the fault, the minimized body is an ordinary valid method.
-	clean := New(prog2, Options{EA: EAPartial, Validate: true})
+	clean := New(prog2, Options{EA: EAPartial, CheckLevel: check.Basic})
 	if _, err := clean.Compile(m2); err != nil {
 		t.Fatalf("minimized repro body does not compile cleanly: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestCrashReproCapturedAndReplayable(t *testing.T) {
 // and the method still eligible for (and capable of) standard tier-up.
 func TestOSRFailureDoesNotPoisonMethod(t *testing.T) {
 	prog, m := buildCounter(t)
-	machine := New(prog, Options{EA: EAPartial, CompileThreshold: 2, OSRThreshold: 100, Validate: true})
+	machine := New(prog, Options{EA: EAPartial, CompileThreshold: 2, OSRThreshold: 100, CheckLevel: check.Basic})
 
 	machine.recordFailure(m, broker.Key{Name: m.QualifiedName(), EntryBCI: 5}, errors.New("osr boom"))
 
@@ -212,7 +212,7 @@ func TestOSRFaultEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	machine := New(prog, Options{
-		EA: EAPartial, CompileThreshold: 2, OSRThreshold: 100, Validate: true,
+		EA: EAPartial, CompileThreshold: 2, OSRThreshold: 100, CheckLevel: check.Basic,
 		InjectFault: panicAt("build-osr", ""),
 	})
 	defer machine.Close()
@@ -276,7 +276,7 @@ func TestQueueFullRejectionRearms(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	machine := New(prog, Options{
-		EA: EAPartial, CompileThreshold: 2, Validate: true,
+		EA: EAPartial, CompileThreshold: 2, CheckLevel: check.Basic,
 		Async: true, JITWorkers: 1, JITQueueCap: 1,
 		InjectFault: func(point, method string) {
 			if point == broker.FaultCompile {
@@ -395,7 +395,7 @@ func TestDirectCompileSurfacesBudgetError(t *testing.T) {
 // proof counter, in the same spirit as ir.DomTreesBuilt).
 func TestDisabledBudgetNeverReadsClock(t *testing.T) {
 	prog, m := buildCounter(t)
-	machine := New(prog, Options{EA: EAPartial, Speculate: true, Validate: true})
+	machine := New(prog, Options{EA: EAPartial, Speculate: true, CheckLevel: check.Basic})
 	before := budget.ClockReads()
 	if _, err := machine.Compile(m); err != nil {
 		t.Fatal(err)
@@ -429,7 +429,7 @@ func TestFaultInjectionHammer(t *testing.T) {
 	for i := range machines {
 		machines[i] = New(prog, Options{
 			EA: EAPartial, CompileThreshold: 4, Async: true, JITWorkers: 2,
-			Validate: true, InjectFault: hook,
+			CheckLevel: check.Basic, InjectFault: hook,
 		})
 	}
 	var wg sync.WaitGroup

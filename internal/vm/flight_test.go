@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pea/internal/check"
 	"pea/internal/obs"
 	"pea/internal/rt"
 	"pea/internal/stat"
@@ -76,7 +77,7 @@ func TestEscapeAttributionSyncAsyncAgree(t *testing.T) {
 		t.Helper()
 		esc := obs.NewEscapeTable()
 		opts := Options{
-			EA: EAPartial, Validate: true,
+			EA: EAPartial, CheckLevel: check.Basic,
 			MaxSteps: 50_000_000, CompileThreshold: 4,
 			Sink:  obs.NewSink(esc),
 			Async: async, JITWorkers: 2,

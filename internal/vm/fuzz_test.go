@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pea/internal/broker"
+	"pea/internal/check"
 	"pea/internal/rt"
 	"pea/internal/testprog"
 )
@@ -107,17 +108,17 @@ func TestFuzzedProgramsAgreeAcrossModes(t *testing.T) {
 		warm bool
 	}{
 		{name: "interp", opts: Options{Interpret: true}},
-		{name: "jit", opts: Options{EA: EAOff, Validate: true}},
-		{name: "jit-ea", opts: Options{EA: EAFlowInsensitive, Validate: true}},
-		{name: "jit-pea", opts: Options{EA: EAPartial, Validate: true}},
-		{name: "jit-pea-spec", opts: Options{EA: EAPartial, Speculate: true, Validate: true}},
-		{name: "jit-pea-osr", opts: Options{EA: EAPartial, OSRThreshold: 8, Validate: true}},
-		{name: "jit-pea-osr-spec", opts: Options{EA: EAPartial, OSRThreshold: 8, Speculate: true, Validate: true}},
-		{name: "jit-pea-sum", opts: Options{EA: EAPartial, Summaries: true, Validate: true}},
-		{name: "jit-pea-sum-spec", opts: Options{EA: EAPartial, Summaries: true, Speculate: true, Validate: true}},
-		{name: "jit-pea-warm", opts: Options{EA: EAPartial, Validate: true}, warm: true},
-		{name: "jit-pea-osr-warm", opts: Options{EA: EAPartial, OSRThreshold: 8, Validate: true}, warm: true},
-		{name: "jit-pea-osr-spec-warm", opts: Options{EA: EAPartial, OSRThreshold: 8, Speculate: true, Validate: true}, warm: true},
+		{name: "jit", opts: Options{EA: EAOff, CheckLevel: check.Basic}},
+		{name: "jit-ea", opts: Options{EA: EAFlowInsensitive, CheckLevel: check.Basic}},
+		{name: "jit-pea", opts: Options{EA: EAPartial, CheckLevel: check.Basic}},
+		{name: "jit-pea-spec", opts: Options{EA: EAPartial, Speculate: true, CheckLevel: check.Basic}},
+		{name: "jit-pea-osr", opts: Options{EA: EAPartial, OSRThreshold: 8, CheckLevel: check.Basic}},
+		{name: "jit-pea-osr-spec", opts: Options{EA: EAPartial, OSRThreshold: 8, Speculate: true, CheckLevel: check.Basic}},
+		{name: "jit-pea-sum", opts: Options{EA: EAPartial, Summaries: true, CheckLevel: check.Basic}},
+		{name: "jit-pea-sum-spec", opts: Options{EA: EAPartial, Summaries: true, Speculate: true, CheckLevel: check.Basic}},
+		{name: "jit-pea-warm", opts: Options{EA: EAPartial, CheckLevel: check.Basic}, warm: true},
+		{name: "jit-pea-osr-warm", opts: Options{EA: EAPartial, OSRThreshold: 8, CheckLevel: check.Basic}, warm: true},
+		{name: "jit-pea-osr-spec-warm", opts: Options{EA: EAPartial, OSRThreshold: 8, Speculate: true, CheckLevel: check.Basic}, warm: true},
 	}
 	// A speculating VM installs cache-first only once a method has
 	// deoptimized out of speculation, so that configuration is held to it

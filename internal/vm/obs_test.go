@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pea/internal/check"
 	"pea/internal/mj"
 	"pea/internal/obs"
 	"pea/internal/rt"
@@ -75,7 +76,7 @@ func TestTraceEventsCachekey(t *testing.T) {
 		CompileThreshold: 3,
 		Sink:             sink,
 		Metrics:          met,
-		Validate:         true,
+		CheckLevel:       check.Basic,
 		MaxSteps:         1_000_000,
 	})
 	getValue := prog.ClassByName("Main").MethodByName("getValue")
@@ -244,7 +245,7 @@ func TestEscapeTableListing1(t *testing.T) {
 		CompileThreshold: 3,
 		Sink:             obs.NewSink(esc),
 		Metrics:          met,
-		Validate:         true,
+		CheckLevel:       check.Basic,
 		MaxSteps:         1_000_000,
 	})
 	getValue := prog.ClassByName("Main").MethodByName("getValue")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pea/internal/bc"
+	"pea/internal/check"
 	"pea/internal/mj"
 	"pea/internal/rt"
 )
@@ -112,7 +113,7 @@ func TestOSREntersHotLoop(t *testing.T) {
 		EA:               EAPartial,
 		CompileThreshold: 1 << 30, // never tier up at call boundaries
 		OSRThreshold:     200,
-		Validate:         true,
+		CheckLevel:       check.Basic,
 	})
 	if res.vmStats.OSRRequests < 1 {
 		t.Fatalf("OSR requests = %d, want >= 1", res.vmStats.OSRRequests)
@@ -145,11 +146,11 @@ func TestOSRDifferentialAgreement(t *testing.T) {
 			opts Options
 			warm bool
 		}{
-			{name: "tierup", opts: Options{EA: EAPartial, CompileThreshold: 2, Validate: true}},
-			{name: "osr-sync", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Validate: true}},
-			{name: "osr-async", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Async: true, JITWorkers: 2, Validate: true}},
-			{name: "osr-spec", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Speculate: true, Validate: true}},
-			{name: "osr-warm", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Validate: true}, warm: true},
+			{name: "tierup", opts: Options{EA: EAPartial, CompileThreshold: 2, CheckLevel: check.Basic}},
+			{name: "osr-sync", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, CheckLevel: check.Basic}},
+			{name: "osr-async", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Async: true, JITWorkers: 2, CheckLevel: check.Basic}},
+			{name: "osr-spec", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Speculate: true, CheckLevel: check.Basic}},
+			{name: "osr-warm", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, CheckLevel: check.Basic}, warm: true},
 		}
 		for _, mode := range modes {
 			if mode.warm {
@@ -192,7 +193,7 @@ func TestOSRScalarReplacesLoopAllocation(t *testing.T) {
 		EA:               EAPartial,
 		CompileThreshold: 1 << 30,
 		OSRThreshold:     100,
-		Validate:         true,
+		CheckLevel:       check.Basic,
 	})
 	if osr.vmStats.OSREntries < 1 {
 		t.Fatalf("OSR entries = %d, want >= 1", osr.vmStats.OSREntries)
@@ -234,7 +235,7 @@ class Main {
 		EA:               EAPartial,
 		CompileThreshold: 1 << 30,
 		OSRThreshold:     100,
-		Validate:         true,
+		CheckLevel:       check.Basic,
 	})
 	if osr.vmStats.OSREntries < 1 {
 		t.Fatalf("OSR entries = %d, want >= 1", osr.vmStats.OSREntries)
@@ -287,7 +288,7 @@ func TestOSRWithOperandStackAtHeader(t *testing.T) {
 	}
 
 	want, _ := run(Options{Interpret: true})
-	got, st := run(Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Validate: true})
+	got, st := run(Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, CheckLevel: check.Basic})
 	if st.OSREntries < 1 {
 		t.Fatalf("OSR entries = %d, want >= 1", st.OSREntries)
 	}
@@ -303,7 +304,7 @@ func TestOSRWithOperandStackAtHeader(t *testing.T) {
 // explicit threshold no OSR machinery runs, keeping pre-OSR behavior (and
 // cache-key fingerprints) bit-identical.
 func TestOSRDisabledByDefault(t *testing.T) {
-	res := runMode(t, hotLoopSrc, Options{EA: EAPartial, CompileThreshold: 1 << 30, Validate: true})
+	res := runMode(t, hotLoopSrc, Options{EA: EAPartial, CompileThreshold: 1 << 30, CheckLevel: check.Basic})
 	if res.vmStats.OSRRequests != 0 || res.vmStats.OSREntries != 0 || res.vmStats.OSRCompilations != 0 {
 		t.Fatalf("OSR activity without a threshold: %+v", res.vmStats)
 	}

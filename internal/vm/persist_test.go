@@ -81,7 +81,7 @@ func TestWarmRestartRecompilesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			cold, coldStats := runPersist(t, Options{
-				EA: mode, CompileThreshold: 5, Store: store1, Validate: true,
+				EA: mode, CompileThreshold: 5, Store: store1, CheckLevel: check.Basic,
 			})
 			if coldStats.Compiled == 0 {
 				t.Fatal("cold run compiled nothing; test is vacuous")
@@ -95,7 +95,7 @@ func TestWarmRestartRecompilesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			warm, warmStats := runPersist(t, Options{
-				EA: mode, CompileThreshold: 5, Store: store2, Validate: true,
+				EA: mode, CompileThreshold: 5, Store: store2, CheckLevel: check.Basic,
 			})
 			if warmStats.Compiled != 0 {
 				t.Fatalf("warm restart ran the pipeline %d times, want 0", warmStats.Compiled)
@@ -128,7 +128,7 @@ func TestStaleStoreEntriesIgnoredAfterEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, coldStats := runPersist(t, Options{
-		EA: EAPartial, CompileThreshold: 5, Store: store1, Validate: true,
+		EA: EAPartial, CompileThreshold: 5, Store: store1, CheckLevel: check.Basic,
 	})
 
 	edited := strings.Replace(persistSrc, "i % 13", "i % 7", 1)
@@ -141,7 +141,7 @@ func TestStaleStoreEntriesIgnoredAfterEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 	machine := New(prog, Options{
-		EA: EAPartial, CompileThreshold: 5, Store: store2, Validate: true,
+		EA: EAPartial, CompileThreshold: 5, Store: store2, CheckLevel: check.Basic,
 	})
 	defer machine.Close()
 	if _, err := machine.Run(); err != nil {
@@ -157,25 +157,21 @@ func TestStaleStoreEntriesIgnoredAfterEdit(t *testing.T) {
 }
 
 // TestSharedCacheRebindsAcrossLinks: two VMs over independent links of the
-// same source share one in-memory cache. Content-addressed keys make the
-// second VM hit artifacts whose graphs are bound to the first VM's
-// *bc.Method instances; the install path must rebind them onto its own
-// program rather than run foreign pointers or recompile.
+// same source share one broker's in-memory cache. Content-addressed keys
+// make the second VM hit artifacts whose graphs are bound to the first
+// VM's *bc.Method instances; the install path must rebind them onto its
+// own program rather than run foreign pointers or recompile.
 func TestSharedCacheRebindsAcrossLinks(t *testing.T) {
-	cache := broker.NewCache()
-	out1, st1 := runPersist(t, Options{
-		EA: EAPartial, CompileThreshold: 5, Cache: cache, Validate: true,
-	})
+	opts := Options{EA: EAPartial, CompileThreshold: 5, JIT: sharedBroker(t), CheckLevel: check.Basic}
+	out1, st1 := runPersist(t, opts)
 	if st1.Compiled == 0 {
 		t.Fatal("first VM compiled nothing; test is vacuous")
 	}
-	out2, st2 := runPersist(t, Options{
-		EA: EAPartial, CompileThreshold: 5, Cache: cache, Validate: true,
-	})
-	if st2.Compiled != 0 {
-		t.Fatalf("second link recompiled %d methods despite shared cache", st2.Compiled)
+	out2, st2 := runPersist(t, opts)
+	if st2.Compiled != st1.Compiled {
+		t.Fatalf("second link recompiled %d methods despite shared cache", st2.Compiled-st1.Compiled)
 	}
-	if st2.CacheHits == 0 {
+	if st2.CacheHits == st1.CacheHits {
 		t.Fatal("second link never hit the shared cache")
 	}
 	if len(out1) != len(out2) || out1[0] != out2[0] {
@@ -200,7 +196,7 @@ func TestSharedBrokerServesTwoTenants(t *testing.T) {
 	var outs [][]int64
 	for tenant := 0; tenant < 2; tenant++ {
 		out, _ := runPersist(t, Options{
-			EA: EAPartial, CompileThreshold: 5, JIT: shared, Validate: true,
+			EA: EAPartial, CompileThreshold: 5, JIT: shared, CheckLevel: check.Basic,
 		})
 		outs = append(outs, out)
 	}
@@ -222,7 +218,7 @@ func TestSharedBrokerServesTwoTenants(t *testing.T) {
 	// Close is per-tenant and must not tear down the shared broker: a
 	// third tenant still gets service.
 	out, st3 := runPersist(t, Options{
-		EA: EAPartial, CompileThreshold: 5, JIT: shared, Validate: true,
+		EA: EAPartial, CompileThreshold: 5, JIT: shared, CheckLevel: check.Basic,
 	})
 	if st3.Compiled != st.Compiled {
 		t.Fatalf("third tenant recompiled: %d vs %d", st3.Compiled, st.Compiled)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pea/internal/bc"
+	"pea/internal/check"
 	"pea/internal/rt"
 )
 
@@ -23,7 +24,7 @@ func buildCounter(t *testing.T) (*bc.Program, *bc.Method) {
 
 func TestCompileThresholdRespected(t *testing.T) {
 	prog, m := buildCounter(t)
-	machine := New(prog, Options{EA: EAPartial, CompileThreshold: 10, Validate: true})
+	machine := New(prog, Options{EA: EAPartial, CompileThreshold: 10, CheckLevel: check.Basic})
 	// Compilation triggers on the first dispatch after the profile
 	// reaches the threshold, i.e. on call threshold+1.
 	for i := 0; i < 10; i++ {
@@ -60,7 +61,7 @@ func TestInterpretModeNeverCompiles(t *testing.T) {
 
 func TestInvalidateForcesNonSpeculativeRecompile(t *testing.T) {
 	prog, m := buildCounter(t)
-	machine := New(prog, Options{EA: EAPartial, Speculate: true, CompileThreshold: 2, Validate: true})
+	machine := New(prog, Options{EA: EAPartial, Speculate: true, CompileThreshold: 2, CheckLevel: check.Basic})
 	for i := 0; i < 5; i++ {
 		if _, err := machine.Call(m, []rt.Value{rt.IntValue(int64(i))}); err != nil {
 			t.Fatal(err)

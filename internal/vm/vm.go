@@ -88,7 +88,7 @@ type Options struct {
 	EA EAMode
 	// Backend selects the execution backend compiled graphs are lowered
 	// for and run on: BackendOracle (default) is the tree-walking
-	// cycle-model engine, BackendClosure the wall-clock template JIT.
+	// reference evaluator, BackendClosure the template JIT.
 	Backend Backend
 	// Interpret disables the JIT entirely.
 	Interpret bool
@@ -117,9 +117,6 @@ type Options struct {
 	Seed uint64
 	// MaxSteps bounds interpreted+compiled steps (0 = unbounded).
 	MaxSteps int64
-	// Validate verifies the IR after each phase (slower; used in tests).
-	// Equivalent to CheckLevel = check.Basic. Deprecated: set CheckLevel.
-	Validate bool
 	// CheckLevel selects the compiler sanitizer level run between phases
 	// (off, basic, strict). The PEA_CHECK environment variable floors the
 	// configured level for the whole process. check.Off (the default)
@@ -134,19 +131,11 @@ type Options struct {
 	// JITWorkers is the background worker count when Async is set
 	// (<=0 selects GOMAXPROCS).
 	JITWorkers int
-	// Cache, when non-nil, is a shared compiled-code cache. VMs running
-	// the same program can share one cache so repeated runs replay
-	// compilation artifacts instead of re-running the pipeline — keys are
-	// content-addressed, so even independently linked *bc.Program
-	// instances of the same source share artifacts (the install path
-	// rebinds foreign graphs onto this VM's program). nil gives the VM a
-	// private cache.
-	Cache *broker.Cache
 	// Store, when non-nil, is a disk-backed artifact store behind the
-	// cache: fresh compiles are written through to it, and cache misses
-	// consult it before running the pipeline, so a restarted process (or
-	// another process sharing the directory) replays persisted artifacts
-	// instead of recompiling. Artifacts loaded from disk are re-verified
+	// private broker's memory cache: fresh compiles are written through
+	// to it, and cache misses consult it before running the pipeline, so
+	// a restarted process (or another process sharing the directory)
+	// replays persisted artifacts instead of recompiling. Artifacts loaded from disk are re-verified
 	// at the install boundary; corrupt or stale files are silent misses.
 	// Ignored when JIT is set — a shared broker brings its own store.
 	Store *broker.Store
@@ -213,14 +202,10 @@ type Options struct {
 	Flight *flight.Recorder
 }
 
-// checkLevel folds the legacy Validate switch and the PEA_CHECK
-// environment floor into the effective sanitizer level.
+// checkLevel applies the PEA_CHECK environment floor to the configured
+// sanitizer level.
 func (o Options) checkLevel() check.Level {
-	l := o.CheckLevel
-	if o.Validate {
-		l = check.Max(l, check.Basic)
-	}
-	return check.Effective(l)
+	return check.Effective(o.CheckLevel)
 }
 
 func (o Options) threshold() int64 {
@@ -449,7 +434,6 @@ func New(prog *bc.Program, opts Options) *VM {
 	vm.jit = broker.New(broker.Options{
 		Workers:     workers,
 		QueueCap:    opts.JITQueueCap,
-		Cache:       opts.Cache,
 		Store:       opts.Store,
 		Resolver:    prog,
 		Compile:     vm.compileForKey,
@@ -1024,9 +1008,6 @@ func (vm *VM) compileEntry(m *bc.Method, spec bool, entryBCI int) (*ir.Graph, er
 		return nil, err
 	}
 	vm.fault("post", m)
-	// Per-invocation instruction-fetch charge proportional to compiled
-	// code size (see ir.Graph.CodeCycles).
-	g.CodeCycles = int64(g.NumNodes()) / 3
 	return g, nil
 }
 

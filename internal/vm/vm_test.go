@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pea/internal/bc"
+	"pea/internal/check"
 	"pea/internal/rt"
 	"pea/internal/testprog"
 )
@@ -13,7 +14,7 @@ import (
 func runVM(t *testing.T, p testprog.Program, opts Options, args []int64, warmup int) (rt.Value, *VM, error) {
 	t.Helper()
 	opts.MaxSteps = 20_000_000
-	opts.Validate = true
+	opts.CheckLevel = check.Basic
 	machine := New(p.Prog, opts)
 	vals := make([]rt.Value, len(args))
 	for i, a := range args {
@@ -190,7 +191,7 @@ func TestEARemovesFullyLocalObjects(t *testing.T) {
 // virtual object.
 func TestSpeculativeDeopt(t *testing.T) {
 	p := corpusProg(t, "partialEscape")
-	opts := Options{EA: EAPartial, Speculate: true, CompileThreshold: 5, MaxSteps: 20_000_000, Validate: true}
+	opts := Options{EA: EAPartial, Speculate: true, CompileThreshold: 5, MaxSteps: 20_000_000, CheckLevel: check.Basic}
 	machine := New(p.Prog, opts)
 
 	// Warm up on the non-escaping branch only: the escaping branch is
@@ -272,7 +273,7 @@ func TestDeoptThroughInlinedFrames(t *testing.T) {
 	}
 	m := prog.ClassByName("C").MethodByName("caller")
 
-	machine := New(prog, Options{EA: EAPartial, Speculate: true, CompileThreshold: 5, Validate: true, MaxSteps: 10_000_000})
+	machine := New(prog, Options{EA: EAPartial, Speculate: true, CompileThreshold: 5, CheckLevel: check.Basic, MaxSteps: 10_000_000})
 	for i := 0; i < 40; i++ {
 		got, err := machine.Call(m, []rt.Value{rt.IntValue(int64(i))})
 		if err != nil {

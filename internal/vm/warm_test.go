@@ -109,7 +109,7 @@ func TestSpeculativeKeysFollowBranchVerdicts(t *testing.T) {
 func TestSpeculatingVMWarmInstallsOnlyAfterDeopt(t *testing.T) {
 	p := corpusProg(t, "partialEscape")
 	shared := sharedBroker(t)
-	plain := New(p.Prog, Options{EA: EAPartial, CompileThreshold: 5, Validate: true, JIT: shared})
+	plain := New(p.Prog, Options{EA: EAPartial, CompileThreshold: 5, CheckLevel: check.Basic, JIT: shared})
 	for i := 0; i < 10; i++ {
 		callInt(t, plain, p.Entry, 5)
 	}
@@ -117,7 +117,7 @@ func TestSpeculatingVMWarmInstallsOnlyAfterDeopt(t *testing.T) {
 		t.Fatal("populating VM compiled nothing")
 	}
 
-	spec := New(p.Prog, Options{EA: EAPartial, Speculate: true, CompileThreshold: 5, Validate: true, JIT: shared})
+	spec := New(p.Prog, Options{EA: EAPartial, Speculate: true, CompileThreshold: 5, CheckLevel: check.Basic, JIT: shared})
 	for i := 0; i < 10; i++ {
 		callInt(t, spec, p.Entry, 5)
 	}
@@ -166,7 +166,7 @@ func TestSpeculatingVMWarmInstallsOnlyAfterDeopt(t *testing.T) {
 func TestWarmInstallAccounting(t *testing.T) {
 	prog := loadExample(t, "../../examples/pairloop.mj")
 	shared := sharedBroker(t)
-	opts := Options{EA: EAPartial, CompileThreshold: 20, OSRThreshold: 1000, Validate: true, JIT: shared}
+	opts := Options{EA: EAPartial, CompileThreshold: 20, OSRThreshold: 1000, CheckLevel: check.Basic, JIT: shared}
 
 	first := New(prog, opts)
 	if _, err := first.Run(); err != nil {
