@@ -9,6 +9,13 @@
 // peaserve processes pointed at the same store directory: a restarted
 // server recompiles (approximately) nothing.
 //
+// The store keeps artifacts as checksummed records in append-only segment
+// files. Each process appends to segments of its own (created at its first
+// persist, rolled at 64 MiB), so servers sharing a directory never write
+// into one file; a server learns of what the others wrote when a lookup
+// misses its in-memory index and it rescans the directory. GET /stats
+// reports the records, segments and bytes it knows of.
+//
 // Usage:
 //
 //	peaserve [-addr host:port] [-store DIR] [-ea off|ea|pea]
@@ -50,7 +57,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8377", "listen address")
 	storeDir := flag.String("store", "", "persistent artifact store directory (empty = memory-only cache)")
-	storeMaxBytes := flag.Int64("store-max-bytes", 0, "byte bound on the -store directory; writes over the bound expel oldest-modified artifacts first (0 = unbounded)")
+	storeMaxBytes := flag.Int64("store-max-bytes", 0, "byte bound on the -store directory's segment files; writes over the bound expel whole segments, oldest first (0 = unbounded)")
 	summaries := flag.Bool("summaries", false, "enable inter-procedural escape summaries for tenant compiles (amortized across tenants via the shared broker and store)")
 	eaMode := flag.String("ea", "pea", "escape analysis: off, ea (flow-insensitive), or pea")
 	backendName := flag.String("backend", "closure", "execution backend: oracle or closure")

@@ -108,7 +108,7 @@ func main() {
 	maxIRNodes := flag.Int("max-ir-nodes", 0, "per-compile IR node budget checked at phase boundaries (0 = unbounded)")
 	crashDir := flag.String("crash-dir", "", "write minimized crash reproducers for contained compiler panics to this directory")
 	storeDir := flag.String("store", "", "persistent artifact store directory: compiled graphs are written through and replayed on later runs over the same directory (empty = memory-only cache)")
-	storeMaxBytes := flag.Int64("store-max-bytes", 0, "byte bound on the -store directory; writes over the bound expel oldest-modified artifacts first (0 = unbounded)")
+	storeMaxBytes := flag.Int64("store-max-bytes", 0, "byte bound on the -store directory's segment files; writes over the bound expel whole segments, oldest first (0 = unbounded)")
 	checkMode := flag.String("check", "off", "compiler sanitizer level: off, basic, or strict (floored by PEA_CHECK)")
 	traceEvents := flag.String("trace-events", "", "write structured compiler/VM events as JSON lines to this file ('-' for stderr)")
 	traceText := flag.Bool("trace-text", false, "also render events human-readably to stderr")
@@ -172,6 +172,11 @@ func main() {
 		}
 		store.SetMaxBytes(*storeMaxBytes)
 		opts.Store = store
+		defer func() { // after the VMs' brokers, which write through it
+			if err := store.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "peavm:", err)
+			}
+		}()
 	}
 
 	// Observability: events to JSONL/text/chrome-trace, escape attribution,
@@ -291,8 +296,8 @@ func main() {
 			time.Duration(bs.BusyNS).Round(time.Microsecond))
 		if st := machine.Broker().Store(); st != nil {
 			ss := st.Stats()
-			fmt.Fprintf(os.Stderr, "artifact store:   %s: %d artifacts, loads %d hit / %d miss / %d rejected, writes %d (%d failed), expelled %d\n",
-				st.Dir(), st.Len(), ss.Hits, ss.Misses, ss.Rejected, ss.Writes, ss.WriteErrors, ss.Expelled)
+			fmt.Fprintf(os.Stderr, "artifact store:   %s: %d artifacts in %d segments (%d bytes), loads %d hit / %d miss / %d rejected, writes %d (%d failed), expelled %d\n",
+				st.Dir(), st.Len(), ss.Segments, ss.Bytes, ss.Hits, ss.Misses, ss.Rejected, ss.Writes, ss.WriteErrors, ss.Expelled)
 			if ss.SummaryHits+ss.SummaryMisses+ss.SummaryWrites > 0 {
 				fmt.Fprintf(os.Stderr, "summary store:    loads %d hit / %d miss, writes %d\n",
 					ss.SummaryHits, ss.SummaryMisses, ss.SummaryWrites)

@@ -22,7 +22,7 @@ import (
 //     be shared between processes.
 //   - Name is the method's qualified name ("Class.method"). It is
 //     redundant with MethodFP for equality (the fingerprint already covers
-//     it) but kept in the key so that cache entries, persisted envelopes,
+//     it) but kept in the key so that cache entries, persisted records,
 //     and diagnostics remain self-describing, and so that a fingerprint
 //     collision between two different methods cannot alias silently.
 //   - Mode is the escape-analysis configuration ordinal (vm.EAMode).
@@ -55,8 +55,8 @@ import (
 //     already covers the whole program's bytecode, so the summaries
 //     themselves need no separate fingerprint here.
 //
-// The key holds no pointers, so it round-trips through the persisted
-// artifact envelope (see Store) unchanged.
+// The key holds no pointers, so its encoding in a persisted record (see
+// Store) means the same in every process.
 type Key struct {
 	MethodFP    uint64
 	Name        string
@@ -92,8 +92,12 @@ type Artifact interface {
 const DefaultCacheEntries = 4096
 
 type cacheEntry struct {
-	a    Artifact
-	used atomic.Int64 // logical clock tick of last access
+	k Key
+	a Artifact
+	// ref is set by every access and cleared by the eviction hand as it
+	// passes: an entry is evicted only if nothing has used it since the hand
+	// last came by.
+	ref atomic.Bool
 }
 
 // Cache is a concurrency-safe, bounded compiled-code cache. Artifacts are
@@ -104,17 +108,24 @@ type cacheEntry struct {
 // recompiles skip backend lowering entirely. A nil *Cache is valid and
 // always misses.
 //
-// Lookups take only a read lock and touch counters atomically, so N
-// tenants hammering one shared cache do not serialize on the hot path.
-// When the bound is exceeded, the least-recently-used entry is evicted
-// (approximate LRU: last-use ticks come from a global logical clock and
-// the minimum is found by scan — eviction is the rare path, lookups are
-// the hot one).
+// Lookups take only a read lock and mark the entry used with one atomic
+// store, so N tenants hammering one shared cache do not serialize on the
+// hot path. When the bound is reached, a new entry takes the place of one
+// not used lately: CLOCK, the second-chance approximation of LRU. The
+// entries sit in a ring in insertion order; a hand goes round it, clearing
+// the used mark of each entry it passes and evicting the first it finds
+// unmarked. So an insert into a full cache costs a few steps of the hand
+// whatever the bound — a server that churns through programs inserts on
+// every compile — where finding the exact least-recently-used entry cost a
+// pass over the whole cache under the write lock.
 type Cache struct {
-	mu        sync.RWMutex
-	entries   map[Key]*cacheEntry
+	mu      sync.RWMutex
+	entries map[Key]*cacheEntry
+	// ring holds the entries of a bounded cache (at most max of them); hand
+	// is the slot the next eviction looks at first.
+	ring      []*cacheEntry
+	hand      int
 	max       int
-	clock     atomic.Int64
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
@@ -151,13 +162,21 @@ func (c *Cache) get(k Key, countMiss bool) (Artifact, bool) {
 		}
 		return nil, false
 	}
-	e.used.Store(c.clock.Add(1))
+	e.touch()
 	c.hits.Add(1)
 	return e.a, true
 }
 
-// Put stores the artifact for k, evicting the least-recently-used entry if
-// the cache is full. First writer wins: concurrent compiles of the same key
+// touch marks e used. Hot entries are marked already, and reading first
+// keeps their cache line shared between the cores reading it.
+func (e *cacheEntry) touch() {
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
+}
+
+// Put stores the artifact for k, evicting an entry not used lately if the
+// cache is full. First writer wins: concurrent compiles of the same key
 // keep the already-published artifact so every consumer observes one
 // canonical artifact.
 func (c *Cache) Put(k Key, a Artifact) Artifact {
@@ -167,34 +186,30 @@ func (c *Cache) Put(k Key, a Artifact) Artifact {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if prev, ok := c.entries[k]; ok {
-		prev.used.Store(c.clock.Add(1))
+		prev.touch()
 		return prev.a
 	}
-	if c.max > 0 && len(c.entries) >= c.max {
-		c.evictLocked()
-	}
-	e := &cacheEntry{a: a}
-	e.used.Store(c.clock.Add(1))
+	e := &cacheEntry{k: k, a: a}
 	c.entries[k] = e
-	return a
-}
-
-// evictLocked removes the entry with the oldest last-use tick. Caller holds
-// the write lock.
-func (c *Cache) evictLocked() {
-	var victim Key
-	best := int64(0)
-	first := true
-	for k, e := range c.entries {
-		u := e.used.Load()
-		if first || u < best {
-			victim, best, first = k, u, false
+	if c.max <= 0 {
+		return a
+	}
+	if len(c.ring) < c.max {
+		c.ring = append(c.ring, e)
+	} else {
+		// Every entry passed loses its mark, so the hand stops within one
+		// turn (which the loop bound enforces against readers re-marking
+		// entries as fast as it clears them): amortised over the accesses
+		// that set the marks, an eviction is O(1).
+		for i := 0; i < len(c.ring) && c.ring[c.hand].ref.Swap(false); i++ {
+			c.hand = (c.hand + 1) % len(c.ring)
 		}
-	}
-	if !first {
-		delete(c.entries, victim)
+		delete(c.entries, c.ring[c.hand].k)
 		c.evictions.Add(1)
+		c.ring[c.hand] = e
+		c.hand = (c.hand + 1) % len(c.ring)
 	}
+	return a
 }
 
 // Len returns the number of cached artifacts.

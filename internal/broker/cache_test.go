@@ -112,6 +112,98 @@ func TestCacheParallelCounters(t *testing.T) {
 	}
 }
 
+// idArtifact says which key it was made for.
+type idArtifact int
+
+func (idArtifact) Graph() *ir.Graph { return nil }
+
+// Eviction under concurrent traffic: the bound holds at every moment, a
+// lookup never returns another key's artifact, and whoever published a key
+// first is what every later Put of it returns. Run under -race.
+func TestCacheConcurrentEvictionKeepsBoundAndKeys(t *testing.T) {
+	const (
+		workers = 8
+		bound   = 32
+		keys    = 8 * bound
+		ops     = 2000
+	)
+	c := NewCacheSize(bound)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				n := (i*7 + w*13) % keys
+				var a Artifact
+				var ok bool
+				switch i % 3 {
+				case 0:
+					a, ok = c.Put(nk(n), idArtifact(n)), true
+				case 1:
+					a, ok = c.Get(nk(n))
+				default:
+					a, ok = c.Probe(nk(n))
+				}
+				if ok && a != Artifact(idArtifact(n)) {
+					t.Errorf("key %d returned artifact %v", n, a)
+					return
+				}
+				if got := c.Len(); got > bound {
+					t.Errorf("len = %d exceeds bound %d", got, bound)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Evictions() == 0 {
+		t.Fatal("no evictions: the test did not fill the cache")
+	}
+}
+
+// An entry that is used between inserts is never the one evicted, however
+// many inserts go by.
+func TestCacheTouchedEntrySurvivesChurn(t *testing.T) {
+	const bound = 64
+	c := NewCacheSize(bound)
+	c.Put(nk(0), idArtifact(0))
+	for i := 1; i <= 10*bound; i++ {
+		c.Put(nk(i), idArtifact(i))
+		if _, ok := c.Get(nk(0)); !ok {
+			t.Fatalf("entry touched after every insert was evicted at insert %d", i)
+		}
+	}
+	if c.Len() != bound || c.Evictions() != 10*bound+1-bound {
+		t.Fatalf("len = %d, evictions = %d", c.Len(), c.Evictions())
+	}
+}
+
+// BenchmarkCachePutFull pins the complexity of eviction: every Put is into
+// a full cache, so each evicts, and the cost per Put must not depend on the
+// bound (within 2x between the two sizes; a scan for the least recently used
+// entry made it 16x).
+func BenchmarkCachePutFull(b *testing.B) {
+	for _, size := range []int{256, 4096} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			c := NewCacheSize(size)
+			ks := make([]Key, size+b.N)
+			for i := range ks {
+				ks[i] = nk(i)
+			}
+			for _, k := range ks[:size] {
+				c.Put(k, stubArtifact{})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, k := range ks[size:] {
+				c.Put(k, stubArtifact{})
+			}
+		})
+	}
+}
+
 // BenchmarkCacheParallel measures the read-mostly hot path: concurrent Gets
 // with an occasional Put, the shape the broker sees when many tenant VMs
 // share one cache.

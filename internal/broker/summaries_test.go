@@ -1,12 +1,12 @@
 package broker
 
 import (
-	"io/fs"
 	"os"
+	"path/filepath"
 	"testing"
-	"time"
 
 	"pea/internal/bc"
+	"pea/internal/check"
 	"pea/internal/summary"
 )
 
@@ -57,23 +57,22 @@ func TestStoreSummariesRoundTrip(t *testing.T) {
 func TestStoreSummariesRejectsCorruptFile(t *testing.T) {
 	p := summaryTestProgram(t)
 	dir := t.TempDir()
-	s, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
+	id, key := summariesID(p)
+	plantSegment(t, dir, "0000000000000001", appendRecord(nil, id, key, []byte(`{"version":999}`)))
+	s := mustStore(t, dir)
+	if _, ok := s.LoadSummaries(p); ok {
+		t.Fatal("corrupt summary record was not rejected")
 	}
+	if st := s.Stats(); st.Rejected != 1 || st.SummaryMisses != 1 {
+		t.Fatalf("stats = %+v, want 1 rejection and 1 summary miss", st)
+	}
+	// The refused record does not keep the recomputed set out.
 	set := summary.Compute(p, summary.Options{})
 	if err := s.PutSummaries(p, set); err != nil {
 		t.Fatal(err)
 	}
-	path := s.sumPath(p.Fingerprint())
-	if err := os.WriteFile(path, []byte(`{"version":999}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.LoadSummaries(p); ok {
-		t.Fatal("corrupt summary file was not rejected")
-	}
-	if st := s.Stats(); st.Rejected != 1 {
-		t.Fatalf("Rejected = %d, want 1", st.Rejected)
+	if back, ok := s.LoadSummaries(p); !ok || back.Table() != set.Table() {
+		t.Fatal("summary set put after a rejection does not load")
 	}
 }
 
@@ -126,61 +125,59 @@ func TestBrokerSummariesTiers(t *testing.T) {
 	}
 }
 
+// With a byte bound the handle rolls to a new segment at a quarter of the
+// bound and gives whole segments up oldest first, so the store stays inside
+// the bound to within the segment being written.
 func TestStoreMaxBytesExpelsOldestFirst(t *testing.T) {
 	p, ms := testProgram(t, 4)
 	dir := t.TempDir()
-	s, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sizes []int64
+	s := mustStore(t, dir)
+	one := int64(len(goodRecord(t, contentKey(p, ms[0]), mustBuild(ms[0]))))
+	// Room for two records and a half: each record is more than a quarter of
+	// that, so each gets a segment of its own, and the third and fourth puts
+	// each push the oldest segment out.
+	bound := 2*one + one/2
+	s.SetMaxBytes(bound)
 	for _, m := range ms {
-		k := contentKey(p, m)
-		if err := s.Put(k, mustBuild(m)); err != nil {
+		if err := s.Put(contentKey(p, m), mustBuild(m)); err != nil {
 			t.Fatal(err)
 		}
-		info, err := os.Stat(s.path(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, info.Size())
-		// Distinct mtimes so eviction order is the write order even on
-		// coarse-mtime filesystems.
-		old := time.Now().Add(-time.Duration(len(ms)-len(sizes)) * time.Hour)
-		if err := os.Chtimes(s.path(k), old, old); err != nil {
-			t.Fatal(err)
+		if st := s.Stats(); st.Bytes > bound {
+			t.Fatalf("store is %d bytes after a put, bound %d", st.Bytes, bound)
 		}
 	}
-	// Bound to exactly the two newest artifacts: the two oldest must go.
-	s.SetMaxBytes(sizes[2] + sizes[3])
 	if got := s.Len(); got != 2 {
-		t.Fatalf("store holds %d files after eviction, want 2", got)
+		t.Fatalf("store holds %d records after eviction, want 2", got)
 	}
-	if st := s.Stats(); st.Expelled != 2 {
-		t.Fatalf("Expelled = %d, want 2", st.Expelled)
+	if st := s.Stats(); st.Expelled != 2 || st.Segments != 2 || len(segmentFiles(t, dir)) != 2 {
+		t.Fatalf("stats = %+v, files = %v; want 2 expelled and 2 segments left", st, segmentFiles(t, dir))
 	}
 	// The survivors are the newest two.
 	for i, m := range ms {
-		_, err := os.Stat(s.path(contentKey(p, m)))
-		if i < 2 && err == nil {
+		_, ok := s.Load(contentKey(p, m), p, check.Basic)
+		if i < 2 && ok {
 			t.Fatalf("old artifact %d survived eviction", i)
 		}
-		if i >= 2 && err != nil {
-			t.Fatalf("new artifact %d was expelled: %v", i, err)
+		if i >= 2 && !ok {
+			t.Fatalf("new artifact %d was expelled", i)
 		}
 	}
-	// A write that fits keeps fitting: re-put an old artifact and check
-	// the bound still holds.
+	// An expelled key can come back, and the bound still holds.
 	if err := s.Put(contentKey(p, ms[0]), mustBuild(ms[0])); err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := s.Load(contentKey(p, ms[0]), p, check.Basic); !ok {
+		t.Fatal("artifact put again after its expulsion does not load")
+	}
 	var total int64
-	s.each(func(_ string, e fs.DirEntry) {
-		if info, err := e.Info(); err == nil {
-			total += info.Size()
+	for _, name := range segmentFiles(t, dir) {
+		info, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if total > sizes[2]+sizes[3] {
-		t.Fatalf("store size %d exceeds bound %d after write", total, sizes[2]+sizes[3])
+		total += info.Size()
+	}
+	if st := s.Stats(); total > bound || st.Bytes != total {
+		t.Fatalf("store is %d bytes on disk (Stats: %d), bound %d", total, st.Bytes, bound)
 	}
 }

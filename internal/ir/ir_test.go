@@ -71,6 +71,16 @@ func TestVerifyRejections(t *testing.T) {
 			iff.Block = b
 			b.Term = iff
 		}, "has 0 succs"},
+		{"input from another graph with a colliding ID", func(g *Graph) {
+			other, _, _, _ := straightGraph(t)
+			g.Entry().Nodes[2].Inputs[0] = other.Entry().Nodes[0]
+		}, "not placed"},
+		{"two placed nodes share an ID", func(g *Graph) {
+			g.Entry().Nodes[1].ID = g.Entry().Nodes[0].ID
+		}, "share ID"},
+		{"node ID out of range", func(g *Graph) { g.Entry().Nodes[0].ID = 1 << 30 }, "outside the graph's range"},
+		{"negative node ID", func(g *Graph) { g.Entry().Nodes[0].ID = -1 }, "outside the graph's range"},
+		{"block ID out of range", func(g *Graph) { g.Entry().ID = 1 << 30 }, "outside the graph's range"},
 		{"bad arity", func(g *Graph) {
 			g.Entry().Nodes[2].Inputs = g.Entry().Nodes[2].Inputs[:1]
 		}, "has 1 inputs, want 2"},

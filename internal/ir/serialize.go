@@ -93,7 +93,7 @@ var opByName = func() map[string]Op {
 	return m
 }()
 
-// EncodeJSON serializes g into the versioned-envelope payload format:
+// EncodeJSON serializes g into the artifact store's payload format:
 // every node, block, and frame state flattened into ID-referenced tables,
 // with bc entities (classes, fields, methods) reduced to their qualified
 // names. DecodeJSON reverses it against any program whose content matches.
@@ -261,6 +261,11 @@ func encodeNode(n *Node, e *encoder) (jsonNode, error) {
 	return jn, nil
 }
 
+// maxDecodedID bounds the node and block IDs, and the ID counters, of a
+// decoded graph — two orders of magnitude above anything the pipeline
+// builds, and small enough that a table indexed by ID stays a few megabytes.
+const maxDecodedID = 1 << 20
+
 // DecodeJSON rebuilds a graph from EncodeJSON output, rebinding every
 // class, field, and method reference against r's program. Any
 // inconsistency — unknown op or entity name, dangling node/block/state
@@ -281,10 +286,19 @@ func DecodeJSON(data []byte, r Resolver) (*Graph, error) {
 		return nil, err
 	}
 
+	// Verify and the passes size tables by the ID counters, so what the
+	// bytes claim for them is bounded before anything allocates by it.
+	if jg.NextNodeID > maxDecodedID || jg.NextBlockID > maxDecodedID {
+		return nil, fmt.Errorf("ir: decode: id counters %d/%d out of range", jg.NextNodeID, jg.NextBlockID)
+	}
+
 	// Pass 1: materialize empty nodes and blocks so references resolve.
 	d.nodes = make(map[int]*Node, len(jg.Nodes))
 	maxNodeID := -1
 	for _, jn := range jg.Nodes {
+		if jn.ID < 0 || jn.ID >= maxDecodedID {
+			return nil, fmt.Errorf("ir: decode: node id v%d out of range", jn.ID)
+		}
 		if _, dup := d.nodes[jn.ID]; dup {
 			return nil, fmt.Errorf("ir: decode: duplicate node id v%d", jn.ID)
 		}
@@ -301,6 +315,9 @@ func DecodeJSON(data []byte, r Resolver) (*Graph, error) {
 	blocks := make([]*Block, 0, len(jg.Blocks))
 	maxBlockID := -1
 	for _, jb := range jg.Blocks {
+		if jb.ID < 0 || jb.ID >= maxDecodedID {
+			return nil, fmt.Errorf("ir: decode: block id b%d out of range", jb.ID)
+		}
 		if _, dup := d.blocks[jb.ID]; dup {
 			return nil, fmt.Errorf("ir: decode: duplicate block id b%d", jb.ID)
 		}
@@ -419,16 +436,14 @@ func DecodeJSON(data []byte, r Resolver) (*Graph, error) {
 	}
 
 	// Pass 4: wire the blocks.
-	placed := make(map[int]bool)
 	place := func(id int, b *Block, what string) (*Node, error) {
 		n, err := d.node(id)
 		if err != nil || n == nil {
 			return nil, fmt.Errorf("ir: decode: b%d %s v%d unknown", b.ID, what, id)
 		}
-		if placed[id] {
+		if n.Block != nil {
 			return nil, fmt.Errorf("ir: decode: v%d placed twice", id)
 		}
-		placed[id] = true
 		n.Block = b
 		return n, nil
 	}

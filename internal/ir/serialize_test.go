@@ -208,6 +208,15 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			}
 			return out
 		}},
+		{"huge-id-counter", func(b []byte) []byte {
+			return []byte(strings.Replace(string(b), `"nextNodeID":`, `"nextNodeID":1000000000`, 1))
+		}},
+		{"huge-node-id", func(b []byte) []byte {
+			return []byte(strings.Replace(string(b), `"nodes":[{"id":`, `"nodes":[{"id":1000000000`, 1))
+		}},
+		{"negative-block-id", func(b []byte) []byte {
+			return []byte(strings.Replace(string(b), `"blocks":[{"id":0`, `"blocks":[{"id":-7`, 1))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

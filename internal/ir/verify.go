@@ -27,10 +27,21 @@ func Verify(g *Graph) error {
 	if len(g.Entry().Preds) != 0 {
 		return fmt.Errorf("ir: entry block has %d preds", len(g.Entry().Preds))
 	}
-	placed := make(map[*Node]bool)
-	blockSet := make(map[*Block]bool)
+	// Membership is by ID into tables sized from the graph's ID counters,
+	// holding the pointer: a block or node that merely shares an ID with a
+	// member (smuggled in from another graph, say) is not one.
+	blockSet := make([]*Block, g.nextBlockID)
+	inGraph := func(b *Block) bool {
+		return b != nil && b.ID >= 0 && b.ID < len(blockSet) && blockSet[b.ID] == b
+	}
 	for _, b := range g.Blocks {
-		blockSet[b] = true
+		if b.ID < 0 || b.ID >= len(blockSet) {
+			return fmt.Errorf("ir: %s has an ID outside the graph's range [0,%d)", b, len(blockSet))
+		}
+		if blockSet[b.ID] != nil {
+			return fmt.Errorf("ir: two blocks in g.Blocks share ID %d", b.ID)
+		}
+		blockSet[b.ID] = b
 	}
 
 	// Reachability: walk the successor graph from the entry. Both
@@ -38,41 +49,43 @@ func Verify(g *Graph) error {
 	// the list is stale state (phases must RemoveDeadBlocks), and a
 	// reachable block missing from the list would be skipped by every
 	// later phase while still being executed.
-	reached := make(map[*Block]bool, len(g.Blocks))
+	reached := make([]bool, len(blockSet))
 	work := []*Block{g.Entry()}
-	reached[g.Entry()] = true
+	reached[g.Entry().ID] = true
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, s := range b.Succs {
-			if !reached[s] {
-				reached[s] = true
+			if !inGraph(s) {
+				return fmt.Errorf("ir: %s is reachable from entry but missing from g.Blocks", s)
+			}
+			if !reached[s.ID] {
+				reached[s.ID] = true
 				work = append(work, s)
 			}
 		}
 	}
 	for _, b := range g.Blocks {
-		if !reached[b] {
+		if !reached[b.ID] {
 			return fmt.Errorf("ir: %s is unreachable from entry but listed in g.Blocks", b)
 		}
 	}
-	for b := range reached {
-		if !blockSet[b] {
-			return fmt.Errorf("ir: %s is reachable from entry but missing from g.Blocks", b)
-		}
-	}
+	placed := make(placedNodes, g.nextNodeID)
 	for _, b := range g.Blocks {
-		g2 := func(n *Node) {
-			placed[n] = true
-		}
 		for _, n := range b.Phis {
-			g2(n)
+			if err := placed.add(n); err != nil {
+				return err
+			}
 		}
 		for _, n := range b.Nodes {
-			g2(n)
+			if err := placed.add(n); err != nil {
+				return err
+			}
 		}
 		if b.Term != nil {
-			g2(b.Term)
+			if err := placed.add(b.Term); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -137,7 +150,7 @@ func Verify(g *Graph) error {
 
 		// Pred/succ consistency with multiplicity.
 		for _, s := range b.Succs {
-			if !blockSet[s] {
+			if !inGraph(s) {
 				return fmt.Errorf("ir: %s has successor %s not in graph", b, s)
 			}
 			if countBlocks(b.Succs, s) != countBlocks(s.Preds, b) {
@@ -145,7 +158,7 @@ func Verify(g *Graph) error {
 			}
 		}
 		for _, p := range b.Preds {
-			if !blockSet[p] {
+			if !inGraph(p) {
 				return fmt.Errorf("ir: %s has predecessor %s not in graph", b, p)
 			}
 		}
@@ -170,7 +183,7 @@ func Verify(g *Graph) error {
 				if in == nil {
 					return fmt.Errorf("ir: v%d (%s) has nil input %d", n.ID, n.Op, i)
 				}
-				if !placed[in] {
+				if !placed.has(in) {
 					return fmt.Errorf("ir: v%d (%s) input v%d (%s) is not placed in any block",
 						n.ID, n.Op, in.ID, in.Op)
 				}
@@ -216,6 +229,27 @@ func Verify(g *Graph) error {
 	return nil
 }
 
+// placedNodes is the set of nodes placed in the graph's blocks: slot n.ID
+// holds n.
+type placedNodes []*Node
+
+func (p placedNodes) has(n *Node) bool {
+	return n.ID >= 0 && n.ID < len(p) && p[n.ID] == n
+}
+
+// add places n. A node listed twice is left to the per-node checks (its
+// Block pointer cannot match both places).
+func (p placedNodes) add(n *Node) error {
+	if n.ID < 0 || n.ID >= len(p) {
+		return fmt.Errorf("ir: v%d (%s) has an ID outside the graph's range [0,%d)", n.ID, n.Op, len(p))
+	}
+	if p[n.ID] != nil && p[n.ID] != n {
+		return fmt.Errorf("ir: two placed nodes share ID v%d (%s and %s)", n.ID, p[n.ID].Op, n.Op)
+	}
+	p[n.ID] = n
+	return nil
+}
+
 func countBlocks(list []*Block, b *Block) int {
 	c := 0
 	for _, x := range list {
@@ -226,7 +260,7 @@ func countBlocks(list []*Block, b *Block) int {
 	return c
 }
 
-func verifyFrameState(fs *FrameState, placed map[*Node]bool) error {
+func verifyFrameState(fs *FrameState, placed placedNodes) error {
 	for s := fs; s != nil; s = s.Outer {
 		if s.Method == nil {
 			return fmt.Errorf("frame state without method")
@@ -239,7 +273,7 @@ func verifyFrameState(fs *FrameState, placed map[*Node]bool) error {
 				len(s.Locals), s.Method.QualifiedName(), s.Method.NumLocals())
 		}
 		chk := func(n *Node) error {
-			if n != nil && !placed[n] {
+			if n != nil && !placed.has(n) {
 				return fmt.Errorf("frame state references unplaced v%d (%s)", n.ID, n.Op)
 			}
 			return nil

@@ -209,9 +209,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close shuts down the shared broker (drains background workers). In-flight
-// HTTP requests are the http.Server's to drain.
-func (s *Server) Close() { s.jit.Close() }
+// Close shuts down the shared broker (drains background workers) and then
+// the store under it. In-flight HTTP requests are the http.Server's to
+// drain.
+func (s *Server) Close() {
+	s.jit.Close()
+	if err := s.store.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "serve: %v\n", err)
+	}
+}
 
 // Broker exposes the shared broker for tests and stats tooling.
 func (s *Server) Broker() *broker.Broker { return s.jit }
@@ -352,7 +358,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
 
-	before := s.jit.Stats()
 	machine := vm.New(l.prog, vm.Options{
 		EA:               s.opts.EA,
 		Backend:          s.opts.Backend,
@@ -377,7 +382,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	machine.DrainJIT()
 	wall := time.Since(start)
-	after := s.jit.Stats()
 
 	vs := machine.Stats()
 	s.warmInstalls.Add(vs.WarmInstalls)
@@ -385,7 +389,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Output:           append([]int64(nil), machine.Env.Output...),
 		Runs:             req.Runs,
 		CompiledMethods:  vs.CompiledMethods,
-		PipelineCompiles: after.Compiled - before.Compiled,
+		PipelineCompiles: vs.PipelineCompiles,
 		WarmInstalls:     vs.WarmInstalls,
 		FailedCompiles:   len(machine.FailedCompilations()),
 		GuestAllocs:      machine.Env.Stats.Allocations,

@@ -86,6 +86,22 @@ func postRun(t *testing.T, url, source string, runs int) (*http.Response, RunRes
 	return resp, rr
 }
 
+// tryRun is postRun for goroutines other than the test's own: any failure
+// comes back as an error.
+func tryRun(url, source string, runs int) (RunResponse, error) {
+	var rr RunResponse
+	body, _ := json.Marshal(RunRequest{Source: source, Runs: runs})
+	resp, err := http.Post(url+"/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return rr, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return rr, fmt.Errorf("POST /run: %s", resp.Status)
+	}
+	return rr, json.NewDecoder(resp.Body).Decode(&rr)
+}
+
 func getStats(t *testing.T, url string) StatsResponse {
 	t.Helper()
 	resp, err := http.Get(url + "/stats")
@@ -212,6 +228,36 @@ func TestTenantsShareCompiledArtifacts(t *testing.T) {
 	if s.panicked.Load() != 0 {
 		t.Fatalf("handler panics: %d", s.panicked.Load())
 	}
+}
+
+// A request's pipeline_compiles is its own VM's: a warm tenant running beside
+// a cold one, on the broker both share, still reports none.
+func TestPipelineCompilesAreNotChargedAcrossTenants(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	if resp, rr := postRun(t, ts.URL, tenantSrc, 2); resp.StatusCode != http.StatusOK || rr.PipelineCompiles == 0 {
+		t.Fatalf("warm-up: %s, %d pipeline compiles", resp.Status, rr.PipelineCompiles)
+	}
+	const rounds = 20
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // cold tenant: every request a program the server has not seen
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			src := tenantSrc + fmt.Sprintf("class Cold%d { static int pad() { return %d; } }\n", i, i)
+			if rr, err := tryRun(ts.URL, src, 2); err != nil || rr.PipelineCompiles == 0 {
+				t.Errorf("cold request %d: %v, %d pipeline compiles, want some", i, err, rr.PipelineCompiles)
+			}
+		}
+	}()
+	go func() { // warm tenant
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if rr, err := tryRun(ts.URL, tenantSrc, 2); err != nil || rr.PipelineCompiles != 0 {
+				t.Errorf("warm request %d: %v, charged %d pipeline compiles", i, err, rr.PipelineCompiles)
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 // pairloopSrc is examples/pairloop.mj: one call of a 5000-iteration loop

@@ -86,7 +86,7 @@ func (l Lattice) String() string {
 
 // MarshalJSON emits the level as a plain number. Without this, Go would
 // serialize []Lattice (a uint8 slice) as base64, hiding the levels from
-// the store's JSON envelopes.
+// the store's JSON payloads.
 func (l Lattice) MarshalJSON() ([]byte, error) {
 	return json.Marshal(uint8(l))
 }

@@ -246,6 +246,11 @@ type Stats struct {
 	// first back edge (each also counts in CompiledMethods or
 	// OSRCompilations).
 	WarmInstalls int64
+	// PipelineCompiles counts this VM's submissions that the broker resolved
+	// by running the pipeline (neither cache tier had the artifact). Counted
+	// here, at the install hook, so that VMs sharing a broker each see their
+	// own compiles and not their neighbours'.
+	PipelineCompiles int64
 	// TransientFailures counts compilations that failed with a transient
 	// error (compile deadline, IR budget) and were re-armed instead of
 	// blacklisted.
@@ -734,6 +739,9 @@ func (vm *VM) install(m *bc.Method, k broker.Key, a broker.Artifact, fromCache b
 // what asked for the code (the unit's hotness threshold, or a first-call
 // look into the cache).
 func (vm *VM) installFrom(m *bc.Method, k broker.Key, a broker.Artifact, fromCache bool, trigger string) bool {
+	if !fromCache {
+		atomic.AddInt64(&vm.VMStats.PipelineCompiles, 1)
+	}
 	code, ok := a.(exec.Code)
 	if !ok || code.Graph().Method != m {
 		// Two ways to land here: the artifact is a bare graph (a disk
@@ -1070,6 +1078,7 @@ func (vm *VM) Stats() Stats {
 		OSRRequests:        atomic.LoadInt64(&vm.VMStats.OSRRequests),
 		OSREntries:         atomic.LoadInt64(&vm.VMStats.OSREntries),
 		WarmInstalls:       atomic.LoadInt64(&vm.VMStats.WarmInstalls),
+		PipelineCompiles:   atomic.LoadInt64(&vm.VMStats.PipelineCompiles),
 		TransientFailures:  atomic.LoadInt64(&vm.VMStats.TransientFailures),
 		Rearms:             atomic.LoadInt64(&vm.VMStats.Rearms),
 		CrashRepros:        atomic.LoadInt64(&vm.VMStats.CrashRepros),
