@@ -9,12 +9,9 @@ package pea
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
-	"pea/internal/bc"
 	"pea/internal/bench"
-	"pea/internal/broker"
 	"pea/internal/build"
 	"pea/internal/mj"
 	"pea/internal/opt"
@@ -189,68 +186,6 @@ func BenchmarkPEACompilation(b *testing.B) {
 		if _, err := pea.Run(g, pea.Config{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkCompileParallel measures the compile broker's worker-pool
-// speedup: the same batch of full pipeline runs (build → inline → GVN →
-// PEA) executed by one background worker vs one per core. Each iteration
-// uses a fresh broker with a private cache, so every task runs the real
-// pipeline.
-func BenchmarkCompileParallel(b *testing.B) {
-	// A batch of independent compile tasks drawn from the benchmark
-	// workloads; one VM per program provides the pipeline context.
-	type task struct {
-		machine *vm.VM
-		m       *bc.Method
-	}
-	var tasks []task
-	byMethod := make(map[*bc.Method]*vm.VM)
-	for _, w := range bench.BySuite("dacapo") {
-		prog, err := mj.Compile(w.Source(), "Main.main")
-		if err != nil {
-			b.Fatal(err)
-		}
-		machine := vm.New(prog, vm.Options{EA: vm.EAPartial})
-		for _, m := range prog.Methods {
-			if _, err := machine.Compile(m); err != nil {
-				b.Fatalf("%s: compiling %s: %v", w.Name, m.QualifiedName(), err)
-			}
-			tasks = append(tasks, task{machine, m})
-			byMethod[m] = machine
-		}
-	}
-	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
-	if workerCounts[1] <= 1 {
-		// Single-core host: still contrast against a multi-worker pool
-		// to exercise the queue under contention.
-		workerCounts[1] = 4
-	}
-	for _, workers := range workerCounts {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportMetric(float64(len(tasks)), "compiles/op")
-			for i := 0; i < b.N; i++ {
-				br := broker.New(broker.Options{
-					Workers: workers,
-					Compile: func(m *bc.Method, k broker.Key) (broker.Artifact, error) {
-						g, err := byMethod[m].Compile(m)
-						if err != nil {
-							return nil, err
-						}
-						return g, nil
-					},
-				})
-				for _, t := range tasks {
-					br.Submit(t.m, 1, broker.Key{MethodFP: uint64(t.m.ID) + 1, Name: t.m.QualifiedName()})
-				}
-				br.Drain()
-				br.Close()
-				if st := br.Stats(); st.Compiled != int64(len(tasks)) {
-					b.Fatalf("compiled %d of %d tasks (stats %+v)", st.Compiled, len(tasks), st)
-				}
-			}
-		})
 	}
 }
 

@@ -27,8 +27,11 @@
 // counters. Any divergence is a lowering bug and exits nonzero. Stats and
 // observability flags describe the closure VM in this mode.
 //
-// With -jit-async hot methods are compiled on background broker workers
-// while the interpreter keeps running them (tier-up); the default compiles
+// peavm builds each VM's compile broker itself, from -jit-async,
+// -jit-workers, -jit-queue-cap and -store (one broker per VM under
+// -backend=both, over one store), and hands it to the VM as Options.JIT. With
+// -jit-async hot methods are compiled on background broker workers while the
+// interpreter keeps running them (tier-up); the default compiles
 // synchronously, which keeps runs deterministic.
 //
 // With -osr-threshold N a loop that takes N back edges triggers an
@@ -143,9 +146,6 @@ func main() {
 		Seed:             *seed,
 		CompileThreshold: *threshold,
 		OSRThreshold:     *osrThreshold,
-		Async:            *jitAsync,
-		JITWorkers:       *jitWorkers,
-		JITQueueCap:      *jitQueueCap,
 		CompileDeadline:  *compileDeadline,
 		MaxIRNodes:       *maxIRNodes,
 		CrashDir:         *crashDir,
@@ -165,18 +165,32 @@ func main() {
 		fatal(err)
 	}
 	opts.CheckLevel = lvl
+	var store *broker.Store
 	if *storeDir != "" {
-		store, err := broker.NewStore(*storeDir)
-		if err != nil {
+		if store, err = broker.NewStore(*storeDir); err != nil {
 			fatal(err)
 		}
 		store.SetMaxBytes(*storeMaxBytes)
-		opts.Store = store
 		defer func() { // after the VMs' brokers, which write through it
 			if err := store.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "peavm:", err)
 			}
 		}()
+	}
+	// newVM gives a VM the broker the -jit-* and -store flags describe. The
+	// broker is this command's to close; the VM only submits to it.
+	newVM := func(o vm.Options) *vm.VM {
+		workers := 0
+		if *jitAsync {
+			workers = *jitWorkers
+			if workers <= 0 {
+				workers = -1 // GOMAXPROCS
+			}
+		}
+		o.JIT = broker.New(broker.Options{
+			Workers: workers, QueueCap: *jitQueueCap, Store: store, Check: lvl, Sink: o.Sink,
+		})
+		return vm.New(prog, o)
 	}
 
 	// Observability: events to JSONL/text/chrome-trace, escape attribution,
@@ -218,7 +232,7 @@ func main() {
 		opts.Sink = obs.NewSink(backends...)
 		met = obs.NewMetrics()
 		met.PublishExpvar()
-		opts.Metrics = met
+		opts.Sink.SetMetrics(met)
 	}
 
 	// Backend selection. In -backend=both mode the closure VM is primary
@@ -230,10 +244,9 @@ func main() {
 		sopts := opts
 		sopts.Backend = vm.BackendOracle
 		sopts.Sink = nil
-		sopts.Metrics = nil
 		sopts.CrashDir = ""
-		shadow = vm.New(prog, sopts)
-		defer shadow.Close()
+		shadow = newVM(sopts)
+		defer shadow.Broker().Close()
 	} else {
 		b, err := vm.ParseBackend(*backendName)
 		if err != nil {
@@ -242,8 +255,8 @@ func main() {
 		opts.Backend = b
 	}
 
-	machine := vm.New(prog, opts)
-	defer machine.Close()
+	machine := newVM(opts)
+	defer machine.Broker().Close()
 	if *debugAddr != "" {
 		ln, err := obs.Serve(*debugAddr, machine.Flight(), escTable, met)
 		if err != nil {
@@ -270,7 +283,7 @@ func main() {
 	machine.DrainJIT()
 	if shadow != nil {
 		shadow.DrainJIT()
-		if err := crossCheck(machine, shadow, opts.Async); err != nil {
+		if err := crossCheck(machine, shadow); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(os.Stderr, "backend cross-check: closure matches oracle")
@@ -344,7 +357,7 @@ func main() {
 // counters. With -jit-async the install timing of compiled code varies
 // between the two VMs, so calls legitimately split differently between
 // interpreter and compiled code and the counters are not comparable.
-func crossCheck(closure, oracle *vm.VM, async bool) error {
+func crossCheck(closure, oracle *vm.VM) error {
 	co, oo := closure.Env.Output, oracle.Env.Output
 	if len(co) != len(oo) {
 		return fmt.Errorf("backend divergence: closure printed %d values, oracle %d", len(co), len(oo))
@@ -354,7 +367,7 @@ func crossCheck(closure, oracle *vm.VM, async bool) error {
 			return fmt.Errorf("backend divergence: output[%d] is %d under closure, %d under oracle", i, co[i], oo[i])
 		}
 	}
-	if async {
+	if closure.Broker().Async() {
 		return nil
 	}
 	cs, rs := closure.Env.Stats, oracle.Env.Stats

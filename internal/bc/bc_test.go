@@ -92,6 +92,7 @@ func TestInheritanceAndVTables(t *testing.T) {
 	sm.Const(2).ReturnValue()
 	other := sub.Method("other", nil, KindInt, false)
 	other.Const(3).ReturnValue()
+	a.Class("Leaf", "Sub") // overrides nothing
 
 	p, err := a.Finish("")
 	if err != nil {
@@ -123,8 +124,20 @@ func TestInheritanceAndVTables(t *testing.T) {
 	if b.VTable[bg.VSlot] != bg {
 		t.Fatal("Base's vtable should hold the original")
 	}
-	if om := s.MethodByName("other"); om.VSlot == sg.VSlot || om.VSlot < 0 {
+	om := s.MethodByName("other")
+	if om.VSlot == sg.VSlot || om.VSlot < 0 {
 		t.Fatalf("other should get a fresh slot, got %d", om.VSlot)
+	}
+	// The CHA target set is the same whichever override names the slot, holds
+	// each implementation once, and a slot first declared in Sub has no
+	// target in Base.
+	for _, decl := range []*Method{bg, sg} {
+		if ts := p.VirtualTargets(decl); len(ts) != 2 || ts[0] != bg || ts[1] != sg {
+			t.Fatalf("VirtualTargets(%s) = %v, want [Base.get Sub.get]", decl.QualifiedName(), ts)
+		}
+	}
+	if ts := p.VirtualTargets(om); len(ts) != 1 || ts[0] != om {
+		t.Fatalf("VirtualTargets(Sub.other) = %v, want only itself", ts)
 	}
 }
 

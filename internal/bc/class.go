@@ -194,6 +194,41 @@ type Program struct {
 // ClassByName returns the class with the given name, or nil.
 func (p *Program) ClassByName(name string) *Class { return p.classByName[name] }
 
+// VirtualTargets returns every implementation a virtual call to decl can
+// dispatch to under class hierarchy analysis: the distinct occupants of
+// decl's vtable slot over the hierarchy rooted at the topmost class that
+// declares the slot, in class order. (Receivers from unrelated hierarchies
+// would be ill-typed bytecode; the MiniJava front end cannot produce them.)
+// It is the one CHA target set: the inliner devirtualizes when it has a single
+// element, and escape summaries join over all of them.
+func (p *Program) VirtualTargets(decl *Method) []*Method {
+	if decl == nil {
+		return nil
+	}
+	root := decl.Class
+	for root.Super != nil && decl.VSlot < len(root.Super.VTable) {
+		root = root.Super
+	}
+	var out []*Method
+next:
+	for _, c := range p.Classes {
+		if !c.IsSubclassOf(root) || decl.VSlot >= len(c.VTable) {
+			continue
+		}
+		impl := c.VTable[decl.VSlot]
+		if impl == nil {
+			continue
+		}
+		for _, seen := range out {
+			if seen == impl {
+				continue next
+			}
+		}
+		out = append(out, impl)
+	}
+	return out
+}
+
 // NumStatics returns the total number of static field slots across all
 // classes; statics are addressed by (Class.ID, Field.Offset).
 func (p *Program) NumStatics() int {

@@ -9,7 +9,9 @@
 // deoptimization-invalidation and repeated benchmark runs replay earlier
 // work instead of re-running the build→inline→GVN→PEA pipeline. Submission
 // is the only way code enters the cache; Cached is an earlier read of it,
-// for a VM that wants an artifact before its method is hot.
+// for a VM that wants an artifact before its method is hot. A broker holds no
+// callbacks of its own: every submission carries the Hooks of the VM that
+// made it, so one broker serves one VM or a server's worth of them alike.
 //
 // A broker with zero workers is synchronous: Submit compiles (or replays
 // from cache) on the calling goroutine and returns with the code installed.
@@ -49,7 +51,7 @@ type Options struct {
 	Cache *Cache
 	// Store, when non-nil, is the disk-backed artifact store behind the
 	// in-memory cache: a memory miss tries the store before running the
-	// pipeline (loads are decoded against the submission's Resolver and
+	// pipeline (loads are decoded against the submission's Hooks.Resolver and
 	// re-verified at the install boundary; anything suspect is a miss),
 	// and fresh compiles are written through so later processes sharing
 	// the directory warm-start.
@@ -59,27 +61,6 @@ type Options struct {
 	// shared one so VMs with separate brokers still amortize the
 	// whole-program analysis.
 	Summaries *SummaryCache
-	// Resolver decodes store artifacts for submissions made through
-	// Submit (per-submission hooks carry their own; see SubmitHooks).
-	// Typically the *bc.Program the broker's VM runs. nil disables store
-	// loads for default submissions.
-	Resolver ir.Resolver
-
-	// Compile runs the full pipeline (and backend lowering) for one
-	// request, returning the installable artifact. It must be safe for
-	// concurrent use (the VM's pipeline carries no shared mutable state
-	// beyond the locked profile and observability registries). A bare
-	// *ir.Graph is a valid artifact for graph-level consumers.
-	Compile func(m *bc.Method, k Key) (Artifact, error)
-	// Install publishes finished code. It is called from worker
-	// goroutines (or the submitting goroutine in synchronous mode) and
-	// must publish atomically. fromCache reports a code-cache replay.
-	Install func(m *bc.Method, k Key, a Artifact, fromCache bool)
-	// Fail records a permanent compilation failure. The key identifies
-	// which artifact failed (a standard compile vs. one OSR entry point
-	// of the same method).
-	Fail func(m *bc.Method, k Key, err error)
-
 	// InjectFault, when non-nil, is invoked at named fault points
 	// (FaultCompile, FaultInstall) with the method's qualified name. It
 	// exists to deterministically drive the containment layer — a hook
@@ -102,13 +83,6 @@ type Options struct {
 	// the queue-depth/worker-utilization/cache gauges current. Both are
 	// nil-safe.
 	Sink *obs.Sink
-
-	// Flight, when non-nil, is the always-on flight recorder. The broker
-	// records compile start/finish (with wall time and outcome),
-	// queue-depth changes, and contained compiler panics there, through
-	// the submission's own view when its Hooks carry one. A nil recorder
-	// is inert.
-	Flight *flight.Recorder
 }
 
 func (o Options) workers() int {
@@ -150,25 +124,34 @@ type Stats struct {
 	WorkerBusyNS []int64
 }
 
-// Hooks carries the per-submission callbacks of one compilation request.
-// A broker owned by a single VM never touches this type — its Options
-// callbacks serve every submission. A broker shared by several VMs (the
-// multi-tenant server) passes per-tenant Hooks through SubmitHooks so one
-// worker pool compiles for all tenants while each install lands in the
-// right VM's code table and each decode resolves against the right
-// program.
+// Hooks carries the callbacks of the VM behind a submission, so that one
+// worker pool compiles for every VM sharing the broker while each install
+// lands in the right VM's code table and each decode resolves against the
+// right program. Compile is required; a nil Install, Fail, Resolver or Flight
+// is skipped.
 type Hooks struct {
-	// Compile, Install, and Fail mirror the Options callbacks.
+	// Compile runs the full pipeline (and backend lowering) for one
+	// request, returning the installable artifact. It must be safe for
+	// concurrent use (the VM's pipeline carries no shared mutable state
+	// beyond the locked profile and observability registries). A bare
+	// *ir.Graph is a valid artifact for graph-level consumers.
 	Compile func(m *bc.Method, k Key) (Artifact, error)
+	// Install publishes finished code. It is called from worker
+	// goroutines (or the submitting goroutine in synchronous mode) and
+	// must publish atomically. fromCache reports a code-cache replay.
 	Install func(m *bc.Method, k Key, a Artifact, fromCache bool)
-	Fail    func(m *bc.Method, k Key, err error)
+	// Fail records a permanent compilation failure. The key identifies
+	// which artifact failed (a standard compile vs. one OSR entry point
+	// of the same method).
+	Fail func(m *bc.Method, k Key, err error)
 	// Resolver decodes persisted artifacts against the submitting VM's
-	// program.
+	// program; nil disables store loads for the submission.
 	Resolver ir.Resolver
-	// Flight is the submitting VM's view of the flight recorder. On a ring
+	// Flight is the submitting VM's view of the always-on flight recorder:
+	// the broker records compile start/finish (with wall time and outcome),
+	// queue-depth changes and contained compiler panics there. On a ring
 	// shared by every tenant of the broker a method ID only means something
-	// together with the view's program tag, so the broker records a
-	// submission's events through it.
+	// together with the view's program tag, hence per submission.
 	Flight *flight.Recorder
 }
 
@@ -220,19 +203,15 @@ type Broker struct {
 	summaries   *SummaryCache
 	sumFlightMu sync.Mutex
 	sumFlight   map[uint64]*sync.Once
-	// defaults serves Submit calls (the single-VM path); SubmitHooks
-	// overrides per submission.
-	defaults Hooks
-
-	mu       sync.Mutex
-	cond     *sync.Cond // signals workers (work available / closing)
-	idle     *sync.Cond // signals Drain (queue empty, workers idle)
-	queue    taskHeap
-	inflight map[inflightKey]bool // queued or being compiled
-	busy     int
-	seq      int64
-	closed   bool
-	stats    Stats
+	mu          sync.Mutex
+	cond        *sync.Cond // signals workers (work available / closing)
+	idle        *sync.Cond // signals Drain (queue empty, workers idle)
+	queue       taskHeap
+	inflight    map[inflightKey]bool // queued or being compiled
+	busy        int
+	seq         int64
+	closed      bool
+	stats       Stats
 	// workerBusy accumulates per-worker compile wall time (guarded by mu;
 	// indexed by worker; empty in synchronous mode).
 	workerBusy []int64
@@ -246,15 +225,8 @@ func New(opts Options) *Broker {
 		opts.InjectFault = FaultFromEnv()
 	}
 	b := &Broker{
-		opts:  opts,
-		cache: opts.Cache,
-		defaults: Hooks{
-			Compile:  opts.Compile,
-			Install:  opts.Install,
-			Fail:     opts.Fail,
-			Resolver: opts.Resolver,
-			Flight:   opts.Flight,
-		},
+		opts:     opts,
+		cache:    opts.Cache,
 		inflight: make(map[inflightKey]bool),
 	}
 	if b.cache == nil {
@@ -298,28 +270,23 @@ func (b *Broker) Pending(m *bc.Method, entryBCI int) bool {
 }
 
 // Submit requests compilation of m under key k with the given hotness
-// (typically the invocation count). In synchronous mode the compilation
-// (or cache replay) completes before Submit returns. In asynchronous mode
-// Submit enqueues and returns immediately; duplicates of in-flight methods
-// are coalesced and submissions over the queue bound are rejected. The
-// return value reports whether the submission was accepted.
-func (b *Broker) Submit(m *bc.Method, hotness int64, k Key) bool {
-	return b.SubmitHooks(m, hotness, k, nil)
-}
-
-// SubmitHooks is Submit with per-submission callbacks, the entry point for
-// several VMs sharing one broker (worker pool + cache + store): each
-// tenant submits with its own Hooks so installs and failures land in the
-// submitting VM. nil hooks (and nil individual fields) fall back to the
-// broker's Options callbacks.
+// (typically the invocation count) on behalf of the VM whose hooks h carries.
+// In synchronous mode the compilation (or cache replay) completes before
+// Submit returns. In asynchronous mode Submit enqueues and returns
+// immediately; duplicates of in-flight methods are coalesced and submissions
+// over the queue bound are rejected. The return value reports whether the
+// submission was accepted. A submission that reaches the pipeline without a
+// Compile hook is a recorded failure.
 //
 // Deduplication nuance under sharing: concurrent in-flight submissions of
 // the same compilation unit coalesce, and only the first submitter's
 // hooks run. The losing tenant's VM simply resubmits on its next hot call
 // and replays the now-cached artifact — convergent, at the cost of one
 // extra trip through the queue.
-func (b *Broker) SubmitHooks(m *bc.Method, hotness int64, k Key, h *Hooks) bool {
-	h = b.resolveHooks(h)
+func (b *Broker) Submit(m *bc.Method, hotness int64, k Key, h *Hooks) bool {
+	if h == nil {
+		h = &Hooks{}
+	}
 	if !b.Async() {
 		b.mu.Lock()
 		b.stats.Submitted++
@@ -364,30 +331,6 @@ func (b *Broker) SubmitHooks(m *bc.Method, hotness int64, k Key, h *Hooks) bool 
 	b.setGauge(obs.GaugeBrokerQueueHighWater, highwater)
 	b.cond.Signal()
 	return true
-}
-
-// resolveHooks fills nil hook fields from the broker's Options callbacks.
-func (b *Broker) resolveHooks(h *Hooks) *Hooks {
-	if h == nil {
-		return &b.defaults
-	}
-	r := *h
-	if r.Compile == nil {
-		r.Compile = b.defaults.Compile
-	}
-	if r.Install == nil {
-		r.Install = b.defaults.Install
-	}
-	if r.Fail == nil {
-		r.Fail = b.defaults.Fail
-	}
-	if r.Resolver == nil {
-		r.Resolver = b.defaults.Resolver
-	}
-	if r.Flight == nil {
-		r.Flight = b.defaults.Flight
-	}
-	return &r
 }
 
 // worker is the compile loop of one background goroutine; i is the
@@ -506,7 +449,7 @@ func (b *Broker) compileOne(t *task, worker int) {
 // there reaches memory through the ordinary threshold submission.
 //
 // h carries the caller's flight view and, should the injected install fault
-// panic, its Fail callback; nil fields fall back as in SubmitHooks.
+// panic, its Fail callback.
 func (b *Broker) Cached(m *bc.Method, k Key, h *Hooks) (Artifact, bool) {
 	a, ok := b.cache.Probe(k)
 	if !ok {
@@ -514,7 +457,10 @@ func (b *Broker) Cached(m *bc.Method, k Key, h *Hooks) (Artifact, bool) {
 	}
 	start := time.Now()
 	defer b.addBusy(start, -1)
-	t := &task{m: m, key: k, hooks: b.resolveHooks(h)}
+	if h == nil {
+		h = &Hooks{}
+	}
+	t := &task{m: m, key: k, hooks: h}
 	name := m.QualifiedName()
 	if err := b.faultInstall(t, name); err != nil {
 		b.failed(t, start, err)
@@ -577,6 +523,9 @@ func (b *Broker) runCompile(t *task, name string) (a Artifact, err error) {
 	defer b.contain(t, name, &err)
 	if f := b.opts.InjectFault; f != nil {
 		f(FaultCompile, name)
+	}
+	if t.hooks.Compile == nil {
+		return nil, fmt.Errorf("broker: submission of %s carries no Compile hook", name)
 	}
 	a, err = t.hooks.Compile(t.m, t.key)
 	if err == nil {

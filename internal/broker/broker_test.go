@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -50,8 +51,7 @@ func mustBuild(m *bc.Method) *ir.Graph {
 func TestSynchronousSubmitCompilesInline(t *testing.T) {
 	ms := testMethods(t, 1)
 	var installed []*bc.Method
-	b := New(Options{
-		Workers: 0,
+	h := &Hooks{
 		Compile: func(m *bc.Method, k Key) (Artifact, error) { return mustBuild(m), nil },
 		Install: func(m *bc.Method, k Key, a Artifact, fromCache bool) {
 			if fromCache {
@@ -59,11 +59,12 @@ func TestSynchronousSubmitCompilesInline(t *testing.T) {
 			}
 			installed = append(installed, m)
 		},
-	})
+	}
+	b := New(Options{Workers: 0})
 	if b.Async() {
 		t.Fatal("zero workers must be synchronous")
 	}
-	if !b.Submit(ms[0], 10, key(ms[0])) {
+	if !b.Submit(ms[0], 10, key(ms[0]), h) {
 		t.Fatal("synchronous submit rejected")
 	}
 	if len(installed) != 1 || installed[0] != ms[0] {
@@ -79,15 +80,16 @@ func TestCacheReplay(t *testing.T) {
 	ms := testMethods(t, 1)
 	compiles := 0
 	var fromCacheSeen []bool
-	b := New(Options{
+	h := &Hooks{
 		Compile: func(m *bc.Method, k Key) (Artifact, error) { compiles++; return mustBuild(m), nil },
 		Install: func(m *bc.Method, k Key, a Artifact, fromCache bool) {
 			fromCacheSeen = append(fromCacheSeen, fromCache)
 		},
-	})
+	}
+	b := New(Options{})
 	k := key(ms[0])
-	b.Submit(ms[0], 1, k)
-	b.Submit(ms[0], 1, k)
+	b.Submit(ms[0], 1, k, h)
+	b.Submit(ms[0], 1, k, h)
 	if compiles != 1 {
 		t.Fatalf("compiles = %d, want 1 (second submit replays from cache)", compiles)
 	}
@@ -103,7 +105,7 @@ func TestCacheReplay(t *testing.T) {
 	// A different fingerprint is a different artifact.
 	k2 := key(ms[0])
 	k2.Fingerprint = 99
-	b.Submit(ms[0], 1, k2)
+	b.Submit(ms[0], 1, k2, h)
 	if compiles != 2 {
 		t.Fatalf("compiles = %d, want 2 after fingerprint change", compiles)
 	}
@@ -119,11 +121,13 @@ func TestCachedIsAnEarlierReadOfTheCache(t *testing.T) {
 	var faulty bool
 	var failed error
 	fl := flight.New(64)
-	b := New(Options{
+	h := &Hooks{
 		Compile: func(m *bc.Method, k Key) (Artifact, error) { return mustBuild(m), nil },
 		Install: func(m *bc.Method, k Key, a Artifact, fromCache bool) {},
 		Fail:    func(m *bc.Method, k Key, err error) { failed = err },
 		Flight:  fl,
+	}
+	b := New(Options{
 		InjectFault: func(point, method string) {
 			if faulty && point == FaultInstall {
 				panic("injected at install")
@@ -131,7 +135,7 @@ func TestCachedIsAnEarlierReadOfTheCache(t *testing.T) {
 		},
 	})
 	k := key(ms[0])
-	if a, ok := b.Cached(ms[0], k, nil); ok || a != nil {
+	if a, ok := b.Cached(ms[0], k, h); ok || a != nil {
 		t.Fatal("hit on an empty cache")
 	}
 	if st := b.Stats(); st.CacheMisses != 0 || st.CacheHits != 0 || st.Installed != 0 || st.BusyNS != 0 {
@@ -144,9 +148,9 @@ func TestCachedIsAnEarlierReadOfTheCache(t *testing.T) {
 		t.Fatalf("a miss left %d flight records", fl.Len())
 	}
 
-	b.Submit(ms[0], 1, k)
+	b.Submit(ms[0], 1, k, h)
 	want, _ := b.Cache().Get(k)
-	a, ok := b.Cached(ms[0], k, nil)
+	a, ok := b.Cached(ms[0], k, h)
 	if !ok || a != want {
 		t.Fatalf("Cached = %v, %v; want the cache's canonical artifact", a, ok)
 	}
@@ -158,12 +162,12 @@ func TestCachedIsAnEarlierReadOfTheCache(t *testing.T) {
 	if last := recs[len(recs)-1]; last.Kind != flight.KindCompileFinish || fl.ReasonString(last.Reason) != "cache" {
 		t.Fatalf("last flight record = %+v (%q), want compile_finish/cache", last, fl.ReasonString(last.Reason))
 	}
-	if _, ok := b.Cached(ms[1], key(ms[1]), nil); ok {
+	if _, ok := b.Cached(ms[1], key(ms[1]), h); ok {
 		t.Fatal("hit for a method that was never compiled")
 	}
 
 	faulty = true
-	if _, ok := b.Cached(ms[0], k, nil); ok {
+	if _, ok := b.Cached(ms[0], k, h); ok {
 		t.Fatal("install-point panic still handed the artifact out")
 	}
 	var pe *PanicError
@@ -179,12 +183,13 @@ func TestCompileFailureRoutesToFail(t *testing.T) {
 	ms := testMethods(t, 1)
 	boom := errors.New("boom")
 	var failed error
-	b := New(Options{
+	h := &Hooks{
 		Compile: func(m *bc.Method, k Key) (Artifact, error) { return nil, boom },
 		Install: func(m *bc.Method, k Key, a Artifact, fromCache bool) { t.Error("failed compile installed") },
 		Fail:    func(m *bc.Method, k Key, err error) { failed = err },
-	})
-	b.Submit(ms[0], 1, key(ms[0]))
+	}
+	b := New(Options{})
+	b.Submit(ms[0], 1, key(ms[0]), h)
 	if !errors.Is(failed, boom) {
 		t.Fatalf("failure not recorded: %v", failed)
 	}
@@ -193,13 +198,34 @@ func TestCompileFailureRoutesToFail(t *testing.T) {
 	}
 }
 
+// TestSubmitWithoutCompileHookFails: a submission that reaches the pipeline
+// with nil Hooks, or Hooks without Compile, is a recorded failure — on a
+// worker too, where a nil-func call would take the process down.
+func TestSubmitWithoutCompileHookFails(t *testing.T) {
+	ms := testMethods(t, 2)
+	for _, workers := range []int{0, 1} {
+		var failed error
+		b := New(Options{Workers: workers})
+		if !b.Submit(ms[0], 1, key(ms[0]), nil) {
+			t.Fatalf("workers=%d: nil hooks rejected at submission", workers)
+		}
+		b.Submit(ms[1], 1, key(ms[1]), &Hooks{Fail: func(m *bc.Method, k Key, err error) { failed = err }})
+		b.Drain()
+		b.Close()
+		if failed == nil || !strings.Contains(failed.Error(), "no Compile hook") {
+			t.Fatalf("workers=%d: Fail got %v", workers, failed)
+		}
+		if st := b.Stats(); st.Failed != 2 || st.Panics != 0 || st.Installed != 0 {
+			t.Fatalf("workers=%d: stats = %+v", workers, st)
+		}
+	}
+}
+
 func TestAsyncDedupAndQueueBound(t *testing.T) {
 	ms := testMethods(t, 8)
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	b := New(Options{
-		Workers:  1,
-		QueueCap: 2,
+	h := &Hooks{
 		Compile: func(m *bc.Method, k Key) (Artifact, error) {
 			select {
 			case started <- struct{}{}:
@@ -208,25 +234,26 @@ func TestAsyncDedupAndQueueBound(t *testing.T) {
 			<-release
 			return mustBuild(m), nil
 		},
-	})
+	}
+	b := New(Options{Workers: 1, QueueCap: 2})
 	// LIFO defers: release the parked worker first, then Close can join it.
 	defer b.Close()
 	defer close(release)
 
-	if !b.Submit(ms[0], 1, key(ms[0])) {
+	if !b.Submit(ms[0], 1, key(ms[0]), h) {
 		t.Fatal("first async submit rejected")
 	}
 	<-started // worker is now parked inside Compile for m0
 	if !b.Pending(ms[0], 0) {
 		t.Fatal("m0 must be pending while compiling")
 	}
-	if b.Submit(ms[0], 1, key(ms[0])) {
+	if b.Submit(ms[0], 1, key(ms[0]), h) {
 		t.Fatal("duplicate of in-flight method must coalesce")
 	}
-	if !b.Submit(ms[1], 1, key(ms[1])) || !b.Submit(ms[2], 1, key(ms[2])) {
+	if !b.Submit(ms[1], 1, key(ms[1]), h) || !b.Submit(ms[2], 1, key(ms[2]), h) {
 		t.Fatal("submissions within the bound rejected")
 	}
-	if b.Submit(ms[3], 1, key(ms[3])) {
+	if b.Submit(ms[3], 1, key(ms[3]), h) {
 		t.Fatal("submission over the queue bound accepted")
 	}
 	st := b.Stats()
@@ -241,8 +268,7 @@ func TestAsyncPriorityOrder(t *testing.T) {
 	started := make(chan struct{}, 1)
 	var mu sync.Mutex
 	var order []*bc.Method
-	b := New(Options{
-		Workers: 1,
+	h := &Hooks{
 		Compile: func(m *bc.Method, k Key) (Artifact, error) {
 			select {
 			case started <- struct{}{}:
@@ -256,16 +282,17 @@ func TestAsyncPriorityOrder(t *testing.T) {
 			}
 			return mustBuild(m), nil
 		},
-	})
+	}
+	b := New(Options{Workers: 1})
 	defer b.Close()
 
 	// Park the worker on ms[0], then queue the rest with mixed hotness.
-	b.Submit(ms[0], 1, key(ms[0]))
+	b.Submit(ms[0], 1, key(ms[0]), h)
 	<-started
-	b.Submit(ms[1], 5, key(ms[1]))
-	b.Submit(ms[2], 50, key(ms[2]))
-	b.Submit(ms[3], 5, key(ms[3])) // ties with ms[1]; FIFO within a level
-	b.Submit(ms[4], 500, key(ms[4]))
+	b.Submit(ms[1], 5, key(ms[1]), h)
+	b.Submit(ms[2], 50, key(ms[2]), h)
+	b.Submit(ms[3], 5, key(ms[3]), h) // ties with ms[1]; FIFO within a level
+	b.Submit(ms[4], 500, key(ms[4]), h)
 	close(release)
 	b.Drain()
 
@@ -289,18 +316,18 @@ func TestDrainWaitsForWorkers(t *testing.T) {
 	ms := testMethods(t, 6)
 	var done int64
 	var mu sync.Mutex
-	b := New(Options{
-		Workers: 3,
+	h := &Hooks{
 		Compile: func(m *bc.Method, k Key) (Artifact, error) {
 			mu.Lock()
 			done++
 			mu.Unlock()
 			return mustBuild(m), nil
 		},
-	})
+	}
+	b := New(Options{Workers: 3})
 	defer b.Close()
 	for _, m := range ms {
-		b.Submit(m, 1, key(m))
+		b.Submit(m, 1, key(m), h)
 	}
 	b.Drain()
 	mu.Lock()
@@ -312,12 +339,12 @@ func TestDrainWaitsForWorkers(t *testing.T) {
 
 func TestClosedBrokerRejects(t *testing.T) {
 	ms := testMethods(t, 1)
-	b := New(Options{
-		Workers: 1,
+	h := &Hooks{
 		Compile: func(m *bc.Method, k Key) (Artifact, error) { return mustBuild(m), nil },
-	})
+	}
+	b := New(Options{Workers: 1})
 	b.Close()
-	if b.Submit(ms[0], 1, key(ms[0])) {
+	if b.Submit(ms[0], 1, key(ms[0]), h) {
 		t.Fatal("closed broker accepted a submission")
 	}
 }

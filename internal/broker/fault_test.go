@@ -19,12 +19,13 @@ import (
 func TestSyncPanicContained(t *testing.T) {
 	ms := testMethods(t, 1)
 	var failed error
-	b := New(Options{
+	h := &Hooks{
 		Compile: func(m *bc.Method, k Key) (Artifact, error) { panic("compiler bug") },
 		Install: func(m *bc.Method, k Key, a Artifact, fromCache bool) { t.Error("panicked compile installed") },
 		Fail:    func(m *bc.Method, k Key, err error) { failed = err },
-	})
-	if !b.Submit(ms[0], 1, key(ms[0])) {
+	}
+	b := New(Options{})
+	if !b.Submit(ms[0], 1, key(ms[0]), h) {
 		t.Fatal("synchronous submit rejected")
 	}
 	var pe *PanicError
@@ -52,8 +53,7 @@ func TestAsyncPanicDoesNotKillWorker(t *testing.T) {
 	var mu sync.Mutex
 	installed := map[*bc.Method]bool{}
 	var failures []error
-	b := New(Options{
-		Workers: 1,
+	h := &Hooks{
 		Compile: func(m *bc.Method, k Key) (Artifact, error) {
 			if m == victim {
 				panic("boom on " + m.Name)
@@ -70,10 +70,11 @@ func TestAsyncPanicDoesNotKillWorker(t *testing.T) {
 			failures = append(failures, err)
 			mu.Unlock()
 		},
-	})
+	}
+	b := New(Options{Workers: 1})
 	defer b.Close()
 	for _, m := range ms {
-		if !b.Submit(m, 1, key(m)) {
+		if !b.Submit(m, 1, key(m), h) {
 			t.Fatalf("submit %s rejected", m.Name)
 		}
 	}
@@ -111,19 +112,21 @@ func TestAsyncPanicDoesNotKillWorker(t *testing.T) {
 func TestInstallPointPanicContained(t *testing.T) {
 	ms := testMethods(t, 1)
 	var failed error
-	b := New(Options{
+	h := &Hooks{
 		Compile: func(m *bc.Method, k Key) (Artifact, error) { return mustBuild(m), nil },
 		Install: func(m *bc.Method, k Key, a Artifact, fromCache bool) {
 			t.Error("install ran past an install-point panic")
 		},
 		Fail: func(m *bc.Method, k Key, err error) { failed = err },
+	}
+	b := New(Options{
 		InjectFault: func(point, method string) {
 			if point == FaultInstall {
 				panic("injected at install")
 			}
 		},
 	})
-	b.Submit(ms[0], 1, key(ms[0]))
+	b.Submit(ms[0], 1, key(ms[0]), h)
 	var pe *PanicError
 	if !errors.As(failed, &pe) {
 		t.Fatalf("failure is %T (%v), want *PanicError", failed, failed)

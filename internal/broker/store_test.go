@@ -546,19 +546,16 @@ func TestBrokerDiskTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	compiles := 0
-	newBroker := func(s *Store) *Broker {
-		return New(Options{
-			Store:    s,
-			Resolver: p,
-			Compile: func(m *bc.Method, k Key) (Artifact, error) {
-				compiles++
-				return mustBuild(m), nil
-			},
-		})
+	h := &Hooks{
+		Resolver: p,
+		Compile: func(m *bc.Method, k Key) (Artifact, error) {
+			compiles++
+			return mustBuild(m), nil
+		},
 	}
-	b1 := newBroker(store1)
+	b1 := New(Options{Store: store1})
 	for _, m := range ms {
-		b1.Submit(m, 1, contentKey(p, m))
+		b1.Submit(m, 1, contentKey(p, m), h)
 	}
 	if compiles != len(ms) {
 		t.Fatalf("cold run compiled %d, want %d", compiles, len(ms))
@@ -572,17 +569,17 @@ func TestBrokerDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2 := newBroker(store2)
+	b2 := New(Options{Store: store2})
 	var installed int
+	counting := *h
+	counting.Install = func(m *bc.Method, k Key, a Artifact, fromCache bool) {
+		if !fromCache {
+			t.Errorf("%s: disk replay reported fromCache=false", m.QualifiedName())
+		}
+		installed++
+	}
 	for _, m := range ms {
-		b2.SubmitHooks(m, 1, contentKey(p, m), &Hooks{
-			Install: func(m *bc.Method, k Key, a Artifact, fromCache bool) {
-				if !fromCache {
-					t.Errorf("%s: disk replay reported fromCache=false", m.QualifiedName())
-				}
-				installed++
-			},
-		})
+		b2.Submit(m, 1, contentKey(p, m), &counting)
 	}
 	if compiles != len(ms) {
 		t.Fatalf("warm restart recompiled: %d pipeline runs total, want %d", compiles, len(ms))
@@ -596,7 +593,7 @@ func TestBrokerDiskTier(t *testing.T) {
 	}
 	// Third submission round: now in the memory cache.
 	for _, m := range ms {
-		b2.Submit(m, 1, contentKey(p, m))
+		b2.Submit(m, 1, contentKey(p, m), h)
 	}
 	if st := b2.Stats(); st.CacheHits != int64(len(ms)) {
 		t.Fatalf("memory tier not warmed by disk loads: %+v", st)

@@ -9,10 +9,11 @@
 // tagged values, and zero allocations per invocation (slots and the invoke
 // argument scratch live in a pooled frame).
 //
-// Heap effects (allocations, field and monitor counters,
-// materializations, deopts) mirror the oracle backend's (internal/exec)
-// exactly, so the differential fuzzer can compare the two backends
-// observation for observation.
+// What an operation does — its checks, its trap reason, the counters it
+// bumps — is not decided here: every closure calls the guest-operation kernel
+// in internal/rt (ops.go), as the oracle and the interpreter do, so the
+// backends' heap effects and traps are equal by construction and the
+// differential fuzzer compares what is left: the lowering.
 //
 // Traps and invoke errors propagate by panicking with an abort wrapper,
 // recovered once per Run — the steady-state loop carries no error returns.

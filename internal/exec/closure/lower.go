@@ -8,8 +8,8 @@ import (
 	"pea/internal/rt"
 )
 
-// trap aborts the invocation with the same trap the oracle raises at this
-// node. Only ever called on error paths, so the allocation is fine.
+// trap aborts the invocation with the trap the kernel reported at this node.
+// Only ever called on error paths, so the allocation is fine.
 func trap(reason string, m *bc.Method, bci int) {
 	panic(abort{rt.NewTrap(reason, m, bci)})
 }
@@ -84,10 +84,7 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 			return nil, err
 		}
 		cls := n.Class
-		return func(f *frame) {
-			o := f.refs[a]
-			f.ints[d] = b2i(o != nil && !o.IsArray() && o.Class.IsSubclassOf(cls))
-		}, nil
+		return func(f *frame) { f.ints[d] = b2i(rt.InstanceOf(f.refs[a], cls)) }, nil
 
 	case ir.OpNew:
 		d, err := cc.refDst(n)
@@ -108,11 +105,11 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 		}
 		ek := n.ElemKind
 		return func(f *frame) {
-			ln := f.ints[a]
-			if ln < 0 {
-				trap(fmt.Sprintf("negative array size %d", ln), m, bci)
+			arr, why := f.env.NewArray(ek, f.ints[a])
+			if why != "" {
+				trap(why, m, bci)
 			}
-			f.refs[d] = f.env.AllocArray(ek, ln)
+			f.refs[d] = arr
 		}, nil
 
 	case ir.OpMaterialize:
@@ -127,25 +124,22 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 		if err != nil {
 			return nil, err
 		}
-		off := n.Field.Offset
-		name := n.Field.QualifiedName()
-		if n.Field.Kind == bc.KindRef {
+		fld, off := n.Field, n.Field.Offset
+		if fld.Kind == bc.KindRef {
 			return func(f *frame) {
-				o := f.refs[a]
-				if o == nil {
-					trap("null dereference in getfield "+name, m, bci)
+				v, why := f.env.LoadField(f.refs[a], off, fld)
+				if why != "" {
+					trap(why, m, bci)
 				}
-				f.env.Stats.FieldLoads++
-				f.refs[d] = o.Fields[off].Ref
+				f.refs[d] = v.Ref
 			}, nil
 		}
 		return func(f *frame) {
-			o := f.refs[a]
-			if o == nil {
-				trap("null dereference in getfield "+name, m, bci)
+			v, why := f.env.LoadField(f.refs[a], off, fld)
+			if why != "" {
+				trap(why, m, bci)
 			}
-			f.env.Stats.FieldLoads++
-			f.ints[d] = o.Fields[off].I
+			f.ints[d] = v.I
 		}, nil
 
 	case ir.OpStoreField:
@@ -157,25 +151,18 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 		if err != nil {
 			return nil, err
 		}
-		off := n.Field.Offset
-		name := n.Field.QualifiedName()
-		if n.Field.Kind == bc.KindRef {
+		fld, off := n.Field, n.Field.Offset
+		if fld.Kind == bc.KindRef {
 			return func(f *frame) {
-				o := f.refs[a]
-				if o == nil {
-					trap("null dereference in putfield "+name, m, bci)
+				if why := f.env.StoreField(f.refs[a], off, fld, rt.RefValue(f.refs[v])); why != "" {
+					trap(why, m, bci)
 				}
-				f.env.Stats.FieldStores++
-				o.Fields[off] = rt.RefValue(f.refs[v])
 			}, nil
 		}
 		return func(f *frame) {
-			o := f.refs[a]
-			if o == nil {
-				trap("null dereference in putfield "+name, m, bci)
+			if why := f.env.StoreField(f.refs[a], off, fld, rt.IntValue(f.ints[v])); why != "" {
+				trap(why, m, bci)
 			}
-			f.env.Stats.FieldStores++
-			o.Fields[off] = rt.IntValue(f.ints[v])
 		}, nil
 
 	case ir.OpLoadStatic:
@@ -214,9 +201,21 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 			return nil, err
 		}
 		if n.ElemKind == bc.KindRef {
-			return func(f *frame) { f.refs[d] = element(f.refs[a], f.ints[i], "arrayload", m, bci).Ref }, nil
+			return func(f *frame) {
+				el, why := rt.Element(f.refs[a], f.ints[i], bc.OpArrayLoad)
+				if why != "" {
+					trap(why, m, bci)
+				}
+				f.refs[d] = el.Ref
+			}, nil
 		}
-		return func(f *frame) { f.ints[d] = element(f.refs[a], f.ints[i], "arrayload", m, bci).I }, nil
+		return func(f *frame) {
+			el, why := rt.Element(f.refs[a], f.ints[i], bc.OpArrayLoad)
+			if why != "" {
+				trap(why, m, bci)
+			}
+			f.ints[d] = el.I
+		}, nil
 
 	case ir.OpStoreIndexed:
 		a, err := cc.refIn(n, 0)
@@ -233,11 +232,19 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 		}
 		if n.ElemKind == bc.KindRef {
 			return func(f *frame) {
-				*element(f.refs[a], f.ints[i], "arraystore", m, bci) = rt.RefValue(f.refs[v])
+				el, why := rt.Element(f.refs[a], f.ints[i], bc.OpArrayStore)
+				if why != "" {
+					trap(why, m, bci)
+				}
+				*el = rt.RefValue(f.refs[v])
 			}, nil
 		}
 		return func(f *frame) {
-			*element(f.refs[a], f.ints[i], "arraystore", m, bci) = rt.IntValue(f.ints[v])
+			el, why := rt.Element(f.refs[a], f.ints[i], bc.OpArrayStore)
+			if why != "" {
+				trap(why, m, bci)
+			}
+			*el = rt.IntValue(f.ints[v])
 		}, nil
 
 	case ir.OpArrayLength:
@@ -250,11 +257,11 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 			return nil, err
 		}
 		return func(f *frame) {
-			arr := f.refs[a]
-			if arr == nil {
-				trap("null dereference in arraylen", m, bci)
+			ln, why := rt.ArrayLength(f.refs[a])
+			if why != "" {
+				trap(why, m, bci)
 			}
-			f.ints[d] = int64(arr.Len())
+			f.ints[d] = ln
 		}, nil
 
 	case ir.OpMonitorEnter:
@@ -263,11 +270,9 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 			return nil, err
 		}
 		return func(f *frame) {
-			o := f.refs[a]
-			if o == nil {
-				trap("null dereference in monitorenter", m, bci)
+			if why := f.env.Lock(f.refs[a]); why != "" {
+				trap(why, m, bci)
 			}
-			f.env.MonitorEnter(o)
 		}, nil
 
 	case ir.OpMonitorExit:
@@ -276,12 +281,8 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 			return nil, err
 		}
 		return func(f *frame) {
-			o := f.refs[a]
-			if o == nil {
-				trap("null dereference in monitorexit", m, bci)
-			}
-			if merr := f.env.MonitorExit(o); merr != nil {
-				trap(merr.Error(), m, bci)
+			if why := f.env.Unlock(f.refs[a]); why != "" {
+				trap(why, m, bci)
 			}
 		}, nil
 
@@ -321,18 +322,6 @@ func (cc *compiler) lowerNode(n *ir.Node) (op, error) {
 	}
 }
 
-// element returns the address of arr[idx] after the null and bounds checks
-// every indexed access shares; what names the access in the null trap.
-func element(arr *rt.Object, idx int64, what string, m *bc.Method, bci int) *rt.Value {
-	if arr == nil {
-		trap("null dereference in "+what, m, bci)
-	}
-	if idx < 0 || idx >= int64(arr.Len()) {
-		trap(fmt.Sprintf("array index %d out of range [0,%d)", idx, arr.Len()), m, bci)
-	}
-	return &arr.Fields[idx]
-}
-
 // intBin resolves the two int inputs and the int destination of a binary
 // node.
 func (cc *compiler) intBin(n *ir.Node) (a, b, d int32, err error) {
@@ -355,9 +344,8 @@ func (cc *compiler) refPair(n *ir.Node) (a, b int32, err error) {
 	return
 }
 
-// lowerArith specializes each arithmetic opcode into its own closure, with
-// the shift masking and division trap semantics of interp.EvalArith baked
-// in (the three executors must agree exactly).
+// lowerArith specializes each arithmetic opcode into its own closure around
+// the kernel's definition of it.
 func (cc *compiler) lowerArith(n *ir.Node) (op, error) {
 	a, b, d, err := cc.intBin(n)
 	if err != nil {
@@ -365,7 +353,7 @@ func (cc *compiler) lowerArith(n *ir.Node) (op, error) {
 	}
 	m, bci := n.OriginMethod(cc.g.Method), n.BCI
 	// oplint:ignore — Aux2 on OpArith holds only the arithmetic subset of
-	// bc.Op (interp.EvalArith's domain); the default case rejects the rest.
+	// bc.Op (rt.Arith's domain); the default case rejects the rest.
 	switch n.Aux2 {
 	case bc.OpAdd:
 		return func(f *frame) { f.ints[d] = f.ints[a] + f.ints[b] }, nil
@@ -375,19 +363,19 @@ func (cc *compiler) lowerArith(n *ir.Node) (op, error) {
 		return func(f *frame) { f.ints[d] = f.ints[a] * f.ints[b] }, nil
 	case bc.OpDiv:
 		return func(f *frame) {
-			bv := f.ints[b]
-			if bv == 0 {
-				trap("division by zero", m, bci)
+			r, why := rt.Div(f.ints[a], f.ints[b])
+			if why != "" {
+				trap(why, m, bci)
 			}
-			f.ints[d] = f.ints[a] / bv
+			f.ints[d] = r
 		}, nil
 	case bc.OpRem:
 		return func(f *frame) {
-			bv := f.ints[b]
-			if bv == 0 {
-				trap("division by zero", m, bci)
+			r, why := rt.Rem(f.ints[a], f.ints[b])
+			if why != "" {
+				trap(why, m, bci)
 			}
-			f.ints[d] = f.ints[a] % bv
+			f.ints[d] = r
 		}, nil
 	case bc.OpAnd:
 		return func(f *frame) { f.ints[d] = f.ints[a] & f.ints[b] }, nil
@@ -396,19 +384,19 @@ func (cc *compiler) lowerArith(n *ir.Node) (op, error) {
 	case bc.OpXor:
 		return func(f *frame) { f.ints[d] = f.ints[a] ^ f.ints[b] }, nil
 	case bc.OpShl:
-		return func(f *frame) { f.ints[d] = f.ints[a] << uint64(f.ints[b]&63) }, nil
+		return func(f *frame) { f.ints[d] = rt.Shl(f.ints[a], f.ints[b]) }, nil
 	case bc.OpShr:
-		return func(f *frame) { f.ints[d] = f.ints[a] >> uint64(f.ints[b]&63) }, nil
+		return func(f *frame) { f.ints[d] = rt.Shr(f.ints[a], f.ints[b]) }, nil
 	case bc.OpUShr:
-		return func(f *frame) { f.ints[d] = int64(uint64(f.ints[a]) >> uint64(f.ints[b]&63)) }, nil
+		return func(f *frame) { f.ints[d] = rt.UShr(f.ints[a], f.ints[b]) }, nil
 	default:
 		return nil, fmt.Errorf("closure: %s: not an arithmetic op: %s", cc.g.Method.QualifiedName(), n.Aux2)
 	}
 }
 
-// lowerMaterialize validates the shape at compile time (field/value count
-// mismatches are compile errors here, runtime traps in the oracle — both
-// only reachable from malformed IR), leaving a pure fill at run time.
+// lowerMaterialize validates the shape at compile time (a field/value count
+// or kind mismatch is only reachable from malformed IR), leaving a pure fill
+// at run time.
 func (cc *compiler) lowerMaterialize(n *ir.Node) (op, error) {
 	d, err := cc.refDst(n)
 	if err != nil {
@@ -444,19 +432,10 @@ func (cc *compiler) lowerMaterialize(n *ir.Node) (op, error) {
 		}
 	}
 	return func(f *frame) {
-		var obj *rt.Object
-		if cls != nil {
-			obj = f.env.AllocObject(cls)
-		} else {
-			obj = f.env.AllocArray(ek, ln)
-		}
+		obj := f.env.Materialize(cls, ek, ln, locks)
 		for i, s := range srcs {
 			obj.Fields[i] = f.load(s)
 		}
-		for k := 0; k < locks; k++ {
-			f.env.MonitorEnter(obj)
-		}
-		f.env.Stats.Materializations++
 		f.refs[d] = obj
 	}, nil
 }
@@ -517,12 +496,9 @@ func (f *frame) call(s *callSite) rt.Value {
 	}
 	target := s.callee
 	if s.dispatch != bc.OpInvokeStatic {
-		recv := args[0].Ref
-		if recv == nil {
-			trap("null receiver calling "+s.callee.QualifiedName(), s.m, s.bci)
-		}
-		if s.dispatch == bc.OpInvokeVirtual {
-			target = recv.Class.VTable[s.callee.VSlot]
+		var why string
+		if target, why = rt.Receiver(args[0].Ref, target, s.dispatch == bc.OpInvokeVirtual); why != "" {
+			trap(why, s.m, s.bci)
 		}
 	}
 	if f.eng.Invoke == nil {
@@ -612,21 +588,11 @@ func (cc *compiler) lowerTerm(b *ir.Block, t *ir.Node) (term, error) {
 				return nil, err
 			}
 			return func(f *frame) int {
-				if x := f.refs[v]; x == nil {
-					f.pending = rt.NewTrap("null throw", m, bci)
-				} else {
-					f.pending = rt.NewThrow(x, m, bci)
-				}
+				f.pending = rt.Thrown(f.refs[v], m, bci)
 				return f.take(e.ints, e.refs, e.next)
 			}, nil
 		}
-		return func(f *frame) int {
-			x := f.refs[v]
-			if x == nil {
-				trap("null throw", m, bci)
-			}
-			panic(abort{rt.NewThrow(x, m, bci)})
-		}, nil
+		return func(f *frame) int { panic(abort{rt.Thrown(f.refs[v], m, bci)}) }, nil
 
 	case ir.OpOnException:
 		normal, err := cc.edge(b, b.Succs[0])

@@ -6,12 +6,14 @@
 // node is reached (at which point scalar-replaced objects are materialized
 // from the FrameState by the deopt runtime).
 //
-// Two backends implement the Backend interface:
+// Two backends implement the Backend interface. Both are dispatchers: what a
+// node's operation does is defined once, in the guest-operation kernel of
+// internal/rt, and a backend only moves operands to it and results from it.
 //
 //   - the oracle (this package, oracle.go): a tree-walking engine that
 //     evaluates the scheduled graph node by node. It is slow but simple
 //     enough to audit, and serves as the differential-testing oracle for
-//     every other backend.
+//     every other backend's lowering.
 //   - closure (package exec/closure): a template JIT that lowers the graph
 //     once, at install time, into flat per-block closure sequences with
 //     operands pre-resolved to dense value slots — the backend every

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pea/internal/bc"
-	"pea/internal/interp"
 	"pea/internal/ir"
 	"pea/internal/rt"
 )
@@ -127,13 +126,7 @@ outer:
 			}
 			return rt.Value{}, nil
 		case ir.OpThrow:
-			v := f.get(t.Inputs[0])
-			var tr *rt.Trap
-			if v.Ref == nil {
-				tr = rt.NewTrap("null throw", t.OriginMethod(g.Method), t.BCI)
-			} else {
-				tr = rt.NewThrow(v.Ref, t.OriginMethod(g.Method), t.BCI)
-			}
+			tr := rt.Thrown(f.get(t.Inputs[0]).Ref, t.OriginMethod(g.Method), t.BCI)
 			if len(block.Succs) == 1 { // covered: enter the dispatch chain
 				f.pending = tr
 				prev, block = block, block.Succs[0]
@@ -153,8 +146,8 @@ outer:
 	}
 }
 
-func (e *Engine) trap(g *ir.Graph, n *ir.Node, reason string) error {
-	return rt.NewTrap(reason, n.OriginMethod(g.Method), n.BCI)
+func (e *Engine) trap(g *ir.Graph, n *ir.Node, reason string) (bool, rt.Value, error) {
+	return false, rt.Value{}, rt.NewTrap(reason, n.OriginMethod(g.Method), n.BCI)
 }
 
 // evalNode executes one non-terminator node. done=true means the whole
@@ -172,9 +165,9 @@ func (e *Engine) evalNode(g *ir.Graph, f *frame, n *ir.Node) (done bool, ret rt.
 		f.set(n, rt.Null)
 	case ir.OpArith:
 		a, b := f.get(n.Inputs[0]).I, f.get(n.Inputs[1]).I
-		r, aerr := interp.EvalArith(n.Aux2, a, b)
-		if aerr != nil {
-			return false, rt.Value{}, e.trap(g, n, aerr.Error())
+		r, why := rt.Arith(n.Aux2, a, b)
+		if why != "" {
+			return e.trap(g, n, why)
 		}
 		f.set(n, rt.IntValue(r))
 	case ir.OpNeg:
@@ -190,82 +183,68 @@ func (e *Engine) evalNode(g *ir.Graph, f *frame, n *ir.Node) (done bool, ret rt.
 		}
 		f.set(n, rt.BoolValue(eq))
 	case ir.OpInstanceOf:
-		v := f.get(n.Inputs[0])
-		ok := v.Ref != nil && !v.Ref.IsArray() && v.Ref.Class.IsSubclassOf(n.Class)
-		f.set(n, rt.BoolValue(ok))
+		f.set(n, rt.BoolValue(rt.InstanceOf(f.get(n.Inputs[0]).Ref, n.Class)))
 	case ir.OpNew:
 		f.set(n, rt.RefValue(e.Env.AllocObject(n.Class)))
 	case ir.OpNewArray:
-		ln := f.get(n.Inputs[0]).I
-		if ln < 0 {
-			return false, rt.Value{}, e.trap(g, n, fmt.Sprintf("negative array size %d", ln))
+		arr, why := e.Env.NewArray(n.ElemKind, f.get(n.Inputs[0]).I)
+		if why != "" {
+			return e.trap(g, n, why)
 		}
-		f.set(n, rt.RefValue(e.Env.AllocArray(n.ElemKind, ln)))
+		f.set(n, rt.RefValue(arr))
 	case ir.OpMaterialize:
-		v, merr := e.materializeNode(f, n)
-		if merr != nil {
-			return false, rt.Value{}, e.trap(g, n, merr.Error())
+		slots := int(n.AuxInt) // array length, or the class's field count
+		if n.Class != nil {
+			slots = n.Class.NumFields()
+		}
+		if len(n.Inputs) != slots {
+			return false, rt.Value{}, fmt.Errorf("exec: %s has %d values for %d slots", n, len(n.Inputs), slots)
+		}
+		obj := e.Env.Materialize(n.Class, n.ElemKind, n.AuxInt, n.AuxLock)
+		for i, in := range n.Inputs {
+			obj.Fields[i] = f.get(in)
+		}
+		f.set(n, rt.RefValue(obj))
+	case ir.OpLoadField:
+		v, why := e.Env.LoadField(f.get(n.Inputs[0]).Ref, n.Field.Offset, n.Field)
+		if why != "" {
+			return e.trap(g, n, why)
 		}
 		f.set(n, v)
-	case ir.OpLoadField:
-		obj := f.get(n.Inputs[0])
-		if obj.Ref == nil {
-			return false, rt.Value{}, e.trap(g, n, "null dereference in getfield "+n.Field.QualifiedName())
-		}
-		e.Env.Stats.FieldLoads++
-		f.set(n, obj.Ref.Fields[n.Field.Offset])
 	case ir.OpStoreField:
-		obj := f.get(n.Inputs[0])
-		if obj.Ref == nil {
-			return false, rt.Value{}, e.trap(g, n, "null dereference in putfield "+n.Field.QualifiedName())
+		why := e.Env.StoreField(f.get(n.Inputs[0]).Ref, n.Field.Offset, n.Field, f.get(n.Inputs[1]))
+		if why != "" {
+			return e.trap(g, n, why)
 		}
-		e.Env.Stats.FieldStores++
-		obj.Ref.Fields[n.Field.Offset] = f.get(n.Inputs[1])
 	case ir.OpLoadStatic:
 		f.set(n, e.Env.GetStatic(n.Field))
 	case ir.OpStoreStatic:
 		e.Env.SetStatic(n.Field, f.get(n.Inputs[0]))
 	case ir.OpLoadIndexed:
-		arr := f.get(n.Inputs[0])
-		idx := f.get(n.Inputs[1]).I
-		if arr.Ref == nil {
-			return false, rt.Value{}, e.trap(g, n, "null dereference in arrayload")
+		el, why := rt.Element(f.get(n.Inputs[0]).Ref, f.get(n.Inputs[1]).I, bc.OpArrayLoad)
+		if why != "" {
+			return e.trap(g, n, why)
 		}
-		if idx < 0 || idx >= int64(arr.Ref.Len()) {
-			return false, rt.Value{}, e.trap(g, n,
-				fmt.Sprintf("array index %d out of range [0,%d)", idx, arr.Ref.Len()))
-		}
-		f.set(n, arr.Ref.Fields[idx])
+		f.set(n, *el)
 	case ir.OpStoreIndexed:
-		arr := f.get(n.Inputs[0])
-		idx := f.get(n.Inputs[1]).I
-		if arr.Ref == nil {
-			return false, rt.Value{}, e.trap(g, n, "null dereference in arraystore")
+		el, why := rt.Element(f.get(n.Inputs[0]).Ref, f.get(n.Inputs[1]).I, bc.OpArrayStore)
+		if why != "" {
+			return e.trap(g, n, why)
 		}
-		if idx < 0 || idx >= int64(arr.Ref.Len()) {
-			return false, rt.Value{}, e.trap(g, n,
-				fmt.Sprintf("array index %d out of range [0,%d)", idx, arr.Ref.Len()))
-		}
-		arr.Ref.Fields[idx] = f.get(n.Inputs[2])
+		*el = f.get(n.Inputs[2])
 	case ir.OpArrayLength:
-		arr := f.get(n.Inputs[0])
-		if arr.Ref == nil {
-			return false, rt.Value{}, e.trap(g, n, "null dereference in arraylen")
+		ln, why := rt.ArrayLength(f.get(n.Inputs[0]).Ref)
+		if why != "" {
+			return e.trap(g, n, why)
 		}
-		f.set(n, rt.IntValue(int64(arr.Ref.Len())))
+		f.set(n, rt.IntValue(ln))
 	case ir.OpMonitorEnter:
-		obj := f.get(n.Inputs[0])
-		if obj.Ref == nil {
-			return false, rt.Value{}, e.trap(g, n, "null dereference in monitorenter")
+		if why := e.Env.Lock(f.get(n.Inputs[0]).Ref); why != "" {
+			return e.trap(g, n, why)
 		}
-		e.Env.MonitorEnter(obj.Ref)
 	case ir.OpMonitorExit:
-		obj := f.get(n.Inputs[0])
-		if obj.Ref == nil {
-			return false, rt.Value{}, e.trap(g, n, "null dereference in monitorexit")
-		}
-		if merr := e.Env.MonitorExit(obj.Ref); merr != nil {
-			return false, rt.Value{}, e.trap(g, n, merr.Error())
+		if why := e.Env.Unlock(f.get(n.Inputs[0]).Ref); why != "" {
+			return e.trap(g, n, why)
 		}
 	case ir.OpInvoke:
 		args := make([]rt.Value, len(n.Inputs))
@@ -274,16 +253,13 @@ func (e *Engine) evalNode(g *ir.Graph, f *frame, n *ir.Node) (done bool, ret rt.
 		}
 		callee := n.Method
 		if n.Aux2 != bc.OpInvokeStatic {
-			recv := args[0]
-			if recv.Ref == nil {
-				return false, rt.Value{}, e.trap(g, n, "null receiver calling "+callee.QualifiedName())
-			}
-			if n.Aux2 == bc.OpInvokeVirtual {
-				callee = recv.Ref.Class.VTable[callee.VSlot]
+			var why string
+			if callee, why = rt.Receiver(args[0].Ref, callee, n.Aux2 == bc.OpInvokeVirtual); why != "" {
+				return e.trap(g, n, why)
 			}
 		}
 		if e.Invoke == nil {
-			return false, rt.Value{}, e.trap(g, n, "no invoke handler for "+callee.QualifiedName())
+			return e.trap(g, n, "no invoke handler for "+callee.QualifiedName())
 		}
 		r, cerr := e.Invoke(callee, args)
 		if cerr != nil {
@@ -308,33 +284,6 @@ func (e *Engine) evalNode(g *ir.Graph, f *frame, n *ir.Node) (done bool, ret rt.
 		return false, rt.Value{}, fmt.Errorf("exec: unhandled node %s", n)
 	}
 	return false, rt.Value{}, nil
-}
-
-// materializeNode allocates and initializes an object or array from an
-// OpMaterialize node, re-establishing elided locks.
-func (e *Engine) materializeNode(f *frame, n *ir.Node) (rt.Value, error) {
-	var obj *rt.Object
-	if n.Class != nil {
-		obj = e.Env.AllocObject(n.Class)
-		if len(n.Inputs) != n.Class.NumFields() {
-			return rt.Value{}, fmt.Errorf("materialize %s with %d values for %d fields",
-				n.Class.Name, len(n.Inputs), n.Class.NumFields())
-		}
-	} else {
-		obj = e.Env.AllocArray(n.ElemKind, n.AuxInt)
-		if int64(len(n.Inputs)) != n.AuxInt {
-			return rt.Value{}, fmt.Errorf("materialize array with %d values for length %d",
-				len(n.Inputs), n.AuxInt)
-		}
-	}
-	for i, in := range n.Inputs {
-		obj.Fields[i] = f.get(in)
-	}
-	for k := 0; k < n.AuxLock; k++ {
-		e.Env.MonitorEnter(obj)
-	}
-	e.Env.Stats.Materializations++
-	return rt.RefValue(obj), nil
 }
 
 // deopt hands control to the interpreter via the engine's shared transfer

@@ -150,10 +150,9 @@ func (it *Interp) step(f *Frame) (done bool, ret rt.Value, err error) {
 	case bc.OpAdd, bc.OpSub, bc.OpMul, bc.OpDiv, bc.OpRem,
 		bc.OpAnd, bc.OpOr, bc.OpXor, bc.OpShl, bc.OpShr, bc.OpUShr:
 		b, a := f.pop().I, f.pop().I
-		var r int64
-		r, err = EvalArith(in.Op, a, b)
-		if err != nil {
-			return trap(err.Error())
+		r, why := rt.Arith(in.Op, a, b)
+		if why != "" {
+			return trap(why)
 		}
 		f.push(rt.IntValue(r))
 	case bc.OpNeg:
@@ -190,61 +189,49 @@ func (it *Interp) step(f *Frame) (done bool, ret rt.Value, err error) {
 	case bc.OpNew:
 		f.push(rt.RefValue(it.Env.AllocObject(in.Class)))
 	case bc.OpNewArray:
-		n := f.pop().I
-		if n < 0 {
-			return trap(fmt.Sprintf("negative array size %d", n))
+		arr, why := it.Env.NewArray(in.Kind, f.pop().I)
+		if why != "" {
+			return trap(why)
 		}
-		f.push(rt.RefValue(it.Env.AllocArray(in.Kind, n)))
+		f.push(rt.RefValue(arr))
 	case bc.OpGetField:
-		obj := f.pop()
-		if obj.Ref == nil {
-			return trap("null dereference in getfield " + in.Field.QualifiedName())
+		v, why := it.Env.LoadField(f.pop().Ref, in.Field.Offset, in.Field)
+		if why != "" {
+			return trap(why)
 		}
-		it.Env.Stats.FieldLoads++
-		f.push(obj.Ref.Fields[in.Field.Offset])
+		f.push(v)
 	case bc.OpPutField:
 		v := f.pop()
-		obj := f.pop()
-		if obj.Ref == nil {
-			return trap("null dereference in putfield " + in.Field.QualifiedName())
+		if why := it.Env.StoreField(f.pop().Ref, in.Field.Offset, in.Field, v); why != "" {
+			return trap(why)
 		}
-		it.Env.Stats.FieldStores++
-		obj.Ref.Fields[in.Field.Offset] = v
 	case bc.OpGetStatic:
 		f.push(it.Env.GetStatic(in.Field))
 	case bc.OpPutStatic:
 		it.Env.SetStatic(in.Field, f.pop())
 	case bc.OpArrayLoad:
 		idx := f.pop().I
-		arr := f.pop()
-		if arr.Ref == nil {
-			return trap("null dereference in arrayload")
+		el, why := rt.Element(f.pop().Ref, idx, in.Op)
+		if why != "" {
+			return trap(why)
 		}
-		if idx < 0 || idx >= int64(arr.Ref.Len()) {
-			return trap(fmt.Sprintf("array index %d out of range [0,%d)", idx, arr.Ref.Len()))
-		}
-		f.push(arr.Ref.Fields[idx])
+		f.push(*el)
 	case bc.OpArrayStore:
 		v := f.pop()
 		idx := f.pop().I
-		arr := f.pop()
-		if arr.Ref == nil {
-			return trap("null dereference in arraystore")
+		el, why := rt.Element(f.pop().Ref, idx, in.Op)
+		if why != "" {
+			return trap(why)
 		}
-		if idx < 0 || idx >= int64(arr.Ref.Len()) {
-			return trap(fmt.Sprintf("array index %d out of range [0,%d)", idx, arr.Ref.Len()))
-		}
-		arr.Ref.Fields[idx] = v
+		*el = v
 	case bc.OpArrayLen:
-		arr := f.pop()
-		if arr.Ref == nil {
-			return trap("null dereference in arraylen")
+		n, why := rt.ArrayLength(f.pop().Ref)
+		if why != "" {
+			return trap(why)
 		}
-		f.push(rt.IntValue(int64(arr.Ref.Len())))
+		f.push(rt.IntValue(n))
 	case bc.OpInstanceOf:
-		obj := f.pop()
-		ok := obj.Ref != nil && !obj.Ref.IsArray() && obj.Ref.Class.IsSubclassOf(in.Class)
-		f.push(rt.BoolValue(ok))
+		f.push(rt.BoolValue(rt.InstanceOf(f.pop().Ref, in.Class)))
 	case bc.OpInvokeStatic, bc.OpInvokeDirect, bc.OpInvokeVirtual:
 		if err := it.invoke(f, in); err != nil {
 			// A trap unwinding out of the callee (or the null-receiver
@@ -258,29 +245,19 @@ func (it *Interp) step(f *Frame) (done bool, ret rt.Value, err error) {
 		}
 		return false, rt.Value{}, nil
 	case bc.OpMonitorEnter:
-		obj := f.pop()
-		if obj.Ref == nil {
-			return trap("null dereference in monitorenter")
+		if why := it.Env.Lock(f.pop().Ref); why != "" {
+			return trap(why)
 		}
-		it.Env.MonitorEnter(obj.Ref)
 	case bc.OpMonitorExit:
-		obj := f.pop()
-		if obj.Ref == nil {
-			return trap("null dereference in monitorexit")
-		}
-		if err := it.Env.MonitorExit(obj.Ref); err != nil {
-			return trap(err.Error())
+		if why := it.Env.Unlock(f.pop().Ref); why != "" {
+			return trap(why)
 		}
 	case bc.OpReturn:
 		return true, rt.Value{}, nil
 	case bc.OpReturnValue:
 		return true, f.pop(), nil
 	case bc.OpThrow:
-		obj := f.pop()
-		if obj.Ref == nil {
-			return trap("null throw")
-		}
-		return it.raise(f, rt.NewThrow(obj.Ref, m, pc))
+		return it.raise(f, rt.Thrown(f.pop().Ref, m, pc))
 	case bc.OpPrint:
 		it.Env.Print(f.pop().I)
 	case bc.OpRand:
@@ -350,12 +327,9 @@ func (it *Interp) invoke(f *Frame, in *bc.Instr) error {
 		args[i] = f.pop()
 	}
 	if in.Op != bc.OpInvokeStatic {
-		recv := args[0]
-		if recv.Ref == nil {
-			return rt.NewTrap("null receiver calling "+callee.QualifiedName(), f.Method, f.PC)
-		}
-		if in.Op == bc.OpInvokeVirtual {
-			callee = recv.Ref.Class.VTable[callee.VSlot]
+		var why string
+		if callee, why = rt.Receiver(args[0].Ref, callee, in.Op == bc.OpInvokeVirtual); why != "" {
+			return rt.NewTrap(why, f.Method, f.PC)
 		}
 	}
 	if it.Profile != nil {
@@ -381,44 +355,4 @@ func (it *Interp) invoke(f *Frame, in *bc.Instr) error {
 	}
 	f.PC++
 	return nil
-}
-
-// EvalArith computes a binary integer arithmetic op, returning an error for
-// division by zero. Shared with the compiled-code executor and the
-// compiler's constant folder so all three agree exactly.
-func EvalArith(op bc.Op, a, b int64) (int64, error) {
-	// oplint:ignore — defined only for the binary arithmetic subset;
-	// anything else is rejected by the default below.
-	switch op {
-	case bc.OpAdd:
-		return a + b, nil
-	case bc.OpSub:
-		return a - b, nil
-	case bc.OpMul:
-		return a * b, nil
-	case bc.OpDiv:
-		if b == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		return a / b, nil
-	case bc.OpRem:
-		if b == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		return a % b, nil
-	case bc.OpAnd:
-		return a & b, nil
-	case bc.OpOr:
-		return a | b, nil
-	case bc.OpXor:
-		return a ^ b, nil
-	case bc.OpShl:
-		return a << uint64(b&63), nil
-	case bc.OpShr:
-		return a >> uint64(b&63), nil
-	case bc.OpUShr:
-		return int64(uint64(a) >> uint64(b&63)), nil
-	default:
-		return 0, fmt.Errorf("not an arithmetic op: %s", op)
-	}
 }

@@ -2,8 +2,8 @@ package opt
 
 import (
 	"pea/internal/bc"
-	"pea/internal/interp"
 	"pea/internal/ir"
+	"pea/internal/rt"
 )
 
 // Canonicalize folds constants, applies algebraic identities, simplifies
@@ -97,7 +97,7 @@ func canonValue(g *ir.Graph, b *ir.Block, n *ir.Node) *ir.Node {
 	case ir.OpArith:
 		x, y := n.Inputs[0], n.Inputs[1]
 		if x.IsConst() && y.IsConst() {
-			if r, err := interp.EvalArith(n.Aux2, x.AuxInt, y.AuxInt); err == nil {
+			if r, why := rt.Arith(n.Aux2, x.AuxInt, y.AuxInt); why == "" {
 				return mkConst(r)
 			}
 			return nil // constant div/rem by zero: keep the trap

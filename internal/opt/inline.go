@@ -231,33 +231,12 @@ func (in *Inliner) devirtualize(n *ir.Node) *bc.Method {
 	if in.Program == nil {
 		return nil
 	}
-	// CHA: every class in the declaring hierarchy must resolve the slot
-	// to the same implementation. (Receivers from unrelated hierarchies
-	// would be ill-typed bytecode; the MiniJava front end cannot produce
-	// them.)
-	root := implDeclaringRoot(decl)
-	var target *bc.Method
-	for _, c := range in.Program.Classes {
-		if !c.IsSubclassOf(root) || decl.VSlot >= len(c.VTable) {
-			continue
-		}
-		impl := c.VTable[decl.VSlot]
-		if target == nil {
-			target = impl
-		} else if target != impl {
-			return nil
-		}
+	// CHA: the whole declaring hierarchy resolves the slot to one
+	// implementation.
+	if ts := in.Program.VirtualTargets(decl); len(ts) == 1 {
+		return ts[0]
 	}
-	return target
-}
-
-// implDeclaringRoot finds the topmost class declaring m's vtable slot.
-func implDeclaringRoot(m *bc.Method) *bc.Class {
-	root := m.Class
-	for root.Super != nil && m.VSlot < len(root.Super.VTable) {
-		root = root.Super
-	}
-	return root
+	return nil
 }
 
 // inlineSite splices the callee's body in place of the invoke.

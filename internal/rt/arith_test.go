@@ -1,4 +1,4 @@
-package interp
+package rt
 
 import (
 	"math"
@@ -11,9 +11,9 @@ import (
 // (JLS §15.17): MinInt64/-1 overflows back to MinInt64 without trapping,
 // MinInt64%-1 is 0, the remainder takes the dividend's sign, and shift
 // distances are masked to their low six bits. Go's evaluation rules
-// guarantee each of these, and the compiled executor and the
-// canonicalizer's constant folder both funnel through this function — the
-// differential test below asserts that explicitly.
+// guarantee each of these, and every engine and the canonicalizer's constant
+// folder evaluate through this function (vm.TestArithEdgeCasesAgreeAcrossTiers
+// asserts folder against executor).
 func TestEvalArithJVMEdgeCases(t *testing.T) {
 	min, max := int64(math.MinInt64), int64(math.MaxInt64)
 	cases := []struct {
@@ -40,19 +40,19 @@ func TestEvalArithJVMEdgeCases(t *testing.T) {
 		{"mul-overflow-wraps", bc.OpMul, max, 2, -2},
 	}
 	for _, c := range cases {
-		got, err := EvalArith(c.op, c.a, c.b)
-		if err != nil {
-			t.Errorf("%s: unexpected error %v", c.name, err)
+		got, why := Arith(c.op, c.a, c.b)
+		if why != "" {
+			t.Errorf("%s: unexpected trap %q", c.name, why)
 			continue
 		}
 		if got != c.want {
-			t.Errorf("%s: EvalArith(%v, %d, %d) = %d, want %d",
+			t.Errorf("%s: Arith(%v, %d, %d) = %d, want %d",
 				c.name, c.op, c.a, c.b, got, c.want)
 		}
 	}
 	for _, op := range []bc.Op{bc.OpDiv, bc.OpRem} {
-		if _, err := EvalArith(op, 1, 0); err == nil {
-			t.Errorf("%v by zero did not error", op)
+		if _, why := Arith(op, 1, 0); why != "division by zero" {
+			t.Errorf("%v by zero: reason %q", op, why)
 		}
 	}
 }

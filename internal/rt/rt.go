@@ -1,8 +1,11 @@
-// Package rt provides the runtime data model shared by the bytecode
-// interpreter and the compiled-code executor: tagged values, heap objects
-// and arrays, static fields, monitors, the deterministic PRNG, and the
-// allocation/lock counters that the evaluation harness reports (the paper's
-// "MB / iteration", "MAllocs / iteration" and lock-operation metrics).
+// Package rt is the guest runtime every engine shares. rt.go holds the data
+// model: tagged values, heap objects and arrays, static fields, the
+// deterministic PRNG, traps and handler matching, and the allocation/lock
+// counters that the evaluation harness reports (the paper's "MB / iteration",
+// "MAllocs / iteration" and lock-operation metrics). ops.go holds the
+// guest-operation kernel: the one definition of what each faulting or counted
+// operation does, which the interpreter, both execution backends and the
+// deopt runtime dispatch to.
 package rt
 
 import (
@@ -268,9 +271,9 @@ func (e *Env) AllocObject(c *bc.Class) *Object {
 	return o
 }
 
-// AllocArray allocates an array of n elements and charges the counters.
-// n must be non-negative (callers raise a trap otherwise).
-func (e *Env) AllocArray(kind bc.Kind, n int64) *Object {
+// allocArray allocates an array of n >= 0 elements and charges the counters
+// (NewArray is the guest operation, with the size check).
+func (e *Env) allocArray(kind bc.Kind, n int64) *Object {
 	e.serial++
 	o := newObject(n)
 	o.ElemKind, o.Serial = kind, e.serial
@@ -284,23 +287,6 @@ func (e *Env) AllocArray(kind bc.Kind, n int64) *Object {
 	return o
 }
 
-// MonitorEnter acquires obj's monitor (recursive) and counts the operation.
-func (e *Env) MonitorEnter(obj *Object) {
-	obj.LockDepth++
-	e.Stats.MonitorOps++
-}
-
-// MonitorExit releases obj's monitor and counts the operation. It returns
-// an error if the monitor is not held (structural bug in generated code).
-func (e *Env) MonitorExit(obj *Object) error {
-	if obj.LockDepth <= 0 {
-		return fmt.Errorf("rt: monitor exit on unlocked %s", obj)
-	}
-	obj.LockDepth--
-	e.Stats.MonitorOps++
-	return nil
-}
-
 // Print appends v to the program output.
 func (e *Env) Print(v int64) { e.Output = append(e.Output, v) }
 
@@ -312,9 +298,10 @@ func (e *Env) Print(v int64) { e.Output = append(e.Output, v) }
 // Reason, Method and PC are the trap's canonical identity — the reason
 // string, the bytecode method the trapping instruction belongs to (the
 // innermost method when the trap happens in inlined code), and its pc
-// there. Every engine (interpreter, oracle, closure JIT) reports the same
-// triple for the same guest fault, so differential harnesses compare traps
-// exactly instead of just their reasons.
+// there. The reason comes from the kernel (ops.go), so every engine
+// (interpreter, oracle, closure JIT) reports the same one for the same guest
+// fault; method and pc are the engine's to supply, and differential
+// harnesses compare the whole triple.
 type Trap struct {
 	Reason string
 	Method *bc.Method
@@ -337,14 +324,6 @@ func (t *Trap) Error() string {
 // NewTrap builds an intrinsic trap error.
 func NewTrap(reason string, m *bc.Method, pc int) *Trap {
 	return &Trap{Reason: reason, Method: m, PC: pc}
-}
-
-// NewThrow builds the trap for a guest `throw` of obj (non-nil). The
-// reason is derived from the class name only — never the allocation serial
-// — so an uncaught exception reads identically whether the object was heap
-// allocated or rematerialized from a scalar-replaced frame state.
-func NewThrow(obj *Object, m *bc.Method, pc int) *Trap {
-	return &Trap{Reason: "uncaught exception " + obj.Class.Name, Method: m, PC: pc, Value: obj}
 }
 
 // MatchHandler returns the first exception-table entry of m that covers pc

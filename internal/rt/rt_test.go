@@ -54,7 +54,7 @@ func TestAllocationAccounting(t *testing.T) {
 	if !o.Fields[1].IsNull() || !o.Fields[0].Equal(IntValue(0)) {
 		t.Fatal("fields not default-initialized")
 	}
-	arr := env.AllocArray(bc.KindRef, 5)
+	arr := env.allocArray(bc.KindRef, 5)
 	if !arr.IsArray() || arr.Len() != 5 || !arr.Fields[3].IsNull() {
 		t.Fatalf("array wrong: %+v", arr)
 	}
@@ -74,18 +74,20 @@ func TestMonitorSemantics(t *testing.T) {
 	p := prog(t)
 	env := NewEnv(p, 1)
 	o := env.AllocObject(p.ClassByName("Box"))
-	env.MonitorEnter(o)
-	env.MonitorEnter(o)
+	for i := 0; i < 2; i++ {
+		if why := env.Lock(o); why != "" {
+			t.Fatal(why)
+		}
+	}
 	if o.LockDepth != 2 {
 		t.Fatalf("lock depth = %d", o.LockDepth)
 	}
-	if err := env.MonitorExit(o); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if why := env.Unlock(o); why != "" {
+			t.Fatal(why)
+		}
 	}
-	if err := env.MonitorExit(o); err != nil {
-		t.Fatal(err)
-	}
-	if err := env.MonitorExit(o); err == nil {
+	if why := env.Unlock(o); why == "" {
 		t.Fatal("unbalanced exit must fail")
 	}
 	if env.Stats.MonitorOps != 4 {
@@ -188,7 +190,7 @@ func TestMatchHandler(t *testing.T) {
 	_ = other
 
 	throw := func(cls *bc.Class) *Trap {
-		return NewThrow(&Object{Class: cls}, m, 0)
+		return Thrown(&Object{Class: cls}, m, 0)
 	}
 	// Subclass object at a pc both entries cover: first entry wins.
 	if h := MatchHandler(m, 0, throw(scls)); h == nil || h.Handler != m.ExceptionTable[0].Handler {
@@ -240,10 +242,10 @@ func TestSmallObjectsAreOneAllocation(t *testing.T) {
 		if n > 4 {
 			want = 2 // header + separate backing array
 		}
-		if got := testing.AllocsPerRun(50, func() { keep = env.AllocArray(bc.KindInt, n) }); got != want {
+		if got := testing.AllocsPerRun(50, func() { keep = env.allocArray(bc.KindInt, n) }); got != want {
 			t.Errorf("AllocArray(int, %d) makes %v Go allocations, want %v", n, got, want)
 		}
-		a, b := env.AllocArray(bc.KindRef, n), env.AllocArray(bc.KindRef, n)
+		a, b := env.allocArray(bc.KindRef, n), env.allocArray(bc.KindRef, n)
 		if a.Len() != int(n) || cap(a.Fields) != int(n) {
 			t.Fatalf("array of %d has len %d cap %d", n, a.Len(), cap(a.Fields))
 		}

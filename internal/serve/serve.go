@@ -181,7 +181,6 @@ func New(opts Options) (*Server, error) {
 			Cache:   broker.NewCacheSize(cacheMax),
 			Store:   store,
 			Check:   opts.CheckLevel,
-			Flight:  fl,
 		}),
 		progs: make(map[uint64]*linked),
 	}

@@ -286,37 +286,12 @@ func calleesOf(p *bc.Program, m *bc.Method) []*bc.Method {
 			continue
 		}
 		if in.Op == bc.OpInvokeVirtual {
-			for _, t := range virtualTargets(p, in.Method) {
+			for _, t := range p.VirtualTargets(in.Method) {
 				add(t)
 			}
 			continue
 		}
 		add(in.Method)
-	}
-	return out
-}
-
-// virtualTargets returns every implementation a virtual call to decl can
-// dispatch to under class hierarchy analysis.
-func virtualTargets(p *bc.Program, decl *bc.Method) []*bc.Method {
-	if decl == nil {
-		return nil
-	}
-	root := decl.Class
-	for root.Super != nil && decl.VSlot < len(root.Super.VTable) {
-		root = root.Super
-	}
-	var out []*bc.Method
-	seen := make(map[*bc.Method]bool)
-	for _, c := range p.Classes {
-		if !c.IsSubclassOf(root) || decl.VSlot >= len(c.VTable) {
-			continue
-		}
-		impl := c.VTable[decl.VSlot]
-		if impl != nil && !seen[impl] {
-			seen[impl] = true
-			out = append(out, impl)
-		}
 	}
 	return out
 }
@@ -595,7 +570,7 @@ func (s *Set) callTargets(call *ir.Node) ([]*bc.Method, bool) {
 			decl.VSlot < len(recv.Class.VTable) {
 			return []*bc.Method{recv.Class.VTable[decl.VSlot]}, true
 		}
-		ts := virtualTargets(s.prog, decl)
+		ts := s.prog.VirtualTargets(decl)
 		return ts, len(ts) > 0
 	}
 	return nil, false

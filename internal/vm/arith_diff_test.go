@@ -7,7 +7,6 @@ import (
 
 	"pea/internal/bc"
 	"pea/internal/check"
-	"pea/internal/interp"
 	"pea/internal/rt"
 )
 
@@ -15,7 +14,7 @@ import (
 // integer-arithmetic corner cases: for each case the interpreter, the
 // compiled executor (operands flowing in as parameters, so no folding), and
 // the canonicalizer's constant folder (operands as constants, folded at
-// compile time) must produce the same value as interp.EvalArith.
+// compile time) must produce the same value as rt.Arith.
 func TestArithEdgeCasesAgreeAcrossTiers(t *testing.T) {
 	min, max := int64(math.MinInt64), int64(math.MaxInt64)
 	cases := []struct {
@@ -53,9 +52,9 @@ func TestArithEdgeCasesAgreeAcrossTiers(t *testing.T) {
 
 	machine := New(prog, Options{EA: EAPartial, CheckLevel: check.Basic})
 	for i, cse := range cases {
-		want, err := interp.EvalArith(cse.op, cse.a, cse.b)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
+		want, why := rt.Arith(cse.op, cse.a, cse.b)
+		if why != "" {
+			t.Fatalf("case %d: %s", i, why)
 		}
 		args := []rt.Value{rt.IntValue(cse.a), rt.IntValue(cse.b)}
 		pm := prog.ClassByName("C").MethodByName(fmt.Sprintf("p%d", i))

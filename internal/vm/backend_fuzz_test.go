@@ -116,6 +116,8 @@ func TestFuzzBackendDifferential(t *testing.T) {
 		name   string
 		strict bool // deterministic: compare heap effects + escape table too
 		opts   Options
+		// workers > 0 compiles on that many background broker workers.
+		workers int
 		// warm observes, per backend, a second VM on a shared broker the
 		// first one populated: every artifact it runs was lowered for
 		// another VM and installed cache-first.
@@ -123,8 +125,8 @@ func TestFuzzBackendDifferential(t *testing.T) {
 	}{
 		{name: "sync", strict: true, opts: Options{EA: EAPartial, Speculate: true}},
 		{name: "sync-osr", strict: true, opts: Options{EA: EAPartial, Speculate: true, OSRThreshold: 8}},
-		{name: "async", opts: Options{EA: EAPartial, Speculate: true, Async: true, JITWorkers: 2}},
-		{name: "async-osr", opts: Options{EA: EAPartial, Speculate: true, OSRThreshold: 8, Async: true, JITWorkers: 2}},
+		{name: "async", opts: Options{EA: EAPartial, Speculate: true}, workers: 2},
+		{name: "async-osr", opts: Options{EA: EAPartial, Speculate: true, OSRThreshold: 8}, workers: 2},
 		{name: "sync-sum", strict: true, opts: Options{EA: EAPartial, Speculate: true, Summaries: true}},
 		{name: "sync-osr-warm", strict: true, opts: Options{EA: EAPartial, OSRThreshold: 8}, warm: true},
 	}
@@ -134,12 +136,13 @@ func TestFuzzBackendDifferential(t *testing.T) {
 			run := func(b Backend) backendOutcome {
 				o := cfg.opts
 				o.Backend = b
-				if !cfg.warm {
-					return runBackendConfig(t, p, o)
+				if cfg.workers > 0 || cfg.warm {
+					o.JIT = broker.New(broker.Options{Workers: cfg.workers, Check: check.Strict})
+					defer o.JIT.Close()
 				}
-				o.JIT = broker.New(broker.Options{Check: check.Strict})
-				defer o.JIT.Close()
-				runBackendConfig(t, p, o)
+				if cfg.warm {
+					runBackendConfig(t, p, o)
+				}
 				return runBackendConfig(t, p, o)
 			}
 			ref := run(BackendOracle)

@@ -27,6 +27,18 @@ func loadExample(t testing.TB, path string) *bc.Program {
 	return prog
 }
 
+// withJIT returns o submitting to a broker of its own built from bo —
+// background workers, a bounded queue, a store — that carries the VM's
+// sanitizer level, sink and fault hook exactly as the private broker of a nil
+// Options.JIT does. The broker closes when the test ends.
+func withJIT(t testing.TB, o Options, bo broker.Options) Options {
+	t.Helper()
+	bo.Check, bo.Sink, bo.InjectFault = o.CheckLevel, o.Sink, o.InjectFault
+	o.JIT = broker.New(bo)
+	t.Cleanup(o.JIT.Close)
+	return o
+}
+
 // TestAsyncTierUpMatchesInterpreter runs the cache-key example with
 // background compilation and checks the printed output against a pure
 // interpreter — the async install point must not change program behavior.
@@ -38,10 +50,8 @@ func TestAsyncTierUpMatchesInterpreter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	machine := New(prog, Options{
-		EA: EAPartial, CompileThreshold: 4, Async: true, JITWorkers: 4, CheckLevel: check.Basic,
-	})
-	defer machine.Close()
+	machine := New(prog, withJIT(t, Options{EA: EAPartial, CompileThreshold: 4, CheckLevel: check.Basic},
+		broker.Options{Workers: 4}))
 	for i := 0; i < 30; i++ {
 		if _, err := machine.Run(); err != nil {
 			t.Fatal(err)
@@ -196,24 +206,22 @@ func TestRecompileAfterInvalidationReplaysCache(t *testing.T) {
 // synchronous default for every method both modes compiled.
 func TestAsyncAndSyncProduceIdenticalCode(t *testing.T) {
 	prog := loadExample(t, "../../examples/cachekey.mj")
-	run := func(async bool) *VM {
-		machine := New(prog, Options{
-			EA: EAPartial, CompileThreshold: 4, Async: async, JITWorkers: 2, CheckLevel: check.Basic,
-		})
+	run := func(workers int) *VM {
+		machine := New(prog, withJIT(t, Options{EA: EAPartial, CompileThreshold: 4, CheckLevel: check.Basic},
+			broker.Options{Workers: workers}))
 		for i := 0; i < 30; i++ {
 			if _, err := machine.Run(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		machine.DrainJIT()
-		machine.Close()
 		for m, cerr := range machine.FailedCompilations() {
 			t.Fatalf("compiling %s: %v", m.QualifiedName(), cerr)
 		}
 		return machine
 	}
-	syncVM := run(false)
-	asyncVM := run(true)
+	syncVM := run(0)
+	asyncVM := run(2)
 
 	compared := 0
 	for _, m := range prog.Methods {

@@ -65,12 +65,7 @@ func (vm *VM) deopt(g *ir.Graph, n *ir.Node, eval func(x *ir.Node) (rt.Value, bo
 		if !ok {
 			return nil, fmt.Errorf("vm: deopt: no descriptor for %s", n)
 		}
-		var obj *rt.Object
-		if n.Class != nil {
-			obj = vm.Env.AllocObject(n.Class)
-		} else {
-			obj = vm.Env.AllocArray(n.ElemKind, n.AuxLen)
-		}
+		obj := vm.Env.Materialize(n.Class, n.ElemKind, n.AuxLen, vo.LockDepth)
 		// Register before filling fields: virtual object graphs are
 		// acyclic by construction, but self-maps stay cheap this way.
 		materialized[n] = obj
@@ -87,10 +82,6 @@ func (vm *VM) deopt(g *ir.Graph, n *ir.Node, eval func(x *ir.Node) (rt.Value, bo
 			}
 			obj.Fields[i] = fv
 		}
-		for k := 0; k < vo.LockDepth; k++ {
-			vm.Env.MonitorEnter(obj)
-		}
-		vm.Env.Stats.Materializations++
 		// Attribute the rematerialization to the allocation site PEA
 		// removed: virtual objects carry the (Method, BCI) of the original
 		// OpNew, with the deopting frame's method as a fallback for

@@ -76,11 +76,10 @@ func TestAsyncPanicContainment(t *testing.T) {
 
 	// Panic on every compile of methods whose name contains "make" (the
 	// allocation helpers in the example); everything else compiles.
-	machine := New(prog, Options{
-		EA: EAPartial, CompileThreshold: 4, Async: true, JITWorkers: 2, CheckLevel: check.Basic,
+	machine := New(prog, withJIT(t, Options{
+		EA: EAPartial, CompileThreshold: 4, CheckLevel: check.Basic,
 		InjectFault: panicAt(broker.FaultCompile, "Main."),
-	})
-	defer machine.Close()
+	}, broker.Options{Workers: 2}))
 	for i := 0; i < 30; i++ {
 		if _, err := machine.Run(); err != nil {
 			t.Fatal(err)
@@ -275,9 +274,8 @@ func TestQueueFullRejectionRearms(t *testing.T) {
 	prog, ms := buildMethods(t, 3)
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	machine := New(prog, Options{
+	machine := New(prog, withJIT(t, Options{
 		EA: EAPartial, CompileThreshold: 2, CheckLevel: check.Basic,
-		Async: true, JITWorkers: 1, JITQueueCap: 1,
 		InjectFault: func(point, method string) {
 			if point == broker.FaultCompile {
 				select {
@@ -287,8 +285,7 @@ func TestQueueFullRejectionRearms(t *testing.T) {
 				<-release
 			}
 		},
-	})
-	defer machine.Close()
+	}, broker.Options{Workers: 1, QueueCap: 1}))
 	call := func(m *bc.Method) {
 		t.Helper()
 		if _, err := machine.Call(m, []rt.Value{rt.IntValue(1)}); err != nil {
@@ -427,10 +424,9 @@ func TestFaultInjectionHammer(t *testing.T) {
 	const vms = 3
 	machines := make([]*VM, vms)
 	for i := range machines {
-		machines[i] = New(prog, Options{
-			EA: EAPartial, CompileThreshold: 4, Async: true, JITWorkers: 2,
-			CheckLevel: check.Basic, InjectFault: hook,
-		})
+		machines[i] = New(prog, withJIT(t, Options{
+			EA: EAPartial, CompileThreshold: 4, CheckLevel: check.Basic, InjectFault: hook,
+		}, broker.Options{Workers: 2}))
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, vms)
@@ -453,7 +449,6 @@ func TestFaultInjectionHammer(t *testing.T) {
 			t.Fatalf("vm %d: %v", i, errs[i])
 		}
 		m.DrainJIT() // must return: no wedged queue, no stuck in-flight entries
-		m.Close()
 		totalPanics += m.Broker().Stats().Panics
 		for meth, cerr := range m.FailedCompilations() {
 			var pe *broker.PanicError

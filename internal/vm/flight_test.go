@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pea/internal/broker"
 	"pea/internal/check"
 	"pea/internal/obs"
 	"pea/internal/rt"
@@ -73,17 +74,16 @@ func TestEscapeAttributionSyncAsyncAgree(t *testing.T) {
 		site  string
 		class string
 	}
-	run := func(p testprog.Program, async bool) map[siteKey][3]int64 {
+	run := func(p testprog.Program, workers int) map[siteKey][3]int64 {
 		t.Helper()
 		esc := obs.NewEscapeTable()
 		opts := Options{
 			EA: EAPartial, CheckLevel: check.Basic,
 			MaxSteps: 50_000_000, CompileThreshold: 4,
-			Sink:  obs.NewSink(esc),
-			Async: async, JITWorkers: 2,
+			Sink: obs.NewSink(esc),
 		}
-		machine := New(p.Prog, opts)
-		defer machine.Close()
+		machine := New(p.Prog, withJIT(t, opts, broker.Options{Workers: workers}))
+		defer machine.Broker().Close() // per seed, not all at the end
 		for round := 0; round < 7; round++ {
 			for _, args := range p.ArgSets {
 				vals := []rt.Value{rt.IntValue(args[0]), rt.IntValue(args[1])}
@@ -104,8 +104,8 @@ func TestEscapeAttributionSyncAsyncAgree(t *testing.T) {
 	}
 	for seed := 0; seed < seeds; seed++ {
 		p := testprog.Generate(int64(seed))
-		sync := run(p, false)
-		async := run(p, true)
+		sync := run(p, 0)
+		async := run(p, 2)
 		if len(sync) != len(async) {
 			t.Fatalf("seed %d: %d sites sync vs %d async\nsync: %v\nasync: %v",
 				seed, len(sync), len(async), sync, async)

@@ -71,11 +71,11 @@ func TestTraceEventsCachekey(t *testing.T) {
 	sink := obs.NewSink(obs.NewJSONBackend(&buf))
 	sink.SetClock(func() time.Time { return time.Unix(0, 0) })
 	met := obs.NewMetrics()
+	sink.SetMetrics(met)
 	machine := New(prog, Options{
 		EA:               EAPartial,
 		CompileThreshold: 3,
 		Sink:             sink,
-		Metrics:          met,
 		CheckLevel:       check.Basic,
 		MaxSteps:         1_000_000,
 	})
@@ -240,11 +240,12 @@ func TestEscapeTableListing1(t *testing.T) {
 	}
 	esc := obs.NewEscapeTable()
 	met := obs.NewMetrics()
+	sink := obs.NewSink(esc)
+	sink.SetMetrics(met)
 	machine := New(prog, Options{
 		EA:               EAPartial,
 		CompileThreshold: 3,
-		Sink:             obs.NewSink(esc),
-		Metrics:          met,
+		Sink:             sink,
 		CheckLevel:       check.Basic,
 		MaxSteps:         1_000_000,
 	})

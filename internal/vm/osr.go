@@ -56,7 +56,7 @@ func (vm *VM) osrHook(f *interp.Frame, count int64) (rt.Value, bool, error) {
 	if s := vm.Opts.Sink; s != nil {
 		s.VMOSRRequest(f.Method.QualifiedName(), f.PC, int(count))
 	}
-	if !vm.jit.SubmitHooks(f.Method, count, vm.cacheKey(f.Method, f.PC), &vm.hooks) {
+	if !vm.jit.Submit(f.Method, count, vm.cacheKey(f.Method, f.PC), &vm.hooks) {
 		// Rejected (queue full, closing, or a racing duplicate): re-arm
 		// this entry point's trigger with backoff instead of resubmitting
 		// on every back edge.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pea/internal/bc"
+	"pea/internal/broker"
 	"pea/internal/check"
 	"pea/internal/mj"
 	"pea/internal/rt"
@@ -142,17 +143,21 @@ func TestOSRDifferentialAgreement(t *testing.T) {
 	for _, src := range []string{hotLoopSrc, scalarLoopSrc} {
 		base := runMode(t, src, Options{Interpret: true})
 		modes := []struct {
-			name string
-			opts Options
-			warm bool
+			name    string
+			opts    Options
+			workers int // > 0: compile on that many background workers
+			warm    bool
 		}{
 			{name: "tierup", opts: Options{EA: EAPartial, CompileThreshold: 2, CheckLevel: check.Basic}},
 			{name: "osr-sync", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, CheckLevel: check.Basic}},
-			{name: "osr-async", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Async: true, JITWorkers: 2, CheckLevel: check.Basic}},
+			{name: "osr-async", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, CheckLevel: check.Basic}, workers: 2},
 			{name: "osr-spec", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, Speculate: true, CheckLevel: check.Basic}},
 			{name: "osr-warm", opts: Options{EA: EAPartial, CompileThreshold: 1 << 30, OSRThreshold: 100, CheckLevel: check.Basic}, warm: true},
 		}
 		for _, mode := range modes {
+			if mode.workers > 0 {
+				mode.opts = withJIT(t, mode.opts, broker.Options{Workers: mode.workers})
+			}
 			if mode.warm {
 				// A fresh link per VM, as runMode makes: the second VM must
 				// also rebind what it takes.

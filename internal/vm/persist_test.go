@@ -80,9 +80,8 @@ func TestWarmRestartRecompilesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, coldStats := runPersist(t, Options{
-				EA: mode, CompileThreshold: 5, Store: store1, CheckLevel: check.Basic,
-			})
+			cold, coldStats := runPersist(t, withJIT(t, Options{EA: mode, CompileThreshold: 5, CheckLevel: check.Basic},
+				broker.Options{Store: store1}))
 			if coldStats.Compiled == 0 {
 				t.Fatal("cold run compiled nothing; test is vacuous")
 			}
@@ -94,9 +93,8 @@ func TestWarmRestartRecompilesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, warmStats := runPersist(t, Options{
-				EA: mode, CompileThreshold: 5, Store: store2, CheckLevel: check.Basic,
-			})
+			warm, warmStats := runPersist(t, withJIT(t, Options{EA: mode, CompileThreshold: 5, CheckLevel: check.Basic},
+				broker.Options{Store: store2}))
 			if warmStats.Compiled != 0 {
 				t.Fatalf("warm restart ran the pipeline %d times, want 0", warmStats.Compiled)
 			}
@@ -127,9 +125,8 @@ func TestStaleStoreEntriesIgnoredAfterEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, coldStats := runPersist(t, Options{
-		EA: EAPartial, CompileThreshold: 5, Store: store1, CheckLevel: check.Basic,
-	})
+	_, coldStats := runPersist(t, withJIT(t, Options{EA: EAPartial, CompileThreshold: 5, CheckLevel: check.Basic},
+		broker.Options{Store: store1}))
 
 	edited := strings.Replace(persistSrc, "i % 13", "i % 7", 1)
 	prog, err := mj.Compile(edited, "Main.main")
@@ -140,9 +137,8 @@ func TestStaleStoreEntriesIgnoredAfterEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine := New(prog, Options{
-		EA: EAPartial, CompileThreshold: 5, Store: store2, CheckLevel: check.Basic,
-	})
+	machine := New(prog, withJIT(t, Options{EA: EAPartial, CompileThreshold: 5, CheckLevel: check.Basic},
+		broker.Options{Store: store2}))
 	defer machine.Close()
 	if _, err := machine.Run(); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pea/internal/broker"
+	"pea/internal/check"
 )
 
 // TestSummariesKeepCallArgsVirtual is the PR's acceptance check: on
@@ -70,7 +71,8 @@ func TestSummaryStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, cold, err := runVM(t, p, Options{EA: EAPartial, Summaries: true, Store: store1}, args, 60)
+	v1, cold, err := runVM(t, p, withJIT(t, Options{EA: EAPartial, Summaries: true, CheckLevel: check.Basic},
+		broker.Options{Store: store1}), args, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,8 @@ func TestSummaryStoreWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, warm, err := runVM(t, p, Options{EA: EAPartial, Summaries: true, Store: store2}, args, 60)
+	v2, warm, err := runVM(t, p, withJIT(t, Options{EA: EAPartial, Summaries: true, CheckLevel: check.Basic},
+		broker.Options{Store: store2}), args, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,12 @@
 // to the interpreter — materializing scalar-replaced objects from the
 // VirtualObjectStates recorded in FrameStates (paper §5.5).
 //
-// Compilation is mediated by a compile broker (internal/broker). In the
-// default synchronous mode a hot method is compiled on the spot, exactly
-// as before — deterministic, which the differential interpreter-vs-compiled
-// oracles rely on. With Options.Async the broker compiles on background
-// workers while the interpreter keeps executing the method (true tier-up);
+// Compilation is mediated by a compile broker (internal/broker): the one
+// handed in as Options.JIT, or a private one. The private broker is
+// synchronous — a hot method is compiled on the spot, deterministically, which
+// the differential interpreter-vs-compiled oracles rely on. A broker built
+// with workers compiles in the background while the interpreter keeps
+// executing the method (true tier-up);
 // finished code is published by an atomic pointer store into the VM's code
 // table, so the execution thread picks it up on the next call without
 // locking. Either way, artifacts land in a compiled-code cache keyed by
@@ -123,35 +124,15 @@ type Options struct {
 	// adds zero work to the compile path.
 	CheckLevel check.Level
 
-	// Async compiles hot methods on background broker workers while the
-	// interpreter keeps executing them (tier-up). The default false
-	// compiles synchronously on the execution thread, which keeps the
-	// compile→install point deterministic for differential testing.
-	Async bool
-	// JITWorkers is the background worker count when Async is set
-	// (<=0 selects GOMAXPROCS).
-	JITWorkers int
-	// Store, when non-nil, is a disk-backed artifact store behind the
-	// private broker's memory cache: fresh compiles are written through
-	// to it, and cache misses consult it before running the pipeline, so
-	// a restarted process (or another process sharing the directory)
-	// replays persisted artifacts instead of recompiling. Artifacts loaded from disk are re-verified
-	// at the install boundary; corrupt or stale files are silent misses.
-	// Ignored when JIT is set — a shared broker brings its own store.
-	Store *broker.Store
-	// JIT, when non-nil, is a shared compile broker: many VMs (the
-	// tenants of a server) submit to one broker and share its worker
-	// pool, memory cache, and persistent store. Per-VM callbacks travel
-	// with each submission, so a shared broker still compiles with and
-	// installs into the submitting VM. Close does not shut down a shared
-	// broker — its owner does. nil (the default) gives the VM a private
-	// broker configured from the options above.
+	// JIT is the compile broker the VM submits to. nil (the default) gives
+	// the VM a private one: synchronous, memory-only, closed by Close. Pass
+	// a broker to get anything else — background workers, a bounded queue, a
+	// persistent store, or one worker pool and cache shared by many VMs (the
+	// tenants of a server). The VM's callbacks travel with each submission,
+	// so a shared broker still compiles with and installs into the
+	// submitting VM; a rejected submission (full queue) re-arms the method's
+	// hotness trigger with backoff. Whoever built a broker closes it.
 	JIT *broker.Broker
-	// JITQueueCap bounds the broker's pending compile queue (0 keeps the
-	// broker default). Submissions over the bound are rejected and the
-	// method's hotness trigger is re-armed with backoff, so a compilation
-	// storm degrades to interpretation instead of growing memory.
-	JITQueueCap int
 
 	// CompileDeadline bounds each compilation's wall-clock time. A
 	// compile that overruns unwinds cooperatively at the next pipeline
@@ -173,12 +154,14 @@ type Options struct {
 	CrashDir string
 
 	// InjectFault, when non-nil, is the fault-injection hook invoked at
-	// the broker's points (broker.FaultCompile, broker.FaultInstall) and
-	// at the VM pipeline's named phase boundaries ("build", "build-osr",
+	// the VM pipeline's named phase boundaries ("build", "build-osr",
 	// "opt", "prune", "ea", "pea", "post") with the method's qualified
-	// name. A hook that panics or sleeps drives the containment layer
-	// deterministically in tests and CI. When nil, the PEA_FAULT
-	// environment variable is consulted (see broker.FaultFromEnv).
+	// name, and handed to the private broker for its own points
+	// (broker.FaultCompile, broker.FaultInstall; a broker passed as JIT has
+	// its own broker.Options.InjectFault). A hook that panics or sleeps
+	// drives the containment layer deterministically in tests and CI. When
+	// nil, the PEA_FAULT environment variable is consulted (see
+	// broker.FaultFromEnv).
 	InjectFault func(point, method string)
 
 	// Sink, when non-nil, receives structured observability events from
@@ -186,11 +169,8 @@ type Options struct {
 	// decisions, tier-up compiles, deopts with reasons, virtual-object
 	// rematerializations, invalidations, recompiles, and broker traffic.
 	// nil (the default) adds no allocations to the compile or execution
-	// path.
+	// path. Counters and per-phase timers come with it: Sink.SetMetrics.
 	Sink *obs.Sink
-	// Metrics, when non-nil, is attached to the sink (one is created if
-	// Sink is nil) so decision events bump counters and per-phase timers.
-	Metrics *obs.Metrics
 
 	// Flight, when non-nil, is the always-on flight recorder shared by the
 	// VM, the broker, and the PEA pipeline. nil (the default) makes New
@@ -299,10 +279,8 @@ type VM struct {
 	osrMu     sync.Mutex
 	osrFailed map[osrSite]bool
 
+	// jit is Options.JIT, or the private broker New made in its place.
 	jit *broker.Broker
-	// ownJIT marks the broker as private to this VM: Close shuts it down.
-	// A shared broker (Options.JIT) outlives any one tenant.
-	ownJIT bool
 	// hooks carries this VM's compile/install/failure callbacks and its
 	// program resolver with every submission, so a broker shared between
 	// VMs dispatches back to the right tenant.
@@ -374,15 +352,9 @@ func New(prog *bc.Program, opts Options) *VM {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.Metrics != nil {
-		if opts.Sink == nil {
-			opts.Sink = obs.NewSink()
-		}
-		opts.Sink.SetMetrics(opts.Metrics)
-	}
 	if opts.InjectFault == nil {
-		// One resolution point for PEA_FAULT: the same hook serves the
-		// broker's fault points and the pipeline's phase boundaries.
+		// PEA_FAULT, for the pipeline's phase boundaries and the private
+		// broker's points (a broker passed in resolved it for itself).
 		opts.InjectFault = broker.FaultFromEnv()
 	}
 	if opts.Flight == nil {
@@ -405,6 +377,7 @@ func New(prog *bc.Program, opts Options) *VM {
 		retryN:      make([]atomic.Int32, len(prog.Methods)),
 		flight:      opts.Flight,
 		reasonRemat: opts.Flight.Reason("deopt-remat"),
+		jit:         opts.JIT,
 	}
 	vm.Interp = interp.New(vm.Env)
 	vm.Interp.MaxSteps = opts.MaxSteps
@@ -424,31 +397,13 @@ func New(prog *bc.Program, opts Options) *VM {
 		Resolver: prog,
 		Flight:   vm.flight,
 	}
-	if opts.JIT != nil {
-		vm.jit = opts.JIT
-		return vm
+	if vm.jit == nil {
+		vm.jit = broker.New(broker.Options{
+			Check:       opts.checkLevel(),
+			Sink:        opts.Sink,
+			InjectFault: opts.InjectFault,
+		})
 	}
-	workers := 0
-	if opts.Async {
-		workers = opts.JITWorkers
-		if workers <= 0 {
-			workers = -1 // GOMAXPROCS
-		}
-	}
-	vm.ownJIT = true
-	vm.jit = broker.New(broker.Options{
-		Workers:     workers,
-		QueueCap:    opts.JITQueueCap,
-		Store:       opts.Store,
-		Resolver:    prog,
-		Compile:     vm.compileForKey,
-		Install:     vm.install,
-		Fail:        vm.recordFailure,
-		Check:       opts.checkLevel(),
-		Sink:        opts.Sink,
-		InjectFault: opts.InjectFault,
-		Flight:      vm.flight,
-	})
 	return vm
 }
 
@@ -545,7 +500,7 @@ func (vm *VM) maybeCompiled(m *bc.Method) exec.Code {
 	if vm.jit.Pending(m, broker.NoOSR) {
 		return nil // already queued or being compiled; keep interpreting
 	}
-	if !vm.jit.SubmitHooks(m, inv, vm.cacheKey(m, broker.NoOSR), &vm.hooks) {
+	if !vm.jit.Submit(m, inv, vm.cacheKey(m, broker.NoOSR), &vm.hooks) {
 		// Rejected (queue full, closing, or a racing duplicate): re-arm
 		// the hotness trigger with backoff so the method stays
 		// submit-eligible instead of hammering — or silently losing —
@@ -1048,16 +1003,14 @@ func (vm *VM) Invalidate(m *bc.Method, reason string) {
 }
 
 // DrainJIT blocks until every submitted compilation has been resolved
-// (installed, replayed from cache, or failed). It is a no-op in
-// synchronous mode.
+// (installed, replayed from cache, or failed). It is a no-op on a
+// synchronous broker.
 func (vm *VM) DrainJIT() { vm.jit.Drain() }
 
-// Close shuts down the VM's background compile workers (no-op in
-// synchronous mode). The VM keeps executing with whatever code is
-// installed; further hot methods stay interpreted. A shared broker
-// (Options.JIT) is left running — its owner closes it.
+// Close releases the VM's private broker. A broker passed in as Options.JIT
+// is left running — whoever built it closes it.
 func (vm *VM) Close() {
-	if vm.ownJIT {
+	if vm.jit != vm.Opts.JIT {
 		vm.jit.Close()
 	}
 }

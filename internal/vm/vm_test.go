@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"strings"
 	"testing"
 
 	"pea/internal/bc"
@@ -311,4 +312,59 @@ func corpusProg(t *testing.T, name string) testprog.Program {
 	}
 	t.Fatalf("no corpus program %q", name)
 	return testprog.Program{}
+}
+
+// TestUnlockTrapReasonIndependentOfTier: m(flag) allocates t (which PEA
+// scalar-replaces) and then b, and when flag != 0 releases b's monitor
+// without holding it. b's allocation serial therefore depends on the
+// compiler configuration; the trap the guest sees must not.
+func TestUnlockTrapReasonIndependentOfTier(t *testing.T) {
+	a := bc.NewAssembler()
+	box := a.Class("Box", "")
+	v := box.Field("v", bc.KindInt)
+	m := a.Class("C", "").Method("m", []bc.Kind{bc.KindInt}, bc.KindInt, true)
+	tmp, b := m.NewLocal(bc.KindRef), m.NewLocal(bc.KindRef)
+	m.New(box.Ref()).Store(tmp)
+	m.Load(tmp).Load(0).PutField(v)
+	m.New(box.Ref()).Store(b)
+	m.Load(0).If(bc.CondEQ, "done")
+	m.Load(b).MonitorExit()
+	m.Label("done").Load(tmp).GetField(v).ReturnValue()
+	prog, err := a.Finish("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meth := prog.ClassByName("C").MethodByName("m")
+
+	var want string
+	for i, opts := range []Options{
+		{Interpret: true},
+		{EA: EAOff, Backend: BackendClosure},
+		{EA: EAPartial, Backend: BackendClosure},
+		{EA: EAPartial, Backend: BackendOracle},
+	} {
+		opts.CompileThreshold = 5
+		opts.CheckLevel = check.Basic
+		machine := New(prog, opts)
+		for n := 0; n < 30; n++ {
+			if _, err := machine.Call(meth, []rt.Value{rt.IntValue(0)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !opts.Interpret && machine.CompiledGraph(meth) == nil {
+			t.Fatalf("config %d never compiled m: %v", i, machine.CompileError(meth))
+		}
+		_, err := machine.Call(meth, []rt.Value{rt.IntValue(1)})
+		if err == nil {
+			t.Fatalf("config %d: unbalanced monitorexit did not trap", i)
+		}
+		if i == 0 {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Errorf("config %d traps with %q, the interpreter with %q", i, err, want)
+		}
+	}
+	if !strings.Contains(want, "monitor exit on unlocked Box at C.m") {
+		t.Errorf("trap reads %q", want)
+	}
 }
