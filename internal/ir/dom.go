@@ -1,6 +1,9 @@
 package ir
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // domTreesBuilt counts every dominator tree construction. The strict
 // checker's zero-overhead guarantee ("check level off builds no dominator
@@ -13,18 +16,21 @@ func DomTreesBuilt() int64 { return domTreesBuilt.Load() }
 
 // DomTree is a dominator tree over the blocks of a graph reachable from
 // the entry, built with the iterative Cooper–Harvey–Kennedy algorithm
-// over reverse postorder. Unreachable blocks have no entry in Index or
-// IDom; Reachable reports them as false.
+// over reverse postorder. It is dense: blocks are named by their RPO
+// position, found through a table indexed by block ID, so building the tree
+// allocates three slices and a dominance query is an integer walk.
 type DomTree struct {
 	G *Graph
 	// RPO is the reverse postorder over reachable blocks; RPO[0] is the
 	// entry.
 	RPO []*Block
-	// Index maps a reachable block to its RPO position.
-	Index map[*Block]int
-	// IDom maps each reachable block to its immediate dominator
-	// (entry -> nil).
-	IDom map[*Block]*Block
+	// index maps a block ID to the block's RPO position, -1 for blocks
+	// unreachable from the entry.
+	index []int32
+	// idom maps an RPO position to the position of the block's immediate
+	// dominator, -1 for the entry. A dominator precedes what it dominates
+	// in RPO, so idom[i] < i.
+	idom []int32
 }
 
 // NewDomTree builds the dominator tree for g. The graph may contain
@@ -38,7 +44,11 @@ func NewDomTree(g *Graph) *DomTree {
 }
 
 func (d *DomTree) computeRPO() {
-	seen := make(map[*Block]bool, len(d.G.Blocks))
+	const unseen, onStack = -1, -2
+	d.index = make([]int32, d.G.nextBlockID)
+	for i := range d.index {
+		d.index[i] = unseen
+	}
 	post := make([]*Block, 0, len(d.G.Blocks))
 	// Iterative DFS (graphs can be deep after inlining + OSR preambles).
 	type frame struct {
@@ -46,14 +56,14 @@ func (d *DomTree) computeRPO() {
 		i int
 	}
 	stack := []frame{{d.G.Entry(), 0}}
-	seen[d.G.Entry()] = true
+	d.index[d.G.Entry().ID] = onStack
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.i < len(f.b.Succs) {
 			s := f.b.Succs[f.i]
 			f.i++
-			if !seen[s] {
-				seen[s] = true
+			if d.index[s.ID] == unseen {
+				d.index[s.ID] = onStack
 				stack = append(stack, frame{s, 0})
 			}
 			continue
@@ -61,74 +71,88 @@ func (d *DomTree) computeRPO() {
 		post = append(post, f.b)
 		stack = stack[:len(stack)-1]
 	}
-	d.RPO = make([]*Block, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		d.RPO = append(d.RPO, post[i])
-	}
-	d.Index = make(map[*Block]int, len(d.RPO))
+	slices.Reverse(post)
+	d.RPO = post
 	for i, b := range d.RPO {
-		d.Index[b] = i
+		d.index[b.ID] = int32(i)
 	}
 }
 
 // computeIDoms implements the Cooper–Harvey–Kennedy iterative algorithm
 // ("A Simple, Fast Dominance Algorithm") over the reverse postorder.
 func (d *DomTree) computeIDoms() {
-	idom := make(map[*Block]*Block, len(d.RPO))
-	entry := d.RPO[0]
-	idom[entry] = entry
-	intersect := func(a, b *Block) *Block {
+	const undefined = -1
+	idom := make([]int32, len(d.RPO))
+	for i := range idom {
+		idom[i] = undefined
+	}
+	idom[0] = 0
+	intersect := func(a, b int32) int32 {
 		for a != b {
-			for d.Index[a] > d.Index[b] {
+			for a > b {
 				a = idom[a]
 			}
-			for d.Index[b] > d.Index[a] {
+			for b > a {
 				b = idom[b]
 			}
 		}
 		return a
 	}
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		for _, b := range d.RPO[1:] {
-			var newIdom *Block
+		for i, b := range d.RPO[1:] {
+			newIdom := int32(undefined)
 			for _, p := range b.Preds {
-				if idom[p] == nil {
+				pi := d.index[p.ID]
+				if pi < 0 || idom[pi] == undefined {
 					continue // unreachable or not yet processed
 				}
-				if newIdom == nil {
-					newIdom = p
+				if newIdom == undefined {
+					newIdom = pi
 				} else {
-					newIdom = intersect(newIdom, p)
+					newIdom = intersect(newIdom, pi)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if newIdom != undefined && idom[i+1] != newIdom {
+				idom[i+1] = newIdom
 				changed = true
 			}
 		}
 	}
-	idom[entry] = nil
-	d.IDom = idom
+	idom[0] = -1
+	d.idom = idom
+}
+
+// Index returns b's position in RPO, or -1 if b is unreachable from the
+// entry.
+func (d *DomTree) Index(b *Block) int {
+	if b.ID < 0 || b.ID >= len(d.index) {
+		return -1
+	}
+	return int(d.index[b.ID])
 }
 
 // Reachable reports whether b is reachable from the entry.
-func (d *DomTree) Reachable(b *Block) bool {
-	_, ok := d.Index[b]
-	return ok
+func (d *DomTree) Reachable(b *Block) bool { return d.Index(b) >= 0 }
+
+// IDom returns b's immediate dominator: nil for the entry and for
+// unreachable blocks.
+func (d *DomTree) IDom(b *Block) *Block {
+	if i := d.Index(b); i > 0 {
+		return d.RPO[d.idom[i]]
+	}
+	return nil
 }
 
-// Dominates reports whether a dominates b (reflexive). Both blocks must
-// be reachable; an unreachable b is dominated by nothing.
+// Dominates reports whether a dominates b (reflexive). An unreachable
+// block dominates nothing and is dominated by nothing.
 func (d *DomTree) Dominates(a, b *Block) bool {
-	if !d.Reachable(b) {
+	ai, bi := int32(d.Index(a)), int32(d.Index(b))
+	if ai < 0 {
 		return false
 	}
-	for x := b; x != nil; x = d.IDom[x] {
-		if x == a {
-			return true
-		}
+	for bi > ai {
+		bi = d.idom[bi]
 	}
-	return false
+	return bi == ai
 }

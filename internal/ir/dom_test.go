@@ -36,12 +36,12 @@ func TestDomTreeDiamond(t *testing.T) {
 	if len(d.RPO) != 4 || d.RPO[0] != entry {
 		t.Fatalf("RPO = %v", d.RPO)
 	}
-	if d.IDom[entry] != nil {
-		t.Fatalf("entry idom = %v", d.IDom[entry])
+	if d.IDom(entry) != nil {
+		t.Fatalf("entry idom = %v", d.IDom(entry))
 	}
 	for _, b := range []*Block{b1, b2, join} {
-		if d.IDom[b] != entry {
-			t.Fatalf("idom(%s) = %v, want entry", b, d.IDom[b])
+		if d.IDom(b) != entry {
+			t.Fatalf("idom(%s) = %v, want entry", b, d.IDom(b))
 		}
 	}
 	if !d.Dominates(entry, join) || !d.Dominates(join, join) {
@@ -67,9 +67,9 @@ func TestDomTreeLoop(t *testing.T) {
 	g.SetTerm(body, g.NewNode(OpGoto, bc.KindVoid), header)
 	g.SetTerm(exit, g.NewNode(OpReturn, bc.KindVoid, p))
 	d := NewDomTree(g)
-	if d.IDom[header] != entry || d.IDom[body] != header || d.IDom[exit] != header {
+	if d.IDom(header) != entry || d.IDom(body) != header || d.IDom(exit) != header {
 		t.Fatalf("idoms: header=%v body=%v exit=%v",
-			d.IDom[header], d.IDom[body], d.IDom[exit])
+			d.IDom(header), d.IDom(body), d.IDom(exit))
 	}
 	if !d.Dominates(header, body) || d.Dominates(body, exit) {
 		t.Fatal("loop dominance wrong")
@@ -89,6 +89,14 @@ func TestDomTreeUnreachableBlock(t *testing.T) {
 	}
 	if len(d.RPO) != 4 {
 		t.Fatalf("RPO includes unreachable block: %v", d.RPO)
+	}
+	if d.Dominates(dead, dead) || d.Dominates(dead, g.Entry()) || d.IDom(dead) != nil || d.Index(dead) != -1 {
+		t.Fatal("an unreachable block has no place in the tree")
+	}
+	for i, b := range d.RPO {
+		if d.Index(b) != i {
+			t.Fatalf("Index(%s) = %d, want %d", b, d.Index(b), i)
+		}
 	}
 }
 

@@ -33,6 +33,10 @@ type FrameState struct {
 	// object referenced (transitively) by this state. Filled in by
 	// Partial Escape Analysis.
 	VirtualObjects []*VirtualObjectState
+
+	// epoch is the last walk of the owning graph that visited this state
+	// (Graph.forEachUse).
+	epoch uint32
 }
 
 // VirtualObjectState records the state of one scalar-replaced allocation at
@@ -65,20 +69,6 @@ func (fs *FrameState) Copy() *FrameState {
 		})
 	}
 	return c
-}
-
-// replaceUsages substitutes old with new throughout the state chain.
-func (fs *FrameState) replaceUsages(old, new *Node, seen map[*FrameState]bool) {
-	if fs == nil || seen[fs] {
-		return
-	}
-	seen[fs] = true
-	replaceIn(fs.Locals, old, new)
-	replaceIn(fs.Stack, old, new)
-	for _, vo := range fs.VirtualObjects {
-		replaceIn(vo.Values, old, new)
-	}
-	fs.Outer.replaceUsages(old, new, seen)
 }
 
 // ForEachValue calls f for every value node referenced by the state chain

@@ -52,6 +52,9 @@ type Graph struct {
 
 	nextNodeID  int
 	nextBlockID int
+	// epoch stamps the frame states a walk over the graph's uses has
+	// visited (see forEachUse).
+	epoch uint32
 	// nextVirtualID numbers OpVirtualObject nodes.
 	nextVirtualID int64
 }
@@ -152,73 +155,95 @@ func (g *Graph) NumNodes() int {
 	return n
 }
 
-// replaceIn substitutes old with new in a node slice, returning the number
-// of replacements.
-func replaceIn(list []*Node, old, new *Node) int {
-	c := 0
-	for i, n := range list {
-		if n == old {
-			list[i] = new
-			c++
-		}
-	}
-	return c
-}
+// NumNodeIDs bounds the graph's node IDs: every node created by NewNode or
+// decoded into g has 0 <= ID < NumNodeIDs(), and no two share one. Phases
+// size their per-node tables by it.
+func (g *Graph) NumNodeIDs() int { return g.nextNodeID }
 
-// ReplaceAllUsages replaces every use of old with new throughout the graph:
-// node inputs and all FrameState references (locals, stack, virtual object
-// field values, recursively through outer states).
-func (g *Graph) ReplaceAllUsages(old, new *Node) {
-	seen := make(map[*FrameState]bool)
+// forEachUse calls f with the address of every slot that references a
+// node: the inputs of every placed node and the locals, stack entries and
+// virtual-object descriptions of every frame state reachable from one
+// (through Outer). user is the node whose input the slot is, nil for a
+// frame-state slot. A frame state shared by several nodes or chains is
+// visited once: it is stamped with the walk's epoch, which costs nothing to
+// reset.
+func (g *Graph) forEachUse(f func(user *Node, slot **Node)) {
+	g.epoch++
 	g.ForEachNode(func(_ *Block, n *Node) {
-		if n == old {
-			return
+		for i := range n.Inputs {
+			f(n, &n.Inputs[i])
 		}
-		replaceIn(n.Inputs, old, new)
-		if n.FrameState != nil {
-			n.FrameState.replaceUsages(old, new, seen)
+		for fs := n.FrameState; fs != nil && fs.epoch != g.epoch; fs = fs.Outer {
+			fs.epoch = g.epoch
+			for i := range fs.Locals {
+				f(nil, &fs.Locals[i])
+			}
+			for i := range fs.Stack {
+				f(nil, &fs.Stack[i])
+			}
+			for _, vo := range fs.VirtualObjects {
+				f(nil, &vo.Object)
+				for i := range vo.Values {
+					f(nil, &vo.Values[i])
+				}
+			}
 		}
 	})
 }
 
-// UsageCounts computes, for every node, how many times it is referenced by
-// other nodes' inputs and by frame states. The result maps node -> count.
-func (g *Graph) UsageCounts() map[*Node]int {
-	counts := make(map[*Node]int)
-	seenFS := make(map[*FrameState]bool)
-	var countFS func(fs *FrameState)
-	countFS = func(fs *FrameState) {
-		if fs == nil || seenFS[fs] {
-			return
+// ReplaceAllUsages replaces every use of old with new throughout the graph:
+// node inputs and all FrameState references (locals, stack, virtual object
+// field values, recursively through outer states). It walks the whole
+// graph; a phase that replaces many nodes collects them in a Substitution.
+func (g *Graph) ReplaceAllUsages(old, new *Node) {
+	g.forEachUse(func(user *Node, slot **Node) {
+		if *slot == old && user != old {
+			*slot = new
 		}
-		seenFS[fs] = true
-		for _, n := range fs.Locals {
-			if n != nil {
-				counts[n]++
-			}
-		}
-		for _, n := range fs.Stack {
-			if n != nil {
-				counts[n]++
-			}
-		}
-		for _, vo := range fs.VirtualObjects {
-			counts[vo.Object]++
-			for _, n := range vo.Values {
-				if n != nil {
-					counts[n]++
-				}
-			}
-		}
-		countFS(fs.Outer)
+	})
+}
+
+// Substitution maps nodes to the nodes that replace them, by node ID. A
+// phase that finds many replacements in one sweep records them here, reads
+// the inputs it inspects through Resolve, and applies the lot with one
+// Graph.Substitute. The zero value is empty and allocates on the first Add.
+type Substitution []*Node
+
+// Add records that by replaces n, a node of g.
+func (s *Substitution) Add(g *Graph, n, by *Node) {
+	if *s == nil {
+		*s = make(Substitution, g.nextNodeID)
 	}
-	g.ForEachNode(func(_ *Block, n *Node) {
-		for _, in := range n.Inputs {
-			if in != nil {
-				counts[in]++
-			}
+	(*s)[n.ID] = by
+}
+
+// Resolve returns the node that stands for n, following chains to their
+// end: after Add(a, b) and Add(b, c), a and b both resolve to c.
+func (s Substitution) Resolve(n *Node) *Node {
+	for n != nil && n.ID < len(s) && s[n.ID] != nil {
+		n = s[n.ID]
+	}
+	return n
+}
+
+// Substitute replaces every use of every node in s by what it resolves to,
+// in one walk of the graph. The replaced nodes themselves must already be
+// out of their blocks.
+func (g *Graph) Substitute(s Substitution) {
+	g.forEachUse(func(_ *Node, slot **Node) {
+		*slot = s.Resolve(*slot)
+	})
+}
+
+// UseCounts computes, for every node, how many times it is referenced by
+// other nodes' inputs and by frame states. The result is indexed by node
+// ID.
+func (g *Graph) UseCounts() []int32 {
+	counts := make([]int32, g.nextNodeID)
+	g.forEachUse(func(_ *Node, slot **Node) {
+		if *slot != nil {
+			counts[(*slot).ID]++
 		}
-		countFS(n.FrameState)
 	})
 	return counts
 }
@@ -273,25 +298,25 @@ func (g *Graph) InsertBefore(b *Block, n *Node, pos *Node) {
 // predecessor lists and phi inputs accordingly. It reports whether
 // anything was removed.
 func (g *Graph) RemoveDeadBlocks() bool {
-	reachable := make(map[*Block]bool, len(g.Blocks))
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if reachable[b] {
-			return
-		}
-		reachable[b] = true
+	reachable := make([]bool, g.nextBlockID)
+	reachable[g.Entry().ID] = true
+	for work := []*Block{g.Entry()}; len(work) > 0; {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
 		for _, s := range b.Succs {
-			walk(s)
+			if !reachable[s.ID] {
+				reachable[s.ID] = true
+				work = append(work, s)
+			}
 		}
 	}
-	walk(g.Entry())
 	for _, b := range g.Blocks {
-		if !reachable[b] {
+		if !reachable[b.ID] {
 			continue
 		}
 		// Prune dead preds and matching phi inputs.
 		for i := len(b.Preds) - 1; i >= 0; i-- {
-			if !reachable[b.Preds[i]] {
+			if !reachable[b.Preds[i].ID] {
 				b.Preds = append(b.Preds[:i], b.Preds[i+1:]...)
 				for _, p := range b.Phis {
 					p.Inputs = append(p.Inputs[:i], p.Inputs[i+1:]...)
@@ -301,7 +326,7 @@ func (g *Graph) RemoveDeadBlocks() bool {
 	}
 	kept := g.Blocks[:0]
 	for _, b := range g.Blocks {
-		if reachable[b] {
+		if reachable[b.ID] {
 			kept = append(kept, b)
 		}
 	}

@@ -125,6 +125,45 @@ func TestReplaceAllUsagesIncludingFrameStates(t *testing.T) {
 	}
 }
 
+// TestSubstituteFollowsChains: one walk leaves what ReplaceAllUsages, called
+// once per entry, would — through a chain of substitutions, and in a frame
+// state that two nodes and two chains share.
+func TestSubstituteFollowsChains(t *testing.T) {
+	g, p, c, mul := straightGraph(t)
+	outer := &FrameState{Method: g.Method, Locals: []*Node{p}}
+	shared := &FrameState{Method: g.Method, Locals: []*Node{p, c}, Stack: []*Node{mul}, Outer: outer}
+	other := &FrameState{Method: g.Method, Locals: []*Node{c}, Outer: outer}
+	var effects []*Node
+	for _, fs := range []*FrameState{shared, shared, other} {
+		eff := g.NewNode(OpPrint, bc.KindVoid, c)
+		eff.FrameState = fs
+		g.InsertBefore(g.Entry(), eff, nil)
+		effects = append(effects, eff)
+	}
+	mid, end := g.ConstInt(g.Entry(), 7), g.ConstInt(g.Entry(), 9)
+	g.RemoveNode(c)
+	g.RemoveNode(mid)
+	var sub Substitution
+	sub.Add(g, c, mid)
+	sub.Add(g, mid, end)
+	g.Substitute(sub)
+	for _, eff := range effects {
+		if eff.Inputs[0] != end {
+			t.Fatalf("%s not rewritten to the end of the chain", eff)
+		}
+	}
+	if mul.Inputs[0] != p || mul.Inputs[1] != end {
+		t.Fatalf("mul reads %s, %s", mul.Inputs[0], mul.Inputs[1])
+	}
+	if shared.Locals[0] != p || shared.Locals[1] != end || shared.Stack[0] != mul || other.Locals[0] != end || outer.Locals[0] != p {
+		t.Fatalf("frame states: shared %s, other %s", shared, other)
+	}
+	if got := g.UseCounts(); got[end.ID] != 6 || got[p.ID] != 3 || got[c.ID] != 0 {
+		t.Fatalf("use counts: end %d (want 6: mul, three prints, two states), p %d (want 3: mul, shared, outer once), c %d",
+			got[end.ID], got[p.ID], got[c.ID])
+	}
+}
+
 func TestUsageCountsIncludeFrameStates(t *testing.T) {
 	g, p, c, mul := straightGraph(t)
 	outer := &FrameState{Method: g.Method, BCI: 0, Locals: []*Node{p}, Stack: nil}
@@ -145,16 +184,16 @@ func TestUsageCountsIncludeFrameStates(t *testing.T) {
 	eff.FrameState = fs
 	g.InsertBefore(g.Entry(), eff, nil)
 
-	counts := g.UsageCounts()
+	counts := g.UseCounts()
 	// p: mul input + two frame state locals (inner+outer).
-	if counts[p] != 3 {
-		t.Fatalf("param count = %d, want 3", counts[p])
+	if counts[p.ID] != 3 {
+		t.Fatalf("param count = %d, want 3", counts[p.ID])
 	}
-	if counts[c] < 2 { // mul input + fs stack
-		t.Fatalf("const count = %d", counts[c])
+	if counts[c.ID] < 2 { // mul input + fs stack
+		t.Fatalf("const count = %d", counts[c.ID])
 	}
-	if counts[mul] < 2 { // return input + virtual object value
-		t.Fatalf("mul count = %d", counts[mul])
+	if counts[mul.ID] < 2 { // return input + virtual object value
+		t.Fatalf("mul count = %d", counts[mul.ID])
 	}
 }
 

@@ -29,40 +29,81 @@ func (Canonicalize) Run(g *ir.Graph) (bool, error) {
 	}
 }
 
+// canonSweep is one pass over the graph. Replacements are not applied as
+// they are found: a replaced node leaves its block and enters sub, the
+// sweep reads every input it inspects through sub, and the graph is
+// rewritten once when the sweep ends.
+type canonSweep struct {
+	g     *ir.Graph
+	bound int // NumNodeIDs when the sweep began: IDs from here on are its own constants
+	sub   ir.Substitution
+}
+
+func (c *canonSweep) replace(n, v *ir.Node) {
+	c.sub.Add(c.g, n, v)
+	n.Block = nil
+}
+
+// resolveInputs brings n's own inputs up to date with the replacements
+// made so far in the sweep.
+func (c *canonSweep) resolveInputs(n *ir.Node) {
+	if c.sub == nil {
+		return
+	}
+	for i, in := range n.Inputs {
+		n.Inputs[i] = c.sub.Resolve(in)
+	}
+}
+
 func runCanonOnce(g *ir.Graph) bool {
-	changed := false
+	c := canonSweep{g: g, bound: g.NumNodeIDs()}
 	for _, b := range g.Blocks {
 		// Trivial phis: all inputs identical (ignoring self-references).
-		for _, phi := range append([]*ir.Node(nil), b.Phis...) {
-			if v := trivialPhiValue(phi); v != nil {
-				g.ReplaceAllUsages(phi, v)
-				g.RemovePhi(phi)
-				changed = true
+		b.Phis = filterNodes(b.Phis, func(phi *ir.Node) bool {
+			c.resolveInputs(phi)
+			v := trivialPhiValue(phi)
+			if v != nil {
+				c.replace(phi, v)
 			}
-		}
-		for _, n := range append([]*ir.Node(nil), b.Nodes...) {
+			return v == nil
+		})
+		// Each node yields itself or, in its place, the fresh constant it
+		// folds to, or nothing when an existing value stands for it — so
+		// the list is rewritten in place.
+		nodes := b.Nodes
+		kept := nodes[:0]
+		for _, n := range nodes {
 			// A node guarded by an OnException terminator must stay the
 			// block's last node; folding it away would orphan the guard.
 			// PEA removes provably-safe guards itself.
-			if b.Term != nil && b.Term.Op == ir.OpOnException && b.Term.Inputs[0] == n {
+			guarded := b.Term != nil && b.Term.Op == ir.OpOnException && b.Term.Inputs[0] == n
+			var v *ir.Node
+			if !guarded {
+				v = c.value(n)
+			}
+			if v == nil || v == n {
+				kept = append(kept, n)
 				continue
 			}
-			if v := canonValue(g, b, n); v != nil && v != n {
-				g.ReplaceAllUsages(n, v)
-				// Division, remainder, and ArrayLength are not Pure()
-				// because they can trap — but canonValue only rewrites
-				// them when the trap provably cannot happen (non-zero
-				// constant divisor; array from a non-null NewArray or
-				// Materialize), so the original node is removable;
-				// leaving it would refold it forever.
-				if n.Pure() || n.Op == ir.OpArith || n.Op == ir.OpArrayLength {
-					g.RemoveNode(n)
-				}
-				changed = true
+			// Division, remainder, and ArrayLength are not Pure() because
+			// they can trap — but value only rewrites them when the trap
+			// provably cannot happen (non-zero constant divisor; array
+			// from a non-null NewArray or Materialize), so n leaves the
+			// block whatever it is; leaving it would refold it forever.
+			c.replace(n, v)
+			if v.ID >= c.bound { // a fresh constant
+				v.Block = b
+				kept = append(kept, v)
 			}
 		}
+		clear(nodes[len(kept):])
+		b.Nodes = kept
 	}
-	return changed
+	if c.sub == nil {
+		return false
+	}
+	g.Substitute(c.sub)
+	return true
 }
 
 // trivialPhiValue returns the unique non-self input of a phi, or nil if the
@@ -82,15 +123,16 @@ func trivialPhiValue(phi *ir.Node) *ir.Node {
 	return v
 }
 
-// canonValue returns a simplified replacement for n, or nil.
-func canonValue(g *ir.Graph, b *ir.Block, n *ir.Node) *ir.Node {
+// value returns a simplified replacement for n, or nil: one of n's inputs,
+// or a fresh constant that the caller places where n stood.
+func (c *canonSweep) value(n *ir.Node) *ir.Node {
 	mkConst := func(v int64) *ir.Node {
-		c := g.NewNode(ir.OpConst, bc.KindInt)
-		c.AuxInt = v
-		c.BCI = n.BCI
-		g.InsertBefore(b, c, n)
-		return c
+		k := c.g.NewNode(ir.OpConst, bc.KindInt)
+		k.AuxInt = v
+		k.BCI = n.BCI
+		return k
 	}
+	c.resolveInputs(n)
 	// oplint:ignore — folding rules exist only for the value ops below;
 	// ops without a rule are simply not rewritten.
 	switch n.Op {
@@ -199,8 +241,12 @@ func canonValue(g *ir.Graph, b *ir.Block, n *ir.Node) *ir.Node {
 		}
 	case ir.OpArrayLength:
 		arr := n.Inputs[0]
-		if arr.Op == ir.OpNewArray && arr.Inputs[0].IsConst() && arr.Inputs[0].AuxInt >= 0 {
-			return mkConst(arr.Inputs[0].AuxInt)
+		if arr.Op == ir.OpNewArray {
+			// arr may not have been visited yet, so its input is read
+			// through the substitution here.
+			if l := c.sub.Resolve(arr.Inputs[0]); l.IsConst() && l.AuxInt >= 0 {
+				return mkConst(l.AuxInt)
+			}
 		}
 		if arr.Op == ir.OpMaterialize && arr.Class == nil {
 			return mkConst(arr.AuxInt)

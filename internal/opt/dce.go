@@ -13,44 +13,46 @@ type DCE struct{}
 // Name implements Phase.
 func (DCE) Name() string { return "dce" }
 
-// Run implements Phase.
+// Run implements Phase. Uses are counted once; taking a node out gives up
+// its own uses, so a sweep sees what the one before it freed without
+// counting again.
 func (DCE) Run(g *ir.Graph) (bool, error) {
-	changed := false
-	for {
-		counts := g.UsageCounts()
-		removed := false
-		for _, b := range g.Blocks {
-			for _, phi := range append([]*ir.Node(nil), b.Phis...) {
-				if counts[phi] == 0 || onlySelfUse(phi, counts) {
-					g.RemovePhi(phi)
-					removed = true
+	uses := g.UseCounts()
+	removed := false
+	keep := func(n *ir.Node) bool {
+		if n.Op == ir.OpPhi {
+			// A phi used only by itself is a dead loop phi.
+			self := int32(0)
+			for _, in := range n.Inputs {
+				if in == n {
+					self++
 				}
 			}
-			for _, n := range append([]*ir.Node(nil), b.Nodes...) {
-				if n.Pure() && counts[n] == 0 {
-					g.RemoveNode(n)
-					removed = true
-				}
+			if uses[n.ID] > self {
+				return true
+			}
+		} else if !n.Pure() || uses[n.ID] > 0 {
+			return true
+		}
+		for _, in := range n.Inputs {
+			if in != nil {
+				uses[in.ID]--
 			}
 		}
-		changed = changed || removed
+		n.Block = nil
+		removed = true
+		return false
+	}
+	changed := false
+	for {
+		removed = false
+		for _, b := range g.Blocks {
+			b.Phis = filterNodes(b.Phis, keep)
+			b.Nodes = filterNodes(b.Nodes, keep)
+		}
 		if !removed {
 			return changed, nil
 		}
+		changed = true
 	}
-}
-
-// onlySelfUse reports whether a phi's only usage is itself (a dead loop
-// phi).
-func onlySelfUse(phi *ir.Node, counts map[*ir.Node]int) bool {
-	if counts[phi] == 0 {
-		return true
-	}
-	self := 0
-	for _, in := range phi.Inputs {
-		if in == phi {
-			self++
-		}
-	}
-	return self > 0 && counts[phi] == self
 }

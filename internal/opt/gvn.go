@@ -1,10 +1,10 @@
 package opt
 
 import (
-	"fmt"
+	"encoding/binary"
 
+	"pea/internal/bc"
 	"pea/internal/ir"
-	"pea/internal/sched"
 )
 
 // GVN performs dominance-based global value numbering over pure nodes: a
@@ -15,88 +15,112 @@ type GVN struct{}
 // Name implements Phase.
 func (GVN) Name() string { return "gvn" }
 
-// Run implements Phase.
+// gvnInline is the number of inputs a gvnKey holds in place; only phis of
+// wider merges spill into gvnKey.more.
+const gvnInline = 4
+
+// gvnKey is the value signature of a pure node: two nodes with equal keys
+// compute the same value wherever both are available. Inputs are named by
+// node ID plus one (0 = no such input, -1 = a nil phi input). Phis carry
+// their block, since a phi's value depends on the edge taken into it.
+type gvnKey struct {
+	op     ir.Op
+	kind   bc.Kind
+	aux2   bc.Op
+	cond   bc.Cond
+	block  int32 // block ID plus one for phis, 0 otherwise
+	auxInt int64
+	class  *bc.Class
+	field  *bc.Field
+	in     [gvnInline]int32
+	more   string // inputs past gvnInline, four bytes each
+}
+
+// Run implements Phase. It costs one walk over the pure nodes and, when
+// anything was found, one walk over the graph: a duplicate is taken out of
+// its block on the spot and recorded in a substitution, which the keys of
+// later nodes read their inputs through and which is applied to the whole
+// graph once at the end.
 func (GVN) Run(g *ir.Graph) (bool, error) {
-	g.RemoveDeadBlocks()
-	cfg, err := sched.Compute(g)
-	if err != nil {
-		return false, err
-	}
-	changed := false
-	// Scoped hash table: walk the dominator tree in RPO; since RPO
-	// visits dominators before dominated blocks, a global table keyed by
-	// value signature holding the *representative list* works if we
-	// check dominance before substituting.
-	table := make(map[string][]*ir.Node)
-	for _, b := range cfg.RPO {
-		// Phis are keyed on (block, inputs): identical phis in one
-		// block merge.
-		for _, phi := range append([]*ir.Node(nil), b.Phis...) {
-			key := phiKey(b, phi)
-			dup := findDominating(cfg, table[key], phi)
-			if dup != nil && dup != phi && dup.Block == b {
-				g.ReplaceAllUsages(phi, dup)
-				g.RemovePhi(phi)
-				changed = true
-				continue
+	changed := g.RemoveDeadBlocks()
+	dom := ir.NewDomTree(g)
+	// RPO visits dominators before dominated blocks, so one global table
+	// of representatives works: a candidate with the same key stands for
+	// n if its block dominates n's. table holds the first candidate of
+	// each key and next chains later ones, in insertion order.
+	table := make(map[gvnKey]*ir.Node)
+	next := make([]*ir.Node, g.NumNodeIDs())
+	var sub ir.Substitution
+	// replaced reports whether an earlier node stands for n; if none does,
+	// n becomes a candidate itself.
+	replaced := func(n *ir.Node) bool {
+		key := keyOf(sub, n)
+		var last *ir.Node
+		for cand := table[key]; cand != nil; cand = next[cand.ID] {
+			if dom.Dominates(cand.Block, n.Block) {
+				sub.Add(g, n, cand)
+				n.Block = nil
+				return true
 			}
-			table[key] = append(table[key], phi)
+			last = cand
 		}
-		for _, n := range append([]*ir.Node(nil), b.Nodes...) {
-			if !n.Pure() || n.Op == ir.OpPhi || n.Op == ir.OpVirtualObject {
-				continue
-			}
-			key := valueKey(n)
-			if dup := findDominating(cfg, table[key], n); dup != nil {
-				g.ReplaceAllUsages(n, dup)
-				g.RemoveNode(n)
-				changed = true
-				continue
-			}
-			table[key] = append(table[key], n)
-		}
-	}
-	return changed, nil
-}
-
-// findDominating returns a candidate from list whose block dominates n's
-// block (same-block candidates were inserted earlier in program order, so
-// they are safe too).
-func findDominating(cfg *sched.CFG, list []*ir.Node, n *ir.Node) *ir.Node {
-	for _, cand := range list {
-		if cand == n {
-			continue
-		}
-		if cand.Block == n.Block || cfg.Dominates(cand.Block, n.Block) {
-			return cand
-		}
-	}
-	return nil
-}
-
-// valueKey builds a structural hash key for a pure node.
-func valueKey(n *ir.Node) string {
-	key := fmt.Sprintf("%d|%d|%d|%d|%d", n.Op, n.Kind, n.AuxInt, n.Aux2, n.Cond)
-	if n.Class != nil {
-		key += "|c" + n.Class.Name
-	}
-	if n.Field != nil {
-		key += "|f" + n.Field.QualifiedName()
-	}
-	for _, in := range n.Inputs {
-		key += fmt.Sprintf("|v%d", in.ID)
-	}
-	return key
-}
-
-func phiKey(b *ir.Block, phi *ir.Node) string {
-	key := fmt.Sprintf("phi|b%d|%d", b.ID, phi.Kind)
-	for _, in := range phi.Inputs {
-		if in == nil {
-			key += "|nil"
+		if last == nil {
+			table[key] = n
 		} else {
-			key += fmt.Sprintf("|v%d", in.ID)
+			next[last.ID] = n
+		}
+		return false
+	}
+	keepPhi := func(n *ir.Node) bool { return !replaced(n) }
+	keepNode := func(n *ir.Node) bool {
+		return !n.Pure() || n.Op == ir.OpPhi || n.Op == ir.OpVirtualObject || !replaced(n)
+	}
+	for _, b := range dom.RPO {
+		b.Phis = filterNodes(b.Phis, keepPhi)
+		b.Nodes = filterNodes(b.Nodes, keepNode)
+	}
+	if sub == nil {
+		return changed, nil
+	}
+	g.Substitute(sub)
+	return true, nil
+}
+
+// keyOf builds n's signature, reading its inputs through the pending
+// substitution sub. Identical phis of one block merge; the key of any other
+// node ignores where it is placed.
+func keyOf(sub ir.Substitution, n *ir.Node) gvnKey {
+	key := gvnKey{op: n.Op, kind: n.Kind, aux2: n.Aux2, cond: n.Cond,
+		auxInt: n.AuxInt, class: n.Class, field: n.Field}
+	if n.Op == ir.OpPhi {
+		key.block = int32(n.Block.ID) + 1
+	}
+	var more []byte
+	for i, in := range n.Inputs {
+		id := int32(-1)
+		if in = sub.Resolve(in); in != nil {
+			id = int32(in.ID) + 1
+		}
+		if i < gvnInline {
+			key.in[i] = id
+		} else {
+			more = binary.LittleEndian.AppendUint32(more, uint32(id))
 		}
 	}
+	key.more = string(more)
 	return key
+}
+
+// filterNodes keeps, in place and in order, the nodes of list for which
+// keep reports true. keep is called once per node, first to last: the
+// phases' predicates record what they decide.
+func filterNodes(list []*ir.Node, keep func(*ir.Node) bool) []*ir.Node {
+	kept := list[:0]
+	for _, n := range list {
+		if keep(n) {
+			kept = append(kept, n)
+		}
+	}
+	clear(list[len(kept):])
+	return kept
 }

@@ -17,7 +17,8 @@ import (
 // at the call site (paper §2: "a frame state thus contains a reference to
 // an outer frame state, which is the caller's state").
 type Inliner struct {
-	// BuildGraph builds (or fetches a cached) IR graph for a callee.
+	// BuildGraph builds (or fetches a cached) IR graph for a callee. The
+	// inliner never writes to the graph: splicing clones it.
 	BuildGraph func(m *bc.Method) (*ir.Graph, error)
 	// Program provides the class hierarchy for devirtualization.
 	Program *bc.Program
@@ -50,6 +51,27 @@ type Inliner struct {
 	// matters when budgets stop inlining early; with room for
 	// everything, the same sites inline either way.
 	Summaries *summary.Set
+
+	// built keeps every callee graph BuildGraph returned. An Inliner
+	// lives for one compile, so a callee spliced in at several sites is
+	// built once per compile.
+	built map[*bc.Method]*ir.Graph
+}
+
+// calleeGraph returns m's graph for cloning, building it on first use.
+func (in *Inliner) calleeGraph(m *bc.Method) (*ir.Graph, error) {
+	if g := in.built[m]; g != nil {
+		return g, nil
+	}
+	g, err := in.BuildGraph(m)
+	if err != nil {
+		return nil, err
+	}
+	if in.built == nil {
+		in.built = make(map[*bc.Method]*ir.Graph)
+	}
+	in.built[m] = g
+	return g, nil
 }
 
 // Name implements Phase.
@@ -245,7 +267,7 @@ func (in *Inliner) inlineSite(g *ir.Graph, invoke *ir.Node) error {
 	if callee == nil {
 		return fmt.Errorf("inline: unresolvable site %s", invoke)
 	}
-	cg, err := in.BuildGraph(callee)
+	cg, err := in.calleeGraph(callee)
 	if err != nil {
 		return fmt.Errorf("inline: building %s: %w", callee.QualifiedName(), err)
 	}

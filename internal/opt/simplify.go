@@ -74,6 +74,7 @@ func removePredEdge(blk *ir.Block, pred *ir.Block) {
 // predecessor edge.
 func mergeBlocks(g *ir.Graph) bool {
 	changed := false
+	var sub ir.Substitution // phis of merged blocks, replaced once at the end
 	for _, b := range g.Blocks {
 		for {
 			if b.Term == nil || b.Term.Op != ir.OpGoto {
@@ -84,8 +85,10 @@ func mergeBlocks(g *ir.Graph) bool {
 				break
 			}
 			// Single-pred phis are trivial: replace with their input.
-			for _, phi := range append([]*ir.Node(nil), s.Phis...) {
-				g.ReplaceAllUsages(phi, phi.Inputs[0])
+			for _, phi := range s.Phis {
+				if v := phi.Inputs[0]; v != phi {
+					sub.Add(g, phi, v)
+				}
 			}
 			s.Phis = nil
 			for _, n := range s.Nodes {
@@ -110,6 +113,9 @@ func mergeBlocks(g *ir.Graph) bool {
 			removeBlock(g, s)
 			changed = true
 		}
+	}
+	if sub != nil {
+		g.Substitute(sub)
 	}
 	return changed
 }

@@ -32,7 +32,7 @@ func TestQuickDominatorProperties(t *testing.T) {
 				return false
 			}
 			entry := g.Entry()
-			if cfg.IDom[entry] != nil {
+			if cfg.IDom(entry) != nil {
 				t.Logf("seed %d: entry has idom", seed)
 				return false
 			}
@@ -42,7 +42,7 @@ func TestQuickDominatorProperties(t *testing.T) {
 					return false
 				}
 				if b != entry {
-					id := cfg.IDom[b]
+					id := cfg.IDom(b)
 					if id == nil || !cfg.Dominates(id, b) || id == b {
 						t.Logf("seed %d: bad idom of %s", seed, b)
 						return false

@@ -1,36 +1,26 @@
 // Package sched computes control-flow analyses over an IR graph: reverse
-// postorder, dominator tree (Cooper–Harvey–Kennedy), the natural loop
-// forest, and a static block frequency estimate. Graal's Partial Escape
-// Analysis runs over exactly this structure ("the analysis relies on the
-// scheduler to order the nodes", paper §7): blocks are visited in reverse
-// postorder, merges are processed when all forward predecessors are done,
-// and loops are iterated over their back edges.
+// postorder, dominator tree (ir.DomTree) and the natural loop forest.
+// Graal's Partial Escape Analysis runs over exactly this structure ("the
+// analysis relies on the scheduler to order the nodes", paper §7): blocks
+// are visited in reverse postorder, merges are processed when all forward
+// predecessors are done, and loops are iterated over their back edges.
 package sched
 
 import (
 	"fmt"
-	"math"
 
 	"pea/internal/ir"
 )
 
 // CFG bundles the analyses for one graph.
 type CFG struct {
-	G *ir.Graph
-	// RPO is the reverse postorder over reachable blocks; RPO[0] is the
-	// entry.
-	RPO []*ir.Block
-	// Index maps a block to its RPO position.
-	Index map[*ir.Block]int
-	// IDom maps each block to its immediate dominator (entry -> nil).
-	IDom map[*ir.Block]*ir.Block
+	// DomTree provides G, RPO, Index, IDom and Dominates.
+	*ir.DomTree
 	// Loops lists all natural loops, outermost first.
 	Loops []*Loop
 	// LoopOf maps a block to its innermost containing loop (nil if
 	// none).
 	LoopOf map[*ir.Block]*Loop
-	// Freq estimates each block's relative execution frequency.
-	Freq map[*ir.Block]float64
 }
 
 // Loop is one natural loop.
@@ -57,22 +47,11 @@ func Compute(g *ir.Graph) (*CFG, error) {
 		return nil, fmt.Errorf("sched: %d of %d blocks unreachable",
 			len(g.Blocks)-len(dom.RPO), len(g.Blocks))
 	}
-	c := &CFG{G: g, RPO: dom.RPO, Index: dom.Index, IDom: dom.IDom}
+	c := &CFG{DomTree: dom}
 	if err := c.computeLoops(); err != nil {
 		return nil, err
 	}
-	c.computeFrequencies()
 	return c, nil
-}
-
-// Dominates reports whether a dominates b (reflexive).
-func (c *CFG) Dominates(a, b *ir.Block) bool {
-	for x := b; x != nil; x = c.IDom[x] {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }
 
 // computeLoops finds back edges (u -> h with h dominating u), builds
@@ -193,17 +172,3 @@ func (c *CFG) loopWithHeader(h *ir.Block) *Loop {
 
 // LoopHeader reports whether b is a loop header.
 func (c *CFG) LoopHeader(b *ir.Block) bool { return c.loopWithHeader(b) != nil }
-
-// computeFrequencies assigns each block a static frequency: 10^loopDepth,
-// halved at each side of unbiased branches. This is only used for
-// reporting and inlining heuristics, never for correctness.
-func (c *CFG) computeFrequencies() {
-	c.Freq = make(map[*ir.Block]float64, len(c.RPO))
-	for _, b := range c.RPO {
-		depth := 0
-		if l := c.LoopOf[b]; l != nil {
-			depth = l.Depth
-		}
-		c.Freq[b] = math.Pow(10, float64(depth))
-	}
-}

@@ -49,7 +49,7 @@ func TestRPOStartsAtEntryAndCoversAll(t *testing.T) {
 				if c.IsBackEdge(pr, b) {
 					continue
 				}
-				if c.Index[pr] >= c.Index[b] {
+				if c.Index(pr) >= c.Index(b) {
 					t.Fatalf("%s: forward pred %s of %s comes later in RPO", p.Name, pr, b)
 				}
 			}
@@ -60,11 +60,11 @@ func TestRPOStartsAtEntryAndCoversAll(t *testing.T) {
 func TestDominatorsBasics(t *testing.T) {
 	g, c := graphFor(t, "diamond")
 	entry := g.Entry()
-	if c.IDom[entry] != nil {
+	if c.IDom(entry) != nil {
 		t.Fatal("entry has an idom")
 	}
 	for _, b := range c.RPO[1:] {
-		if c.IDom[b] == nil {
+		if c.IDom(b) == nil {
 			t.Fatalf("%s has no idom", b)
 		}
 		if !c.Dominates(entry, b) {
@@ -78,7 +78,7 @@ func TestDominatorsBasics(t *testing.T) {
 	// not by either arm.
 	for _, b := range c.RPO {
 		if len(b.Preds) >= 2 {
-			id := c.IDom[b]
+			id := c.IDom(b)
 			if id == nil || id.Term == nil || id.Term.Op != ir.OpIf {
 				t.Fatalf("join %s idom = %v, want the branching block", b, id)
 			}
@@ -144,8 +144,8 @@ func TestLoopNesting(t *testing.T) {
 	if !outer.Blocks[inner.Header] {
 		t.Fatal("outer loop does not contain inner header")
 	}
-	if c.Freq[inner.Header] <= c.Freq[outer.Header] {
-		t.Fatal("inner loop frequency should exceed outer")
+	if inner.Depth <= outer.Depth {
+		t.Fatal("inner loop depth should exceed outer")
 	}
 }
 
