@@ -56,11 +56,6 @@ type Options struct {
 	// and fresh compiles are written through so later processes sharing
 	// the directory warm-start.
 	Store *Store
-	// Summaries is the in-memory cache of inter-procedural escape-summary
-	// sets (see Broker.Summaries). nil creates a private cache; pass a
-	// shared one so VMs with separate brokers still amortize the
-	// whole-program analysis.
-	Summaries *SummaryCache
 	// InjectFault, when non-nil, is invoked at named fault points
 	// (FaultCompile, FaultInstall) with the method's qualified name. It
 	// exists to deterministically drive the containment layer — a hook
@@ -198,20 +193,21 @@ type Broker struct {
 	opts  Options
 	cache *Cache
 	// summaries is the memory tier for whole-program escape-summary sets;
-	// sumFlight collapses concurrent first computations per program
-	// fingerprint (guarded by sumFlightMu).
-	summaries   *SummaryCache
-	sumFlightMu sync.Mutex
-	sumFlight   map[uint64]*sync.Once
-	mu          sync.Mutex
-	cond        *sync.Cond // signals workers (work available / closing)
-	idle        *sync.Cond // signals Drain (queue empty, workers idle)
-	queue       taskHeap
-	inflight    map[inflightKey]bool // queued or being compiled
-	busy        int
-	seq         int64
-	closed      bool
-	stats       Stats
+	// sumFlight holds the resolutions in progress, by program fingerprint,
+	// for concurrent first requests to join (an entry leaves when its
+	// resolution completes). sumMu guards both.
+	sumMu     sync.Mutex
+	summaries *summaryCache
+	sumFlight map[uint64]*summaryCall
+	mu        sync.Mutex
+	cond      *sync.Cond // signals workers (work available / closing)
+	idle      *sync.Cond // signals Drain (queue empty, workers idle)
+	queue     taskHeap
+	inflight  map[inflightKey]bool // queued or being compiled
+	busy      int
+	seq       int64
+	closed    bool
+	stats     Stats
 	// workerBusy accumulates per-worker compile wall time (guarded by mu;
 	// indexed by worker; empty in synchronous mode).
 	workerBusy []int64
@@ -225,16 +221,14 @@ func New(opts Options) *Broker {
 		opts.InjectFault = FaultFromEnv()
 	}
 	b := &Broker{
-		opts:     opts,
-		cache:    opts.Cache,
-		inflight: make(map[inflightKey]bool),
+		opts:      opts,
+		cache:     opts.Cache,
+		summaries: newSummaryCache(),
+		sumFlight: make(map[uint64]*summaryCall),
+		inflight:  make(map[inflightKey]bool),
 	}
 	if b.cache == nil {
 		b.cache = NewCache()
-	}
-	b.summaries = opts.Summaries
-	if b.summaries == nil {
-		b.summaries = NewSummaryCache()
 	}
 	b.cond = sync.NewCond(&b.mu)
 	b.idle = sync.NewCond(&b.mu)

@@ -2,113 +2,121 @@ package broker
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"pea/internal/bc"
 	"pea/internal/summary"
 )
 
-// SummaryCache is the in-memory tier for inter-procedural escape-summary
+// maxSummarySets bounds the summary memory tier. A cached set pins its
+// whole *bc.Program, so the tier holds as many programs as a server's
+// linked-program memo beside it (serve's maxPrograms) and no more; an
+// evicted program's next request reloads from the store or recomputes.
+const maxSummarySets = 128
+
+// summaryCache is the in-memory tier for inter-procedural escape-summary
 // sets, keyed by program fingerprint. Summary computation is whole-program
 // (call graph + SCC fixpoint over every method), so it is amortized once
 // per program, not per compilation: every tenant of a shared broker running
-// the same program content reuses one set. A nil *SummaryCache is valid
-// and always misses.
-type SummaryCache struct {
-	mu     sync.RWMutex
-	sets   map[uint64]*summary.Set
-	hits   atomic.Int64
-	misses atomic.Int64
+// the same program content reuses one set. At maxSummarySets a new set takes
+// the place of the least recently used one. Guarded by Broker.sumMu.
+type summaryCache struct {
+	sets map[uint64]*summaryEntry
+	// tick stamps every access; the entry with the lowest stamp is the
+	// least recently used. Sets arrive once per whole-program analysis, so
+	// finding it with a pass over at most maxSummarySets entries is free.
+	tick int64
 }
 
-// NewSummaryCache creates an empty summary cache.
-func NewSummaryCache() *SummaryCache {
-	return &SummaryCache{sets: make(map[uint64]*summary.Set)}
+type summaryEntry struct {
+	set  *summary.Set
+	used int64
 }
 
-// Get returns the cached set for a program fingerprint, counting a hit or
-// miss.
-func (c *SummaryCache) Get(fp uint64) (*summary.Set, bool) {
-	if c == nil {
+func newSummaryCache() *summaryCache {
+	return &summaryCache{sets: make(map[uint64]*summaryEntry)}
+}
+
+// get returns the cached set for a program fingerprint.
+func (c *summaryCache) get(fp uint64) (*summary.Set, bool) {
+	e := c.sets[fp]
+	if e == nil {
 		return nil, false
 	}
-	c.mu.RLock()
-	s := c.sets[fp]
-	c.mu.RUnlock()
-	if s == nil {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return s, true
+	c.tick++
+	e.used = c.tick
+	return e.set, true
 }
 
-// Put stores the set for a program fingerprint. First writer wins, so
-// concurrent computations converge on one canonical set.
-func (c *SummaryCache) Put(fp uint64, s *summary.Set) *summary.Set {
-	if c == nil || s == nil {
-		return s
+// put stores the set for a program fingerprint the cache does not hold,
+// evicting the least recently used set of a full cache.
+func (c *summaryCache) put(fp uint64, s *summary.Set) {
+	if len(c.sets) >= maxSummarySets {
+		var lru uint64
+		oldest := c.tick + 1
+		for k, e := range c.sets {
+			if e.used < oldest {
+				lru, oldest = k, e.used
+			}
+		}
+		delete(c.sets, lru)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if prev, ok := c.sets[fp]; ok {
-		return prev
-	}
-	c.sets[fp] = s
-	return s
+	c.tick++
+	c.sets[fp] = &summaryEntry{set: s, used: c.tick}
 }
 
-// Stats returns cumulative hit and miss counts.
-func (c *SummaryCache) Stats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.hits.Load(), c.misses.Load()
+// summaryCall is one in-flight resolution of a program's summary set, which
+// concurrent requests for the same program join.
+type summaryCall struct {
+	once sync.Once
+	set  *summary.Set
 }
-
-// SummaryCache returns the broker's summary cache (never nil).
-func (b *Broker) SummaryCache() *SummaryCache { return b.summaries }
 
 // Summaries resolves the program's inter-procedural summary set through the
 // broker's tiers: the in-memory cache, then the persistent store (a warm
 // restart loads and re-validates the persisted set instead of re-analyzing
 // the program), then compute — whose result is published to both tiers so
-// later tenants and processes skip the analysis. The singleflight group
-// collapses concurrent first requests for the same program onto one
-// computation; compute is never invoked twice for one fingerprint.
+// later tenants and processes skip the analysis. Concurrent first requests
+// for the same program collapse onto one resolution: compute never runs
+// twice at once for one fingerprint, and runs again only for a program whose
+// set was evicted from memory with no store to reload it from.
 func (b *Broker) Summaries(p *bc.Program, compute func() *summary.Set) *summary.Set {
 	fp := p.Fingerprint()
-	if s, ok := b.summaries.Get(fp); ok {
+	b.sumMu.Lock()
+	s, ok := b.summaries.get(fp)
+	call := b.sumFlight[fp]
+	if !ok && call == nil {
+		call = new(summaryCall)
+		b.sumFlight[fp] = call
+	}
+	b.sumMu.Unlock()
+	if ok {
 		b.emitSummarySource(s, "cache")
 		return s
 	}
-	b.sumFlightMu.Lock()
-	if b.sumFlight == nil {
-		b.sumFlight = make(map[uint64]*sync.Once)
-	}
-	once := b.sumFlight[fp]
-	if once == nil {
-		once = new(sync.Once)
-		b.sumFlight[fp] = once
-	}
-	b.sumFlightMu.Unlock()
-	once.Do(func() {
+	call.once.Do(func() {
+		defer func() {
+			// Publishing to the memory tier and leaving sumFlight are one
+			// step, so a request that finds neither a set nor a call to join
+			// really is the first.
+			b.sumMu.Lock()
+			if call.set != nil {
+				b.summaries.put(fp, call.set)
+			}
+			delete(b.sumFlight, fp)
+			b.sumMu.Unlock()
+		}()
 		if s, ok := b.opts.Store.LoadSummaries(p); ok {
-			b.summaries.Put(fp, s)
 			b.emitSummarySource(s, "store")
+			call.set = s
 			return
 		}
-		s := compute()
-		if s == nil {
-			return
+		if call.set = compute(); call.set != nil {
+			// Persist-through is best-effort: a write failure leaves the set
+			// cached in memory, and the store counts it in WriteErrors.
+			_ = b.opts.Store.PutSummaries(p, call.set)
 		}
-		b.summaries.Put(fp, s)
-		// Persist-through is best-effort: a write failure leaves the set
-		// cached in memory, and the store counts it in WriteErrors.
-		_ = b.opts.Store.PutSummaries(p, s)
 	})
-	s, _ := b.summaries.Get(fp)
-	return s
+	return call.set
 }
 
 // emitSummarySource reports a tier hit to the sink with the set's headline

@@ -3,6 +3,8 @@ package broker
 import (
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"pea/internal/bc"
@@ -101,8 +103,8 @@ func TestBrokerSummariesTiers(t *testing.T) {
 	if s2 := b1.Summaries(p, compute); s2 != s1 || computes != 1 {
 		t.Fatalf("memory tier: recomputed (computes=%d) or returned a different set", computes)
 	}
-	if hits, _ := b1.SummaryCache().Stats(); hits == 0 {
-		t.Fatal("memory tier recorded no hit")
+	if st := b1.Store().Stats(); st.SummaryHits != 0 || st.SummaryMisses != 1 {
+		t.Fatalf("second request went past the memory tier: store stats %+v", st)
 	}
 
 	// Warm restart: a new broker over the same store directory must load
@@ -123,6 +125,97 @@ func TestBrokerSummariesTiers(t *testing.T) {
 	if st := store2.Stats(); st.SummaryHits != 1 {
 		t.Fatalf("store2 SummaryHits = %d, want 1", st.SummaryHits)
 	}
+}
+
+// TestBrokerSummariesBounded: the summary tier holds at most maxSummarySets
+// programs however many pass through, its singleflight map holds only
+// resolutions in progress, an evicted program is resolved again exactly once,
+// and concurrent first requests for one program share one computation.
+func TestBrokerSummariesBounded(t *testing.T) {
+	// program(i) has its own fingerprint: the constant is part of the body.
+	program := func(i int) *bc.Program {
+		a := bc.NewAssembler()
+		a.Class("C", "").Method("k", nil, bc.KindInt, true).Const(int64(i)).ReturnValue()
+		p, err := a.Finish("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	b := New(Options{})
+	defer b.Close()
+	var computes atomic.Int64
+	resolve := func(p *bc.Program) *summary.Set {
+		return b.Summaries(p, func() *summary.Set {
+			computes.Add(1)
+			return summary.Compute(p, summary.Options{})
+		})
+	}
+	assertBounded := func(when string) {
+		t.Helper()
+		b.sumMu.Lock()
+		n, flying := len(b.summaries.sets), len(b.sumFlight)
+		b.sumMu.Unlock()
+		if n > maxSummarySets || flying != 0 {
+			t.Fatalf("%s: %d sets cached (bound %d), %d singleflight entries left", when, n, maxSummarySets, flying)
+		}
+	}
+
+	const extra = 8
+	progs := make([]*bc.Program, maxSummarySets+extra)
+	for i := range progs {
+		progs[i] = program(i)
+		if resolve(progs[i]) == nil {
+			t.Fatalf("program %d resolved to no set", i)
+		}
+	}
+	assertBounded("after churn")
+	if got := computes.Load(); got != int64(len(progs)) {
+		t.Fatalf("%d computations for %d distinct programs", got, len(progs))
+	}
+
+	// The first programs in were the least recently used: gone, and resolved
+	// again exactly once. The last ones in are still there.
+	before := computes.Load()
+	s1 := resolve(progs[0])
+	if s2 := resolve(progs[0]); s1 == nil || s2 != s1 || computes.Load() != before+1 {
+		t.Fatalf("evicted program: %d recomputations, want exactly 1", computes.Load()-before)
+	}
+	if resolve(progs[len(progs)-1]); computes.Load() != before+1 {
+		t.Fatal("a recently used program was evicted")
+	}
+	assertBounded("after re-resolving an evicted program")
+
+	// Concurrent first requests: the computation waits until every requester
+	// is on its way in, so they overlap.
+	fresh := program(len(progs))
+	const requesters = 8
+	var arrived, done sync.WaitGroup
+	arrived.Add(requesters)
+	sets := make([]*summary.Set, requesters)
+	before = computes.Load()
+	for i := 0; i < requesters; i++ {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			arrived.Done()
+			sets[i] = b.Summaries(fresh, func() *summary.Set {
+				arrived.Wait()
+				computes.Add(1)
+				return summary.Compute(fresh, summary.Options{})
+			})
+		}(i)
+	}
+	done.Wait()
+	if got := computes.Load() - before; got != 1 {
+		t.Fatalf("%d computations for %d concurrent first requests, want 1", got, requesters)
+	}
+	for i, s := range sets {
+		if s == nil || s != sets[0] {
+			t.Fatalf("requester %d got a different set", i)
+		}
+	}
+	assertBounded("after concurrent first requests")
 }
 
 // With a byte bound the handle rolls to a new segment at a quarter of the

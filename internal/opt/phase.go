@@ -23,12 +23,13 @@ type Phase interface {
 	Run(g *ir.Graph) (bool, error)
 }
 
+// maxRounds bounds full-pipeline iterations.
+const maxRounds = 4
+
 // Pipeline runs phases in order, iterating the whole sequence until a
-// fixpoint or the iteration cap is reached.
+// fixpoint or maxRounds is reached.
 type Pipeline struct {
 	Phases []Phase
-	// MaxRounds bounds full-pipeline iterations (default 4).
-	MaxRounds int
 	// Check selects the sanitizer level run after every phase. The
 	// PEA_CHECK environment variable floors it, so an exported
 	// PEA_CHECK=strict turns every pipeline in the process strict. At
@@ -51,10 +52,6 @@ type Pipeline struct {
 
 // Run executes the pipeline on g.
 func (p *Pipeline) Run(g *ir.Graph) error {
-	rounds := p.MaxRounds
-	if rounds == 0 {
-		rounds = 4
-	}
 	var method string
 	if p.Sink != nil {
 		method = g.Method.QualifiedName()
@@ -68,7 +65,7 @@ func (p *Pipeline) Run(g *ir.Graph) error {
 	if lvl >= check.Strict {
 		before = ir.Dump(g)
 	}
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < maxRounds; r++ {
 		changed := false
 		for _, ph := range p.Phases {
 			var span obs.PhaseSpan

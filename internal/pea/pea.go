@@ -14,12 +14,6 @@ import (
 
 // Config tunes the analysis.
 type Config struct {
-	// MaxVirtualArrayLength bounds the constant array lengths that are
-	// scalar-replaced (default 32).
-	MaxVirtualArrayLength int64
-	// MaxRounds bounds whole-graph fixpoint rounds; if the analysis has
-	// not converged it bails out without transforming (default 16).
-	MaxRounds int
 	// AllowAlloc, when non-nil, restricts which allocation sites may be
 	// virtualized. The flow-insensitive baseline (package ea) uses it
 	// to limit scalar replacement to provably never-escaping objects.
@@ -71,19 +65,14 @@ type Config struct {
 	Flight *flight.Recorder
 }
 
-func (c Config) maxArrayLen() int64 {
-	if c.MaxVirtualArrayLength > 0 {
-		return c.MaxVirtualArrayLength
-	}
-	return 32
-}
-
-func (c Config) maxRounds() int {
-	if c.MaxRounds > 0 {
-		return c.MaxRounds
-	}
-	return 16
-}
+const (
+	// maxVirtualArrayLength bounds the constant array lengths that are
+	// scalar-replaced.
+	maxVirtualArrayLength = 32
+	// maxRounds bounds whole-graph fixpoint rounds; if the analysis has
+	// not converged it bails out without transforming.
+	maxRounds = 16
+)
 
 // Result reports what the analysis did.
 type Result struct {
@@ -168,7 +157,7 @@ func Run(g *ir.Graph, conf Config) (Result, error) {
 
 	// Phase A: whole-graph fixpoint over block entry states.
 	converged := false
-	for round := 1; round <= conf.maxRounds(); round++ {
+	for round := 1; round <= maxRounds; round++ {
 		if conf.Budget != nil {
 			if err := conf.Budget.Check("pea-fixpoint", a.method, g.NumNodes()); err != nil {
 				a.sink.PEABailout(a.method, err.Error())

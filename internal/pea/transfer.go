@@ -35,7 +35,7 @@ func (a *analyzer) virtualizableAlloc(n *ir.Node) bool {
 			return false
 		}
 		ln := n.Inputs[0]
-		return ln.IsConst() && ln.AuxInt >= 0 && ln.AuxInt <= a.conf.maxArrayLen()
+		return ln.IsConst() && ln.AuxInt >= 0 && ln.AuxInt <= maxVirtualArrayLength
 	}
 	return false
 }

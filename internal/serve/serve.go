@@ -37,8 +37,9 @@ import (
 type Options struct {
 	// EA selects the escape-analysis configuration tenants compile under.
 	EA vm.EAMode
-	// Backend selects the execution backend (default vm.BackendClosure is
-	// NOT applied here; the zero value is the vm package default).
+	// Backend selects the execution backend tenant code runs on. The zero
+	// value is vm.BackendOracle, as in vm.Options; the peaserve command
+	// passes vm.BackendClosure unless told otherwise.
 	Backend vm.Backend
 	// CompileThreshold is the tenant VMs' hotness threshold (0 = vm default).
 	CompileThreshold int64
@@ -70,8 +71,9 @@ type Options struct {
 	// artifact store rooted there. Restarting the server on the same
 	// directory replays persisted artifacts instead of recompiling.
 	StoreDir string
-	// StoreMaxBytes bounds the store directory's total size; writes over
-	// the bound expel the oldest-modified artifacts first (0 = unbounded).
+	// StoreMaxBytes bounds the store directory's total size; a write that
+	// takes it over the bound expels whole segments, oldest first
+	// (0 = unbounded).
 	StoreMaxBytes int64
 	// Summaries enables inter-procedural escape summaries for tenant
 	// compiles (vm.Options.Summaries). The whole-program analysis is
@@ -82,9 +84,6 @@ type Options struct {
 	MaxSourceBytes int64
 	// MaxRuns bounds the per-request run count (default 64).
 	MaxRuns int
-	// MaxPrograms bounds the linked-program memo (default 128). Tenants
-	// posting byte-identical sources share one immutable *bc.Program.
-	MaxPrograms int
 	// InjectFault is threaded into tenant VMs (tests drive the containment
 	// layer through it; see vm.Options.InjectFault).
 	InjectFault func(point, method string)
@@ -112,12 +111,9 @@ func (o Options) maxRuns() int {
 	return 64
 }
 
-func (o Options) maxPrograms() int {
-	if o.MaxPrograms > 0 {
-		return o.MaxPrograms
-	}
-	return 128
-}
+// maxPrograms bounds the linked-program memo. Tenants posting
+// byte-identical sources share one immutable *bc.Program.
+const maxPrograms = 128
 
 // Server shares one broker across tenant VMs and serves the HTTP API:
 //
@@ -305,7 +301,7 @@ func (s *Server) program(source string) (*linked, error) {
 		l.used = s.progClock
 		return l, nil
 	}
-	if len(s.progs) >= s.opts.maxPrograms() {
+	if len(s.progs) >= maxPrograms {
 		var victim uint64
 		oldest := int64(-1)
 		for k, l := range s.progs {

@@ -431,8 +431,8 @@ func TestProgramMemoEvictsOnlyTheColdest(t *testing.T) {
 			t.Fatalf("hot program relinked after %d cold sources", i+1)
 		}
 	}
-	if st := s.statsLocked(); st.Programs != s.opts.maxPrograms() {
-		t.Fatalf("memo holds %d programs, want the bound %d", st.Programs, s.opts.maxPrograms())
+	if st := s.statsLocked(); st.Programs != maxPrograms {
+		t.Fatalf("memo holds %d programs, want the bound %d", st.Programs, maxPrograms)
 	}
 }
 

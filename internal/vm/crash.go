@@ -31,18 +31,9 @@ func (vm *VM) captureCrashRepro(m *bc.Method, k broker.Key, pe *broker.PanicErro
 	if vm.Opts.CrashDir == "" {
 		return
 	}
-	// One capture per method: a panicking compile resubmitted under
-	// different keys (spec/no-spec, OSR entries) minimizes once.
-	vm.crashMu.Lock()
-	if vm.crashCaptured == nil {
-		vm.crashCaptured = make(map[*bc.Method]bool)
+	if vm.methods[m.ID].crashCaptured.Swap(true) {
+		return // one capture per method
 	}
-	if vm.crashCaptured[m] {
-		vm.crashMu.Unlock()
-		return
-	}
-	vm.crashCaptured[m] = true
-	vm.crashMu.Unlock()
 
 	clone := cloneForRepro(m)
 	note := fmt.Sprintf("compiler panic: %v", pe.Value)

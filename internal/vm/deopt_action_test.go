@@ -45,7 +45,7 @@ func deoptAtReturn(t *testing.T, machine *VM, m *bc.Method, action ir.DeoptActio
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine.code[m.ID].Store(&codeCell{code: code})
+	machine.methods[m.ID].entry.code.Store(&code)
 }
 
 // TestNonSpeculativeDeoptKeepsCode is the regression test for the

@@ -234,7 +234,7 @@ func TestOSRFaultEndToEnd(t *testing.T) {
 	if err := machine.CompileError(sum); err != nil {
 		t.Fatalf("OSR panic poisoned Main.sum: %v", err)
 	}
-	if machine.hasFailed[sum.ID].Load() {
+	if machine.methods[sum.ID].entry.failure.Load() != nil {
 		t.Fatal("OSR panic blacklisted Main.sum's standard entry")
 	}
 	// The standard entry must still compile cleanly (the enclosing method

@@ -12,87 +12,24 @@ import (
 	"pea/internal/rt"
 )
 
-// osrSite identifies one on-stack-replacement entry point: a loop header
-// (by bytecode index) inside a method.
-type osrSite struct {
-	m   *bc.Method
-	bci int
-}
-
 // osrHook is the interpreter's back-edge callback (interp.Interp.OSRHook).
 // It fires after the interpreter has taken a backward branch, with f.PC at
-// the loop header and count the header's cumulative back-edge count. When an
-// OSR graph for (f.Method, f.PC) is installed, the hook transfers the live
-// interpreter frame into it and finishes the invocation in compiled code —
-// whatever the count: code installed by an earlier invocation serves every
-// later one from its first back edge. Otherwise the header's first back
-// edge asks the broker's memory tier for a non-speculative artifact (see
-// warmInstall), and once count crosses the threshold the hook submits an
-// OSR compile to the broker and lets the interpreter continue (async mode)
-// or enters the freshly installed code immediately (sync mode). Below the
-// threshold the hook takes no lock.
+// the loop header and count the header's cumulative back-edge count. When
+// the header's unit has code installed — whatever the count: code installed
+// by an earlier invocation serves every later one from its first back edge
+// — or the tier-up ladder produces some now, the hook transfers the live
+// interpreter frame into it and finishes the invocation in compiled code.
+// Otherwise the interpreter keeps looping.
 func (vm *VM) osrHook(f *interp.Frame, count int64) (rt.Value, bool, error) {
-	site := osrSite{f.Method, f.PC}
-	if c := vm.osrInstalled(site); c != nil {
-		return vm.enterOSR(f, c)
+	u := vm.unit(f.Method, f.PC)
+	c := u.installed()
+	if c == nil {
+		c = vm.tierUp(u, count)
 	}
-	if count == 1 && !vm.speculates(f.Method) && vm.warmInstall(f.Method, f.PC) {
-		return vm.enterOSR(f, vm.osrInstalled(site))
-	}
-	if count < vm.Opts.OSRThreshold {
+	if c == nil {
 		return rt.Value{}, false, nil
 	}
-	if vm.hasFailed[f.Method.ID].Load() || vm.osrHasFailed(site) {
-		return rt.Value{}, false, nil
-	}
-	if vm.osrBackedOff(site, count) {
-		return rt.Value{}, false, nil // transient failure/rejection backoff
-	}
-	if vm.jit.Pending(f.Method, f.PC) {
-		return rt.Value{}, false, nil // compile in flight; keep looping interpreted
-	}
-	atomic.AddInt64(&vm.VMStats.OSRRequests, 1)
-	vm.flight.Record(flight.KindOSRRequest, int32(f.Method.ID), int32(f.PC), count, 0, 0)
-	if s := vm.Opts.Sink; s != nil {
-		s.VMOSRRequest(f.Method.QualifiedName(), f.PC, int(count))
-	}
-	if !vm.jit.Submit(f.Method, count, vm.cacheKey(f.Method, f.PC), &vm.hooks) {
-		// Rejected (queue full, closing, or a racing duplicate): re-arm
-		// this entry point's trigger with backoff instead of resubmitting
-		// on every back edge.
-		vm.rearmOSR(f.Method, f.PC, "submit-rejected")
-	}
-	// A synchronous broker has installed (or failed) the artifact by now;
-	// an asynchronous one publishes later and this lookup stays nil.
-	if c := vm.osrInstalled(site); c != nil {
-		return vm.enterOSR(f, c)
-	}
-	return rt.Value{}, false, nil
-}
-
-// osrInstalled returns the installed OSR code for site (nil if none),
-// without locking.
-func (vm *VM) osrInstalled(site osrSite) exec.Code {
-	if codes := vm.osrCode.Load(); codes != nil {
-		return (*codes)[site]
-	}
-	return nil
-}
-
-// osrBackedOff reports whether site is inside a transient-failure backoff
-// window: re-armed sites become submit-eligible again only once the loop
-// header's back-edge count reaches the re-arm target.
-func (vm *VM) osrBackedOff(site osrSite, count int64) bool {
-	vm.osrMu.Lock()
-	defer vm.osrMu.Unlock()
-	return vm.osrRetryAt[site] > count
-}
-
-// osrHasFailed reports whether an OSR compile for site failed permanently.
-func (vm *VM) osrHasFailed(site osrSite) bool {
-	vm.osrMu.Lock()
-	defer vm.osrMu.Unlock()
-	return vm.osrFailed[site]
+	return vm.enterOSR(f, c)
 }
 
 // enterOSR transfers the interpreter frame f into the OSR graph g and runs
@@ -127,7 +64,7 @@ func (vm *VM) enterOSR(f *interp.Frame, c exec.Code) (rt.Value, bool, error) {
 // (m, entryBCI), or nil. Safe to call concurrently with compilation;
 // exposed for tests and tools.
 func (vm *VM) OSRGraph(m *bc.Method, entryBCI int) *ir.Graph {
-	if c := vm.osrInstalled(osrSite{m, entryBCI}); c != nil {
+	if c := vm.unit(m, entryBCI).installed(); c != nil {
 		return c.Graph()
 	}
 	return nil

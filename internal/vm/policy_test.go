@@ -74,7 +74,7 @@ func TestInvalidateForcesNonSpeculativeRecompile(t *testing.T) {
 	if machine.CompiledGraph(m) != nil {
 		t.Fatal("invalidation did not drop the graph")
 	}
-	if !machine.noSpec[m.ID].Load() {
+	if !machine.methods[m.ID].noSpec.Load() {
 		t.Fatal("invalidation must disable speculation for the method")
 	}
 	if machine.VMStats.InvalidatedMethods != 1 {

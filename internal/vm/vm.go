@@ -13,8 +13,8 @@
 // the differential interpreter-vs-compiled oracles rely on. A broker built
 // with workers compiles in the background while the interpreter keeps
 // executing the method (true tier-up);
-// finished code is published by an atomic pointer store into the VM's code
-// table, so the execution thread picks it up on the next call without
+// finished code is published by an atomic pointer store into the VM's
+// tier-up table, so the execution thread picks it up on the next call without
 // locking. Either way, artifacts land in a compiled-code cache keyed by
 // (method, EA mode, speculation, profile fingerprint) and recompiles after
 // deoptimization or across VMs sharing the cache replay cached code
@@ -30,7 +30,9 @@
 // the loop header (build.BuildOSR). The live interpreter frame is
 // transferred into the compiled code mid-invocation, so even a single
 // long-running call tiers up; deoptimization transfers back out through
-// the ordinary FrameState path.
+// the ordinary FrameState path. A loop header is a compilation unit like a
+// method entry — same state (unit), same ladder (tierUp), a different
+// counter and threshold.
 package vm
 
 import (
@@ -256,28 +258,12 @@ type VM struct {
 	// Options.Backend, resolved once at construction).
 	backend exec.Backend
 
-	// code is the installed-code table, indexed by bc.Method.ID. Entries
-	// are published with atomic stores by the broker's install callback
-	// and loaded without locks on the execution path (codeCell wraps the
-	// exec.Code interface so atomic.Pointer has a concrete type).
-	code []atomic.Pointer[codeCell]
-	// noSpec marks methods whose speculative code deoptimized; they are
-	// recompiled without speculation.
-	noSpec []atomic.Bool
-
-	// warmProbed marks methods whose non-speculative key has been looked
-	// up in the broker's memory tier (see warmInstall); cleared by
-	// Invalidate so a deoptimized method asks again. Indexed by method ID.
-	warmProbed []atomic.Bool
-
-	// osrCode holds installed on-stack-replacement code keyed by
-	// (method, loop-header BCI). Every interpreted back edge consults it,
-	// so readers load the current map without locking (nil while the VM
-	// has no OSR code at all); writers replace it copy-on-write under
-	// osrMu, which also guards the rarely touched failure and backoff maps.
-	osrCode   atomic.Pointer[map[osrSite]exec.Code]
-	osrMu     sync.Mutex
-	osrFailed map[osrSite]bool
+	// methods is the tier-up table, indexed by bc.Method.ID: everything the
+	// VM knows about compiling a method lives in its methodState. osrMu
+	// guards only the creation of a loop header's unit (see unit); every
+	// other access, on the execution thread or a broker worker, is atomic.
+	methods []methodState
+	osrMu   sync.Mutex
 
 	// jit is Options.JIT, or the private broker New made in its place.
 	jit *broker.Broker
@@ -285,38 +271,6 @@ type VM struct {
 	// program resolver with every submission, so a broker shared between
 	// VMs dispatches back to the right tenant.
 	hooks broker.Hooks
-
-	// failed records permanent compilation failures per compilation unit
-	// (broker key shape: method + entry point). A failed OSR entry
-	// blacklists only that (method, loop header) pair; the method itself
-	// stays eligible for standard tier-up, and vice versa. Failed units
-	// stay interpreted: panics and pipeline errors are compiler bugs that
-	// surface in tests, while in production they degrade to
-	// interpretation. Transient failures (budget overruns, queue
-	// rejections) are never recorded here — they re-arm instead.
-	failedMu sync.Mutex
-	failed   map[failKey]error
-	// hasFailed mirrors the standard-entry failures for lock-free
-	// hot-path checks.
-	hasFailed []atomic.Bool
-
-	// retryAt gates resubmission after a transient failure or a
-	// queue-full rejection: the method becomes submit-eligible again only
-	// once its invocation count reaches the stored value (exponential
-	// backoff on the hotness counter). retryN counts consecutive re-arms;
-	// a successful install resets both. Indexed by dense method ID.
-	retryAt []atomic.Int64
-	retryN  []atomic.Int32
-	// osrRetryAt/osrRetryN is the same backoff state for OSR entry
-	// points, gated on the loop header's back-edge count (guarded by
-	// osrMu; back edges are orders of magnitude rarer than calls).
-	osrRetryAt map[osrSite]int64
-	osrRetryN  map[osrSite]int32
-
-	// crashCaptured dedups crash-reproducer capture per method, so a
-	// panicking compile resubmitted under different keys minimizes once.
-	crashMu       sync.Mutex
-	crashCaptured map[*bc.Method]bool
 
 	// sums is the program's inter-procedural summary set, resolved
 	// lazily through the broker's tiers on the first compile that wants
@@ -334,17 +288,106 @@ type VM struct {
 	VMStats Stats
 }
 
-// failKey identifies one compilation unit for failure bookkeeping: a
-// method-entry compile (entryBCI == broker.NoOSR) or one OSR entry point.
-type failKey struct {
+// unit is the tier-up state of one compilation unit: a method's standard
+// entry (entryBCI == broker.NoOSR) or one of its loop headers, which is the
+// same thing entered somewhere else (an OSR compile). Every field the ladder
+// reads is atomic, so tierUp takes no lock and an install on a broker worker
+// races with the execution thread only on atomics.
+type unit struct {
 	m        *bc.Method
 	entryBCI int
+	// code is the installed code, nil while the unit is interpreted
+	// (a pointer to the interface value, because atomic.Pointer needs a
+	// concrete element type).
+	code atomic.Pointer[exec.Code]
+	// failure is the unit's permanent compilation failure. A failed unit
+	// stays interpreted: panics and pipeline errors are compiler bugs that
+	// surface in tests, while in production they degrade to interpretation.
+	// Transient failures (budget overruns, queue rejections) are never
+	// recorded here — they re-arm instead.
+	failure atomic.Pointer[error]
+	// retryAt gates resubmission after a transient failure or a queue-full
+	// rejection: the unit becomes submit-eligible again only once its
+	// hotness counter reaches the stored value (exponential backoff on the
+	// counter). retryN counts consecutive re-arms; a successful install
+	// resets both.
+	retryAt atomic.Int64
+	retryN  atomic.Int32
+	// probed marks a unit whose non-speculative key has been looked up in
+	// the broker's memory tier (see warmInstall); cleared by Invalidate so
+	// a deoptimized method's units ask again.
+	probed atomic.Bool
 }
 
-// codeCell wraps installed exec.Code so the lock-free code table can use
-// atomic.Pointer (which needs a concrete element type, not an interface).
-type codeCell struct {
-	code exec.Code
+// installed returns the unit's currently published code (nil if none).
+func (u *unit) installed() exec.Code {
+	if c := u.code.Load(); c != nil {
+		return *c
+	}
+	return nil
+}
+
+func (u *unit) isOSR() bool { return u.entryBCI != broker.NoOSR }
+
+// name is the unit's name in events: the method's, with the loop header
+// appended for an OSR unit.
+func (u *unit) name() string {
+	if u.isOSR() {
+		return fmt.Sprintf("%s@osr%d", u.m.QualifiedName(), u.entryBCI)
+	}
+	return u.m.QualifiedName()
+}
+
+// methodState is one method's row of the tier-up table.
+type methodState struct {
+	entry unit
+	// osr lists the units of the method's loop headers, in creation order.
+	// Every interpreted back edge looks its header up here, so the list is
+	// copy-on-write: readers load and scan it without locking (a method has
+	// a handful of loops), and a header's first back edge publishes a longer
+	// copy under VM.osrMu. Units are never removed.
+	osr atomic.Pointer[[]*unit]
+	// noSpec marks a method whose speculative code deoptimized; it is
+	// recompiled without speculation.
+	noSpec atomic.Bool
+	// crashCaptured dedups crash-reproducer capture, so a panicking compile
+	// resubmitted under different keys (spec/no-spec, OSR entries) minimizes
+	// once.
+	crashCaptured atomic.Bool
+}
+
+// osrUnits returns the units of the method's loop headers seen so far.
+func (ms *methodState) osrUnits() []*unit {
+	if l := ms.osr.Load(); l != nil {
+		return *l
+	}
+	return nil
+}
+
+// unit returns the tier-up state of (m, entryBCI), creating a loop header's
+// on first use.
+func (vm *VM) unit(m *bc.Method, entryBCI int) *unit {
+	ms := &vm.methods[m.ID]
+	if entryBCI == broker.NoOSR {
+		return &ms.entry
+	}
+	for _, u := range ms.osrUnits() {
+		if u.entryBCI == entryBCI {
+			return u
+		}
+	}
+	vm.osrMu.Lock()
+	defer vm.osrMu.Unlock()
+	cur := ms.osrUnits()
+	for _, u := range cur {
+		if u.entryBCI == entryBCI {
+			return u // created since the lock-free scan
+		}
+	}
+	u := &unit{m: m, entryBCI: entryBCI}
+	next := append(cur[:len(cur):len(cur)], u)
+	ms.osr.Store(&next)
+	return u
 }
 
 // New creates a VM for the program.
@@ -368,22 +411,18 @@ func New(prog *bc.Program, opts Options) *VM {
 		Env:         rt.NewEnv(prog, opts.Seed),
 		Opts:        opts,
 		backend:     opts.Backend.impl(),
-		code:        make([]atomic.Pointer[codeCell], len(prog.Methods)),
-		noSpec:      make([]atomic.Bool, len(prog.Methods)),
-		warmProbed:  make([]atomic.Bool, len(prog.Methods)),
-		failed:      make(map[failKey]error),
-		hasFailed:   make([]atomic.Bool, len(prog.Methods)),
-		retryAt:     make([]atomic.Int64, len(prog.Methods)),
-		retryN:      make([]atomic.Int32, len(prog.Methods)),
+		methods:     make([]methodState, len(prog.Methods)),
 		flight:      opts.Flight,
 		reasonRemat: opts.Flight.Reason("deopt-remat"),
 		jit:         opts.JIT,
+	}
+	for i, m := range prog.Methods {
+		vm.methods[i].entry = unit{m: m, entryBCI: broker.NoOSR}
 	}
 	vm.Interp = interp.New(vm.Env)
 	vm.Interp.MaxSteps = opts.MaxSteps
 	vm.Interp.CallHook = vm.interpCallHook
 	if opts.OSRThreshold > 0 && !opts.Interpret {
-		vm.osrFailed = make(map[osrSite]bool)
 		vm.Interp.OSRHook = vm.osrHook
 	}
 	vm.Engine = &exec.Engine{Env: vm.Env, MaxSteps: opts.MaxSteps, Sink: opts.Sink}
@@ -450,121 +489,118 @@ func (vm *VM) engineInvoke(m *bc.Method, args []rt.Value) (rt.Value, error) {
 	return vm.Interp.Call(m, args)
 }
 
-// installed returns the currently published code for m (nil if none).
-func (vm *VM) installed(m *bc.Method) exec.Code {
-	if cell := vm.code[m.ID].Load(); cell != nil {
-		return cell.code
-	}
-	return nil
-}
-
 // CompiledGraph returns the scheduled graph behind m's installed code, or
 // nil if the method is interpreted. Safe to call concurrently with
 // compilation.
 func (vm *VM) CompiledGraph(m *bc.Method) *ir.Graph {
-	if c := vm.installed(m); c != nil {
-		return c.Graph()
-	}
-	return nil
+	return vm.OSRGraph(m, broker.NoOSR)
 }
 
-// maybeCompiled returns the installed code for m, requesting compilation if
-// it just became hot. In synchronous mode the request completes before this
-// returns; in asynchronous mode the interpreter keeps executing m until the
-// broker publishes code. Before the hotness test, the first call of m that
-// would compile without speculation asks the broker's memory tier for an
-// artifact some earlier VM already paid for.
+// maybeCompiled returns the installed code for m, climbing the tier-up
+// ladder with m's invocation count when there is none. In synchronous mode
+// a compile the ladder requests completes before this returns; in
+// asynchronous mode the interpreter keeps executing m until the broker
+// publishes code.
 func (vm *VM) maybeCompiled(m *bc.Method) exec.Code {
 	if vm.Opts.Interpret {
 		return nil
 	}
-	if c := vm.installed(m); c != nil {
+	u := &vm.methods[m.ID].entry
+	if c := u.installed(); c != nil {
 		return c
 	}
-	if vm.hasFailed[m.ID].Load() {
+	return vm.tierUp(u, vm.Interp.Profile.Invocations(m))
+}
+
+// trigger is the value of u's hotness counter at which the ladder submits
+// it: invocations against CompileThreshold for a method entry, back edges
+// of the header against OSRThreshold for a loop.
+func (vm *VM) trigger(u *unit) int64 {
+	if u.isOSR() {
+		return vm.Opts.OSRThreshold
+	}
+	return vm.Opts.threshold()
+}
+
+// hotness reads u's hotness counter from the profile.
+func (vm *VM) hotness(u *unit) int64 {
+	if u.isOSR() {
+		return vm.Interp.Profile.BackEdges(u.m, u.entryBCI)
+	}
+	return vm.Interp.Profile.Invocations(u.m)
+}
+
+// tierUp is the one tier-up ladder, climbed by a unit without installed code
+// each time the execution thread reaches it — a method entry at a call, a
+// loop header at a back edge — with count the unit's hotness counter. It
+// returns the code to run now, or nil to keep interpreting, and takes no
+// lock of the VM's.
+//
+// A unit that failed permanently, or whose method's standard entry did (if
+// the method cannot be compiled from the top, its loops are not worth
+// trying), stays interpreted. Otherwise the unit's first visit that would
+// compile without speculation asks the broker's memory tier for an artifact
+// some earlier VM already paid for, whatever the count. Past the trigger,
+// and outside a backoff window and any compile already in flight, the unit
+// is submitted: a synchronous broker has installed (or failed) it when
+// Submit returns, an asynchronous one publishes later and the final load
+// stays nil.
+func (vm *VM) tierUp(u *unit, count int64) exec.Code {
+	if u.failure.Load() != nil || vm.methods[u.m.ID].entry.failure.Load() != nil {
 		return nil
 	}
-	if !vm.warmProbed[m.ID].Load() && !vm.speculates(m) {
-		vm.warmProbed[m.ID].Store(true)
-		if vm.warmInstall(m, broker.NoOSR) {
-			return vm.installed(m)
+	if !u.probed.Load() && !vm.speculates(u.m) {
+		u.probed.Store(true)
+		if vm.warmInstall(u) {
+			return u.installed()
 		}
 	}
-	inv := vm.Interp.Profile.Invocations(m)
-	if inv < vm.Opts.threshold() {
+	if count < vm.trigger(u) || u.retryAt.Load() > count || vm.jit.Pending(u.m, u.entryBCI) {
 		return nil
 	}
-	if vm.retryAt[m.ID].Load() > inv {
-		return nil // backed off after a transient failure or rejection
+	if u.isOSR() {
+		atomic.AddInt64(&vm.VMStats.OSRRequests, 1)
+		vm.flight.Record(flight.KindOSRRequest, int32(u.m.ID), int32(u.entryBCI), count, 0, 0)
+		if s := vm.Opts.Sink; s != nil {
+			s.VMOSRRequest(u.m.QualifiedName(), u.entryBCI, int(count))
+		}
 	}
-	if vm.jit.Pending(m, broker.NoOSR) {
-		return nil // already queued or being compiled; keep interpreting
+	if !vm.jit.Submit(u.m, count, vm.cacheKey(u.m, u.entryBCI), &vm.hooks) {
+		// Rejected (queue full, closing, or a racing duplicate): re-arm the
+		// trigger with backoff so the unit stays submit-eligible instead of
+		// hammering — or silently losing — the submission.
+		vm.rearm(u, "submit-rejected")
 	}
-	if !vm.jit.Submit(m, inv, vm.cacheKey(m, broker.NoOSR), &vm.hooks) {
-		// Rejected (queue full, closing, or a racing duplicate): re-arm
-		// the hotness trigger with backoff so the method stays
-		// submit-eligible instead of hammering — or silently losing —
-		// the submission.
-		vm.rearm(m, "submit-rejected", inv)
-	}
-	// Synchronous submissions installed (or failed) before returning;
-	// asynchronous ones will publish later and this load stays nil.
-	return vm.installed(m)
+	return u.installed()
 }
 
-// maxRearmShift caps the exponential backoff: re-armed methods never stop
+// maxRearmShift caps the exponential backoff: re-armed units never stop
 // retrying, the retries just become geometrically rarer until the gap
-// plateaus at threshold<<maxRearmShift additional invocations.
+// plateaus at trigger<<maxRearmShift additional counts.
 const maxRearmShift = 5
 
-// rearm schedules the next submission attempt for m after a transient
-// failure or queue rejection: the method becomes submit-eligible again
-// once its invocation count passes hotness + threshold<<attempt
-// (exponential backoff on the hotness counter, HotSpot-style re-profiling
-// instead of a terminal drop).
-func (vm *VM) rearm(m *bc.Method, reason string, hotness int64) {
-	n := vm.retryN[m.ID].Add(1)
+// rearm schedules u's next submission attempt after a transient failure or
+// queue rejection: the unit becomes submit-eligible again once its hotness
+// counter passes its current value + trigger<<attempt (exponential backoff
+// on the counter, HotSpot-style re-profiling instead of a terminal drop).
+func (vm *VM) rearm(u *unit, reason string) {
+	n := u.retryN.Add(1)
 	shift := int64(n - 1)
 	if shift > maxRearmShift {
 		shift = maxRearmShift
 	}
-	next := hotness + vm.Opts.threshold()<<shift
-	vm.retryAt[m.ID].Store(next)
+	next := vm.hotness(u) + vm.trigger(u)<<shift
+	u.retryAt.Store(next)
 	atomic.AddInt64(&vm.VMStats.Rearms, 1)
 	if s := vm.Opts.Sink; s != nil {
-		s.VMRearm(m.QualifiedName(), reason, int(n), next)
-	}
-}
-
-// rearmOSR is rearm for one OSR entry point, gated on the loop header's
-// back-edge count.
-func (vm *VM) rearmOSR(m *bc.Method, entryBCI int, reason string) {
-	count := vm.Interp.Profile.BackEdges(m, entryBCI)
-	site := osrSite{m, entryBCI}
-	vm.osrMu.Lock()
-	if vm.osrRetryN == nil {
-		vm.osrRetryN = make(map[osrSite]int32)
-		vm.osrRetryAt = make(map[osrSite]int64)
-	}
-	n := vm.osrRetryN[site] + 1
-	vm.osrRetryN[site] = n
-	shift := int64(n - 1)
-	if shift > maxRearmShift {
-		shift = maxRearmShift
-	}
-	next := count + vm.Opts.OSRThreshold<<shift
-	vm.osrRetryAt[site] = next
-	vm.osrMu.Unlock()
-	atomic.AddInt64(&vm.VMStats.Rearms, 1)
-	if s := vm.Opts.Sink; s != nil {
-		s.VMRearm(fmt.Sprintf("%s@osr%d", m.QualifiedName(), entryBCI), reason, int(n), next)
+		s.VMRearm(u.name(), reason, int(n), next)
 	}
 }
 
 // speculates reports whether a compile of m would apply speculative branch
 // pruning: speculation is enabled and m has not deoptimized out of it.
 func (vm *VM) speculates(m *bc.Method) bool {
-	return vm.Opts.Speculate && !vm.noSpec[m.ID].Load()
+	return vm.Opts.Speculate && !vm.methods[m.ID].noSpec.Load()
 }
 
 // cacheKey builds the compiled-code cache key for m's entry point entryBCI
@@ -591,17 +627,17 @@ func (vm *VM) cacheKey(m *bc.Method, entryBCI int) broker.Key {
 	return k
 }
 
-// warmInstall asks the broker's memory tier for the non-speculative
-// artifact of (m, entryBCI) before the unit is hot, and on a hit installs
-// it through the same install boundary a threshold submission's replay
-// crosses. It reports whether code was published. The caller asks once per
-// unit and only while m would compile without speculation; a miss costs a
-// map lookup, counts nowhere, and leaves the unit to the ordinary hotness
-// trigger, which also covers the disk tier.
-func (vm *VM) warmInstall(m *bc.Method, entryBCI int) bool {
-	k := vm.cacheKey(m, entryBCI)
-	a, ok := vm.jit.Cached(m, k, &vm.hooks)
-	return ok && vm.installFrom(m, k, a, true, obs.TriggerCacheFirst)
+// warmInstall asks the broker's memory tier for u's non-speculative
+// artifact before the unit is hot, and on a hit installs it through the same
+// install boundary a threshold submission's replay crosses. It reports
+// whether code was published. The ladder asks once per unit and only while
+// the method would compile without speculation; a miss costs a map lookup,
+// counts nowhere, and leaves the unit to the ordinary hotness trigger, which
+// also covers the disk tier.
+func (vm *VM) warmInstall(u *unit) bool {
+	k := vm.cacheKey(u.m, u.entryBCI)
+	a, ok := vm.jit.Cached(u.m, k, &vm.hooks)
+	return ok && vm.installFrom(u.m, k, a, true, obs.TriggerCacheFirst)
 }
 
 // summarySet resolves the program's inter-procedural summary set, computing
@@ -690,10 +726,12 @@ func (vm *VM) install(m *bc.Method, k broker.Key, a broker.Artifact, fromCache b
 }
 
 // installFrom is the install boundary: it publishes the lowered code
-// atomically into the code table and reports whether it did. trigger names
-// what asked for the code (the unit's hotness threshold, or a first-call
+// atomically into the unit k names and reports whether it did. trigger names
+// what asked for the code (the unit's hotness threshold, or a first-visit
 // look into the cache).
 func (vm *VM) installFrom(m *bc.Method, k broker.Key, a broker.Artifact, fromCache bool, trigger string) bool {
+	u := vm.unit(m, k.EntryBCI)
+	noSpec := &vm.methods[m.ID].noSpec
 	if !fromCache {
 		atomic.AddInt64(&vm.VMStats.PipelineCompiles, 1)
 	}
@@ -714,11 +752,7 @@ func (vm *VM) installFrom(m *bc.Method, k broker.Key, a broker.Artifact, fromCac
 				// artifact reached us through a shared cache), not a
 				// property of the method: drop the artifact and re-arm
 				// the trigger instead of blacklisting.
-				if k.IsOSR() {
-					vm.rearmOSR(m, k.EntryBCI, "rebind: "+err.Error())
-				} else {
-					vm.rearm(m, "rebind: "+err.Error(), vm.Interp.Profile.Invocations(m))
-				}
+				vm.rearm(u, "rebind: "+err.Error())
 				return false
 			}
 		}
@@ -729,66 +763,38 @@ func (vm *VM) installFrom(m *bc.Method, k broker.Key, a broker.Artifact, fromCac
 			return false
 		}
 	}
-	if k.Spec && vm.noSpec[m.ID].Load() {
+	if k.Spec && noSpec.Load() {
 		// The method deoptimized while this speculative compile was in
 		// flight; installing it would immediately deoptimize again.
-		// Drop the artifact — the next hot call resubmits with
+		// Drop the artifact — the next hot visit resubmits with
 		// Spec=false.
 		return false
 	}
 	if trigger == obs.TriggerCacheFirst {
 		atomic.AddInt64(&vm.VMStats.WarmInstalls, 1)
 	}
-	if k.IsOSR() {
-		site := osrSite{m, k.EntryBCI}
-		vm.osrMu.Lock()
-		codes := vm.osrCodeCopy()
-		codes[site] = code
-		vm.osrCode.Store(&codes)
-		// A successful install clears the site's transient-failure backoff.
-		delete(vm.osrRetryAt, site)
-		delete(vm.osrRetryN, site)
-		vm.osrMu.Unlock()
-		atomic.AddInt64(&vm.VMStats.OSRCompilations, 1)
-		if s := vm.Opts.Sink; s != nil {
-			s.VMCompile(fmt.Sprintf("%s@osr%d", m.QualifiedName(), k.EntryBCI),
-				int(vm.Interp.Profile.BackEdges(m, k.EntryBCI)), trigger)
-		}
-		return true
-	}
-	vm.code[m.ID].Store(&codeCell{code: code})
+	u.code.Store(&code)
 	// A successful install clears the transient-failure backoff, so a later
 	// invalidation re-enters the retry ladder from the bottom.
-	vm.retryN[m.ID].Store(0)
-	vm.retryAt[m.ID].Store(0)
-	atomic.AddInt64(&vm.VMStats.CompiledMethods, 1)
-	if s := vm.Opts.Sink; s != nil {
-		s.VMCompile(m.QualifiedName(), int(vm.Interp.Profile.Invocations(m)), trigger)
+	u.retryN.Store(0)
+	u.retryAt.Store(0)
+	installs := &vm.VMStats.CompiledMethods
+	if u.isOSR() {
+		installs = &vm.VMStats.OSRCompilations
 	}
-	if vm.noSpec[m.ID].Load() && !fromCache {
-		// Only pipeline re-runs count as recompilations; cache replays
-		// after an invalidation reuse earlier work.
+	atomic.AddInt64(installs, 1)
+	if s := vm.Opts.Sink; s != nil {
+		s.VMCompile(u.name(), int(vm.hotness(u)), trigger)
+	}
+	if !u.isOSR() && noSpec.Load() && !fromCache {
+		// Only pipeline re-runs of a method entry count as recompilations;
+		// cache replays after an invalidation reuse earlier work.
 		n := atomic.AddInt64(&vm.VMStats.Recompilations, 1)
 		if s := vm.Opts.Sink; s != nil {
 			s.VMRecompile(m.QualifiedName(), int(n))
 		}
 	}
 	return true
-}
-
-// osrCodeCopy returns a private copy of the OSR code table for the caller
-// (who holds osrMu) to edit and publish: the map readers hold is never
-// written.
-func (vm *VM) osrCodeCopy() map[osrSite]exec.Code {
-	cur := vm.osrCode.Load()
-	if cur == nil {
-		return make(map[osrSite]exec.Code, 1)
-	}
-	next := make(map[osrSite]exec.Code, len(*cur)+1)
-	for site, c := range *cur {
-		next[site] = c
-	}
-	return next
 }
 
 // recordFailure is the broker's failure callback. It classifies the
@@ -800,15 +806,17 @@ func (vm *VM) osrCodeCopy() map[osrSite]exec.Code {
 //   - A transient failure (compile budget overrun — broker.Transient)
 //     re-arms the unit's hotness trigger with backoff and records nothing:
 //     the same compile may succeed later.
-//   - Everything else is a permanent property of the method under this
-//     compiler and is recorded per compilation unit: a failed OSR entry
-//     blacklists only that (method, loop header) pair; the method itself
-//     stays eligible for standard tier-up, and vice versa.
+//   - Everything else is a permanent property of the unit under this
+//     compiler and is recorded on it alone: a failed OSR entry blacklists
+//     only that (method, loop header) pair and the method itself stays
+//     eligible for standard tier-up. (The ladder reads the other direction
+//     differently: see tierUp.)
 func (vm *VM) recordFailure(m *bc.Method, k broker.Key, err error) {
 	var pe *broker.PanicError
 	if errors.As(err, &pe) {
 		vm.captureCrashRepro(m, k, pe)
 	}
+	u := vm.unit(m, k.EntryBCI)
 	if broker.Transient(err) {
 		atomic.AddInt64(&vm.VMStats.TransientFailures, 1)
 		// Record the bailout with a compact classification
@@ -821,25 +829,10 @@ func (vm *VM) recordFailure(m *bc.Method, k broker.Key, err error) {
 		}
 		vm.flight.Record(flight.KindBudgetBailout, int32(m.ID), int32(k.EntryBCI),
 			0, 0, vm.flight.Reason(reason))
-		if k.IsOSR() {
-			vm.rearmOSR(m, k.EntryBCI, "transient: "+err.Error())
-		} else {
-			vm.rearm(m, "transient: "+err.Error(), vm.Interp.Profile.Invocations(m))
-		}
+		vm.rearm(u, "transient: "+err.Error())
 		return
 	}
-	vm.failedMu.Lock()
-	vm.failed[failKey{m, k.EntryBCI}] = err
-	vm.failedMu.Unlock()
-	if k.IsOSR() {
-		vm.osrMu.Lock()
-		if vm.osrFailed != nil {
-			vm.osrFailed[osrSite{m, k.EntryBCI}] = true
-		}
-		vm.osrMu.Unlock()
-		return
-	}
-	vm.hasFailed[m.ID].Store(true)
+	u.failure.Store(&err)
 }
 
 // Compile builds and optimizes the IR for m under the VM's configuration,
@@ -975,30 +968,28 @@ func (vm *VM) compileEntry(m *bc.Method, spec bool, entryBCI int) (*ir.Graph, er
 }
 
 // Invalidate drops m's compiled code — the standard entry and every OSR
-// entry — recording reason in the invalidation event; the next hot call
-// recompiles without speculation (replaying the non-speculative cache entry
-// when one exists).
+// entry — recording reason in the invalidation event; the next hot visit of
+// each unit recompiles without speculation, after asking the memory tier
+// again for the non-speculative artifact.
 func (vm *VM) Invalidate(m *bc.Method, reason string) {
-	invalidated := vm.code[m.ID].Swap(nil) != nil
-	if vm.osrCode.Load() != nil {
-		vm.osrMu.Lock()
-		codes := vm.osrCodeCopy()
-		for site := range codes {
-			if site.m == m {
-				delete(codes, site)
-				invalidated = true
-			}
+	ms := &vm.methods[m.ID]
+	units := append([]*unit{&ms.entry}, ms.osrUnits()...)
+	invalidated := false
+	for _, u := range units {
+		if u.code.Swap(nil) != nil {
+			invalidated = true
 		}
-		vm.osrCode.Store(&codes)
-		vm.osrMu.Unlock()
 	}
-	if invalidated {
-		vm.noSpec[m.ID].Store(true)
-		vm.warmProbed[m.ID].Store(false)
-		atomic.AddInt64(&vm.VMStats.InvalidatedMethods, 1)
-		if s := vm.Opts.Sink; s != nil {
-			s.VMInvalidate(m.QualifiedName(), reason)
-		}
+	if !invalidated {
+		return
+	}
+	ms.noSpec.Store(true)
+	for _, u := range units {
+		u.probed.Store(false)
+	}
+	atomic.AddInt64(&vm.VMStats.InvalidatedMethods, 1)
+	if s := vm.Opts.Sink; s != nil {
+		s.VMInvalidate(m.QualifiedName(), reason)
 	}
 }
 
@@ -1043,17 +1034,16 @@ func (vm *VM) Stats() Stats {
 // method here — use OSRCompileError for per-loop-header failures. Used by
 // tests to assert that nothing failed silently.
 func (vm *VM) CompileError(m *bc.Method) error {
-	vm.failedMu.Lock()
-	defer vm.failedMu.Unlock()
-	return vm.failed[failKey{m, broker.NoOSR}]
+	return vm.OSRCompileError(m, broker.NoOSR)
 }
 
 // OSRCompileError returns the recorded permanent compilation failure for
 // m's OSR entry at the loop header entryBCI, if any.
 func (vm *VM) OSRCompileError(m *bc.Method, entryBCI int) error {
-	vm.failedMu.Lock()
-	defer vm.failedMu.Unlock()
-	return vm.failed[failKey{m, entryBCI}]
+	if err := vm.unit(m, entryBCI).failure.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // FailedCompilations returns a snapshot of all recorded permanent compile
@@ -1062,16 +1052,18 @@ func (vm *VM) OSRCompileError(m *bc.Method, entryBCI int) error {
 // the first of those, wrapped with the entry point ("osr@<bci>: ...") so
 // harnesses surface it without mistaking it for a method-entry failure.
 func (vm *VM) FailedCompilations() map[*bc.Method]error {
-	vm.failedMu.Lock()
-	defer vm.failedMu.Unlock()
-	out := make(map[*bc.Method]error, len(vm.failed))
-	for k, err := range vm.failed {
-		if k.entryBCI == broker.NoOSR {
-			out[k.m] = err // standard-entry failures always win
+	out := make(map[*bc.Method]error)
+	for i := range vm.methods {
+		ms := &vm.methods[i]
+		if err := ms.entry.failure.Load(); err != nil {
+			out[ms.entry.m] = *err // standard-entry failures always win
 			continue
 		}
-		if _, ok := out[k.m]; !ok {
-			out[k.m] = fmt.Errorf("osr@%d: %w", k.entryBCI, err)
+		for _, u := range ms.osrUnits() {
+			if err := u.failure.Load(); err != nil {
+				out[u.m] = fmt.Errorf("osr@%d: %w", u.entryBCI, *err)
+				break
+			}
 		}
 	}
 	return out

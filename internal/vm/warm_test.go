@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"os"
 	"sync"
 	"testing"
@@ -310,7 +311,7 @@ func TestWarmInstallRace(t *testing.T) {
 // TestBackEdgeBelowThresholdStaysCheap is the guard for the interpreted
 // loop's hot path: a back edge below the OSR threshold — past the header's
 // first, which pays the one cache probe — allocates nothing, whether or not
-// the VM holds OSR code for other loops (the code table is read without
+// the VM holds OSR code for other loops (the tier-up table is read without
 // locking, so there is nothing to contend on either).
 func TestBackEdgeBelowThresholdStaysCheap(t *testing.T) {
 	prog := loadExample(t, "../../examples/pairloop.mj")
@@ -336,6 +337,31 @@ func TestBackEdgeBelowThresholdStaysCheap(t *testing.T) {
 		t.Fatal("the run installed no OSR code; second half is vacuous")
 	}
 	check("OSR code for another loop")
+
+	// Past the threshold a loop that will not be submitted — it failed for
+	// good, or it is waiting out a backoff — is as cheap: the ladder reads
+	// atomics of the header's unit and nothing else.
+	past := func(when string, pc int, count int64) {
+		t.Helper()
+		frame := &interp.Frame{Method: prog.Main, PC: pc}
+		submitted := machine.Broker().Stats().Submitted
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, entered, err := machine.osrHook(frame, count); entered || err != nil {
+				t.Fatalf("%s: back edge entered=%v err=%v", when, entered, err)
+			}
+		})
+		if allocs != 0 || machine.Broker().Stats().Submitted != submitted {
+			t.Fatalf("%s: back edge past the threshold allocated %.1f times, submitted %d compiles; want 0 and 0",
+				when, allocs, machine.Broker().Stats().Submitted-submitted)
+		}
+	}
+	const failedPC, backedOffPC = 1, 2 // headers of no real loop: the ladder does not care
+	machine.recordFailure(prog.Main, machine.cacheKey(prog.Main, failedPC), errors.New("boom"))
+	past("permanently failed loop", failedPC, 500)
+	for i := 0; i < 3; i++ {
+		machine.rearm(machine.unit(prog.Main, backedOffPC), "test")
+	}
+	past("backed-off loop", backedOffPC, 200) // re-armed for 100<<2 back edges
 }
 
 // BenchmarkBackEdgeBelowThreshold prices the hook on that path (the
