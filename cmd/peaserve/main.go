@@ -31,8 +31,9 @@
 //	                 "warm_installs": ..., "guest_allocs": ..., ...}
 //	GET  /stats   → broker/cache/store counters and the two-tier hit rate
 //	GET  /healthz → 200 ok
-//	GET  /debug/pea/flight → the server's flight recorder as JSON lines
-//	                         (one ring for all tenants; feed it to peastat)
+//	GET  /debug/pea/flight → the server's ring as JSON lines (one ring for
+//	                         all tenants; feed it to peastat)
+//	GET  /debug/pprof/*, /debug/vars → Go profiles and expvar
 //
 // SIGINT/SIGTERM drains in-flight requests before exiting. Drive it with
 // cmd/peaload to measure latency percentiles and cache hit rates.

@@ -1,16 +1,17 @@
-// Command peastat is the offline analyzer for the VM's observability
-// streams: structured event logs (peavm -json, peabench event output) and
-// flight-recorder dumps (crash-dir flight-*.jsonl files, /debug/pea/flight
-// snapshots). It accepts any mix of both formats, merges them, and prints
-// compile-latency percentiles, code-cache hit rate, top deoptimization
-// reasons, and the per-allocation-site escape attribution table.
+// Command peastat is the offline analyzer for the VM's event stream: traces
+// (peavm -trace-events) and ring dumps (peavm -flight-dump, crash-dir
+// flight-*.jsonl files, /debug/pea/flight snapshots), one obs.Event per
+// line. It reads any mix of them, counts an occurrence present in both a
+// ring dump and the trace of the same run once, and prints compile-latency
+// percentiles, code-cache hit rate, top deoptimization reasons, and the
+// per-allocation-site escape attribution table.
 //
 // Usage:
 //
-//	peastat [flags] [file ...]            # no files: read stdin
-//	peastat run.jsonl flight-Main_main.jsonl
-//	peastat -chrome trace.json run.jsonl  # also convert to chrome://tracing
-//	peastat -escape-only run.jsonl        # just the Table-1-style table
+//	peastat [flags] [file ...]                # no files: read stdin
+//	peastat events.jsonl flight-Main_main.jsonl
+//	peastat -chrome trace.json events.jsonl   # also convert to chrome://tracing
+//	peastat -escape-only events.jsonl         # just the Table-1-style table
 package main
 
 import (
@@ -24,10 +25,10 @@ import (
 )
 
 func main() {
-	chrome := flag.String("chrome", "", "also write a Chrome trace_event JSON file (load in Perfetto) converted from the obs events in the input")
+	chrome := flag.String("chrome", "", "also write a Chrome trace_event JSON file (load in Perfetto) converted from the events in the input")
 	escapeOnly := flag.Bool("escape-only", false, "print only the escape attribution table")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: peastat [flags] [file ...]\nAnalyzes obs-event JSONL and flight-recorder dumps (stdin when no files).\n")
+		fmt.Fprintf(os.Stderr, "usage: peastat [flags] [file ...]\nAnalyzes event traces and ring dumps, JSONL (stdin when no files).\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()

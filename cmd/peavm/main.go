@@ -47,12 +47,14 @@
 // JSON lines; with -metrics the compiler metrics registry is printed as a
 // table to stderr after the run.
 //
-// The VM also keeps an always-on flight recorder: a fixed-size in-memory
-// ring of recent JIT lifecycle records (compiles, queue depths, OSR,
-// deopts, materializations, panics, budget bailouts) that costs zero
-// allocations per record. -flight-dump writes its final contents as JSON
-// lines ('-' for stderr) for peastat; on a contained compiler panic with
-// -crash-dir set, a dump lands next to the crash reproducer automatically.
+// The VM also keeps an always-on ring: a fixed-size in-memory sub-stream of
+// the event stream holding the JIT's recent lifecycle (submissions with
+// queue depths, compile starts, installs and failures — budget bailouts
+// included — panics, OSR, deopts, materializations) at zero allocations per
+// record. -flight-dump writes its final contents as JSON lines ('-' for
+// stderr), in the -trace-events format, for peastat; on a contained
+// compiler panic with -crash-dir set, a dump lands next to the crash
+// reproducer automatically.
 // -escape-report prints the per-allocation-site escape attribution table
 // (the paper's Table 1, per site: virtualized, materialized, remats, lock
 // elisions, dominant materialization reason). -trace-chrome converts the
@@ -117,7 +119,7 @@ func main() {
 	traceText := flag.Bool("trace-text", false, "also render events human-readably to stderr")
 	metrics := flag.Bool("metrics", false, "print the compiler metrics table to stderr after the run")
 	escapeReport := flag.Bool("escape-report", false, "print the per-allocation-site escape attribution table to stderr after the run")
-	flightDump := flag.String("flight-dump", "", "write the flight-recorder ring as JSON lines to this file after the run ('-' for stderr)")
+	flightDump := flag.String("flight-dump", "", "write the VM's ring as JSON lines to this file after the run ('-' for stderr)")
 	traceChrome := flag.String("trace-chrome", "", "write the event stream as Chrome trace_event JSON to this file (load in chrome://tracing)")
 	debugAddr := flag.String("debug-addr", "", "serve live introspection (/debug/pea/*, /debug/pprof/*) on this address during the run")
 	flag.Parse()
@@ -188,7 +190,7 @@ func main() {
 			}
 		}
 		o.JIT = broker.New(broker.Options{
-			Workers: workers, QueueCap: *jitQueueCap, Store: store, Check: lvl, Sink: o.Sink,
+			Workers: workers, QueueCap: *jitQueueCap, Store: store, Check: lvl,
 		})
 		return vm.New(prog, o)
 	}
@@ -258,7 +260,7 @@ func main() {
 	machine := newVM(opts)
 	defer machine.Broker().Close()
 	if *debugAddr != "" {
-		ln, err := obs.Serve(*debugAddr, machine.Flight(), escTable, met)
+		ln, err := obs.Serve(*debugAddr, machine.Opts.Sink, escTable, met)
 		if err != nil {
 			fatal(err)
 		}
@@ -342,10 +344,10 @@ func main() {
 	}
 	if *flightDump != "" {
 		if *flightDump == "-" {
-			if err := machine.Flight().WriteJSON(os.Stderr); err != nil {
+			if err := machine.Opts.Sink.WriteRing(os.Stderr); err != nil {
 				fatal(err)
 			}
-		} else if err := machine.Flight().WriteFile(*flightDump); err != nil {
+		} else if err := machine.Opts.Sink.WriteRingFile(*flightDump); err != nil {
 			fatal(err)
 		}
 	}

@@ -21,6 +21,7 @@ package broker
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -28,10 +29,10 @@ import (
 	"time"
 
 	"pea/internal/bc"
+	"pea/internal/budget"
 	"pea/internal/check"
 	"pea/internal/ir"
 	"pea/internal/obs"
-	"pea/internal/obs/flight"
 )
 
 // Options configures a Broker.
@@ -73,11 +74,6 @@ type Options struct {
 	// boundary makes the cache a trust boundary. The PEA_CHECK
 	// environment variable floors this level.
 	Check check.Level
-
-	// Sink receives broker lifecycle events; Metrics (via the sink) keeps
-	// the queue-depth/worker-utilization/cache gauges current. Both are
-	// nil-safe.
-	Sink *obs.Sink
 }
 
 func (o Options) workers() int {
@@ -122,7 +118,7 @@ type Stats struct {
 // Hooks carries the callbacks of the VM behind a submission, so that one
 // worker pool compiles for every VM sharing the broker while each install
 // lands in the right VM's code table and each decode resolves against the
-// right program. Compile is required; a nil Install, Fail, Resolver or Flight
+// right program. Compile is required; a nil Install, Fail, Resolver or Sink
 // is skipped.
 type Hooks struct {
 	// Compile runs the full pipeline (and backend lowering) for one
@@ -142,12 +138,13 @@ type Hooks struct {
 	// Resolver decodes persisted artifacts against the submitting VM's
 	// program; nil disables store loads for the submission.
 	Resolver ir.Resolver
-	// Flight is the submitting VM's view of the always-on flight recorder:
-	// the broker records compile start/finish (with wall time and outcome),
-	// queue-depth changes and contained compiler panics there. On a ring
-	// shared by every tenant of the broker a method ID only means something
-	// together with the view's program tag, hence per submission.
-	Flight *flight.Recorder
+	// Sink is the submitting VM's sink: the broker records the submission's
+	// lifecycle there — submit, compile start, install or failure with its
+	// broker time, a contained panic — and keeps the queue, worker and
+	// cache gauges of its metrics registry current. On a ring shared by
+	// every tenant of the broker a method ID only means something together
+	// with the view's program tag, hence per submission.
+	Sink *obs.Sink
 }
 
 // task is one pending compilation.
@@ -285,7 +282,7 @@ func (b *Broker) Submit(m *bc.Method, hotness int64, k Key, h *Hooks) bool {
 		b.mu.Lock()
 		b.stats.Submitted++
 		b.mu.Unlock()
-		b.opts.Sink.BrokerSubmit(m.QualifiedName(), int(hotness), 0)
+		h.Sink.BrokerSubmit(m, hotness, 0)
 		b.compileOne(&task{m: m, key: k, hooks: h, hotness: hotness}, -1)
 		return true
 	}
@@ -299,13 +296,13 @@ func (b *Broker) Submit(m *bc.Method, hotness int64, k Key, h *Hooks) bool {
 	if b.inflight[ik] {
 		b.stats.Dedup++
 		b.mu.Unlock()
-		b.opts.Sink.BrokerDedup(m.QualifiedName())
+		h.Sink.BrokerDedup(m)
 		return false
 	}
 	if len(b.queue) >= b.opts.queueCap() {
 		b.stats.Rejected++
 		b.mu.Unlock()
-		b.opts.Sink.BrokerReject(m.QualifiedName(), "queue-full")
+		h.Sink.BrokerReject(m, "queue-full")
 		return false
 	}
 	b.seq++
@@ -319,10 +316,10 @@ func (b *Broker) Submit(m *bc.Method, hotness int64, k Key, h *Hooks) bool {
 	highwater := b.stats.MaxQueue
 	b.mu.Unlock()
 
-	b.opts.Sink.BrokerSubmit(m.QualifiedName(), int(hotness), depth)
-	h.Flight.Record(flight.KindQueueDepth, int32(m.ID), -1, int64(depth), highwater, 0)
-	b.setGauge(obs.GaugeBrokerQueueDepth, int64(depth))
-	b.setGauge(obs.GaugeBrokerQueueHighWater, highwater)
+	h.Sink.BrokerSubmit(m, hotness, depth)
+	met := h.Sink.Metrics()
+	met.SetGauge(obs.GaugeBrokerQueueDepth, int64(depth))
+	met.SetGauge(obs.GaugeBrokerQueueHighWater, highwater)
 	b.cond.Signal()
 	return true
 }
@@ -345,8 +342,9 @@ func (b *Broker) worker(i int) {
 		depth, busy := len(b.queue), b.busy
 		b.mu.Unlock()
 
-		b.setGauge(obs.GaugeBrokerQueueDepth, int64(depth))
-		b.setGauge(obs.GaugeBrokerWorkersBusy, int64(busy))
+		met := t.hooks.Sink.Metrics()
+		met.SetGauge(obs.GaugeBrokerQueueDepth, int64(depth))
+		met.SetGauge(obs.GaugeBrokerWorkersBusy, int64(busy))
 
 		b.compileOne(t, i)
 
@@ -358,7 +356,7 @@ func (b *Broker) worker(i int) {
 			b.idle.Broadcast()
 		}
 		b.mu.Unlock()
-		b.setGauge(obs.GaugeBrokerWorkersBusy, int64(busy))
+		met.SetGauge(obs.GaugeBrokerWorkersBusy, int64(busy))
 	}
 }
 
@@ -366,14 +364,13 @@ func (b *Broker) worker(i int) {
 // installation (or failure recording). worker is the background worker's
 // index for busy-time accounting (-1 for the synchronous submit path).
 func (b *Broker) compileOne(t *task, worker int) {
-	fl := t.hooks.Flight
+	s := t.hooks.Sink
 	start := time.Now()
 	defer b.addBusy(start, worker)
 
-	name := t.m.QualifiedName()
-	fl.Record(flight.KindCompileStart, int32(t.m.ID), int32(t.key.EntryBCI), t.hotness, 0, 0)
+	s.CompileStart(t.m, t.hotness)
 	if a, ok := b.cache.Get(t.key); ok {
-		b.replayed(t, name, start)
+		b.replayed(t, start)
 		if t.hooks.Install != nil {
 			t.hooks.Install(t.m, t.key, a, true)
 		}
@@ -394,10 +391,8 @@ func (b *Broker) compileOne(t *task, worker int) {
 			b.stats.DiskHits++
 			b.stats.Installed++
 			b.mu.Unlock()
-			b.opts.Sink.BrokerInstall(name, "disk")
-			fl.Record(flight.KindCompileFinish, int32(t.m.ID), int32(t.key.EntryBCI),
-				time.Since(start).Nanoseconds(), 0, fl.Reason("disk"))
-			b.setGauge(obs.GaugeBrokerCacheSize, int64(b.cache.Len()))
+			s.BrokerInstall(t.m, "disk", time.Since(start))
+			s.Metrics().SetGauge(obs.GaugeBrokerCacheSize, int64(b.cache.Len()))
 			if t.hooks.Install != nil {
 				t.hooks.Install(t.m, t.key, a, true)
 			}
@@ -405,7 +400,7 @@ func (b *Broker) compileOne(t *task, worker int) {
 		}
 	}
 
-	a, err := b.runCompile(t, name)
+	a, err := b.runCompile(t)
 	if err != nil {
 		b.failed(t, start, err)
 		return
@@ -423,10 +418,8 @@ func (b *Broker) compileOne(t *task, worker int) {
 	b.stats.Compiled++
 	b.stats.Installed++
 	b.mu.Unlock()
-	b.opts.Sink.BrokerInstall(name, "compiled")
-	fl.Record(flight.KindCompileFinish, int32(t.m.ID), int32(t.key.EntryBCI),
-		time.Since(start).Nanoseconds(), 0, fl.Reason(t.key.Backend))
-	b.setGauge(obs.GaugeBrokerCacheSize, int64(b.cache.Len()))
+	s.BrokerInstall(t.m, "compiled", time.Since(start))
+	s.Metrics().SetGauge(obs.GaugeBrokerCacheSize, int64(b.cache.Len()))
 	if t.hooks.Install != nil {
 		t.hooks.Install(t.m, t.key, a, false)
 	}
@@ -435,15 +428,15 @@ func (b *Broker) compileOne(t *task, worker int) {
 // Cached looks k up in the memory tier only, for a VM that wants m's code
 // before m is hot (first call, or a loop header's first back edge). A hit is
 // accounted exactly like a submission's cache replay — CacheHits, Installed,
-// the "cache" install event and flight record, the FaultInstall point inside
+// the "cache" install event, the FaultInstall point inside
 // the fault boundary — and the artifact is returned for the caller to
 // install. A miss counts as nothing, so the hit rate keeps describing
 // submissions: most methods a VM calls were never hot enough to have an
 // artifact. The disk tier is not consulted; an artifact that lives only
 // there reaches memory through the ordinary threshold submission.
 //
-// h carries the caller's flight view and, should the injected install fault
-// panic, its Fail callback.
+// h carries the caller's sink and, should the injected install fault panic,
+// its Fail callback.
 func (b *Broker) Cached(m *bc.Method, k Key, h *Hooks) (Artifact, bool) {
 	a, ok := b.cache.Probe(k)
 	if !ok {
@@ -455,12 +448,11 @@ func (b *Broker) Cached(m *bc.Method, k Key, h *Hooks) (Artifact, bool) {
 		h = &Hooks{}
 	}
 	t := &task{m: m, key: k, hooks: h}
-	name := m.QualifiedName()
-	if err := b.faultInstall(t, name); err != nil {
+	if err := b.faultInstall(t); err != nil {
 		b.failed(t, start, err)
 		return nil, false
 	}
-	b.replayed(t, name, start)
+	b.replayed(t, start)
 	return a, true
 }
 
@@ -477,15 +469,12 @@ func (b *Broker) addBusy(start time.Time, worker int) {
 }
 
 // replayed accounts one installation served from the memory tier.
-func (b *Broker) replayed(t *task, name string, start time.Time) {
+func (b *Broker) replayed(t *task, start time.Time) {
 	b.mu.Lock()
 	b.stats.CacheHits++
 	b.stats.Installed++
 	b.mu.Unlock()
-	b.opts.Sink.BrokerInstall(name, "cache")
-	fl := t.hooks.Flight
-	fl.Record(flight.KindCompileFinish, int32(t.m.ID), int32(t.key.EntryBCI),
-		time.Since(start).Nanoseconds(), 0, fl.Reason("cache"))
+	t.hooks.Sink.BrokerInstall(t.m, "cache", time.Since(start))
 }
 
 // failed accounts one unit that produced no installable code and hands the
@@ -494,13 +483,17 @@ func (b *Broker) failed(t *task, start time.Time, err error) {
 	b.mu.Lock()
 	b.stats.Failed++
 	b.mu.Unlock()
-	outcome := "error"
-	if Transient(err) {
-		outcome = "transient"
+	// A budget bailout is classified by what ran out where
+	// ("deadline@pea-fixpoint") rather than by its full error text, so a
+	// storm of bailouts cannot flood the ring's bounded reason table.
+	reason := "error"
+	var be *budget.Err
+	if errors.As(err, &be) {
+		reason = be.Kind + "@" + be.Phase
+	} else if Transient(err) {
+		reason = "transient"
 	}
-	fl := t.hooks.Flight
-	fl.Record(flight.KindCompileFinish, int32(t.m.ID), int32(t.key.EntryBCI),
-		time.Since(start).Nanoseconds(), 1, fl.Reason(outcome))
+	t.hooks.Sink.CompileFail(t.m, reason, time.Since(start))
 	if t.hooks.Fail != nil {
 		t.hooks.Fail(t.m, t.key, err)
 	}
@@ -513,8 +506,9 @@ func (b *Broker) failed(t *task, start time.Time, err error) {
 // CompileBroker discipline, where a crashing compile is a per-method event
 // rather than a process death. Successful graphs are re-verified before
 // they may enter the shared code cache.
-func (b *Broker) runCompile(t *task, name string) (a Artifact, err error) {
-	defer b.contain(t, name, &err)
+func (b *Broker) runCompile(t *task) (a Artifact, err error) {
+	name := t.m.QualifiedName()
+	defer b.contain(t, &err)
 	if f := b.opts.InjectFault; f != nil {
 		f(FaultCompile, name)
 	}
@@ -527,46 +521,37 @@ func (b *Broker) runCompile(t *task, name string) (a Artifact, err error) {
 		// replays artifacts into other VMs without another pipeline run.
 		if cerr := check.Graph(a.Graph(), check.Effective(b.opts.Check)); cerr != nil {
 			err = fmt.Errorf("broker: refusing to install %s: %w", name, cerr)
-			b.opts.Sink.CheckViolation("broker-install", name, cerr.Error(), "")
+			t.hooks.Sink.CheckViolation("broker-install", name, cerr.Error(), "")
 		}
 	}
 	if err == nil {
-		err = b.faultInstall(t, name)
+		err = b.faultInstall(t)
 	}
 	return a, err
 }
 
 // faultInstall fires the FaultInstall injection point inside the fault
 // boundary.
-func (b *Broker) faultInstall(t *task, name string) (err error) {
+func (b *Broker) faultInstall(t *task) (err error) {
 	if f := b.opts.InjectFault; f != nil {
-		defer b.contain(t, name, &err)
-		f(FaultInstall, name)
+		defer b.contain(t, &err)
+		f(FaultInstall, t.m.QualifiedName())
 	}
 	return nil
 }
 
 // contain is the fault boundary: deferred around compiler (or injected
 // fault) code, it turns a panic into *err.
-func (b *Broker) contain(t *task, name string, err *error) {
+func (b *Broker) contain(t *task, err *error) {
 	r := recover()
 	if r == nil {
 		return
 	}
-	*err = &PanicError{Method: name, Value: r, Stack: string(debug.Stack())}
+	*err = &PanicError{Method: t.m.QualifiedName(), Value: r, Stack: string(debug.Stack())}
 	b.mu.Lock()
 	b.stats.Panics++
 	b.mu.Unlock()
-	b.opts.Sink.BrokerPanic(name, fmt.Sprint(r))
-	fl := t.hooks.Flight
-	fl.Record(flight.KindPanic, int32(t.m.ID), int32(t.key.EntryBCI),
-		0, 0, fl.Reason(fmt.Sprint(r)))
-}
-
-func (b *Broker) setGauge(name string, v int64) {
-	if s := b.opts.Sink; s != nil {
-		s.Metrics().SetGauge(name, v)
-	}
+	t.hooks.Sink.BrokerPanic(t.m, fmt.Sprint(r))
 }
 
 // Drain blocks until the queue is empty and all workers are idle. It is

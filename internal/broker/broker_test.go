@@ -10,7 +10,7 @@ import (
 	"pea/internal/bc"
 	"pea/internal/build"
 	"pea/internal/ir"
-	"pea/internal/obs/flight"
+	"pea/internal/obs"
 )
 
 // testMethods assembles n trivial methods so tasks have distinct identities.
@@ -120,12 +120,12 @@ func TestCachedIsAnEarlierReadOfTheCache(t *testing.T) {
 	ms := testMethods(t, 2)
 	var faulty bool
 	var failed error
-	fl := flight.New(64)
+	var events []obs.Event
 	h := &Hooks{
 		Compile: func(m *bc.Method, k Key) (Artifact, error) { return mustBuild(m), nil },
 		Install: func(m *bc.Method, k Key, a Artifact, fromCache bool) {},
 		Fail:    func(m *bc.Method, k Key, err error) { failed = err },
-		Flight:  fl,
+		Sink:    obs.NewSink(obs.FuncBackend(func(e *obs.Event) { events = append(events, *e) })),
 	}
 	b := New(Options{
 		InjectFault: func(point, method string) {
@@ -144,8 +144,8 @@ func TestCachedIsAnEarlierReadOfTheCache(t *testing.T) {
 	if hits, misses := b.Cache().Stats(); hits != 0 || misses != 0 {
 		t.Fatalf("a miss left a trace in the cache: %d hits, %d misses", hits, misses)
 	}
-	if fl.Len() != 0 {
-		t.Fatalf("a miss left %d flight records", fl.Len())
+	if len(events) != 0 {
+		t.Fatalf("a miss left %d events", len(events))
 	}
 
 	b.Submit(ms[0], 1, k, h)
@@ -158,9 +158,8 @@ func TestCachedIsAnEarlierReadOfTheCache(t *testing.T) {
 	if st.CacheHits != 1 || st.CacheMisses != 1 || st.Installed != 2 || st.Submitted != 1 {
 		t.Fatalf("stats after one compile and one early read = %+v", st)
 	}
-	recs := fl.Snapshot()
-	if last := recs[len(recs)-1]; last.Kind != flight.KindCompileFinish || fl.ReasonString(last.Reason) != "cache" {
-		t.Fatalf("last flight record = %+v (%q), want compile_finish/cache", last, fl.ReasonString(last.Reason))
+	if last := events[len(events)-1]; last.Kind != obs.KindBrokerInstall || last.Detail != "cache" {
+		t.Fatalf("last event = %+v, want broker_install/cache", last)
 	}
 	if _, ok := b.Cached(ms[1], key(ms[1]), h); ok {
 		t.Fatal("hit for a method that was never compiled")

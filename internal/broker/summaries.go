@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"pea/internal/bc"
+	"pea/internal/obs"
 	"pea/internal/summary"
 )
 
@@ -78,8 +79,9 @@ type summaryCall struct {
 // later tenants and processes skip the analysis. Concurrent first requests
 // for the same program collapse onto one resolution: compute never runs
 // twice at once for one fingerprint, and runs again only for a program whose
-// set was evicted from memory with no store to reload it from.
-func (b *Broker) Summaries(p *bc.Program, compute func() *summary.Set) *summary.Set {
+// set was evicted from memory with no store to reload it from. A tier hit is
+// reported to sink, the requesting VM's.
+func (b *Broker) Summaries(p *bc.Program, sink *obs.Sink, compute func() *summary.Set) *summary.Set {
 	fp := p.Fingerprint()
 	b.sumMu.Lock()
 	s, ok := b.summaries.get(fp)
@@ -90,7 +92,7 @@ func (b *Broker) Summaries(p *bc.Program, compute func() *summary.Set) *summary.
 	}
 	b.sumMu.Unlock()
 	if ok {
-		b.emitSummarySource(s, "cache")
+		summarySource(sink, s, "cache")
 		return s
 	}
 	call.once.Do(func() {
@@ -106,7 +108,7 @@ func (b *Broker) Summaries(p *bc.Program, compute func() *summary.Set) *summary.
 			b.sumMu.Unlock()
 		}()
 		if s, ok := b.opts.Store.LoadSummaries(p); ok {
-			b.emitSummarySource(s, "store")
+			summarySource(sink, s, "store")
 			call.set = s
 			return
 		}
@@ -119,12 +121,12 @@ func (b *Broker) Summaries(p *bc.Program, compute func() *summary.Set) *summary.
 	return call.set
 }
 
-// emitSummarySource reports a tier hit to the sink with the set's headline
-// numbers, mirroring the summary_ready event Compute emits on a cold run.
-func (b *Broker) emitSummarySource(s *summary.Set, source string) {
-	if b.opts.Sink == nil || s == nil {
+// summarySource reports a tier hit to sink with the set's headline numbers,
+// mirroring the summary_ready event Compute emits on a cold run.
+func summarySource(sink *obs.Sink, s *summary.Set, source string) {
+	if !sink.Traces() || s == nil {
 		return
 	}
 	st := s.Stats()
-	b.opts.Sink.SummaryReady(st.Methods, st.NoEscape, st.Preds, source)
+	sink.SummaryReady(st.Methods, st.NoEscape, st.Preds, source)
 }

@@ -96,11 +96,11 @@ func TestBrokerSummariesTiers(t *testing.T) {
 
 	b1 := New(Options{Store: store})
 	defer b1.Close()
-	s1 := b1.Summaries(p, compute)
+	s1 := b1.Summaries(p, nil, compute)
 	if s1 == nil || computes != 1 {
 		t.Fatalf("cold resolve: set=%v computes=%d, want computed once", s1 != nil, computes)
 	}
-	if s2 := b1.Summaries(p, compute); s2 != s1 || computes != 1 {
+	if s2 := b1.Summaries(p, nil, compute); s2 != s1 || computes != 1 {
 		t.Fatalf("memory tier: recomputed (computes=%d) or returned a different set", computes)
 	}
 	if st := b1.Store().Stats(); st.SummaryHits != 0 || st.SummaryMisses != 1 {
@@ -115,7 +115,7 @@ func TestBrokerSummariesTiers(t *testing.T) {
 	}
 	b2 := New(Options{Store: store2})
 	defer b2.Close()
-	s3 := b2.Summaries(p, compute)
+	s3 := b2.Summaries(p, nil, compute)
 	if computes != 1 {
 		t.Fatalf("warm restart recomputed summaries (computes=%d)", computes)
 	}
@@ -146,7 +146,7 @@ func TestBrokerSummariesBounded(t *testing.T) {
 	defer b.Close()
 	var computes atomic.Int64
 	resolve := func(p *bc.Program) *summary.Set {
-		return b.Summaries(p, func() *summary.Set {
+		return b.Summaries(p, nil, func() *summary.Set {
 			computes.Add(1)
 			return summary.Compute(p, summary.Options{})
 		})
@@ -199,7 +199,7 @@ func TestBrokerSummariesBounded(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			arrived.Done()
-			sets[i] = b.Summaries(fresh, func() *summary.Set {
+			sets[i] = b.Summaries(fresh, nil, func() *summary.Set {
 				arrived.Wait()
 				computes.Add(1)
 				return summary.Compute(fresh, summary.Options{})

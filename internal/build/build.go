@@ -58,7 +58,7 @@ func buildWith(m *bc.Method, entry int, osr bool, sink *obs.Sink) (g *ir.Graph, 
 		}
 	}()
 	var span obs.PhaseSpan
-	if sink != nil {
+	if sink.Traces() {
 		// QualifiedName allocates; compute it only when observing.
 		phase := "build"
 		if osr {

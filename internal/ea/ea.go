@@ -16,8 +16,6 @@
 package ea
 
 import (
-	"fmt"
-
 	"pea/internal/bc"
 	"pea/internal/ir"
 	"pea/internal/obs"
@@ -56,23 +54,15 @@ func Analyze(g *ir.Graph) map[*ir.Node]bool {
 // observes do not escape into the call.
 func AnalyzeWith(g *ir.Graph, sink *obs.Sink, calleeNoEscape func(*ir.Node) []bool) map[*ir.Node]bool {
 	nonEscaping, u := analyze(g, calleeNoEscape)
-	if sink != nil {
-		method := g.Method.QualifiedName()
+	if sink.Traces() {
 		g.ForEachNode(func(_ *ir.Block, n *ir.Node) {
 			if n.Op != ir.OpNew && n.Op != ir.OpNewArray {
 				return
 			}
-			node := fmt.Sprintf("v%d", n.ID)
-			site := method
-			if n.Method != nil {
-				site = fmt.Sprintf("%s@%d", n.Method.QualifiedName(), n.BCI)
-			} else if n.BCI >= 0 {
-				site = fmt.Sprintf("%s@%d", method, n.BCI)
-			}
 			if nonEscaping[n] {
-				sink.EAVerdict(method, node, "captured", "", site)
+				sink.EAVerdict(g.Method, n.ID, "captured", "", n.Method, n.BCI)
 			} else {
-				sink.EAVerdict(method, node, "escapes", u.escapeReason(n), site)
+				sink.EAVerdict(g.Method, n.ID, "escapes", u.escapeReason(n), n.Method, n.BCI)
 			}
 		})
 	}

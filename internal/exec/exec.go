@@ -30,7 +30,6 @@ import (
 
 	"pea/internal/bc"
 	"pea/internal/ir"
-	"pea/internal/obs"
 	"pea/internal/rt"
 )
 
@@ -73,10 +72,6 @@ type Engine struct {
 	// the whole compiled method. If nil, reaching a deopt traps.
 	Deopt func(g *ir.Graph, n *ir.Node, eval func(x *ir.Node) (rt.Value, bool)) (rt.Value, error)
 
-	// Sink, when non-nil, receives a vm_deopt event (with the node's
-	// recorded deopt reason) each time compiled code deoptimizes.
-	Sink *obs.Sink
-
 	// MaxSteps bounds executed nodes across all Run calls of this engine
 	// (0 = unbounded). The oracle charges per node; the closure backend
 	// charges per block entered, so the budget stays a runaway guard
@@ -100,14 +95,11 @@ func (e *Engine) ChargeSteps(n int64, g *ir.Graph) error {
 }
 
 // DeoptTransfer hands control to the interpreter via the Deopt hook,
-// recording the deopt event and runtime stats. Backends call it when
-// execution reaches an OpDeopt terminator.
+// counting the deopt in the runtime stats. Backends call it when execution
+// reaches an OpDeopt terminator.
 func (e *Engine) DeoptTransfer(g *ir.Graph, n *ir.Node, eval func(x *ir.Node) (rt.Value, bool)) (rt.Value, error) {
 	if e.Deopt == nil {
 		return rt.Value{}, rt.NewTrap("deopt without handler: "+n.DeoptReason, g.Method, n.BCI)
-	}
-	if e.Sink != nil {
-		e.Sink.VMDeopt(g.Method.QualifiedName(), fmt.Sprintf("v%d", n.ID), n.DeoptReason)
 	}
 	e.Env.Stats.Deopts++
 	return e.Deopt(g, n, eval)

@@ -16,19 +16,21 @@ func TestEscapeTableAggregation(t *testing.T) {
 
 	// Site A: virtualized twice (two compiles), materialized once for an
 	// escape op, once at a merge, rematerialized at deopt, locks elided.
-	s.Virtualize("Main.getValue", "o0", "Key", "v1", "Main.getValue@0")
-	s.Virtualize("Main.getValue", "o0", "Key", "v1", "Main.getValue@0")
-	s.Materialize("Main.getValue", "o0", "v9", "b2", "StoreStatic", "Main.getValue@0")
-	s.MergeMaterialize("Main.getValue", "o0", "b4", "merge-mixed", "Main.getValue@0")
-	s.VMRematerialize("Main.getValue", "vobj0", "Key", "Main.getValue@0")
-	s.LockElide("Main.getValue", "o0", "v5", "monitorenter", "Main.getValue@0")
-	s.LockElide("Main.getValue", "o0", "v6", "monitorexit", "Main.getValue@0")
+	getValue := method(1, "Main", "getValue")
+	s.Virtualize(getValue, 0, "Key", 1, nil, 0)
+	s.Virtualize(getValue, 0, "Key", 1, nil, 0)
+	s.Materialize(getValue, 0, getValue, 0, 9, 2, "StoreStatic")
+	s.Materialize(getValue, 0, getValue, 0, -1, 4, "merge-mixed")
+	s.VMRematerialize(getValue, 0, getValue, 0, "Key")
+	s.LockElide(getValue, 0, 5, "monitorenter", nil, 0)
+	s.LockElide(getValue, 0, 6, "monitorexit", nil, 0)
 	// Site B (inlined allocation: site method differs from compiled
 	// method): escapes into a non-inlined call.
-	s.Materialize("Main.main", "o1", "v20", "b1", "Invoke", "Helper.make@3")
-	s.EAVerdict("Main.main", "v2", "escapes", "call-argument", "Helper.make@3")
+	main, helperMake := method(0, "Main", "main"), method(2, "Helper", "make")
+	s.Materialize(main, 1, helperMake, 3, 20, 1, "Invoke")
+	s.EAVerdict(main, 2, "escapes", "call-argument", helperMake, 3)
 	// Site-less event (hand-built graph): attributed to the method.
-	s.Virtualize("M.m", "o0", "T", "v1", "")
+	s.Virtualize(method(0, "M", "m"), 0, "T", 1, nil, -1)
 
 	snap := et.Snapshot()
 	if len(snap) != 3 {

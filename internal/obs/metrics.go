@@ -191,18 +191,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	return s
 }
 
-// Reset zeroes all counters, gauges, and phase timers.
-func (m *Metrics) Reset() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.counters = make(map[string]int64)
-	m.gauges = make(map[string]int64)
-	m.phases = make(map[string]*PhaseStat)
-	m.mu.Unlock()
-}
-
 // Table renders the snapshot as an aligned human-readable table.
 func (s Snapshot) Table() string {
 	var b strings.Builder

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pea/internal/bc"
 )
 
 // fixedClock returns a clock frozen at the unix epoch, so sequence numbers
@@ -15,45 +17,72 @@ func fixedClock() func() time.Time {
 	return func() time.Time { return t0 }
 }
 
-// TestNilSinkNoAllocs enforces the package's core contract: with
-// observability disabled (nil sink, nil metrics) every emit helper is
-// allocation-free. The compile hot path relies on this.
+// method returns a bare method with the given dense ID and qualified name.
+func method(id int, class, name string) *bc.Method {
+	return &bc.Method{ID: id, Name: name, Class: &bc.Class{Name: class}}
+}
+
+// TestNilSinkNoAllocs enforces the package's core contract: with tracing
+// disabled (a nil sink or a ring-only one, nil metrics) every helper is
+// allocation-free — the trace-only ones return at once, the ring-kept ones
+// write a record into a ring whose buffer exists. The compile hot path
+// relies on this.
 func TestNilSinkNoAllocs(t *testing.T) {
-	var s *Sink
-	var m *Metrics
-	allocs := testing.AllocsPerRun(200, func() {
-		s.PhaseStart("pea", "M.m", 10, 2)
-		s.PhaseEnd("pea", "M.m", 10, 2, 8, 2, time.Millisecond)
-		s.Inline("M.m", "M.callee", "v3")
-		s.Virtualize("M.m", "o0", "Key", "v1", "M.m@0")
-		s.Materialize("M.m", "o0", "v9", "b2", "StoreStatic", "M.m@0")
-		s.MergeMaterialize("M.m", "o0", "b4", "merge-mixed", "M.m@0")
-		s.LockElide("M.m", "o0", "v5", "monitorenter", "M.m@0")
-		s.PEARound("M.m", 1)
-		s.PEAFixpoint("M.m", 2)
-		s.PEABailout("M.m", "no fixpoint")
-		s.PEAState("M.m", "b1", "state")
-		s.EAVerdict("M.m", "v1", "captured", "", "M.m@0")
-		s.VMCompile("M.m", 20, TriggerThreshold)
-		s.VMDeopt("M.m", "v7", "branch-mispredict")
-		s.VMRematerialize("M.m", "vobj0", "Key", "M.m@0")
-		s.VMInvalidate("M.m", "deopt")
-		s.VMRecompile("M.m", 1)
-		s.Snapshot("pea", "M.m", nil)
-		if s.WantSnapshots() {
-			t.Fatal("nil sink wants snapshots")
+	mm := method(0, "M", "m")
+	ring := NewRing()
+	ring.VMOSREnter(mm, 3) // the first record allocates the ring's slots
+	for _, s := range []*Sink{nil, ring} {
+		var m *Metrics
+		allocs := testing.AllocsPerRun(200, func() {
+			s.PhaseStart("pea", "M.m", 10, 2)
+			s.PhaseEnd("pea", "M.m", 10, 2, 8, 2, time.Millisecond)
+			s.CheckViolation("pea", "M.m", "broken", "")
+			s.SummaryReady(3, 1, 0, "computed")
+			s.Inline("M.m", "M.callee", "v3")
+			s.Virtualize(mm, 0, "Key", 1, nil, 0)
+			s.LockElide(mm, 0, 5, "monitorenter", nil, 0)
+			s.PEARound("M.m", 1)
+			s.PEAFixpoint("M.m", 2)
+			s.PEABailout("M.m", "no fixpoint")
+			s.PEAState("M.m", "b1", "state")
+			s.EAVerdict(mm, 1, "captured", "", nil, 0)
+			s.VMCompile("M.m", 20, TriggerThreshold)
+			s.VMInvalidate("M.m", "deopt")
+			s.VMRecompile("M.m", 1)
+			s.BrokerDedup(mm)
+			s.BrokerReject(mm, "queue-full")
+			s.VMRearm("M.m", "transient", 1, 40)
+			s.VMCrashRepro("M.m", "crash-M_m.json")
+			s.Snapshot("pea", "M.m", nil)
+			if s.WantSnapshots() || s.Metrics() != nil {
+				t.Fatal("a sink that does not trace wants snapshots or has metrics")
+			}
+			span := StartPhase(s, "pea", "M.m", 10, 2)
+			span.End(8, 2)
+
+			s.BrokerSubmit(mm, 20, 1)
+			s.CompileStart(mm, 20)
+			s.BrokerInstall(mm, "cache", time.Microsecond)
+			s.CompileFail(mm, "error", time.Microsecond)
+			s.BrokerPanic(mm, "boom")
+			s.VMOSRRequest(mm, 3, 1000)
+			s.VMOSREnter(mm, 3)
+			s.VMDeopt(mm, 7, "branch-mispredict")
+			s.VMRematerialize(mm, 0, mm, 0, "")
+			s.Materialize(mm, 0, mm, 0, 9, 2, "StoreStatic")
+			s.Materialize(mm, 0, nil, 0, -1, 4, "merge-mixed")
+			s.SummaryKeptVirtual(mm, 0, mm, 0, 5, 1, "M.callee")
+
+			m.Add(MetricVirtualized, 1)
+			m.SetGauge("g", 3)
+			m.ObservePhase("pea", time.Millisecond, -2)
+			_ = m.Counter(MetricVirtualized)
+			_ = m.Gauge("g")
+			_ = m.Phase("pea")
+		})
+		if allocs != 0 {
+			t.Fatalf("disabled observability (sink %p) allocated %.1f times per run, want 0", s, allocs)
 		}
-		span := StartPhase(s, "pea", "M.m", 10, 2)
-		span.End(8, 2)
-		m.Add(MetricVirtualized, 1)
-		m.SetGauge("g", 3)
-		m.ObservePhase("pea", time.Millisecond, -2)
-		_ = m.Counter(MetricVirtualized)
-		_ = m.Gauge("g")
-		_ = m.Phase("pea")
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled observability allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -65,10 +94,11 @@ func TestJSONBackendJSONL(t *testing.T) {
 	s := NewSink(NewJSONBackend(&buf))
 	s.SetClock(fixedClock())
 
+	getValue := method(1, "Main", "getValue")
 	s.PhaseStart("pea", "Main.getValue", 40, 8)
-	s.Virtualize("Main.getValue", "o0", "Key", "v1", "Main.getValue@0")
-	s.LockElide("Main.getValue", "o0", "v5", "monitorenter", "Main.getValue@0")
-	s.Materialize("Main.getValue", "o0", "v10", "b2", "StoreStatic", "Main.getValue@0")
+	s.Virtualize(getValue, 0, "Key", 1, nil, 0)
+	s.LockElide(getValue, 0, 5, "monitorenter", nil, 0)
+	s.Materialize(getValue, 0, getValue, 0, 10, 2, "StoreStatic")
 	s.PhaseEnd("pea", "Main.getValue", 40, 8, 36, 8, 0)
 
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -101,19 +131,20 @@ func TestSinkMetricsAgreement(t *testing.T) {
 	s := NewSink()
 	s.SetMetrics(m)
 
+	mm := method(0, "M", "m")
 	s.Inline("M.m", "M.c", "v1")
-	s.Virtualize("M.m", "o0", "Key", "v1", "M.m@0")
-	s.Materialize("M.m", "o0", "v9", "b2", "StoreStatic", "M.m@0")
-	s.Materialize("M.m", "o1", "v11", "b3", "Invoke", "M.m@4")
-	s.MergeMaterialize("M.m", "o0", "b4", "merge-mixed", "M.m@0")
-	s.LockElide("M.m", "o0", "v5", "monitorenter", "M.m@0")
-	s.LockElide("M.m", "o0", "v6", "monitorexit", "M.m@0")
+	s.Virtualize(mm, 0, "Key", 1, nil, 0)
+	s.Materialize(mm, 0, mm, 0, 9, 2, "StoreStatic")
+	s.Materialize(mm, 1, mm, 4, 11, 3, "Invoke")
+	s.Materialize(mm, 0, mm, 0, -1, 4, "merge-mixed")
+	s.LockElide(mm, 0, 5, "monitorenter", nil, 0)
+	s.LockElide(mm, 0, 6, "monitorexit", nil, 0)
 	s.PEABailout("M.m", "no fixpoint")
-	s.EAVerdict("M.m", "v1", "captured", "", "M.m@0")
-	s.EAVerdict("M.m", "v2", "escapes", "returned", "M.m@4")
+	s.EAVerdict(mm, 1, "captured", "", nil, 0)
+	s.EAVerdict(mm, 2, "escapes", "returned", nil, 4)
 	s.VMCompile("M.m", 20, TriggerThreshold)
-	s.VMDeopt("M.m", "v7", "speculation-failed")
-	s.VMRematerialize("M.m", "vobj0", "Key", "M.m@0")
+	s.VMDeopt(mm, 7, "speculation-failed")
+	s.VMRematerialize(mm, 0, mm, 0, "Key")
 	s.VMInvalidate("M.m", "deopt")
 	s.VMRecompile("M.m", 1)
 

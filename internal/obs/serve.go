@@ -6,14 +6,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-
-	"pea/internal/obs/flight"
 )
 
-// Handler returns the VM's live-introspection mux:
+// Handler returns the VM's live-introspection mux, to be mounted at /debug/:
 //
-//	/debug/pea/flight   — flight-recorder snapshot as JSONL (same format as
-//	                      the dump-on-panic files; peastat reads it)
+//	/debug/pea/flight   — the sink's ring as JSONL (same format as the
+//	                      dump-on-panic files; peastat reads it)
 //	/debug/pea/escape   — escape-attribution table (text; ?format=json for
 //	                      the per-site records)
 //	/debug/pea/metrics  — metrics registry (text table; ?format=json)
@@ -21,16 +19,16 @@ import (
 //	                      Metrics.PublishExpvar)
 //	/debug/pprof/*      — standard Go profiling endpoints
 //
-// Any of fl, et, m may be nil; their endpoints then report 404.
-func Handler(fl *flight.Recorder, et *EscapeTable, m *Metrics) http.Handler {
+// Any of s, et, m may be nil; their endpoints then report 404.
+func Handler(s *Sink, et *EscapeTable, m *Metrics) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pea/flight", func(w http.ResponseWriter, r *http.Request) {
-		if fl == nil {
+		if s == nil {
 			http.NotFound(w, r)
 			return
 		}
 		w.Header().Set("Content-Type", "application/jsonl")
-		_ = fl.WriteJSON(w)
+		_ = s.WriteRing(w)
 	})
 	mux.HandleFunc("/debug/pea/escape", func(w http.ResponseWriter, r *http.Request) {
 		if et == nil {
@@ -71,11 +69,11 @@ func Handler(fl *flight.Recorder, et *EscapeTable, m *Metrics) http.Handler {
 // ":0" picks a free port — read it back from the returned listener). The
 // server runs on a background goroutine for the life of the process; the
 // caller may close the listener to stop it.
-func Serve(addr string, fl *flight.Recorder, et *EscapeTable, m *Metrics) (net.Listener, error) {
+func Serve(addr string, s *Sink, et *EscapeTable, m *Metrics) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	go func() { _ = http.Serve(ln, Handler(fl, et, m)) }()
+	go func() { _ = http.Serve(ln, Handler(s, et, m)) }()
 	return ln, nil
 }

@@ -54,7 +54,9 @@ var instantKinds = map[Kind]string{
 	KindVMRearm:         "vm",
 	KindVMCrashRepro:    "vm",
 	KindBrokerSubmit:    "broker",
+	KindCompileStart:    "broker",
 	KindBrokerInstall:   "broker",
+	KindCompileFail:     "broker",
 	KindBrokerDedup:     "broker",
 	KindBrokerReject:    "broker",
 	KindBrokerPanic:     "broker",
@@ -75,7 +77,7 @@ func (t *TraceWriter) Write(e *Event) {
 		if !ok {
 			return
 		}
-		te = traceEvent{Name: string(e.Kind), Ph: "i", Cat: cat, S: "t"}
+		te = traceEvent{Name: e.Kind.String(), Ph: "i", Cat: cat, S: "t"}
 		args := make(map[string]string, 2)
 		if e.Reason != "" {
 			args["reason"] = e.Reason

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"pea/internal/obs/flight"
 )
 
 // TestTraceWriterChromeFormat checks that the emitted stream is one valid
@@ -28,10 +26,10 @@ func TestTraceWriterChromeFormat(t *testing.T) {
 	s.PhaseStart("build", "Main.getValue", 10, 2)
 	s.PhaseEnd("build", "Main.getValue", 10, 2, 12, 2, time.Millisecond)
 	s.PhaseStart("pea", "Main.getValue", 12, 2)
-	s.Virtualize("Main.getValue", "o0", "Key", "v1", "Main.getValue@0") // no trace output
+	s.Virtualize(method(1, "Main", "getValue"), 0, "Key", 1, nil, 0) // no trace output
 	s.PhaseEnd("pea", "Main.getValue", 12, 2, 8, 2, time.Millisecond)
 	s.VMCompile("Main.main", 20, TriggerThreshold)
-	s.VMDeopt("Main.main", "v7", "speculation-failed")
+	s.VMDeopt(method(0, "Main", "main"), 7, "speculation-failed")
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,21 +93,20 @@ func TestTraceWriterEmptyClose(t *testing.T) {
 }
 
 // TestHandlerEndpoints checks the introspection mux end to end against an
-// httptest server: flight JSONL, escape table (text and JSON), metrics, and
-// pprof index.
+// httptest server: the ring as JSONL, escape table (text and JSON), metrics,
+// and pprof index.
 func TestHandlerEndpoints(t *testing.T) {
-	fl := flight.New(64)
-	fl.SetMethodNames([]string{"Main.main"})
-	fl.Record(flight.KindCompileStart, 0, -1, 20, 0, 0)
-	fl.Record(flight.KindCompileFinish, 0, -1, 1234, 0, 0)
-
 	et := NewEscapeTable()
 	m := NewMetrics()
 	s := NewSink(et)
 	s.SetMetrics(m)
-	s.Virtualize("Main.getValue", "o0", "Key", "v1", "Main.getValue@0")
+	s.SetMethodNames([]string{"Main.main"})
+	main := method(0, "Main", "main")
+	s.CompileStart(main, 20)
+	s.BrokerInstall(main, "compiled", 1234)
+	s.Virtualize(method(1, "Main", "getValue"), 0, "Key", 1, nil, 0)
 
-	srv := httptest.NewServer(Handler(fl, et, m))
+	srv := httptest.NewServer(Handler(s, et, m))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {

@@ -271,7 +271,7 @@ func (in *Inliner) inlineSite(g *ir.Graph, invoke *ir.Node) error {
 	if err != nil {
 		return fmt.Errorf("inline: building %s: %w", callee.QualifiedName(), err)
 	}
-	if in.Sink != nil {
+	if in.Sink.Traces() {
 		in.Sink.Inline(g.Method.QualifiedName(), callee.QualifiedName(),
 			fmt.Sprintf("v%d", invoke.ID))
 	}

@@ -53,7 +53,7 @@ type Pipeline struct {
 // Run executes the pipeline on g.
 func (p *Pipeline) Run(g *ir.Graph) error {
 	var method string
-	if p.Sink != nil {
+	if p.Sink.Traces() {
 		method = g.Method.QualifiedName()
 	}
 	lvl := check.Effective(p.Check)
@@ -69,7 +69,7 @@ func (p *Pipeline) Run(g *ir.Graph) error {
 		changed := false
 		for _, ph := range p.Phases {
 			var span obs.PhaseSpan
-			if p.Sink != nil {
+			if p.Sink.Traces() {
 				span = obs.StartPhase(p.Sink, ph.Name(), method, g.NumNodes(), len(g.Blocks))
 			}
 			c, err := ph.Run(g)
@@ -81,7 +81,7 @@ func (p *Pipeline) Run(g *ir.Graph) error {
 					return err
 				}
 			}
-			if p.Sink != nil {
+			if p.Sink.Traces() {
 				span.End(g.NumNodes(), len(g.Blocks))
 				if c && p.Sink.WantSnapshots() {
 					p.Sink.Snapshot(ph.Name(), method, func() string { return ir.Dump(g) })

@@ -8,7 +8,6 @@ import (
 	"pea/internal/check"
 	"pea/internal/ir"
 	"pea/internal/obs"
-	"pea/internal/obs/flight"
 	"pea/internal/sched"
 )
 
@@ -56,13 +55,10 @@ type Config struct {
 	Check check.Level
 	// Sink, when non-nil, receives structured analysis events:
 	// virtualizations, materializations with reason and position, merge
-	// materializations, lock elisions, fixpoint rounds, and bailouts.
+	// materializations, lock elisions, fixpoint rounds, and bailouts. Its
+	// ring keeps materializations and summary-kept arguments with their
+	// allocation site even when it does not trace.
 	Sink *obs.Sink
-	// Flight, when non-nil, is the VM's always-on flight recorder.
-	// Materialization decisions are recorded there with their allocation
-	// site regardless of whether a Sink is attached — the recorder is the
-	// black box that stays on when event tracing is off.
-	Flight *flight.Recorder
 }
 
 const (
@@ -137,7 +133,7 @@ func Run(g *ir.Graph, conf Config) (Result, error) {
 		ourPhis:   make(map[*ir.Node]bool),
 		futureRef: make(map[futKey]bool),
 	}
-	if sink != nil {
+	if sink.Traces() {
 		a.method = g.Method.QualifiedName()
 	}
 	cfg, err := sched.Compute(g)
@@ -171,7 +167,7 @@ func Run(g *ir.Graph, conf Config) (Result, error) {
 			entry := a.computeEntry(b)
 			if old := a.entries[b]; old == nil || !old.equal(entry) {
 				changed = true
-				if a.sink != nil {
+				if a.sink.Traces() {
 					a.sink.PEAState(a.method, b.String(), entry.String())
 				}
 			}
@@ -191,7 +187,7 @@ func Run(g *ir.Graph, conf Config) (Result, error) {
 		}
 	}
 	if !converged {
-		if a.sink != nil {
+		if a.sink.Traces() {
 			a.sink.PEABailout(a.method, fmt.Sprintf("no fixpoint after %d rounds", a.res.Rounds))
 		}
 		return Result{BailedOut: true, Rounds: a.res.Rounds}, nil
@@ -305,7 +301,7 @@ type analyzer struct {
 	conf Config
 
 	// sink receives structured analysis events (nil-safe); method is the
-	// analyzed method's qualified name, computed once when sink != nil.
+	// analyzed method's qualified name, computed once when the sink traces.
 	sink   *obs.Sink
 	method string
 

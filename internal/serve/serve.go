@@ -29,7 +29,6 @@ import (
 	"pea/internal/check"
 	"pea/internal/mj"
 	"pea/internal/obs"
-	"pea/internal/obs/flight"
 	"pea/internal/vm"
 )
 
@@ -120,16 +119,17 @@ const maxPrograms = 128
 //	POST /run              {"source": "...", "runs": N} → RunResponse
 //	GET  /stats            → StatsResponse
 //	GET  /healthz          → 200 "ok"
-//	GET  /debug/pea/flight → the flight recorder's ring as JSON lines
+//	GET  /debug/pea/flight → the ring as JSON lines
+//	GET  /debug/pprof/*, /debug/vars → Go profiles and expvar
 type Server struct {
 	opts  Options
 	jit   *broker.Broker
 	store *broker.Store
 	mux   *http.ServeMux
-	// flight is the one always-on recorder of the process: the broker and
-	// every request VM record into its ring, each program through its own
-	// view (linked.flight).
-	flight *flight.Recorder
+	// sink is the one ring of the process, which does not trace: every
+	// request VM, and the broker's work for it, records there, each program
+	// through its own view (linked.sink).
+	sink *obs.Sink
 
 	progMu    sync.Mutex
 	progs     map[uint64]*linked
@@ -146,10 +146,10 @@ type Server struct {
 // program rather than per request.
 type linked struct {
 	prog *bc.Program
-	// flight is the program's view of the server's recorder; its method-name
+	// sink is the program's view of the server's sink; its method-name
 	// table is built once here, not in every request's vm.New.
-	flight *flight.Recorder
-	used   int64 // progClock at the last request for this program
+	sink *obs.Sink
+	used int64 // progClock at the last request for this program
 }
 
 // New creates a Server. The store directory is opened (and created) up
@@ -167,11 +167,10 @@ func New(opts Options) (*Server, error) {
 	if cacheMax == 0 {
 		cacheMax = broker.DefaultCacheEntries
 	}
-	fl := flight.New(0)
 	s := &Server{
-		opts:   opts,
-		store:  store,
-		flight: fl,
+		opts:  opts,
+		store: store,
+		sink:  obs.NewRing(),
 		jit: broker.New(broker.Options{
 			Workers: opts.Workers,
 			Cache:   broker.NewCacheSize(cacheMax),
@@ -183,7 +182,7 @@ func New(opts Options) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/run", s.handleRun)
 	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.Handle("/debug/pea/", obs.Handler(fl, nil, nil))
+	s.mux.Handle("/debug/", obs.Handler(s.sink, nil, nil))
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -309,10 +308,10 @@ func (s *Server) program(source string) (*linked, error) {
 				victim, oldest = k, l.used
 			}
 		}
-		s.progs[victim].flight.Release()
+		s.progs[victim].sink.Release()
 		delete(s.progs, victim)
 	}
-	l := &linked{prog: p, flight: s.flight.Program(vm.MethodNames(p)), used: s.progClock}
+	l := &linked{prog: p, sink: s.sink.Program(vm.MethodNames(p)), used: s.progClock}
 	s.progs[key] = l
 	return l, nil
 }
@@ -364,7 +363,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Summaries:        s.opts.Summaries,
 		InjectFault:      s.opts.InjectFault,
 		JIT:              s.jit,
-		Flight:           l.flight,
+		Sink:             l.sink,
 	})
 	defer machine.Close()
 

@@ -355,7 +355,8 @@ func TestProbeMissesLeaveHitRateAlone(t *testing.T) {
 
 // TestSharedRecorderTellsTenantsApart: all request VMs record into the
 // server's one ring. Two tenant programs whose hot methods share a dense
-// method ID must come out of the dump under their own names.
+// method ID must come out of the dump under their own names. The rest of
+// the introspection mux — Go profiles and expvar — is served beside it.
 func TestSharedRecorderTellsTenantsApart(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	srcA := tenantSrc
@@ -377,7 +378,7 @@ func TestSharedRecorderTellsTenantsApart(t *testing.T) {
 		Kind   string `json:"kind"`
 		Prog   uint32 `json:"prog"`
 		Method string `json:"method"`
-		Reason string `json:"reason"`
+		Detail string `json:"detail"`
 	}
 	progOf := map[string]uint32{}
 	warm := 0
@@ -387,17 +388,17 @@ func TestSharedRecorderTellsTenantsApart(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			t.Fatalf("bad flight line %q: %v", sc.Text(), err)
 		}
-		if l.Kind != "compile_finish" {
+		if l.Kind != "broker_install" {
 			continue
 		}
 		if l.Method != "Main.f" && l.Method != "Main.g" {
-			t.Fatalf("compile_finish of %q (prog %d): neither tenant has such a hot method", l.Method, l.Prog)
+			t.Fatalf("broker_install of %q (prog %d): neither tenant has such a hot method", l.Method, l.Prog)
 		}
 		if prev, ok := progOf[l.Method]; ok && prev != l.Prog {
 			t.Fatalf("%s recorded under programs %d and %d", l.Method, prev, l.Prog)
 		}
 		progOf[l.Method] = l.Prog
-		if l.Reason == "cache" {
+		if l.Detail == "cache" {
 			warm++
 		}
 	}
@@ -406,6 +407,16 @@ func TestSharedRecorderTellsTenantsApart(t *testing.T) {
 	}
 	if warm == 0 {
 		t.Fatal("the repeated tenant's cache-first install left no record")
+	}
+	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: %s", path, resp.Status)
+		}
 	}
 }
 

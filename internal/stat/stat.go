@@ -1,14 +1,15 @@
-// Package stat is the offline analyzer behind cmd/peastat. It consumes the
-// two JSONL streams the system produces — structured obs events (from
-// peavm/peabench event logs or /debug/pea/flight's sibling endpoints) and
-// flight-recorder dumps (dump-on-panic files, /debug/pea/flight) — in any
-// mix, and aggregates them into one report: compile-latency percentiles,
-// code-cache hit rate, top deoptimization reasons, and the per-site escape
-// attribution table.
+// Package stat is the offline analyzer behind cmd/peastat. It reads the
+// JSONL event stream an obs sink produces — its trace (peavm -trace-events)
+// and dumps of its ring (peavm -flight-dump, dump-on-panic files,
+// /debug/pea/flight) — in any mix, and aggregates it into one report:
+// compile-latency percentiles, code-cache hit rate, top deoptimization
+// reasons, and the per-site escape attribution table.
 //
-// The two stream formats share field names (both emit {"seq","t_ns","kind",
-// ...} lines) but are distinguished structurally: flight records always
-// carry a "bci" field, obs events never do.
+// Every line is one obs.Event. A ring dump is a sub-stream of its sink's
+// trace: a record and the trace line of the same occurrence carry the same
+// seq, t_ns and kind, so an occurrence read twice — both dumps of one run —
+// counts once. The sequence number alone would not identify it: every
+// process starts its own, while t_ns is wall-clock time.
 package stat
 
 import (
@@ -23,86 +24,56 @@ import (
 	"pea/internal/obs"
 )
 
-// flightLine mirrors one flight.Recorder JSONL record.
-type flightLine struct {
-	Seq    uint64 `json:"seq"`
-	TNS    int64  `json:"t_ns"`
-	Kind   string `json:"kind"`
-	Method string `json:"method"`
-	BCI    *int   `json:"bci"` // presence discriminates flight vs obs lines
-	A      int64  `json:"a"`
-	B      int64  `json:"b"`
-	Reason string `json:"reason"`
-}
-
 // Report is the aggregated analysis of one or more JSONL streams.
 type Report struct {
-	Lines        int // non-empty input lines
-	ObsEvents    int
-	FlightEvents int
+	Lines int // non-empty input lines
+	// Duplicates counts lines dropped as an occurrence already read.
+	Duplicates int
 
-	// Compile latency. Preferred source: flight compile_finish records,
-	// whose A value is the broker-measured wall time of one compilation
-	// (pipeline or cache replay). Fallback when the input has no flight
-	// stream: per-method sums of obs phase_end durations, split into
-	// compiles at each "build"/"build-osr" phase_start.
+	// Compile latency: the broker time of every unit a broker resolved,
+	// from its broker_install or compile_fail event.
 	CompileCount int
 	CompileP50   time.Duration
 	CompileP99   time.Duration
 
-	// Code-cache behavior, from flight compile_finish reasons when
-	// present, else obs broker_install events.
+	// Code-cache behavior, from broker_install sources.
 	CacheHits   int64
 	CacheMisses int64
 
 	// Installs counts vm_compile events (code published into a VM's code
 	// table); WarmInstalls is the share of them triggered cache-first — at
 	// a method's first call or a loop's first back edge, before the unit
-	// was hot. Obs events only: a flight record does not say what asked
-	// for the code.
+	// was hot. The trace only: the ring does not keep vm_compile.
 	Installs     int64
 	WarmInstalls int64
 
-	// DeoptReasons histograms vm_deopt events and flight deopt records.
+	// DeoptReasons histograms vm_deopt events.
 	Deopts       int64
 	DeoptReasons map[string]int64
 
-	// Escape aggregates the per-site attribution from obs decision events
-	// and flight materialize records.
+	// Escape aggregates the per-site attribution of the decision events.
 	Escape *obs.EscapeTable
 
-	// Events retains the parsed obs events in input order, for format
+	// Events retains the distinct events in input order, for format
 	// conversion (peastat -chrome replays them through obs.TraceWriter).
 	Events []obs.Event
-
-	// latencies in ns, sorted by Analyze before percentile extraction.
-	latencies []int64
-	// flightMats buffers escape events reconstructed from flight
-	// materialize records; replayed only when the obs stream carried no
-	// decision events, so overlapping dumps don't double-count sites.
-	flightMats   []obs.Event
-	obsDecisions int
 }
 
-// Analyze reads JSONL from r and aggregates it. Lines that are not valid
-// JSON objects are an error (a truncated final line is tolerated only if it
-// is the stream's last); empty lines are skipped.
+// occurrence identifies one event across the streams of a run.
+type occurrence struct {
+	seq, tns int64
+	kind     obs.Kind
+}
+
+// Analyze reads JSONL from r and aggregates it. A line that is not a valid
+// event is an error; empty lines are skipped.
 func Analyze(r io.Reader) (*Report, error) {
 	rep := &Report{
 		DeoptReasons: make(map[string]int64),
 		Escape:       obs.NewEscapeTable(),
 	}
-
-	// Fallback compile-latency accumulation from obs phase timing.
-	obsAccum := make(map[string]int64)
-	var obsLatencies []int64
-	flushObs := func(method string) {
-		if ns := obsAccum[method]; ns > 0 {
-			obsLatencies = append(obsLatencies, ns)
-			obsAccum[method] = 0
-		}
-	}
-	var obsCacheHits, obsCacheMisses int64
+	seen := make(map[occurrence]bool)
+	var latencies []int64
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -115,38 +86,31 @@ func Analyze(r io.Reader) (*Report, error) {
 		}
 		rep.Lines++
 
-		var fl flightLine
-		if err := json.Unmarshal([]byte(text), &fl); err != nil {
-			return nil, fmt.Errorf("stat: line %d: %w", lineNo, err)
-		}
-		if fl.BCI != nil {
-			rep.FlightEvents++
-			rep.ingestFlight(&fl)
-			continue
-		}
-
 		var e obs.Event
 		if err := json.Unmarshal([]byte(text), &e); err != nil {
 			return nil, fmt.Errorf("stat: line %d: %w", lineNo, err)
 		}
-		if e.Kind == "" {
+		if e.Kind == 0 {
 			return nil, fmt.Errorf("stat: line %d: no event kind", lineNo)
 		}
-		rep.ObsEvents++
+		o := occurrence{e.Seq, e.TNS, e.Kind}
+		if seen[o] {
+			rep.Duplicates++
+			continue
+		}
+		seen[o] = true
 		rep.Events = append(rep.Events, e)
 		rep.Escape.Write(&e)
 		switch e.Kind {
-		case obs.KindVirtualize, obs.KindMaterialize, obs.KindMergeMaterialize,
-			obs.KindLockElide, obs.KindEAVerdict, obs.KindVMRematerialize:
-			rep.obsDecisions++
-		}
-		switch e.Kind {
-		case obs.KindPhaseStart:
-			if e.Phase == "build" || e.Phase == "build-osr" {
-				flushObs(e.Method)
+		case obs.KindBrokerInstall:
+			latencies = append(latencies, e.DurationNS)
+			if e.Detail == "cache" {
+				rep.CacheHits++
+			} else {
+				rep.CacheMisses++
 			}
-		case obs.KindPhaseEnd:
-			obsAccum[e.Method] += e.DurationNS
+		case obs.KindCompileFail:
+			latencies = append(latencies, e.DurationNS)
 		case obs.KindVMDeopt:
 			rep.Deopts++
 			rep.DeoptReasons[reasonOr(e.Reason)]++
@@ -155,73 +119,17 @@ func Analyze(r io.Reader) (*Report, error) {
 			if e.Reason == obs.TriggerCacheFirst {
 				rep.WarmInstalls++
 			}
-		case obs.KindBrokerInstall:
-			if e.Detail == "cache" {
-				obsCacheHits++
-			} else {
-				obsCacheMisses++
-			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("stat: %w", err)
 	}
 
-	if len(rep.latencies) == 0 {
-		// No flight compile_finish records: fall back to obs phase sums.
-		for m := range obsAccum {
-			flushObs(m)
-		}
-		rep.latencies = obsLatencies
-	}
-	if rep.CacheHits+rep.CacheMisses == 0 {
-		rep.CacheHits, rep.CacheMisses = obsCacheHits, obsCacheMisses
-	}
-	if rep.obsDecisions == 0 {
-		// No obs decision events: the flight ring is the only escape
-		// attribution source, so replay its materialize records now.
-		for i := range rep.flightMats {
-			rep.Escape.Write(&rep.flightMats[i])
-		}
-	}
-	sort.Slice(rep.latencies, func(i, j int) bool { return rep.latencies[i] < rep.latencies[j] })
-	rep.CompileCount = len(rep.latencies)
-	rep.CompileP50 = percentile(rep.latencies, 50)
-	rep.CompileP99 = percentile(rep.latencies, 99)
+	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	rep.CompileCount = len(latencies)
+	rep.CompileP50 = percentile(latencies, 50)
+	rep.CompileP99 = percentile(latencies, 99)
 	return rep, nil
-}
-
-// ingestFlight folds one flight record into the report.
-func (rep *Report) ingestFlight(fl *flightLine) {
-	switch fl.Kind {
-	case "compile_finish":
-		rep.latencies = append(rep.latencies, fl.A)
-		switch {
-		case fl.Reason == "cache":
-			rep.CacheHits++
-		case fl.B == 0:
-			rep.CacheMisses++
-		}
-	case "deopt":
-		rep.Deopts++
-		rep.DeoptReasons[reasonOr(fl.Reason)]++
-	case "materialize":
-		// Reconstruct the site from the record's scalars, as a deopt-time
-		// remat or a compile-time materialization depending on the
-		// recorded cause. Buffered: replayed into the escape aggregator
-		// only when the obs stream has no decision events of its own.
-		site := fl.Method
-		if site != "" && *fl.BCI >= 0 {
-			site = fmt.Sprintf("%s@%d", site, *fl.BCI)
-		}
-		e := obs.Event{Method: fl.Method, Site: site, Reason: fl.Reason}
-		if fl.Reason == "deopt-remat" {
-			e.Kind = obs.KindVMRematerialize
-		} else {
-			e.Kind = obs.KindMaterialize
-		}
-		rep.flightMats = append(rep.flightMats, e)
-	}
 }
 
 func reasonOr(r string) string {
@@ -249,8 +157,7 @@ func percentile(sorted []int64, p int) time.Duration {
 // Text renders the report for terminals.
 func (rep *Report) Text() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "events: %d (%d obs, %d flight)\n",
-		rep.Lines, rep.ObsEvents, rep.FlightEvents)
+	fmt.Fprintf(&b, "events: %d (%d read twice)\n", len(rep.Events), rep.Duplicates)
 	if rep.CompileCount > 0 {
 		fmt.Fprintf(&b, "compiles: %d  p50 %s  p99 %s\n",
 			rep.CompileCount, rep.CompileP50, rep.CompileP99)

@@ -54,15 +54,13 @@ func (vm *VM) captureCrashRepro(m *bc.Method, k broker.Key, pe *broker.PanicErro
 		return
 	}
 	atomic.AddInt64(&vm.VMStats.CrashRepros, 1)
-	if s := vm.Opts.Sink; s != nil {
-		s.VMCrashRepro(m.QualifiedName(), path)
-	}
+	vm.Opts.Sink.VMCrashRepro(m.QualifiedName(), path)
 
-	// Dump the flight recorder next to the repro: the last few thousand
-	// compile/deopt/OSR events leading up to the panic are exactly the
-	// context a crash investigation needs (the JFR dump-on-exit model).
+	// Dump the ring next to the repro: the last few thousand compile/deopt/
+	// OSR events leading up to the panic are exactly the context a crash
+	// investigation needs (the JFR dump-on-exit model).
 	fpath := filepath.Join(vm.Opts.CrashDir, "flight-"+sanitizeName(m.QualifiedName())+".jsonl")
-	if err := vm.flight.WriteFile(fpath); err != nil {
+	if err := vm.Opts.Sink.WriteRingFile(fpath); err != nil {
 		fmt.Fprintf(os.Stderr, "vm: cannot save flight dump %s: %v\n", fpath, err)
 	}
 }

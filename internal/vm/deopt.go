@@ -6,7 +6,6 @@ import (
 	"pea/internal/bc"
 	"pea/internal/interp"
 	"pea/internal/ir"
-	"pea/internal/obs/flight"
 	"pea/internal/rt"
 )
 
@@ -28,8 +27,7 @@ func (vm *VM) deopt(g *ir.Graph, n *ir.Node, eval func(x *ir.Node) (rt.Value, bo
 	if fs == nil {
 		return rt.Value{}, fmt.Errorf("vm: deopt node %s has no frame state", n)
 	}
-	vm.flight.Record(flight.KindDeopt, int32(fs.Method.ID), int32(fs.BCI),
-		0, 0, vm.flight.Reason(n.DeoptReason))
+	vm.Opts.Sink.VMDeopt(g.Method, n.ID, n.DeoptReason)
 	// Collect virtual object descriptors from the whole chain.
 	descs := make(map[*ir.Node]*ir.VirtualObjectState)
 	for s := fs; s != nil; s = s.Outer {
@@ -86,23 +84,15 @@ func (vm *VM) deopt(g *ir.Graph, n *ir.Node, eval func(x *ir.Node) (rt.Value, bo
 		// removed: virtual objects carry the (Method, BCI) of the original
 		// OpNew, with the deopting frame's method as a fallback for
 		// hand-built graphs.
-		siteMethod, siteBCI := fs.Method, n.BCI
-		if n.Method != nil {
-			siteMethod = n.Method
+		var desc string // the allocated type, named for a tracing sink only
+		switch {
+		case !vm.Opts.Sink.Traces():
+		case n.Class != nil:
+			desc = n.Class.Name
+		default:
+			desc = fmt.Sprintf("%s[%d]", n.ElemKind, n.AuxLen)
 		}
-		vm.flight.Record(flight.KindMaterialize,
-			int32(siteMethod.ID), int32(siteBCI), n.AuxInt, 0, vm.reasonRemat)
-		if s := vm.Opts.Sink; s != nil {
-			desc := ""
-			if n.Class != nil {
-				desc = n.Class.Name
-			} else {
-				desc = fmt.Sprintf("%s[%d]", n.ElemKind, n.AuxLen)
-			}
-			s.VMRematerialize(fs.Method.QualifiedName(),
-				fmt.Sprintf("vobj%d", n.AuxInt), desc,
-				fmt.Sprintf("%s@%d", siteMethod.QualifiedName(), siteBCI))
-		}
+		vm.Opts.Sink.VMRematerialize(fs.Method, n.AuxInt, n.Method, n.BCI, desc)
 		return obj, nil
 	}
 

@@ -104,7 +104,7 @@ func TestTraceEventsCachekey(t *testing.T) {
 		if e.TNS != 0 {
 			t.Errorf("line %d: t_ns = %d, want 0 under the fixed clock", i+1, e.TNS)
 		}
-		if e.Kind == "" {
+		if e.Kind == 0 {
 			t.Errorf("line %d: missing kind", i+1)
 		}
 		events = append(events, e)
@@ -230,9 +230,8 @@ func TestTraceEventsCachekey(t *testing.T) {
 // single Key allocation site (Main.getValue@0) must show one virtualized
 // object, one materialization on the cache-miss branch dominated by the
 // StoreStatic publication, and both elided monitor operations; the table's
-// totals must equal the metrics registry's counters. The always-on flight
-// recorder must have captured the same materializations without any
-// backend attached.
+// totals must equal the metrics registry's counters. The sink's ring must
+// have kept the same materializations.
 func TestEscapeTableListing1(t *testing.T) {
 	prog, err := mj.Compile(listing1, "Main.main")
 	if err != nil {
@@ -281,35 +280,22 @@ func TestEscapeTableListing1(t *testing.T) {
 		t.Errorf("locks elided: table total %d, metric %d", locks, got)
 	}
 
-	// The flight recorder is always on — no flag, no backend — and must
-	// have seen every compile-time materialization the table counted.
-	var flightBuf bytes.Buffer
-	if err := machine.Flight().WriteJSON(&flightBuf); err != nil {
-		t.Fatal(err)
-	}
-	var flightMats, flightCompiles int64
-	for _, ln := range strings.Split(strings.TrimSpace(flightBuf.String()), "\n") {
-		var rec struct {
-			Kind   string `json:"kind"`
-			Reason string `json:"reason"`
-		}
-		if err := json.Unmarshal([]byte(ln), &rec); err != nil {
-			t.Fatalf("flight line is not valid JSON: %v\n%s", err, ln)
-		}
-		switch rec.Kind {
-		case "materialize":
-			if rec.Reason != "deopt-remat" {
-				flightMats++
-			}
-		case "compile_finish":
-			flightCompiles++
+	// The ring keeps every compile-time materialization the table counted,
+	// and the installs.
+	var ringMats, ringInstalls int64
+	for _, e := range decodeEvents(t, "ring", ringDump(t, machine)) {
+		switch e.Kind {
+		case obs.KindMaterialize, obs.KindMergeMaterialize:
+			ringMats++
+		case obs.KindBrokerInstall:
+			ringInstalls++
 		}
 	}
-	if flightMats != mat {
-		t.Errorf("flight materialize records = %d, table total %d", flightMats, mat)
+	if ringMats != mat {
+		t.Errorf("ring materialize records = %d, table total %d", ringMats, mat)
 	}
-	if flightCompiles == 0 {
-		t.Error("flight recorder captured no compile_finish records")
+	if ringInstalls == 0 {
+		t.Error("the ring captured no broker_install records")
 	}
 
 	// Golden-match the rendered table.

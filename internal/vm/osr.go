@@ -8,7 +8,6 @@ import (
 	"pea/internal/exec"
 	"pea/internal/interp"
 	"pea/internal/ir"
-	"pea/internal/obs/flight"
 	"pea/internal/rt"
 )
 
@@ -49,10 +48,7 @@ func (vm *VM) enterOSR(f *interp.Frame, c exec.Code) (rt.Value, bool, error) {
 	copy(args, f.Locals)
 	copy(args[f.Method.NumLocals():], f.Stack)
 	atomic.AddInt64(&vm.VMStats.OSREntries, 1)
-	vm.flight.Record(flight.KindOSREnter, int32(f.Method.ID), int32(f.PC), 0, 0, 0)
-	if s := vm.Opts.Sink; s != nil {
-		s.VMOSREnter(f.Method.QualifiedName(), f.PC)
-	}
+	vm.Opts.Sink.VMOSREnter(f.Method, f.PC)
 	ret, err := c.Run(vm.Engine, args)
 	if err != nil {
 		return rt.Value{}, false, err

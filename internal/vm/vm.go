@@ -52,7 +52,6 @@ import (
 	"pea/internal/interp"
 	"pea/internal/ir"
 	"pea/internal/obs"
-	"pea/internal/obs/flight"
 	"pea/internal/opt"
 	"pea/internal/pea"
 	"pea/internal/rt"
@@ -166,22 +165,17 @@ type Options struct {
 	// broker.FaultFromEnv).
 	InjectFault func(point, method string)
 
-	// Sink, when non-nil, receives structured observability events from
-	// the whole pipeline: per-phase compile timing, inlining and PEA/EA
-	// decisions, tier-up compiles, deopts with reasons, virtual-object
-	// rematerializations, invalidations, recompiles, and broker traffic.
-	// nil (the default) adds no allocations to the compile or execution
-	// path. Counters and per-phase timers come with it: Sink.SetMetrics.
+	// Sink is the VM's event stream, shared by the pipeline, the broker's
+	// work for this VM and the deopt runtime. Its ring is always on,
+	// JFR-style: nil (the default) makes New create a ring-only sink
+	// (obs.NewRing), so every VM keeps the JIT's recent compiles, deopts,
+	// OSR transfers and materializations. A sink from obs.NewSink also
+	// traces: per-phase compile timing, inlining and PEA/EA decisions,
+	// tier-up installs, invalidations, recompiles — with counters and
+	// per-phase timers via Sink.SetMetrics. Pass one Sink.Program view per
+	// program to share a ring across VMs (New registers the program's
+	// method names only on a view that has none).
 	Sink *obs.Sink
-
-	// Flight, when non-nil, is the always-on flight recorder shared by the
-	// VM, the broker, and the PEA pipeline. nil (the default) makes New
-	// create a private recorder with DefaultCapacity — the recorder is
-	// meant to stay on, JFR-style, so every VM has one; pass a recorder
-	// explicitly to pick a capacity, or pass one flight.Recorder.Program
-	// view per program to share a ring across VMs (New registers the
-	// program's method names only on a recorder that has none).
-	Flight *flight.Recorder
 }
 
 // checkLevel applies the PEA_CHECK environment floor to the configured
@@ -278,12 +272,6 @@ type VM struct {
 	// off.
 	sums    *summary.Set
 	sumOnce sync.Once
-
-	// flight is the always-on flight recorder (never nil after New);
-	// reasonRemat is the pre-interned "deopt-remat" reason code so the
-	// deopt path records without a map lookup.
-	flight      *flight.Recorder
-	reasonRemat uint16
 
 	VMStats Stats
 }
@@ -400,21 +388,19 @@ func New(prog *bc.Program, opts Options) *VM {
 		// broker's points (a broker passed in resolved it for itself).
 		opts.InjectFault = broker.FaultFromEnv()
 	}
-	if opts.Flight == nil {
-		opts.Flight = flight.New(0)
+	if opts.Sink == nil {
+		opts.Sink = obs.NewRing()
 	}
-	if !opts.Flight.HasMethodNames() {
-		opts.Flight.SetMethodNames(MethodNames(prog))
+	if !opts.Sink.HasMethodNames() {
+		opts.Sink.SetMethodNames(MethodNames(prog))
 	}
 	vm := &VM{
-		Prog:        prog,
-		Env:         rt.NewEnv(prog, opts.Seed),
-		Opts:        opts,
-		backend:     opts.Backend.impl(),
-		methods:     make([]methodState, len(prog.Methods)),
-		flight:      opts.Flight,
-		reasonRemat: opts.Flight.Reason("deopt-remat"),
-		jit:         opts.JIT,
+		Prog:    prog,
+		Env:     rt.NewEnv(prog, opts.Seed),
+		Opts:    opts,
+		backend: opts.Backend.impl(),
+		methods: make([]methodState, len(prog.Methods)),
+		jit:     opts.JIT,
 	}
 	for i, m := range prog.Methods {
 		vm.methods[i].entry = unit{m: m, entryBCI: broker.NoOSR}
@@ -425,7 +411,7 @@ func New(prog *bc.Program, opts Options) *VM {
 	if opts.OSRThreshold > 0 && !opts.Interpret {
 		vm.Interp.OSRHook = vm.osrHook
 	}
-	vm.Engine = &exec.Engine{Env: vm.Env, MaxSteps: opts.MaxSteps, Sink: opts.Sink}
+	vm.Engine = &exec.Engine{Env: vm.Env, MaxSteps: opts.MaxSteps}
 	vm.Engine.Invoke = vm.engineInvoke
 	vm.Engine.Deopt = vm.deopt
 
@@ -434,20 +420,19 @@ func New(prog *bc.Program, opts Options) *VM {
 		Install:  vm.install,
 		Fail:     vm.recordFailure,
 		Resolver: prog,
-		Flight:   vm.flight,
+		Sink:     opts.Sink,
 	}
 	if vm.jit == nil {
 		vm.jit = broker.New(broker.Options{
 			Check:       opts.checkLevel(),
-			Sink:        opts.Sink,
 			InjectFault: opts.InjectFault,
 		})
 	}
 	return vm
 }
 
-// MethodNames is the flight recorder's name table for prog: qualified
-// names indexed by dense method ID.
+// MethodNames is the ring's name table for prog: qualified names indexed by
+// dense method ID.
 func MethodNames(prog *bc.Program) []string {
 	names := make([]string, len(prog.Methods))
 	for i, m := range prog.Methods {
@@ -560,10 +545,7 @@ func (vm *VM) tierUp(u *unit, count int64) exec.Code {
 	}
 	if u.isOSR() {
 		atomic.AddInt64(&vm.VMStats.OSRRequests, 1)
-		vm.flight.Record(flight.KindOSRRequest, int32(u.m.ID), int32(u.entryBCI), count, 0, 0)
-		if s := vm.Opts.Sink; s != nil {
-			s.VMOSRRequest(u.m.QualifiedName(), u.entryBCI, int(count))
-		}
+		vm.Opts.Sink.VMOSRRequest(u.m, u.entryBCI, count)
 	}
 	if !vm.jit.Submit(u.m, count, vm.cacheKey(u.m, u.entryBCI), &vm.hooks) {
 		// Rejected (queue full, closing, or a racing duplicate): re-arm the
@@ -592,7 +574,7 @@ func (vm *VM) rearm(u *unit, reason string) {
 	next := vm.hotness(u) + vm.trigger(u)<<shift
 	u.retryAt.Store(next)
 	atomic.AddInt64(&vm.VMStats.Rearms, 1)
-	if s := vm.Opts.Sink; s != nil {
+	if s := vm.Opts.Sink; s.Traces() {
 		s.VMRearm(u.name(), reason, int(n), next)
 	}
 }
@@ -648,7 +630,7 @@ func (vm *VM) summarySet() *summary.Set {
 		return nil
 	}
 	vm.sumOnce.Do(func() {
-		vm.sums = vm.jit.Summaries(vm.Prog, func() *summary.Set {
+		vm.sums = vm.jit.Summaries(vm.Prog, vm.Opts.Sink, func() *summary.Set {
 			return summary.Compute(vm.Prog, summary.Options{Sink: vm.Opts.Sink})
 		})
 	})
@@ -677,7 +659,7 @@ func (vm *VM) compileForKey(m *bc.Method, k broker.Key) (broker.Artifact, error)
 func (vm *VM) lower(m *bc.Method, g *ir.Graph) (exec.Code, error) {
 	sink := vm.Opts.Sink
 	var span obs.PhaseSpan
-	if sink != nil {
+	if sink.Traces() {
 		span = obs.StartPhase(sink, "lower", m.QualifiedName(), g.NumNodes(), len(g.Blocks))
 	}
 	code, err := vm.backend.Compile(g)
@@ -783,14 +765,15 @@ func (vm *VM) installFrom(m *bc.Method, k broker.Key, a broker.Artifact, fromCac
 		installs = &vm.VMStats.OSRCompilations
 	}
 	atomic.AddInt64(installs, 1)
-	if s := vm.Opts.Sink; s != nil {
+	s := vm.Opts.Sink
+	if s.Traces() {
 		s.VMCompile(u.name(), int(vm.hotness(u)), trigger)
 	}
 	if !u.isOSR() && noSpec.Load() && !fromCache {
 		// Only pipeline re-runs of a method entry count as recompilations;
 		// cache replays after an invalidation reuse earlier work.
 		n := atomic.AddInt64(&vm.VMStats.Recompilations, 1)
-		if s := vm.Opts.Sink; s != nil {
+		if s.Traces() {
 			s.VMRecompile(m.QualifiedName(), int(n))
 		}
 	}
@@ -804,8 +787,9 @@ func (vm *VM) installFrom(m *bc.Method, k broker.Key, a broker.Artifact, fromCac
 //     minimized crash reproducer into Options.CrashDir, then falls through
 //     to permanent blacklisting.
 //   - A transient failure (compile budget overrun — broker.Transient)
-//     re-arms the unit's hotness trigger with backoff and records nothing:
-//     the same compile may succeed later.
+//     re-arms the unit's hotness trigger with backoff and records nothing
+//     on the unit: the same compile may succeed later. (The broker's
+//     compile_fail event already names the bailout.)
 //   - Everything else is a permanent property of the unit under this
 //     compiler and is recorded on it alone: a failed OSR entry blacklists
 //     only that (method, loop header) pair and the method itself stays
@@ -819,16 +803,6 @@ func (vm *VM) recordFailure(m *bc.Method, k broker.Key, err error) {
 	u := vm.unit(m, k.EntryBCI)
 	if broker.Transient(err) {
 		atomic.AddInt64(&vm.VMStats.TransientFailures, 1)
-		// Record the bailout with a compact classification
-		// ("deadline@pea-fixpoint") rather than the full error text, so a
-		// storm of bailouts cannot flood the bounded reason table.
-		reason := "transient"
-		var be *budget.Err
-		if errors.As(err, &be) {
-			reason = be.Kind + "@" + be.Phase
-		}
-		vm.flight.Record(flight.KindBudgetBailout, int32(m.ID), int32(k.EntryBCI),
-			0, 0, vm.flight.Reason(reason))
 		vm.rearm(u, "transient: "+err.Error())
 		return
 	}
@@ -902,7 +876,7 @@ func (vm *VM) compileEntry(m *bc.Method, spec bool, entryBCI int) (*ir.Graph, er
 	if spec {
 		pr := &opt.BranchPruner{Profile: vm.Interp.Profile, MinTotal: vm.Opts.minPruneTotal()}
 		var span obs.PhaseSpan
-		if sink != nil {
+		if sink.Traces() {
 			span = obs.StartPhase(sink, "prune", m.QualifiedName(), g.NumNodes(), len(g.Blocks))
 		}
 		changed, err := pr.Run(g)
@@ -929,13 +903,12 @@ func (vm *VM) compileEntry(m *bc.Method, spec bool, entryBCI int) (*ir.Graph, er
 	}
 	if vm.Opts.EA != EAOff {
 		var span obs.PhaseSpan
-		if sink != nil {
+		if sink.Traces() {
 			span = obs.StartPhase(sink, vm.Opts.EA.String(), m.QualifiedName(),
 				g.NumNodes(), len(g.Blocks))
 		}
 		var eaErr error
-		conf := pea.Config{Sink: sink, Check: lvl, Budget: bud, Flight: vm.flight,
-			CalleeNoEscape: calleeSafe}
+		conf := pea.Config{Sink: sink, Check: lvl, Budget: bud, CalleeNoEscape: calleeSafe}
 		switch vm.Opts.EA {
 		case EAFlowInsensitive:
 			_, eaErr = ea.Run(g, conf)
@@ -947,7 +920,7 @@ func (vm *VM) compileEntry(m *bc.Method, spec bool, entryBCI int) (*ir.Graph, er
 			return nil, eaErr
 		}
 		span.End(g.NumNodes(), len(g.Blocks))
-		if sink != nil && sink.WantSnapshots() {
+		if sink.WantSnapshots() {
 			sink.Snapshot(vm.Opts.EA.String(), m.QualifiedName(),
 				func() string { return ir.Dump(g) })
 		}
@@ -988,7 +961,7 @@ func (vm *VM) Invalidate(m *bc.Method, reason string) {
 		u.probed.Store(false)
 	}
 	atomic.AddInt64(&vm.VMStats.InvalidatedMethods, 1)
-	if s := vm.Opts.Sink; s != nil {
+	if s := vm.Opts.Sink; s.Traces() {
 		s.VMInvalidate(m.QualifiedName(), reason)
 	}
 }
@@ -1008,9 +981,6 @@ func (vm *VM) Close() {
 
 // Broker exposes the VM's compile broker (stats, cache) to tools and tests.
 func (vm *VM) Broker() *broker.Broker { return vm.jit }
-
-// Flight exposes the VM's always-on flight recorder (never nil).
-func (vm *VM) Flight() *flight.Recorder { return vm.flight }
 
 // Stats returns a consistent snapshot of the VM counters.
 func (vm *VM) Stats() Stats {
