@@ -59,7 +59,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8377", "listen address")
 	storeDir := flag.String("store", "", "persistent artifact store directory (empty = memory-only cache)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "byte bound on the -store directory's segment files; writes over the bound expel whole segments, oldest first (0 = unbounded)")
-	summaries := flag.Bool("summaries", false, "enable inter-procedural escape summaries for tenant compiles (amortized across tenants via the shared broker and store)")
+	summaries := flag.Bool("summaries", false, "enable inter-procedural escape summaries for tenant compiles (computed once per program and shared across tenants in the broker's memory; never stored)")
 	eaMode := flag.String("ea", "pea", "escape analysis: off, ea (flow-insensitive), or pea")
 	backendName := flag.String("backend", "closure", "execution backend: oracle or closure")
 	threshold := flag.Int64("threshold", 20, "JIT compile threshold (invocations)")

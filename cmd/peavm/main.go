@@ -313,10 +313,6 @@ func main() {
 			ss := st.Stats()
 			fmt.Fprintf(os.Stderr, "artifact store:   %s: %d artifacts in %d segments (%d bytes), loads %d hit / %d miss / %d rejected, writes %d (%d failed), expelled %d\n",
 				st.Dir(), st.Len(), ss.Segments, ss.Bytes, ss.Hits, ss.Misses, ss.Rejected, ss.Writes, ss.WriteErrors, ss.Expelled)
-			if ss.SummaryHits+ss.SummaryMisses+ss.SummaryWrites > 0 {
-				fmt.Fprintf(os.Stderr, "summary store:    loads %d hit / %d miss, writes %d\n",
-					ss.SummaryHits, ss.SummaryMisses, ss.SummaryWrites)
-			}
 		}
 		for i, ns := range bs.WorkerBusyNS {
 			if ns > 0 {

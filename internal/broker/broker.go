@@ -189,13 +189,10 @@ type inflightKey struct {
 type Broker struct {
 	opts  Options
 	cache *Cache
-	// summaries is the memory tier for whole-program escape-summary sets;
-	// sumFlight holds the resolutions in progress, by program fingerprint,
-	// for concurrent first requests to join (an entry leaves when its
-	// resolution completes). sumMu guards both.
+	// summaries is the memory tier for whole-program escape-summary sets,
+	// guarded by sumMu.
 	sumMu     sync.Mutex
 	summaries *summaryCache
-	sumFlight map[uint64]*summaryCall
 	mu        sync.Mutex
 	cond      *sync.Cond // signals workers (work available / closing)
 	idle      *sync.Cond // signals Drain (queue empty, workers idle)
@@ -221,7 +218,6 @@ func New(opts Options) *Broker {
 		opts:      opts,
 		cache:     opts.Cache,
 		summaries: newSummaryCache(),
-		sumFlight: make(map[uint64]*summaryCall),
 		inflight:  make(map[inflightKey]bool),
 	}
 	if b.cache == nil {

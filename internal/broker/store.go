@@ -17,10 +17,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pea/internal/bc"
 	"pea/internal/check"
 	"pea/internal/ir"
-	"pea/internal/summary"
 )
 
 // StoreVersion is the on-disk record format version, carried in every
@@ -34,22 +32,25 @@ const StoreVersion = 2
 //
 //	 0  magic "PEAS"
 //	 4  version  u16   StoreVersion
-//	 6  kind     u8    kindArtifact | kindSummaries
+//	 6  kind     u8    kindArtifact (kindRetired is skipped)
 //	 7  zero     u8
 //	 8  hash     u64   hashKey(key): the index key
 //	16  keyLen   u32
 //	20  payLen   u32
 //	24  crc      u32   CRC-32C of bytes [0,24), the key and the payload
-//	28  key      appendKey's encoding (artifact) or the program fingerprint (summary set)
-//	    payload  ir.EncodeJSON / summary.EncodeJSON bytes
+//	28  key      appendKey's encoding
+//	    payload  ir.EncodeJSON bytes
 const (
 	segMagic   = "PEAS"
 	segExt     = ".seg"
 	headerSize = 28
 	crcOffset  = 24
 
-	kindArtifact  = 1
-	kindSummaries = 2
+	kindArtifact = 1
+	// kindRetired is the summary-set record an older build of this version
+	// wrote. Its frame is still accepted, so that a scan steps over it to
+	// the records behind it, but it is never indexed or read.
+	kindRetired = 2
 
 	// segmentBytes is the size at which a handle stops appending to its
 	// segment and starts the next: large enough that a store of a few
@@ -77,13 +78,6 @@ type StoreStats struct {
 	// Expelled counts records this handle dropped, with their segments, to
 	// keep the store inside its MaxBytes bound (oldest segment first).
 	Expelled int64
-	// SummaryHits/Misses/Writes count inter-procedural summary-set traffic
-	// (one record per program fingerprint, among the code artifacts).
-	// Rejected summary records — corrupt, stale version, or failing
-	// summary.DecodeJSON's validation — count under Rejected above.
-	SummaryHits   int64
-	SummaryMisses int64
-	SummaryWrites int64
 	// Segments and Bytes are the segment files this handle knows of and
 	// their total size, as of its last look at the directory.
 	Segments int
@@ -140,15 +134,12 @@ type Store struct {
 	closed bool
 
 	stats struct {
-		hits          atomic.Int64
-		misses        atomic.Int64
-		rejected      atomic.Int64
-		writes        atomic.Int64
-		writeErrors   atomic.Int64
-		expelled      atomic.Int64
-		summaryHits   atomic.Int64
-		summaryMisses atomic.Int64
-		summaryWrites atomic.Int64
+		hits        atomic.Int64
+		misses      atomic.Int64
+		rejected    atomic.Int64
+		writes      atomic.Int64
+		writeErrors atomic.Int64
+		expelled    atomic.Int64
 	}
 }
 
@@ -206,7 +197,7 @@ func parseHeader(b []byte) (header, bool) {
 		payLen: int64(binary.LittleEndian.Uint32(b[20:])),
 		crc:    binary.LittleEndian.Uint32(b[crcOffset:]),
 	}
-	return h, h.kind == kindArtifact || h.kind == kindSummaries
+	return h, h.kind == kindArtifact || h.kind == kindRetired
 }
 
 // recordCRC is the checksum a whole record must carry in its header.
@@ -262,14 +253,6 @@ func hashKey(key []byte) uint64 {
 func artifactID(k Key) (recordID, []byte) {
 	key := appendKey(make([]byte, 0, 96), k)
 	return recordID{kindArtifact, hashKey(key)}, key
-}
-
-// summariesID identifies a program's summary set. One record serves the
-// whole program: summaries are whole-program analysis (CHA, bottom-up SCC
-// fixpoint), so per-method records would be incoherent.
-func summariesID(p *bc.Program) (recordID, []byte) {
-	key := binary.LittleEndian.AppendUint64(nil, p.Fingerprint())
-	return recordID{kindSummaries, hashKey(key)}, key
 }
 
 // NewStore opens (creating if needed) a store rooted at dir and indexes the
@@ -364,12 +347,12 @@ func (s *Store) refreshLocked() {
 	}
 }
 
-// scan indexes the records in seg's unscanned part. It stops before a record
-// whose length runs past the end of the file — a torn tail, or a write in
-// flight, to be looked at again once the file has grown — and gives the
-// segment up for good at bytes that are not a record of this version or
-// whose CRC fails, counting one rejection. A later record for an id
-// replaces an earlier one.
+// scan indexes the artifact records in seg's unscanned part, stepping over
+// retired ones. It stops before a record whose length runs past the end of
+// the file — a torn tail, or a write in flight, to be looked at again once
+// the file has grown — and gives the segment up for good at bytes that are
+// not a record of this version or whose CRC fails, counting one rejection. A
+// later record for an id replaces an earlier one.
 func (s *Store) scan(seg *segment) {
 	if seg.dead {
 		return
@@ -405,7 +388,9 @@ func (s *Store) scan(seg *segment) {
 			s.stats.rejected.Add(1)
 			return
 		}
-		s.index[recordID{h.kind, h.hash}] = location{seg, seg.scanned, h.size()}
+		if h.kind == kindArtifact {
+			s.index[recordID{h.kind, h.hash}] = location{seg, seg.scanned, h.size()}
+		}
 		seg.scanned += h.size()
 	}
 }
@@ -547,13 +532,13 @@ func (s *Store) newSegment() (*segment, error) {
 	}
 }
 
-// SetMaxBytes bounds the total size of the store's segments (code artifacts
-// and summary sets alike). When a write pushes the store over the bound,
-// whole segments are expelled, oldest first, until it fits — the disk
-// tier's LRU, with age standing in for recency — except the segment this
-// handle is writing, so the bound holds to within one segment; to keep that
-// slack small a bounded handle rolls at a quarter of the bound. n <= 0 (the
-// default) leaves the store unbounded. Safe to call at any time.
+// SetMaxBytes bounds the total size of the store's segments. When a write
+// pushes the store over the bound, whole segments are expelled, oldest
+// first, until it fits — the disk tier's LRU, with age standing in for
+// recency — except the segment this handle is writing, so the bound holds
+// to within one segment; to keep that slack small a bounded handle rolls at
+// a quarter of the bound. n <= 0 (the default) leaves the store unbounded.
+// Safe to call at any time.
 func (s *Store) SetMaxBytes(n int64) {
 	if s == nil {
 		return
@@ -654,62 +639,7 @@ func (s *Store) Load(k Key, r ir.Resolver, lvl check.Level) (*ir.Graph, bool) {
 	return g, true
 }
 
-// PutSummaries persists the program's summary set. The payload is
-// summary.EncodeJSON's self-validating form (format version + program
-// fingerprint + per-method fingerprints).
-func (s *Store) PutSummaries(p *bc.Program, set *summary.Set) error {
-	if s == nil || set == nil {
-		return nil
-	}
-	payload, err := set.EncodeJSON()
-	if err != nil {
-		s.stats.writeErrors.Add(1)
-		return fmt.Errorf("broker: encoding summaries: %w", err)
-	}
-	id, key := summariesID(p)
-	wrote, err := s.append(id, key, payload)
-	if err != nil {
-		s.stats.writeErrors.Add(1)
-		return fmt.Errorf("broker: persisting summaries: %w", err)
-	}
-	if wrote {
-		s.stats.summaryWrites.Add(1)
-	}
-	return nil
-}
-
-// LoadSummaries returns the persisted summary set for p, or (nil, false).
-// Everything read back is untrusted: summary.DecodeJSON rejects version or
-// fingerprint mismatches, arity mismatches, and out-of-range lattice
-// values, so a stale or tampered record is a miss, never a wrong analysis.
-func (s *Store) LoadSummaries(p *bc.Program) (*summary.Set, bool) {
-	if s == nil || p == nil {
-		return nil, false
-	}
-	id, key := summariesID(p)
-	at, ok := s.lookup(id)
-	if !ok {
-		s.stats.summaryMisses.Add(1)
-		return nil, false
-	}
-	var set *summary.Set
-	payload, ok := s.read(at, id, key)
-	if ok {
-		var err error
-		set, err = summary.DecodeJSON(payload, p)
-		ok = err == nil
-	}
-	if !ok {
-		s.reject(id, at)
-		s.stats.summaryMisses.Add(1)
-		return nil, false
-	}
-	s.stats.summaryHits.Add(1)
-	return set, true
-}
-
-// Len returns the number of records (artifacts and summary sets) this
-// handle's index holds.
+// Len returns the number of artifact records this handle's index holds.
 func (s *Store) Len() int {
 	if s == nil {
 		return 0
@@ -728,16 +658,13 @@ func (s *Store) Stats() StoreStats {
 	segments, size := len(s.segs), s.bytes
 	s.mu.RUnlock()
 	return StoreStats{
-		Hits:          s.stats.hits.Load(),
-		Misses:        s.stats.misses.Load(),
-		Rejected:      s.stats.rejected.Load(),
-		Writes:        s.stats.writes.Load(),
-		WriteErrors:   s.stats.writeErrors.Load(),
-		Expelled:      s.stats.expelled.Load(),
-		SummaryHits:   s.stats.summaryHits.Load(),
-		SummaryMisses: s.stats.summaryMisses.Load(),
-		SummaryWrites: s.stats.summaryWrites.Load(),
-		Segments:      segments,
-		Bytes:         size,
+		Hits:        s.stats.hits.Load(),
+		Misses:      s.stats.misses.Load(),
+		Rejected:    s.stats.rejected.Load(),
+		Writes:      s.stats.writes.Load(),
+		WriteErrors: s.stats.writeErrors.Load(),
+		Expelled:    s.stats.expelled.Load(),
+		Segments:    segments,
+		Bytes:       size,
 	}
 }

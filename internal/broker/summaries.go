@@ -1,8 +1,6 @@
 package broker
 
 import (
-	"sync"
-
 	"pea/internal/bc"
 	"pea/internal/obs"
 	"pea/internal/summary"
@@ -11,7 +9,7 @@ import (
 // maxSummarySets bounds the summary memory tier. A cached set pins its
 // whole *bc.Program, so the tier holds as many programs as a server's
 // linked-program memo beside it (serve's maxPrograms) and no more; an
-// evicted program's next request reloads from the store or recomputes.
+// evicted program's next request recomputes.
 const maxSummarySets = 128
 
 // summaryCache is the in-memory tier for inter-procedural escape-summary
@@ -65,68 +63,34 @@ func (c *summaryCache) put(fp uint64, s *summary.Set) {
 	c.sets[fp] = &summaryEntry{set: s, used: c.tick}
 }
 
-// summaryCall is one in-flight resolution of a program's summary set, which
-// concurrent requests for the same program join.
-type summaryCall struct {
-	once sync.Once
-	set  *summary.Set
-}
-
-// Summaries resolves the program's inter-procedural summary set through the
-// broker's tiers: the in-memory cache, then the persistent store (a warm
-// restart loads and re-validates the persisted set instead of re-analyzing
-// the program), then compute — whose result is published to both tiers so
-// later tenants and processes skip the analysis. Concurrent first requests
-// for the same program collapse onto one resolution: compute never runs
-// twice at once for one fingerprint, and runs again only for a program whose
-// set was evicted from memory with no store to reload it from. A tier hit is
-// reported to sink, the requesting VM's.
+// Summaries returns the program's inter-procedural summary set from the
+// memory tier, or computes it and publishes it there so that later tenants
+// of the broker skip the analysis. A set is never persisted: it costs tens of
+// microseconds to compute, and a warm restart that replays every artifact
+// from the store never asks for it. Concurrent first requests for one
+// program may each compute; the first to publish wins, and every caller
+// after it gets that set. A memory hit is reported to sink, the requesting
+// VM's, mirroring the summary_ready event Compute emits on a miss.
 func (b *Broker) Summaries(p *bc.Program, sink *obs.Sink, compute func() *summary.Set) *summary.Set {
 	fp := p.Fingerprint()
 	b.sumMu.Lock()
 	s, ok := b.summaries.get(fp)
-	call := b.sumFlight[fp]
-	if !ok && call == nil {
-		call = new(summaryCall)
-		b.sumFlight[fp] = call
-	}
 	b.sumMu.Unlock()
 	if ok {
-		summarySource(sink, s, "cache")
+		if sink.Traces() {
+			st := s.Stats()
+			sink.SummaryReady(st.Methods, st.NoEscape, st.Preds, "cache")
+		}
 		return s
 	}
-	call.once.Do(func() {
-		defer func() {
-			// Publishing to the memory tier and leaving sumFlight are one
-			// step, so a request that finds neither a set nor a call to join
-			// really is the first.
-			b.sumMu.Lock()
-			if call.set != nil {
-				b.summaries.put(fp, call.set)
-			}
-			delete(b.sumFlight, fp)
-			b.sumMu.Unlock()
-		}()
-		if s, ok := b.opts.Store.LoadSummaries(p); ok {
-			summarySource(sink, s, "store")
-			call.set = s
-			return
-		}
-		if call.set = compute(); call.set != nil {
-			// Persist-through is best-effort: a write failure leaves the set
-			// cached in memory, and the store counts it in WriteErrors.
-			_ = b.opts.Store.PutSummaries(p, call.set)
-		}
-	})
-	return call.set
-}
-
-// summarySource reports a tier hit to sink with the set's headline numbers,
-// mirroring the summary_ready event Compute emits on a cold run.
-func summarySource(sink *obs.Sink, s *summary.Set, source string) {
-	if !sink.Traces() || s == nil {
-		return
+	if s = compute(); s == nil {
+		return nil
 	}
-	st := s.Stats()
-	sink.SummaryReady(st.Methods, st.NoEscape, st.Preds, source)
+	b.sumMu.Lock()
+	defer b.sumMu.Unlock()
+	if won, ok := b.summaries.get(fp); ok {
+		return won
+	}
+	b.summaries.put(fp, s)
+	return s
 }

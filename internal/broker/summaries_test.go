@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"pea/internal/bc"
 	"pea/internal/check"
+	"pea/internal/obs"
 	"pea/internal/summary"
 )
 
@@ -32,105 +34,52 @@ func summaryTestProgram(t *testing.T) *bc.Program {
 	return p
 }
 
-func TestStoreSummariesRoundTrip(t *testing.T) {
-	p := summaryTestProgram(t)
-	s, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := summary.Compute(p, summary.Options{})
-	if err := s.PutSummaries(p, set); err != nil {
-		t.Fatal(err)
-	}
-	back, ok := s.LoadSummaries(p)
-	if !ok {
-		t.Fatal("miss after PutSummaries")
-	}
-	if back.Table() != set.Table() {
-		t.Fatalf("summary store round-trip changed the set:\n%s\nvs\n%s",
-			back.Table(), set.Table())
-	}
-	st := s.Stats()
-	if st.SummaryWrites != 1 || st.SummaryHits != 1 || st.SummaryMisses != 0 {
-		t.Fatalf("summary stats = %+v", st)
-	}
-}
-
-func TestStoreSummariesRejectsCorruptFile(t *testing.T) {
-	p := summaryTestProgram(t)
-	dir := t.TempDir()
-	id, key := summariesID(p)
-	plantSegment(t, dir, "0000000000000001", appendRecord(nil, id, key, []byte(`{"version":999}`)))
-	s := mustStore(t, dir)
-	if _, ok := s.LoadSummaries(p); ok {
-		t.Fatal("corrupt summary record was not rejected")
-	}
-	if st := s.Stats(); st.Rejected != 1 || st.SummaryMisses != 1 {
-		t.Fatalf("stats = %+v, want 1 rejection and 1 summary miss", st)
-	}
-	// The refused record does not keep the recomputed set out.
-	set := summary.Compute(p, summary.Options{})
-	if err := s.PutSummaries(p, set); err != nil {
-		t.Fatal(err)
-	}
-	if back, ok := s.LoadSummaries(p); !ok || back.Table() != set.Table() {
-		t.Fatal("summary set put after a rejection does not load")
-	}
-}
-
-// TestBrokerSummariesTiers drives the full resolution ladder: a cold broker
-// computes once; a second request on the same broker is a memory hit; a
-// fresh broker on the same store loads from disk without recomputing.
+// TestBrokerSummariesTiers: a cold broker computes once; a second request on
+// the same broker is a memory hit, reported to the requester's sink; a fresh
+// broker on the same store (a new process) computes again, because the store
+// holds no summary set.
 func TestBrokerSummariesTiers(t *testing.T) {
 	p := summaryTestProgram(t)
 	dir := t.TempDir()
-	store, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	computes := 0
 	compute := func() *summary.Set {
 		computes++
 		return summary.Compute(p, summary.Options{})
 	}
 
-	b1 := New(Options{Store: store})
+	b1 := New(Options{Store: mustStore(t, dir)})
 	defer b1.Close()
 	s1 := b1.Summaries(p, nil, compute)
 	if s1 == nil || computes != 1 {
 		t.Fatalf("cold resolve: set=%v computes=%d, want computed once", s1 != nil, computes)
 	}
-	if s2 := b1.Summaries(p, nil, compute); s2 != s1 || computes != 1 {
+	var sources []string
+	sink := obs.NewSink(obs.FuncBackend(func(e *obs.Event) {
+		if e.Kind == obs.KindSummary {
+			sources = append(sources, e.Reason)
+		}
+	}))
+	if s2 := b1.Summaries(p, sink, compute); s2 != s1 || computes != 1 {
 		t.Fatalf("memory tier: recomputed (computes=%d) or returned a different set", computes)
 	}
-	if st := b1.Store().Stats(); st.SummaryHits != 0 || st.SummaryMisses != 1 {
-		t.Fatalf("second request went past the memory tier: store stats %+v", st)
+	if fmt.Sprint(sources) != "[cache]" {
+		t.Fatalf("memory hit reported summary_ready sources %v, want [cache]", sources)
 	}
 
-	// Warm restart: a new broker over the same store directory must load
-	// the persisted set instead of re-running the analysis.
-	store2, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2 := New(Options{Store: store2})
+	b2 := New(Options{Store: mustStore(t, dir)})
 	defer b2.Close()
-	s3 := b2.Summaries(p, nil, compute)
-	if computes != 1 {
-		t.Fatalf("warm restart recomputed summaries (computes=%d)", computes)
+	if s3 := b2.Summaries(p, nil, compute); s3 == nil || s3.Table() != s1.Table() || computes != 2 {
+		t.Fatalf("fresh broker: computes=%d, want the set computed again and equal", computes)
 	}
-	if s3 == nil || s3.Table() != s1.Table() {
-		t.Fatal("warm restart loaded a different summary set")
-	}
-	if st := store2.Stats(); st.SummaryHits != 1 {
-		t.Fatalf("store2 SummaryHits = %d, want 1", st.SummaryHits)
+	if files := segmentFiles(t, dir); len(files) != 0 {
+		t.Fatalf("summary resolution wrote %v to the store", files)
 	}
 }
 
 // TestBrokerSummariesBounded: the summary tier holds at most maxSummarySets
-// programs however many pass through, its singleflight map holds only
-// resolutions in progress, an evicted program is resolved again exactly once,
-// and concurrent first requests for one program share one computation.
+// programs however many pass through, an evicted program is resolved again
+// exactly once, and concurrent first requests for one program all get equal
+// sets while the tier ends up holding exactly one.
 func TestBrokerSummariesBounded(t *testing.T) {
 	// program(i) has its own fingerprint: the constant is part of the body.
 	program := func(i int) *bc.Program {
@@ -154,10 +103,10 @@ func TestBrokerSummariesBounded(t *testing.T) {
 	assertBounded := func(when string) {
 		t.Helper()
 		b.sumMu.Lock()
-		n, flying := len(b.summaries.sets), len(b.sumFlight)
+		n := len(b.summaries.sets)
 		b.sumMu.Unlock()
-		if n > maxSummarySets || flying != 0 {
-			t.Fatalf("%s: %d sets cached (bound %d), %d singleflight entries left", when, n, maxSummarySets, flying)
+		if n > maxSummarySets {
+			t.Fatalf("%s: %d sets cached (bound %d)", when, n, maxSummarySets)
 		}
 	}
 
@@ -187,13 +136,13 @@ func TestBrokerSummariesBounded(t *testing.T) {
 	assertBounded("after re-resolving an evicted program")
 
 	// Concurrent first requests: the computation waits until every requester
-	// is on its way in, so they overlap.
+	// is on its way in, so they overlap. Each may compute; the first to
+	// publish wins.
 	fresh := program(len(progs))
 	const requesters = 8
 	var arrived, done sync.WaitGroup
 	arrived.Add(requesters)
 	sets := make([]*summary.Set, requesters)
-	before = computes.Load()
 	for i := 0; i < requesters; i++ {
 		done.Add(1)
 		go func(i int) {
@@ -201,19 +150,21 @@ func TestBrokerSummariesBounded(t *testing.T) {
 			arrived.Done()
 			sets[i] = b.Summaries(fresh, nil, func() *summary.Set {
 				arrived.Wait()
-				computes.Add(1)
 				return summary.Compute(fresh, summary.Options{})
 			})
 		}(i)
 	}
 	done.Wait()
-	if got := computes.Load() - before; got != 1 {
-		t.Fatalf("%d computations for %d concurrent first requests, want 1", got, requesters)
-	}
 	for i, s := range sets {
-		if s == nil || s != sets[0] {
+		if s == nil || s.Table() != sets[0].Table() {
 			t.Fatalf("requester %d got a different set", i)
 		}
+	}
+	b.sumMu.Lock()
+	cached := b.summaries.sets[fresh.Fingerprint()]
+	b.sumMu.Unlock()
+	if cached == nil || resolve(fresh) != cached.set {
+		t.Fatal("after concurrent first requests the tier does not hold the one set every later caller gets")
 	}
 	assertBounded("after concurrent first requests")
 }

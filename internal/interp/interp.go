@@ -1,7 +1,7 @@
 // Package interp implements the bytecode interpreter. It plays the role of
 // the HotSpot interpreter in the paper: it executes any code without
-// assumptions, collects the profiles (invocation counts, branch
-// frequencies) that drive the JIT policy, and is the target of
+// assumptions, collects the profiles (invocation, branch and back-edge
+// counts) that drive the JIT policy, and is the target of
 // deoptimization — compiled frames are translated into interpreter frames
 // (materializing any virtual objects first) and execution resumes here.
 package interp
@@ -331,9 +331,6 @@ func (it *Interp) invoke(f *Frame, in *bc.Instr) error {
 		if callee, why = rt.Receiver(args[0].Ref, callee, in.Op == bc.OpInvokeVirtual); why != "" {
 			return rt.NewTrap(why, f.Method, f.PC)
 		}
-	}
-	if it.Profile != nil {
-		it.Profile.CountCallSite(f.Method, f.PC, callee)
 	}
 	var ret rt.Value
 	var err error

@@ -8,15 +8,17 @@ import (
 )
 
 // Profile accumulates execution profiles while interpreting: invocation
-// counts per method, taken/not-taken counts per branch site, and receiver
-// methods observed per virtual call site. The JIT policy uses invocation
-// counts to pick compilation candidates; the compiler uses branch
-// probabilities for block frequencies and call-site receiver profiles for
-// devirtualization and inlining.
+// counts per method, taken/not-taken counts per branch site, and back-edge
+// counts per loop header. The JIT policy uses invocation and back-edge
+// counts to pick compilation and OSR candidates; a speculating compile
+// reads the branch counts, through opt.BranchPruner, to turn never-taken
+// arms into deoptimization points. Nothing else reads it: the scheduler
+// uses no block frequencies, and devirtualization is exact-type/CHA only, so
+// no receiver profile is kept.
 //
 // A Profile is safe for concurrent use: the interpreter mutates it on the
 // execution thread while compile-broker workers read it concurrently
-// (inlining devirtualization, branch pruning, cache-key fingerprints).
+// (branch pruning, cache-key fingerprints).
 type Profile struct {
 	mu      sync.Mutex
 	methods []methodProfile
@@ -26,8 +28,6 @@ type methodProfile struct {
 	invocations int64
 	// branches maps branch pc -> [notTaken, taken] counts.
 	branches map[int]*[2]int64
-	// callSites maps invoke pc -> callee method -> count.
-	callSites map[int]map[*bc.Method]int64
 	// backEdges maps loop-header pc -> number of backward control
 	// transfers observed into it. This is the OSR trigger: a single
 	// long-running invocation accumulates back-edge counts even though
@@ -77,20 +77,6 @@ func (p *Profile) CountBranch(m *bc.Method, pc int, taken bool) {
 	}
 }
 
-// BranchProbability returns the observed probability that the branch at
-// (m, pc) is taken, and whether any executions were observed. Unobserved
-// branches report 0.5.
-func (p *Profile) BranchProbability(m *bc.Method, pc int) (prob float64, observed bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	mp := p.mp(m)
-	c := mp.branches[pc]
-	if c == nil || c[0]+c[1] == 0 {
-		return 0.5, false
-	}
-	return float64(c[1]) / float64(c[0]+c[1]), true
-}
-
 // CountBackEdge records one backward control transfer to the loop header
 // at (m, pc) and returns the new count, so the interpreter can compare it
 // against the OSR threshold without a second lock acquisition.
@@ -122,49 +108,6 @@ func (p *Profile) BackEdges(m *bc.Method, pc int) int64 {
 	return *c
 }
 
-// CountCallSite records that the call at (m, pc) dispatched to callee.
-func (p *Profile) CountCallSite(m *bc.Method, pc int, callee *bc.Method) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	mp := p.mp(m)
-	if mp.callSites == nil {
-		mp.callSites = make(map[int]map[*bc.Method]int64)
-	}
-	s := mp.callSites[pc]
-	if s == nil {
-		s = make(map[*bc.Method]int64)
-		mp.callSites[pc] = s
-	}
-	s[callee]++
-}
-
-// MonomorphicTarget returns the single callee observed at (m, pc), or nil
-// if the site is unobserved or polymorphic.
-func (p *Profile) MonomorphicTarget(m *bc.Method, pc int) *bc.Method {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.mp(m).callSites[pc]
-	if len(s) != 1 {
-		return nil
-	}
-	for callee := range s {
-		return callee
-	}
-	return nil
-}
-
-// HotMethods returns all methods whose invocation count is at least
-// threshold, in program order.
-func (p *Profile) HotMethods(prog *bc.Program, threshold int64) []*bc.Method {
-	var hot []*bc.Method
-	for _, m := range prog.Methods {
-		if p.Invocations(m) >= threshold {
-			hot = append(hot, m)
-		}
-	}
-	return hot
-}
-
 // BranchCounts returns the raw (notTaken, taken) execution counts of the
 // branch at (m, pc).
 func (p *Profile) BranchCounts(m *bc.Method, pc int) (notTaken, taken int64) {
@@ -185,9 +128,9 @@ func (p *Profile) BranchCounts(m *bc.Method, pc int) (notTaken, taken int64) {
 // that would drive the pruner to identical decisions produce identical
 // fingerprints, which is what lets speculative code hit the compiled-code
 // cache across repeated runs, while any decision-relevant divergence
-// changes the hash and forces a fresh compile. Call-site receivers and
-// back-edge counts are not hashed: devirtualization is exact-type/CHA only
-// and OSR entry points are named by the cache key itself, so neither changes
+// changes the hash and forces a fresh compile. Invocation and back-edge
+// counts are not hashed: they decide when a method or loop is compiled, and
+// OSR entry points are named by the cache key itself, so neither changes
 // what a compile emits. A non-speculative compile reads no profile at all;
 // its cache key carries no fingerprint (see vm.VM.cacheKey).
 func (p *Profile) Fingerprint(minTotal int64) uint64 {

@@ -76,8 +76,8 @@ const (
 	KindEAVerdict
 
 	// Inter-procedural escape summaries: a summary set becomes available
-	// (computed or loaded from a cache tier), and a PEA decision kept a
-	// virtual object virtual across a non-inlined call because every
+	// (computed, or found in the broker's memory tier), and a PEA decision
+	// kept a virtual object virtual across a non-inlined call because every
 	// possible callee's summary proves the argument position unobserved.
 	KindSummary
 	KindSummaryKeptVirtual
@@ -644,7 +644,8 @@ func (s *Sink) CheckViolation(phase, method, reason, detail string) {
 
 // SummaryReady records that an inter-procedural summary set is available:
 // methods summarized, ref parameters proven no-escape, predicate edges,
-// and where the set came from ("computed", "memory", "store").
+// and where the set came from ("computed", or "cache" for the broker's
+// memory tier).
 func (s *Sink) SummaryReady(methods, noEscape, preds int, source string) {
 	if s.Traces() && s.trace(Event{Kind: KindSummary, Phase: "summary", Reason: source,
 		Detail: fmt.Sprintf("methods=%d no_escape_params=%d preds=%d", methods, noEscape, preds)}) {

@@ -22,10 +22,11 @@ type Inliner struct {
 	BuildGraph func(m *bc.Method) (*ir.Graph, error)
 	// Program provides the class hierarchy for devirtualization.
 	Program *bc.Program
-	// Profile is reserved for guarded devirtualization of monomorphic call
-	// sites. No code reads it today — devirtualization is exact-type/CHA
-	// only, since a profile-only target is unsound without a guard — which
-	// is why non-speculative cache keys carry no profile fingerprint.
+	// Profile is read by nothing: devirtualization is exact-type/CHA only,
+	// since a profile-only target is unsound without a guard, which is why
+	// non-speculative cache keys carry no profile fingerprint. The field
+	// stays only because the benchmark pipeline (benchmarks/pipeline.go)
+	// still sets it.
 	Profile *interp.Profile
 
 	// MaxCalleeCode is the largest callee bytecode size inlined

@@ -76,8 +76,8 @@ type Options struct {
 	StoreMaxBytes int64
 	// Summaries enables inter-procedural escape summaries for tenant
 	// compiles (vm.Options.Summaries). The whole-program analysis is
-	// amortized through the shared broker's memory tier and the store, so
-	// tenants posting identical programs analyze once.
+	// amortized through the shared broker's memory tier, so tenants
+	// posting identical programs share one set; it is never stored.
 	Summaries bool
 	// MaxSourceBytes bounds a request body (default 1 MiB).
 	MaxSourceBytes int64

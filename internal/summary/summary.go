@@ -37,15 +37,9 @@
 // arm, the effective level drops to the unguarded join. This is the
 // "never-taken escape branch" pruning of the SkipFlow paper, restricted
 // to the single-guard shape that needs no value-range machinery.
-//
-// Sets serialize to JSON for the broker's persistent store, keyed by the
-// program's content fingerprint with every entry re-validated against the
-// loading program (see DecodeJSON) — the same trust-boundary stance the
-// artifact store takes.
 package summary
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -84,23 +78,6 @@ func (l Lattice) String() string {
 	}
 }
 
-// MarshalJSON emits the level as a plain number. Without this, Go would
-// serialize []Lattice (a uint8 slice) as base64, hiding the levels from
-// the store's JSON payloads.
-func (l Lattice) MarshalJSON() ([]byte, error) {
-	return json.Marshal(uint8(l))
-}
-
-// UnmarshalJSON accepts any numeric level; DecodeJSON range-checks it.
-func (l *Lattice) UnmarshalJSON(data []byte) error {
-	var v uint8
-	if err := json.Unmarshal(data, &v); err != nil {
-		return err
-	}
-	*l = Lattice(v)
-	return nil
-}
-
 func join(a, b Lattice) Lattice {
 	if b > a {
 		return b
@@ -115,18 +92,18 @@ func join(a, b Lattice) Lattice {
 // escaping arm dead, Param's effective level drops to Relaxed.
 type Pred struct {
 	// Param is the ref parameter position this predicate refines.
-	Param int `json:"param"`
+	Param int
 	// IntParam is the primitive parameter position the entry guard tests.
-	IntParam int `json:"int_param"`
+	IntParam int
 	// Cond and Const describe the guard: cond(IntParam, Const) when
 	// ParamOnLeft, cond(Const, IntParam) otherwise.
-	Cond        bc.Cond `json:"cond"`
-	Const       int64   `json:"const"`
-	ParamOnLeft bool    `json:"param_on_left"`
+	Cond        bc.Cond
+	Const       int64
+	ParamOnLeft bool
 	// WhenTrue: the escaping uses are dominated by the guard's true arm.
-	WhenTrue bool `json:"when_true"`
+	WhenTrue bool
 	// Relaxed is Param's level when the escaping arm is statically dead.
-	Relaxed Lattice `json:"relaxed"`
+	Relaxed Lattice
 }
 
 // Summary is one method's escape summary.
@@ -135,18 +112,16 @@ type Summary struct {
 	// position 0 of instance methods, matching ir.OpInvoke input order).
 	// Primitive parameters are recorded as ArgEscape (always observed,
 	// never substitutable).
-	ParamEscape []Lattice `json:"param_escape"`
+	ParamEscape []Lattice
 	// ReturnsFresh: every return value is an allocation made inside the
 	// method (directly or via callees that return fresh). An
 	// inlining-priority signal, never a license to skip escapes.
-	ReturnsFresh bool `json:"returns_fresh,omitempty"`
-	// ReturnsParam is the parameter position every return returns, or -1.
-	ReturnsParam int `json:"returns_param"`
+	ReturnsFresh bool
 	// Preds are the predicate refinements (see Pred).
-	Preds []Pred `json:"preds,omitempty"`
+	Preds []Pred
 	// Conservative marks recursion-cycle members and methods whose IR
 	// could not be built: every level is GlobalEscape by construction.
-	Conservative bool `json:"conservative,omitempty"`
+	Conservative bool
 }
 
 // Stats describes one computed set.
@@ -171,7 +146,7 @@ type Options struct {
 }
 
 // Set holds the summaries of one program, indexed by dense method ID.
-// Sets are immutable after Compute/DecodeJSON and safe for concurrent
+// Sets are immutable after Compute and safe for concurrent
 // readers; they may be shared across independently linked programs with
 // equal content fingerprints (dense IDs are a function of content).
 type Set struct {
@@ -245,7 +220,7 @@ func (s *Set) Stats() Stats { return s.stats }
 
 // conservative is the all-GlobalEscape summary.
 func conservative(m *bc.Method) *Summary {
-	sum := &Summary{ParamEscape: make([]Lattice, m.NumArgs()), ReturnsParam: -1, Conservative: true}
+	sum := &Summary{ParamEscape: make([]Lattice, m.NumArgs()), Conservative: true}
 	for i := range sum.ParamEscape {
 		sum.ParamEscape[i] = GlobalEscape
 	}
@@ -413,7 +388,7 @@ func (s *Set) analyze(m *bc.Method, bg func(*bc.Method) (*ir.Graph, error)) (*Su
 		}
 	})
 
-	sum := &Summary{ParamEscape: make([]Lattice, m.NumArgs()), ReturnsParam: -1}
+	sum := &Summary{ParamEscape: make([]Lattice, m.NumArgs())}
 	var contribsPer [][]contrib
 	for i := range sum.ParamEscape {
 		if argKind(m, i) != bc.KindRef {
@@ -440,7 +415,7 @@ func (s *Set) analyze(m *bc.Method, bg func(*bc.Method) (*ir.Graph, error)) (*Su
 		contribsPer = append(contribsPer, cs)
 	}
 
-	s.returns(g, params, sum)
+	s.returns(g, sum)
 	s.predicates(m, g, contribsPer, sum)
 	return sum, true
 }
@@ -622,14 +597,12 @@ func evalCond(c bc.Cond, a, b int64) bool {
 	}
 }
 
-// returns computes ReturnsFresh and ReturnsParam from the graph's return
-// terminators.
-func (s *Set) returns(g *ir.Graph, params []*ir.Node, sum *Summary) {
+// returns computes ReturnsFresh from the graph's return terminators.
+func (s *Set) returns(g *ir.Graph, sum *Summary) {
 	if g.Method == nil || g.Method.Ret != bc.KindRef {
 		return
 	}
 	fresh := true
-	retParam := -2 // -2: unset, -1: mixed
 	any := false
 	for _, b := range g.Blocks {
 		t := b.Term
@@ -637,30 +610,11 @@ func (s *Set) returns(g *ir.Graph, params []*ir.Node, sum *Summary) {
 			continue
 		}
 		any = true
-		v := t.Inputs[0]
-		if !s.isFresh(v, make(map[*ir.Node]bool)) {
+		if !s.isFresh(t.Inputs[0], make(map[*ir.Node]bool)) {
 			fresh = false
 		}
-		pi := -1
-		for i, p := range params {
-			if p != nil && p == v {
-				pi = i
-				break
-			}
-		}
-		if retParam == -2 {
-			retParam = pi
-		} else if retParam != pi {
-			retParam = -1
-		}
 	}
-	if !any {
-		return
-	}
-	sum.ReturnsFresh = fresh
-	if retParam >= 0 {
-		sum.ReturnsParam = retParam
-	}
+	sum.ReturnsFresh = any && fresh
 }
 
 // isFresh reports whether v is always an object allocated in this method
@@ -792,7 +746,7 @@ func (s *Set) ArgSafe(call *ir.Node) []bool {
 // Table renders the set as a fixed-width report (peavm -summaries).
 func (s *Set) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-32s %-20s %5s %5s  %s\n", "METHOD", "PARAMS", "FRESH", "RETP", "PREDS")
+	fmt.Fprintf(&b, "%-32s %-20s %5s  %s\n", "METHOD", "PARAMS", "FRESH", "PREDS")
 	names := make([]string, 0, len(s.prog.Methods))
 	byName := make(map[string]*bc.Method, len(s.prog.Methods))
 	for _, m := range s.prog.Methods {
@@ -824,124 +778,11 @@ func (s *Set) Table() string {
 		if sum.Conservative {
 			fresh = "rec"
 		}
-		fmt.Fprintf(&b, "%-32s %-20s %5s %5d  %s\n",
-			n, strings.Join(levels, ","), fresh, sum.ReturnsParam, strings.Join(preds, " "))
+		fmt.Fprintf(&b, "%-32s %-20s %5s  %s\n",
+			n, strings.Join(levels, ","), fresh, strings.Join(preds, " "))
 	}
 	st := s.stats
 	fmt.Fprintf(&b, "ref params: %d no-escape, %d arg-escape, %d global; %d preds; %d conservative\n",
 		st.NoEscape, st.ArgEscape, st.GlobalEscape, st.Preds, st.Cycles+st.BuildFailed)
 	return b.String()
-}
-
-// Version is the serialized summary-set format version.
-const Version = 1
-
-// setJSON is the on-disk form: every entry carries the method fingerprint
-// it was computed from, so loads re-validate entry-by-entry.
-type setJSON struct {
-	Version   int          `json:"version"`
-	ProgramFP uint64       `json:"program_fp"`
-	Methods   []methodJSON `json:"methods"`
-}
-
-type methodJSON struct {
-	ID       int     `json:"id"`
-	MethodFP uint64  `json:"method_fp"`
-	Name     string  `json:"name"`
-	Summary  Summary `json:"summary"`
-}
-
-// EncodeJSON serializes the set for the persistent store.
-func (s *Set) EncodeJSON() ([]byte, error) {
-	out := setJSON{Version: Version, ProgramFP: s.prog.Fingerprint()}
-	for _, m := range s.prog.Methods {
-		out.Methods = append(out.Methods, methodJSON{
-			ID:       m.ID,
-			MethodFP: s.prog.MethodFingerprint(m),
-			Name:     m.QualifiedName(),
-			Summary:  *s.sums[m.ID],
-		})
-	}
-	return json.Marshal(&out)
-}
-
-// DecodeJSON deserializes a set against p, treating the payload as
-// untrusted input: the version and program fingerprint must match, every
-// method of p must be covered exactly once under its current fingerprint,
-// every lattice value must be in range with the arity of the method it
-// claims to describe, and predicates must name in-range parameters of the
-// right kinds with a Relaxed level strictly below the full one. Any
-// violation fails the whole load — a summary is a license to delete
-// escapes, so a corrupt one must never be half-trusted.
-func DecodeJSON(data []byte, p *bc.Program) (*Set, error) {
-	var in setJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("summary: decoding set: %w", err)
-	}
-	if in.Version != Version {
-		return nil, fmt.Errorf("summary: version %d, want %d", in.Version, Version)
-	}
-	if in.ProgramFP != p.Fingerprint() {
-		return nil, fmt.Errorf("summary: program fingerprint mismatch")
-	}
-	if len(in.Methods) != len(p.Methods) {
-		return nil, fmt.Errorf("summary: %d entries for %d methods", len(in.Methods), len(p.Methods))
-	}
-	s := &Set{prog: p, sums: make([]*Summary, len(p.Methods))}
-	for _, e := range in.Methods {
-		if e.ID < 0 || e.ID >= len(p.Methods) || s.sums[e.ID] != nil {
-			return nil, fmt.Errorf("summary: bad or duplicate method id %d", e.ID)
-		}
-		m := p.Methods[e.ID]
-		if e.MethodFP != p.MethodFingerprint(m) {
-			return nil, fmt.Errorf("summary: stale fingerprint for %s", m.QualifiedName())
-		}
-		sum := e.Summary
-		if len(sum.ParamEscape) != m.NumArgs() {
-			return nil, fmt.Errorf("summary: %s has %d levels for %d args",
-				m.QualifiedName(), len(sum.ParamEscape), m.NumArgs())
-		}
-		for i, l := range sum.ParamEscape {
-			if l > GlobalEscape {
-				return nil, fmt.Errorf("summary: %s param %d level out of range", m.QualifiedName(), i)
-			}
-		}
-		if sum.ReturnsParam < -1 || sum.ReturnsParam >= m.NumArgs() {
-			return nil, fmt.Errorf("summary: %s returns-param out of range", m.QualifiedName())
-		}
-		for _, pr := range sum.Preds {
-			if pr.Param < 0 || pr.Param >= m.NumArgs() || argKind(m, pr.Param) != bc.KindRef {
-				return nil, fmt.Errorf("summary: %s pred names non-ref param %d", m.QualifiedName(), pr.Param)
-			}
-			if pr.IntParam < 0 || pr.IntParam >= m.NumArgs() || argKind(m, pr.IntParam) != bc.KindInt {
-				return nil, fmt.Errorf("summary: %s pred guard on non-int param %d", m.QualifiedName(), pr.IntParam)
-			}
-			if pr.Relaxed >= sum.ParamEscape[pr.Param] {
-				return nil, fmt.Errorf("summary: %s pred does not relax param %d", m.QualifiedName(), pr.Param)
-			}
-		}
-		cp := sum
-		cp.ParamEscape = append([]Lattice(nil), sum.ParamEscape...)
-		cp.Preds = append([]Pred(nil), sum.Preds...)
-		s.sums[e.ID] = &cp
-		if cp.Conservative {
-			s.stats.Cycles++
-		}
-		s.stats.Preds += len(cp.Preds)
-		for i, l := range cp.ParamEscape {
-			if argKind(m, i) != bc.KindRef {
-				continue
-			}
-			switch l {
-			case NoEscape:
-				s.stats.NoEscape++
-			case ArgEscape:
-				s.stats.ArgEscape++
-			case GlobalEscape:
-				s.stats.GlobalEscape++
-			}
-		}
-	}
-	s.stats.Methods = len(p.Methods)
-	return s, nil
 }

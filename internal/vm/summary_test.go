@@ -6,6 +6,8 @@ import (
 
 	"pea/internal/broker"
 	"pea/internal/check"
+	"pea/internal/obs"
+	"pea/internal/rt"
 )
 
 // TestSummariesKeepCallArgsVirtual is the PR's acceptance check: on
@@ -60,41 +62,47 @@ func TestSummariesOffVMHasNoSummarySet(t *testing.T) {
 }
 
 // TestSummaryStoreWarmRestart: a second VM process (fresh broker, fresh
-// Store handle) over the same store directory must load the persisted
-// summary set instead of re-running the analysis, and behave identically.
+// Store handle) over the same store directory replays the summaries-informed
+// artifacts — the cache key carries the Summaries bit — and behaves
+// identically without running the analysis: the store holds no summary set,
+// and a run that compiles nothing never asks for one. Asked for it, the warm
+// VM computes the set the cold one did.
 func TestSummaryStoreWarmRestart(t *testing.T) {
 	p := corpusProg(t, "callBulkNoEscape")
 	dir := t.TempDir()
 	args := p.ArgSets[len(p.ArgSets)-1]
+	run := func(sink *obs.Sink) (rt.Value, *VM, *broker.Store) {
+		t.Helper()
+		store, err := broker.NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
+		v, machine, err := runVM(t, p, withJIT(t, Options{EA: EAPartial, Summaries: true, CheckLevel: check.Basic, Sink: sink},
+			broker.Options{Store: store}), args, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v, machine, store
+	}
 
-	store1, err := broker.NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
+	// summaryReady counts the summary_ready events of one run into *n.
+	summaryReady := func(n *int) *obs.Sink {
+		return obs.NewSink(obs.FuncBackend(func(e *obs.Event) {
+			if e.Kind == obs.KindSummary {
+				*n++
+			}
+		}))
 	}
-	v1, cold, err := runVM(t, p, withJIT(t, Options{EA: EAPartial, Summaries: true, CheckLevel: check.Basic},
-		broker.Options{Store: store1}), args, 60)
-	if err != nil {
-		t.Fatal(err)
+	var coldEvents, warmEvents int
+	v1, cold, _ := run(summaryReady(&coldEvents))
+	if coldEvents != 1 {
+		t.Fatalf("cold run: %d summary_ready events, want 1", coldEvents)
 	}
-	if st := store1.Stats(); st.SummaryWrites == 0 {
-		t.Fatalf("cold VM persisted no summaries: %+v", st)
-	}
-
-	store2, err := broker.NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, warm, err := runVM(t, p, withJIT(t, Options{EA: EAPartial, Summaries: true, CheckLevel: check.Basic},
-		broker.Options{Store: store2}), args, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2, warm, store2 := run(summaryReady(&warmEvents))
 	if !v2.Equal(v1) {
 		t.Fatalf("warm restart diverged: %v vs %v", v2, v1)
 	}
-	// The summaries-informed artifacts themselves replay from the store
-	// (the cache key carries the Summaries bit), so the warm VM may never
-	// need to compile at all.
 	if st := store2.Stats(); st.Hits == 0 {
 		t.Fatalf("warm VM reloaded no artifacts: %+v", st)
 	}
@@ -102,13 +110,11 @@ func TestSummaryStoreWarmRestart(t *testing.T) {
 		t.Fatalf("warm restart changed allocation behavior: %d vs %d",
 			warm.Env.Stats.Allocations, cold.Env.Stats.Allocations)
 	}
-	// Forcing summary resolution on the warm VM must load the persisted
-	// set, not re-run the analysis from scratch.
+	if bs := warm.Broker().Stats(); bs.Compiled != 0 || warmEvents != 0 {
+		t.Fatalf("replay-only run: %d pipeline compiles and %d summary_ready events, want none", bs.Compiled, warmEvents)
+	}
 	s1, s2 := cold.Summaries(), warm.Summaries()
 	if s1 == nil || s2 == nil || s1.Table() != s2.Table() {
-		t.Fatal("persisted summary set differs from the computed one")
-	}
-	if st := store2.Stats(); st.SummaryHits == 0 {
-		t.Fatalf("warm VM did not hit the summary store: %+v", st)
+		t.Fatal("the warm VM's lazily computed summary set differs from the cold one's")
 	}
 }

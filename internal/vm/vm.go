@@ -102,10 +102,11 @@ type Options struct {
 	Speculate bool
 	// Summaries enables inter-procedural escape summaries (internal/
 	// summary): a whole-program bottom-up analysis computed once per
-	// program — resolved through the broker's memory and disk tiers, so
-	// warm restarts skip it — and consulted by the pipeline so that (a)
-	// EA/PEA keep objects virtual across non-inlined calls whose callee
-	// provably never observes the argument, and (b) the inliner
+	// program and process — shared through the broker's memory tier, and
+	// never run by a warm restart that replays every artifact from the
+	// store — and consulted by the pipeline so that (a) EA/PEA keep
+	// objects virtual across non-inlined calls whose callee provably
+	// never observes the argument, and (b) the inliner
 	// prioritizes call sites whose inlining can unlock scalar
 	// replacement. Off by default: summaries change compiled code, so the
 	// flag is part of the code-cache key.
@@ -267,9 +268,9 @@ type VM struct {
 	hooks broker.Hooks
 
 	// sums is the program's inter-procedural summary set, resolved
-	// lazily through the broker's tiers on the first compile that wants
-	// it (sumOnce); nil until then and forever when Options.Summaries is
-	// off.
+	// lazily through the broker's memory tier on the first compile that
+	// wants it (sumOnce); nil until then and forever when
+	// Options.Summaries is off.
 	sums    *summary.Set
 	sumOnce sync.Once
 
@@ -623,8 +624,8 @@ func (vm *VM) warmInstall(u *unit) bool {
 }
 
 // summarySet resolves the program's inter-procedural summary set, computing
-// it on first use through the broker's cache tiers (memory, then disk, then
-// analysis). Returns nil when Options.Summaries is off.
+// it on first use unless the broker's memory tier already holds it. Returns
+// nil when Options.Summaries is off.
 func (vm *VM) summarySet() *summary.Set {
 	if !vm.Opts.Summaries {
 		return nil
@@ -862,7 +863,7 @@ func (vm *VM) compileEntry(m *bc.Method, spec bool, entryBCI int) (*ir.Graph, er
 		calleeSafe = sums.ArgSafe
 	}
 	phases := []opt.Phase{
-		&opt.Inliner{BuildGraph: build.Build, Program: vm.Prog, Profile: vm.Interp.Profile, Sink: sink, Summaries: sums},
+		&opt.Inliner{BuildGraph: build.Build, Program: vm.Prog, Sink: sink, Summaries: sums},
 		opt.Canonicalize{},
 		opt.SimplifyCFG{},
 		opt.GVN{},
