@@ -176,13 +176,20 @@ func main() {
 	if *phase == "inlined" {
 		return
 	}
-	var tracer obs.Backend
+	// -trace logs the escape analysis only: the text backend sees the
+	// events emitted while pea.Run runs.
+	inPEA := false
 	if *trace {
-		tracer = obs.NewTextBackend(os.Stderr)
-		sink.AddBackend(tracer)
+		text := obs.NewTextBackend(os.Stderr)
+		sink.AddBackend(obs.FuncBackend(func(e *obs.Event) {
+			if inPEA {
+				text.Write(e)
+			}
+		}))
 	}
+	inPEA = true
 	res, err := pea.Run(g, pea.Config{Sink: sink})
-	sink.RemoveBackend(tracer)
+	inPEA = false
 	if err != nil {
 		fatal(err)
 	}

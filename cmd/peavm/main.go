@@ -12,8 +12,7 @@
 //	      [-osr-threshold N] [-jit-async] [-jit-workers N] [-jit-queue-cap N]
 //	      [-compile-deadline D] [-max-ir-nodes N] [-crash-dir DIR]
 //	      [-check off|basic|strict] [-trace-events out.jsonl] [-metrics]
-//	      [-escape-report] [-flight-dump out.jsonl] [-trace-chrome out.json]
-//	      [-debug-addr host:port]
+//	      [-escape-report] [-flight-dump out.jsonl] [-debug-addr host:port]
 //	      prog.mj
 //
 // -backend selects how compiled methods execute: "closure" (the default)
@@ -44,8 +43,9 @@
 // compilation and deoptimization counters to stderr. With -trace-events
 // the full structured event stream of the compiler and VM (phase timings,
 // inlining and PEA decisions, deopts, rematerializations) is written as
-// JSON lines; with -metrics the compiler metrics registry is printed as a
-// table to stderr after the run.
+// JSON lines; with -metrics the metrics registry — a fold of that stream:
+// one counter per event kind, named as in the JSONL, and one timer per
+// compiler phase — is printed as a table to stderr after the run.
 //
 // The VM also keeps an always-on ring: a fixed-size in-memory sub-stream of
 // the event stream holding the JIT's recent lifecycle (submissions with
@@ -57,9 +57,10 @@
 // reproducer automatically.
 // -escape-report prints the per-allocation-site escape attribution table
 // (the paper's Table 1, per site: virtualized, materialized, remats, lock
-// elisions, dominant materialization reason). -trace-chrome converts the
-// event stream to Chrome trace_event JSON (load in chrome://tracing or
-// Perfetto). -debug-addr serves all of the above live over HTTP
+// elisions, dominant materialization reason). For a Chrome trace_event
+// view (chrome://tracing or Perfetto), convert the -trace-events file with
+// `peastat -chrome out.json events.jsonl`. -debug-addr serves all of the
+// above live over HTTP
 // (/debug/pea/flight, /debug/pea/escape, /debug/pea/metrics,
 // /debug/pprof/*) for the duration of the run.
 //
@@ -120,7 +121,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the compiler metrics table to stderr after the run")
 	escapeReport := flag.Bool("escape-report", false, "print the per-allocation-site escape attribution table to stderr after the run")
 	flightDump := flag.String("flight-dump", "", "write the VM's ring as JSON lines to this file after the run ('-' for stderr)")
-	traceChrome := flag.String("trace-chrome", "", "write the event stream as Chrome trace_event JSON to this file (load in chrome://tracing)")
 	debugAddr := flag.String("debug-addr", "", "serve live introspection (/debug/pea/*, /debug/pprof/*) on this address during the run")
 	flag.Parse()
 
@@ -195,12 +195,12 @@ func main() {
 		return vm.New(prog, o)
 	}
 
-	// Observability: events to JSONL/text/chrome-trace, escape attribution,
-	// metrics registry.
+	// Observability: events to JSONL/text, escape attribution, metrics
+	// registry — all backends of one tracing sink.
 	var met *obs.Metrics
 	var escTable *obs.EscapeTable
 	if *traceEvents != "" || *traceText || *metrics ||
-		*escapeReport || *traceChrome != "" || *debugAddr != "" {
+		*escapeReport || *debugAddr != "" {
 		var backends []obs.Backend
 		if *traceEvents != "" {
 			var w io.Writer = os.Stderr
@@ -221,20 +221,9 @@ func main() {
 			escTable = obs.NewEscapeTable()
 			backends = append(backends, escTable)
 		}
-		if *traceChrome != "" {
-			f, err := os.Create(*traceChrome)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			tw := obs.NewTraceWriter(f)
-			defer tw.Close() // runs before f.Close (LIFO)
-			backends = append(backends, tw)
-		}
-		opts.Sink = obs.NewSink(backends...)
 		met = obs.NewMetrics()
 		met.PublishExpvar()
-		opts.Sink.SetMetrics(met)
+		opts.Sink = obs.NewSink(append(backends, met)...)
 	}
 
 	// Backend selection. In -backend=both mode the closure VM is primary

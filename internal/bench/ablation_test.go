@@ -229,7 +229,8 @@ func runAblation() ([]ablationResult, error) {
 			}
 
 			env := rt.NewEnv(prog, 7)
-			eng := &exec.Engine{Env: env, MaxSteps: 200_000_000}
+			env.MaxSteps = 200_000_000
+			eng := &exec.Engine{Env: env}
 			eng.Invoke = func(callee *bc.Method, args []rt.Value) (rt.Value, error) {
 				cg, err := build.Build(callee)
 				if err != nil {

@@ -57,14 +57,15 @@ type Options struct {
 	// and fresh compiles are written through so later processes sharing
 	// the directory warm-start.
 	Store *Store
-	// InjectFault, when non-nil, is invoked at named fault points
-	// (FaultCompile, FaultInstall) with the method's qualified name. It
-	// exists to deterministically drive the containment layer — a hook
-	// that panics or sleeps simulates a compiler crash or a runaway
-	// compile at an exact point, under the race detector. When nil, New
-	// installs a hook parsed from the PEA_FAULT environment variable (see
-	// FaultFromEnv); production runs with the variable unset pay a single
-	// nil check per compile.
+	// InjectFault, when non-nil, is invoked at named fault points with the
+	// method's qualified name: the broker's own (FaultCompile,
+	// FaultInstall) and, through FaultHook, the pipeline phase boundaries
+	// of every VM submitting to the broker. It exists to deterministically
+	// drive the containment layer — a hook that panics or sleeps simulates
+	// a compiler crash or a runaway compile at an exact point, under the
+	// race detector. When nil, New installs a hook parsed from the
+	// PEA_FAULT environment variable (see FaultFromEnv); production runs
+	// with the variable unset pay a single nil check per point.
 	InjectFault func(point, method string)
 
 	// Check is the sanitizer level applied to freshly compiled graphs
@@ -139,9 +140,8 @@ type Hooks struct {
 	// program; nil disables store loads for the submission.
 	Resolver ir.Resolver
 	// Sink is the submitting VM's sink: the broker records the submission's
-	// lifecycle there — submit, compile start, install or failure with its
-	// broker time, a contained panic — and keeps the queue, worker and
-	// cache gauges of its metrics registry current. On a ring shared by
+	// lifecycle there — submit (with the queue depth), compile start, install
+	// or failure with its broker time, a contained panic. On a ring shared by
 	// every tenant of the broker a method ID only means something together
 	// with the view's program tag, hence per submission.
 	Sink *obs.Sink
@@ -240,6 +240,13 @@ func (b *Broker) Cache() *Cache { return b.cache }
 // broker is memory-only.
 func (b *Broker) Store() *Store { return b.opts.Store }
 
+// FaultHook returns the broker's fault-injection hook (Options.InjectFault,
+// or the one New parsed from PEA_FAULT), nil when there is none. The VMs
+// submitting to the broker fire their pipeline's points through it too, so
+// a spec's visit counter counts every point once per broker, however many
+// VMs share it.
+func (b *Broker) FaultHook() func(point, method string) { return b.opts.InjectFault }
+
 // Async reports whether the broker compiles on background workers.
 func (b *Broker) Async() bool { return b.opts.workers() > 0 }
 
@@ -309,13 +316,9 @@ func (b *Broker) Submit(m *bc.Method, hotness int64, k Key, h *Hooks) bool {
 		b.stats.MaxQueue = int64(len(b.queue))
 	}
 	depth := len(b.queue)
-	highwater := b.stats.MaxQueue
 	b.mu.Unlock()
 
 	h.Sink.BrokerSubmit(m, hotness, depth)
-	met := h.Sink.Metrics()
-	met.SetGauge(obs.GaugeBrokerQueueDepth, int64(depth))
-	met.SetGauge(obs.GaugeBrokerQueueHighWater, highwater)
 	b.cond.Signal()
 	return true
 }
@@ -335,24 +338,17 @@ func (b *Broker) worker(i int) {
 		}
 		t := heap.Pop(&b.queue).(*task)
 		b.busy++
-		depth, busy := len(b.queue), b.busy
 		b.mu.Unlock()
-
-		met := t.hooks.Sink.Metrics()
-		met.SetGauge(obs.GaugeBrokerQueueDepth, int64(depth))
-		met.SetGauge(obs.GaugeBrokerWorkersBusy, int64(busy))
 
 		b.compileOne(t, i)
 
 		b.mu.Lock()
 		delete(b.inflight, inflightKey{t.m, t.key.EntryBCI})
 		b.busy--
-		busy = b.busy
 		if len(b.queue) == 0 && b.busy == 0 {
 			b.idle.Broadcast()
 		}
 		b.mu.Unlock()
-		met.SetGauge(obs.GaugeBrokerWorkersBusy, int64(busy))
 	}
 }
 
@@ -388,7 +384,6 @@ func (b *Broker) compileOne(t *task, worker int) {
 			b.stats.Installed++
 			b.mu.Unlock()
 			s.BrokerInstall(t.m, "disk", time.Since(start))
-			s.Metrics().SetGauge(obs.GaugeBrokerCacheSize, int64(b.cache.Len()))
 			if t.hooks.Install != nil {
 				t.hooks.Install(t.m, t.key, a, true)
 			}
@@ -415,7 +410,6 @@ func (b *Broker) compileOne(t *task, worker int) {
 	b.stats.Installed++
 	b.mu.Unlock()
 	s.BrokerInstall(t.m, "compiled", time.Since(start))
-	s.Metrics().SetGauge(obs.GaugeBrokerCacheSize, int64(b.cache.Len()))
 	if t.hooks.Install != nil {
 		t.hooks.Install(t.m, t.key, a, false)
 	}

@@ -42,8 +42,9 @@ func Transient(err error) bool { return budget.IsBudget(err) }
 // Fault-injection points. The broker invokes Options.InjectFault (when
 // set) with one of these names plus the method's qualified name; the VM's
 // pipeline adds its own per-phase points ("build", "build-osr", "opt",
-// "prune", EA-mode names, "post"). A hook that panics exercises the
-// containment layer exactly like a real compiler bug — deterministically.
+// "prune", EA-mode names, "post", "lower"), firing the same hook through
+// Broker.FaultHook. A hook that panics exercises the containment layer
+// exactly like a real compiler bug — deterministically.
 const (
 	// FaultCompile fires on a worker (or the submitting goroutine in
 	// synchronous mode) immediately before the compile pipeline runs.

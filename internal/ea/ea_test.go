@@ -221,7 +221,7 @@ func TestEAMatchesInterpreterOnCorpus(t *testing.T) {
 			for _, args := range p.ArgSets {
 				envI := rt.NewEnv(p.Prog, 42)
 				it := interp.New(envI)
-				it.MaxSteps = 5_000_000
+				it.Env.MaxSteps = 5_000_000
 				vals := make([]rt.Value, len(args))
 				for i, a := range args {
 					vals[i] = rt.IntValue(a)
@@ -229,7 +229,8 @@ func TestEAMatchesInterpreterOnCorpus(t *testing.T) {
 				vi, errI := it.Call(p.Entry, vals)
 
 				envE := rt.NewEnv(p.Prog, 42)
-				eng := &exec.Engine{Env: envE, MaxSteps: 5_000_000}
+				envE.MaxSteps = 5_000_000
+				eng := &exec.Engine{Env: envE}
 				eng.Invoke = func(callee *bc.Method, as []rt.Value) (rt.Value, error) {
 					return eng.Run(graphs[callee], as)
 				}

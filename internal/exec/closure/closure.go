@@ -60,7 +60,7 @@ const done = -1
 type block struct {
 	ops  []op
 	term term
-	// steps is the node count charged against Engine.MaxSteps per entry
+	// steps is the node count charged against Env.MaxSteps per entry
 	// (nodes + terminator, mirroring the oracle's per-node accounting
 	// closely enough for the budget to stay a runaway guard).
 	steps int64
@@ -132,7 +132,8 @@ func (c *Code) Graph() *ir.Graph { return c.g }
 // program-visible paths (object allocations) or error paths (traps, deopts).
 func (c *Code) Run(e *exec.Engine, args []rt.Value) (ret rt.Value, err error) {
 	f := c.pool.Get().(*frame)
-	f.eng, f.env = e, e.Env
+	env := e.Env
+	f.eng, f.env = e, env
 	f.pending = nil
 	for _, p := range c.params {
 		if p.ref {
@@ -152,12 +153,12 @@ func (c *Code) Run(e *exec.Engine, args []rt.Value) (ret rt.Value, err error) {
 			ret, err = rt.Value{}, ab.err
 		}
 	}()
-	bounded := e.MaxSteps > 0
+	bounded := env.MaxSteps > 0
 	bi := c.entry
 	for {
 		b := &c.blocks[bi]
 		if bounded {
-			if serr := e.ChargeSteps(b.steps, c.g); serr != nil {
+			if serr := env.ChargeSteps(b.steps, c.g.Method); serr != nil {
 				return rt.Value{}, serr
 			}
 		}

@@ -39,7 +39,7 @@ func (f *frame) take(ints, refs []move, next int) int {
 
 // maxThread bounds how many forwarding blocks one edge skips. The bound is
 // what keeps an empty guest loop (`for(;;){}` is a Goto to itself) entering
-// a charged block every iteration, so Engine.MaxSteps stays a runaway guard.
+// a charged block every iteration, so Env.MaxSteps stays a runaway guard.
 const maxThread = 4
 
 // forwards reports whether b does nothing but jump: no phis to receive, no

@@ -126,13 +126,15 @@ func TestCorpusMatchesOracleUnoptimized(t *testing.T) {
 				for i := range vals {
 					vals[i] = rt.IntValue(args[i])
 				}
-				oracle := &exec.Engine{Env: rt.NewEnv(p.Prog, 7), MaxSteps: 5_000_000}
+				oracle := &exec.Engine{Env: rt.NewEnv(p.Prog, 7)}
+				oracle.Env.MaxSteps = 5_000_000
 				oracle.Invoke = func(m *bc.Method, as []rt.Value) (rt.Value, error) {
 					return oracle.Run(graphs[m], as)
 				}
 				want, wantErr := oracle.Run(graphs[p.Entry], vals)
 
-				eng := &exec.Engine{Env: rt.NewEnv(p.Prog, 7), MaxSteps: 5_000_000}
+				eng := &exec.Engine{Env: rt.NewEnv(p.Prog, 7)}
+				eng.Env.MaxSteps = 5_000_000
 				eng.Invoke = func(m *bc.Method, as []rt.Value) (rt.Value, error) {
 					return codes[m].Run(eng, as)
 				}
@@ -250,7 +252,8 @@ func TestEmptyLoopStopsOnStepBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &exec.Engine{Env: rt.NewEnv(prog, 1), MaxSteps: 10_000}
+	eng := &exec.Engine{Env: rt.NewEnv(prog, 1)}
+	eng.Env.MaxSteps = 10_000
 	_, err = run(t, g, eng)
 	if err == nil || !strings.Contains(err.Error(), "step budget") {
 		t.Fatalf("Run = %v, want the step-budget error", err)

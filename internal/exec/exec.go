@@ -19,15 +19,13 @@
 //     operands pre-resolved to dense value slots — the backend every
 //     wall-clock number is measured on.
 //
-// The Engine carries the per-VM runtime hooks (environment, invoke, deopt,
-// step budget) shared by all backends; per-invocation state lives in
-// backend-private frames, so one installed Code may run concurrently on any
-// number of goroutines.
+// The Engine carries the per-VM runtime hooks (environment, invoke, deopt)
+// shared by all backends; the step budget they charge is the Env's.
+// Per-invocation state lives in backend-private frames, so one installed
+// Code may run concurrently on any number of goroutines.
 package exec
 
 import (
-	"fmt"
-
 	"pea/internal/bc"
 	"pea/internal/ir"
 	"pea/internal/rt"
@@ -71,27 +69,6 @@ type Engine struct {
 	// objects is the callee's job). The returned value is the result of
 	// the whole compiled method. If nil, reaching a deopt traps.
 	Deopt func(g *ir.Graph, n *ir.Node, eval func(x *ir.Node) (rt.Value, bool)) (rt.Value, error)
-
-	// MaxSteps bounds executed nodes across all Run calls of this engine
-	// (0 = unbounded). The oracle charges per node; the closure backend
-	// charges per block entered, so the budget stays a runaway guard
-	// without per-node bookkeeping on the fast path.
-	MaxSteps int64
-	steps    int64
-}
-
-// ChargeSteps charges n executed nodes against the engine's step budget
-// (shared across backends and nested invocations). It returns an error once
-// the budget is exhausted; with MaxSteps <= 0 it never fails.
-func (e *Engine) ChargeSteps(n int64, g *ir.Graph) error {
-	if e.MaxSteps <= 0 {
-		return nil
-	}
-	e.steps += n
-	if e.steps > e.MaxSteps {
-		return fmt.Errorf("exec: step budget of %d exhausted in %s", e.MaxSteps, g.Method.QualifiedName())
-	}
-	return nil
 }
 
 // DeoptTransfer hands control to the interpreter via the Deopt hook,

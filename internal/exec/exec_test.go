@@ -16,7 +16,7 @@ func runInterp(t *testing.T, p testprog.Program, args []int64) (rt.Value, *rt.En
 	t.Helper()
 	env := rt.NewEnv(p.Prog, 42)
 	it := interp.New(env)
-	it.MaxSteps = 5_000_000
+	it.Env.MaxSteps = 5_000_000
 	vals := make([]rt.Value, len(args))
 	for i, a := range args {
 		vals[i] = rt.IntValue(a)
@@ -44,7 +44,8 @@ func buildAll(t *testing.T, prog *bc.Program) map[*bc.Method]*ir.Graph {
 func runExec(t *testing.T, p testprog.Program, graphs map[*bc.Method]*ir.Graph, args []int64) (rt.Value, *rt.Env, error) {
 	t.Helper()
 	env := rt.NewEnv(p.Prog, 42)
-	eng := &Engine{Env: env, MaxSteps: 5_000_000}
+	env.MaxSteps = 5_000_000
+	eng := &Engine{Env: env}
 	eng.Invoke = func(callee *bc.Method, vals []rt.Value) (rt.Value, error) {
 		g, ok := graphs[callee]
 		if !ok {

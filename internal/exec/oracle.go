@@ -78,7 +78,7 @@ outer:
 			}
 		}
 		for _, n := range block.Nodes {
-			if err := e.ChargeSteps(1, g); err != nil {
+			if err := e.Env.ChargeSteps(1, g.Method); err != nil {
 				return rt.Value{}, err
 			}
 			done, ret, err := e.evalNode(g, f, n)
@@ -101,7 +101,7 @@ outer:
 			}
 		}
 		t := block.Term
-		if err := e.ChargeSteps(1, g); err != nil {
+		if err := e.Env.ChargeSteps(1, g.Method); err != nil {
 			return rt.Value{}, err
 		}
 		// oplint:ignore — t is a block terminator; value and fixed ops

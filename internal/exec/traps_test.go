@@ -28,7 +28,8 @@ func compileAndRun(t *testing.T, params []bc.Kind, ret bc.Kind,
 		t.Fatal(err)
 	}
 	env := rt.NewEnv(prog, 1)
-	eng := &Engine{Env: env, MaxSteps: 100_000}
+	env.MaxSteps = 100_000
+	eng := &Engine{Env: env}
 	vals := make([]rt.Value, len(args))
 	for i, x := range args {
 		vals[i] = rt.IntValue(x)
@@ -112,7 +113,8 @@ func TestExecStepBudgetWithBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := rt.NewEnv(prog, 1)
-	eng := &Engine{Env: env, MaxSteps: 5000}
+	env.MaxSteps = 5000
+	eng := &Engine{Env: env}
 	_, rerr := eng.Run(g, nil)
 	if rerr == nil || !strings.Contains(rerr.Error(), "step budget") {
 		t.Fatalf("got %v, want step budget error", rerr)
@@ -144,7 +146,8 @@ func TestPhiEvaluationIsParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := rt.NewEnv(prog, 1)
-	eng := &Engine{Env: env, MaxSteps: 100_000}
+	env.MaxSteps = 100_000
+	eng := &Engine{Env: env}
 	got, rerr := eng.Run(g, []rt.Value{rt.IntValue(3), rt.IntValue(7), rt.IntValue(5)})
 	if rerr != nil {
 		t.Fatal(rerr)

@@ -60,12 +60,6 @@ type Interp struct {
 	// the rest of the frame was executed by other means (on-stack
 	// replacement into compiled code) and ret is the frame's result.
 	OSRHook func(f *Frame, count int64) (ret rt.Value, entered bool, err error)
-
-	// MaxSteps bounds the number of executed instructions (0 = no bound);
-	// exceeding it returns an error. Guards tests against runaway loops.
-	MaxSteps int64
-
-	steps int64
 }
 
 // New creates an interpreter over env with a fresh profile.
@@ -96,9 +90,16 @@ func (it *Interp) Call(m *bc.Method, args []rt.Value) (rt.Value, error) {
 
 // Resume runs the given frame to completion. It is the entry point used by
 // deoptimization: the frame may start at any pc with any consistent
-// locals/stack contents.
+// locals/stack contents. Each instruction is charged against the Env's step
+// budget.
 func (it *Interp) Resume(f *Frame) (rt.Value, error) {
+	env := it.Env
 	for {
+		if env.MaxSteps > 0 {
+			if err := env.ChargeSteps(1, f.Method); err != nil {
+				return rt.Value{}, err
+			}
+		}
 		done, ret, err := it.step(f)
 		if err != nil {
 			return rt.Value{}, err
@@ -112,13 +113,6 @@ func (it *Interp) Resume(f *Frame) (rt.Value, error) {
 // step executes one instruction of f. It returns done=true with the return
 // value when the frame completes.
 func (it *Interp) step(f *Frame) (done bool, ret rt.Value, err error) {
-	if it.MaxSteps > 0 {
-		it.steps++
-		if it.steps > it.MaxSteps {
-			return false, rt.Value{}, fmt.Errorf("interp: step budget of %d exhausted in %s",
-				it.MaxSteps, f.Method.QualifiedName())
-		}
-	}
 	m := f.Method
 	pc := f.PC
 	in := &m.Code[pc]

@@ -29,7 +29,7 @@ func run(t *testing.T, p *bc.Program, args ...int64) (rt.Value, *rt.Env, error) 
 	t.Helper()
 	env := rt.NewEnv(p, 1)
 	it := New(env)
-	it.MaxSteps = 1_000_000
+	it.Env.MaxSteps = 1_000_000
 	vals := make([]rt.Value, len(args))
 	for i, a := range args {
 		vals[i] = rt.IntValue(a)
@@ -385,7 +385,7 @@ func TestStepBudget(t *testing.T) {
 		})
 	env := rt.NewEnv(p, 1)
 	it := New(env)
-	it.MaxSteps = 1000
+	it.Env.MaxSteps = 1000
 	_, err := it.Call(p.ClassByName("C").MethodByName("m"), nil)
 	if err == nil || !strings.Contains(err.Error(), "step budget") {
 		t.Fatalf("got %v, want step budget error", err)

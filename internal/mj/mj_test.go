@@ -19,7 +19,7 @@ func runMain(t *testing.T, src string) []int64 {
 	}
 	env := rt.NewEnv(prog, 1)
 	it := interp.New(env)
-	it.MaxSteps = 5_000_000
+	it.Env.MaxSteps = 5_000_000
 	if _, err := it.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}

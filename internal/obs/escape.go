@@ -19,8 +19,9 @@ import (
 //	...
 //	fmt.Print(et.Table())
 //
-// The totals row always equals the metrics registry's MetricVirtualized /
-// MetricMaterialized counters: both are fed by the same events.
+// Both it and the metrics registry fold the same stream, so the totals row
+// equals the registry's Counter(KindVirtualize) and Counter(KindMaterialize)
+// + Counter(KindMergeMaterialize).
 type EscapeTable struct {
 	mu    sync.Mutex
 	sites map[string]*SiteStats
@@ -197,8 +198,9 @@ func (t *EscapeTable) Snapshot() []SiteStats {
 
 // Table renders the aggregation as a fixed-width text table (the paper's
 // Table 1 shape) with a totals row. Totals agree with the metrics registry:
-// sum(virt) == MetricVirtualized, sum(mat) == MetricMaterialized,
-// sum(remat) == MetricVMRemats, sum(locks) == MetricLocksElided.
+// sum(virt) == Counter(KindVirtualize), sum(mat) == Counter(KindMaterialize)
+// + Counter(KindMergeMaterialize), sum(remat) == Counter(KindVMRematerialize),
+// sum(locks) == Counter(KindLockElide).
 func (t *EscapeTable) Table() string {
 	snap := t.Snapshot()
 	var b strings.Builder

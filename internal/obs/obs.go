@@ -1,16 +1,19 @@
 // Package obs is the unified observability layer for the compiler and VM:
-// one stream of typed events (JSONL and human-readable text backends), kept
-// in part by an always-on ring, plus a metrics registry (counters, gauges,
-// timers) published via expvar.
+// one stream of typed events, kept in part by an always-on ring and fanned
+// out to the backends of a tracing sink — JSONL and human-readable text
+// writers, the escape-attribution table, and a metrics registry that folds
+// the stream into per-kind counters and per-phase timers (published via
+// expvar).
 //
 // Design constraints:
 //
-//   - A nil *Sink and a nil *Metrics are valid, fully inert receivers. A
-//     sink built by NewRing keeps the ring only: it does not trace, and every
-//     helper of a kind the ring does not keep returns at once. Neither path
-//     allocates or converts to an interface. This is load-bearing: the sink
-//     is threaded through the hot compile path (build → opt → PEA → VM) and
-//     the no-alloc guarantee is enforced by BenchmarkCompileNilSink.
+//   - A nil *Sink is a valid, fully inert receiver. A sink built by NewRing
+//     keeps the ring only: it does not trace, never calls a backend, and
+//     every helper of a kind the ring does not keep returns at once.
+//     Neither path allocates or converts to an interface. This is
+//     load-bearing: the sink is threaded through the hot compile path
+//     (build → opt → PEA → VM) and the no-alloc guarantee is enforced by
+//     BenchmarkCompileNilSink.
 //
 //   - Events are strongly typed by Kind. Each pipeline layer has its own
 //     family: phase timing (phase_start/phase_end), inlining decisions,
@@ -31,6 +34,11 @@
 //     of the trace: every record dumps as the Event the trace carries for
 //     it, restricted to the fields the ring keeps.
 //
+//   - Every consumer of the trace is a Backend attached one way (NewSink or
+//     AddBackend) and sees every event once. Metrics are a fold of the
+//     stream, not a second record of it: a counter is the number of events
+//     of its kind, so the two cannot disagree.
+//
 //   - Time is observed through a settable clock so golden-file tests can
 //     pin timestamps and durations to deterministic values.
 package obs
@@ -41,7 +49,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"reflect"
 	"sync"
 	"time"
 
@@ -305,8 +312,8 @@ type Backend interface {
 type SnapshotFunc func(phase, method string, render func() string)
 
 // Sink is one program's view of an event stream: the ring, and — for a sink
-// that traces — the backends, snapshot consumers and metrics registry the
-// events fan out to. A nil *Sink is valid and inert.
+// that traces — the backends and snapshot consumers the events fan out to.
+// A nil *Sink is valid and inert.
 type Sink struct {
 	*stream
 	ring *flight.Recorder
@@ -323,20 +330,17 @@ type stream struct {
 	mu       sync.Mutex // serializes traced events, guards the fields below
 	backends []Backend
 	snaps    []SnapshotFunc
-	metrics  *Metrics
 }
 
-// NewSink creates a tracing sink writing to the given backends. Attach a
-// metrics registry with SetMetrics to have decision events bump counters
-// automatically.
+// NewSink creates a tracing sink writing to the given backends.
 func NewSink(backends ...Backend) *Sink {
 	return &Sink{stream: &stream{traces: true, now: time.Now, backends: backends},
 		ring: flight.New()}
 }
 
 // NewRing creates a sink that keeps the ring and nothing else: it does not
-// trace, so backends, snapshot consumers and a metrics registry attached to
-// it are never consulted. It is the sink a VM makes when given none.
+// trace, so backends and snapshot consumers attached to it are never
+// consulted. It is the sink a VM makes when given none.
 func NewRing() *Sink {
 	return &Sink{stream: &stream{now: time.Now}, ring: flight.New()}
 }
@@ -388,28 +392,17 @@ func (s *Sink) SetClock(now func() time.Time) {
 	s.mu.Unlock()
 }
 
-// SetMetrics attaches a metrics registry; decision events will also bump
-// the corresponding counters so event streams and metric snapshots agree.
+// SetMetrics attaches a metrics registry, as AddBackend(m) does; a nil m
+// attaches nothing.
 func (s *Sink) SetMetrics(m *Metrics) {
-	if s == nil {
-		return
+	if m != nil {
+		s.AddBackend(m)
 	}
-	s.mu.Lock()
-	s.metrics = m
-	s.mu.Unlock()
 }
 
-// Metrics returns the attached registry (nil unless the sink traces).
-func (s *Sink) Metrics() *Metrics {
-	if !s.Traces() {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.metrics
-}
-
-// AddBackend appends a backend to the fan-out list.
+// AddBackend appends a backend to the fan-out list. Backends stay attached
+// for the sink's life; one that wants only part of the stream filters in
+// its Write.
 func (s *Sink) AddBackend(b Backend) {
 	if s == nil || b == nil {
 		return
@@ -417,43 +410,6 @@ func (s *Sink) AddBackend(b Backend) {
 	s.mu.Lock()
 	s.backends = append(s.backends, b)
 	s.mu.Unlock()
-}
-
-// RemoveBackend detaches a backend previously added with AddBackend (or
-// passed to NewSink). Used by transient attachments such as irdump -trace,
-// which logs the escape analysis only. Identity is decided by sameBackend,
-// which is safe for uncomparable backend types (such as FuncBackend).
-func (s *Sink) RemoveBackend(b Backend) {
-	if s == nil || b == nil {
-		return
-	}
-	s.mu.Lock()
-	for i, x := range s.backends {
-		if sameBackend(x, b) {
-			s.backends = append(s.backends[:i], s.backends[i+1:]...)
-			break
-		}
-	}
-	s.mu.Unlock()
-}
-
-// sameBackend reports whether two backends are the same attachment.
-// Dynamic types that Go cannot compare (functions, slices) are matched by
-// reflect identity of their data pointer instead of panicking.
-func sameBackend(a, b Backend) bool {
-	ta := reflect.TypeOf(a)
-	if ta != reflect.TypeOf(b) {
-		return false
-	}
-	if ta.Comparable() {
-		return a == b
-	}
-	switch ta.Kind() {
-	case reflect.Func, reflect.Slice, reflect.Map, reflect.Chan:
-		return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
-	default:
-		return false
-	}
 }
 
 // OnSnapshot registers a callback for per-phase IR snapshots.
@@ -604,15 +560,13 @@ func (s *Sink) WriteRingFile(path string) error {
 // travels by value and reaches the heap only on the enabled path). A helper
 // or caller whose arguments cost something to build checks Traces first.
 
-// trace stamps e and writes it to the backends if the sink traces, and
-// reports whether it did.
-func (s *Sink) trace(e Event) bool {
-	if !s.Traces() {
-		return false
+// trace stamps e and writes it to the backends if the sink traces. The copy
+// keeps the heap allocation on the traced path: e itself never escapes.
+func (s *Sink) trace(e Event) {
+	if s.Traces() {
+		ev := e
+		s.emit(&ev, nil)
 	}
-	ev := e
-	s.emit(&ev, nil)
-	return true
 }
 
 // PhaseStart records the beginning of a compiler phase.
@@ -622,24 +576,20 @@ func (s *Sink) PhaseStart(phase, method string, nodes, blocks int) {
 }
 
 // PhaseEnd records the end of a compiler phase with size deltas and wall
-// time, and feeds the attached metrics registry's per-phase timers.
+// time.
 func (s *Sink) PhaseEnd(phase, method string, nodesBefore, blocksBefore, nodesAfter, blocksAfter int, d time.Duration) {
-	if s.trace(Event{Kind: KindPhaseEnd, Phase: phase, Method: method,
+	s.trace(Event{Kind: KindPhaseEnd, Phase: phase, Method: method,
 		NodesBefore: nodesBefore, BlocksBefore: blocksBefore,
 		NodesAfter: nodesAfter, BlocksAfter: blocksAfter,
-		DurationNS: d.Nanoseconds()}) {
-		s.Metrics().ObservePhase(phase, d, nodesAfter-nodesBefore)
-	}
+		DurationNS: d.Nanoseconds()})
 }
 
 // CheckViolation records an IR sanitizer violation found after a phase.
 // The reason is the checker's error; detail typically names what the
 // forensic dump diff revealed (or is empty).
 func (s *Sink) CheckViolation(phase, method, reason, detail string) {
-	if s.trace(Event{Kind: KindCheckViolation, Phase: phase, Method: method,
-		Reason: reason, Detail: detail}) {
-		s.Metrics().Add(MetricCheckViolations, 1)
-	}
+	s.trace(Event{Kind: KindCheckViolation, Phase: phase, Method: method,
+		Reason: reason, Detail: detail})
 }
 
 // SummaryReady records that an inter-procedural summary set is available:
@@ -647,27 +597,25 @@ func (s *Sink) CheckViolation(phase, method, reason, detail string) {
 // and where the set came from ("computed", or "cache" for the broker's
 // memory tier).
 func (s *Sink) SummaryReady(methods, noEscape, preds int, source string) {
-	if s.Traces() && s.trace(Event{Kind: KindSummary, Phase: "summary", Reason: source,
-		Detail: fmt.Sprintf("methods=%d no_escape_params=%d preds=%d", methods, noEscape, preds)}) {
-		s.Metrics().Add(MetricSummarySets, 1)
+	if s.Traces() {
+		s.trace(Event{Kind: KindSummary, Phase: "summary", Reason: source,
+			Detail: fmt.Sprintf("methods=%d no_escape_params=%d preds=%d", methods, noEscape, preds)})
 	}
 }
 
 // Inline records an inlining decision: callee inlined into method at node.
 func (s *Sink) Inline(method, callee, node string) {
-	if s.trace(Event{Kind: KindInline, Phase: "inline", Method: method, Detail: callee, Node: node}) {
-		s.Metrics().Add(MetricInlines, 1)
-	}
+	s.trace(Event{Kind: KindInline, Phase: "inline", Method: method, Detail: callee, Node: node})
 }
 
 // Virtualize records PEA scalar-replacing object obj of class in method m
 // at IR node node, attributed for escape attribution to the allocation at
 // bci of site (nil: m).
 func (s *Sink) Virtualize(m *bc.Method, obj int, class string, node int, site *bc.Method, bci int) {
-	if s.Traces() && s.trace(Event{Kind: KindVirtualize, Phase: "pea", Method: qualifiedName(m),
-		Obj: fmt.Sprintf("o%d", obj), Detail: class, Node: fmt.Sprintf("v%d", node),
-		Site: siteOf(m, site, bci)}) {
-		s.Metrics().Add(MetricVirtualized, 1)
+	if s.Traces() {
+		s.trace(Event{Kind: KindVirtualize, Phase: "pea", Method: qualifiedName(m),
+			Obj: fmt.Sprintf("o%d", obj), Detail: class, Node: fmt.Sprintf("v%d", node),
+			Site: siteOf(m, site, bci)})
 	}
 }
 
@@ -675,10 +623,10 @@ func (s *Sink) Virtualize(m *bc.Method, obj int, class string, node int, site *b
 // elided at IR node node, attributed to the allocation at bci of site (nil:
 // m).
 func (s *Sink) LockElide(m *bc.Method, obj, node int, op string, site *bc.Method, bci int) {
-	if s.Traces() && s.trace(Event{Kind: KindLockElide, Phase: "pea", Method: qualifiedName(m),
-		Obj: fmt.Sprintf("o%d", obj), Node: fmt.Sprintf("v%d", node), Detail: op,
-		Site: siteOf(m, site, bci)}) {
-		s.Metrics().Add(MetricLocksElided, 1)
+	if s.Traces() {
+		s.trace(Event{Kind: KindLockElide, Phase: "pea", Method: qualifiedName(m),
+			Obj: fmt.Sprintf("o%d", obj), Node: fmt.Sprintf("v%d", node), Detail: op,
+			Site: siteOf(m, site, bci)})
 	}
 }
 
@@ -694,9 +642,7 @@ func (s *Sink) PEAFixpoint(method string, rounds int) {
 
 // PEABailout records PEA giving up on a method, with the reason.
 func (s *Sink) PEABailout(method, reason string) {
-	if s.trace(Event{Kind: KindPEABailout, Phase: "pea", Method: method, Reason: reason}) {
-		s.Metrics().Add(MetricPEABailouts, 1)
-	}
+	s.trace(Event{Kind: KindPEABailout, Phase: "pea", Method: method, Reason: reason})
 }
 
 // PEAState records a formatted PEA abstract-state line (block entry change
@@ -709,14 +655,9 @@ func (s *Sink) PEAState(method, block, state string) {
 // the allocation at IR node node of method m: verdict is "captured" or
 // "escapes", reason the cause; the allocation is at bci of site (nil: m).
 func (s *Sink) EAVerdict(m *bc.Method, node int, verdict, reason string, site *bc.Method, bci int) {
-	if !s.Traces() || !s.trace(Event{Kind: KindEAVerdict, Phase: "ea", Method: qualifiedName(m),
-		Node: fmt.Sprintf("v%d", node), Detail: verdict, Reason: reason, Site: siteOf(m, site, bci)}) {
-		return
-	}
-	if verdict == "captured" {
-		s.Metrics().Add(MetricEACaptured, 1)
-	} else {
-		s.Metrics().Add(MetricEAEscaped, 1)
+	if s.Traces() {
+		s.trace(Event{Kind: KindEAVerdict, Phase: "ea", Method: qualifiedName(m),
+			Node: fmt.Sprintf("v%d", node), Detail: verdict, Reason: reason, Site: siteOf(m, site, bci)})
 	}
 }
 
@@ -735,38 +676,32 @@ const (
 // named "Class.method@osr<bci>", one OSR entry point); trigger is
 // TriggerThreshold or TriggerCacheFirst.
 func (s *Sink) VMCompile(method string, invocations int, trigger string) {
-	if s.trace(Event{Kind: KindVMCompile, Phase: "vm", Method: method, Round: invocations, Reason: trigger}) {
-		s.Metrics().Add(MetricVMCompiles, 1)
-	}
+	s.trace(Event{Kind: KindVMCompile, Phase: "vm", Method: method, Round: invocations, Reason: trigger})
 }
 
 // VMInvalidate records invalidation of a compiled method.
 func (s *Sink) VMInvalidate(method, reason string) {
-	if s.trace(Event{Kind: KindVMInvalidate, Phase: "vm", Method: method, Reason: reason}) {
-		s.Metrics().Add(MetricVMInvalidations, 1)
-	}
+	s.trace(Event{Kind: KindVMInvalidate, Phase: "vm", Method: method, Reason: reason})
 }
 
 // VMRecompile records a method being compiled again after invalidation.
 func (s *Sink) VMRecompile(method string, generation int) {
-	if s.trace(Event{Kind: KindVMRecompile, Phase: "vm", Method: method, Round: generation}) {
-		s.Metrics().Add(MetricVMRecompiles, 1)
-	}
+	s.trace(Event{Kind: KindVMRecompile, Phase: "vm", Method: method, Round: generation})
 }
 
 // BrokerDedup records a submission of m coalesced with an in-flight compile
 // of the same unit.
 func (s *Sink) BrokerDedup(m *bc.Method) {
-	if s.Traces() && s.trace(Event{Kind: KindBrokerDedup, Phase: "broker", Method: m.QualifiedName()}) {
-		s.Metrics().Add(MetricBrokerDedups, 1)
+	if s.Traces() {
+		s.trace(Event{Kind: KindBrokerDedup, Phase: "broker", Method: m.QualifiedName()})
 	}
 }
 
 // BrokerReject records a submission of m dropped because the bounded queue
 // was full.
 func (s *Sink) BrokerReject(m *bc.Method, reason string) {
-	if s.Traces() && s.trace(Event{Kind: KindBrokerReject, Phase: "broker", Method: m.QualifiedName(), Reason: reason}) {
-		s.Metrics().Add(MetricBrokerRejects, 1)
+	if s.Traces() {
+		s.trace(Event{Kind: KindBrokerReject, Phase: "broker", Method: m.QualifiedName(), Reason: reason})
 	}
 }
 
@@ -775,18 +710,14 @@ func (s *Sink) BrokerReject(m *bc.Method, reason string) {
 // the hotness-counter value at which the method becomes submit-eligible
 // again.
 func (s *Sink) VMRearm(method, reason string, attempt int, nextHotness int64) {
-	if s.trace(Event{Kind: KindVMRearm, Phase: "vm", Method: method, Reason: reason,
-		Round: attempt, NodesAfter: int(nextHotness)}) {
-		s.Metrics().Add(MetricVMRearms, 1)
-	}
+	s.trace(Event{Kind: KindVMRearm, Phase: "vm", Method: method, Reason: reason,
+		Round: attempt, NodesAfter: int(nextHotness)})
 }
 
 // VMCrashRepro records a minimized compiler-crash reproducer being written
 // to the crash directory; detail is the file path.
 func (s *Sink) VMCrashRepro(method, path string) {
-	if s.trace(Event{Kind: KindVMCrashRepro, Phase: "vm", Method: method, Detail: path}) {
-		s.Metrics().Add(MetricVMCrashRepros, 1)
-	}
+	s.trace(Event{Kind: KindVMCrashRepro, Phase: "vm", Method: method, Detail: path})
 }
 
 // --- Ring-kept helpers --------------------------------------------------
@@ -801,7 +732,6 @@ func (s *Sink) VMCrashRepro(method, path string) {
 func (s *Sink) BrokerSubmit(m *bc.Method, hotness int64, depth int) {
 	if rec, e := s.occur(KindBrokerSubmit, m, nil, -1, hotness, int64(depth), ""); e != nil {
 		s.emit(e, &rec)
-		s.Metrics().Add(MetricBrokerSubmits, 1)
 	}
 }
 
@@ -816,22 +746,10 @@ func (s *Sink) CompileStart(m *bc.Method, hotness int64) {
 // BrokerInstall records compiled code being published for m after d of
 // broker time. source is "compiled" for a fresh pipeline run, "cache" for an
 // in-memory code-cache replay, or "disk" for an artifact reloaded and
-// re-verified from the persistent store; the cache counters are bumped
-// accordingly.
+// re-verified from the persistent store.
 func (s *Sink) BrokerInstall(m *bc.Method, source string, d time.Duration) {
-	rec, e := s.occur(KindBrokerInstall, m, nil, -1, d.Nanoseconds(), 0, source)
-	if e == nil {
-		return
-	}
-	s.emit(e, &rec)
-	switch source {
-	case "cache":
-		s.Metrics().Add(MetricBrokerCacheHits, 1)
-	case "disk":
-		s.Metrics().Add(MetricBrokerDiskHits, 1)
-	default:
-		s.Metrics().Add(MetricBrokerCacheMisses, 1)
-		s.Metrics().Add(MetricBrokerCompiles, 1)
+	if rec, e := s.occur(KindBrokerInstall, m, nil, -1, d.Nanoseconds(), 0, source); e != nil {
+		s.emit(e, &rec)
 	}
 }
 
@@ -850,7 +768,6 @@ func (s *Sink) CompileFail(m *bc.Method, reason string, d time.Duration) {
 func (s *Sink) BrokerPanic(m *bc.Method, reason string) {
 	if rec, e := s.occur(KindBrokerPanic, m, nil, -1, 0, 0, reason); e != nil {
 		s.emit(e, &rec)
-		s.Metrics().Add(MetricBrokerPanics, 1)
 	}
 }
 
@@ -859,7 +776,6 @@ func (s *Sink) BrokerPanic(m *bc.Method, reason string) {
 func (s *Sink) VMOSRRequest(m *bc.Method, bci int, count int64) {
 	if rec, e := s.occur(KindVMOSRRequest, m, nil, bci, count, 0, ""); e != nil {
 		s.emit(e, &rec)
-		s.Metrics().Add(MetricVMOSRRequests, 1)
 	}
 }
 
@@ -868,7 +784,6 @@ func (s *Sink) VMOSRRequest(m *bc.Method, bci int, count int64) {
 func (s *Sink) VMOSREnter(m *bc.Method, bci int) {
 	if rec, e := s.occur(KindVMOSREnter, m, nil, bci, 0, 0, ""); e != nil {
 		s.emit(e, &rec)
-		s.Metrics().Add(MetricVMOSREntries, 1)
 	}
 }
 
@@ -877,7 +792,6 @@ func (s *Sink) VMOSREnter(m *bc.Method, bci int) {
 func (s *Sink) VMDeopt(m *bc.Method, node int, reason string) {
 	if rec, e := s.occur(KindVMDeopt, m, nil, -1, int64(node), 0, reason); e != nil {
 		s.emit(e, &rec)
-		s.Metrics().Add(MetricVMDeopts, 1)
 	}
 }
 
@@ -888,7 +802,6 @@ func (s *Sink) VMRematerialize(m *bc.Method, vobj int64, site *bc.Method, bci in
 	if rec, e := s.occur(KindVMRematerialize, m, site, bci, 0, vobj, ""); e != nil {
 		e.Detail = class
 		s.emit(e, &rec)
-		s.Metrics().Add(MetricVMRemats, 1)
 	}
 }
 
@@ -911,10 +824,6 @@ func (s *Sink) Materialize(m *bc.Method, obj int, site *bc.Method, bci, node, bl
 	}
 	e.Block = fmt.Sprintf("b%d", block)
 	s.emit(e, &rec)
-	if k == KindMergeMaterialize {
-		s.Metrics().Add(MetricMergeMaterialized, 1)
-	}
-	s.Metrics().Add(MetricMaterialized, 1)
 }
 
 // SummaryKeptVirtual records that PEA kept object obj of method m virtual
@@ -925,7 +834,6 @@ func (s *Sink) SummaryKeptVirtual(m *bc.Method, obj int, site *bc.Method, bci, c
 	if rec, e := s.occur(KindSummaryKeptVirtual, m, site, bci, 0, int64(obj), callee); e != nil {
 		e.Node, e.Block = fmt.Sprintf("v%d", call), fmt.Sprintf("b%d", block)
 		s.emit(e, &rec)
-		s.Metrics().Add(MetricSummaryKept, 1)
 	}
 }
 

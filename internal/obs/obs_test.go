@@ -54,8 +54,8 @@ func TestNilSinkNoAllocs(t *testing.T) {
 			s.VMRearm("M.m", "transient", 1, 40)
 			s.VMCrashRepro("M.m", "crash-M_m.json")
 			s.Snapshot("pea", "M.m", nil)
-			if s.WantSnapshots() || s.Metrics() != nil {
-				t.Fatal("a sink that does not trace wants snapshots or has metrics")
+			if s.WantSnapshots() {
+				t.Fatal("a sink that does not trace wants snapshots")
 			}
 			span := StartPhase(s, "pea", "M.m", 10, 2)
 			span.End(8, 2)
@@ -73,11 +73,7 @@ func TestNilSinkNoAllocs(t *testing.T) {
 			s.Materialize(mm, 0, nil, 0, -1, 4, "merge-mixed")
 			s.SummaryKeptVirtual(mm, 0, mm, 0, 5, 1, "M.callee")
 
-			m.Add(MetricVirtualized, 1)
-			m.SetGauge("g", 3)
-			m.ObservePhase("pea", time.Millisecond, -2)
-			_ = m.Counter(MetricVirtualized)
-			_ = m.Gauge("g")
+			_ = m.Counter(KindVirtualize)
 			_ = m.Phase("pea")
 		})
 		if allocs != 0 {
@@ -123,15 +119,22 @@ func TestJSONBackendJSONL(t *testing.T) {
 	}
 }
 
-// TestSinkMetricsAgreement checks that decision events bump the attached
-// registry exactly once each, and that merge materializations count as
-// materializations too.
+// TestSinkMetricsAgreement checks that the registry is a fold of the
+// stream: after one call of every helper (and a few repeats), each kind's
+// counter equals the number of JSONL lines of that kind, a merge
+// materialization counts as its own kind, and a kind never seen reads 0.
 func TestSinkMetricsAgreement(t *testing.T) {
+	var buf bytes.Buffer
 	m := NewMetrics()
-	s := NewSink()
+	s := NewSink(NewJSONBackend(&buf))
 	s.SetMetrics(m)
+	s.SetMetrics(nil) // attaches nothing
 
 	mm := method(0, "M", "m")
+	s.PhaseStart("pea", "M.m", 10, 2)
+	s.PhaseEnd("pea", "M.m", 10, 2, 8, 2, time.Millisecond)
+	s.CheckViolation("pea", "M.m", "broken", "")
+	s.SummaryReady(3, 1, 0, "computed")
 	s.Inline("M.m", "M.c", "v1")
 	s.Virtualize(mm, 0, "Key", 1, nil, 0)
 	s.Materialize(mm, 0, mm, 0, 9, 2, "StoreStatic")
@@ -139,39 +142,62 @@ func TestSinkMetricsAgreement(t *testing.T) {
 	s.Materialize(mm, 0, mm, 0, -1, 4, "merge-mixed")
 	s.LockElide(mm, 0, 5, "monitorenter", nil, 0)
 	s.LockElide(mm, 0, 6, "monitorexit", nil, 0)
+	s.PEARound("M.m", 1)
+	s.PEAFixpoint("M.m", 1)
 	s.PEABailout("M.m", "no fixpoint")
+	s.PEAState("M.m", "b1", "state")
 	s.EAVerdict(mm, 1, "captured", "", nil, 0)
 	s.EAVerdict(mm, 2, "escapes", "returned", nil, 4)
 	s.VMCompile("M.m", 20, TriggerThreshold)
-	s.VMDeopt(mm, 7, "speculation-failed")
-	s.VMRematerialize(mm, 0, mm, 0, "Key")
 	s.VMInvalidate("M.m", "deopt")
 	s.VMRecompile("M.m", 1)
+	s.BrokerDedup(mm)
+	s.BrokerReject(mm, "queue-full")
+	s.VMRearm("M.m", "transient", 1, 40)
+	s.VMCrashRepro("M.m", "crash-M_m.json")
+	s.BrokerSubmit(mm, 20, 1)
+	s.CompileStart(mm, 20)
+	s.BrokerInstall(mm, "compiled", time.Microsecond)
+	s.BrokerInstall(mm, "cache", time.Microsecond)
+	s.CompileFail(mm, "error", time.Microsecond)
+	s.BrokerPanic(mm, "boom")
+	s.VMOSRRequest(mm, 3, 1000)
+	s.VMOSREnter(mm, 3)
+	s.VMDeopt(mm, 7, "speculation-failed")
+	s.VMRematerialize(mm, 0, mm, 0, "Key")
+	s.SummaryKeptVirtual(mm, 0, mm, 0, 5, 1, "M.callee")
 
-	want := map[string]int64{
-		MetricInlines:           1,
-		MetricVirtualized:       1,
-		MetricMaterialized:      3, // 2 in-block + 1 merge
-		MetricMergeMaterialized: 1,
-		MetricLocksElided:       2,
-		MetricPEABailouts:       1,
-		MetricEACaptured:        1,
-		MetricEAEscaped:         1,
-		MetricVMCompiles:        1,
-		MetricVMDeopts:          1,
-		MetricVMRemats:          1,
-		MetricVMInvalidations:   1,
-		MetricVMRecompiles:      1,
-	}
-	for name, v := range want {
-		if got := m.Counter(name); got != v {
-			t.Errorf("%s = %d, want %d", name, got, v)
+	lines := map[Kind]int64{}
+	for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var e Event
+		if err := json.Unmarshal([]byte(ln), &e); err != nil {
+			t.Fatalf("bad line %q: %v", ln, err)
 		}
+		lines[e.Kind]++
+	}
+	for k := Kind(1); int(k) < len(kindNames); k++ {
+		if got := m.Counter(k); got != lines[k] {
+			t.Errorf("Counter(%s) = %d, want %d (JSONL lines)", k, got, lines[k])
+		}
+	}
+	if m.Counter(KindMaterialize) != 2 || m.Counter(KindMergeMaterialize) != 1 {
+		t.Errorf("materialize %d, merge_materialize %d, want 2 and 1",
+			m.Counter(KindMaterialize), m.Counter(KindMergeMaterialize))
+	}
+	if m.Counter(KindIRSnapshot) != 0 {
+		t.Errorf("Counter(ir_snapshot) = %d for a kind never emitted", m.Counter(KindIRSnapshot))
+	}
+	snap := m.Snapshot()
+	if snap.Counters["broker_install"] != 2 {
+		t.Errorf("snapshot counters = %v, want broker_install 2 under its kind name", snap.Counters)
+	}
+	if _, ok := snap.Counters["ir_snapshot"]; ok {
+		t.Errorf("snapshot lists the unseen kind ir_snapshot: %v", snap.Counters)
 	}
 }
 
-// TestPhaseTimers checks ObservePhase aggregation via PhaseEnd and the
-// table rendering.
+// TestPhaseTimers checks the per-phase timers folded from phase_end events
+// and the table rendering.
 func TestPhaseTimers(t *testing.T) {
 	m := NewMetrics()
 	s := NewSink()
@@ -221,20 +247,5 @@ func TestSnapshotLazyRender(t *testing.T) {
 	s.Snapshot("pea", "M.m", render)
 	if rendered != 1 || len(got) != 1 || got[0] != "pea/M.m/IR" {
 		t.Fatalf("snapshot delivery wrong: rendered=%d got=%v", rendered, got)
-	}
-}
-
-// TestBackendAddRemove checks the dynamic backend list used by transient
-// attachments (irdump -trace).
-func TestBackendAddRemove(t *testing.T) {
-	var events []Kind
-	fb := FuncBackend(func(e *Event) { events = append(events, e.Kind) })
-	s := NewSink()
-	s.AddBackend(fb)
-	s.PEARound("M.m", 1)
-	s.RemoveBackend(fb)
-	s.PEARound("M.m", 2)
-	if len(events) != 1 || events[0] != KindPEARound {
-		t.Fatalf("events = %v, want one pea_round", events)
 	}
 }

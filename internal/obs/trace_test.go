@@ -136,8 +136,14 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Errorf("/debug/pea/escape?format=json = %d:\n%s", code, body)
 	}
 	if code, body := get("/debug/pea/metrics"); code != 200 ||
-		!strings.Contains(body, MetricVirtualized) {
+		!strings.Contains(body, KindVirtualize.String()) {
 		t.Errorf("/debug/pea/metrics = %d:\n%s", code, body)
+	}
+	code, body = get("/debug/pea/metrics?format=json")
+	var snap Snapshot
+	if code != 200 || json.Unmarshal([]byte(body), &snap) != nil ||
+		snap.Counters["virtualize"] != 1 || snap.Counters["broker_install"] != 1 {
+		t.Errorf("/debug/pea/metrics?format=json = %d:\n%s", code, body)
 	}
 	if code, _ := get("/debug/pprof/"); code != 200 {
 		t.Errorf("/debug/pprof/ = %d", code)

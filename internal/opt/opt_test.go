@@ -45,7 +45,8 @@ func optimizeAll(t *testing.T, prog *bc.Program) map[*bc.Method]*ir.Graph {
 func runOptimized(t *testing.T, p testprog.Program, graphs map[*bc.Method]*ir.Graph, args []int64) (rt.Value, *rt.Env, error) {
 	t.Helper()
 	env := rt.NewEnv(p.Prog, 42)
-	eng := &exec.Engine{Env: env, MaxSteps: 5_000_000}
+	env.MaxSteps = 5_000_000
+	eng := &exec.Engine{Env: env}
 	eng.Invoke = func(callee *bc.Method, vals []rt.Value) (rt.Value, error) {
 		return eng.Run(graphs[callee], vals)
 	}
@@ -61,7 +62,7 @@ func runReference(t *testing.T, p testprog.Program, args []int64) (rt.Value, *rt
 	t.Helper()
 	env := rt.NewEnv(p.Prog, 42)
 	it := interp.New(env)
-	it.MaxSteps = 5_000_000
+	it.Env.MaxSteps = 5_000_000
 	vals := make([]rt.Value, len(args))
 	for i, a := range args {
 		vals[i] = rt.IntValue(a)

@@ -43,9 +43,9 @@ type Pipeline struct {
 	// single pointer test per phase.
 	Budget *budget.Budget
 	// Sink, when non-nil, receives phase_start/phase_end events with
-	// node/block counts, feeds per-phase wall-time and node-delta timers
-	// into the sink's attached metrics registry, and delivers per-phase IR
-	// snapshots to registered snapshot consumers. A nil sink adds no
+	// node/block counts and wall time (an attached obs.Metrics folds them
+	// into per-phase timers), and delivers per-phase IR snapshots to
+	// registered snapshot consumers. A nil sink adds no
 	// allocations to the compile path.
 	Sink *obs.Sink
 }

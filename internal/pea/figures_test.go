@@ -57,7 +57,8 @@ func count(g *ir.Graph, op ir.Op) int {
 func execGraph(t *testing.T, prog *bc.Program, g *ir.Graph, args ...int64) (rt.Value, *rt.Env) {
 	t.Helper()
 	env := rt.NewEnv(prog, 1)
-	eng := &exec.Engine{Env: env, MaxSteps: 1_000_000}
+	env.MaxSteps = 1_000_000
+	eng := &exec.Engine{Env: env}
 	vals := make([]rt.Value, len(args))
 	for i, a := range args {
 		vals[i] = rt.IntValue(a)

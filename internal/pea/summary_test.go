@@ -98,7 +98,8 @@ func peaWithSummaries(t *testing.T, p *bc.Program, entry string, safeFn func(*ir
 func runSummaryGraph(t *testing.T, p *bc.Program, g *ir.Graph, arg int64) (rt.Value, *rt.Env) {
 	t.Helper()
 	env := rt.NewEnv(p, 42)
-	eng := &exec.Engine{Env: env, MaxSteps: 1_000_000}
+	env.MaxSteps = 1_000_000
+	eng := &exec.Engine{Env: env}
 	plain := make(map[*bc.Method]*ir.Graph)
 	eng.Invoke = func(callee *bc.Method, vals []rt.Value) (rt.Value, error) {
 		cg := plain[callee]
@@ -123,7 +124,7 @@ func interpResult(t *testing.T, p *bc.Program, entry string, arg int64) rt.Value
 	t.Helper()
 	env := rt.NewEnv(p, 42)
 	it := interp.New(env)
-	it.MaxSteps = 1_000_000
+	it.Env.MaxSteps = 1_000_000
 	m := p.ClassByName("C").MethodByName(entry)
 	v, err := it.Call(m, []rt.Value{rt.IntValue(arg)})
 	if err != nil {

@@ -145,11 +145,19 @@ func (s Stats) Sub(o Stats) Stats {
 }
 
 // Env is the mutable machine state shared by interpreted and compiled code:
-// the heap counters, static fields, PRNG, and program output. A single Env
-// is threaded through one program execution.
+// the heap counters, static fields, PRNG, program output and step budget. A
+// single Env is threaded through one program execution.
 type Env struct {
 	Program *bc.Program
 	Stats   Stats
+
+	// MaxSteps bounds the steps the interpreter and every execution backend
+	// run on this environment, together (0 = unbounded): the interpreter
+	// charges one per instruction, the oracle one per node, the closure
+	// backend one block's node count per block entered. Exceeding it is an
+	// error. Set it before the first step.
+	MaxSteps int64
+	steps    int64
 
 	// statics[classID][offset] holds static field values.
 	statics [][]Value
@@ -182,6 +190,20 @@ func NewEnv(p *bc.Program, seed uint64) *Env {
 		e.statics[c.ID] = slots
 	}
 	return e
+}
+
+// ChargeSteps charges n steps of m against MaxSteps and returns an error
+// once the budget is exhausted; with MaxSteps <= 0 it never fails. Hot
+// callers test MaxSteps > 0 themselves and call it only then.
+func (e *Env) ChargeSteps(n int64, m *bc.Method) error {
+	if e.MaxSteps <= 0 {
+		return nil
+	}
+	e.steps += n
+	if e.steps > e.MaxSteps {
+		return fmt.Errorf("rt: step budget of %d exhausted in %s", e.MaxSteps, m.QualifiedName())
+	}
+	return nil
 }
 
 // Rand returns the next deterministic pseudo-random value; if mod > 0 the

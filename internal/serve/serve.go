@@ -83,9 +83,6 @@ type Options struct {
 	MaxSourceBytes int64
 	// MaxRuns bounds the per-request run count (default 64).
 	MaxRuns int
-	// InjectFault is threaded into tenant VMs (tests drive the containment
-	// layer through it; see vm.Options.InjectFault).
-	InjectFault func(point, method string)
 }
 
 // osrThreshold is the value handed to vm.Options, where <= 0 means off.
@@ -361,7 +358,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		MaxIRNodes:       s.opts.MaxIRNodes,
 		CheckLevel:       s.opts.CheckLevel,
 		Summaries:        s.opts.Summaries,
-		InjectFault:      s.opts.InjectFault,
 		JIT:              s.jit,
 		Sink:             l.sink,
 	})

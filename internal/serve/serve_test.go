@@ -536,13 +536,8 @@ func TestLoadHarnessAgainstServer(t *testing.T) {
 // degrades that tenant's method to interpretation; the request still
 // succeeds and the server keeps serving other tenants.
 func TestPanicContainedPerTenant(t *testing.T) {
-	_, ts := newTestServer(t, Options{
-		InjectFault: func(point, method string) {
-			if point == "pea" && strings.Contains(method, "Main.f") {
-				panic("injected compiler bug")
-			}
-		},
-	})
+	t.Setenv("PEA_FAULT", "pea:panic:1:Main.f") // read by the server's broker
+	_, ts := newTestServer(t, Options{})
 	resp, rr := postRun(t, ts.URL, tenantSrc, 2)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tenant with poisoned compile got %s, want 200 (interpreted)", resp.Status)

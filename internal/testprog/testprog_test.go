@@ -101,11 +101,12 @@ func TestCorpusCompilesStrict(t *testing.T) {
 
 				envI := rt.NewEnv(p.Prog, 7)
 				it := interp.New(envI)
-				it.MaxSteps = 2_000_000
+				it.Env.MaxSteps = 2_000_000
 				vi, errI := it.Call(p.Entry, vals)
 
 				envE := rt.NewEnv(p.Prog, 7)
-				eng := &exec.Engine{Env: envE, MaxSteps: 2_000_000}
+				envE.MaxSteps = 2_000_000
+				eng := &exec.Engine{Env: envE}
 				eng.Invoke = func(callee *bc.Method, as []rt.Value) (rt.Value, error) {
 					return eng.Run(graphs[callee], as)
 				}

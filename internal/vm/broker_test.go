@@ -28,12 +28,12 @@ func loadExample(t testing.TB, path string) *bc.Program {
 }
 
 // withJIT returns o submitting to a broker of its own built from bo —
-// background workers, a bounded queue, a store — that carries the VM's
-// sanitizer level and fault hook exactly as the private broker of a nil
+// background workers, a bounded queue, a store, a fault hook — that carries
+// the VM's sanitizer level exactly as the private broker of a nil
 // Options.JIT does. The broker closes when the test ends.
 func withJIT(t testing.TB, o Options, bo broker.Options) Options {
 	t.Helper()
-	bo.Check, bo.InjectFault = o.CheckLevel, o.InjectFault
+	bo.Check = o.CheckLevel
 	o.JIT = broker.New(bo)
 	t.Cleanup(o.JIT.Close)
 	return o

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"pea/internal/broker"
 	"pea/internal/check"
 	"pea/internal/rt"
 	"pea/internal/testprog"
@@ -24,11 +25,9 @@ func TestRegenerateCrashCorpus(t *testing.T) {
 	}
 	const seed = 42
 	p := testprog.Generate(seed)
-	machine := New(p.Prog, Options{
-		EA: EAPartial, CompileThreshold: 2, Seed: seed,
-		CrashDir:    "testdata",
-		InjectFault: panicAt("pea", p.Entry.QualifiedName()),
-	})
+	machine := New(p.Prog, withJIT(t, Options{
+		EA: EAPartial, CompileThreshold: 2, Seed: seed, CrashDir: "testdata",
+	}, broker.Options{InjectFault: panicAt("pea", p.Entry.QualifiedName())}))
 	for i := 0; i < 5; i++ {
 		args := p.ArgSets[i%len(p.ArgSets)]
 		if _, err := machine.Call(p.Entry, []rt.Value{rt.IntValue(args[0]), rt.IntValue(args[1])}); err != nil {

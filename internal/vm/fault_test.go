@@ -35,10 +35,9 @@ func panicAt(point, filter string) func(string, string) {
 // method never compiles (or resubmits) again.
 func TestSyncPanicContainedMethodDegrades(t *testing.T) {
 	prog, m := buildCounter(t)
-	machine := New(prog, Options{
+	machine := New(prog, withJIT(t, Options{
 		EA: EAPartial, CompileThreshold: 2, CheckLevel: check.Basic,
-		InjectFault: panicAt(broker.FaultCompile, ""),
-	})
+	}, broker.Options{InjectFault: panicAt(broker.FaultCompile, "")}))
 	for i := 0; i < 10; i++ {
 		v, err := machine.Call(m, []rt.Value{rt.IntValue(int64(i))})
 		if err != nil {
@@ -78,8 +77,7 @@ func TestAsyncPanicContainment(t *testing.T) {
 	// allocation helpers in the example); everything else compiles.
 	machine := New(prog, withJIT(t, Options{
 		EA: EAPartial, CompileThreshold: 4, CheckLevel: check.Basic,
-		InjectFault: panicAt(broker.FaultCompile, "Main."),
-	}, broker.Options{Workers: 2}))
+	}, broker.Options{Workers: 2, InjectFault: panicAt(broker.FaultCompile, "Main.")}))
 	for i := 0; i < 30; i++ {
 		if _, err := machine.Run(); err != nil {
 			t.Fatal(err)
@@ -113,10 +111,9 @@ func TestCrashReproCapturedAndReplayable(t *testing.T) {
 	dir := t.TempDir()
 	hook := panicAt("opt", "C.m") // a VM pipeline point, so the minimizer reproduces it
 	prog, m := buildCounter(t)
-	machine := New(prog, Options{
-		EA: EAPartial, CompileThreshold: 2, Seed: 7,
-		CrashDir: dir, InjectFault: hook,
-	})
+	machine := New(prog, withJIT(t, Options{
+		EA: EAPartial, CompileThreshold: 2, Seed: 7, CrashDir: dir,
+	}, broker.Options{InjectFault: hook}))
 	for i := 0; i < 5; i++ {
 		if _, err := machine.Call(m, []rt.Value{rt.IntValue(1)}); err != nil {
 			t.Fatal(err)
@@ -152,7 +149,7 @@ func TestCrashReproCapturedAndReplayable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("repro does not apply: %v", err)
 	}
-	replay := New(prog2, Options{EA: EAPartial, InjectFault: hook})
+	replay := New(prog2, withJIT(t, Options{EA: EAPartial}, broker.Options{InjectFault: hook}))
 	panicked := func() (p bool) {
 		defer func() { p = recover() != nil }()
 		_, _ = replay.Compile(m2)
@@ -210,10 +207,9 @@ func TestOSRFaultEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine := New(prog, Options{
+	machine := New(prog, withJIT(t, Options{
 		EA: EAPartial, CompileThreshold: 2, OSRThreshold: 100, CheckLevel: check.Basic,
-		InjectFault: panicAt("build-osr", ""),
-	})
+	}, broker.Options{InjectFault: panicAt("build-osr", "")}))
 	defer machine.Close()
 	for i := 0; i < 4; i++ {
 		if _, err := machine.Run(); err != nil {
@@ -276,16 +272,15 @@ func TestQueueFullRejectionRearms(t *testing.T) {
 	started := make(chan struct{}, 1)
 	machine := New(prog, withJIT(t, Options{
 		EA: EAPartial, CompileThreshold: 2, CheckLevel: check.Basic,
-		InjectFault: func(point, method string) {
-			if point == broker.FaultCompile {
-				select {
-				case started <- struct{}{}:
-				default:
-				}
-				<-release
+	}, broker.Options{Workers: 1, QueueCap: 1, InjectFault: func(point, method string) {
+		if point == broker.FaultCompile {
+			select {
+			case started <- struct{}{}:
+			default:
 			}
-		},
-	}, broker.Options{Workers: 1, QueueCap: 1}))
+			<-release
+		}
+	}}))
 	call := func(m *bc.Method) {
 		t.Helper()
 		if _, err := machine.Call(m, []rt.Value{rt.IntValue(1)}); err != nil {
@@ -425,8 +420,8 @@ func TestFaultInjectionHammer(t *testing.T) {
 	machines := make([]*VM, vms)
 	for i := range machines {
 		machines[i] = New(prog, withJIT(t, Options{
-			EA: EAPartial, CompileThreshold: 4, CheckLevel: check.Basic, InjectFault: hook,
-		}, broker.Options{Workers: 2}))
+			EA: EAPartial, CompileThreshold: 4, CheckLevel: check.Basic,
+		}, broker.Options{Workers: 2, InjectFault: hook}))
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, vms)
@@ -464,6 +459,50 @@ func TestFaultInjectionHammer(t *testing.T) {
 	}
 	if totalPanics == 0 {
 		t.Fatal("hammer never tripped the fault hook")
+	}
+}
+
+// TestFaultHookCountsPerBroker: the pipeline's fault points fire the hook of
+// the broker a VM submits to, so an every-N spec counts visits across every
+// VM sharing the broker. Two VMs each compile one method once (two programs,
+// so neither replays the other's artifact); with "pea:panic:2" the second
+// PEA run of the broker panics, and only it.
+func TestFaultHookCountsPerBroker(t *testing.T) {
+	hook, err := broker.ParseFault("pea:panic:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jit := broker.New(broker.Options{InjectFault: hook})
+	defer jit.Close()
+	panics := 0
+	for _, k := range []int{1, 2} {
+		prog, err := mjCompile(fmt.Sprintf(`class Main {
+	static int f(int x) { return x + %d; }
+	static void main() { print(f(1)); }
+}`, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		machine := New(prog, Options{EA: EAPartial, CompileThreshold: 2, CheckLevel: check.Basic, JIT: jit})
+		f := prog.ClassByName("Main").MethodByName("f")
+		for i := 0; i < 3; i++ {
+			if _, err := machine.Call(f, []rt.Value{rt.IntValue(1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, cerr := range machine.FailedCompilations() {
+			var pe *broker.PanicError
+			if !errors.As(cerr, &pe) {
+				t.Fatalf("program %d: non-injected failure %v", k, cerr)
+			}
+			panics++
+		}
+	}
+	if panics != 1 {
+		t.Fatalf("%d compiler panics across the two VMs, want exactly 1 (the broker's second pea visit)", panics)
+	}
+	if n := jit.Stats().Panics; n != 1 {
+		t.Fatalf("broker counted %d panics, want 1", n)
 	}
 }
 

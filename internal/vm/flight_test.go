@@ -59,10 +59,9 @@ func ringDump(t *testing.T, machine *VM) []byte {
 func TestFlightDumpOnPanic(t *testing.T) {
 	dir := t.TempDir()
 	prog, m := buildCounter(t)
-	machine := New(prog, Options{
-		EA: EAPartial, CompileThreshold: 2, Seed: 7,
-		CrashDir: dir, InjectFault: panicAt("opt", "C.m"),
-	})
+	machine := New(prog, withJIT(t, Options{
+		EA: EAPartial, CompileThreshold: 2, Seed: 7, CrashDir: dir,
+	}, broker.Options{InjectFault: panicAt("opt", "C.m")}))
 	for i := 0; i < 5; i++ {
 		if _, err := machine.Call(m, []rt.Value{rt.IntValue(1)}); err != nil {
 			t.Fatal(err)
@@ -173,7 +172,7 @@ func TestAnalyzeOneRunTwoDumps(t *testing.T) {
 // (phase is 0 while it warms up) and deoptimizes with its Box virtual,
 // publish materializes at a static store, keep passes a Box to mix — past the
 // inliner's budget and blind to its argument — so with summaries the Box
-// stays virtual across the call, crash's compile panics (InjectFault), big's
+// stays virtual across the call, crash's compile panics (a fault hook), big's
 // exceeds the IR budget, and spin's loop is compiled for on-stack
 // replacement.
 var everyRingKindSrc = `
@@ -235,9 +234,8 @@ func TestRingIsSubStreamOfTrace(t *testing.T) {
 	opts := withJIT(t, Options{
 		EA: EAPartial, Speculate: true, Summaries: true, CheckLevel: check.Basic,
 		CompileThreshold: 5, OSRThreshold: 50, MaxIRNodes: 400,
-		InjectFault: panicAt("opt", "Main.crash"),
-		Sink:        obs.NewSink(obs.NewJSONBackend(&tr)),
-	}, broker.Options{Workers: 1})
+		Sink: obs.NewSink(obs.NewJSONBackend(&tr)),
+	}, broker.Options{Workers: 1, InjectFault: panicAt("opt", "Main.crash")})
 	machine := New(prog, opts)
 	main := prog.ClassByName("Main")
 	call := func(name string, args ...int64) {

@@ -167,16 +167,16 @@ func TestTierUpLadder(t *testing.T) {
 				})
 
 				t.Run("permanent failure", func(t *testing.T) {
-					jit := newBroker(t, broker.Options{Workers: bk.workers})
+					jit := newBroker(t, broker.Options{Workers: bk.workers,
+						InjectFault: panicAt(kind.buildPoint, "")})
 					if kind.entryBCI == broker.NoOSR {
 						// The cache holds the loop's artifact and not the
-						// entry's, for the loop to be tempted by afterwards.
+						// entry's, for the loop to be tempted by afterwards
+						// (the loop's compile passes build-osr, not build).
 						seed := New(prog, opts(jit))
 						visitUntilInstalled(t, seed, seed.unit(m, header), ladderTrigger)
 					}
-					o := opts(jit)
-					o.InjectFault = panicAt(kind.buildPoint, "")
-					machine := New(prog, o)
+					machine := New(prog, opts(jit))
 					entry, loop := machine.unit(m, broker.NoOSR), machine.unit(m, header)
 					u := machine.unit(m, kind.entryBCI)
 					for i := 0; i < 3*ladderTrigger; i++ {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pea/internal/broker"
 	"pea/internal/check"
 	"pea/internal/mj"
 	"pea/internal/obs"
@@ -70,8 +71,6 @@ func TestTraceEventsCachekey(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewSink(obs.NewJSONBackend(&buf))
 	sink.SetClock(func() time.Time { return time.Unix(0, 0) })
-	met := obs.NewMetrics()
-	sink.SetMetrics(met)
 	machine := New(prog, Options{
 		EA:               EAPartial,
 		CompileThreshold: 3,
@@ -172,23 +171,6 @@ func TestTraceEventsCachekey(t *testing.T) {
 		t.Errorf("no vm_compile event for Main.getValue; compiled: %v", compiled)
 	}
 
-	// Metrics agree with the event stream.
-	countKind := func(k obs.Kind) int64 {
-		var n int64
-		for _, e := range events {
-			if e.Kind == k {
-				n++
-			}
-		}
-		return n
-	}
-	if got, want := met.Counter(obs.MetricVMCompiles), countKind(obs.KindVMCompile); got != want {
-		t.Errorf("vm.compiles metric = %d, want %d (event count)", got, want)
-	}
-	if got, want := met.Counter(obs.MetricLocksElided), countKind(obs.KindLockElide); got != want {
-		t.Errorf("pea.locks_elided metric = %d, want %d (event count)", got, want)
-	}
-
 	// Golden-match the full decision subsequence (all methods), with
 	// sequence numbers normalized out so unrelated event insertions
 	// upstream do not churn the file.
@@ -229,18 +211,15 @@ func TestTraceEventsCachekey(t *testing.T) {
 // the per-site Table 1 analogue that peavm -escape-report prints. The
 // single Key allocation site (Main.getValue@0) must show one virtualized
 // object, one materialization on the cache-miss branch dominated by the
-// StoreStatic publication, and both elided monitor operations; the table's
-// totals must equal the metrics registry's counters. The sink's ring must
-// have kept the same materializations.
+// StoreStatic publication, and both elided monitor operations. The sink's
+// ring must have kept the same materializations.
 func TestEscapeTableListing1(t *testing.T) {
 	prog, err := mj.Compile(listing1, "Main.main")
 	if err != nil {
 		t.Fatal(err)
 	}
 	esc := obs.NewEscapeTable()
-	met := obs.NewMetrics()
 	sink := obs.NewSink(esc)
-	sink.SetMetrics(met)
 	machine := New(prog, Options{
 		EA:               EAPartial,
 		CompileThreshold: 3,
@@ -258,30 +237,12 @@ func TestEscapeTableListing1(t *testing.T) {
 		t.Fatalf("compilation of %s failed: %v", m.QualifiedName(), cerr)
 	}
 
-	// Table totals equal the metrics registry counters (the acceptance
-	// contract between the two accounting paths).
-	var virt, mat, remat, locks int64
-	for _, s := range esc.Snapshot() {
-		virt += s.Virtualized
-		mat += s.Materialized
-		remat += s.Remats
-		locks += s.LocksElided
-	}
-	if got := met.Counter(obs.MetricVirtualized); got != virt {
-		t.Errorf("virtualized: table total %d, metric %d", virt, got)
-	}
-	if got := met.Counter(obs.MetricMaterialized); got != mat {
-		t.Errorf("materialized: table total %d, metric %d", mat, got)
-	}
-	if got := met.Counter(obs.MetricVMRemats); got != remat {
-		t.Errorf("remats: table total %d, metric %d", remat, got)
-	}
-	if got := met.Counter(obs.MetricLocksElided); got != locks {
-		t.Errorf("locks elided: table total %d, metric %d", locks, got)
-	}
-
 	// The ring keeps every compile-time materialization the table counted,
 	// and the installs.
+	var mat int64
+	for _, s := range esc.Snapshot() {
+		mat += s.Materialized
+	}
 	var ringMats, ringInstalls int64
 	for _, e := range decodeEvents(t, "ring", ringDump(t, machine)) {
 		switch e.Kind {
@@ -312,6 +273,98 @@ func TestEscapeTableListing1(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("escape table diverged from golden file:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestMetricsFoldTheStream checks that the metrics registry is a fold of the
+// event stream and nothing else. Each example runs traced — JSONL, escape
+// table and registry on one sink — with background compilation, OSR and (for
+// specdeopt) speculation, and then every kind's counter must equal the
+// number of JSONL lines of that kind, each phase timer's run count the
+// number of that phase's phase_end lines, and each escape-table total the
+// registry's count of the kinds it sums.
+func TestMetricsFoldTheStream(t *testing.T) {
+	seen := map[obs.Kind]int64{}
+	for _, ex := range []struct {
+		file      string
+		speculate bool
+	}{{"cachekey.mj", false}, {"specdeopt.mj", true}} {
+		t.Run(ex.file, func(t *testing.T) {
+			prog := loadExample(t, filepath.Join("..", "..", "examples", ex.file))
+			var buf bytes.Buffer
+			esc, met := obs.NewEscapeTable(), obs.NewMetrics()
+			sink := obs.NewSink(obs.NewJSONBackend(&buf), esc)
+			sink.SetMetrics(met)
+			machine := New(prog, withJIT(t, Options{
+				EA: EAPartial, Speculate: ex.speculate, CompileThreshold: 5, OSRThreshold: 20,
+				CheckLevel: check.Basic, MaxSteps: 50_000_000, Sink: sink,
+			}, broker.Options{Workers: 2}))
+			for i := 0; i < 30; i++ {
+				if _, err := machine.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			machine.DrainJIT()
+
+			lines := map[obs.Kind]int64{}
+			phaseEnds := map[string]int64{}
+			for _, e := range decodeEvents(t, "trace", buf.Bytes()) {
+				lines[e.Kind]++
+				seen[e.Kind]++
+				if e.Kind == obs.KindPhaseEnd {
+					phaseEnds[e.Phase]++
+				}
+			}
+			// Equal counts for every kind in the stream, and no other kind
+			// counted.
+			snap := met.Snapshot()
+			if len(snap.Counters) != len(lines) {
+				t.Errorf("registry counts %d kinds, the stream has %d: %v", len(snap.Counters), len(lines), snap.Counters)
+			}
+			for k, n := range lines {
+				if got := met.Counter(k); got != n {
+					t.Errorf("Counter(%s) = %d, want %d JSONL lines", k, got, n)
+				}
+			}
+			if len(snap.Phases) != len(phaseEnds) {
+				t.Errorf("registry times %d phases, the stream ends %d: %v", len(snap.Phases), len(phaseEnds), snap.Phases)
+			}
+			for ph, n := range phaseEnds {
+				if got := met.Phase(ph).Count; got != n {
+					t.Errorf("phase %s: timer counts %d runs, want %d phase_end lines", ph, got, n)
+				}
+			}
+
+			var virt, mat, remat, locks int64
+			for _, s := range esc.Snapshot() {
+				virt += s.Virtualized
+				mat += s.Materialized
+				remat += s.Remats
+				locks += s.LocksElided
+			}
+			for _, c := range []struct {
+				column      string
+				total, want int64
+			}{
+				{"VIRT", virt, met.Counter(obs.KindVirtualize)},
+				{"MAT", mat, met.Counter(obs.KindMaterialize) + met.Counter(obs.KindMergeMaterialize)},
+				{"REMAT", remat, met.Counter(obs.KindVMRematerialize)},
+				{"LOCKS", locks, met.Counter(obs.KindLockElide)},
+			} {
+				if c.total != c.want {
+					t.Errorf("escape table %s total %d, registry %d", c.column, c.total, c.want)
+				}
+			}
+		})
+	}
+	// The two runs between them exercise the compiler, the broker and OSR,
+	// so the fold is checked on every layer's kinds. (Whether specdeopt
+	// deoptimizes depends on when the background compile installs.)
+	for _, k := range []obs.Kind{obs.KindPhaseEnd, obs.KindInline, obs.KindVirtualize,
+		obs.KindBrokerSubmit, obs.KindBrokerInstall, obs.KindVMOSREnter} {
+		if seen[k] == 0 {
+			t.Errorf("no %s event in either run", k)
+		}
 	}
 }
 

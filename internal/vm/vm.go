@@ -118,7 +118,8 @@ type Options struct {
 	OSRThreshold int64
 	// Seed seeds the deterministic PRNG (default 1).
 	Seed uint64
-	// MaxSteps bounds interpreted+compiled steps (0 = unbounded).
+	// MaxSteps bounds interpreted and compiled steps together (0 =
+	// unbounded): it becomes the Env's one step budget (rt.Env.MaxSteps).
 	MaxSteps int64
 	// CheckLevel selects the compiler sanitizer level run between phases
 	// (off, basic, strict). The PEA_CHECK environment variable floors the
@@ -129,11 +130,13 @@ type Options struct {
 	// JIT is the compile broker the VM submits to. nil (the default) gives
 	// the VM a private one: synchronous, memory-only, closed by Close. Pass
 	// a broker to get anything else — background workers, a bounded queue, a
-	// persistent store, or one worker pool and cache shared by many VMs (the
-	// tenants of a server). The VM's callbacks travel with each submission,
-	// so a shared broker still compiles with and installs into the
-	// submitting VM; a rejected submission (full queue) re-arms the method's
-	// hotness trigger with backoff. Whoever built a broker closes it.
+	// persistent store, a fault-injection hook (the pipeline's points fire
+	// the broker's, Broker.FaultHook), or one worker pool and cache shared
+	// by many VMs (the tenants of a server). The VM's callbacks travel with
+	// each submission, so a shared broker still compiles with and installs
+	// into the submitting VM; a rejected submission (full queue) re-arms the
+	// method's hotness trigger with backoff. Whoever built a broker closes
+	// it.
 	JIT *broker.Broker
 
 	// CompileDeadline bounds each compilation's wall-clock time. A
@@ -155,25 +158,15 @@ type Options struct {
 	// captures nothing.
 	CrashDir string
 
-	// InjectFault, when non-nil, is the fault-injection hook invoked at
-	// the VM pipeline's named phase boundaries ("build", "build-osr",
-	// "opt", "prune", "ea", "pea", "post") with the method's qualified
-	// name, and handed to the private broker for its own points
-	// (broker.FaultCompile, broker.FaultInstall; a broker passed as JIT has
-	// its own broker.Options.InjectFault). A hook that panics or sleeps
-	// drives the containment layer deterministically in tests and CI. When
-	// nil, the PEA_FAULT environment variable is consulted (see
-	// broker.FaultFromEnv).
-	InjectFault func(point, method string)
-
 	// Sink is the VM's event stream, shared by the pipeline, the broker's
 	// work for this VM and the deopt runtime. Its ring is always on,
 	// JFR-style: nil (the default) makes New create a ring-only sink
 	// (obs.NewRing), so every VM keeps the JIT's recent compiles, deopts,
 	// OSR transfers and materializations. A sink from obs.NewSink also
 	// traces: per-phase compile timing, inlining and PEA/EA decisions,
-	// tier-up installs, invalidations, recompiles — with counters and
-	// per-phase timers via Sink.SetMetrics. Pass one Sink.Program view per
+	// tier-up installs, invalidations, recompiles — to its backends, an
+	// obs.Metrics registry among them to fold the stream into per-kind
+	// counters and per-phase timers. Pass one Sink.Program view per
 	// program to share a ring across VMs (New registers the program's
 	// method names only on a view that has none).
 	Sink *obs.Sink
@@ -384,11 +377,6 @@ func New(prog *bc.Program, opts Options) *VM {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.InjectFault == nil {
-		// PEA_FAULT, for the pipeline's phase boundaries and the private
-		// broker's points (a broker passed in resolved it for itself).
-		opts.InjectFault = broker.FaultFromEnv()
-	}
 	if opts.Sink == nil {
 		opts.Sink = obs.NewRing()
 	}
@@ -406,13 +394,13 @@ func New(prog *bc.Program, opts Options) *VM {
 	for i, m := range prog.Methods {
 		vm.methods[i].entry = unit{m: m, entryBCI: broker.NoOSR}
 	}
+	vm.Env.MaxSteps = opts.MaxSteps
 	vm.Interp = interp.New(vm.Env)
-	vm.Interp.MaxSteps = opts.MaxSteps
 	vm.Interp.CallHook = vm.interpCallHook
 	if opts.OSRThreshold > 0 && !opts.Interpret {
 		vm.Interp.OSRHook = vm.osrHook
 	}
-	vm.Engine = &exec.Engine{Env: vm.Env, MaxSteps: opts.MaxSteps}
+	vm.Engine = &exec.Engine{Env: vm.Env}
 	vm.Engine.Invoke = vm.engineInvoke
 	vm.Engine.Deopt = vm.deopt
 
@@ -424,10 +412,7 @@ func New(prog *bc.Program, opts Options) *VM {
 		Sink:     opts.Sink,
 	}
 	if vm.jit == nil {
-		vm.jit = broker.New(broker.Options{
-			Check:       opts.checkLevel(),
-			InjectFault: opts.InjectFault,
-		})
+		vm.jit = broker.New(broker.Options{Check: opts.checkLevel()})
 	}
 	return vm
 }
@@ -694,10 +679,10 @@ func (vm *VM) rebind(g *ir.Graph) (*ir.Graph, error) {
 	return ng, nil
 }
 
-// fault invokes the fault-injection hook at a named pipeline point. A nil
-// hook (the default) costs one pointer test.
+// fault invokes the broker's fault-injection hook at a named pipeline
+// point. A nil hook (the default) costs one pointer test.
 func (vm *VM) fault(point string, m *bc.Method) {
-	if f := vm.Opts.InjectFault; f != nil {
+	if f := vm.jit.FaultHook(); f != nil {
 		f(point, m.QualifiedName())
 	}
 }

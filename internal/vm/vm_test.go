@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pea/internal/bc"
+	"pea/internal/broker"
 	"pea/internal/check"
 	"pea/internal/rt"
 	"pea/internal/testprog"
@@ -366,5 +367,68 @@ func TestUnlockTrapReasonIndependentOfTier(t *testing.T) {
 	}
 	if !strings.Contains(want, "monitor exit on unlocked Box at C.m") {
 		t.Errorf("trap reads %q", want)
+	}
+}
+
+// TestStepBudgetSpansTiers: Options.MaxSteps is one budget for interpreted
+// and compiled steps together. An interpreted call and a compiled call each
+// take about 0.6 of the budget: either alone fits, and the two in one VM
+// must exhaust it.
+func TestStepBudgetSpansTiers(t *testing.T) {
+	prog, err := mjCompile(`class Main {
+	static int f(int n) {
+		int s = 0;
+		int i = 0;
+		while (i < n) { s = s + i; i = i + 1; }
+		return s;
+	}
+	static void main() { print(f(1)); }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := prog.ClassByName("Main").MethodByName("f")
+	// run calls f(a), f(0), f(0), f(b) on a fresh VM whose threshold
+	// installs f after its third call: f(a) runs interpreted, f(b) compiled.
+	run := func(budget, a, b int64) error {
+		machine := New(prog, Options{EA: EAPartial, CompileThreshold: 2, MaxSteps: budget})
+		defer machine.Close()
+		for i, n := range []int64{a, 0, 0, b} {
+			if i == 3 && machine.unit(f, broker.NoOSR).installed() == nil {
+				t.Fatal("f is not compiled after three calls")
+			}
+			if _, err := machine.Call(f, []rt.Value{rt.IntValue(n)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// steps is the smallest budget under which the calls complete.
+	steps := func(a, b int64) int64 {
+		lo, hi := int64(1), int64(1<<30)
+		for lo < hi {
+			if mid := (lo + hi) / 2; run(mid, a, b) == nil {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		return lo
+	}
+
+	const nInterp = 1000
+	warm := steps(0, 0)
+	perInterp := steps(nInterp, 0) - warm
+	nCompiled := nInterp * perInterp / (steps(0, nInterp) - warm) // about perInterp compiled steps
+	budget := perInterp * 10 / 6
+	if err := run(budget, nInterp, 0); err != nil {
+		t.Fatalf("the interpreted call alone: %v", err)
+	}
+	if err := run(budget, 0, nCompiled); err != nil {
+		t.Fatalf("the compiled call alone: %v", err)
+	}
+	err = run(budget, nInterp, nCompiled)
+	if err == nil || !strings.Contains(err.Error(), "step budget") {
+		t.Fatalf("an interpreted and a compiled call of 0.6 of the budget each: got %v, want the step-budget error", err)
 	}
 }
