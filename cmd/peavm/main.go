@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	peavm [-ea off|ea|pea] [-speculate] [-summaries] [-summaries-report]
+//	peavm [-ea off|ea|pea] [-speculate] [-summaries-report]
 //	      [-runs N] [-stats] [-seed S]
 //	      [-backend oracle|closure|both]
 //	      [-store DIR] [-store-max-bytes N]
@@ -99,8 +99,7 @@ func main() {
 	eaMode := flag.String("ea", "pea", "escape analysis: off, ea (flow-insensitive), or pea")
 	backendName := flag.String("backend", "closure", "execution backend: oracle (tree-walking reference evaluator), closure (template JIT), or both (lockstep cross-check)")
 	speculate := flag.Bool("speculate", false, "enable speculative branch pruning with deoptimization")
-	summaries := flag.Bool("summaries", false, "enable inter-procedural escape summaries: EA/PEA keep provably-unobserved call arguments virtual across non-inlined calls, and the inliner prioritizes sites whose inlining unlocks scalar replacement")
-	summariesReport := flag.Bool("summaries-report", false, "print the per-method summary table (param escape lattice, fresh returns, predicates) to stderr after the run; implies -summaries")
+	summariesReport := flag.Bool("summaries-report", false, "print the per-method inter-procedural escape summary table (param escape lattice, fresh returns, predicates) to stderr after the run")
 	interpret := flag.Bool("interpret", false, "disable the JIT entirely")
 	runs := flag.Int("runs", 1, "number of times to run Main.main (later runs execute compiled code)")
 	stats := flag.Bool("stats", false, "print VM statistics to stderr")
@@ -138,12 +137,8 @@ func main() {
 		fatal(err)
 	}
 
-	if *summariesReport {
-		*summaries = true
-	}
 	opts := vm.Options{
 		Speculate:        *speculate,
-		Summaries:        *summaries,
 		Interpret:        *interpret,
 		Seed:             *seed,
 		CompileThreshold: *threshold,
@@ -323,9 +318,7 @@ func main() {
 		fmt.Fprint(os.Stderr, escTable.Table())
 	}
 	if *summariesReport {
-		if s := machine.Summaries(); s != nil {
-			fmt.Fprint(os.Stderr, s.Table())
-		}
+		fmt.Fprint(os.Stderr, machine.Summaries().Table())
 	}
 	if *flightDump != "" {
 		if *flightDump == "-" {

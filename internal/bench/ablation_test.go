@@ -20,27 +20,30 @@ import (
 // Ablation quantifies the design choices DESIGN.md calls out, on the
 // paper's running example and representative workloads:
 //
-//   - full:        Partial Escape Analysis as in the paper;
-//   - summaries:   PEA plus inter-procedural callee escape summaries
-//     (arguments proven unobserved by non-inlined callees stay virtual);
+//   - full:        Partial Escape Analysis as the VM compiles it: the
+//     paper's, plus inter-procedural callee escape summaries (arguments
+//     proven unobserved by non-inlined callees stay virtual);
+//   - no-summaries: with pea.Config.CalleeNoEscape nil, the paper's §5.2
+//     rule (every argument of a non-inlined call escapes);
 //   - no-liveness: without the Figure 6a rule (objects never leave the
 //     state at merges, so mixed merges always materialize);
 //   - no-arrays:   without array virtualization;
-//   - ea:          the flow-insensitive equi-escape-sets baseline;
+//   - ea:          the flow-insensitive equi-escape-sets baseline (with
+//     summaries, as the VM runs it);
 //   - none:        no escape analysis.
 type ablationVariant struct {
-	Name      string
-	Conf      pea.Config
-	UseEA     bool // run the ea baseline instead of pea
-	Disable   bool // run no analysis at all
-	Summaries bool // consult whole-program callee summaries at call sites
+	Name        string
+	Conf        pea.Config
+	UseEA       bool // run the ea baseline instead of pea
+	Disable     bool // run no analysis at all
+	NoSummaries bool // leave pea.Config.CalleeNoEscape nil
 }
 
 // ablationVariants returns the standard variant set.
 func ablationVariants() []ablationVariant {
 	return []ablationVariant{
 		{Name: "full"},
-		{Name: "summaries", Summaries: true},
+		{Name: "no-summaries", NoSummaries: true},
 		{Name: "no-liveness", Conf: pea.Config{DisableAliasLiveness: true}},
 		{Name: "no-arrays", Conf: pea.Config{DisableArrays: true}},
 		{Name: "ea", UseEA: true},
@@ -123,8 +126,8 @@ class Main {
 		},
 		{
 			// A callee far past the inliner's code budget that never
-			// observes its ref parameter: only the summaries variant can
-			// keep the caller's Point virtual across the out-of-line call.
+			// observes its ref parameter: only its summary keeps the
+			// caller's Point virtual across the out-of-line call.
 			name: "callheavy",
 			source: `
 class Point { int x; int y; Point(int x, int y) { this.x = x; this.y = y; } }
@@ -187,23 +190,18 @@ func runAblation() ([]ablationResult, error) {
 		}
 		dot := strings.LastIndex(ap.entry, ".")
 		m := prog.ClassByName(ap.entry[:dot]).MethodByName(ap.entry[dot+1:])
-		var sums *summary.Set // computed once per program, on demand
+		sums := summary.Compute(prog, summary.Options{})
 		for _, v := range ablationVariants() {
 			g, err := build.Build(m)
 			if err != nil {
 				return nil, err
 			}
 			conf := v.Conf
-			inl := &opt.Inliner{BuildGraph: build.Build, Program: prog}
-			if v.Summaries {
-				if sums == nil {
-					sums = summary.Compute(prog, summary.Options{})
-				}
+			if !v.NoSummaries {
 				conf.CalleeNoEscape = sums.ArgSafe
-				inl.Summaries = sums
 			}
 			pipe := &opt.Pipeline{Phases: []opt.Phase{
-				inl,
+				&opt.Inliner{BuildGraph: build.Build, Program: prog},
 				opt.Canonicalize{}, opt.SimplifyCFG{}, opt.GVN{}, opt.DCE{},
 			}}
 			if err := pipe.Run(g); err != nil {
@@ -306,23 +304,20 @@ func TestAblation(t *testing.T) {
 	}
 
 	// callheavy: the callee is past the inline budget and never observes
-	// its ref argument, so only the summaries variant keeps the caller's
-	// allocation virtual — intra-procedural PEA must materialize at the
-	// call, and the variants must agree on results elsewhere.
-	fullC := get("callheavy", "full")
-	sumC := get("callheavy", "summaries")
-	if sumC.Allocs != 0 {
-		t.Fatalf("callheavy summaries left %d allocations", sumC.Allocs)
+	// its ref argument, so its summary keeps the caller's allocation
+	// virtual — without summaries PEA must materialize at the call.
+	if r := get("callheavy", "full"); r.Allocs != 0 {
+		t.Fatalf("callheavy full PEA left %d allocations", r.Allocs)
 	}
-	if fullC.Allocs == 0 {
-		t.Fatal("callheavy full PEA should materialize at the out-of-line call")
+	if get("callheavy", "no-summaries").Allocs == 0 {
+		t.Fatal("callheavy PEA without summaries should materialize at the out-of-line call")
 	}
-	// On programs with no summary-shaped call sites the variant is a
-	// no-op, not a regression.
+	// On programs with no summary-shaped call sites summaries change
+	// nothing.
 	for _, prog := range []string{"cachekey", "smallbuffers", "tempchain"} {
-		s, f := get(prog, "summaries"), get(prog, "full")
+		s, f := get(prog, "no-summaries"), get(prog, "full")
 		if s.Allocs != f.Allocs {
-			t.Fatalf("%s: summaries changed allocations %d vs %d", prog, s.Allocs, f.Allocs)
+			t.Fatalf("%s: summaries changed allocations %d vs %d", prog, f.Allocs, s.Allocs)
 		}
 	}
 

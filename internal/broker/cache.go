@@ -25,7 +25,11 @@ import (
 //     it) but kept in the key so that cache entries, persisted records,
 //     and diagnostics remain self-describing, and so that a fingerprint
 //     collision between two different methods cannot alias silently.
-//   - Mode is the escape-analysis configuration ordinal (vm.EAMode).
+//   - Mode is the escape-analysis configuration ordinal (vm.EAMode). Code
+//     compiled under EA or PEA embeds inter-procedural summary facts
+//     (kept-virtual call arguments); the summaries are a function of the
+//     program's bytecode, which MethodFP already covers, so they need no
+//     component of their own.
 //   - Spec records whether speculative branch pruning was applied. A
 //     method invalidated by deoptimization recompiles under Spec=false,
 //     which is a different key — the non-speculative artifact is cached
@@ -47,13 +51,6 @@ import (
 //     ("oracle", "closure"; empty when the caller caches plain graphs).
 //     Artifacts lowered by one backend are never replayed into a VM
 //     running another.
-//   - Summaries records whether the pipeline consumed inter-procedural
-//     escape summaries (internal/summary). Summary-informed code embeds
-//     callee facts (kept-virtual call arguments, inlining order), so a
-//     summaries-on artifact must never replay into a summaries-off VM or
-//     vice versa; the two configurations cache side by side. MethodFP
-//     already covers the whole program's bytecode, so the summaries
-//     themselves need no separate fingerprint here.
 //
 // The key holds no pointers, so its encoding in a persisted record (see
 // Store) means the same in every process.
@@ -65,7 +62,6 @@ type Key struct {
 	Fingerprint uint64
 	EntryBCI    int
 	Backend     string
-	Summaries   bool
 }
 
 // NoOSR is the EntryBCI value of a regular (method-entry) compilation.

@@ -25,7 +25,7 @@ import (
 // record header. Bump it whenever the frame, the key encoding or the ir
 // JSON payload changes incompatibly; a record of any other version ends
 // the scan of its segment and is never decoded.
-const StoreVersion = 2
+const StoreVersion = 3
 
 // The segment file format. A segment is a sequence of records, each a fixed
 // little-endian header followed by the key and the payload:
@@ -47,9 +47,10 @@ const (
 	crcOffset  = 24
 
 	kindArtifact = 1
-	// kindRetired is the summary-set record an older build of this version
-	// wrote. Its frame is still accepted, so that a scan steps over it to
-	// the records behind it, but it is never indexed or read.
+	// kindRetired is the summary-set record some builds of StoreVersion 2
+	// wrote. No writer of this version emits it; its frame is still
+	// accepted, so that a scan steps over it to the records behind it, but
+	// it is never indexed or read.
 	kindRetired = 2
 
 	// segmentBytes is the size at which a handle stops appending to its
@@ -230,14 +231,11 @@ func appendKey(b []byte, k Key) []byte {
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(k.Mode)))
 	b = binary.LittleEndian.AppendUint64(b, k.Fingerprint)
 	b = binary.LittleEndian.AppendUint64(b, uint64(int64(k.EntryBCI)))
-	var flags byte
+	var spec byte
 	if k.Spec {
-		flags |= 1
+		spec = 1
 	}
-	if k.Summaries {
-		flags |= 2
-	}
-	b = append(b, flags)
+	b = append(b, spec)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(k.Name)))
 	b = append(b, k.Name...)
 	return append(b, k.Backend...)

@@ -104,8 +104,8 @@ func analyze(g *ir.Graph, calleeNoEscape func(*ir.Node) []bool) (map[*ir.Node]bo
 			// by every possible callee, in which case the argument's
 			// set is unaffected by the call (the pea transfer then
 			// keeps such objects virtual and passes null). The result
-			// is an unknown object regardless: ReturnsFresh is an
-			// inlining signal, never a license to skip this.
+			// is an unknown object regardless: a summary's ReturnsFresh
+			// is never a license to skip this.
 			var safe []bool
 			if calleeNoEscape != nil {
 				if s := calleeNoEscape(n); len(s) == len(n.Inputs) {

@@ -41,16 +41,10 @@ type Inliner struct {
 	// Sink, when non-nil, receives an inline event per inlined call site.
 	Sink *obs.Sink
 
-	// Summaries, when non-nil, turns site selection from first-eligible
-	// into a priority order informed by inter-procedural escape
-	// summaries: callees that locally observe their ref arguments
-	// (ArgEscape) or return fresh allocations are inlined first —
-	// splicing them in is what unlocks scalar replacement — while
-	// callees whose ref parameters provably never escape are
-	// deprioritized, because the summary already lets PEA keep those
-	// arguments virtual across the un-inlined call. The order only
-	// matters when budgets stop inlining early; with room for
-	// everything, the same sites inline either way.
+	// Summaries is read by nothing: sites inline in block order, and the
+	// summary set reaches the compile only through PEA's
+	// pea.Config.CalleeNoEscape. The field stays only because the
+	// benchmark pipeline (benchmarks/pipeline.go) still sets it.
 	Summaries *summary.Set
 
 	// built keeps every callee graph BuildGraph returned. An Inliner
@@ -116,15 +110,11 @@ func (in *Inliner) Run(g *ir.Graph) (bool, error) {
 	return changed, nil
 }
 
-// pickSite returns the next inlinable invoke, or nil. Without summaries it
-// is the first eligible site in block order; with summaries, the highest
-// scoring one (ties keep block order, so selection stays deterministic).
+// pickSite returns the first inlinable invoke in block order, or nil.
 func (in *Inliner) pickSite(g *ir.Graph) *ir.Node {
 	if g.NumNodes() > in.maxGraphNodes() {
 		return nil
 	}
-	var best *ir.Node
-	bestScore := 0
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
 			if n.Op != ir.OpInvoke {
@@ -136,67 +126,13 @@ func (in *Inliner) pickSite(g *ir.Graph) *ir.Node {
 			if b.Term != nil && b.Term.Op == ir.OpOnException && b.Term.Inputs[0] == n {
 				continue
 			}
-			callee := in.resolveTarget(n)
-			if callee == nil {
+			if in.resolveTarget(n) == nil || n.FrameState.Depth() > in.maxDepth() {
 				continue
 			}
-			if n.FrameState.Depth() > in.maxDepth() {
-				continue
-			}
-			if in.Summaries == nil {
-				return n
-			}
-			if sc := in.score(callee); best == nil || sc > bestScore {
-				best, bestScore = n, sc
-			}
+			return n
 		}
 	}
-	return best
-}
-
-// score ranks an inlinable callee by how much scalar replacement the
-// splice is likely to unlock, minus a size penalty. Fresh-returning
-// callees expose their allocation to the caller's PEA; callees observing
-// ref arguments locally (ArgEscape) let PEA virtualize objects that the
-// un-inlined call would force to exist. NoEscape parameters add nothing:
-// the summary already keeps them virtual without inlining. Globally
-// escaping parameters add almost nothing: the object escapes either way.
-func (in *Inliner) score(callee *bc.Method) int {
-	sc := -len(callee.Code)
-	sum := in.Summaries.Of(callee)
-	if sum == nil {
-		return sc
-	}
-	if sum.ReturnsFresh {
-		sc += 200
-	}
-	for i, l := range sum.ParamEscape {
-		if calleeArgKind(callee, i) != bc.KindRef {
-			continue
-		}
-		switch l {
-		case summary.ArgEscape:
-			sc += 100
-		case summary.GlobalEscape:
-			sc += 10
-		}
-	}
-	return sc
-}
-
-// calleeArgKind returns the kind of argument position i (receiver = 0 of
-// instance methods).
-func calleeArgKind(m *bc.Method, i int) bc.Kind {
-	if !m.Static {
-		if i == 0 {
-			return bc.KindRef
-		}
-		i--
-	}
-	if i < 0 || i >= len(m.Params) {
-		return bc.KindVoid
-	}
-	return m.Params[i]
+	return nil
 }
 
 // resolveTarget returns the unique callee implementation for the invoke,

@@ -6,18 +6,14 @@ import (
 	"pea/internal/bc"
 	"pea/internal/build"
 	"pea/internal/ir"
-	"pea/internal/summary"
 )
 
-// summaryOrderProg builds a caller with two eligible call sites:
+// twoSiteProg builds a caller with two eligible call sites:
 //
-//	noesc(b) { return 7 }        // never observes b  -> NoEscape
-//	reads(b) { return b.v }      // loads from b      -> ArgEscape
+//	noesc(b) { return 7 }        // never observes b
+//	reads(b) { return b.v }      // loads from b
 //	f(b)     { return noesc(b) + reads(b) }
-//
-// Inlining reads is what can unlock scalar replacement in f; noesc is
-// already harmless across the call boundary once summaries are consulted.
-func summaryOrderProg(t *testing.T) (*bc.Program, *bc.Method) {
+func twoSiteProg(t *testing.T) (*bc.Program, *bc.Method) {
 	t.Helper()
 	a := bc.NewAssembler()
 	box := a.Class("Box", "")
@@ -50,34 +46,24 @@ func calleeOf(n *ir.Node) string {
 	return n.Method.QualifiedName()
 }
 
-func TestPickSitePrefersArgEscapeCallee(t *testing.T) {
-	p, f := summaryOrderProg(t)
+// TestPickSiteTakesBlockOrder: the inliner takes the first eligible site in
+// block order, whatever the callees' escape summaries say, and with room for
+// both inlines both.
+func TestPickSiteTakesBlockOrder(t *testing.T) {
+	p, f := twoSiteProg(t)
 	g, err := build.Build(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Legacy behavior without summaries: first eligible site in block
-	// order, which is the noesc call.
-	legacy := &Inliner{BuildGraph: build.Build, Program: p}
-	if got := calleeOf(legacy.pickSite(g)); got != "C.noesc" {
-		t.Fatalf("nil-summaries pickSite = %s, want C.noesc (first in block order)", got)
+	in := &Inliner{BuildGraph: build.Build, Program: p}
+	if got := calleeOf(in.pickSite(g)); got != "C.noesc" {
+		t.Fatalf("pickSite = %s, want C.noesc (first in block order)", got)
 	}
-
-	// With summaries the ArgEscape callee outranks the NoEscape one even
-	// though it appears later: inlining it is what exposes b.v to PEA.
-	sums := summary.Compute(p, summary.Options{})
-	in := &Inliner{BuildGraph: build.Build, Program: p, Summaries: sums}
-	if got := calleeOf(in.pickSite(g)); got != "C.reads" {
-		t.Fatalf("summary pickSite = %s, want C.reads (ArgEscape param)", got)
-	}
-
-	// The order change must not change what ultimately gets inlined.
 	if _, err := in.Run(g); err != nil {
 		t.Fatal(err)
 	}
 	if err := ir.Verify(g); err != nil {
-		t.Fatalf("invalid graph after summary-ordered inlining: %v\n%s", err, ir.Dump(g))
+		t.Fatalf("invalid graph after inlining: %v\n%s", err, ir.Dump(g))
 	}
 	left := 0
 	g.ForEachNode(func(_ *ir.Block, n *ir.Node) {
@@ -87,32 +73,5 @@ func TestPickSitePrefersArgEscapeCallee(t *testing.T) {
 	})
 	if left != 0 {
 		t.Fatalf("%d invokes left, want 0 (budget fits both)\n%s", left, ir.Dump(g))
-	}
-}
-
-func TestInlinerScoreRanksFreshAboveGlobalEscape(t *testing.T) {
-	a := bc.NewAssembler()
-	box := a.Class("Box", "")
-	box.Field("v", bc.KindInt)
-	sinkF := box.Static("S", bc.KindRef)
-	c := a.Class("C", "")
-
-	mk := c.Method("mk", nil, bc.KindRef, true)
-	mk.New(box.Ref()).ReturnValue()
-
-	snk := c.Method("sink", []bc.Kind{bc.KindRef}, bc.KindVoid, true)
-	snk.Load(0).PutStatic(sinkF).Return()
-
-	p, err := a.Finish("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sums := summary.Compute(p, summary.Options{})
-	in := &Inliner{BuildGraph: build.Build, Program: p, Summaries: sums}
-	mkScore := in.score(mk.Ref())
-	snkScore := in.score(snk.Ref())
-	if mkScore <= snkScore {
-		t.Fatalf("score(mk)=%d <= score(sink)=%d; fresh-returning callee should rank higher",
-			mkScore, snkScore)
 	}
 }

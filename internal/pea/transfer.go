@@ -260,7 +260,7 @@ func (a *analyzer) transferNode(b *ir.Block, n *ir.Node, st *peaState) {
 		a.defaultTransfer(b, n, st)
 
 	case ir.OpInvoke:
-		safe := a.calleeSafe(n)
+		safe := a.calleeSafe(n, st)
 		if safe == nil {
 			a.defaultTransfer(b, n, st)
 			return
@@ -333,10 +333,13 @@ type keptRec struct {
 
 // calleeSafe returns the per-argument no-escape licenses for a call from
 // Config.CalleeNoEscape, or nil when no summary information applies (no
-// provider, unknown callee, arity mismatch, or nothing safe — the
-// conservative default transfer is equivalent then).
-func (a *analyzer) calleeSafe(n *ir.Node) []bool {
-	if a.conf.CalleeNoEscape == nil {
+// provider, no argument that is a virtual object in st, unknown callee,
+// arity mismatch, or nothing safe — the conservative default transfer is
+// equivalent then). The provider is asked only when some argument is
+// virtual, so a compile that never passes a virtual object to a call never
+// makes the VM compute the program's summaries.
+func (a *analyzer) calleeSafe(n *ir.Node, st *peaState) []bool {
+	if a.conf.CalleeNoEscape == nil || !a.passesVirtual(n, st) {
 		return nil
 	}
 	safe := a.conf.CalleeNoEscape(n)
@@ -349,6 +352,17 @@ func (a *analyzer) calleeSafe(n *ir.Node) []bool {
 		}
 	}
 	return nil
+}
+
+// passesVirtual reports whether some argument of call n is a virtual object
+// in st.
+func (a *analyzer) passesVirtual(n *ir.Node, st *peaState) bool {
+	for _, in := range n.Inputs {
+		if id, ok := a.aliasIn(st, in); ok && st.objs[id].virtual {
+			return true
+		}
+	}
+	return false
 }
 
 // defaultTransfer handles every operation with no special rule: "any

@@ -74,11 +74,6 @@ type Options struct {
 	// takes it over the bound expels whole segments, oldest first
 	// (0 = unbounded).
 	StoreMaxBytes int64
-	// Summaries enables inter-procedural escape summaries for tenant
-	// compiles (vm.Options.Summaries). The whole-program analysis is
-	// amortized through the shared broker's memory tier, so tenants
-	// posting identical programs share one set; it is never stored.
-	Summaries bool
 	// MaxSourceBytes bounds a request body (default 1 MiB).
 	MaxSourceBytes int64
 	// MaxRuns bounds the per-request run count (default 64).
@@ -357,7 +352,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		CompileDeadline:  s.opts.CompileDeadline,
 		MaxIRNodes:       s.opts.MaxIRNodes,
 		CheckLevel:       s.opts.CheckLevel,
-		Summaries:        s.opts.Summaries,
 		JIT:              s.jit,
 		Sink:             l.sink,
 	})

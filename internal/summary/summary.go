@@ -114,8 +114,9 @@ type Summary struct {
 	// never substitutable).
 	ParamEscape []Lattice
 	// ReturnsFresh: every return value is an allocation made inside the
-	// method (directly or via callees that return fresh). An
-	// inlining-priority signal, never a license to skip escapes.
+	// method (directly or via callees that return fresh). Reported in
+	// Table only: no compile reads it, and it is never a license to skip
+	// escapes.
 	ReturnsFresh bool
 	// Preds are the predicate refinements (see Pred).
 	Preds []Pred
@@ -743,7 +744,7 @@ func (s *Set) ArgSafe(call *ir.Node) []bool {
 	return safe
 }
 
-// Table renders the set as a fixed-width report (peavm -summaries).
+// Table renders the set as a fixed-width report (peavm -summaries-report).
 func (s *Set) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-32s %-20s %5s  %s\n", "METHOD", "PARAMS", "FRESH", "PREDS")

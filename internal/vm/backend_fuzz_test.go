@@ -127,7 +127,6 @@ func TestFuzzBackendDifferential(t *testing.T) {
 		{name: "sync-osr", strict: true, opts: Options{EA: EAPartial, Speculate: true, OSRThreshold: 8}},
 		{name: "async", opts: Options{EA: EAPartial, Speculate: true}, workers: 2},
 		{name: "async-osr", opts: Options{EA: EAPartial, Speculate: true, OSRThreshold: 8}, workers: 2},
-		{name: "sync-sum", strict: true, opts: Options{EA: EAPartial, Speculate: true, Summaries: true}},
 		{name: "sync-osr-warm", strict: true, opts: Options{EA: EAPartial, OSRThreshold: 8}, warm: true},
 	}
 	for seed := 0; seed < seeds; seed++ {

@@ -171,8 +171,8 @@ func TestAnalyzeOneRunTwoDumps(t *testing.T) {
 // everyRingKindSrc exercises each kind the ring keeps: step speculates
 // (phase is 0 while it warms up) and deoptimizes with its Box virtual,
 // publish materializes at a static store, keep passes a Box to mix — past the
-// inliner's budget and blind to its argument — so with summaries the Box
-// stays virtual across the call, crash's compile panics (a fault hook), big's
+// inliner's budget and blind to its argument — so its summary keeps the Box
+// virtual across the call, crash's compile panics (a fault hook), big's
 // exceeds the IR budget, and spin's loop is compiled for on-stack
 // replacement.
 var everyRingKindSrc = `
@@ -232,7 +232,7 @@ func TestRingIsSubStreamOfTrace(t *testing.T) {
 	}
 	var tr bytes.Buffer
 	opts := withJIT(t, Options{
-		EA: EAPartial, Speculate: true, Summaries: true, CheckLevel: check.Basic,
+		EA: EAPartial, Speculate: true, CheckLevel: check.Basic,
 		CompileThreshold: 5, OSRThreshold: 50, MaxIRNodes: 400,
 		Sink: obs.NewSink(obs.NewJSONBackend(&tr)),
 	}, broker.Options{Workers: 1, InjectFault: panicAt("opt", "Main.crash")})

@@ -114,8 +114,6 @@ func TestFuzzedProgramsAgreeAcrossModes(t *testing.T) {
 		{name: "jit-pea-spec", opts: Options{EA: EAPartial, Speculate: true, CheckLevel: check.Basic}},
 		{name: "jit-pea-osr", opts: Options{EA: EAPartial, OSRThreshold: 8, CheckLevel: check.Basic}},
 		{name: "jit-pea-osr-spec", opts: Options{EA: EAPartial, OSRThreshold: 8, Speculate: true, CheckLevel: check.Basic}},
-		{name: "jit-pea-sum", opts: Options{EA: EAPartial, Summaries: true, CheckLevel: check.Basic}},
-		{name: "jit-pea-sum-spec", opts: Options{EA: EAPartial, Summaries: true, Speculate: true, CheckLevel: check.Basic}},
 		{name: "jit-pea-warm", opts: Options{EA: EAPartial, CheckLevel: check.Basic}, warm: true},
 		{name: "jit-pea-osr-warm", opts: Options{EA: EAPartial, OSRThreshold: 8, CheckLevel: check.Basic}, warm: true},
 		{name: "jit-pea-osr-spec-warm", opts: Options{EA: EAPartial, OSRThreshold: 8, Speculate: true, CheckLevel: check.Basic}, warm: true},

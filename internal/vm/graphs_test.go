@@ -15,6 +15,7 @@ import (
 	"pea/internal/ir"
 	"pea/internal/obs"
 	"pea/internal/rt"
+	"pea/internal/summary"
 	"pea/internal/testprog"
 )
 
@@ -62,15 +63,15 @@ func goldenCorpus(t *testing.T) []goldenProgram {
 
 // graphHashes compiles every method of every corpus program and returns one
 // "<sha256 of ir.Dump>  <program> <method> <variant>" line per graph. The
-// variants are the three escape-analysis modes without speculation, Partial
-// Escape Analysis with inter-procedural summaries, and — under plain PEA,
-// where the interpreted warm-up left a profile — the speculative compile and
-// the OSR compile of the method's first loop header that took a back edge.
+// variants are the three escape-analysis modes without speculation and —
+// under PEA, where the interpreted warm-up left a profile — the speculative
+// compile and the OSR compile of the method's first loop header that took a
+// back edge.
 func graphHashes(t *testing.T) []string {
 	t.Helper()
 	var lines []string
 	for _, gp := range goldenCorpus(t) {
-		for _, opts := range []Options{{EA: EAPartial}, {EA: EAPartial, Summaries: true}, {EA: EAFlowInsensitive}, {EA: EAOff}} {
+		for _, opts := range []Options{{EA: EAPartial}, {EA: EAFlowInsensitive}, {EA: EAOff}} {
 			opts.Interpret = true
 			machine := New(gp.prog, opts)
 			record := func(m *bc.Method, variant string, spec bool, entryBCI int) {
@@ -80,20 +81,16 @@ func graphHashes(t *testing.T) []string {
 				}
 				lines = append(lines, fmt.Sprintf("%s  %s %s %s", sum, gp.name, m.QualifiedName(), variant))
 			}
-			plainPEA := opts.EA == EAPartial && !opts.Summaries
-			if plainPEA {
+			partial := opts.EA == EAPartial
+			if partial {
 				gp.warm(machine)
 			}
 			for _, m := range gp.prog.Methods {
 				if len(m.Code) == 0 {
 					continue
 				}
-				if opts.Summaries {
-					record(m, "pea+summaries", false, broker.NoOSR)
-					continue
-				}
 				record(m, opts.EA.String(), false, broker.NoOSR)
-				if !plainPEA || machine.Interp.Profile.Invocations(m) == 0 {
+				if !partial || machine.Interp.Profile.Invocations(m) == 0 {
 					continue
 				}
 				record(m, "pea+spec", true, broker.NoOSR)
@@ -149,12 +146,18 @@ func TestGraphIdentityGolden(t *testing.T) {
 // TestCompileBuildsOneDomTreePerAnalysis pins what a compile pays for
 // control-flow analysis with the sanitizer off: one dominator tree per GVN
 // run and one for PEA's block order — none for DCE, the canonicalizer, the
-// inliner or a checker that is off.
+// inliner or a checker that is off. A compile that asks for the program's
+// escape summaries also pays for the trees the whole-program summary
+// analysis builds, once; those are counted apart, by running the analysis
+// alone.
 func TestCompileBuildsOneDomTreePerAnalysis(t *testing.T) {
 	if check.Effective(check.Off) != check.Off {
 		t.Skip("PEA_CHECK floors the sanitizer; strict checking builds dominator trees of its own")
 	}
 	for _, p := range testprog.Corpus() {
+		before := ir.DomTreesBuilt()
+		summary.Compute(p.Prog, summary.Options{})
+		summaryTrees := ir.DomTreesBuilt() - before
 		for _, mode := range []EAMode{EAPartial, EAOff} {
 			metrics := obs.NewMetrics()
 			sink := obs.NewSink()
@@ -168,9 +171,12 @@ func TestCompileBuildsOneDomTreePerAnalysis(t *testing.T) {
 			if mode == EAPartial {
 				want++
 			}
+			if metrics.Counter(obs.KindSummary) > 0 {
+				want += summaryTrees
+			}
 			if got := ir.DomTreesBuilt() - before; got != want {
-				t.Errorf("%s under %v: %d dominator trees built, want %d (%d GVN runs)",
-					p.Name, mode, got, want, metrics.Phase("gvn").Count)
+				t.Errorf("%s under %v: %d dominator trees built, want %d (%d GVN runs, summaries asked for %d times)",
+					p.Name, mode, got, want, metrics.Phase("gvn").Count, metrics.Counter(obs.KindSummary))
 			}
 			machine.Close()
 		}

@@ -278,8 +278,10 @@ func TestEscapeTableListing1(t *testing.T) {
 
 // TestMetricsFoldTheStream checks that the metrics registry is a fold of the
 // event stream and nothing else. Each example runs traced — JSONL, escape
-// table and registry on one sink — with background compilation, OSR and (for
-// specdeopt) speculation, and then every kind's counter must equal the
+// table and registry on one sink — with OSR, cachekey compiling
+// synchronously (so its hot loop enters OSR code on every run, whatever the
+// host's timing) and specdeopt on background workers with speculation, and
+// then every kind's counter must equal the
 // number of JSONL lines of that kind, each phase timer's run count the
 // number of that phase's phase_end lines, and each escape-table total the
 // registry's count of the kinds it sums.
@@ -288,7 +290,8 @@ func TestMetricsFoldTheStream(t *testing.T) {
 	for _, ex := range []struct {
 		file      string
 		speculate bool
-	}{{"cachekey.mj", false}, {"specdeopt.mj", true}} {
+		workers   int
+	}{{"cachekey.mj", false, 0}, {"specdeopt.mj", true, 2}} {
 		t.Run(ex.file, func(t *testing.T) {
 			prog := loadExample(t, filepath.Join("..", "..", "examples", ex.file))
 			var buf bytes.Buffer
@@ -298,7 +301,7 @@ func TestMetricsFoldTheStream(t *testing.T) {
 			machine := New(prog, withJIT(t, Options{
 				EA: EAPartial, Speculate: ex.speculate, CompileThreshold: 5, OSRThreshold: 20,
 				CheckLevel: check.Basic, MaxSteps: 50_000_000, Sink: sink,
-			}, broker.Options{Workers: 2}))
+			}, broker.Options{Workers: ex.workers}))
 			for i := 0; i < 30; i++ {
 				if _, err := machine.Run(); err != nil {
 					t.Fatal(err)

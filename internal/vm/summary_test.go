@@ -4,67 +4,130 @@ import (
 	"strings"
 	"testing"
 
+	"pea/internal/bc"
 	"pea/internal/broker"
 	"pea/internal/check"
 	"pea/internal/obs"
 	"pea/internal/rt"
+	"pea/internal/summary"
 )
 
-// TestSummariesKeepCallArgsVirtual is the PR's acceptance check: on
-// call-heavy programs whose callees are too big to inline and never
-// observe their ref argument, the summaries-on VM must keep the caller's
-// allocation virtual (fewer runtime allocations) while producing the same
-// result as the summaries-off VM.
+// TestSummariesKeepCallArgsVirtual: on call-heavy programs whose callees
+// are too big to inline and never observe their ref argument, a PEA VM
+// keeps the caller's allocation virtual across the call — the only place
+// it escapes — so it allocates less than the interpreter and returns the
+// same result. (The summaries-off side of the same comparison, PEA with
+// pea.Config.CalleeNoEscape nil, is TestAblation's no-summaries variant
+// and the internal/pea summary tests.)
 func TestSummariesKeepCallArgsVirtual(t *testing.T) {
 	for _, name := range []string{"callBulkNoEscape", "callChainForwarding", "callGuardedPred"} {
 		t.Run(name, func(t *testing.T) {
 			p := corpusProg(t, name)
 			args := p.ArgSets[len(p.ArgSets)-1]
-			vOff, off, err := runVM(t, p, Options{EA: EAPartial}, args, 60)
+			vRef, ref, err := runVM(t, p, Options{Interpret: true}, args, 60)
 			if err != nil {
 				t.Fatal(err)
 			}
-			vOn, on, err := runVM(t, p, Options{EA: EAPartial, Summaries: true}, args, 60)
+			metrics := obs.NewMetrics()
+			sink := obs.NewSink()
+			sink.SetMetrics(metrics)
+			v, machine, err := runVM(t, p, Options{EA: EAPartial, Sink: sink}, args, 60)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !vOn.Equal(vOff) {
-				t.Fatalf("result divergence: summaries-on %v, summaries-off %v", vOn, vOff)
+			if !v.Equal(vRef) {
+				t.Fatalf("result divergence: PEA %v, interpreter %v", v, vRef)
 			}
-			offAllocs := off.Env.Stats.Allocations
-			onAllocs := on.Env.Stats.Allocations
-			if onAllocs >= offAllocs {
-				t.Fatalf("summaries kept nothing virtual: %d allocations with summaries, %d without",
-					onAllocs, offAllocs)
+			if kept := metrics.Counter(obs.KindSummaryKeptVirtual); kept == 0 {
+				t.Fatal("no call argument was kept virtual")
 			}
-			s := on.Summaries()
-			if s == nil {
-				t.Fatal("summaries-on VM resolved no summary set")
+			if got, want := machine.Env.Stats.Allocations, ref.Env.Stats.Allocations; got >= want {
+				t.Fatalf("%d allocations under PEA, %d interpreted: the kept argument was allocated anyway", got, want)
 			}
-			if !strings.Contains(s.Table(), "P.") {
+			if s := machine.Summaries(); !strings.Contains(s.Table(), "P.") {
 				t.Fatalf("summary table missing program methods:\n%s", s.Table())
 			}
 		})
 	}
 }
 
-// TestSummariesOffVMHasNoSummarySet: the ablation control must not pay for
-// or depend on the analysis.
-func TestSummariesOffVMHasNoSummarySet(t *testing.T) {
-	p := corpusProg(t, "callBulkNoEscape")
-	_, machine, err := runVM(t, p, Options{EA: EAPartial}, p.ArgSets[0], 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if machine.Summaries() != nil {
-		t.Fatal("summaries-off VM has a summary set")
-	}
+// summaryComputes returns a sink counting into *n the summary events of
+// sets the analysis computed (not those the broker's memory tier served).
+func summaryComputes(n *int) *obs.Sink {
+	return obs.NewSink(obs.FuncBackend(func(e *obs.Event) {
+		if e.Kind == obs.KindSummary && e.Reason == "computed" {
+			*n++
+		}
+	}))
+}
+
+// TestSummariesComputedOnDemand: PEA asks for the program's escape summaries
+// only at a call that receives a virtual object. Listing 1 inlines every call
+// it compiles and recursion's compiled calls pass only ints, so neither
+// computes the set or leaves one in the broker's summary tier; callheavy
+// needs it, and two VMs on one broker compute it once.
+func TestSummariesComputedOnDemand(t *testing.T) {
+	t.Run("no-virtual-argument", func(t *testing.T) {
+		rec := corpusProg(t, "recursion")
+		for _, c := range []struct {
+			prog *bc.Program
+			run  func(t *testing.T, machine *VM)
+		}{
+			{loadExample(t, "../../examples/cachekey.mj"), func(t *testing.T, machine *VM) {
+				if _, err := machine.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{rec.Prog, func(t *testing.T, machine *VM) { callInt(t, machine, rec.Entry, 10) }},
+		} {
+			b := sharedBroker(t)
+			var computes int
+			machine := New(c.prog, Options{EA: EAPartial, CompileThreshold: 5, JIT: b, Sink: summaryComputes(&computes)})
+			for i := 0; i < 30; i++ {
+				c.run(t, machine)
+			}
+			compiled := machine.Stats().CompiledMethods
+			machine.Close()
+			if compiled == 0 {
+				t.Fatal("nothing compiled")
+			}
+			if computes != 0 {
+				t.Fatalf("%d summary sets computed, want none", computes)
+			}
+			tierHeld := true
+			b.Summaries(c.prog, nil, func() *summary.Set { tierHeld = false; return nil })
+			if tierHeld {
+				t.Fatal("the broker's summary tier holds a set for a program that never needed one")
+			}
+		}
+	})
+	t.Run("callheavy", func(t *testing.T) {
+		prog := loadExample(t, "../../benchmarks/programs/callheavy.mj")
+		b := sharedBroker(t)
+		var computes int
+		var allocs [2]int64
+		for i := range allocs {
+			machine := New(prog, Options{EA: EAPartial, CompileThreshold: 2, JIT: b, Sink: summaryComputes(&computes)})
+			for r := 0; r < 4; r++ {
+				if _, err := machine.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs[i] = machine.Env.Stats.Allocations
+			machine.Close()
+		}
+		if computes != 1 {
+			t.Fatalf("%d summary sets computed over two VMs on one broker, want 1", computes)
+		}
+		if allocs[1] > allocs[0] {
+			t.Fatalf("the second VM allocated %d, more than the first's %d", allocs[1], allocs[0])
+		}
+	})
 }
 
 // TestSummaryStoreWarmRestart: a second VM process (fresh broker, fresh
-// Store handle) over the same store directory replays the summaries-informed
-// artifacts — the cache key carries the Summaries bit — and behaves
-// identically without running the analysis: the store holds no summary set,
+// Store handle) over the same store directory replays the summary-informed
+// artifacts and behaves identically without running the analysis: the store holds no summary set,
 // and a run that compiles nothing never asks for one. Asked for it, the warm
 // VM computes the set the cold one did.
 func TestSummaryStoreWarmRestart(t *testing.T) {
@@ -78,7 +141,7 @@ func TestSummaryStoreWarmRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { store.Close() })
-		v, machine, err := runVM(t, p, withJIT(t, Options{EA: EAPartial, Summaries: true, CheckLevel: check.Basic, Sink: sink},
+		v, machine, err := runVM(t, p, withJIT(t, Options{EA: EAPartial, CheckLevel: check.Basic, Sink: sink},
 			broker.Options{Store: store}), args, 60)
 		if err != nil {
 			t.Fatal(err)

@@ -100,16 +100,11 @@ type Options struct {
 	// Speculate enables profile-guided branch pruning with
 	// deoptimization.
 	Speculate bool
-	// Summaries enables inter-procedural escape summaries (internal/
-	// summary): a whole-program bottom-up analysis computed once per
-	// program and process — shared through the broker's memory tier, and
-	// never run by a warm restart that replays every artifact from the
-	// store — and consulted by the pipeline so that (a) EA/PEA keep
-	// objects virtual across non-inlined calls whose callee provably
-	// never observes the argument, and (b) the inliner
-	// prioritizes call sites whose inlining can unlock scalar
-	// replacement. Off by default: summaries change compiled code, so the
-	// flag is part of the code-cache key.
+	// Summaries is not an input: New sets it to EA != EAOff, the modes
+	// whose escape analysis consults the program's inter-procedural
+	// escape summaries (internal/summary) at non-inlined calls. The field
+	// stays only because the benchmark pipeline (benchmarks/pipeline.go)
+	// replays the compiler by hand and reads it.
 	Summaries bool
 	// OSRThreshold is the back-edge count at which a hot loop triggers an
 	// on-stack-replacement compilation of its enclosing method, entered at
@@ -261,9 +256,9 @@ type VM struct {
 	hooks broker.Hooks
 
 	// sums is the program's inter-procedural summary set, resolved
-	// lazily through the broker's memory tier on the first compile that
-	// wants it (sumOnce); nil until then and forever when
-	// Options.Summaries is off.
+	// through the broker's memory tier on the first request (sumOnce):
+	// PEA asks only at a call that receives a virtual object (EA at every
+	// call), so a PEA VM whose code never passes one leaves it nil.
 	sums    *summary.Set
 	sumOnce sync.Once
 
@@ -380,6 +375,7 @@ func New(prog *bc.Program, opts Options) *VM {
 	if opts.Sink == nil {
 		opts.Sink = obs.NewRing()
 	}
+	opts.Summaries = opts.EA != EAOff
 	if !opts.Sink.HasMethodNames() {
 		opts.Sink.SetMethodNames(MethodNames(prog))
 	}
@@ -581,13 +577,12 @@ func (vm *VM) speculates(m *bc.Method) bool {
 // before m has ever run.
 func (vm *VM) cacheKey(m *bc.Method, entryBCI int) broker.Key {
 	k := broker.Key{
-		MethodFP:  vm.Prog.MethodFingerprint(m),
-		Name:      m.QualifiedName(),
-		Mode:      int(vm.Opts.EA),
-		Spec:      vm.speculates(m),
-		EntryBCI:  entryBCI,
-		Backend:   vm.backend.Name(),
-		Summaries: vm.Opts.Summaries,
+		MethodFP: vm.Prog.MethodFingerprint(m),
+		Name:     m.QualifiedName(),
+		Mode:     int(vm.Opts.EA),
+		Spec:     vm.speculates(m),
+		EntryBCI: entryBCI,
+		Backend:  vm.backend.Name(),
 	}
 	if k.Spec {
 		k.Fingerprint = vm.Interp.Profile.Fingerprint(vm.Opts.minPruneTotal())
@@ -608,13 +603,9 @@ func (vm *VM) warmInstall(u *unit) bool {
 	return ok && vm.installFrom(u.m, k, a, true, obs.TriggerCacheFirst)
 }
 
-// summarySet resolves the program's inter-procedural summary set, computing
-// it on first use unless the broker's memory tier already holds it. Returns
-// nil when Options.Summaries is off.
-func (vm *VM) summarySet() *summary.Set {
-	if !vm.Opts.Summaries {
-		return nil
-	}
+// Summaries returns the program's inter-procedural summary set, computing it
+// on the first call unless the broker's memory tier already holds it.
+func (vm *VM) Summaries() *summary.Set {
 	vm.sumOnce.Do(func() {
 		vm.sums = vm.jit.Summaries(vm.Prog, vm.Opts.Sink, func() *summary.Set {
 			return summary.Compute(vm.Prog, summary.Options{Sink: vm.Opts.Sink})
@@ -623,10 +614,9 @@ func (vm *VM) summarySet() *summary.Set {
 	return vm.sums
 }
 
-// Summaries exposes the VM's inter-procedural summary set (computing it on
-// first call), or nil when Options.Summaries is off. Used by tools that
-// render the summary table.
-func (vm *VM) Summaries() *summary.Set { return vm.summarySet() }
+// calleeNoEscape is the VM's pea.Config.CalleeNoEscape: the summary set's
+// verdict for call, with the set resolved on the first call that asks.
+func (vm *VM) calleeNoEscape(call *ir.Node) []bool { return vm.Summaries().ArgSafe(call) }
 
 // compileForKey is the broker's compile callback: the full pipeline
 // followed by backend lowering, so the broker caches the lowered artifact
@@ -842,13 +832,8 @@ func (vm *VM) compileEntry(m *bc.Method, spec bool, entryBCI int) (*ir.Graph, er
 			return nil, err
 		}
 	}
-	sums := vm.summarySet() // nil unless Options.Summaries
-	var calleeSafe func(*ir.Node) []bool
-	if sums != nil {
-		calleeSafe = sums.ArgSafe
-	}
 	phases := []opt.Phase{
-		&opt.Inliner{BuildGraph: build.Build, Program: vm.Prog, Sink: sink, Summaries: sums},
+		&opt.Inliner{BuildGraph: build.Build, Program: vm.Prog, Sink: sink},
 		opt.Canonicalize{},
 		opt.SimplifyCFG{},
 		opt.GVN{},
@@ -894,7 +879,7 @@ func (vm *VM) compileEntry(m *bc.Method, spec bool, entryBCI int) (*ir.Graph, er
 				g.NumNodes(), len(g.Blocks))
 		}
 		var eaErr error
-		conf := pea.Config{Sink: sink, Check: lvl, Budget: bud, CalleeNoEscape: calleeSafe}
+		conf := pea.Config{Sink: sink, Check: lvl, Budget: bud, CalleeNoEscape: vm.calleeNoEscape}
 		switch vm.Opts.EA {
 		case EAFlowInsensitive:
 			_, eaErr = ea.Run(g, conf)

@@ -55,8 +55,6 @@ func TestAllModesAgree(t *testing.T) {
 		{name: "jit-ea", opts: Options{EA: EAFlowInsensitive}},
 		{name: "jit-pea", opts: Options{EA: EAPartial}},
 		{name: "jit-pea-spec", opts: Options{EA: EAPartial, Speculate: true}},
-		{name: "jit-pea-sum", opts: Options{EA: EAPartial, Summaries: true}},
-		{name: "jit-pea-sum-spec", opts: Options{EA: EAPartial, Summaries: true, Speculate: true}},
 		{name: "jit-pea-warm", opts: Options{EA: EAPartial}, warm: true},
 		{name: "closure", opts: Options{EA: EAOff, Backend: BackendClosure}},
 		{name: "closure-pea-spec", opts: Options{EA: EAPartial, Speculate: true, Backend: BackendClosure}},
