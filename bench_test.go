@@ -1,98 +1,21 @@
-// Package pea's root benchmark harness: one testing.B benchmark per
-// artifact of the paper's evaluation. BenchmarkTable1* regenerate the rows
-// of Table 1 (wall-clock per benchmark iteration under each configuration,
-// with allocation metrics attached via ReportMetric), and
-// BenchmarkComparison reproduces §6.2. Run with
+// Package pea's root microbenchmarks: the paper's running example (Listings
+// 1-6) under each JIT configuration, the compile-time cost of the analysis,
+// and the interpreter-to-compiled gap the warm-up relies on. Table 1, §6.1
+// and §6.2 are not here: peaperf (benchmarks/) measures their wall clock and
+// internal/bench's tests pin their exact counters. Run with
 //
-//	go test -bench=. -benchmem
+//	go test -bench=. -benchmem -run xxx .
 package pea
 
 import (
-	"fmt"
 	"testing"
 
-	"pea/internal/bench"
 	"pea/internal/build"
 	"pea/internal/mj"
 	"pea/internal/opt"
 	"pea/internal/pea"
 	"pea/internal/vm"
 )
-
-// setupWorkload compiles a workload and warms the VM to steady state.
-func setupWorkload(b *testing.B, w bench.WorkloadSpec, mode vm.EAMode) (*vm.VM, func()) {
-	b.Helper()
-	prog, err := mj.Compile(w.Source(), "Main.main")
-	if err != nil {
-		b.Fatal(err)
-	}
-	machine := vm.New(prog, vm.Options{EA: mode, CompileThreshold: 10, Seed: 7})
-	setup := prog.ClassByName("Store").MethodByName("setup")
-	iter := prog.ClassByName("Bench").MethodByName("iteration")
-	if _, err := machine.Call(setup, nil); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 16; i++ {
-		if _, err := machine.Call(iter, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return machine, func() {
-		if _, err := machine.Call(iter, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchSuite runs every workload of a suite under the given mode, reporting
-// guest allocations and bytes per benchmark iteration.
-func benchSuite(b *testing.B, suite string, mode vm.EAMode) {
-	for _, w := range bench.BySuite(suite) {
-		w := w
-		b.Run(fmt.Sprintf("%s/%s", w.Name, mode), func(b *testing.B) {
-			machine, iterate := setupWorkload(b, w, mode)
-			startAllocs := machine.Env.Stats.Allocations
-			startBytes := machine.Env.Stats.AllocatedBytes
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				iterate()
-			}
-			b.StopTimer()
-			n := float64(b.N)
-			b.ReportMetric(float64(machine.Env.Stats.Allocations-startAllocs)/n, "allocs/iter")
-			b.ReportMetric(float64(machine.Env.Stats.AllocatedBytes-startBytes)/n, "heapB/iter")
-		})
-	}
-}
-
-// BenchmarkTable1DaCapo regenerates the DaCapo block of Table 1: run each
-// workload without and with Partial Escape Analysis and compare ns/op and
-// the allocs/iter metric between the paired sub-benchmarks.
-func BenchmarkTable1DaCapo(b *testing.B) {
-	benchSuite(b, "dacapo", vm.EAOff)
-	benchSuite(b, "dacapo", vm.EAPartial)
-}
-
-// BenchmarkTable1Scala regenerates the ScalaDaCapo block of Table 1.
-func BenchmarkTable1Scala(b *testing.B) {
-	benchSuite(b, "scaladacapo", vm.EAOff)
-	benchSuite(b, "scaladacapo", vm.EAPartial)
-}
-
-// BenchmarkTable1SpecJBB regenerates the SPECjbb2005 row of Table 1.
-func BenchmarkTable1SpecJBB(b *testing.B) {
-	benchSuite(b, "specjbb", vm.EAOff)
-	benchSuite(b, "specjbb", vm.EAPartial)
-}
-
-// BenchmarkComparisonEAvsPEA reproduces §6.2: the flow-insensitive
-// baseline vs Partial Escape Analysis on every suite.
-func BenchmarkComparisonEAvsPEA(b *testing.B) {
-	for _, suite := range bench.SuiteNames() {
-		benchSuite(b, suite, vm.EAFlowInsensitive)
-		benchSuite(b, suite, vm.EAPartial)
-	}
-}
 
 // listing1 is the paper's running example (Listings 1-6) used by the
 // microbenchmarks below.
@@ -140,7 +63,8 @@ func BenchmarkListing4CacheKey(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			machine := vm.New(prog, vm.Options{EA: mode, CompileThreshold: 5})
+			machine := vm.New(prog, vm.Options{EA: mode, Backend: vm.BackendClosure, CompileThreshold: 5})
+			defer machine.Close()
 			run := prog.ClassByName("Main").MethodByName("run")
 			for i := 0; i < 10; i++ {
 				if _, err := machine.Call(run, nil); err != nil {
@@ -197,7 +121,7 @@ func BenchmarkInterpreterVsJIT(b *testing.B) {
 		opts vm.Options
 	}{
 		{"interpreter", vm.Options{Interpret: true}},
-		{"jit-pea", vm.Options{EA: vm.EAPartial, CompileThreshold: 3}},
+		{"jit-pea", vm.Options{EA: vm.EAPartial, Backend: vm.BackendClosure, CompileThreshold: 3}},
 	} {
 		cfg := cfg
 		b.Run(cfg.name, func(b *testing.B) {
@@ -206,6 +130,7 @@ func BenchmarkInterpreterVsJIT(b *testing.B) {
 				b.Fatal(err)
 			}
 			machine := vm.New(prog, cfg.opts)
+			defer machine.Close()
 			run := prog.ClassByName("Main").MethodByName("run")
 			for i := 0; i < 5; i++ {
 				if _, err := machine.Call(run, nil); err != nil {

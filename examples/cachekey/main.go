@@ -60,7 +60,7 @@ class Main {
 }
 `
 
-func measure(mode vm.EAMode) (*vm.VM, rt.Stats) {
+func steadyStats(mode vm.EAMode) (*vm.VM, rt.Stats) {
 	prog, err := mj.Compile(listing1, "Main.main")
 	if err != nil {
 		log.Fatal(err)
@@ -81,9 +81,9 @@ func measure(mode vm.EAMode) (*vm.VM, rt.Stats) {
 }
 
 func main() {
-	_, base := measure(vm.EAOff)
-	_, eaStats := measure(vm.EAFlowInsensitive)
-	_, peaStats := measure(vm.EAPartial)
+	_, base := steadyStats(vm.EAOff)
+	_, eaStats := steadyStats(vm.EAFlowInsensitive)
+	_, peaStats := steadyStats(vm.EAPartial)
 
 	fmt.Println("getValue is called 2000 times (400 calls x 5 runs); 25 distinct keys per run miss.")
 	fmt.Printf("%-28s %10s %10s %10s\n", "", "no EA", "EA (6.2)", "PEA")

@@ -236,9 +236,13 @@ func postRun(client *http.Client, baseURL string, body []byte) error {
 		return err
 	}
 	defer resp.Body.Close()
-	payload, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/run: %s: %s", resp.Status, bytes.TrimSpace(payload))
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("/run: %s: %s", resp.Status, bytes.TrimSpace(msg))
+	}
+	payload, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("/run: reading response: %w", err)
 	}
 	var rr struct {
 		Output         []int64 `json:"output"`

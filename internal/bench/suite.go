@@ -2,8 +2,9 @@ package bench
 
 // PaperRow records the numbers the paper's Table 1 reports for one
 // benchmark: percent change in allocated MB, in allocation count, and in
-// iterations per minute (positive = faster). Used by EXPERIMENTS.md and by
-// the calibration tests that assert the reproduction preserves the shape.
+// iterations per minute (positive = faster). peaperf table1 prints it beside
+// the measured wall clock; TestTable1Shape holds the exact counters of the
+// frozen programs to its direction and extremes.
 type PaperRow struct {
 	MBDelta  float64
 	AllocsD  float64
@@ -141,18 +142,4 @@ func Suites() []WorkloadSpec {
 			TempPct: 15, Depth: 1, PartialPct: 10, EscapeProbPermille: 60,
 			GlobalPct: 35, ArrayLen: 16, SyncTempPct: 1, SyncGlobalPct: 24, WorkLoops: 5},
 	}
-}
-
-// SuiteNames lists the suite identifiers in evaluation order.
-func SuiteNames() []string { return []string{"dacapo", "scaladacapo", "specjbb"} }
-
-// BySuite returns the workloads of one suite.
-func BySuite(suite string) []WorkloadSpec {
-	var out []WorkloadSpec
-	for _, w := range Suites() {
-		if w.Suite == suite {
-			out = append(out, w)
-		}
-	}
-	return out
 }

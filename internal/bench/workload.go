@@ -2,11 +2,13 @@
 // benchmark row of Table 1 — the DaCapo and ScalaDaCapo suites and
 // SPECjbb2005 — a synthetic MiniJava workload whose allocation and locking
 // *structure* models the behaviour the paper reports for that benchmark,
-// plus the closed-loop client behind peaload (load.go). Wall clock is
-// measured by peaperf (benchmarks/), which freezes these workloads as its
-// steady programs; the package's own tests pin what the exact guest
-// counters prove — Table 1's allocation and byte columns, the §6.1 monitor
-// reductions, §6.2 in allocations, and the ablation study.
+// plus the closed-loop client behind peaload (load.go). peaperf gen froze
+// the generated sources under benchmarks/programs, and everything runs those
+// copies, not this generator: peaperf measures their wall clock, and the
+// package's own tests drive them through peaperf's steady window for the
+// exact guest counters — Table 1's allocation and byte columns, the §6.1
+// monitor reductions and §6.2 in allocations, each pinned per row — plus
+// the ablation study.
 //
 // The real benchmarks are large proprietary Java programs that cannot run
 // on this VM; what the paper's claims depend on is the *distribution* of
@@ -87,8 +89,8 @@ type WorkloadSpec struct {
 }
 
 // Source generates the MiniJava program for the spec. The program exposes
-// Bench.iteration(), performing Ops operations per call, and Bench.setup()
-// run once.
+// Bench.iteration(), performing Ops operations per call, and Store.setup()
+// run once. Its one caller is peaperf gen, which freezes the result.
 func (w *WorkloadSpec) Source() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, `

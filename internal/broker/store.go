@@ -32,7 +32,7 @@ const StoreVersion = 3
 //
 //	 0  magic "PEAS"
 //	 4  version  u16   StoreVersion
-//	 6  kind     u8    kindArtifact (kindRetired is skipped)
+//	 6  kind     u8    kindArtifact
 //	 7  zero     u8
 //	 8  hash     u64   hashKey(key): the index key
 //	16  keyLen   u32
@@ -47,11 +47,6 @@ const (
 	crcOffset  = 24
 
 	kindArtifact = 1
-	// kindRetired is the summary-set record some builds of StoreVersion 2
-	// wrote. No writer of this version emits it; its frame is still
-	// accepted, so that a scan steps over it to the records behind it, but
-	// it is never indexed or read.
-	kindRetired = 2
 
 	// segmentBytes is the size at which a handle stops appending to its
 	// segment and starts the next: large enough that a store of a few
@@ -198,7 +193,7 @@ func parseHeader(b []byte) (header, bool) {
 		payLen: int64(binary.LittleEndian.Uint32(b[20:])),
 		crc:    binary.LittleEndian.Uint32(b[crcOffset:]),
 	}
-	return h, h.kind == kindArtifact || h.kind == kindRetired
+	return h, h.kind == kindArtifact
 }
 
 // recordCRC is the checksum a whole record must carry in its header.
@@ -345,12 +340,12 @@ func (s *Store) refreshLocked() {
 	}
 }
 
-// scan indexes the artifact records in seg's unscanned part, stepping over
-// retired ones. It stops before a record whose length runs past the end of
-// the file — a torn tail, or a write in flight, to be looked at again once
-// the file has grown — and gives the segment up for good at bytes that are
-// not a record of this version or whose CRC fails, counting one rejection. A
-// later record for an id replaces an earlier one.
+// scan indexes the artifact records in seg's unscanned part. It stops before
+// a record whose length runs past the end of the file — a torn tail, or a
+// write in flight, to be looked at again once the file has grown — and gives
+// the segment up for good at bytes that are not a record of this version or
+// whose CRC fails, counting one rejection. A later record for an id replaces
+// an earlier one.
 func (s *Store) scan(seg *segment) {
 	if seg.dead {
 		return
@@ -386,9 +381,7 @@ func (s *Store) scan(seg *segment) {
 			s.stats.rejected.Add(1)
 			return
 		}
-		if h.kind == kindArtifact {
-			s.index[recordID{h.kind, h.hash}] = location{seg, seg.scanned, h.size()}
-		}
+		s.index[recordID{h.kind, h.hash}] = location{seg, seg.scanned, h.size()}
 		seg.scanned += h.size()
 	}
 }

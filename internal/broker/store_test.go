@@ -503,34 +503,6 @@ func TestStoreIgnoresVersion1Layout(t *testing.T) {
 	}
 }
 
-// A segment an older build of this version wrote can hold summary-set records
-// (kind 2) between the artifacts. The scan steps over them: nothing is
-// rejected, the artifacts on either side load, and the retired record is
-// never indexed.
-func TestStoreSkipsRetiredSummaryRecords(t *testing.T) {
-	p, ms := testProgram(t, 2)
-	retiredKey := binary.LittleEndian.AppendUint64(nil, p.Fingerprint())
-	retired := appendRecord(nil, recordID{kindRetired, hashKey(retiredKey)}, retiredKey, []byte(`{"version":1,"methods":[]}`))
-	var data []byte
-	data = append(data, goodRecord(t, contentKey(p, ms[0]), mustBuild(ms[0]))...)
-	data = append(data, retired...)
-	data = append(data, goodRecord(t, contentKey(p, ms[1]), mustBuild(ms[1]))...)
-	dir := t.TempDir()
-	plantSegment(t, dir, "0000000000000001", data)
-	s := mustStore(t, dir)
-	if st := s.Stats(); st.Rejected != 0 || s.Len() != 2 {
-		t.Fatalf("stats = %+v, Len = %d; want no rejection and the two artifacts indexed", st, s.Len())
-	}
-	for _, m := range ms {
-		if _, ok := s.Load(contentKey(p, m), p, check.Basic); !ok {
-			t.Fatalf("%s beside a retired record does not load", m.QualifiedName())
-		}
-	}
-	if st := s.Stats(); st.Hits != 2 || st.Rejected != 0 {
-		t.Fatalf("stats = %+v, want 2 hits and no rejection", st)
-	}
-}
-
 func TestStoreClose(t *testing.T) {
 	p, ms := testProgram(t, 2)
 	s := mustStore(t, t.TempDir())

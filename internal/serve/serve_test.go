@@ -532,6 +532,24 @@ func TestLoadHarnessAgainstServer(t *testing.T) {
 	}
 }
 
+// A tenant program that prints a thousand values answers with a body far
+// past the harness's 4 KiB error-message cap; every reply must still decode.
+func TestLoadHarnessDecodesLongOutput(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	rep, err := bench.RunLoad(bench.LoadOptions{URL: ts.URL, Tenants: 2, Requests: 1, Runs: 1, Source: `
+class Main {
+	static void main() {
+		for (int i = 0; i < 1000; i++) { print(i * 1000003); }
+	}
+}`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 {
+		t.Fatalf("%d request errors, first: %s", rep.Errors, rep.FirstError)
+	}
+}
+
 // TestPanicContainedPerTenant: a compiler panic in one tenant's compile
 // degrades that tenant's method to interpretation; the request still
 // succeeds and the server keeps serving other tenants.
