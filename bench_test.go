@@ -10,10 +10,7 @@ package pea
 import (
 	"testing"
 
-	"pea/internal/build"
 	"pea/internal/mj"
-	"pea/internal/opt"
-	"pea/internal/pea"
 	"pea/internal/vm"
 )
 
@@ -85,29 +82,20 @@ func BenchmarkListing4CacheKey(b *testing.B) {
 	}
 }
 
-// BenchmarkPEACompilation measures the analysis itself: building,
-// inlining, and running Partial Escape Analysis over the cache-key method
-// (the compile-time cost of the paper's technique).
+// BenchmarkPEACompilation measures the compile-time cost of the paper's
+// technique: one vm.Compile of the cache-key method on a PEA VM — build,
+// inlining and cleanup, Partial Escape Analysis and the post-PEA cleanup.
 func BenchmarkPEACompilation(b *testing.B) {
 	prog, err := mj.Compile(listing1, "Main.main")
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := prog.ClassByName("Main").MethodByName("getValue")
+	machine := vm.New(prog, vm.Options{EA: vm.EAPartial})
+	defer machine.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := build.Build(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pipe := &opt.Pipeline{Phases: []opt.Phase{
-			&opt.Inliner{BuildGraph: build.Build, Program: prog},
-			opt.Canonicalize{}, opt.SimplifyCFG{}, opt.GVN{}, opt.DCE{},
-		}}
-		if err := pipe.Run(g); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := pea.Run(g, pea.Config{}); err != nil {
+		if _, err := machine.Compile(m); err != nil {
 			b.Fatal(err)
 		}
 	}

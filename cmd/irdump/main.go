@@ -8,25 +8,26 @@
 //	irdump [-example cachekey|framestate] [-phase built|inlined|pea|final] [-method Class.method]
 //	irdump -file prog.mj -method Class.method [-phase ...]
 //
-// Dumping is driven by the obs package's per-phase IR-snapshot hooks: the
-// command registers one snapshot consumer on an event sink and the
-// pipeline stages publish their IR through it. Besides the four named
-// stages, -phase also accepts any optimization phase name (for example
-// gvn or dce) to print the IR each time that phase changes the graph.
+// irdump runs no pipeline of its own: it compiles the method with
+// vm.Compile on a PEA VM, exactly as the VM compiles it, and is a
+// snapshot consumer of the VM's event sink. The compile publishes the
+// four named stages, and every optimization phase publishes its graph
+// each time it changes it, so -phase also accepts any phase name (for
+// example gvn or dce). -trace prints the VM's events of the PEA phase
+// (phase == "pea") to stderr.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"pea/internal/build"
 	"pea/internal/ir"
 	"pea/internal/mj"
 	"pea/internal/obs"
-	"pea/internal/opt"
-	"pea/internal/pea"
+	"pea/internal/vm"
 )
 
 // cachekeySrc is the paper's Listing 1 (and, once inlined, Listing 5); the
@@ -83,31 +84,46 @@ class Main {
 `
 
 func main() {
-	example := flag.String("example", "cachekey", "built-in example: cachekey (Figure 2) or framestate (Figure 8)")
-	file := flag.String("file", "", "MiniJava source file to dump instead of a built-in example")
-	method := flag.String("method", "", "method to dump as Class.method (defaults per example)")
-	phase := flag.String("phase", "pea", "pipeline stage: built, inlined, pea, final, or any optimization phase name")
-	dotOut := flag.Bool("dot", false, "emit Graphviz DOT instead of text (Figure 2 as a drawing)")
-	trace := flag.Bool("trace", false, "log the escape analysis decisions to stderr")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "irdump:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, prints the selected stage of the
+// method to stdout and the -trace events to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	flags := flag.NewFlagSet("irdump", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	example := flags.String("example", "cachekey", "built-in example: cachekey (Figure 2) or framestate (Figure 8)")
+	file := flags.String("file", "", "MiniJava source file to dump instead of a built-in example")
+	method := flags.String("method", "", "method to dump as Class.method (defaults per example)")
+	phase := flags.String("phase", "pea", "pipeline stage: built, inlined, pea, final, or any optimization phase name")
+	dotOut := flags.Bool("dot", false, "emit Graphviz DOT instead of text (Figure 2 as a drawing)")
+	trace := flags.Bool("trace", false, "log the escape analysis decisions to stderr")
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return nil
+	} else if err != nil {
+		return err
+	}
 
 	var src, defaultMethod string
 	switch {
 	case *file != "":
 		data, err := os.ReadFile(*file)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		src = string(data)
 		if *method == "" {
-			fatal(fmt.Errorf("-file requires -method Class.method"))
+			return fmt.Errorf("-file requires -method Class.method")
 		}
 	case *example == "cachekey":
 		src, defaultMethod = cachekeySrc, "Main.getValue"
 	case *example == "framestate":
 		src, defaultMethod = framestateSrc, "Main.foo"
 	default:
-		fatal(fmt.Errorf("unknown example %q", *example))
+		return fmt.Errorf("unknown example %q", *example)
 	}
 	if *method == "" {
 		*method = defaultMethod
@@ -115,105 +131,68 @@ func main() {
 
 	prog, err := mj.Compile(src, "Main.main")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	dot := strings.LastIndex(*method, ".")
 	if dot <= 0 {
-		fatal(fmt.Errorf("bad -method %q", *method))
+		return fmt.Errorf("bad -method %q", *method)
 	}
 	cls := prog.ClassByName((*method)[:dot])
 	if cls == nil {
-		fatal(fmt.Errorf("no class %q", (*method)[:dot]))
+		return fmt.Errorf("no class %q", (*method)[:dot])
 	}
 	m := cls.MethodByName((*method)[dot+1:])
 	if m == nil {
-		fatal(fmt.Errorf("no method %q", *method))
+		return fmt.Errorf("no method %q", *method)
 	}
 
-	// All dumping goes through the obs snapshot hooks: the named stages
-	// below and every optimization phase publish their IR to the sink,
-	// and the single consumer registered here prints whichever snapshots
-	// match the selected -phase.
-	sink := obs.NewSink()
-	shown := false
-	sink.OnSnapshot(func(ph, _ string, render func() string) {
-		if ph != *phase {
-			return
-		}
-		shown = true
-		fmt.Print(render())
-	})
-
-	var g *ir.Graph
-	snap := func(name, banner string) {
-		sink.Snapshot(name, *method, func() string {
-			if *dotOut {
-				return ir.DumpDot(g)
-			}
-			return fmt.Sprintf("=== %s (%s) ===\n%s\n", *method, banner, ir.Dump(g))
-		})
-	}
-
-	g, err = build.BuildWith(m, sink)
-	if err != nil {
-		fatal(err)
-	}
-	snap("built", "as built from bytecode")
-	if *phase == "built" {
-		return
-	}
-	pipe := &opt.Pipeline{Phases: []opt.Phase{
-		&opt.Inliner{BuildGraph: build.Build, Program: prog, Sink: sink},
-		opt.Canonicalize{},
-		opt.SimplifyCFG{},
-		opt.GVN{},
-		opt.DCE{},
-	}, Sink: sink}
-	if err := pipe.Run(g); err != nil {
-		fatal(err)
-	}
-	snap("inlined", "after inlining and canonicalization — paper Figure 2 / Listing 5")
-	if *phase == "inlined" {
-		return
-	}
-	// -trace logs the escape analysis only: the text backend sees the
-	// events emitted while pea.Run runs.
-	inPEA := false
+	// The PEA stage's banner reports the decisions the compile made: the
+	// metrics fold of the stream counts them.
+	met := obs.NewMetrics()
+	sink := obs.NewSink(met)
 	if *trace {
-		text := obs.NewTextBackend(os.Stderr)
+		text := obs.NewTextBackend(stderr)
 		sink.AddBackend(obs.FuncBackend(func(e *obs.Event) {
-			if inPEA {
+			if e.Phase == "pea" {
 				text.Write(e)
 			}
 		}))
 	}
-	inPEA = true
-	res, err := pea.Run(g, pea.Config{Sink: sink})
-	inPEA = false
-	if err != nil {
-		fatal(err)
+	shown := false
+	sink.OnSnapshot(func(ph, _ string, g *ir.Graph) {
+		if ph != *phase {
+			return
+		}
+		shown = true
+		if *dotOut {
+			fmt.Fprint(stdout, ir.DumpDot(g))
+			return
+		}
+		banner, ok := banners[ph]
+		if !ok {
+			banner = ph
+		}
+		if ph == "pea" {
+			banner += fmt.Sprintf(" (virtualized %d allocs, %d monitors; %d materialization sites)",
+				met.Counter(obs.KindVirtualize), met.Counter(obs.KindLockElide),
+				met.Counter(obs.KindMaterialize)+met.Counter(obs.KindMergeMaterialize))
+		}
+		fmt.Fprintf(stdout, "=== %s (%s) ===\n%s\n", *method, banner, ir.Dump(g))
+	})
+	machine := vm.New(prog, vm.Options{EA: vm.EAPartial, Sink: sink})
+	defer machine.Close()
+	if _, err := machine.Compile(m); err != nil {
+		return err
 	}
-	if err := ir.Verify(g); err != nil {
-		fatal(fmt.Errorf("PEA produced invalid IR: %w", err))
-	}
-	snap("pea", fmt.Sprintf("after Partial Escape Analysis — paper Listing 6 / Figure 8 "+
-		"(virtualized %d allocs, %d monitors; %d materialization sites)",
-		res.VirtualizedAllocs, res.ElidedMonitors, res.MaterializeSites))
-	if *phase == "pea" {
-		return
-	}
-	post := opt.Standard()
-	post.Sink = sink
-	if err := post.Run(g); err != nil {
-		fatal(err)
-	}
-	snap("final", "final")
 	if !shown {
-		fatal(fmt.Errorf("no snapshot for -phase %q (no such stage, or the phase never changed the IR)", *phase))
+		return fmt.Errorf("no snapshot for -phase %q (no such stage, or the phase never changed the IR)", *phase)
 	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "irdump:", err)
-	os.Exit(1)
+// banners names the paper's artifact each stage regenerates.
+var banners = map[string]string{
+	"built":   "as built from bytecode",
+	"inlined": "after inlining and canonicalization — paper Figure 2 / Listing 5",
+	"pea":     "after Partial Escape Analysis — paper Listing 6 / Figure 8",
 }

@@ -3,7 +3,8 @@
 // program under the plain JIT, the flow-insensitive escape analysis
 // baseline, and Partial Escape Analysis, showing that only PEA removes the
 // hot-path allocation and the synchronization, and prints the optimized IR
-// of getValue (the textual equivalent of the paper's Listing 6).
+// of getValue that the PEA VM installed (the textual equivalent of the
+// paper's Listing 6).
 //
 //	go run ./examples/cachekey
 package main
@@ -12,11 +13,8 @@ import (
 	"fmt"
 	"log"
 
-	"pea/internal/build"
 	"pea/internal/ir"
 	"pea/internal/mj"
-	"pea/internal/opt"
-	"pea/internal/pea"
 	"pea/internal/rt"
 	"pea/internal/vm"
 )
@@ -83,7 +81,7 @@ func steadyStats(mode vm.EAMode) (*vm.VM, rt.Stats) {
 func main() {
 	_, base := steadyStats(vm.EAOff)
 	_, eaStats := steadyStats(vm.EAFlowInsensitive)
-	_, peaStats := steadyStats(vm.EAPartial)
+	machine, peaStats := steadyStats(vm.EAPartial)
 
 	fmt.Println("getValue is called 2000 times (400 calls x 5 runs); 25 distinct keys per run miss.")
 	fmt.Printf("%-28s %10s %10s %10s\n", "", "no EA", "EA (6.2)", "PEA")
@@ -96,32 +94,9 @@ func main() {
 	fmt.Println("on actual misses and removes the synchronization entirely (paper Listings 4-6).")
 	fmt.Println()
 
-	// Show the optimized IR of getValue — the shape of Listing 6.
-	prog, err := mj.Compile(listing1, "Main.main")
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := prog.ClassByName("Main").MethodByName("getValue")
-	g, err := build.Build(m)
-	if err != nil {
-		log.Fatal(err)
-	}
-	pipe := &opt.Pipeline{Phases: []opt.Phase{
-		&opt.Inliner{BuildGraph: build.Build, Program: prog},
-		opt.Canonicalize{}, opt.SimplifyCFG{}, opt.GVN{}, opt.DCE{},
-	}}
-	if err := pipe.Run(g); err != nil {
-		log.Fatal(err)
-	}
-	res, err := pea.Run(g, pea.Config{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	post := opt.Standard()
-	if err := post.Run(g); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("IR of getValue after PEA (%d alloc virtualized, %d monitors elided, %d materialization sites):\n\n",
-		res.VirtualizedAllocs, res.ElidedMonitors, res.MaterializeSites)
-	fmt.Println(ir.Dump(g))
+	// Show the code the PEA VM runs for getValue — the shape of Listing 6.
+	getValue := machine.Prog.ClassByName("Main").MethodByName("getValue")
+	fmt.Println("IR of getValue as the PEA VM compiled it:")
+	fmt.Println()
+	fmt.Println(ir.Dump(machine.CompiledGraph(getValue)))
 }

@@ -200,10 +200,7 @@ func runAblation() ([]ablationResult, error) {
 			if !v.NoSummaries {
 				conf.CalleeNoEscape = sums.ArgSafe
 			}
-			pipe := &opt.Pipeline{Phases: []opt.Phase{
-				&opt.Inliner{BuildGraph: build.Build, Program: prog},
-				opt.Canonicalize{}, opt.SimplifyCFG{}, opt.GVN{}, opt.DCE{},
-			}}
+			pipe := &opt.Pipeline{Phases: opt.PreEA(prog, nil)}
 			if err := pipe.Run(g); err != nil {
 				return nil, err
 			}

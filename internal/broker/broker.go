@@ -187,21 +187,17 @@ type inflightKey struct {
 
 // Broker coordinates compilations.
 type Broker struct {
-	opts  Options
-	cache *Cache
-	// summaries is the memory tier for whole-program escape-summary sets,
-	// guarded by sumMu.
-	sumMu     sync.Mutex
-	summaries *summaryCache
-	mu        sync.Mutex
-	cond      *sync.Cond // signals workers (work available / closing)
-	idle      *sync.Cond // signals Drain (queue empty, workers idle)
-	queue     taskHeap
-	inflight  map[inflightKey]bool // queued or being compiled
-	busy      int
-	seq       int64
-	closed    bool
-	stats     Stats
+	opts     Options
+	cache    *Cache
+	mu       sync.Mutex
+	cond     *sync.Cond // signals workers (work available / closing)
+	idle     *sync.Cond // signals Drain (queue empty, workers idle)
+	queue    taskHeap
+	inflight map[inflightKey]bool // queued or being compiled
+	busy     int
+	seq      int64
+	closed   bool
+	stats    Stats
 	// workerBusy accumulates per-worker compile wall time (guarded by mu;
 	// indexed by worker; empty in synchronous mode).
 	workerBusy []int64
@@ -215,10 +211,9 @@ func New(opts Options) *Broker {
 		opts.InjectFault = FaultFromEnv()
 	}
 	b := &Broker{
-		opts:      opts,
-		cache:     opts.Cache,
-		summaries: newSummaryCache(),
-		inflight:  make(map[inflightKey]bool),
+		opts:     opts,
+		cache:    opts.Cache,
+		inflight: make(map[inflightKey]bool),
 	}
 	if b.cache == nil {
 		b.cache = NewCache()

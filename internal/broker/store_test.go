@@ -679,3 +679,60 @@ func BenchmarkStorePut(b *testing.B) {
 		}
 	}
 }
+
+// With a byte bound the handle rolls to a new segment at a quarter of the
+// bound and gives whole segments up oldest first, so the store stays inside
+// the bound to within the segment being written.
+func TestStoreMaxBytesExpelsOldestFirst(t *testing.T) {
+	p, ms := testProgram(t, 4)
+	dir := t.TempDir()
+	s := mustStore(t, dir)
+	one := int64(len(goodRecord(t, contentKey(p, ms[0]), mustBuild(ms[0]))))
+	// Room for two records and a half: each record is more than a quarter of
+	// that, so each gets a segment of its own, and the third and fourth puts
+	// each push the oldest segment out.
+	bound := 2*one + one/2
+	s.SetMaxBytes(bound)
+	for _, m := range ms {
+		if err := s.Put(contentKey(p, m), mustBuild(m)); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Bytes > bound {
+			t.Fatalf("store is %d bytes after a put, bound %d", st.Bytes, bound)
+		}
+	}
+	if got := s.Len(); got != 2 {
+		t.Fatalf("store holds %d records after eviction, want 2", got)
+	}
+	if st := s.Stats(); st.Expelled != 2 || st.Segments != 2 || len(segmentFiles(t, dir)) != 2 {
+		t.Fatalf("stats = %+v, files = %v; want 2 expelled and 2 segments left", st, segmentFiles(t, dir))
+	}
+	// The survivors are the newest two.
+	for i, m := range ms {
+		_, ok := s.Load(contentKey(p, m), p, check.Basic)
+		if i < 2 && ok {
+			t.Fatalf("old artifact %d survived eviction", i)
+		}
+		if i >= 2 && !ok {
+			t.Fatalf("new artifact %d was expelled", i)
+		}
+	}
+	// An expelled key can come back, and the bound still holds.
+	if err := s.Put(contentKey(p, ms[0]), mustBuild(ms[0])); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Load(contentKey(p, ms[0]), p, check.Basic); !ok {
+		t.Fatal("artifact put again after its expulsion does not load")
+	}
+	var total int64
+	for _, name := range segmentFiles(t, dir) {
+		info, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size()
+	}
+	if st := s.Stats(); total > bound || st.Bytes != total {
+		t.Fatalf("store is %d bytes on disk (Stats: %d), bound %d", total, st.Bytes, bound)
+	}
+}

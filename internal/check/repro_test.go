@@ -7,39 +7,26 @@ import (
 	"testing"
 
 	"pea/internal/bc"
-	"pea/internal/build"
 	"pea/internal/check"
-	"pea/internal/opt"
-	"pea/internal/pea"
+	"pea/internal/obs"
 	"pea/internal/testprog"
+	"pea/internal/vm"
 )
 
-// materializes reports whether compiling m end to end (build → inline →
-// canonicalize → GVN → DCE → PEA) inserts at least one materialization —
-// the predicate the committed repro under testdata/ was minimized against.
+// materializes reports whether compiling m with vm.Compile on a PEA VM,
+// strict sanitizer on, makes PEA insert at least one materialization — the
+// predicate the committed repro under testdata/ was minimized against.
 func materializes(p *bc.Program, m *bc.Method) bool {
 	if bc.Verify(m) != nil {
 		return false
 	}
-	g, err := build.Build(m)
-	if err != nil {
+	met := obs.NewMetrics()
+	machine := vm.New(p, vm.Options{EA: vm.EAPartial, CheckLevel: check.Strict, Sink: obs.NewSink(met)})
+	defer machine.Close()
+	if _, err := machine.Compile(m); err != nil {
 		return false
 	}
-	pipe := &opt.Pipeline{Phases: []opt.Phase{
-		&opt.Inliner{BuildGraph: build.Build, Program: p},
-		opt.Canonicalize{}, opt.SimplifyCFG{}, opt.GVN{}, opt.DCE{},
-	}, Check: check.Strict}
-	if err := pipe.Run(g); err != nil {
-		return false
-	}
-	res, err := pea.Run(g, pea.Config{Check: check.Strict})
-	if err != nil {
-		return false
-	}
-	if err := check.Graph(g, check.Strict); err != nil {
-		return false
-	}
-	return res.MaterializeSites > 0
+	return met.Counter(obs.KindMaterialize)+met.Counter(obs.KindMergeMaterialize) > 0
 }
 
 func TestReproRoundTrip(t *testing.T) {

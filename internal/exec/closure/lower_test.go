@@ -166,8 +166,7 @@ func TestPhiCycleProgramsHaveCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipe := &opt.Pipeline{Phases: []opt.Phase{opt.Canonicalize{}, opt.SimplifyCFG{}, opt.GVN{}, opt.DCE{}}}
-		if err := pipe.Run(g); err != nil {
+		if err := opt.Standard().Run(g); err != nil {
 			t.Fatal(err)
 		}
 		cyclic := map[bc.Kind]bool{}

@@ -363,6 +363,43 @@ func TestParserErrors(t *testing.T) {
 	}
 }
 
+// TestNestingBound: source nested deeper than maxDepth is a compile error,
+// whether it nests by recursion (parentheses, unary operators, blocks) or
+// by a left-deep chain the parser reads with a loop; source just inside the
+// bound compiles and runs. The 300 000-paren case overflowed the goroutine
+// stack in the parser before the bound existed.
+func TestNestingBound(t *testing.T) {
+	body := func(stmt string) string {
+		return "class Main { static void main() { int x = 1; int[] a = new int[1]; " + stmt + " } }"
+	}
+	deep := []struct{ name, src string }{
+		{"parentheses", body("print(" + strings.Repeat("(", 300_000) + "1" + strings.Repeat(")", 300_000) + ");")},
+		{"unary", body("print(" + strings.Repeat("- ", 5_000) + "1);")},
+		{"binary chain", body("print(1" + strings.Repeat(" + 1", 5_000) + ");")},
+		{"index chain", body("print(a[0]" + strings.Repeat("[0]", 5_000) + ");")},
+		{"blocks", body(strings.Repeat("{", 5_000) + strings.Repeat("}", 5_000))},
+		{"ifs", body(strings.Repeat("if (x > 0) ", 5_000) + "x = 2;")},
+		{"array type", body("int" + strings.Repeat("[]", 5_000) + " b = null;")},
+	}
+	for _, tc := range deep {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Compile(tc.src, "Main.main")
+			if err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
+				t.Fatalf("got %v, want a nesting error", err)
+			}
+		})
+	}
+	// Each level of the nested sum counts twice: a parenthesized expression
+	// and a link of the + chain.
+	const n = maxDepth / 3
+	if got := runMain(t, body("print("+strings.Repeat("(", n)+"1"+strings.Repeat(" + 1)", n)+");")); len(got) != 1 || got[0] != n+1 {
+		t.Fatalf("nested sum printed %v, want [%d]", got, n+1)
+	}
+	if got := runMain(t, body("print(1"+strings.Repeat(" + 1", n)+");")); len(got) != 1 || got[0] != n+1 {
+		t.Fatalf("left-deep sum printed %v, want [%d]", got, n+1)
+	}
+}
+
 // listing1 is the paper's Listing 1 in MiniJava, with a driver loop. The
 // value cache pattern: getValue allocates a Key per call; on a hit the key
 // is garbage, on a miss it escapes into the static cache.

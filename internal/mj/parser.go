@@ -1,9 +1,21 @@
 package mj
 
+// maxDepth bounds how deeply the AST of a source file may nest. The parser,
+// the checker and the code generator all walk the tree recursively, so this
+// bound is what keeps hostile source — a few hundred thousand parentheses
+// fit in a megabyte — from overflowing the goroutine stack: deeper source
+// is a compile error. Every statement and expression counts one level, and
+// so does every link of a left-deep chain (a+b+c, a.f.g, a[i][j], int[][]),
+// which the parser reads with a loop but the walks recurse through.
+const maxDepth = 1000
+
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
 	toks []token
 	pos  int
+	// depth is the nesting level of the construct being parsed; reach is
+	// the deepest level a node of the subtree being measured sits at.
+	depth, reach int
 }
 
 // Parse parses MiniJava source into an AST.
@@ -22,6 +34,40 @@ func Parse(src string) (*File, error) {
 		f.Classes = append(f.Classes, cd)
 	}
 	return f, nil
+}
+
+// enter descends one nesting level; leave climbs back.
+func (p *parser) enter() error {
+	p.depth++
+	p.reach = max(p.reach, p.depth)
+	return p.bounded()
+}
+
+func (p *parser) leave() { p.depth-- }
+
+// subtree starts measuring a subtree rooted at the current level and
+// returns the enclosing measurement, which done folds the subtree into:
+// defer p.done(p.subtree()).
+func (p *parser) subtree() (outer int) {
+	outer, p.reach = p.reach, p.depth
+	return outer
+}
+
+func (p *parser) done(outer int) { p.reach = max(outer, p.reach) }
+
+// link records a node put on top of the subtree measured so far: every node
+// under it sits one level deeper.
+func (p *parser) link() error {
+	p.reach++
+	return p.bounded()
+}
+
+func (p *parser) bounded() error {
+	if p.reach > maxDepth {
+		t := p.cur()
+		return errf(t.line, t.col, "nesting deeper than %d levels", maxDepth)
+	}
+	return nil
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
@@ -172,9 +218,13 @@ func (p *parser) parseType() (*Type, error) {
 		c := p.cur()
 		return nil, errf(c.line, c.col, "expected a type, found %s", c)
 	}
+	defer p.done(p.subtree())
 	for p.at(tokPunct, "[") && p.peek().text == "]" {
 		p.pos += 2
 		t = &Type{Kind: TypeArray, Elem: t}
+		if err := p.link(); err != nil {
+			return nil, err
+		}
 	}
 	return t, nil
 }
@@ -216,6 +266,10 @@ func (p *parser) startsVarDecl() bool {
 }
 
 func (p *parser) stmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	t := p.cur()
 	switch {
 	case p.at(tokPunct, "{"):
@@ -530,9 +584,16 @@ func (p *parser) forStmt() (Stmt, error) {
 
 // Expression parsing with Java-like precedence.
 
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
+func (p *parser) expr() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	return p.orExpr()
+}
 
 func (p *parser) binaryLevel(ops []string, sub func() (Expr, error)) (Expr, error) {
+	defer p.done(p.subtree())
 	l, err := sub()
 	if err != nil {
 		return nil, err
@@ -548,6 +609,9 @@ func (p *parser) binaryLevel(ops []string, sub func() (Expr, error)) (Expr, erro
 					return nil, err
 				}
 				l = &BinaryExpr{Op: op, L: l, R: r, Line: line}
+				if err := p.link(); err != nil {
+					return nil, err
+				}
 				matched = true
 				break
 			}
@@ -615,6 +679,10 @@ func (p *parser) unaryExpr() (Expr, error) {
 	t := p.cur()
 	if t.kind == tokPunct && (t.text == "-" || t.text == "!" || t.text == "~") {
 		p.pos++
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		x, err := p.unaryExpr()
 		if err != nil {
 			return nil, err
@@ -625,6 +693,7 @@ func (p *parser) unaryExpr() (Expr, error) {
 }
 
 func (p *parser) postfixExpr() (Expr, error) {
+	defer p.done(p.subtree())
 	e, err := p.primaryExpr()
 	if err != nil {
 		return nil, err
@@ -661,6 +730,9 @@ func (p *parser) postfixExpr() (Expr, error) {
 			e = &IndexExpr{Arr: e, Idx: idx, Line: line}
 		default:
 			return e, nil
+		}
+		if err := p.link(); err != nil {
+			return nil, err
 		}
 	}
 }
@@ -763,6 +835,9 @@ func (p *parser) newExpr(t token) (Expr, error) {
 		for p.at(tokPunct, "[") && p.peek().text == "]" {
 			p.pos += 2
 			elem = &Type{Kind: TypeArray, Elem: elem}
+			if err := p.link(); err != nil {
+				return nil, err
+			}
 		}
 		return &NewArrayExpr{Elem: elem, Len: ln, Line: t.line}, nil
 	}

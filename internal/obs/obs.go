@@ -53,6 +53,7 @@ import (
 	"time"
 
 	"pea/internal/bc"
+	"pea/internal/ir"
 	"pea/internal/obs/flight"
 )
 
@@ -82,10 +83,10 @@ const (
 	// EA baseline verdicts (whole-method escape analysis).
 	KindEAVerdict
 
-	// Inter-procedural escape summaries: a summary set becomes available
-	// (computed, or found in the broker's memory tier), and a PEA decision
-	// kept a virtual object virtual across a non-inlined call because every
-	// possible callee's summary proves the argument position unobserved.
+	// Inter-procedural escape summaries: a summary set was computed, and a
+	// PEA decision kept a virtual object virtual across a non-inlined call
+	// because every possible callee's summary proves the argument position
+	// unobserved.
 	KindSummary
 	KindSummaryKeptVirtual
 
@@ -126,8 +127,8 @@ const (
 	KindVMCrashRepro
 
 	// IR snapshot hook (used by irdump): the event carries the phase name
-	// whose output the snapshot represents; the rendered IR is delivered
-	// to registered SnapshotFunc callbacks, not serialized into the event.
+	// whose output the snapshot represents; the graph is delivered to
+	// registered SnapshotFunc callbacks, not serialized into the event.
 	KindIRSnapshot
 
 	// Checker violation: the leveled IR sanitizer found a broken
@@ -307,9 +308,11 @@ type Backend interface {
 	Write(e *Event)
 }
 
-// SnapshotFunc receives per-phase IR snapshots (see Sink.Snapshot). The
-// renderer is only invoked if at least one snapshot func is registered.
-type SnapshotFunc func(phase, method string, render func() string)
+// SnapshotFunc receives per-phase IR snapshots (see Sink.Snapshot): the
+// graph of method as the named phase or stage left it. The graph is the
+// compile's own and is valid only during the call — render it (ir.Dump,
+// ir.DumpDot), never retain or modify it.
+type SnapshotFunc func(phase, method string, g *ir.Graph)
 
 // Sink is one program's view of an event stream: the ring, and — for a sink
 // that traces — the backends and snapshot consumers the events fan out to.
@@ -422,8 +425,7 @@ func (s *Sink) OnSnapshot(f SnapshotFunc) {
 	s.mu.Unlock()
 }
 
-// WantSnapshots reports whether any snapshot consumer is registered, so
-// callers can skip rendering IR text when nobody is listening.
+// WantSnapshots reports whether any snapshot consumer is registered.
 func (s *Sink) WantSnapshots() bool {
 	if !s.Traces() {
 		return false
@@ -433,9 +435,10 @@ func (s *Sink) WantSnapshots() bool {
 	return len(s.snaps) > 0
 }
 
-// Snapshot delivers a lazily rendered IR snapshot for the given phase to
-// all registered snapshot consumers and records an ir_snapshot event.
-func (s *Sink) Snapshot(phase, method string, render func() string) {
+// Snapshot delivers g, as the given phase left it, to all registered
+// snapshot consumers and records an ir_snapshot event. Without a consumer
+// it does nothing.
+func (s *Sink) Snapshot(phase, method string, g *ir.Graph) {
 	if !s.WantSnapshots() {
 		return
 	}
@@ -444,7 +447,7 @@ func (s *Sink) Snapshot(phase, method string, render func() string) {
 	s.mu.Unlock()
 	s.trace(Event{Kind: KindIRSnapshot, Phase: phase, Method: method})
 	for _, f := range snaps {
-		f(phase, method, render)
+		f(phase, method, g)
 	}
 }
 
@@ -592,13 +595,11 @@ func (s *Sink) CheckViolation(phase, method, reason, detail string) {
 		Reason: reason, Detail: detail})
 }
 
-// SummaryReady records that an inter-procedural summary set is available:
-// methods summarized, ref parameters proven no-escape, predicate edges,
-// and where the set came from ("computed", or "cache" for the broker's
-// memory tier).
-func (s *Sink) SummaryReady(methods, noEscape, preds int, source string) {
+// SummaryReady records that an inter-procedural summary set was computed:
+// methods summarized, ref parameters proven no-escape, predicate edges.
+func (s *Sink) SummaryReady(methods, noEscape, preds int) {
 	if s.Traces() {
-		s.trace(Event{Kind: KindSummary, Phase: "summary", Reason: source,
+		s.trace(Event{Kind: KindSummary, Phase: "summary", Reason: "computed",
 			Detail: fmt.Sprintf("methods=%d no_escape_params=%d preds=%d", methods, noEscape, preds)})
 	}
 }

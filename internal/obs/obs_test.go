@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pea/internal/bc"
+	"pea/internal/ir"
 )
 
 // fixedClock returns a clock frozen at the unix epoch, so sequence numbers
@@ -37,7 +38,7 @@ func TestNilSinkNoAllocs(t *testing.T) {
 			s.PhaseStart("pea", "M.m", 10, 2)
 			s.PhaseEnd("pea", "M.m", 10, 2, 8, 2, time.Millisecond)
 			s.CheckViolation("pea", "M.m", "broken", "")
-			s.SummaryReady(3, 1, 0, "computed")
+			s.SummaryReady(3, 1, 0)
 			s.Inline("M.m", "M.callee", "v3")
 			s.Virtualize(mm, 0, "Key", 1, nil, 0)
 			s.LockElide(mm, 0, 5, "monitorenter", nil, 0)
@@ -134,7 +135,7 @@ func TestSinkMetricsAgreement(t *testing.T) {
 	s.PhaseStart("pea", "M.m", 10, 2)
 	s.PhaseEnd("pea", "M.m", 10, 2, 8, 2, time.Millisecond)
 	s.CheckViolation("pea", "M.m", "broken", "")
-	s.SummaryReady(3, 1, 0, "computed")
+	s.SummaryReady(3, 1, 0)
 	s.Inline("M.m", "M.c", "v1")
 	s.Virtualize(mm, 0, "Key", 1, nil, 0)
 	s.Materialize(mm, 0, mm, 0, 9, 2, "StoreStatic")
@@ -222,30 +223,37 @@ func TestPhaseTimers(t *testing.T) {
 	}
 }
 
-// TestSnapshotLazyRender checks that the IR renderer only runs when a
-// consumer is registered.
+// TestSnapshotLazyRender checks that a snapshot reaches consumers only
+// when one is registered, and that it hands them the graph itself: the
+// consumer, not the compile, pays for rendering it.
 func TestSnapshotLazyRender(t *testing.T) {
-	s := NewSink()
-	rendered := 0
-	render := func() string { rendered++; return "IR" }
-
-	s.Snapshot("pea", "M.m", render)
-	if rendered != 0 {
-		t.Fatalf("render ran with no consumer registered")
+	var events int
+	s := NewSink(FuncBackend(func(e *Event) {
+		if e.Kind == KindIRSnapshot {
+			events++
+		}
+	}))
+	g := ir.NewGraph(nil)
+	s.Snapshot("pea", "M.m", g)
+	if events != 0 {
+		t.Fatalf("ir_snapshot recorded with no consumer registered")
 	}
 	if s.WantSnapshots() {
 		t.Fatalf("WantSnapshots true with no consumer")
 	}
 
 	var got []string
-	s.OnSnapshot(func(phase, method string, render func() string) {
-		got = append(got, phase+"/"+method+"/"+render())
+	s.OnSnapshot(func(phase, method string, sg *ir.Graph) {
+		if sg != g {
+			t.Errorf("consumer got another graph")
+		}
+		got = append(got, phase+"/"+method)
 	})
 	if !s.WantSnapshots() {
 		t.Fatalf("WantSnapshots false with a consumer registered")
 	}
-	s.Snapshot("pea", "M.m", render)
-	if rendered != 1 || len(got) != 1 || got[0] != "pea/M.m/IR" {
-		t.Fatalf("snapshot delivery wrong: rendered=%d got=%v", rendered, got)
+	s.Snapshot("pea", "M.m", g)
+	if events != 1 || len(got) != 1 || got[0] != "pea/M.m" {
+		t.Fatalf("snapshot delivery wrong: events=%d got=%v", events, got)
 	}
 }

@@ -24,16 +24,7 @@ func optimizeAll(t *testing.T, prog *bc.Program) map[*bc.Method]*ir.Graph {
 		if err != nil {
 			t.Fatalf("build %s: %v", m.QualifiedName(), err)
 		}
-		pipe := &Pipeline{
-			Phases: []Phase{
-				&Inliner{BuildGraph: build.Build, Program: prog},
-				Canonicalize{},
-				SimplifyCFG{},
-				GVN{},
-				DCE{},
-			},
-			Check: check.Basic,
-		}
+		pipe := &Pipeline{Phases: PreEA(prog, nil), Check: check.Basic}
 		if err := pipe.Run(g); err != nil {
 			t.Fatalf("optimize %s: %v", m.QualifiedName(), err)
 		}

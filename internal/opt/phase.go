@@ -10,7 +10,9 @@ package opt
 import (
 	"fmt"
 
+	"pea/internal/bc"
 	"pea/internal/budget"
+	"pea/internal/build"
 	"pea/internal/check"
 	"pea/internal/ir"
 	"pea/internal/obs"
@@ -52,48 +54,13 @@ type Pipeline struct {
 
 // Run executes the pipeline on g.
 func (p *Pipeline) Run(g *ir.Graph) error {
-	var method string
-	if p.Sink.Traces() {
-		method = g.Method.QualifiedName()
-	}
-	lvl := check.Effective(p.Check)
-	// Failure forensics: under strict checking, keep the previous
-	// phase's dump so a violation can be pinpointed as a diff. The
-	// capture only happens at strict level — dumping per phase is far
-	// too expensive for production pipelines.
-	var before string
-	if lvl >= check.Strict {
-		before = ir.Dump(g)
-	}
+	b := p.boundary(g)
 	for r := 0; r < maxRounds; r++ {
 		changed := false
 		for _, ph := range p.Phases {
-			var span obs.PhaseSpan
-			if p.Sink.Traces() {
-				span = obs.StartPhase(p.Sink, ph.Name(), method, g.NumNodes(), len(g.Blocks))
-			}
-			c, err := ph.Run(g)
+			c, err := p.run(g, ph, &b, false)
 			if err != nil {
-				return fmt.Errorf("opt: phase %s: %w", ph.Name(), err)
-			}
-			if p.Budget != nil {
-				if err := p.Budget.Check(ph.Name(), budgetMethod(g), g.NumNodes()); err != nil {
-					return err
-				}
-			}
-			if p.Sink.Traces() {
-				span.End(g.NumNodes(), len(g.Blocks))
-				if c && p.Sink.WantSnapshots() {
-					p.Sink.Snapshot(ph.Name(), method, func() string { return ir.Dump(g) })
-				}
-			}
-			if lvl != check.Off {
-				if err := check.Graph(g, lvl); err != nil {
-					return p.violation(g, ph.Name(), before, err)
-				}
-				if lvl >= check.Strict {
-					before = ir.Dump(g)
-				}
+				return err
 			}
 			changed = changed || c
 		}
@@ -102,6 +69,70 @@ func (p *Pipeline) Run(g *ir.Graph) error {
 		}
 	}
 	return nil
+}
+
+// RunPhase runs ph once on g inside the boundary Run puts around each of
+// its phases — span, budget poll, sanitizer check with the strict-level
+// diff, violation event — and reports whether ph changed the graph. It
+// publishes ph's snapshot whether or not the graph changed: a phase run
+// once is a stage of its own.
+func (p *Pipeline) RunPhase(g *ir.Graph, ph Phase) (bool, error) {
+	b := p.boundary(g)
+	return p.run(g, ph, &b, true)
+}
+
+// boundary is what one Run or RunPhase carries from phase to phase.
+type boundary struct {
+	method string
+	lvl    check.Level
+	// before is the graph's dump ahead of the next phase, kept at strict
+	// level only so that a violation can be pinpointed as a diff: dumping
+	// per phase is far too expensive for production pipelines.
+	before string
+}
+
+func (p *Pipeline) boundary(g *ir.Graph) boundary {
+	b := boundary{lvl: check.Effective(p.Check)}
+	if p.Sink.Traces() {
+		b.method = g.Method.QualifiedName()
+	}
+	if b.lvl >= check.Strict {
+		b.before = ir.Dump(g)
+	}
+	return b
+}
+
+// run runs ph once on g. It publishes a snapshot when ph changed the
+// graph, or always when snap is set.
+func (p *Pipeline) run(g *ir.Graph, ph Phase, b *boundary, snap bool) (bool, error) {
+	var span obs.PhaseSpan
+	if p.Sink.Traces() {
+		span = obs.StartPhase(p.Sink, ph.Name(), b.method, g.NumNodes(), len(g.Blocks))
+	}
+	c, err := ph.Run(g)
+	if err != nil {
+		return false, fmt.Errorf("opt: phase %s: %w", ph.Name(), err)
+	}
+	if p.Budget != nil {
+		if err := p.Budget.Check(ph.Name(), budgetMethod(g), g.NumNodes()); err != nil {
+			return false, err
+		}
+	}
+	if p.Sink.Traces() {
+		span.End(g.NumNodes(), len(g.Blocks))
+		if c || snap {
+			p.Sink.Snapshot(ph.Name(), b.method, g)
+		}
+	}
+	if b.lvl != check.Off {
+		if err := check.Graph(g, b.lvl); err != nil {
+			return false, p.violation(g, ph.Name(), b.before, err)
+		}
+		if b.lvl >= check.Strict {
+			b.before = ir.Dump(g)
+		}
+	}
+	return c, nil
 }
 
 // budgetMethod names g's method for budget errors. Only evaluated when a
@@ -136,10 +167,20 @@ func (p *Pipeline) violation(g *ir.Graph, phase, before string, err error) error
 // Standard returns the default non-speculative pipeline: canonicalize,
 // simplify control flow, value-number, and eliminate dead code.
 func Standard() *Pipeline {
-	return &Pipeline{Phases: []Phase{
-		Canonicalize{},
-		SimplifyCFG{},
-		GVN{},
-		DCE{},
-	}}
+	return &Pipeline{Phases: cleanup}
+}
+
+// cleanup is Standard's phase list. Its phases are stateless, so every
+// pipeline shares the one slice; nothing writes to it.
+var cleanup = []Phase{Canonicalize{}, SimplifyCFG{}, GVN{}, DCE{}}
+
+// PreEA returns the phases that run before escape analysis: inlining over
+// prog, with callee graphs from build.Build and an inline event per site
+// to sink, then the phases of Standard. It is the one definition of that
+// list; the VM's compile runs it, and tests that compose phases by hand
+// start from it.
+func PreEA(prog *bc.Program, sink *obs.Sink) []Phase {
+	phases := append(make([]Phase, 0, 1+len(cleanup)),
+		&Inliner{BuildGraph: build.Build, Program: prog, Sink: sink})
+	return append(phases, cleanup...)
 }

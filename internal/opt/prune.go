@@ -22,7 +22,7 @@ type BranchPruner struct {
 }
 
 // Name implements Phase.
-func (*BranchPruner) Name() string { return "branch-prune" }
+func (*BranchPruner) Name() string { return "prune" }
 
 func (p *BranchPruner) minTotal() int64 {
 	if p.MinTotal > 0 {

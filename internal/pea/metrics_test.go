@@ -24,16 +24,7 @@ func TestMetricsMatchResult(t *testing.T) {
 				if err != nil {
 					t.Fatalf("build %s: %v", m.QualifiedName(), err)
 				}
-				pre := &opt.Pipeline{
-					Phases: []opt.Phase{
-						&opt.Inliner{BuildGraph: build.Build, Program: p.Prog},
-						opt.Canonicalize{},
-						opt.SimplifyCFG{},
-						opt.GVN{},
-						opt.DCE{},
-					},
-					Check: check.Basic,
-				}
+				pre := &opt.Pipeline{Phases: opt.PreEA(p.Prog, nil), Check: check.Basic}
 				if err := pre.Run(g); err != nil {
 					t.Fatalf("pre-opt %s: %v", m.QualifiedName(), err)
 				}

@@ -32,16 +32,7 @@ func compileOne(t *testing.T, prog *bc.Program, m *bc.Method) *ir.Graph {
 	if err != nil {
 		t.Fatalf("build %s: %v", m.QualifiedName(), err)
 	}
-	pre := &opt.Pipeline{
-		Phases: []opt.Phase{
-			&opt.Inliner{BuildGraph: build.Build, Program: prog},
-			opt.Canonicalize{},
-			opt.SimplifyCFG{},
-			opt.GVN{},
-			opt.DCE{},
-		},
-		Check: check.Basic,
-	}
+	pre := &opt.Pipeline{Phases: opt.PreEA(prog, nil), Check: check.Basic}
 	if err := pre.Run(g); err != nil {
 		t.Fatalf("pre-opt %s: %v", m.QualifiedName(), err)
 	}

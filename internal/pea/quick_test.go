@@ -32,10 +32,7 @@ func TestQuickPEAInvariants(t *testing.T) {
 				t.Logf("seed %d: build: %v", seed, err)
 				return false
 			}
-			pipe := &opt.Pipeline{Phases: []opt.Phase{
-				&opt.Inliner{BuildGraph: build.Build, Program: p.Prog},
-				opt.Canonicalize{}, opt.SimplifyCFG{}, opt.GVN{}, opt.DCE{},
-			}}
+			pipe := &opt.Pipeline{Phases: opt.PreEA(p.Prog, nil)}
 			if err := pipe.Run(g); err != nil {
 				t.Logf("seed %d: opt: %v", seed, err)
 				return false

@@ -168,6 +168,23 @@ func TestBadRequestsRejected(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestDeeplyNestedSourceRejected: a source of 300 000 nested parentheses —
+// under the default 1 MiB source limit, and a fatal stack overflow in the
+// parser before the front end bounded nesting — is a compile error (400),
+// and the server goes on serving.
+func TestDeeplyNestedSourceRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	deep := "class Main { static void main() { print(" + strings.Repeat("(", 300_000) +
+		"1" + strings.Repeat(")", 300_000) + "); } }"
+	resp, _ := postRun(t, ts.URL, deep, 1)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("deeply nested source: status %s, want 400", resp.Status)
+	}
+	if resp, rr := postRun(t, ts.URL, tenantSrc, 1); resp.StatusCode != http.StatusOK || len(rr.Output) != 1 {
+		t.Fatalf("next request: status %s, output %v", resp.Status, rr.Output)
+	}
+}
+
 // TestTenantsShareCompiledArtifacts: tenants posting the same program share
 // the broker's cache — the pipeline runs once per method, not once per
 // tenant: after one tenant has paid for the compiles, every concurrent

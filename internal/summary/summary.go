@@ -203,7 +203,7 @@ func Compute(p *bc.Program, opts Options) *Set {
 		}
 	}
 	if opts.Sink != nil {
-		opts.Sink.SummaryReady(s.stats.Methods, s.stats.NoEscape, s.stats.Preds, "computed")
+		opts.Sink.SummaryReady(s.stats.Methods, s.stats.NoEscape, s.stats.Preds)
 	}
 	return s
 }

@@ -4,15 +4,13 @@ import (
 	"testing"
 
 	"pea/internal/bc"
-	"pea/internal/build"
 	"pea/internal/check"
 	"pea/internal/exec"
 	"pea/internal/interp"
 	"pea/internal/ir"
-	"pea/internal/opt"
-	"pea/internal/pea"
 	"pea/internal/rt"
 	"pea/internal/testprog"
+	"pea/internal/vm"
 )
 
 // TestCorpusShape pins the structural contract of the corpus: unique
@@ -58,40 +56,36 @@ func TestCorpusVerifies(t *testing.T) {
 	}
 }
 
-// compileStrict runs the full front end over one method with the strict
-// sanitizer at every phase boundary and returns the final graph.
-func compileStrict(t *testing.T, prog *bc.Program, m *bc.Method) *ir.Graph {
+// strictVM returns a PEA VM for prog whose compiles run the strict
+// sanitizer at every phase boundary.
+func strictVM(t *testing.T, prog *bc.Program) *vm.VM {
+	machine := vm.New(prog, vm.Options{EA: vm.EAPartial, CheckLevel: check.Strict})
+	t.Cleanup(machine.Close)
+	return machine
+}
+
+// compileStrict compiles one method through the VM's pipeline and returns
+// the final graph.
+func compileStrict(t *testing.T, machine *vm.VM, m *bc.Method) *ir.Graph {
 	t.Helper()
-	g, err := build.Build(m)
+	g, err := machine.Compile(m)
 	if err != nil {
-		t.Fatalf("%s: build: %v", m.QualifiedName(), err)
-	}
-	pipe := &opt.Pipeline{Phases: []opt.Phase{
-		&opt.Inliner{BuildGraph: build.Build, Program: prog},
-		opt.Canonicalize{}, opt.SimplifyCFG{}, opt.GVN{}, opt.DCE{},
-	}, Check: check.Strict}
-	if err := pipe.Run(g); err != nil {
-		t.Fatalf("%s: opt: %v", m.QualifiedName(), err)
-	}
-	if _, err := pea.Run(g, pea.Config{Check: check.Strict}); err != nil {
-		t.Fatalf("%s: pea: %v", m.QualifiedName(), err)
-	}
-	if err := check.Graph(g, check.Strict); err != nil {
-		t.Fatalf("%s: strict check after pea: %v\n%s", m.QualifiedName(), err, ir.Dump(g))
+		t.Fatalf("%s: %v", m.QualifiedName(), err)
 	}
 	return g
 }
 
-// TestCorpusCompilesStrict: the whole corpus flows through
-// build→inline→canon→GVN→DCE→PEA with zero strict-checker violations, and
+// TestCorpusCompilesStrict: the whole corpus flows through the VM's
+// pipeline (build, inlining, cleanup, PEA, cleanup) with zero strict-checker violations, and
 // the compiled entry agrees with the interpreter on every argument vector.
 func TestCorpusCompilesStrict(t *testing.T) {
 	for _, p := range testprog.Corpus() {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
+			machine := strictVM(t, p.Prog)
 			graphs := make(map[*bc.Method]*ir.Graph)
 			for _, m := range p.Prog.Methods {
-				graphs[m] = compileStrict(t, p.Prog, m)
+				graphs[m] = compileStrict(t, machine, m)
 			}
 			for _, args := range p.ArgSets {
 				vals := make([]rt.Value, len(p.Entry.Params))
@@ -133,11 +127,12 @@ func TestGeneratedProgramsStrict(t *testing.T) {
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		p := testprog.Generate(seed + 700_000) // distinct from other suites' seed ranges
+		machine := strictVM(t, p.Prog)
 		for _, m := range p.Prog.Methods {
 			if err := bc.Verify(m); err != nil {
 				t.Fatalf("seed %d %s: verify: %v", seed, m.QualifiedName(), err)
 			}
-			compileStrict(t, p.Prog, m)
+			compileStrict(t, machine, m)
 		}
 	}
 }

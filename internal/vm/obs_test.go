@@ -12,6 +12,7 @@ import (
 
 	"pea/internal/broker"
 	"pea/internal/check"
+	"pea/internal/ir"
 	"pea/internal/mj"
 	"pea/internal/obs"
 	"pea/internal/rt"
@@ -367,6 +368,46 @@ func TestMetricsFoldTheStream(t *testing.T) {
 		obs.KindBrokerSubmit, obs.KindBrokerInstall, obs.KindVMOSREnter} {
 		if seen[k] == 0 {
 			t.Errorf("no %s event in either run", k)
+		}
+	}
+}
+
+// TestCompilePublishesStages: with a snapshot consumer, a compile publishes
+// irdump's stages — built, inlined, the EA mode's name, final — once each
+// and in that order, whether or not the stage changed the graph (PEA leaves
+// createValue alone), and the final stage is the graph the compile returns.
+func TestCompilePublishesStages(t *testing.T) {
+	prog := loadExample(t, "../../examples/cachekey.mj")
+	for _, name := range []string{"getValue", "createValue"} {
+		m := prog.ClassByName("Main").MethodByName(name)
+		for _, mode := range []EAMode{EAOff, EAFlowInsensitive, EAPartial} {
+			var stages []string
+			var final string
+			sink := obs.NewSink()
+			sink.OnSnapshot(func(phase, _ string, g *ir.Graph) {
+				switch phase {
+				case "built", "inlined", "ea", "pea", "final":
+					stages = append(stages, phase)
+					final = ir.Dump(g)
+				}
+			})
+			machine := New(prog, Options{EA: mode, Sink: sink})
+			g, err := machine.Compile(m)
+			machine.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []string{"built", "inlined"}
+			if mode != EAOff {
+				want = append(want, mode.String())
+			}
+			want = append(want, "final")
+			if strings.Join(stages, " ") != strings.Join(want, " ") {
+				t.Errorf("%s under %v: stages %v, want %v", name, mode, stages, want)
+			}
+			if final != ir.Dump(g) {
+				t.Errorf("%s under %v: the final stage is not the graph Compile returned", name, mode)
+			}
 		}
 	}
 }

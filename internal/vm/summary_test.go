@@ -9,7 +9,6 @@ import (
 	"pea/internal/check"
 	"pea/internal/obs"
 	"pea/internal/rt"
-	"pea/internal/summary"
 )
 
 // TestSummariesKeepCallArgsVirtual: on call-heavy programs whose callees
@@ -51,8 +50,8 @@ func TestSummariesKeepCallArgsVirtual(t *testing.T) {
 	}
 }
 
-// summaryComputes returns a sink counting into *n the summary events of
-// sets the analysis computed (not those the broker's memory tier served).
+// summaryComputes returns a sink counting into *n the summary sets the
+// analysis computed.
 func summaryComputes(n *int) *obs.Sink {
 	return obs.NewSink(obs.FuncBackend(func(e *obs.Event) {
 		if e.Kind == obs.KindSummary && e.Reason == "computed" {
@@ -64,8 +63,9 @@ func summaryComputes(n *int) *obs.Sink {
 // TestSummariesComputedOnDemand: PEA asks for the program's escape summaries
 // only at a call that receives a virtual object. Listing 1 inlines every call
 // it compiles and recursion's compiled calls pass only ints, so neither
-// computes the set or leaves one in the broker's summary tier; callheavy
-// needs it, and two VMs on one broker compute it once.
+// computes the set; callheavy needs it, and of two VMs on one broker only
+// the first computes it: the second installs the first one's code from the
+// shared cache and compiles nothing.
 func TestSummariesComputedOnDemand(t *testing.T) {
 	t.Run("no-virtual-argument", func(t *testing.T) {
 		rec := corpusProg(t, "recursion")
@@ -93,11 +93,6 @@ func TestSummariesComputedOnDemand(t *testing.T) {
 			}
 			if computes != 0 {
 				t.Fatalf("%d summary sets computed, want none", computes)
-			}
-			tierHeld := true
-			b.Summaries(c.prog, nil, func() *summary.Set { tierHeld = false; return nil })
-			if tierHeld {
-				t.Fatal("the broker's summary tier holds a set for a program that never needed one")
 			}
 		}
 	})

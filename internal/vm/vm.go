@@ -255,10 +255,10 @@ type VM struct {
 	// VMs dispatches back to the right tenant.
 	hooks broker.Hooks
 
-	// sums is the program's inter-procedural summary set, resolved
-	// through the broker's memory tier on the first request (sumOnce):
-	// PEA asks only at a call that receives a virtual object (EA at every
-	// call), so a PEA VM whose code never passes one leaves it nil.
+	// sums is the program's inter-procedural summary set, computed on the
+	// first request (sumOnce): PEA asks only at a call that receives a
+	// virtual object (EA at every call), so a PEA VM whose code never
+	// passes one leaves it nil.
 	sums    *summary.Set
 	sumOnce sync.Once
 
@@ -604,18 +604,16 @@ func (vm *VM) warmInstall(u *unit) bool {
 }
 
 // Summaries returns the program's inter-procedural summary set, computing it
-// on the first call unless the broker's memory tier already holds it.
+// on the first call.
 func (vm *VM) Summaries() *summary.Set {
 	vm.sumOnce.Do(func() {
-		vm.sums = vm.jit.Summaries(vm.Prog, vm.Opts.Sink, func() *summary.Set {
-			return summary.Compute(vm.Prog, summary.Options{Sink: vm.Opts.Sink})
-		})
+		vm.sums = summary.Compute(vm.Prog, summary.Options{Sink: vm.Opts.Sink})
 	})
 	return vm.sums
 }
 
 // calleeNoEscape is the VM's pea.Config.CalleeNoEscape: the summary set's
-// verdict for call, with the set resolved on the first call that asks.
+// verdict for call, with the set computed on the first call that asks.
 func (vm *VM) calleeNoEscape(call *ir.Node) []bool { return vm.Summaries().ArgSafe(call) }
 
 // compileForKey is the broker's compile callback: the full pipeline
@@ -805,6 +803,14 @@ func (vm *VM) CompileOSR(m *bc.Method, entryBCI int) (*ir.Graph, error) {
 // and private phase instances, and the shared inputs (bytecode, profile,
 // sink/metrics) are immutable or internally locked.
 //
+// This is the one place the phase sequence is written down: build,
+// opt.PreEA, the branch pruner (spec only, followed by the Standard phases
+// when it pruned), EA or PEA, then the Standard phases. Every phase crosses
+// one opt.Pipeline boundary — span, budget poll, sanitizer check,
+// violation event, snapshot — and a snapshot consumer on the sink also
+// receives the stages irdump prints: built, inlined, the EA mode's name,
+// and final.
+//
 // The compile runs under a per-compile budget built from
 // Options.CompileDeadline / Options.MaxIRNodes (nil when both are zero —
 // then no budget checks and no clock reads happen at all), polled
@@ -814,7 +820,6 @@ func (vm *VM) CompileOSR(m *bc.Method, entryBCI int) (*ir.Graph, error) {
 func (vm *VM) compileEntry(m *bc.Method, spec bool, entryBCI int) (*ir.Graph, error) {
 	bud := budget.New(vm.Opts.CompileDeadline, vm.Opts.MaxIRNodes)
 	sink := vm.Opts.Sink
-	lvl := vm.Opts.checkLevel()
 	var g *ir.Graph
 	var err error
 	if entryBCI == broker.NoOSR {
@@ -832,83 +837,72 @@ func (vm *VM) compileEntry(m *bc.Method, spec bool, entryBCI int) (*ir.Graph, er
 			return nil, err
 		}
 	}
-	phases := []opt.Phase{
-		&opt.Inliner{BuildGraph: build.Build, Program: vm.Prog, Sink: sink},
-		opt.Canonicalize{},
-		opt.SimplifyCFG{},
-		opt.GVN{},
-		opt.DCE{},
+	stage(sink, "built", m, g)
+	pipe := &opt.Pipeline{Check: vm.Opts.checkLevel(), Sink: sink, Budget: bud}
+	run := func(phases []opt.Phase) error {
+		pipe.Phases = phases
+		return pipe.Run(g)
 	}
-	pipe := &opt.Pipeline{Phases: phases, Check: lvl, Sink: sink, Budget: bud}
-	if err := pipe.Run(g); err != nil {
+	if err := run(opt.PreEA(vm.Prog, sink)); err != nil {
 		return nil, err
 	}
 	vm.fault("opt", m)
+	stage(sink, "inlined", m, g)
 	if spec {
-		pr := &opt.BranchPruner{Profile: vm.Interp.Profile, MinTotal: vm.Opts.minPruneTotal()}
-		var span obs.PhaseSpan
-		if sink.Traces() {
-			span = obs.StartPhase(sink, "prune", m.QualifiedName(), g.NumNodes(), len(g.Blocks))
-		}
-		changed, err := pr.Run(g)
+		pruned, err := pipe.RunPhase(g, &opt.BranchPruner{Profile: vm.Interp.Profile, MinTotal: vm.Opts.minPruneTotal()})
+		vm.fault("prune", m)
 		if err != nil {
 			return nil, err
 		}
-		span.End(g.NumNodes(), len(g.Blocks))
-		vm.fault("prune", m)
-		if err := check.Graph(g, lvl); err != nil {
-			sink.CheckViolation("prune", m.QualifiedName(), err.Error(), "")
-			return nil, fmt.Errorf("vm: branch pruning broke %s: %w", m.QualifiedName(), err)
-		}
-		if changed {
+		if pruned {
 			// Pruning leaves single-input phis and straight-line
 			// chains behind; normalize before escape analysis.
-			clean := opt.Standard()
-			clean.Check = lvl
-			clean.Sink = sink
-			clean.Budget = bud
-			if err := clean.Run(g); err != nil {
+			if err := run(opt.Standard().Phases); err != nil {
 				return nil, err
 			}
 		}
 	}
 	if vm.Opts.EA != EAOff {
-		var span obs.PhaseSpan
-		if sink.Traces() {
-			span = obs.StartPhase(sink, vm.Opts.EA.String(), m.QualifiedName(),
-				g.NumNodes(), len(g.Blocks))
-		}
-		var eaErr error
-		conf := pea.Config{Sink: sink, Check: lvl, Budget: bud, CalleeNoEscape: vm.calleeNoEscape}
-		switch vm.Opts.EA {
-		case EAFlowInsensitive:
-			_, eaErr = ea.Run(g, conf)
-		case EAPartial:
-			_, eaErr = pea.Run(g, conf)
-		}
+		conf := pea.Config{Sink: sink, Check: pipe.Check, Budget: bud, CalleeNoEscape: vm.calleeNoEscape}
+		_, err := pipe.RunPhase(g, escapePhase{vm.Opts.EA, conf})
 		vm.fault(vm.Opts.EA.String(), m)
-		if eaErr != nil {
-			return nil, eaErr
-		}
-		span.End(g.NumNodes(), len(g.Blocks))
-		if sink.WantSnapshots() {
-			sink.Snapshot(vm.Opts.EA.String(), m.QualifiedName(),
-				func() string { return ir.Dump(g) })
+		if err != nil {
+			return nil, err
 		}
 	}
-	if err := check.Graph(g, lvl); err != nil {
-		sink.CheckViolation(vm.Opts.EA.String(), m.QualifiedName(), err.Error(), "")
-		return nil, fmt.Errorf("vm: %s after %v: %w", m.QualifiedName(), vm.Opts.EA, err)
-	}
-	post := opt.Standard()
-	post.Check = lvl
-	post.Sink = sink
-	post.Budget = bud
-	if err := post.Run(g); err != nil {
+	if err := run(opt.Standard().Phases); err != nil {
 		return nil, err
 	}
 	vm.fault("post", m)
+	stage(sink, "final", m, g)
 	return g, nil
+}
+
+// stage publishes g as the named stage of m's compile to the sink's
+// snapshot consumers, if it has any.
+func stage(sink *obs.Sink, name string, m *bc.Method, g *ir.Graph) {
+	if sink.WantSnapshots() {
+		sink.Snapshot(name, m.QualifiedName(), g)
+	}
+}
+
+// escapePhase is a compile's EA or PEA run as an opt.Phase, named after its
+// mode ("ea", "pea"), so that it crosses the same boundary as every other
+// phase.
+type escapePhase struct {
+	mode EAMode
+	conf pea.Config
+}
+
+func (p escapePhase) Name() string { return p.mode.String() }
+
+func (p escapePhase) Run(g *ir.Graph) (bool, error) {
+	run := pea.Run
+	if p.mode == EAFlowInsensitive {
+		run = ea.Run
+	}
+	res, err := run(g, p.conf)
+	return res.Changed, err
 }
 
 // Invalidate drops m's compiled code — the standard entry and every OSR
