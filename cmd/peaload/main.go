@@ -2,11 +2,13 @@
 // reports request latency percentiles (p50/p90/p99) plus the server's
 // two-tier cache effectiveness over the run (the server's /stats after
 // minus before): in-memory hits, disk hits, pipeline compiles, first-call
-// warm installs, and the combined hit rate. It is the measurement tool for
-// the persistent-artifact story — run it against a fresh store, restart the
-// server, run it again: the second report should show pipeline_compiles=0
-// and hit_rate near 1.0. A second run against the same live server should
-// show pipeline_compiles=0 and warm_installs>0.
+// warm installs, and the combined hit rate, plus the bytes the server's
+// in-memory code cache is charged at the end of the run (cache_bytes). It
+// is the measurement tool for the persistent-artifact story — run it
+// against a fresh store, restart the server, run it again: the second
+// report should show pipeline_compiles=0 and hit_rate near 1.0. A second
+// run against the same live server should show pipeline_compiles=0 and
+// warm_installs>0.
 //
 // Usage:
 //

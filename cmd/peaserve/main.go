@@ -21,7 +21,7 @@
 //	peaserve [-addr host:port] [-store DIR] [-ea off|ea|pea]
 //	         [-backend oracle|closure] [-threshold N] [-osr-threshold N]
 //	         [-jit-workers N]
-//	         [-cache-entries N] [-compile-deadline D] [-max-ir-nodes N]
+//	         [-cache-bytes N] [-compile-deadline D] [-max-ir-nodes N]
 //	         [-check off|basic|strict] [-max-source-bytes N] [-max-runs N]
 //
 // API:
@@ -64,7 +64,7 @@ func main() {
 	threshold := flag.Int64("threshold", 20, "JIT compile threshold (invocations)")
 	osrThreshold := flag.Int64("osr-threshold", 1000, "back-edge count at which a hot loop is compiled and entered mid-invocation (0 = 1000, negative = off)")
 	jitWorkers := flag.Int("jit-workers", 0, "shared background JIT workers (0 = compile on request goroutines)")
-	cacheEntries := flag.Int("cache-entries", 0, "in-memory code cache bound (0 = default)")
+	cacheBytes := flag.Int64("cache-bytes", 0, "byte bound on what the in-memory code cache keeps reachable; an artifact charged more than the bound is not kept (0 = 16 MiB)")
 	compileDeadline := flag.Duration("compile-deadline", 2*time.Second, "per-tenant compile wall-clock budget (0 = unbounded)")
 	maxIRNodes := flag.Int("max-ir-nodes", 200000, "per-tenant compile IR node budget (0 = unbounded)")
 	checkMode := flag.String("check", "basic", "sanitizer level for compiles and cache/store loads")
@@ -78,7 +78,7 @@ func main() {
 		CompileDeadline:  *compileDeadline,
 		MaxIRNodes:       *maxIRNodes,
 		Workers:          *jitWorkers,
-		CacheEntries:     *cacheEntries,
+		CacheBytes:       *cacheBytes,
 		StoreDir:         *storeDir,
 		StoreMaxBytes:    *storeMaxBytes,
 		MaxSourceBytes:   *maxSourceBytes,

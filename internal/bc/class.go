@@ -91,6 +91,15 @@ func (m *Method) NumArgs() int {
 // NumLocals returns the number of local variable slots.
 func (m *Method) NumLocals() int { return len(m.LocalKinds) }
 
+// Program returns the linked program m belongs to, nil for a nil or
+// unlinked method.
+func (m *Method) Program() *Program {
+	if m == nil || m.Class == nil {
+		return nil
+	}
+	return m.Class.prog
+}
+
 // QualifiedName returns "Class.name".
 func (m *Method) QualifiedName() string { return m.Class.Name + "." + m.Name }
 
@@ -125,6 +134,7 @@ type Class struct {
 	// ID is a dense program-wide index assigned at link time.
 	ID int
 
+	prog         *Program // the program that linked the class
 	fieldByName  map[string]*Field
 	staticByName map[string]*Field
 	methodByName map[string]*Method
@@ -189,6 +199,9 @@ type Program struct {
 	// are immutable after link, so one computation serves forever.
 	fpOnce sync.Once
 	fp     uint64
+	// Footprint, computed lazily on the same grounds (see Footprint).
+	sizeOnce sync.Once
+	size     int64
 }
 
 // ClassByName returns the class with the given name, or nil.
@@ -280,6 +293,7 @@ func (p *Program) link() error {
 	}
 	for id, c := range ordered {
 		c.ID = id
+		c.prog = p
 		if err := c.linkClass(); err != nil {
 			return err
 		}

@@ -133,6 +133,10 @@ type LoadReport struct {
 	// cache at first call / first back edge, before it was hot.
 	WarmInstalls   int64 `json:"warm_installs"`
 	StoreArtifacts int   `json:"store_artifacts"`
+	// CacheBytes is the server's in-memory code cache at the end of the
+	// run: the sum of its artifacts' charges, which peaserve -cache-bytes
+	// bounds.
+	CacheBytes int64 `json:"cache_bytes"`
 
 	// FirstError preserves one failure for the report reader (counting
 	// alone buries the reason).
@@ -151,6 +155,7 @@ type serverStats struct {
 	} `json:"broker"`
 	WarmInstalls   int64 `json:"warm_installs"`
 	StoreArtifacts int   `json:"store_artifacts"`
+	CacheBytes     int64 `json:"cache_bytes"`
 }
 
 // RunLoad drives a live peaserve with N concurrent tenants and reports
@@ -224,6 +229,7 @@ func RunLoad(o LoadOptions) (LoadReport, error) {
 	rep.PipelineCompiles = st.Broker.Compiled - before.Broker.Compiled
 	rep.WarmInstalls = st.WarmInstalls - before.WarmInstalls
 	rep.StoreArtifacts = st.StoreArtifacts
+	rep.CacheBytes = st.CacheBytes
 	if lookups := rep.CacheHits + st.Broker.CacheMisses - before.Broker.CacheMisses; lookups > 0 {
 		rep.HitRate = float64(rep.CacheHits+rep.DiskHits) / float64(lookups)
 	}

@@ -348,11 +348,13 @@ func TestClosedBrokerRejects(t *testing.T) {
 	}
 }
 
+// The first artifact published for a key stays, and stays charged once,
+// even when a later one would be charged differently.
 func TestCacheFirstWriterWins(t *testing.T) {
 	ms := testMethods(t, 1)
 	c := NewCache()
 	k := key(ms[0])
-	g1, g2 := new(ir.Graph), new(ir.Graph)
+	g1, g2 := new(ir.Graph), graphOf(500)
 	if got := c.Put(k, g1); got != g1 {
 		t.Fatal("first Put must keep its graph")
 	}
@@ -362,8 +364,8 @@ func TestCacheFirstWriterWins(t *testing.T) {
 	if g, ok := c.Get(k); !ok || g != g1 {
 		t.Fatal("Get must observe the canonical artifact")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
+	if c.Len() != 1 || c.Bytes() != charge(k, g1) {
+		t.Fatalf("len = %d, bytes = %d, want 1 entry of %d", c.Len(), c.Bytes(), charge(k, g1))
 	}
 }
 

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"unsafe"
 
 	"pea/internal/bc"
 )
@@ -159,6 +160,31 @@ func (g *Graph) NumNodes() int {
 // decoded into g has 0 <= ID < NumNodeIDs(), and no two share one. Phases
 // size their per-node tables by it.
 func (g *Graph) NumNodeIDs() int { return g.nextNodeID }
+
+// Footprint estimates the heap bytes the graph occupies: its blocks with
+// their node and edge lists, its nodes with their input slices, and its
+// frame states with their virtual-object descriptions, each state once
+// however many nodes share it. Allocator rounding is ignored. It only reads
+// the graph, so it is safe on one that other goroutines are executing.
+func (g *Graph) Footprint() int64 {
+	const ptr = int64(unsafe.Sizeof(uintptr(0)))
+	n := int64(unsafe.Sizeof(*g)) + ptr*int64(cap(g.Blocks))
+	for _, b := range g.Blocks {
+		n += int64(unsafe.Sizeof(*b)) + ptr*int64(cap(b.Phis)+cap(b.Nodes)+cap(b.Preds)+cap(b.Succs))
+	}
+	seen := make(map[*FrameState]bool)
+	g.ForEachNode(func(_ *Block, x *Node) {
+		n += int64(unsafe.Sizeof(*x)) + ptr*int64(cap(x.Inputs))
+		for fs := x.FrameState; fs != nil && !seen[fs]; fs = fs.Outer {
+			seen[fs] = true
+			n += int64(unsafe.Sizeof(*fs)) + ptr*int64(cap(fs.Locals)+cap(fs.Stack)+cap(fs.VirtualObjects))
+			for _, vo := range fs.VirtualObjects {
+				n += int64(unsafe.Sizeof(*vo)) + ptr*int64(cap(vo.Values))
+			}
+		}
+	})
+	return n
+}
 
 // forEachUse calls f with the address of every slot that references a
 // node: the inputs of every placed node and the locals, stack entries and

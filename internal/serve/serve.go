@@ -63,9 +63,9 @@ type Options struct {
 	// synchronously on request goroutines — still shared-cache, still
 	// concurrent across tenants, and deterministic per tenant.
 	Workers int
-	// CacheEntries bounds the shared in-memory code cache
-	// (0 = broker.DefaultCacheEntries).
-	CacheEntries int
+	// CacheBytes bounds the shared in-memory code cache by the bytes its
+	// artifacts keep reachable (0 = broker.DefaultCacheBytes).
+	CacheBytes int64
 	// StoreDir, when non-empty, backs the shared cache with a persistent
 	// artifact store rooted there. Restarting the server on the same
 	// directory replays persisted artifacts instead of recompiling.
@@ -155,9 +155,9 @@ func New(opts Options) (*Server, error) {
 		}
 		store.SetMaxBytes(opts.StoreMaxBytes)
 	}
-	cacheMax := opts.CacheEntries
+	cacheMax := opts.CacheBytes
 	if cacheMax == 0 {
-		cacheMax = broker.DefaultCacheEntries
+		cacheMax = broker.DefaultCacheBytes
 	}
 	s := &Server{
 		opts:  opts,
@@ -256,10 +256,13 @@ type StatsResponse struct {
 	Store        *broker.StoreStats `json:"store,omitempty"`
 	// HitRate is the fraction of submissions resolved without a pipeline
 	// run, over both cache tiers: (CacheHits+DiskHits)/(CacheHits+CacheMisses).
-	HitRate        float64 `json:"hit_rate"`
-	CacheEntries   int     `json:"cache_entries"`
-	CacheEvictions int64   `json:"cache_evictions"`
-	StoreArtifacts int     `json:"store_artifacts,omitempty"`
+	HitRate      float64 `json:"hit_rate"`
+	CacheEntries int     `json:"cache_entries"`
+	// CacheBytes is the sum of the cached artifacts' charges, which the
+	// cache keeps within Options.CacheBytes.
+	CacheBytes     int64 `json:"cache_bytes"`
+	CacheEvictions int64 `json:"cache_evictions"`
+	StoreArtifacts int   `json:"store_artifacts,omitempty"`
 }
 
 // program links source, memoized by content hash so identical tenant
@@ -398,6 +401,7 @@ func (s *Server) statsLocked() StatsResponse {
 		WarmInstalls:   s.warmInstalls.Load(),
 		Broker:         bs,
 		CacheEntries:   s.jit.Cache().Len(),
+		CacheBytes:     s.jit.Cache().Bytes(),
 		CacheEvictions: s.jit.Cache().Evictions(),
 	}
 	s.progMu.Lock()

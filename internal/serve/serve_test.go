@@ -8,12 +8,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"pea/internal/bench"
 	"pea/internal/check"
+	"pea/internal/mj"
 	"pea/internal/vm"
 )
 
@@ -437,6 +439,60 @@ func TestSharedRecorderTellsTenantsApart(t *testing.T) {
 	}
 }
 
+// TestWarmTenantsSurviveColdFlood: with the code cache bounded at 1 MiB,
+// never-seen programs whose charges add up to four times the bound stream
+// through between the requests of the example tenants. The cache stays
+// within its bound by evicting, and it evicts what is not used lately: after
+// the first round, the example tenants compile nothing.
+func TestWarmTenantsSurviveColdFlood(t *testing.T) {
+	const bound = 1 << 20
+	_, ts := newTestServer(t, Options{CacheBytes: bound, CompileThreshold: 20})
+	paths, err := filepath.Glob("../../examples/*.mj")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example programs: %v", err)
+	}
+	var warm []string
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm = append(warm, string(src))
+	}
+	// Every cold entry is charged at least its whole program, so this sum
+	// bounds the flood's charge from below.
+	var coldCharge int64
+	round := 0
+	for ; coldCharge < 4*bound; round++ {
+		if round > 100 {
+			t.Fatalf("100 rounds charged only %d bytes of cold code", coldCharge)
+		}
+		for i, src := range warm {
+			rr, err := tryRun(ts.URL, src, 3)
+			if err != nil {
+				t.Fatalf("round %d, %s: %v", round, paths[i], err)
+			}
+			if round > 0 && rr.PipelineCompiles != 0 {
+				t.Fatalf("round %d: warm tenant %s ran the pipeline %d times", round, paths[i], rr.PipelineCompiles)
+			}
+			cold := src + fmt.Sprintf("\nclass Cold_%d_%d { static int pad() { return %d; } }\n", round, i, round)
+			if rr, err = tryRun(ts.URL, cold, 3); err != nil {
+				t.Fatalf("round %d, cold variant of %s: %v", round, paths[i], err)
+			}
+			prog, err := mj.Compile(cold, "Main.main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldCharge += rr.PipelineCompiles * prog.Footprint()
+		}
+	}
+	st := getStats(t, ts.URL)
+	t.Logf("%d rounds, cold charge >= %d bytes; cache: %d entries, %d bytes, %d evictions", round, coldCharge, st.CacheEntries, st.CacheBytes, st.CacheEvictions)
+	if st.CacheBytes > bound || st.CacheEvictions == 0 {
+		t.Fatalf("cache_bytes = %d (bound %d), %d evictions", st.CacheBytes, bound, st.CacheEvictions)
+	}
+}
+
 // TestProgramMemoEvictsOnlyTheColdest: a burst of one-off programs must not
 // make a tenant that keeps posting relink (the memo used to be dropped
 // wholesale at the bound).
@@ -517,7 +573,7 @@ func TestLoadHarnessAgainstServer(t *testing.T) {
 	if rep.P50Ms <= 0 || rep.P99Ms < rep.P50Ms {
 		t.Fatalf("nonsense latencies: p50=%v p99=%v", rep.P50Ms, rep.P99Ms)
 	}
-	if rep.PipelineCompiles == 0 || rep.HitRate == 0 {
+	if rep.PipelineCompiles == 0 || rep.HitRate == 0 || rep.CacheBytes == 0 {
 		t.Fatalf("cache metrics missing: %+v", rep)
 	}
 
