@@ -9,7 +9,7 @@
 //	      [-runs N] [-stats] [-seed S]
 //	      [-backend oracle|closure|both]
 //	      [-store DIR] [-store-max-bytes N]
-//	      [-osr-threshold N] [-jit-async] [-jit-workers N] [-jit-queue-cap N]
+//	      [-osr-threshold N] [-jit-workers N] [-jit-queue-cap N]
 //	      [-compile-deadline D] [-max-ir-nodes N] [-crash-dir DIR]
 //	      [-check off|basic|strict] [-trace-events out.jsonl] [-metrics]
 //	      [-escape-report] [-flight-dump out.jsonl] [-debug-addr host:port]
@@ -26,12 +26,13 @@
 // counters. Any divergence is a lowering bug and exits nonzero. Stats and
 // observability flags describe the closure VM in this mode.
 //
-// peavm builds each VM's compile broker itself, from -jit-async,
-// -jit-workers, -jit-queue-cap and -store (one broker per VM under
-// -backend=both, over one store), and hands it to the VM as Options.JIT. With
-// -jit-async hot methods are compiled on background broker workers while the
-// interpreter keeps running them (tier-up); the default compiles
-// synchronously, which keeps runs deterministic.
+// peavm builds each VM's compile broker itself, from -jit-workers,
+// -jit-queue-cap and -store (one broker per VM under -backend=both, over one
+// store), and hands it to the VM as Options.JIT. -jit-workers is the
+// broker's Workers: with N > 0 hot methods are compiled on N background
+// workers while the interpreter keeps running them (tier-up), and a negative
+// N starts GOMAXPROCS of them; the default, 0, compiles synchronously, which
+// keeps runs deterministic.
 //
 // With -osr-threshold N a loop that takes N back edges triggers an
 // on-stack-replacement compilation: the method is compiled with an
@@ -99,15 +100,14 @@ func main() {
 	eaMode := flag.String("ea", "pea", "escape analysis: off, ea (flow-insensitive), or pea")
 	backendName := flag.String("backend", "closure", "execution backend: oracle (tree-walking reference evaluator), closure (template JIT), or both (lockstep cross-check)")
 	speculate := flag.Bool("speculate", false, "enable speculative branch pruning with deoptimization")
-	summariesReport := flag.Bool("summaries-report", false, "print the per-method inter-procedural escape summary table (param escape lattice, fresh returns, predicates) to stderr after the run")
+	summariesReport := flag.Bool("summaries-report", false, "print the per-method inter-procedural escape summary table (param escape lattice, conservative marker, predicates) to stderr after the run")
 	interpret := flag.Bool("interpret", false, "disable the JIT entirely")
 	runs := flag.Int("runs", 1, "number of times to run Main.main (later runs execute compiled code)")
 	stats := flag.Bool("stats", false, "print VM statistics to stderr")
 	seed := flag.Uint64("seed", 1, "PRNG seed for the rand() intrinsic")
 	threshold := flag.Int64("threshold", 20, "JIT compile threshold (invocations)")
 	osrThreshold := flag.Int64("osr-threshold", 0, "back-edge count triggering on-stack replacement of hot loops (0 = disabled)")
-	jitAsync := flag.Bool("jit-async", false, "compile hot methods on background broker workers (tier-up)")
-	jitWorkers := flag.Int("jit-workers", 0, "background JIT workers with -jit-async (0 = GOMAXPROCS)")
+	jitWorkers := flag.Int("jit-workers", 0, "background JIT workers compiling hot methods while the interpreter runs them (0 = compile synchronously, negative = GOMAXPROCS)")
 	jitQueueCap := flag.Int("jit-queue-cap", 0, "bound on the pending JIT compile queue; rejected methods re-arm with backoff (0 = broker default)")
 	compileDeadline := flag.Duration("compile-deadline", 0, "per-compile wall-clock budget; overruns degrade the method to the interpreter with backoff (0 = unbounded)")
 	maxIRNodes := flag.Int("max-ir-nodes", 0, "per-compile IR node budget checked at phase boundaries (0 = unbounded)")
@@ -177,15 +177,8 @@ func main() {
 	// newVM gives a VM the broker the -jit-* and -store flags describe. The
 	// broker is this command's to close; the VM only submits to it.
 	newVM := func(o vm.Options) *vm.VM {
-		workers := 0
-		if *jitAsync {
-			workers = *jitWorkers
-			if workers <= 0 {
-				workers = -1 // GOMAXPROCS
-			}
-		}
 		o.JIT = broker.New(broker.Options{
-			Workers: workers, QueueCap: *jitQueueCap, Store: store, Check: lvl,
+			Workers: *jitWorkers, QueueCap: *jitQueueCap, Store: store, Check: lvl,
 		})
 		return vm.New(prog, o)
 	}
@@ -334,7 +327,7 @@ func main() {
 // crossCheck compares everything the guest program could observe between
 // the closure-backend VM and its oracle shadow: printed output always, and
 // in the deterministic synchronous configuration also the heap-effect
-// counters. With -jit-async the install timing of compiled code varies
+// counters. With background JIT workers the install timing of compiled code varies
 // between the two VMs, so calls legitimately split differently between
 // interpreter and compiled code and the counters are not comparable.
 func crossCheck(closure, oracle *vm.VM) error {

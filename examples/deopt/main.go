@@ -70,7 +70,7 @@ func main() {
 		call(i, i*10)
 	}
 	fmt.Printf("after warmup: %d allocations, %d deopts, %d compiled methods\n",
-		machine.Env.Stats.Allocations, machine.Env.Stats.Deopts, machine.VMStats.CompiledMethods)
+		machine.Env.Stats.Allocations, machine.Env.Stats.Deopts, machine.Stats().CompiledMethods)
 
 	before := machine.Env.Stats.Allocations
 	for i := int64(0); i < 1000; i++ {
@@ -83,7 +83,7 @@ func main() {
 	got := call(99, 5_000_000)
 	fmt.Printf("\noversized request returned %d\n", got)
 	fmt.Printf("deoptimizations: %d, invalidated methods: %d, materializations: %d\n",
-		machine.Env.Stats.Deopts, machine.VMStats.InvalidatedMethods, machine.Env.Stats.Materializations)
+		machine.Env.Stats.Deopts, machine.Stats().InvalidatedMethods, machine.Env.Stats.Materializations)
 
 	audit := machine.Env.GetStatic(prog.ClassByName("Audit").StaticByName("last"))
 	if audit.Ref == nil {

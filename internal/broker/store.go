@@ -64,7 +64,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var errStoreClosed = errors.New("store is closed")
 
 // StoreStats counts store traffic with atomics (the store is shared by
-// broker workers and, through the directory, by other processes).
+// broker workers).
 type StoreStats struct {
 	Hits        int64 // artifacts loaded, verified, and returned
 	Misses      int64 // no record for the key
@@ -74,8 +74,9 @@ type StoreStats struct {
 	// Expelled counts records this handle dropped, with their segments, to
 	// keep the store inside its MaxBytes bound (oldest segment first).
 	Expelled int64
-	// Segments and Bytes are the segment files this handle knows of and
-	// their total size, as of its last look at the directory.
+	// Segments and Bytes are the segment files this handle knows of — those
+	// in the directory at open and those it created, less the expelled — and
+	// their total size.
 	Segments int
 	Bytes    int64
 }
@@ -85,20 +86,21 @@ type StoreStats struct {
 // files instead of one file each: creating a file costs a cold server more
 // than compiling a small method does, appending a record costs one write(2).
 //
+// A handle finds records through an in-memory index, key hash → (segment,
+// offset, length), built by scanning every segment once at NewStore; after
+// that only the handle's own appends, rejections and expulsions change it,
+// and a miss costs one map read. A handle sees what was in the directory
+// when it was opened, plus what it has written itself. A record enters the
+// index only when its whole length is there and its CRC checks; a tail torn
+// by a crash is a clean miss, and anything unrecognisable ends the scan of
+// that segment.
+//
 // Each handle appends only to its own segment, which it creates exclusively
 // at its first Put (a handle that only reads creates nothing) and opens
-// O_APPEND; at segmentBytes it starts another. Two handles — in one process
-// or in several sharing the directory — therefore never interleave writes,
-// and no handle ever rewrites a byte another has read. A handle finds
-// records through an in-memory index, key hash → (segment, offset, length),
-// built by scanning every segment at NewStore and brought up to date when a
-// lookup misses it: new segments are scanned, known ones from where the last
-// scan stopped (a ReadDir and a stat per segment of another handle). So what
-// one handle has put, every other handle on the directory finds at its next
-// miss, and what a handle has put it finds itself at once. A record enters
-// an index only when its whole length is there and its CRC checks; a tail
-// torn by a crash, or still being written, is a clean miss, and anything
-// unrecognisable ends the scan of that segment.
+// O_APPEND; at segmentBytes it starts another. Two handles on one directory
+// therefore never interleave writes, and no handle ever rewrites a byte
+// another has read; one sees the other's new records only once it is
+// reopened.
 //
 // Everything read back is treated as untrusted input — the trust-boundary
 // stance the GraalVM IR formal-semantics work argues for: the record must
@@ -117,9 +119,8 @@ type Store struct {
 	// SetMaxBytes.
 	maxBytes atomic.Int64
 
-	// mu guards the fields below. Lookups hold it shared, and only for the
-	// index access; appends, directory refreshes and expulsions hold it
-	// exclusively.
+	// mu guards the fields below. Lookups hold it shared; appends,
+	// rejections and expulsions hold it exclusively.
 	mu    sync.RWMutex
 	index map[recordID]location
 	segs  map[string]*segment // every segment known, by file name
@@ -157,16 +158,7 @@ type location struct {
 type segment struct {
 	name string
 	f    *os.File
-	// own marks a segment this handle wrote: every record in it was indexed
-	// as it was appended, so a refresh has nothing to learn from it.
-	own bool
-	// size is the file's length as last seen (for an own segment, as
-	// written); scanned is how much of it has been through scan, which stops
-	// before an incomplete tail and for good (dead) at anything that is not
-	// a record.
-	size    int64
-	scanned int64
-	dead    bool
+	size int64 // the file's length at open, or as this handle has written it
 }
 
 // header is a decoded record header.
@@ -249,16 +241,38 @@ func artifactID(k Key) (recordID, []byte) {
 }
 
 // NewStore opens (creating if needed) a store rooted at dir and indexes the
-// segments already there. Anything else in the directory — the one file per
-// artifact of StoreVersion 1, say — is neither read nor touched.
+// segments already there. It is the only time the handle reads the
+// directory. Anything else in it — the one file per artifact of StoreVersion
+// 1, say — is neither read nor touched. Segments that cannot be opened or
+// read are skipped; they stay cold.
 func NewStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("broker: opening artifact store: %w", err)
 	}
+	ents, err := os.ReadDir(dir) // sorted by name, which is by age
+	if err != nil {
+		return nil, fmt.Errorf("broker: opening artifact store: %w", err)
+	}
 	s := &Store{dir: dir, index: make(map[recordID]location), segs: make(map[string]*segment)}
-	s.mu.Lock()
-	s.refreshLocked()
-	s.mu.Unlock()
+	for _, e := range ents {
+		name := e.Name()
+		if !e.Type().IsRegular() || filepath.Ext(name) != segExt {
+			continue
+		}
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			continue
+		}
+		info, err := f.Stat()
+		if err != nil {
+			f.Close()
+			continue
+		}
+		seg := &segment{name: name, f: f, size: info.Size()}
+		s.segs[name] = seg
+		s.bytes += seg.size
+		s.scan(seg)
+	}
 	return s, nil
 }
 
@@ -294,76 +308,22 @@ func (s *Store) Close() error {
 	return err
 }
 
-// refreshLocked brings the index up to date with the directory: segments
-// that appeared since the last look are scanned, known ones that grew are
-// scanned from where the last scan stopped, and ones that are gone (another
-// handle's byte bound expelled them) are forgotten. Segments that cannot be
-// opened or read are skipped; they stay cold. Caller holds mu exclusively.
-func (s *Store) refreshLocked() {
-	ents, err := os.ReadDir(s.dir) // sorted by name, which is by age
-	if err != nil {
-		return
-	}
-	present := make(map[string]bool, len(ents))
-	for _, e := range ents {
-		name := e.Name()
-		if !e.Type().IsRegular() || filepath.Ext(name) != segExt {
-			continue
-		}
-		present[name] = true
-		seg := s.segs[name]
-		if seg != nil && seg.own {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		if seg == nil {
-			f, err := os.Open(filepath.Join(s.dir, name))
-			if err != nil {
-				continue
-			}
-			seg = &segment{name: name, f: f}
-			s.segs[name] = seg
-		}
-		if info.Size() > seg.size {
-			s.bytes += info.Size() - seg.size
-			seg.size = info.Size()
-			s.scan(seg)
-		}
-	}
-	for name, seg := range s.segs {
-		if !present[name] {
-			s.forget(seg)
-		}
-	}
-}
-
-// scan indexes the artifact records in seg's unscanned part. It stops before
-// a record whose length runs past the end of the file — a torn tail, or a
-// write in flight, to be looked at again once the file has grown — and gives
-// the segment up for good at bytes that are not a record of this version or
-// whose CRC fails, counting one rejection. A later record for an id replaces
-// an earlier one.
+// scan indexes the artifact records of seg, a segment found at open. It
+// stops before a record whose length runs past the size the segment had then
+// — a torn tail, or a write in flight — and at bytes that are not a record of
+// this version or whose CRC fails, counting one rejection. A later record for
+// an id replaces an earlier one.
 func (s *Store) scan(seg *segment) {
-	if seg.dead {
-		return
-	}
-	r := bufio.NewReaderSize(io.NewSectionReader(seg.f, seg.scanned, seg.size-seg.scanned), 1<<16)
+	r := bufio.NewReaderSize(io.NewSectionReader(seg.f, 0, seg.size), 1<<16)
 	var hdr [headerSize]byte
 	var rec []byte
-	for {
-		rest := seg.size - seg.scanned
-		if rest < headerSize {
-			return
-		}
+	for off := int64(0); seg.size-off >= headerSize; off += int64(len(rec)) {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
 		}
 		h, ok := parseHeader(hdr[:])
 		if ok {
-			if h.size() > rest {
+			if h.size() > seg.size-off {
 				return
 			}
 			if int64(cap(rec)) < h.size() {
@@ -377,17 +337,16 @@ func (s *Store) scan(seg *segment) {
 			ok = recordCRC(rec) == h.crc
 		}
 		if !ok {
-			seg.dead = true
 			s.stats.rejected.Add(1)
 			return
 		}
-		s.index[recordID{h.kind, h.hash}] = location{seg, seg.scanned, h.size()}
-		seg.scanned += h.size()
+		s.index[recordID{h.kind, h.hash}] = location{seg, off, h.size()}
 	}
 }
 
-// forget drops seg and every index entry into it, returning how many.
-// Caller holds mu exclusively.
+// forget drops seg, which the byte bound has expelled (never the segment
+// being written), and every index entry into it, returning how many. Caller
+// holds mu exclusively.
 func (s *Store) forget(seg *segment) int {
 	n := 0
 	for id, at := range s.index {
@@ -399,32 +358,15 @@ func (s *Store) forget(seg *segment) int {
 	seg.f.Close() // a load in flight sees a read error and refuses the record
 	delete(s.segs, seg.name)
 	s.bytes -= seg.size
-	if s.w == seg {
-		s.w = nil
-	}
 	return n
 }
 
-// lookup finds id in the index, refreshing it from the directory on a miss.
+// lookup finds id in the index.
 func (s *Store) lookup(id recordID) (location, bool) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	at, ok := s.index[id]
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return location{}, false
-	}
-	if ok {
-		return at, true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return location{}, false
-	}
-	s.refreshLocked()
-	at, ok = s.index[id]
-	return at, ok
+	return at, ok && !s.closed
 }
 
 // read returns the payload of the record at at if it is a whole
@@ -519,7 +461,7 @@ func (s *Store) newSegment() (*segment, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &segment{name: name, f: f, own: true}, nil
+		return &segment{name: name, f: f}, nil
 	}
 }
 
@@ -578,10 +520,7 @@ func (s *Store) Put(k Key, g *ir.Graph) error {
 	}
 	id, key := artifactID(k)
 	// append checks again under its lock; looking first saves the encode.
-	s.mu.RLock()
-	_, held := s.index[id]
-	s.mu.RUnlock()
-	if held {
+	if _, held := s.lookup(id); held {
 		return nil
 	}
 	payload, err := ir.EncodeJSON(g)

@@ -375,8 +375,9 @@ func FuzzSegmentScan(f *testing.F) {
 
 // Two store handles (standing in for two processes) sharing one directory:
 // each appends to its own segment, so concurrent writers and readers of the
-// same keys must never observe partial records or corrupt loads, and what
-// one handle wrote the other must find. Run under -race in CI.
+// same keys must never observe partial records or corrupt loads, each handle
+// finds what it wrote itself, and a handle opened afterwards finds what
+// either wrote. Run under -race in CI.
 func TestStoreSharedDirConcurrency(t *testing.T) {
 	p, ms := testProgram(t, 5)
 	dir := t.TempDir()
@@ -435,23 +436,61 @@ func TestStoreSharedDirConcurrency(t *testing.T) {
 			t.Fatalf("concurrent sharing produced rejections: %+v", st)
 		}
 	}
-	// After the dust settles every key must hit, on both handles — the one
-	// only handle 1 wrote included, which handle 2 finds by refreshing its
-	// index when the lookup misses.
-	for _, s := range []*Store{s1, s2} {
-		for i := range keys {
-			if _, ok := s.Load(keys[i], p, check.Basic); !ok {
-				t.Fatalf("key %d missing after concurrent writes", i)
+	// Each handle hits every key it wrote, and wrote each at most once.
+	for h, s := range []*Store{s1, s2} {
+		wrote := shared
+		if s == s1 {
+			wrote = keys
+		}
+		for i := range wrote {
+			if _, ok := s.Load(wrote[i], p, check.Basic); !ok {
+				t.Fatalf("handle %d misses key %d, which it wrote", h+1, i)
 			}
 		}
+		if st := s.Stats(); st.Writes != int64(len(wrote)) {
+			t.Fatalf("handle %d wrote %d records for %d keys", h+1, st.Writes, len(wrote))
+		}
 	}
-	if st := s2.Stats(); st.Writes > int64(len(shared)) {
-		t.Fatalf("handle 2 wrote %d records for %d keys", st.Writes, len(shared))
-	}
-	// A segment per handle that wrote (handle 2 may have found every key in
-	// handle 1's segment before its own first put).
+	// A segment per handle that wrote.
 	if files := segmentFiles(t, dir); len(files) > 2 {
 		t.Fatalf("two handles left %v, want at most a segment each", files)
+	}
+	// A handle opened after both finds every key, whoever wrote it.
+	s3 := mustStore(t, dir)
+	for i := range keys {
+		if _, ok := s3.Load(keys[i], p, check.Basic); !ok {
+			t.Fatalf("key %d missing on a handle opened after the writers", i)
+		}
+	}
+	if st := s3.Stats(); st.Rejected != 0 {
+		t.Fatalf("reopening after concurrent writes produced rejections: %+v", st)
+	}
+}
+
+// A handle reads the directory only when it is opened: a key another handle
+// puts afterwards is a plain miss, found by no rescan, until the directory is
+// opened again.
+func TestStoreMissDoesNotReadTheDirectory(t *testing.T) {
+	p, ms := testProgram(t, 1)
+	k := contentKey(p, ms[0])
+	dir := t.TempDir()
+	a := mustStore(t, dir)
+	b := mustStore(t, dir)
+	if err := b.Put(k, mustBuild(ms[0])); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := a.Stats()
+	if _, ok := a.Load(k, p, check.Basic); ok {
+		t.Fatal("a handle found a record put after it was opened")
+	}
+	if st := a.Stats(); st.Misses != 1 || st.Segments != before.Segments || st.Bytes != before.Bytes {
+		t.Fatalf("the miss looked at the directory: stats %+v, before %+v", st, before)
+	}
+	if _, ok := mustStore(t, dir).Load(k, p, check.Basic); !ok {
+		t.Fatal("a handle opened after the put does not find the key")
 	}
 }
 

@@ -48,11 +48,11 @@ type Interp struct {
 	Env     *rt.Env
 	Profile *Profile
 
-	// CallHook, when non-nil, is consulted before each interpreted call;
-	// if it returns true the call was executed by other means (e.g. by
-	// jumping to compiled code) and the interpreter uses the returned
-	// value. This is how the VM mixes interpreted and compiled frames.
-	CallHook func(m *bc.Method, args []rt.Value) (rt.Value, bool, error)
+	// Invoke, when non-nil, makes every call the interpreted code makes, in
+	// place of Call; it may run the callee by other means (compiled code)
+	// or call Call itself. This is how the VM mixes interpreted and
+	// compiled frames.
+	Invoke func(m *bc.Method, args []rt.Value) (rt.Value, error)
 
 	// OSRHook, when non-nil, is consulted after each taken back edge with
 	// the frame (whose PC is the loop-header bci just jumped to) and the
@@ -76,7 +76,7 @@ func (it *Interp) Run() (rt.Value, error) {
 }
 
 // Call invokes m with args and runs it to completion in the interpreter
-// (nested calls may still be diverted by CallHook).
+// (nested calls go through Invoke when it is set).
 func (it *Interp) Call(m *bc.Method, args []rt.Value) (rt.Value, error) {
 	if len(args) != m.NumArgs() {
 		return rt.Value{}, fmt.Errorf("interp: %s called with %d args, want %d",
@@ -328,18 +328,13 @@ func (it *Interp) invoke(f *Frame, in *bc.Instr) error {
 	}
 	var ret rt.Value
 	var err error
-	handled := false
-	if it.CallHook != nil {
-		ret, handled, err = it.CallHook(callee, args)
-		if err != nil {
-			return err
-		}
-	}
-	if !handled {
+	if it.Invoke != nil {
+		ret, err = it.Invoke(callee, args)
+	} else {
 		ret, err = it.Call(callee, args)
-		if err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 	if callee.Ret != bc.KindVoid {
 		f.push(ret)

@@ -469,7 +469,9 @@ func TestFingerprintHashesOnlyPruningVerdicts(t *testing.T) {
 	}
 }
 
-func TestCallHookDiversion(t *testing.T) {
+// Invoke makes every call the interpreted code makes; it may answer one
+// itself and hand the rest back to Call.
+func TestInvokeDiversion(t *testing.T) {
 	a := bc.NewAssembler()
 	c := a.Class("C", "")
 	callee := c.Method("callee", nil, bc.KindInt, true)
@@ -482,18 +484,23 @@ func TestCallHookDiversion(t *testing.T) {
 	}
 	env := rt.NewEnv(p, 1)
 	it := New(env)
-	it.CallHook = func(mm *bc.Method, args []rt.Value) (rt.Value, bool, error) {
+	var seen []string
+	it.Invoke = func(mm *bc.Method, args []rt.Value) (rt.Value, error) {
+		seen = append(seen, mm.Name)
 		if mm.Name == "callee" {
-			return rt.IntValue(99), true, nil
+			return rt.IntValue(99), nil
 		}
-		return rt.Value{}, false, nil
+		return it.Call(mm, args)
 	}
 	got, err := it.Call(p.ClassByName("C").MethodByName("m"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.I != 99 {
-		t.Fatalf("hook not used: got %d", got.I)
+		t.Fatalf("Invoke not used: got %d", got.I)
+	}
+	if len(seen) != 1 || seen[0] != "callee" {
+		t.Fatalf("Invoke saw %v, want only the call m makes", seen)
 	}
 }
 

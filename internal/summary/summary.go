@@ -113,11 +113,6 @@ type Summary struct {
 	// Primitive parameters are recorded as ArgEscape (always observed,
 	// never substitutable).
 	ParamEscape []Lattice
-	// ReturnsFresh: every return value is an allocation made inside the
-	// method (directly or via callees that return fresh). Reported in
-	// Table only: no compile reads it, and it is never a license to skip
-	// escapes.
-	ReturnsFresh bool
 	// Preds are the predicate refinements (see Pred).
 	Preds []Pred
 	// Conservative marks recursion-cycle members and methods whose IR
@@ -416,7 +411,6 @@ func (s *Set) analyze(m *bc.Method, bg func(*bc.Method) (*ir.Graph, error)) (*Su
 		contribsPer = append(contribsPer, cs)
 	}
 
-	s.returns(g, sum)
 	s.predicates(m, g, contribsPer, sum)
 	return sum, true
 }
@@ -598,61 +592,6 @@ func evalCond(c bc.Cond, a, b int64) bool {
 	}
 }
 
-// returns computes ReturnsFresh from the graph's return terminators.
-func (s *Set) returns(g *ir.Graph, sum *Summary) {
-	if g.Method == nil || g.Method.Ret != bc.KindRef {
-		return
-	}
-	fresh := true
-	any := false
-	for _, b := range g.Blocks {
-		t := b.Term
-		if t == nil || t.Op != ir.OpReturn || len(t.Inputs) == 0 {
-			continue
-		}
-		any = true
-		if !s.isFresh(t.Inputs[0], make(map[*ir.Node]bool)) {
-			fresh = false
-		}
-	}
-	sum.ReturnsFresh = any && fresh
-}
-
-// isFresh reports whether v is always an object allocated in this method
-// (directly, via phis of fresh values, or via callees that return fresh).
-func (s *Set) isFresh(v *ir.Node, seen map[*ir.Node]bool) bool {
-	if v == nil || seen[v] {
-		return v != nil // a phi cycle of allocations stays fresh
-	}
-	seen[v] = true
-	// oplint:ignore — predicate over the few value-producing ops that
-	// yield provably fresh objects; everything else answers false.
-	switch v.Op {
-	case ir.OpNew, ir.OpNewArray:
-		return true
-	case ir.OpPhi:
-		for _, in := range v.Inputs {
-			if !s.isFresh(in, seen) {
-				return false
-			}
-		}
-		return len(v.Inputs) > 0
-	case ir.OpInvoke:
-		targets, ok := s.callTargets(v)
-		if !ok {
-			return false
-		}
-		for _, t := range targets {
-			sum := s.Of(t)
-			if sum == nil || !sum.ReturnsFresh {
-				return false
-			}
-		}
-		return len(targets) > 0
-	}
-	return false
-}
-
 // predicates runs the SkipFlow-lite refinement: when the method's entry
 // block ends in a branch on (primitive parameter vs constant) and every
 // contribution that raises a ref parameter above some level sits in
@@ -747,7 +686,7 @@ func (s *Set) ArgSafe(call *ir.Node) []bool {
 // Table renders the set as a fixed-width report (peavm -summaries-report).
 func (s *Set) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-32s %-20s %5s  %s\n", "METHOD", "PARAMS", "FRESH", "PREDS")
+	fmt.Fprintf(&b, "%-32s %-20s %5s  %s\n", "METHOD", "PARAMS", "REC", "PREDS")
 	names := make([]string, 0, len(s.prog.Methods))
 	byName := make(map[string]*bc.Method, len(s.prog.Methods))
 	for _, m := range s.prog.Methods {
@@ -772,15 +711,12 @@ func (s *Set) Table() string {
 			preds = append(preds, fmt.Sprintf("p%d@(p%d%s%d:%s)->%s",
 				p.Param, p.IntParam, p.Cond, p.Const, arm, p.Relaxed))
 		}
-		fresh := ""
-		if sum.ReturnsFresh {
-			fresh = "yes"
-		}
+		rec := ""
 		if sum.Conservative {
-			fresh = "rec"
+			rec = "rec"
 		}
 		fmt.Fprintf(&b, "%-32s %-20s %5s  %s\n",
-			n, strings.Join(levels, ","), fresh, strings.Join(preds, " "))
+			n, strings.Join(levels, ","), rec, strings.Join(preds, " "))
 	}
 	st := s.stats
 	fmt.Fprintf(&b, "ref params: %d no-escape, %d arg-escape, %d global; %d preds; %d conservative\n",

@@ -140,33 +140,14 @@ func TestReceiverFlooredToArgEscape(t *testing.T) {
 	}
 }
 
-func TestReturnsFresh(t *testing.T) {
+// A returned parameter is observed by the caller, not stored anywhere.
+func TestReturnedParamIsArgEscape(t *testing.T) {
 	p := assemble(t, func(a *bc.Assembler) {
-		box := a.Class("Box", "")
-		box.Field("v", bc.KindInt)
-		c := a.Class("C", "")
-
-		mk := c.Method("mk", nil, bc.KindRef, true)
-		mk.New(box.Ref()).ReturnValue()
-
-		mk2 := c.Method("mk2", nil, bc.KindRef, true)
-		mk2.InvokeStatic(mk.Ref()).ReturnValue()
-
-		echo := c.Method("echo", []bc.Kind{bc.KindRef}, bc.KindRef, true)
+		echo := a.Class("C", "").Method("echo", []bc.Kind{bc.KindRef}, bc.KindRef, true)
 		echo.Load(0).ReturnValue()
 	})
 	s := Compute(p, Options{})
-	if sum := s.Of(methodOf(t, p, "C", "mk")); !sum.ReturnsFresh {
-		t.Error("mk: ReturnsFresh = false, want true")
-	}
-	if sum := s.Of(methodOf(t, p, "C", "mk2")); !sum.ReturnsFresh {
-		t.Error("mk2: ReturnsFresh = false through fresh-returning callee")
-	}
-	sum := s.Of(methodOf(t, p, "C", "echo"))
-	if sum.ReturnsFresh {
-		t.Error("echo: ReturnsFresh = true for returned param")
-	}
-	if sum.ParamEscape[0] != ArgEscape {
+	if sum := s.Of(methodOf(t, p, "C", "echo")); sum.ParamEscape[0] != ArgEscape {
 		t.Errorf("echo: returned param = %s, want arg", sum.ParamEscape[0])
 	}
 }

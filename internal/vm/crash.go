@@ -53,7 +53,7 @@ func (vm *VM) captureCrashRepro(m *bc.Method, k broker.Key, pe *broker.PanicErro
 		fmt.Fprintf(os.Stderr, "vm: cannot save crash repro %s: %v\n", path, err)
 		return
 	}
-	atomic.AddInt64(&vm.VMStats.CrashRepros, 1)
+	atomic.AddInt64(&vm.stats.CrashRepros, 1)
 	vm.Opts.Sink.VMCrashRepro(m.QualifiedName(), path)
 
 	// Dump the ring next to the repro: the last few thousand compile/deopt/

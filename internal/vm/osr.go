@@ -47,7 +47,7 @@ func (vm *VM) enterOSR(f *interp.Frame, c exec.Code) (rt.Value, bool, error) {
 	args := make([]rt.Value, f.Method.NumLocals()+len(f.Stack))
 	copy(args, f.Locals)
 	copy(args[f.Method.NumLocals():], f.Stack)
-	atomic.AddInt64(&vm.VMStats.OSREntries, 1)
+	atomic.AddInt64(&vm.stats.OSREntries, 1)
 	vm.Opts.Sink.VMOSREnter(f.Method, f.PC)
 	ret, err := c.Run(vm.Engine, args)
 	if err != nil {

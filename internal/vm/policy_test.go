@@ -41,8 +41,8 @@ func TestCompileThresholdRespected(t *testing.T) {
 	if machine.CompiledGraph(m) == nil {
 		t.Fatal("not compiled once the profile reached the threshold")
 	}
-	if machine.VMStats.CompiledMethods != 1 {
-		t.Fatalf("compiled methods = %d", machine.VMStats.CompiledMethods)
+	if machine.Stats().CompiledMethods != 1 {
+		t.Fatalf("compiled methods = %d", machine.Stats().CompiledMethods)
 	}
 }
 
@@ -54,7 +54,7 @@ func TestInterpretModeNeverCompiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if machine.VMStats.CompiledMethods != 0 {
+	if machine.Stats().CompiledMethods != 0 {
 		t.Fatal("interpret-only mode compiled something")
 	}
 }
@@ -77,8 +77,8 @@ func TestInvalidateForcesNonSpeculativeRecompile(t *testing.T) {
 	if !machine.methods[m.ID].noSpec.Load() {
 		t.Fatal("invalidation must disable speculation for the method")
 	}
-	if machine.VMStats.InvalidatedMethods != 1 {
-		t.Fatalf("invalidations = %d", machine.VMStats.InvalidatedMethods)
+	if machine.Stats().InvalidatedMethods != 1 {
+		t.Fatalf("invalidations = %d", machine.Stats().InvalidatedMethods)
 	}
 	// Recompile on the next call (profile already hot).
 	if _, err := machine.Call(m, []rt.Value{rt.IntValue(1)}); err != nil {
@@ -90,8 +90,8 @@ func TestInvalidateForcesNonSpeculativeRecompile(t *testing.T) {
 	// Invalidating an uncompiled method is a no-op.
 	machine.Invalidate(m, "deopt")
 	machine.Invalidate(m, "deopt")
-	if machine.VMStats.InvalidatedMethods != 2 {
-		t.Fatalf("invalidations = %d, want 2", machine.VMStats.InvalidatedMethods)
+	if machine.Stats().InvalidatedMethods != 2 {
+		t.Fatalf("invalidations = %d, want 2", machine.Stats().InvalidatedMethods)
 	}
 }
 

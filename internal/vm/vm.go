@@ -262,7 +262,8 @@ type VM struct {
 	sums    *summary.Set
 	sumOnce sync.Once
 
-	VMStats Stats
+	// stats holds the VM counters, updated atomically; Stats reads them.
+	stats Stats
 }
 
 // unit is the tier-up state of one compilation unit: a method's standard
@@ -392,12 +393,12 @@ func New(prog *bc.Program, opts Options) *VM {
 	}
 	vm.Env.MaxSteps = opts.MaxSteps
 	vm.Interp = interp.New(vm.Env)
-	vm.Interp.CallHook = vm.interpCallHook
+	vm.Interp.Invoke = vm.Call
 	if opts.OSRThreshold > 0 && !opts.Interpret {
 		vm.Interp.OSRHook = vm.osrHook
 	}
 	vm.Engine = &exec.Engine{Env: vm.Env}
-	vm.Engine.Invoke = vm.engineInvoke
+	vm.Engine.Invoke = vm.Call
 	vm.Engine.Deopt = vm.deopt
 
 	vm.hooks = broker.Hooks{
@@ -431,25 +432,10 @@ func (vm *VM) Run() (rt.Value, error) {
 	return vm.Call(vm.Prog.Main, nil)
 }
 
-// Call invokes m with args under the VM's execution policy.
+// Call invokes m with args under the VM's execution policy: its installed
+// code if there is any, else the interpreter. It is the VM's one call path —
+// the interpreter's and the engine's Invoke hooks are Call too.
 func (vm *VM) Call(m *bc.Method, args []rt.Value) (rt.Value, error) {
-	if c := vm.maybeCompiled(m); c != nil {
-		return c.Run(vm.Engine, args)
-	}
-	return vm.Interp.Call(m, args)
-}
-
-// interpCallHook diverts interpreted calls to compiled code when available.
-func (vm *VM) interpCallHook(m *bc.Method, args []rt.Value) (rt.Value, bool, error) {
-	if c := vm.maybeCompiled(m); c != nil {
-		v, err := c.Run(vm.Engine, args)
-		return v, true, err
-	}
-	return rt.Value{}, false, nil
-}
-
-// engineInvoke handles calls made from compiled code.
-func (vm *VM) engineInvoke(m *bc.Method, args []rt.Value) (rt.Value, error) {
 	if c := vm.maybeCompiled(m); c != nil {
 		return c.Run(vm.Engine, args)
 	}
@@ -526,7 +512,7 @@ func (vm *VM) tierUp(u *unit, count int64) exec.Code {
 		return nil
 	}
 	if u.isOSR() {
-		atomic.AddInt64(&vm.VMStats.OSRRequests, 1)
+		atomic.AddInt64(&vm.stats.OSRRequests, 1)
 		vm.Opts.Sink.VMOSRRequest(u.m, u.entryBCI, count)
 	}
 	if !vm.jit.Submit(u.m, count, vm.cacheKey(u.m, u.entryBCI), &vm.hooks) {
@@ -555,7 +541,7 @@ func (vm *VM) rearm(u *unit, reason string) {
 	}
 	next := vm.hotness(u) + vm.trigger(u)<<shift
 	u.retryAt.Store(next)
-	atomic.AddInt64(&vm.VMStats.Rearms, 1)
+	atomic.AddInt64(&vm.stats.Rearms, 1)
 	if s := vm.Opts.Sink; s.Traces() {
 		s.VMRearm(u.name(), reason, int(n), next)
 	}
@@ -689,7 +675,7 @@ func (vm *VM) installFrom(m *bc.Method, k broker.Key, a broker.Artifact, fromCac
 	u := vm.unit(m, k.EntryBCI)
 	noSpec := &vm.methods[m.ID].noSpec
 	if !fromCache {
-		atomic.AddInt64(&vm.VMStats.PipelineCompiles, 1)
+		atomic.AddInt64(&vm.stats.PipelineCompiles, 1)
 	}
 	code, ok := a.(exec.Code)
 	if !ok || code.Graph().Method != m {
@@ -727,16 +713,16 @@ func (vm *VM) installFrom(m *bc.Method, k broker.Key, a broker.Artifact, fromCac
 		return false
 	}
 	if trigger == obs.TriggerCacheFirst {
-		atomic.AddInt64(&vm.VMStats.WarmInstalls, 1)
+		atomic.AddInt64(&vm.stats.WarmInstalls, 1)
 	}
 	u.code.Store(&code)
 	// A successful install clears the transient-failure backoff, so a later
 	// invalidation re-enters the retry ladder from the bottom.
 	u.retryN.Store(0)
 	u.retryAt.Store(0)
-	installs := &vm.VMStats.CompiledMethods
+	installs := &vm.stats.CompiledMethods
 	if u.isOSR() {
-		installs = &vm.VMStats.OSRCompilations
+		installs = &vm.stats.OSRCompilations
 	}
 	atomic.AddInt64(installs, 1)
 	s := vm.Opts.Sink
@@ -746,7 +732,7 @@ func (vm *VM) installFrom(m *bc.Method, k broker.Key, a broker.Artifact, fromCac
 	if !u.isOSR() && noSpec.Load() && !fromCache {
 		// Only pipeline re-runs of a method entry count as recompilations;
 		// cache replays after an invalidation reuse earlier work.
-		n := atomic.AddInt64(&vm.VMStats.Recompilations, 1)
+		n := atomic.AddInt64(&vm.stats.Recompilations, 1)
 		if s.Traces() {
 			s.VMRecompile(m.QualifiedName(), int(n))
 		}
@@ -776,7 +762,7 @@ func (vm *VM) recordFailure(m *bc.Method, k broker.Key, err error) {
 	}
 	u := vm.unit(m, k.EntryBCI)
 	if broker.Transient(err) {
-		atomic.AddInt64(&vm.VMStats.TransientFailures, 1)
+		atomic.AddInt64(&vm.stats.TransientFailures, 1)
 		vm.rearm(u, "transient: "+err.Error())
 		return
 	}
@@ -925,7 +911,7 @@ func (vm *VM) Invalidate(m *bc.Method, reason string) {
 	for _, u := range units {
 		u.probed.Store(false)
 	}
-	atomic.AddInt64(&vm.VMStats.InvalidatedMethods, 1)
+	atomic.AddInt64(&vm.stats.InvalidatedMethods, 1)
 	if s := vm.Opts.Sink; s.Traces() {
 		s.VMInvalidate(m.QualifiedName(), reason)
 	}
@@ -950,17 +936,17 @@ func (vm *VM) Broker() *broker.Broker { return vm.jit }
 // Stats returns a consistent snapshot of the VM counters.
 func (vm *VM) Stats() Stats {
 	return Stats{
-		CompiledMethods:    atomic.LoadInt64(&vm.VMStats.CompiledMethods),
-		Recompilations:     atomic.LoadInt64(&vm.VMStats.Recompilations),
-		InvalidatedMethods: atomic.LoadInt64(&vm.VMStats.InvalidatedMethods),
-		OSRCompilations:    atomic.LoadInt64(&vm.VMStats.OSRCompilations),
-		OSRRequests:        atomic.LoadInt64(&vm.VMStats.OSRRequests),
-		OSREntries:         atomic.LoadInt64(&vm.VMStats.OSREntries),
-		WarmInstalls:       atomic.LoadInt64(&vm.VMStats.WarmInstalls),
-		PipelineCompiles:   atomic.LoadInt64(&vm.VMStats.PipelineCompiles),
-		TransientFailures:  atomic.LoadInt64(&vm.VMStats.TransientFailures),
-		Rearms:             atomic.LoadInt64(&vm.VMStats.Rearms),
-		CrashRepros:        atomic.LoadInt64(&vm.VMStats.CrashRepros),
+		CompiledMethods:    atomic.LoadInt64(&vm.stats.CompiledMethods),
+		Recompilations:     atomic.LoadInt64(&vm.stats.Recompilations),
+		InvalidatedMethods: atomic.LoadInt64(&vm.stats.InvalidatedMethods),
+		OSRCompilations:    atomic.LoadInt64(&vm.stats.OSRCompilations),
+		OSRRequests:        atomic.LoadInt64(&vm.stats.OSRRequests),
+		OSREntries:         atomic.LoadInt64(&vm.stats.OSREntries),
+		WarmInstalls:       atomic.LoadInt64(&vm.stats.WarmInstalls),
+		PipelineCompiles:   atomic.LoadInt64(&vm.stats.PipelineCompiles),
+		TransientFailures:  atomic.LoadInt64(&vm.stats.TransientFailures),
+		Rearms:             atomic.LoadInt64(&vm.stats.Rearms),
+		CrashRepros:        atomic.LoadInt64(&vm.stats.CrashRepros),
 	}
 }
 

@@ -107,7 +107,7 @@ func TestJITCompilesHotMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if machine.VMStats.CompiledMethods == 0 {
+	if machine.Stats().CompiledMethods == 0 {
 		t.Fatal("nothing was compiled")
 	}
 	if machine.CompiledGraph(p.Entry) == nil {
@@ -231,8 +231,8 @@ func TestSpeculativeDeopt(t *testing.T) {
 		t.Fatalf("materialized field = %d, want 200", got)
 	}
 	// The method was invalidated and recompiles without speculation.
-	if machine.VMStats.InvalidatedMethods != 1 {
-		t.Fatalf("invalidations = %d", machine.VMStats.InvalidatedMethods)
+	if machine.Stats().InvalidatedMethods != 1 {
+		t.Fatalf("invalidations = %d", machine.Stats().InvalidatedMethods)
 	}
 	for i := 0; i < 40; i++ {
 		v, err := machine.Call(p.Entry, []rt.Value{rt.IntValue(200)})
