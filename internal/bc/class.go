@@ -242,16 +242,6 @@ next:
 	return out
 }
 
-// NumStatics returns the total number of static field slots across all
-// classes; statics are addressed by (Class.ID, Field.Offset).
-func (p *Program) NumStatics() int {
-	n := 0
-	for _, c := range p.Classes {
-		n += len(c.Statics)
-	}
-	return n
-}
-
 // link finalizes the program: assigns IDs, builds lookup maps and vtables,
 // and flattens inherited fields. Called by the Assembler.
 func (p *Program) link() error {

@@ -37,8 +37,7 @@ type Options struct {
 	// EA selects the escape-analysis configuration tenants compile under.
 	EA vm.EAMode
 	// Backend selects the execution backend tenant code runs on. The zero
-	// value is vm.BackendOracle, as in vm.Options; the peaserve command
-	// passes vm.BackendClosure unless told otherwise.
+	// value is vm.BackendClosure, as in vm.Options.
 	Backend vm.Backend
 	// CompileThreshold is the tenant VMs' hotness threshold (0 = vm default).
 	CompileThreshold int64

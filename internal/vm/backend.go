@@ -11,23 +11,23 @@ import (
 type Backend int
 
 const (
-	// BackendOracle is the tree-walking reference evaluator (the
-	// default): slow, auditable, and the differential-testing oracle for
-	// every other backend.
-	BackendOracle Backend = iota
-	// BackendClosure is the template JIT: graphs are lowered once at
-	// install time into flat per-block closure sequences with dense value
-	// slots — the backend every wall-clock number is measured on.
-	BackendClosure
+	// BackendClosure is the template JIT (the default): graphs are lowered
+	// once at install time into flat per-block closure sequences with dense
+	// value slots — the backend every wall-clock number is measured on.
+	BackendClosure Backend = iota
+	// BackendOracle is the tree-walking reference evaluator: slow,
+	// auditable, and the differential-testing oracle for every other
+	// backend.
+	BackendOracle
 )
 
 // String names the backend as the -backend flag spells it.
 func (b Backend) String() string {
 	switch b {
-	case BackendOracle:
-		return "oracle"
 	case BackendClosure:
 		return "closure"
+	case BackendOracle:
+		return "oracle"
 	default:
 		return fmt.Sprintf("Backend(%d)", int(b))
 	}

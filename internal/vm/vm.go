@@ -89,8 +89,8 @@ func (m EAMode) String() string {
 type Options struct {
 	EA EAMode
 	// Backend selects the execution backend compiled graphs are lowered
-	// for and run on: BackendOracle (default) is the tree-walking
-	// reference evaluator, BackendClosure the template JIT.
+	// for and run on: BackendClosure (the zero value) is the template JIT,
+	// BackendOracle the tree-walking reference evaluator.
 	Backend Backend
 	// Interpret disables the JIT entirely.
 	Interpret bool
@@ -774,12 +774,6 @@ func (vm *VM) recordFailure(m *bc.Method, k broker.Key, err error) {
 // fresh pipeline run.
 func (vm *VM) Compile(m *bc.Method) (*ir.Graph, error) {
 	return vm.compileEntry(m, vm.speculates(m), broker.NoOSR)
-}
-
-// CompileOSR builds and optimizes an on-stack-replacement graph for m
-// entered at the loop header entryBCI, bypassing the broker and cache.
-func (vm *VM) CompileOSR(m *bc.Method, entryBCI int) (*ir.Graph, error) {
-	return vm.compileEntry(m, vm.speculates(m), entryBCI)
 }
 
 // compileEntry runs the full pipeline for m; spec selects speculative

@@ -38,6 +38,15 @@ func runVM(t *testing.T, p testprog.Program, opts Options, args []int64, warmup 
 	return v, machine, err
 }
 
+// TestZeroBackendIsClosure pins the zero value: Options{} runs the measured
+// engine, and the oracle is chosen only by name.
+func TestZeroBackendIsClosure(t *testing.T) {
+	var opts Options
+	if opts.Backend != BackendClosure || opts.Backend.String() != "closure" {
+		t.Fatalf("zero Backend is %v, want closure", opts.Backend)
+	}
+}
+
 // TestAllModesAgree runs every corpus program — the throwing ones included —
 // under every VM configuration and demands identical results and outputs,
 // with escape analysis modes never allocating more than the interpreter. The
@@ -51,11 +60,11 @@ func TestAllModesAgree(t *testing.T) {
 		warm bool
 	}{
 		{name: "interp", opts: Options{Interpret: true}},
-		{name: "jit", opts: Options{EA: EAOff}},
-		{name: "jit-ea", opts: Options{EA: EAFlowInsensitive}},
-		{name: "jit-pea", opts: Options{EA: EAPartial}},
-		{name: "jit-pea-spec", opts: Options{EA: EAPartial, Speculate: true}},
-		{name: "jit-pea-warm", opts: Options{EA: EAPartial}, warm: true},
+		{name: "jit", opts: Options{EA: EAOff, Backend: BackendOracle}},
+		{name: "jit-ea", opts: Options{EA: EAFlowInsensitive, Backend: BackendOracle}},
+		{name: "jit-pea", opts: Options{EA: EAPartial, Backend: BackendOracle}},
+		{name: "jit-pea-spec", opts: Options{EA: EAPartial, Speculate: true, Backend: BackendOracle}},
+		{name: "jit-pea-warm", opts: Options{EA: EAPartial, Backend: BackendOracle}, warm: true},
 		{name: "closure", opts: Options{EA: EAOff, Backend: BackendClosure}},
 		{name: "closure-pea-spec", opts: Options{EA: EAPartial, Speculate: true, Backend: BackendClosure}},
 		{name: "closure-pea-osr", opts: Options{EA: EAPartial, OSRThreshold: 8, Backend: BackendClosure}},

@@ -1,29 +1,20 @@
-// Command oplint flags non-exhaustive switch statements over the compiler's
-// opcode enums (pea/internal/ir.Op and pea/internal/bc.Op). A switch over an
-// opcode type must name every exported constant of the enum — a default
-// clause does not excuse missing cases, because defaults are exactly how a
-// newly added opcode silently falls through the back end. Sites that are
-// intentionally partial (predicates over a subset of ops, disassembler
-// fallbacks) opt out with a `// oplint:ignore` comment on or immediately
-// above the switch.
+// Command oplint is the repository's structural checker. Run from the
+// module root, it type-checks every package of the module and reports:
 //
-// The command runs in two modes:
+//   - a switch over an opcode enum (pea/internal/ir.Op, pea/internal/bc.Op)
+//     that does not name every exported constant. A default clause does not
+//     excuse a missing case: defaults are how a new opcode silently falls
+//     through a back end. A switch that is partial on purpose carries a
+//     `// oplint:ignore` comment on, above or inside it. OpInvalid, ir.Op's
+//     poison zero value, is never required.
+//   - a row of the rule table (rules.go) whose count in its scope is wrong.
 //
-//   - as a vet tool: go vet -vettool=$(go env GOPATH)/bin/oplint ./...
-//     (it speaks cmd/go's vet config protocol: -V=full, -flags, *.cfg);
-//   - standalone: oplint [packages], defaulting to ./..., which drives
-//     `go list -export` itself.
-//
-// OpInvalid (ir.Op's poison zero value) is excluded from the required set:
-// it never flows into a live switch.
-//
-// oplint uses only the standard library so the repository carries no
-// analysis-framework dependency.
+// TestRules runs both over the module, so `go test ./...` enforces them.
+// oplint uses only the standard library.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -46,123 +37,63 @@ var targets = map[string]map[string]bool{
 }
 
 func main() {
-	// Protocol flags of cmd/go's vettool interface.
-	version := flag.String("V", "", "print version (go vet protocol)")
-	printFlags := flag.Bool("flags", false, "print analyzer flags as JSON (go vet protocol)")
-	flag.Parse()
-
-	if *version == "full" {
-		// The go command hashes this line into its action cache key. The
-		// format is rigid: first field must be the binary's name, and for
-		// a "devel" version the last field must be a buildID.
-		name := strings.TrimSuffix(filepath.Base(os.Args[0]), ".exe")
-		fmt.Printf("%s version devel comments-go-here buildID=oplint-1/oplint-1\n", name)
-		return
-	}
-	if *printFlags {
-		fmt.Println("[]")
-		return
-	}
-
-	args := flag.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetUnit(args[0]))
-	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	os.Exit(standalone(args))
-}
-
-// vetConfig mirrors the JSON cmd/go writes for each vet unit.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetUnit analyzes one compilation unit described by a vet config file.
-func vetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
+	m, err := load(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "oplint:", err)
-		return 1
+		os.Exit(1)
 	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "oplint: %s: %v\n", cfgPath, err)
-		return 1
+	findings := m.check()
+	for _, f := range findings {
+		fmt.Fprintln(os.Stderr, f)
 	}
-	// The go command expects the facts file to exist even though oplint
-	// records no facts.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "oplint:", err)
-			return 1
-		}
+	if len(findings) > 0 {
+		os.Exit(2)
 	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	diags, err := checkFiles(cfg.GoFiles, cfg.Compiler, lookup)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "oplint: %s: %v\n", cfg.ImportPath, err)
-		return 1
-	}
-	return report(diags)
 }
 
 // listPackage is the subset of `go list -json` output oplint consumes.
 type listPackage struct {
-	Dir        string
-	ImportPath string
-	Export     string
-	DepOnly    bool
-	Standard   bool
-	GoFiles    []string
+	Dir, ImportPath, Export            string
+	DepOnly, Standard                  bool
+	GoFiles, TestGoFiles, XTestGoFiles []string
+	Error                              *struct{ Err string }
 }
 
-// standalone drives `go list -export` over the patterns and analyzes every
-// root (non-dependency) package from source.
-func standalone(patterns []string) int {
-	cmd := exec.Command("go", append([]string{"list", "-e", "-json", "-export", "-deps"}, patterns...)...)
+// A pkg is one package of the module: its build files, type-checked, and
+// its test files, parsed only.
+type pkg struct {
+	path         string
+	files, tests []*ast.File
+	info         *types.Info
+}
+
+// A module is every package under one module root.
+type module struct {
+	fset *token.FileSet
+	pkgs []*pkg
+}
+
+// load drives `go list -export -deps ./...` in dir and type-checks every
+// package of the module from source against its dependencies' export data.
+func load(dir string) (*module, error) {
+	cmd := exec.Command("go", "list", "-e", "-json", "-export", "-deps", "./...")
+	cmd.Dir = dir
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "oplint: go list:", err)
-		return 1
+		return nil, fmt.Errorf("go list: %v", err)
 	}
 	exports := make(map[string]string)
 	var roots []*listPackage
-	dec := json.NewDecoder(strings.NewReader(string(out)))
-	for {
+	for dec := json.NewDecoder(strings.NewReader(string(out))); ; {
 		p := new(listPackage)
 		if err := dec.Decode(p); err == io.EOF {
 			break
 		} else if err != nil {
-			fmt.Fprintln(os.Stderr, "oplint: go list:", err)
-			return 1
+			return nil, fmt.Errorf("go list: %v", err)
+		}
+		if p.Error != nil {
+			return nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
@@ -172,132 +103,115 @@ func standalone(patterns []string) int {
 		}
 	}
 
-	code := 0
-	for _, p := range roots {
-		lookup := func(path string) (io.ReadCloser, error) {
-			file, ok := exports[path]
-			if !ok {
-				return nil, fmt.Errorf("no export data for %q", path)
-			}
-			return os.Open(file)
+	m := &module{fset: token.NewFileSet()}
+	imp := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
-		var files []string
-		for _, f := range p.GoFiles {
-			files = append(files, p.Dir+string(os.PathSeparator)+f)
-		}
-		if len(files) == 0 {
-			continue
-		}
-		diags, err := checkFiles(files, "gc", lookup)
+		return os.Open(file)
+	})
+	for _, lp := range roots {
+		p, err := typecheck(m.fset, lp.ImportPath, lp.Dir, lp.GoFiles, imp)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "oplint: %s: %v\n", p.ImportPath, err)
-			code = 1
-			continue
+			return nil, err
 		}
-		if c := report(diags); c != 0 {
-			code = c
+		if p.tests, err = parseFiles(m.fset, lp.Dir, append(lp.TestGoFiles, lp.XTestGoFiles...)); err != nil {
+			return nil, err
 		}
+		m.pkgs = append(m.pkgs, p)
 	}
-	return code
+	return m, nil
 }
 
-func report(diags []string) int {
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// checkFiles parses and typechecks one package's files, then runs the
-// exhaustiveness check.
-func checkFiles(paths []string, compiler string, lookup func(string) (io.ReadCloser, error)) ([]string, error) {
-	if compiler == "" {
-		compiler = "gc"
-	}
-	fset := token.NewFileSet()
+func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
 	var files []*ast.File
-	for _, p := range paths {
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments|parser.SkipObjectResolution)
+	for _, n := range names {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, n), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{
+	return files, nil
+}
+
+// typecheck parses one package's build files and type-checks them under
+// its import path.
+func typecheck(fset *token.FileSet, path, dir string, names []string, imp types.Importer) (*pkg, error) {
+	files, err := parseFiles(fset, dir, names)
+	if err != nil {
+		return nil, err
+	}
+	p := &pkg{path: path, files: files, info: &types.Info{
 		Types: make(map[ast.Expr]types.TypeAndValue),
 		Uses:  make(map[*ast.Ident]types.Object),
 		Defs:  make(map[*ast.Ident]types.Object),
+	}}
+	conf := types.Config{Importer: imp, Error: func(error) {}} // the first error is Check's
+	if _, err := conf.Check(path, fset, files, p.info); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, compiler, lookup),
-		Error:    func(error) {}, // collect the first error via Check's return
-	}
-	pkgName := files[0].Name.Name
-	if _, err := conf.Check(pkgName, fset, files, info); err != nil {
-		return nil, err
-	}
-
-	var diags []string
-	for _, f := range files {
-		diags = append(diags, checkFile(fset, f, info)...)
-	}
-	return diags, nil
+	return p, nil
 }
 
-// checkFile reports non-exhaustive opcode switches in one file.
-func checkFile(fset *token.FileSet, f *ast.File, info *types.Info) []string {
-	ignored := collectIgnores(fset, f)
+// check runs the switch check and the rule table over the module.
+func (m *module) check() []string {
+	findings := m.switches()
+	for _, f := range m.apply(rules) {
+		findings = append(findings, f.String())
+	}
+	return findings
+}
+
+// switches runs the switch check over every package but the enums' own,
+// whose predicates (IsTerminator, HasSideEffect, …) are partial by design.
+func (m *module) switches() []string {
+	var diags []string
+	for _, p := range m.pkgs {
+		if _, own := targets[p.path+".Op"]; own {
+			continue
+		}
+		for _, f := range p.files {
+			diags = append(diags, checkSwitches(m.fset, f, p.info)...)
+		}
+	}
+	return diags
+}
+
+// checkSwitches reports non-exhaustive opcode switches in one file.
+func checkSwitches(fset *token.FileSet, f *ast.File, info *types.Info) []string {
+	ignored := ignoredLines(fset, f)
 	var diags []string
 	ast.Inspect(f, func(n ast.Node) bool {
 		sw, ok := n.(*ast.SwitchStmt)
 		if !ok || sw.Tag == nil {
 			return true
 		}
-		named := enumType(info, sw.Tag)
+		named, _ := info.TypeOf(sw.Tag).(*types.Named)
 		if named == nil {
 			return true
 		}
-		key := typeKey(named)
-		exclude := targets[key]
-		if missing := missingCases(sw, info, named, exclude); len(missing) > 0 {
-			if ignored.covers(fset, sw) {
+		key := types.TypeString(named, nil)
+		exclude, ok := targets[key]
+		if !ok {
+			return true
+		}
+		// A marker on the line above the switch or on any line of it (so
+		// it can sit on a default clause) silences it.
+		for l := fset.Position(sw.Pos()).Line - 1; l <= fset.Position(sw.End()).Line; l++ {
+			if ignored[l] {
 				return true
 			}
-			pos := fset.Position(sw.Pos())
+		}
+		if missing := missingCases(sw, info, named, exclude); len(missing) > 0 {
 			diags = append(diags, fmt.Sprintf(
 				"%s: oplint: switch on %s is missing cases %s (add them or comment the switch with // oplint:ignore)",
-				pos, key, strings.Join(missing, ", ")))
+				fset.Position(sw.Pos()), key, strings.Join(missing, ", ")))
 		}
 		return true
 	})
 	return diags
-}
-
-// enumType returns the named opcode type the switch tag has, or nil.
-func enumType(info *types.Info, tag ast.Expr) *types.Named {
-	tv, ok := info.Types[tag]
-	if !ok {
-		return nil
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok {
-		return nil
-	}
-	if _, ok := targets[typeKey(named)]; !ok {
-		return nil
-	}
-	return named
-}
-
-func typeKey(named *types.Named) string {
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 // missingCases returns the exported enum constants the switch does not
@@ -339,43 +253,19 @@ func missingCases(sw *ast.SwitchStmt, info *types.Info, named *types.Named, excl
 	return missing
 }
 
-// ignoreSpans records where `// oplint:ignore` comments appear.
-type ignoreSpans struct {
-	lines map[int]bool // line numbers carrying the marker
-}
-
-func collectIgnores(fset *token.FileSet, f *ast.File) ignoreSpans {
-	s := ignoreSpans{lines: make(map[int]bool)}
+// ignoredLines returns the lines of every comment group that carries an
+// `oplint:ignore` marker: the whole group counts, so the explanation may
+// continue across lines.
+func ignoredLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	lines := make(map[int]bool)
 	for _, cg := range f.Comments {
-		marked := false
 		for _, c := range cg.List {
 			if strings.Contains(c.Text, "oplint:ignore") {
-				marked = true
-				break
+				for l := fset.Position(cg.Pos()).Line; l <= fset.Position(cg.End()).Line; l++ {
+					lines[l] = true
+				}
 			}
 		}
-		if !marked {
-			continue
-		}
-		// A marker anywhere in a comment group marks the whole group, so
-		// the explanation may continue across lines.
-		for l := fset.Position(cg.Pos()).Line; l <= fset.Position(cg.End()).Line; l++ {
-			s.lines[l] = true
-		}
 	}
-	return s
-}
-
-// covers reports whether the switch is silenced: a marker on the switch
-// line, the line above it, or any line within the switch body (so the
-// marker can sit on a default clause).
-func (s ignoreSpans) covers(fset *token.FileSet, sw *ast.SwitchStmt) bool {
-	start := fset.Position(sw.Pos()).Line
-	end := fset.Position(sw.End()).Line
-	for l := start - 1; l <= end; l++ {
-		if s.lines[l] {
-			return true
-		}
-	}
-	return false
+	return lines
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"go/importer"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,10 +72,12 @@ func TestCheckFilesOnFixture(t *testing.T) {
 	targets["fix.Op"] = map[string]bool{}
 	defer delete(targets, "fix.Op")
 
-	diags, err := checkFiles([]string{path}, "gc", nil)
+	fset := token.NewFileSet()
+	p, err := typecheck(fset, "fix", dir, []string{"fix.go"}, importer.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
+	diags := checkSwitches(fset, p.files[0], p.info)
 	if len(diags) != 1 {
 		t.Fatalf("want exactly one diagnostic, got %d: %v", len(diags), diags)
 	}
