@@ -64,3 +64,24 @@ func TestNilBudgetRunsToCompletion(t *testing.T) {
 		t.Fatalf("nil budget read the clock %d times", d)
 	}
 }
+
+// TestBudgetErrorNamesTheMethod: an overrun past the entry check names the
+// method even when the sink does not trace. A node bound equal to the
+// graph's size passes pea-entry and trips at the first fixpoint round,
+// once critical-edge splitting has added blocks.
+func TestBudgetErrorNamesTheMethod(t *testing.T) {
+	p := testprog.Generate(1)
+	g := buildGraph(t, p.Prog, p.Entry)
+	res, err := Run(g, Config{Budget: &budget.Budget{MaxNodes: g.NumNodes()}})
+	var be *budget.Err
+	if !errors.As(err, &be) {
+		t.Fatalf("Run error = %v, want a budget error", err)
+	}
+	if be.Phase != "pea-fixpoint" || be.Method != p.Entry.QualifiedName() {
+		t.Fatalf("budget error at %q in %q, want pea-fixpoint in %q (%v)",
+			be.Phase, be.Method, p.Entry.QualifiedName(), err)
+	}
+	if !res.BailedOut {
+		t.Fatal("budget overrun must report as a bailout")
+	}
+}

@@ -38,7 +38,7 @@ func (a *analyzer) checkState(b *ir.Block, st *peaState) error {
 				if f == nil {
 					return fmt.Errorf("pea: state at %s: o%d field %d is nil", b, id, i)
 				}
-				if fid, ok := a.aliases[f]; ok {
+				if fid, ok := a.aliasOf(f); ok {
 					if int(fid) >= len(a.objs) || a.objs[fid] == nil {
 						return fmt.Errorf("pea: state at %s: o%d field %d aliases unknown object %d",
 							b, id, i, fid)
@@ -57,21 +57,19 @@ func (a *analyzer) checkState(b *ir.Block, st *peaState) error {
 // walks it, so a cycle would hang the emit phase).
 func (a *analyzer) checkRewrites() error {
 	for n, id := range a.aliases {
-		if int(id) >= len(a.objs) || a.objs[id] == nil {
-			return fmt.Errorf("pea: alias v%d resolves to unknown object %d", n.ID, id)
+		if id != noObj && (int(id) >= len(a.objs) || a.objs[id] == nil) {
+			return fmt.Errorf("pea: alias v%d resolves to unknown object %d", n, id)
 		}
 	}
-	for start := range a.replaced {
-		n := start
-		for hops := 0; ; hops++ {
-			r, ok := a.replaced[n]
-			if !ok {
+	for start, r := range a.replaced {
+		for hops := 0; r != nil; hops++ {
+			if r.ID == start || hops > len(a.replaced) {
+				return fmt.Errorf("pea: replacement log cycles at v%d", start)
+			}
+			if r.ID >= len(a.replaced) {
 				break
 			}
-			if r == start || hops > len(a.replaced) {
-				return fmt.Errorf("pea: replacement log cycles at v%d", start.ID)
-			}
-			n = r
+			r = a.replaced[r.ID]
 		}
 	}
 	// Every virtual object kept across a call must still hold its

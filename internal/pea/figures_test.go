@@ -18,6 +18,22 @@ import (
 func figureProgram(t *testing.T, params []bc.Kind, ret bc.Kind,
 	body func(m *bc.MethodAsm, box *bc.ClassAsm, v, ref, sink *bc.Field)) (*bc.Program, *ir.Graph, Result) {
 	t.Helper()
+	prog, g := figureGraph(t, params, ret, body)
+	res, err := Run(g, Config{})
+	if err != nil {
+		t.Fatalf("pea: %v\n%s", err, ir.Dump(g))
+	}
+	if err := ir.Verify(g); err != nil {
+		t.Fatalf("invalid graph: %v\n%s", err, ir.Dump(g))
+	}
+	return prog, g, res
+}
+
+// figureGraph assembles C.m like figureProgram and returns its graph as
+// the builder left it, before PEA.
+func figureGraph(t *testing.T, params []bc.Kind, ret bc.Kind,
+	body func(m *bc.MethodAsm, box *bc.ClassAsm, v, ref, sink *bc.Field)) (*bc.Program, *ir.Graph) {
+	t.Helper()
 	a := bc.NewAssembler()
 	box := a.Class("Box", "")
 	v := box.Field("v", bc.KindInt)
@@ -34,14 +50,7 @@ func figureProgram(t *testing.T, params []bc.Kind, ret bc.Kind,
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(g, Config{})
-	if err != nil {
-		t.Fatalf("pea: %v\n%s", err, ir.Dump(g))
-	}
-	if err := ir.Verify(g); err != nil {
-		t.Fatalf("invalid graph: %v\n%s", err, ir.Dump(g))
-	}
-	return prog, g, res
+	return prog, g
 }
 
 func count(g *ir.Graph, op ir.Op) int {

@@ -1,7 +1,7 @@
 package pea
 
 import (
-	"sort"
+	"slices"
 
 	"pea/internal/bc"
 	"pea/internal/ir"
@@ -29,80 +29,83 @@ import (
 // In emit mode the same decisions are replayed, and the effects —
 // materializations in predecessor blocks, new phis, substituted phi
 // inputs — are applied to the graph.
-func (a *analyzer) merge(b *ir.Block) *peaState {
-	// Available predecessors (parallel slices). Edge materializations
-	// mutate the working state copies; predecessors of a merge have a
-	// single successor (critical edges are split), so the mutation
-	// scope is exactly the edge.
-	var (
-		pIdx []int
-		pBlk []*ir.Block
-		pSt  []*peaState
-	)
+func (a *analyzer) merge(b *ir.Block) peaState {
+	// Available predecessors. Edge materializations mutate the working
+	// state copies; predecessors of a merge have a single successor
+	// (critical edges are split), so the mutation scope is exactly the
+	// edge.
+	var preds []pred
 	for i, p := range b.Preds {
-		if ex := a.exits[p]; ex != nil {
-			pIdx = append(pIdx, i)
-			pBlk = append(pBlk, p)
-			pSt = append(pSt, ex.clone())
+		if ex := a.exit(p); ex != nil {
+			if preds == nil {
+				preds = make([]pred, 0, len(b.Preds))
+			}
+			preds = append(preds, pred{idx: i, blk: p, st: ex.clone()})
 		}
 	}
-	merged := newPeaState()
-	if len(pSt) == 0 {
+	var merged peaState
+	if len(preds) == 0 {
 		return merged
 	}
 
+	alive := make([]int, len(a.objs))
+	surviving := make([]bool, len(a.objs))
+	scratch := make([]*ir.Node, 2*len(preds)) // two values per predecessor
+	var ids []objID
 	for iter := 0; ; iter++ {
-		merged = newPeaState()
+		merged = peaState{}
 		materializedSomething := false
 
 		// Figure 6a: intersection of live ids.
-		alive := make(map[objID]int)
-		for _, st := range pSt {
-			for id := range st.objs {
-				alive[id]++
+		clear(alive)
+		clear(surviving)
+		for k := range preds {
+			for id, os := range preds[k].st.objs {
+				if os != nil {
+					alive[id]++
+				}
 			}
 		}
-		var ids []objID
-		surviving := make(map[objID]bool)
+		ids = ids[:0]
 		for id, c := range alive {
-			if c == len(pSt) && a.hasFutureRef(b, id) {
-				ids = append(ids, id)
+			if c == len(preds) && a.hasFutureRef(b, objID(id)) {
+				ids = append(ids, objID(id))
 				surviving[id] = true
 			}
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		// Survival is closed under field reachability: a virtual object
 		// held in a surviving object's field must survive too, even if
 		// no direct alias of it is live anymore.
 		for w := 0; w < len(ids); w++ {
 			id := ids[w]
-			for _, st := range pSt {
+			for k := range preds {
+				st := &preds[k].st
 				os := st.objs[id]
 				if !os.virtual {
 					continue
 				}
 				for _, f := range os.fields {
 					fid, ok := a.aliasIn(st, a.resolveScalar(f))
-					if ok && alive[fid] == len(pSt) && !surviving[fid] {
+					if ok && alive[fid] == len(preds) && !surviving[fid] {
 						surviving[fid] = true
 						ids = append(ids, fid)
 					}
 				}
 			}
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 
 		for _, id := range ids {
 			allVirtual, anyVirtual := true, false
-			for _, st := range pSt {
-				if st.objs[id].virtual {
+			for k := range preds {
+				if preds[k].st.objs[id].virtual {
 					anyVirtual = true
 				} else {
 					allVirtual = false
 				}
 			}
-			if allVirtual && a.lockDepthsAgree(pSt, id) {
-				ns, mat := a.mergeVirtual(b, pBlk, pSt, id)
+			if allVirtual && a.lockDepthsAgree(preds, id) {
+				ns, mat := a.mergeVirtual(b, preds, id, scratch)
 				if mat {
 					materializedSomething = true
 				}
@@ -112,19 +115,19 @@ func (a *analyzer) merge(b *ir.Block) *peaState {
 			if anyVirtual {
 				// Mixed (or lock-depth conflict): materialize
 				// at the virtual predecessors' edges.
-				for k, st := range pSt {
-					if st.objs[id].virtual {
-						a.materializeAt(st, id, pBlk[k], nil, reasonMergeMixed)
+				for k := range preds {
+					if p := &preds[k]; p.st.objs[id].virtual {
+						a.materializeAt(&p.st, id, p.blk, nil, reasonMergeMixed)
 						materializedSomething = true
 					}
 				}
 			}
 			// All escaped now: merge materialized values
 			// (Figure 6b).
-			vals := make([]*ir.Node, len(pSt))
+			vals := scratch[:len(preds)]
 			same := true
-			for k, st := range pSt {
-				vals[k] = st.objs[id].materialized
+			for k := range preds {
+				vals[k] = preds[k].st.objs[id].materialized
 				if vals[k] != vals[0] {
 					same = false
 				}
@@ -133,7 +136,7 @@ func (a *analyzer) merge(b *ir.Block) *peaState {
 				merged.set(id, &objState{materialized: vals[0]})
 			} else {
 				phi := a.mergePhi(b, id, -1, bc.KindRef)
-				a.setPhiInputs(b, phi, pIdx, vals)
+				a.setPhiInputs(b, phi, preds, vals)
 				merged.set(id, &objState{materialized: phi})
 			}
 		}
@@ -147,14 +150,14 @@ func (a *analyzer) merge(b *ir.Block) *peaState {
 		// wrong speculation is corrected when the back-edge states
 		// arrive.
 		for _, phi := range b.Phis {
-			if phi.Kind != bc.KindRef || a.ourPhis[phi] {
+			if phi.Kind != bc.KindRef || a.ours(phi) {
 				continue
 			}
 			sameID := objID(-1)
 			allSame := true
-			for k := range pSt {
-				in := a.resolveScalar(phi.Inputs[pIdx[k]])
-				id, ok := a.aliasIn(pSt[k], in)
+			for k := range preds {
+				in := a.resolveScalar(phi.Inputs[preds[k].idx])
+				id, ok := a.aliasIn(&preds[k].st, in)
 				if !ok {
 					allSame = false
 					break
@@ -167,23 +170,24 @@ func (a *analyzer) merge(b *ir.Block) *peaState {
 				}
 			}
 			if allSame && sameID >= 0 {
-				if ms, ok := merged.objs[sameID]; ok && ms.virtual {
-					a.aliases[phi] = sameID
+				if ms := merged.get(sameID); ms != nil && ms.virtual {
+					a.setAlias(phi, sameID)
 					continue
 				}
 			}
-			delete(a.aliases, phi)
-			for k := range pSt {
-				in := a.resolveScalar(phi.Inputs[pIdx[k]])
-				if id, ok := a.aliasIn(pSt[k], in); ok {
-					if pSt[k].objs[id].virtual {
-						a.materializeAt(pSt[k], id, pBlk[k], nil, reasonMergePhi)
+			a.setAlias(phi, noObj)
+			for k := range preds {
+				p := &preds[k]
+				in := a.resolveScalar(phi.Inputs[p.idx])
+				if id, ok := a.aliasIn(&p.st, in); ok {
+					if p.st.objs[id].virtual {
+						a.materializeAt(&p.st, id, p.blk, nil, reasonMergePhi)
 						materializedSomething = true
 					}
-					in = pSt[k].objs[id].materialized
+					in = p.st.objs[id].materialized
 				}
-				if a.emit && in != phi.Inputs[pIdx[k]] {
-					phi.Inputs[pIdx[k]] = in
+				if a.emit && in != phi.Inputs[p.idx] {
+					phi.Inputs[p.idx] = in
 				}
 			}
 		}
@@ -199,11 +203,11 @@ func (a *analyzer) merge(b *ir.Block) *peaState {
 		// alias, and the phi's own inputs reference deleted
 		// allocations.
 		for _, phi := range append([]*ir.Node(nil), b.Phis...) {
-			if a.ourPhis[phi] {
+			if a.ours(phi) {
 				continue
 			}
-			if id, ok := a.aliases[phi]; ok {
-				if ms, live := merged.objs[id]; live && ms.virtual {
+			if id, ok := a.aliasOf(phi); ok {
+				if ms := merged.get(id); ms != nil && ms.virtual {
 					a.g.RemovePhi(phi)
 				}
 			}
@@ -212,12 +216,20 @@ func (a *analyzer) merge(b *ir.Block) *peaState {
 	return merged
 }
 
+// pred is one available predecessor of a merge: its index among the
+// block's predecessors, the block, and a working copy of its exit state.
+type pred struct {
+	idx int
+	blk *ir.Block
+	st  peaState
+}
+
 // lockDepthsAgree reports whether the virtual lock depth of id is the same
-// in every state.
-func (a *analyzer) lockDepthsAgree(states []*peaState, id objID) bool {
+// in every predecessor state.
+func (a *analyzer) lockDepthsAgree(preds []pred, id objID) bool {
 	d := -1
-	for _, st := range states {
-		os := st.objs[id]
+	for k := range preds {
+		os := preds[k].st.objs[id]
 		if !os.virtual {
 			continue
 		}
@@ -232,17 +244,18 @@ func (a *analyzer) lockDepthsAgree(states []*peaState, id objID) bool {
 
 // mergeVirtual merges an all-virtual id field-wise. It returns the merged
 // state and whether any field-value materialization was requested (which
-// forces the caller to re-run the merge).
-func (a *analyzer) mergeVirtual(b *ir.Block, pBlk []*ir.Block, pSt []*peaState, id objID) (*objState, bool) {
+// forces the caller to re-run the merge). scratch holds two values per
+// predecessor.
+func (a *analyzer) mergeVirtual(b *ir.Block, preds []pred, id objID, scratch []*ir.Node) (*objState, bool) {
 	oi := a.objs[id]
 	n := oi.numFields()
-	ns := &objState{virtual: true, fields: make([]*ir.Node, n), lockDepth: pSt[0].objs[id].lockDepth}
+	ns := &objState{virtual: true, fields: make([]*ir.Node, n), lockDepth: preds[0].st.objs[id].lockDepth}
 	materialized := false
+	vals, inputs := scratch[:len(preds)], scratch[len(preds):2*len(preds)]
 	for f := 0; f < n; f++ {
-		vals := make([]*ir.Node, len(pSt))
 		same := true
-		for k, st := range pSt {
-			vals[k] = a.resolveScalar(st.objs[id].fields[f])
+		for k := range preds {
+			vals[k] = a.resolveScalar(preds[k].st.objs[id].fields[f])
 			if vals[k] != vals[0] {
 				same = false
 			}
@@ -255,7 +268,8 @@ func (a *analyzer) mergeVirtual(b *ir.Block, pBlk []*ir.Block, pSt []*peaState, 
 		// ("this applies to Ids as well").
 		sameID := objID(-1)
 		allAlias := true
-		for k, st := range pSt {
+		for k := range preds {
+			st := &preds[k].st
 			vid, ok := a.aliasIn(st, vals[k])
 			if !ok || !st.objs[vid].virtual {
 				allAlias = false
@@ -274,12 +288,12 @@ func (a *analyzer) mergeVirtual(b *ir.Block, pBlk []*ir.Block, pSt []*peaState, 
 		}
 		// Differing values need a phi; virtual inputs must be
 		// materialized first (paper §5.3).
-		inputs := make([]*ir.Node, len(pSt))
-		for k, st := range pSt {
+		for k := range preds {
+			st := &preds[k].st
 			v := vals[k]
 			if vid, ok := a.aliasIn(st, v); ok {
 				if st.objs[vid].virtual {
-					a.materializeAt(st, vid, pBlk[k], nil, reasonMergeField)
+					a.materializeAt(st, vid, preds[k].blk, nil, reasonMergeField)
 					materialized = true
 				}
 				v = st.objs[vid].materialized
@@ -287,7 +301,7 @@ func (a *analyzer) mergeVirtual(b *ir.Block, pBlk []*ir.Block, pSt []*peaState, 
 			inputs[k] = v
 		}
 		phi := a.mergePhi(b, id, f, oi.fieldKind(f))
-		a.setPhiInputsDense(b, phi, inputs)
+		a.setPhiInputs(b, phi, preds, inputs)
 		ns.fields[f] = phi
 	}
 	return ns, materialized
@@ -300,41 +314,27 @@ func (a *analyzer) mergePhi(b *ir.Block, id objID, field int, kind bc.Kind) *ir.
 		return phi
 	}
 	phi := a.g.NewNode(ir.OpPhi, kind)
+	if a.phiMemo == nil {
+		a.phiMemo = make(map[phiKey]*ir.Node)
+	}
 	a.phiMemo[key] = phi
-	a.ourPhis[phi] = true
 	return phi
 }
 
-// setPhiInputs assigns phi inputs for the available predecessor indices,
+// setPhiInputs assigns phi inputs for the available predecessors,
 // filling unavailable slots with the first value (they are recomputed once
 // the back-edge states arrive), and attaches the phi in emit mode.
-func (a *analyzer) setPhiInputs(b *ir.Block, phi *ir.Node, idxs []int, vals []*ir.Node) {
+func (a *analyzer) setPhiInputs(b *ir.Block, phi *ir.Node, preds []pred, vals []*ir.Node) {
 	if len(phi.Inputs) != len(b.Preds) {
 		phi.Inputs = make([]*ir.Node, len(b.Preds))
 	}
 	for i := range phi.Inputs {
-		phi.Inputs[i] = nil
+		phi.Inputs[i] = vals[0]
 	}
-	for k, idx := range idxs {
-		phi.Inputs[idx] = vals[k]
-	}
-	for i := range phi.Inputs {
-		if phi.Inputs[i] == nil {
-			phi.Inputs[i] = vals[0]
-		}
+	for k, p := range preds {
+		phi.Inputs[p.idx] = vals[k]
 	}
 	a.attachPhi(b, phi)
-}
-
-// setPhiInputsDense is setPhiInputs with dense values over available preds.
-func (a *analyzer) setPhiInputsDense(b *ir.Block, phi *ir.Node, vals []*ir.Node) {
-	idxs := make([]int, 0, len(vals))
-	for i, p := range b.Preds {
-		if a.exits[p] != nil {
-			idxs = append(idxs, i)
-		}
-	}
-	a.setPhiInputs(b, phi, idxs, vals)
 }
 
 func (a *analyzer) attachPhi(b *ir.Block, phi *ir.Node) {

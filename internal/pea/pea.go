@@ -2,6 +2,7 @@ package pea
 
 import (
 	"fmt"
+	mathbits "math/bits"
 
 	"pea/internal/bc"
 	"pea/internal/budget"
@@ -65,8 +66,8 @@ const (
 	// maxVirtualArrayLength bounds the constant array lengths that are
 	// scalar-replaced.
 	maxVirtualArrayLength = 32
-	// maxRounds bounds whole-graph fixpoint rounds; if the analysis has
-	// not converged it bails out without transforming.
+	// maxRounds bounds the fixpoint rounds; if the analysis has not
+	// converged it bails out without transforming.
 	maxRounds = 16
 )
 
@@ -102,38 +103,24 @@ type Result struct {
 // elision on g, transforming it in place. The graph must be verified; the
 // result is verified by the caller's pipeline (tests always do).
 func Run(g *ir.Graph, conf Config) (Result, error) {
-	sink := conf.Sink
-	if conf.Budget != nil {
-		// Check before the first graph mutation (splitCriticalEdges), so
-		// an already-blown budget leaves the graph untouched.
-		name := ""
-		if g.Method != nil {
-			name = g.Method.QualifiedName()
-		}
-		if err := conf.Budget.Check("pea-entry", name, g.NumNodes()); err != nil {
-			sink.PEABailout(name, err.Error())
-			return Result{BailedOut: true}, err
-		}
+	a := &analyzer{g: g, conf: conf, sink: conf.Sink}
+	return a.run()
+}
+
+func (a *analyzer) run() (Result, error) {
+	g, conf := a.g, a.conf
+	// Check before the first graph mutation (splitCriticalEdges), so an
+	// already-blown budget leaves the graph untouched.
+	if err := a.checkBudget("pea-entry"); err != nil {
+		return Result{BailedOut: true}, err
 	}
 	splitCriticalEdges(g)
-	a := &analyzer{
-		g:         g,
-		conf:      conf,
-		sink:      sink,
-		allocIDs:  make(map[*ir.Node]objID),
-		aliases:   make(map[*ir.Node]objID),
-		replaced:  make(map[*ir.Node]*ir.Node),
-		entries:   make(map[*ir.Block]*peaState),
-		exits:     make(map[*ir.Block]*peaState),
-		phiMemo:   make(map[phiKey]*ir.Node),
-		matMemo:   make(map[matKey]*ir.Node),
-		virtMemo:  make(map[objID]*ir.Node),
-		lenMemo:   make(map[objID]*ir.Node),
-		foldMemo:  make(map[*ir.Node]*ir.Node),
-		ourPhis:   make(map[*ir.Node]bool),
-		futureRef: make(map[futKey]bool),
+	if !a.anyVirtualizable() {
+		// Without a virtual object nothing can be elided, replaced or
+		// folded: the graph keeps its split edges and nothing else.
+		return Result{}, nil
 	}
-	if sink.Traces() {
+	if a.sink.Traces() {
 		a.method = g.Method.QualifiedName()
 	}
 	cfg, err := sched.Compute(g)
@@ -141,7 +128,16 @@ func Run(g *ir.Graph, conf Config) (Result, error) {
 		return Result{}, fmt.Errorf("pea: %w", err)
 	}
 	a.cfg = cfg
-	a.buildRefIndex()
+	a.numOrig = g.NumNodeIDs()
+	a.aliases = make([]objID, a.numOrig)
+	for i := range a.aliases {
+		a.aliases[i] = noObj
+	}
+	a.replaced = make([]*ir.Node, a.numOrig)
+	a.entries = make([]peaState, len(cfg.RPO))
+	a.exits = make([]peaState, len(cfg.RPO))
+	a.visited = make([]bool, len(cfg.RPO))
+	a.futureRef = make([][]bool, len(cfg.RPO))
 
 	// Strict-mode self-checking: validate the analyzer's state at every
 	// block boundary. The closure is nil at lower levels so the hot loop
@@ -151,30 +147,42 @@ func Run(g *ir.Graph, conf Config) (Result, error) {
 		checkAt = a.checkState
 	}
 
-	// Phase A: whole-graph fixpoint over block entry states.
+	// Phase A: fixpoint over block entry states (paper §5.4). Round 1
+	// visits every block in RPO; back edges whose source has not been
+	// visited yet are skipped, so loop headers start from the speculative
+	// state. A later round only has to revisit blocks a back edge can
+	// reach: it starts at the first loop header. Every block ahead of it
+	// has all its predecessors ahead of it too, and so do the definitions
+	// of the values it reads, so its states cannot change.
+	loopStart := a.firstLoopHeader()
 	converged := false
 	for round := 1; round <= maxRounds; round++ {
-		if conf.Budget != nil {
-			if err := conf.Budget.Check("pea-fixpoint", a.method, g.NumNodes()); err != nil {
-				a.sink.PEABailout(a.method, err.Error())
-				return Result{BailedOut: true, Rounds: a.res.Rounds}, err
-			}
+		if err := a.checkBudget("pea-fixpoint"); err != nil {
+			return Result{BailedOut: true, Rounds: a.res.Rounds}, err
 		}
 		a.res.Rounds = round
 		a.sink.PEARound(a.method, round)
+		from := 0
+		if round > 1 {
+			from = loopStart
+		}
 		changed := false
-		for _, b := range cfg.RPO {
+		for i := from; i < len(cfg.RPO); i++ {
+			b := cfg.RPO[i]
 			entry := a.computeEntry(b)
-			if old := a.entries[b]; old == nil || !old.equal(entry) {
+			if !a.visited[i] || !a.entries[i].equal(&entry) {
 				changed = true
 				if a.sink.Traces() {
 					a.sink.PEAState(a.method, b.String(), entry.String())
 				}
 			}
-			a.entries[b] = entry
-			a.exits[b] = a.transferBlock(b, entry.clone())
+			a.entries[i] = entry
+			a.exits[i] = a.entries[i].clone()
+			a.transferBlock(b, &a.exits[i])
+			a.visited[i] = true
+			a.transfers++
 			if checkAt != nil {
-				if err := checkAt(b, a.exits[b]); err != nil {
+				if err := checkAt(b, &a.exits[i]); err != nil {
 					a.sink.CheckViolation("pea", a.method, err.Error(), "")
 					return Result{}, err
 				}
@@ -192,33 +200,31 @@ func Run(g *ir.Graph, conf Config) (Result, error) {
 		}
 		return Result{BailedOut: true, Rounds: a.res.Rounds}, nil
 	}
-	if len(a.allocIDs) == 0 {
-		return a.res, nil // nothing to do
-	}
-	if conf.Budget != nil {
-		if err := conf.Budget.Check("pea-emit", a.method, g.NumNodes()); err != nil {
-			a.sink.PEABailout(a.method, err.Error())
-			return Result{BailedOut: true, Rounds: a.res.Rounds}, err
-		}
+	if err := a.checkBudget("pea-emit"); err != nil {
+		return Result{BailedOut: true, Rounds: a.res.Rounds}, err
 	}
 
 	// Phase B: emit. First replay all merges (edge materializations, new
 	// phis, existing-phi rewiring), then replay all transfers (node
 	// removal, substitutions, frame-state virtualization).
 	a.emit = true
-	for _, b := range cfg.RPO {
+	for _, n := range a.unplaced {
+		a.prependEntry(n)
+	}
+	for i, b := range cfg.RPO {
 		if len(b.Preds) >= 2 {
 			merged := a.merge(b)
-			if !merged.equal(a.entries[b]) {
+			if !merged.equal(&a.entries[i]) {
 				return Result{}, fmt.Errorf("pea: emit merge diverged at %s:\n fix=%s\n got=%s",
-					b, a.entries[b], merged)
+					b, &a.entries[i], &merged)
 			}
 		}
 	}
-	for _, b := range cfg.RPO {
-		out := a.transferBlock(b, a.entries[b].clone())
+	for i, b := range cfg.RPO {
+		out := a.entries[i].clone()
+		a.transferBlock(b, &out)
 		if checkAt != nil {
-			if err := checkAt(b, out); err != nil {
+			if err := checkAt(b, &out); err != nil {
 				a.sink.CheckViolation("pea", a.method, err.Error(), "")
 				return Result{}, err
 			}
@@ -283,17 +289,15 @@ type phiKey struct {
 	field int // -1 for the materialized-value phi
 }
 
-type futKey struct {
-	block *ir.Block
-	id    objID
-}
-
 type matKey struct {
 	// site is the *ir.Node the materialization precedes, or the
 	// predecessor *ir.Block for edge materializations.
 	site any
 	id   objID
 }
+
+// noObj marks a node that aliases no object.
+const noObj objID = -1
 
 type analyzer struct {
 	g    *ir.Graph
@@ -305,31 +309,41 @@ type analyzer struct {
 	sink   *obs.Sink
 	method string
 
-	objs     []*objInfo
-	allocIDs map[*ir.Node]objID // allocation site -> id (stable across rounds)
-	aliases  map[*ir.Node]objID // value node -> id it refers to
-	replaced map[*ir.Node]*ir.Node
+	// numOrig bounds the node IDs of the graph the analysis started from:
+	// every node the analysis creates has an ID at or above it.
+	numOrig int
 
-	entries map[*ir.Block]*peaState
-	exits   map[*ir.Block]*peaState
+	objs []*objInfo
+	// aliases maps a value node's ID to the object id it refers to
+	// (noObj: none), replaced a node's ID to its scalar replacement
+	// (nil: none). Both grow as the analysis creates nodes.
+	aliases  []objID
+	replaced []*ir.Node
 
+	// entries and exits hold each block's states, indexed by the block's
+	// RPO position; visited marks the blocks the fixpoint has transferred.
+	entries []peaState
+	exits   []peaState
+	visited []bool
+
+	// Memo tables, each created on first write.
 	phiMemo  map[phiKey]*ir.Node
 	matMemo  map[matKey]*ir.Node
-	virtMemo map[objID]*ir.Node    // OpVirtualObject per id
-	lenMemo  map[objID]*ir.Node    // constant length node per virtual array
 	foldMemo map[*ir.Node]*ir.Node // folded RefEq/InstanceOf -> const node
-	ourPhis  map[*ir.Node]bool     // phis created by this analysis
 
-	// liveIn[b] holds the reference-kind SSA values live at the entry
-	// of b, computed once on the pre-analysis graph. It implements the
-	// paper's Figure 6a condition: an object id survives a merge only
-	// if one of its aliases is still live there — a use in the next
-	// loop iteration refers to the next execution of the allocation,
+	// refNodes lists the values that can become aliases, and liveIn holds,
+	// per RPO position, a bitset of refWords words over them: the values
+	// live at the entry of the block on the pre-analysis graph. It
+	// implements the paper's Figure 6a condition: an object id survives a
+	// merge only if one of its aliases is still live there — a use in the
+	// next loop iteration refers to the next execution of the allocation,
 	// not to this object, and must not keep it alive.
-	liveIn map[*ir.Block]map[*ir.Node]bool
+	refNodes []*ir.Node
+	refWords int
+	liveIn   []uint64
 	// futureRef freezes hasFutureRef decisions from the analysis phase
-	// for replay during emit.
-	futureRef map[futKey]bool
+	// for replay during emit, per RPO position and object id.
+	futureRef [][]bool
 	// kept logs call arguments where a virtual object stayed virtual
 	// under a callee summary (emit phase), re-validated against the
 	// summary license by checkRewrites under strict checking.
@@ -337,9 +351,66 @@ type analyzer struct {
 
 	zeroInt *ir.Node
 	nullRef *ir.Node
+	// unplaced lists the default values the fixpoint created, in creation
+	// order.
+	unplaced []*ir.Node
+
+	// transfers counts the block transfers of the fixpoint, all rounds
+	// together.
+	transfers int
 
 	emit bool
 	res  Result
+}
+
+// checkBudget polls the compile budget at one of the analysis's
+// cancellation points, emitting a pea_bailout event on an overrun. The
+// method name is computed only on that path, so a passing poll allocates
+// nothing.
+func (a *analyzer) checkBudget(point string) error {
+	if a.conf.Budget == nil {
+		return nil
+	}
+	err := a.conf.Budget.Check(point, "", a.g.NumNodes())
+	if err == nil {
+		return nil
+	}
+	name := ""
+	if a.g.Method != nil {
+		name = a.g.Method.QualifiedName()
+	}
+	if be, ok := err.(*budget.Err); ok {
+		be.Method = name
+	}
+	a.sink.PEABailout(name, err.Error())
+	return err
+}
+
+// anyVirtualizable reports whether g has an allocation the analysis may
+// virtualize.
+func (a *analyzer) anyVirtualizable() bool {
+	for _, b := range a.g.Blocks {
+		for _, n := range b.Nodes {
+			if (n.Op == ir.OpNew || n.Op == ir.OpNewArray) && a.virtualizableAlloc(n) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// firstLoopHeader returns the RPO position of the first block with a
+// predecessor at or after its own position, or len(RPO) if the graph has
+// no loop.
+func (a *analyzer) firstLoopHeader() int {
+	for i, b := range a.cfg.RPO {
+		for _, p := range b.Preds {
+			if a.cfg.Index(p) >= i {
+				return i
+			}
+		}
+	}
+	return len(a.cfg.RPO)
 }
 
 // splitCriticalEdges inserts an empty block on every edge from a
@@ -378,23 +449,33 @@ func splitCriticalEdges(g *ir.Graph) {
 }
 
 // computeEntry produces the entry state of b during analysis.
-func (a *analyzer) computeEntry(b *ir.Block) *peaState {
+func (a *analyzer) computeEntry(b *ir.Block) peaState {
 	switch len(b.Preds) {
 	case 0:
-		return newPeaState()
+		return peaState{}
 	case 1:
-		if ex := a.exits[b.Preds[0]]; ex != nil {
+		if ex := a.exit(b.Preds[0]); ex != nil {
 			return ex.clone()
 		}
-		return newPeaState()
+		return peaState{}
 	default:
 		return a.merge(b)
 	}
 }
 
+// exit returns b's exit state, nil before b's first transfer.
+func (a *analyzer) exit(b *ir.Block) *peaState {
+	if i := a.cfg.Index(b); a.visited[i] {
+		return &a.exits[i]
+	}
+	return nil
+}
+
 // idForAlloc assigns (or retrieves) the object id for an allocation site.
+// An allocation's alias is its id from the first transfer on and never
+// changes, so the alias table doubles as the site table.
 func (a *analyzer) idForAlloc(n *ir.Node) objID {
-	if id, ok := a.allocIDs[n]; ok {
+	if id, ok := a.aliasOf(n); ok {
 		return id
 	}
 	id := objID(len(a.objs))
@@ -406,20 +487,53 @@ func (a *analyzer) idForAlloc(n *ir.Node) objID {
 		oi.length = n.Inputs[0].AuxInt
 	}
 	a.objs = append(a.objs, oi)
-	a.allocIDs[n] = id
-	a.aliases[n] = id
+	a.setAlias(n, id)
 	return id
 }
 
-// resolveScalar chases the scalar-replacement map.
+// aliasOf returns the object id n refers to.
+func (a *analyzer) aliasOf(n *ir.Node) (objID, bool) {
+	if n.ID < len(a.aliases) {
+		if id := a.aliases[n.ID]; id != noObj {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// setAlias binds n to object id, or unbinds it when id is noObj.
+func (a *analyzer) setAlias(n *ir.Node, id objID) {
+	if id == noObj && n.ID >= len(a.aliases) {
+		return
+	}
+	for n.ID >= len(a.aliases) {
+		a.aliases = append(a.aliases, noObj)
+	}
+	a.aliases[n.ID] = id
+}
+
+// replace records r as n's scalar replacement, or retracts it when r is
+// nil.
+func (a *analyzer) replace(n, r *ir.Node) {
+	if r == nil && n.ID >= len(a.replaced) {
+		return
+	}
+	for n.ID >= len(a.replaced) {
+		a.replaced = append(a.replaced, nil)
+	}
+	a.replaced[n.ID] = r
+}
+
+// resolveScalar chases the scalar-replacement table.
 func (a *analyzer) resolveScalar(v *ir.Node) *ir.Node {
-	for {
-		r, ok := a.replaced[v]
-		if !ok {
-			return v
+	for v != nil && v.ID < len(a.replaced) {
+		r := a.replaced[v.ID]
+		if r == nil {
+			break
 		}
 		v = r
 	}
+	return v
 }
 
 // aliasIn resolves v to a live object id in st.
@@ -427,11 +541,8 @@ func (a *analyzer) aliasIn(st *peaState, v *ir.Node) (objID, bool) {
 	if v == nil {
 		return 0, false
 	}
-	id, ok := a.aliases[a.resolveScalar(v)]
-	if !ok {
-		return 0, false
-	}
-	if _, live := st.objs[id]; !live {
+	id, ok := a.aliasOf(a.resolveScalar(v))
+	if !ok || st.get(id) == nil {
 		return 0, false
 	}
 	return id, true
@@ -451,18 +562,22 @@ func (a *analyzer) prependEntry(n *ir.Node) *ir.Node {
 }
 
 // defaultValue returns the canonical zero value node for a kind, creating
-// it at the top of the entry block on first use.
+// it on first use. The fixpoint leaves the graph alone: a node it creates
+// is placed at the top of the entry block when emit starts.
 func (a *analyzer) defaultValue(k bc.Kind) *ir.Node {
+	p, op, kind := &a.zeroInt, ir.OpConst, bc.KindInt
 	if k == bc.KindRef {
-		if a.nullRef == nil {
-			a.nullRef = a.prependEntry(a.g.NewNode(ir.OpConstNull, bc.KindRef))
+		p, op, kind = &a.nullRef, ir.OpConstNull, bc.KindRef
+	}
+	if *p == nil {
+		*p = a.g.NewNode(op, kind)
+		if a.emit {
+			a.prependEntry(*p)
+		} else {
+			a.unplaced = append(a.unplaced, *p)
 		}
-		return a.nullRef
 	}
-	if a.zeroInt == nil {
-		a.zeroInt = a.prependEntry(a.g.NewNode(ir.OpConst, bc.KindInt))
-	}
-	return a.zeroInt
+	return *p
 }
 
 // constFold returns (creating once) a constant node used to replace the
@@ -475,6 +590,9 @@ func (a *analyzer) constFold(n *ir.Node, val int64) *ir.Node {
 	c := a.g.NewNode(ir.OpConst, bc.KindInt)
 	c.AuxInt = val
 	c.BCI = n.BCI
+	if a.foldMemo == nil {
+		a.foldMemo = make(map[*ir.Node]*ir.Node)
+	}
 	a.foldMemo[n] = c
 	return c
 }
@@ -482,10 +600,10 @@ func (a *analyzer) constFold(n *ir.Node, val int64) *ir.Node {
 // virtualNode returns the OpVirtualObject node standing for id inside
 // frame states, placing it in the entry block on first use.
 func (a *analyzer) virtualNode(id objID) *ir.Node {
-	if v, ok := a.virtMemo[id]; ok {
-		return v
-	}
 	oi := a.objs[id]
+	if oi.virtual != nil {
+		return oi.virtual
+	}
 	v := a.g.NewNode(ir.OpVirtualObject, bc.KindRef)
 	v.AuxInt = int64(id)
 	v.Class = oi.class
@@ -498,19 +616,18 @@ func (a *analyzer) virtualNode(id objID) *ir.Node {
 		v.BCI = site.BCI
 	}
 	a.prependEntry(v)
-	a.virtMemo[id] = v
+	oi.virtual = v
 	return v
 }
 
 // arrayLenConst returns the constant node for a virtual array's length.
 func (a *analyzer) arrayLenConst(id objID) *ir.Node {
-	if c, ok := a.lenMemo[id]; ok {
-		return c
+	oi := a.objs[id]
+	if oi.lenConst == nil {
+		oi.lenConst = a.g.NewNode(ir.OpConst, bc.KindInt)
+		oi.lenConst.AuxInt = oi.length
 	}
-	c := a.g.NewNode(ir.OpConst, bc.KindInt)
-	c.AuxInt = a.objs[id].length
-	a.lenMemo[id] = c
-	return c
+	return oi.lenConst
 }
 
 // placeFold ensures a memoized replacement const is placed (emit mode).
@@ -520,25 +637,69 @@ func (a *analyzer) placeFold(b *ir.Block, c, before *ir.Node) {
 	}
 }
 
-// buildRefIndex computes block-level SSA liveness for reference-kind
-// values on the pre-analysis graph: liveIn[b] contains every ref value
-// defined before b and possibly used at or after b (node inputs,
-// frame-state slots, and phi inputs, the latter counting as uses at the
-// end of the corresponding predecessor). The index is computed once and
-// shared by all rounds and the emit phase so that their decisions agree.
-func (a *analyzer) buildRefIndex() {
-	isRef := func(n *ir.Node) bool { return n != nil && n.Kind == bc.KindRef }
-
-	gen := make(map[*ir.Block]map[*ir.Node]bool, len(a.g.Blocks))
-	defs := make(map[*ir.Block]map[*ir.Node]bool, len(a.g.Blocks))
-	for _, b := range a.g.Blocks {
-		gen[b] = make(map[*ir.Node]bool)
-		defs[b] = make(map[*ir.Node]bool)
+// canAlias reports whether n is a value the analysis may bind to an
+// object: an allocation, a reference load (which aliases the loaded field
+// value) or a reference phi of the graph (Figure 6c). Liveness is tracked
+// for these values only; hasFutureRef asks about no other.
+func canAlias(n *ir.Node) bool {
+	if n.Kind != bc.KindRef {
+		return false
 	}
-	for _, b := range a.g.Blocks {
+	// oplint:ignore — the ops whose transfer or merge rule sets an alias;
+	// every other value never aliases an object.
+	switch n.Op {
+	case ir.OpNew, ir.OpNewArray, ir.OpLoadField, ir.OpLoadIndexed, ir.OpPhi:
+		return true
+	}
+	return false
+}
+
+// buildRefIndex computes block-level SSA liveness for the values that can
+// become aliases, on the pre-analysis graph: liveIn of a block holds every
+// such value defined before it and possibly used at or after it (node
+// inputs, frame-state slots, and phi inputs, the latter counting as uses at
+// the end of the corresponding predecessor). The index is computed at the
+// first merge that asks — the fixpoint does not change the graph, and a
+// graph without such a merge never pays for it — and shared by all rounds
+// and, through futureRef, the emit phase so that their decisions agree.
+func (a *analyzer) buildRefIndex() {
+	rpo := a.cfg.RPO
+	refNum := make([]int32, a.numOrig) // 1-based position in refNodes by node ID; 0: none
+	number := func(n *ir.Node) {
+		if canAlias(n) {
+			a.refNodes = append(a.refNodes, n)
+			refNum[n.ID] = int32(len(a.refNodes))
+		}
+	}
+	for _, b := range rpo {
+		for _, phi := range b.Phis {
+			number(phi)
+		}
+		for _, n := range b.Nodes {
+			number(n)
+		}
+	}
+	w := (len(a.refNodes) + 63) / 64
+	a.refWords = w
+	sets := make([]uint64, 3*len(rpo)*w)
+	gen, defs, live := sets[:len(rpo)*w], sets[len(rpo)*w:2*len(rpo)*w], sets[2*len(rpo)*w:]
+	bit := func(n *ir.Node) (int, uint64) {
+		if n == nil || n.ID >= len(refNum) || refNum[n.ID] == 0 {
+			return -1, 0
+		}
+		r := int(refNum[n.ID]) - 1
+		return r / 64, 1 << (r % 64)
+	}
+	for i, b := range rpo {
+		g, d := gen[i*w:(i+1)*w], defs[i*w:(i+1)*w]
 		use := func(n *ir.Node) {
-			if isRef(n) && !defs[b][n] {
-				gen[b][n] = true
+			if k, m := bit(n); k >= 0 && d[k]&m == 0 {
+				g[k] |= m
+			}
+		}
+		def := func(n *ir.Node) {
+			if k, m := bit(n); k >= 0 {
+				d[k] |= m
 			}
 		}
 		visit := func(n *ir.Node) {
@@ -548,14 +709,10 @@ func (a *analyzer) buildRefIndex() {
 			if n.FrameState != nil {
 				n.FrameState.ForEachValue(use)
 			}
-			if isRef(n) {
-				defs[b][n] = true
-			}
+			def(n)
 		}
 		for _, phi := range b.Phis {
-			if isRef(phi) {
-				defs[b][phi] = true
-			}
+			def(phi)
 		}
 		for _, n := range b.Nodes {
 			visit(n)
@@ -565,40 +722,34 @@ func (a *analyzer) buildRefIndex() {
 		}
 		// Phi inputs at successors are uses at the end of this block.
 		for _, s := range b.Succs {
-			for i, p := range s.Preds {
+			for j, p := range s.Preds {
 				if p != b {
 					continue
 				}
 				for _, phi := range s.Phis {
-					use(phi.Inputs[i])
+					use(phi.Inputs[j])
 				}
 			}
 		}
 	}
 
-	a.liveIn = make(map[*ir.Block]map[*ir.Node]bool, len(a.g.Blocks))
-	for _, b := range a.g.Blocks {
-		set := make(map[*ir.Node]bool, len(gen[b]))
-		for n := range gen[b] {
-			set[n] = true
-		}
-		a.liveIn[b] = set
-	}
+	copy(live, gen)
 	for changed := true; changed; {
 		changed = false
-		for i := len(a.cfg.RPO) - 1; i >= 0; i-- {
-			b := a.cfg.RPO[i]
-			in := a.liveIn[b]
-			for _, s := range b.Succs {
-				for n := range a.liveIn[s] {
-					if !defs[b][n] && !in[n] {
-						in[n] = true
+		for i := len(rpo) - 1; i >= 0; i-- {
+			in, d := live[i*w:(i+1)*w], defs[i*w:(i+1)*w]
+			for _, s := range rpo[i].Succs {
+				j := a.cfg.Index(s)
+				for k, out := range live[j*w : (j+1)*w] {
+					if add := out &^ d[k] &^ in[k]; add != 0 {
+						in[k] |= add
 						changed = true
 					}
 				}
 			}
 		}
 	}
+	a.liveIn = live
 }
 
 // hasFutureRef reports whether object id can still be referenced at or
@@ -611,40 +762,50 @@ func (a *analyzer) hasFutureRef(b *ir.Block, id objID) bool {
 	if a.conf.DisableAliasLiveness {
 		return true
 	}
-	key := futKey{b, id}
+	i := a.cfg.Index(b)
+	memo := a.futureRef[i]
 	if a.emit {
 		// The emit phase mutates phi inputs (materialized values are
 		// substituted), so the liveness question must be answered
 		// exactly as the converged analysis answered it.
-		return a.futureRef[key]
+		return int(id) < len(memo) && memo[id]
 	}
-	r := a.computeFutureRef(b, id)
-	a.futureRef[key] = r
+	r := a.computeFutureRef(i, b, id)
+	for int(id) >= len(memo) {
+		memo = append(memo, false)
+	}
+	memo[id] = r
+	a.futureRef[i] = memo
 	return r
 }
 
-func (a *analyzer) computeFutureRef(b *ir.Block, id objID) bool {
-	live := a.liveIn[b]
-	for n, nid := range a.aliases {
-		if nid != id {
-			continue
-		}
-		if live[n] {
-			return true
+func (a *analyzer) computeFutureRef(i int, b *ir.Block, id objID) bool {
+	if a.liveIn == nil {
+		a.buildRefIndex()
+	}
+	for k, bits := range a.liveIn[i*a.refWords : (i+1)*a.refWords] {
+		for ; bits != 0; bits &= bits - 1 {
+			n := a.refNodes[k*64+mathbits.TrailingZeros64(bits)]
+			if nid, ok := a.aliasOf(n); ok && nid == id {
+				return true
+			}
 		}
 	}
 	for _, phi := range b.Phis {
-		if phi.Kind != bc.KindRef || a.ourPhis[phi] {
+		if phi.Kind != bc.KindRef || a.ours(phi) {
 			continue
 		}
 		for _, in := range phi.Inputs {
 			if in == nil {
 				continue
 			}
-			if nid, ok := a.aliases[a.resolveScalar(in)]; ok && nid == id {
+			if nid, ok := a.aliasOf(a.resolveScalar(in)); ok && nid == id {
 				return true
 			}
 		}
 	}
 	return false
 }
+
+// ours reports whether the analysis created n.
+func (a *analyzer) ours(n *ir.Node) bool { return n.ID >= a.numOrig }

@@ -1,10 +1,6 @@
 package pea
 
-import (
-	"sort"
-
-	"pea/internal/ir"
-)
+import "pea/internal/ir"
 
 // rewriteState virtualizes a frame state against the current allocation
 // state (paper §5.5, Figure 8): scalar-replaced values are substituted;
@@ -15,7 +11,7 @@ import (
 // replaced with their materialized values.
 func (a *analyzer) rewriteState(fs *ir.FrameState, st *peaState) *ir.FrameState {
 	c := fs.Copy()
-	needed := make(map[objID]bool)
+	var needed []bool // by object id, allocated on the first virtual slot
 
 	resolveSlot := func(v *ir.Node) *ir.Node {
 		if v == nil {
@@ -24,6 +20,9 @@ func (a *analyzer) rewriteState(fs *ir.FrameState, st *peaState) *ir.FrameState 
 		r := a.resolveScalar(v)
 		if id, ok := a.aliasIn(st, r); ok {
 			if st.objs[id].virtual {
+				if needed == nil {
+					needed = make([]bool, len(a.objs))
+				}
 				a.markNeeded(st, id, needed)
 				return a.virtualNode(id)
 			}
@@ -43,14 +42,12 @@ func (a *analyzer) rewriteState(fs *ir.FrameState, st *peaState) *ir.FrameState 
 
 	// Attach descriptors for every (transitively) referenced virtual
 	// object to the innermost frame, in id order for determinism.
-	ids := make([]objID, 0, len(needed))
-	for id := range needed {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for id, need := range needed {
+		if !need {
+			continue
+		}
 		os := st.objs[id]
-		vo := &ir.VirtualObjectState{Object: a.virtualNode(id), LockDepth: os.lockDepth}
+		vo := &ir.VirtualObjectState{Object: a.virtualNode(objID(id)), LockDepth: os.lockDepth}
 		for _, f := range os.fields {
 			r := a.resolveScalar(f)
 			if fid, ok := a.aliasIn(st, r); ok {
@@ -68,7 +65,7 @@ func (a *analyzer) rewriteState(fs *ir.FrameState, st *peaState) *ir.FrameState 
 }
 
 // markNeeded adds id and every virtual object reachable from its fields.
-func (a *analyzer) markNeeded(st *peaState, id objID, needed map[objID]bool) {
+func (a *analyzer) markNeeded(st *peaState, id objID, needed []bool) {
 	if needed[id] {
 		return
 	}

@@ -14,7 +14,6 @@ package pea
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pea/internal/bc"
@@ -31,6 +30,10 @@ type objInfo struct {
 	elemKind  bc.Kind   // for arrays
 	length    int64     // for arrays
 	allocSite *ir.Node  // the original OpNew / OpNewArray
+	// virtual is the OpVirtualObject node standing for the object in
+	// frame states, and lenConst the constant length node of a virtual
+	// array; each is created on first use.
+	virtual, lenConst *ir.Node
 }
 
 func (oi *objInfo) numFields() int {
@@ -84,41 +87,52 @@ func (os *objState) equal(o *objState) bool {
 	return os.materialized == o.materialized
 }
 
-// peaState is the per-program-point map from live object ids to their
+// peaState is the per-program-point table from live object ids to their
 // states (the paper's `states` map; the alias map is kept globally on the
 // analyzer since SSA values bind to at most one object over their
-// lifetime).
+// lifetime). It is dense: objs is indexed by object id, and a nil entry
+// (or an id past its end) is an object that is not live.
 //
-// States are copy-on-write: clone is O(1) and shares the map (and the
-// objStates in it) with the original, deferring the deep copy until either
-// side mutates. The analysis clones at every block entry and merge edge but
-// mutates only where objects are allocated, stored to, locked, or
-// materialized, so straight-line code through allocation-free blocks pays
-// nothing. All mutations must go through set/mutable, which un-share first.
+// States are values with copy-on-write tables: clone is O(1), allocates
+// nothing, and shares the table (and the objStates in it) with the
+// original, deferring the deep copy until either side mutates. A state is
+// copied only through clone, so that both sides know the table is shared.
+// The analysis clones at every block entry and merge edge but mutates only
+// where objects are allocated, stored to, locked, or materialized, so
+// straight-line code through allocation-free blocks pays nothing. All
+// mutations must go through set/mutable, which un-share first.
 type peaState struct {
-	objs map[objID]*objState
+	objs []*objState
 	// shared marks objs (and every objState in it) as potentially
 	// referenced by another peaState; mutating methods copy first.
 	shared bool
 }
 
-func newPeaState() *peaState { return &peaState{objs: make(map[objID]*objState)} }
-
 // clone returns a state equivalent to s. Both s and the clone become
 // shared; the first mutation on either side copies.
-func (s *peaState) clone() *peaState {
+func (s *peaState) clone() peaState {
 	s.shared = true
-	return &peaState{objs: s.objs, shared: true}
+	return peaState{objs: s.objs, shared: true}
 }
 
-// own makes s's map private, deep-copying it if it is still shared.
+// get returns id's state, or nil if id is not live in s.
+func (s *peaState) get(id objID) *objState {
+	if int(id) < len(s.objs) {
+		return s.objs[id]
+	}
+	return nil
+}
+
+// own makes s's table private, deep-copying it if it is still shared.
 func (s *peaState) own() {
 	if !s.shared {
 		return
 	}
-	objs := make(map[objID]*objState, len(s.objs))
+	objs := make([]*objState, len(s.objs))
 	for id, os := range s.objs {
-		objs[id] = os.clone()
+		if os != nil {
+			objs[id] = os.clone()
+		}
 	}
 	s.objs = objs
 	s.shared = false
@@ -127,6 +141,9 @@ func (s *peaState) own() {
 // set binds id to os, un-sharing first.
 func (s *peaState) set(id objID, os *objState) {
 	s.own()
+	for int(id) >= len(s.objs) {
+		s.objs = append(s.objs, nil)
+	}
 	s.objs[id] = os
 }
 
@@ -138,26 +155,27 @@ func (s *peaState) mutable(id objID) *objState {
 }
 
 func (s *peaState) equal(o *peaState) bool {
-	if len(s.objs) != len(o.objs) {
-		return false
-	}
-	for id, os := range s.objs {
-		oo, ok := o.objs[id]
-		if !ok || !os.equal(oo) {
+	n := max(len(s.objs), len(o.objs))
+	for id := objID(0); int(id) < n; id++ {
+		a, b := s.get(id), o.get(id)
+		if a == b {
+			continue
+		}
+		if a == nil || b == nil || !a.equal(b) {
 			return false
 		}
 	}
 	return true
 }
 
-// ids returns the live object ids in ascending order (deterministic
-// iteration).
+// ids returns the live object ids in ascending order.
 func (s *peaState) ids() []objID {
-	out := make([]objID, 0, len(s.objs))
-	for id := range s.objs {
-		out = append(out, id)
+	var out []objID
+	for id, os := range s.objs {
+		if os != nil {
+			out = append(out, objID(id))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -8,7 +8,7 @@ import (
 
 // makeState builds a state of nObjs virtual objects with nFields fields.
 func makeState(nObjs, nFields int) *peaState {
-	st := newPeaState()
+	st := &peaState{}
 	next := 0
 	for id := 0; id < nObjs; id++ {
 		os := &objState{virtual: true, fields: make([]*ir.Node, nFields)}
@@ -26,7 +26,7 @@ func makeState(nObjs, nFields int) *peaState {
 func TestCloneIsCopyOnWrite(t *testing.T) {
 	orig := makeState(4, 3)
 	snap := orig.clone()
-	if !orig.equal(snap) {
+	if !orig.equal(&snap) {
 		t.Fatal("clone not equal to original")
 	}
 
@@ -39,7 +39,7 @@ func TestCloneIsCopyOnWrite(t *testing.T) {
 	if orig.objs[2].fields[1] != v {
 		t.Fatal("mutation lost")
 	}
-	if orig.equal(snap) {
+	if orig.equal(&snap) {
 		t.Fatal("states equal after divergence")
 	}
 
@@ -64,15 +64,14 @@ func TestCloneIsCopyOnWrite(t *testing.T) {
 }
 
 // TestCloneIsAllocationFree guards the copy-on-write fast path: cloning a
-// state — however large — must not copy the object map.
+// state — however large — allocates nothing.
 func TestCloneIsAllocationFree(t *testing.T) {
 	st := makeState(64, 8)
 	allocs := testing.AllocsPerRun(100, func() {
 		_ = st.clone()
 	})
-	// One allocation: the peaState header itself.
-	if allocs > 1 {
-		t.Fatalf("clone allocates %v objects per run, want <= 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("clone allocates %v objects per run, want 0", allocs)
 	}
 }
 

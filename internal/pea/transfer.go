@@ -6,18 +6,22 @@ import (
 )
 
 // transferBlock applies the node transfer functions (paper §5.2, Figures
-// 4 and 5) to every node of b, starting from entry state st, and returns
-// the exit state. In emit mode it additionally performs the rewrites:
+// 4 and 5) to every node of b, turning st from b's entry state into its
+// exit state. In emit mode it additionally performs the rewrites:
 // removing virtualized nodes, substituting scalar values, inserting
 // materializations, and virtualizing frame states.
-func (a *analyzer) transferBlock(b *ir.Block, st *peaState) *peaState {
-	for _, n := range append([]*ir.Node(nil), b.Nodes...) {
+func (a *analyzer) transferBlock(b *ir.Block, st *peaState) {
+	nodes := b.Nodes
+	if a.emit {
+		// Emit removes and inserts nodes: walk a copy.
+		nodes = append([]*ir.Node(nil), nodes...)
+	}
+	for _, n := range nodes {
 		a.transferNode(b, n, st)
 	}
 	if t := b.Term; t != nil {
 		a.transferNode(b, t, st)
 	}
-	return st
 }
 
 // virtualizableAlloc reports whether n is an allocation PEA can virtualize.
@@ -85,9 +89,9 @@ func (a *analyzer) transferNode(b *ir.Block, n *ir.Node, st *peaState) {
 			// field value; if that value is itself a virtual
 			// object, the load becomes one of its aliases.
 			val := st.objs[id].fields[n.Field.Offset]
-			a.replaced[n] = val
+			a.replace(n, val)
 			if vid, vok := a.aliasIn(st, val); vok {
-				a.aliases[n] = vid
+				a.setAlias(n, vid)
 			}
 			if a.emit {
 				a.g.RemoveNode(n)
@@ -97,8 +101,8 @@ func (a *analyzer) transferNode(b *ir.Block, n *ir.Node, st *peaState) {
 		}
 		// A previous round may have scalar-replaced this load under a
 		// speculation that did not hold; retract the stale verdict.
-		delete(a.replaced, n)
-		delete(a.aliases, n)
+		a.replace(n, nil)
+		a.setAlias(n, noObj)
 		a.defaultTransfer(b, n, st)
 
 	case ir.OpStoreField:
@@ -129,9 +133,9 @@ func (a *analyzer) transferNode(b *ir.Block, n *ir.Node, st *peaState) {
 		if id, ok := a.aliasIn(st, arr); ok && st.objs[id].virtual {
 			if idx.IsConst() && idx.AuxInt >= 0 && idx.AuxInt < a.objs[id].length {
 				val := st.objs[id].fields[idx.AuxInt]
-				a.replaced[n] = val
+				a.replace(n, val)
 				if vid, vok := a.aliasIn(st, val); vok {
-					a.aliases[n] = vid
+					a.setAlias(n, vid)
 				}
 				if a.emit {
 					a.g.RemoveNode(n)
@@ -142,8 +146,8 @@ func (a *analyzer) transferNode(b *ir.Block, n *ir.Node, st *peaState) {
 			// Unknown index: the array must exist.
 			a.materializeAt(st, id, b, n, reasonNonConstIndex)
 		}
-		delete(a.replaced, n)
-		delete(a.aliases, n)
+		a.replace(n, nil)
+		a.setAlias(n, noObj)
 		a.defaultTransfer(b, n, st)
 
 	case ir.OpStoreIndexed:
@@ -171,7 +175,7 @@ func (a *analyzer) transferNode(b *ir.Block, n *ir.Node, st *peaState) {
 		arr := a.resolveScalar(n.Inputs[0])
 		if id, ok := a.aliasIn(st, arr); ok && st.objs[id].virtual {
 			c := a.arrayLenConst(id)
-			a.replaced[n] = c
+			a.replace(n, c)
 			if a.emit {
 				// The length constant is shared by every fold site of
 				// this virtual array, which may sit in sibling branches;
@@ -185,7 +189,7 @@ func (a *analyzer) transferNode(b *ir.Block, n *ir.Node, st *peaState) {
 			}
 			return
 		}
-		delete(a.replaced, n)
+		a.replace(n, nil)
 		a.defaultTransfer(b, n, st)
 
 	case ir.OpMonitorEnter:
@@ -231,7 +235,7 @@ func (a *analyzer) transferNode(b *ir.Block, n *ir.Node, st *peaState) {
 			// virtual vs anything else is inequality.
 			val := b2i(eq != (n.Cond == bc.CondNE))
 			c := a.constFold(n, val)
-			a.replaced[n] = c
+			a.replace(n, c)
 			if a.emit {
 				a.placeFold(b, c, n)
 				a.g.RemoveNode(n)
@@ -239,7 +243,7 @@ func (a *analyzer) transferNode(b *ir.Block, n *ir.Node, st *peaState) {
 			}
 			return
 		}
-		delete(a.replaced, n)
+		a.replace(n, nil)
 		a.defaultTransfer(b, n, st)
 
 	case ir.OpInstanceOf:
@@ -248,7 +252,7 @@ func (a *analyzer) transferNode(b *ir.Block, n *ir.Node, st *peaState) {
 			oi := a.objs[id]
 			is := oi.class != nil && oi.class.IsSubclassOf(n.Class)
 			c := a.constFold(n, b2i(is))
-			a.replaced[n] = c
+			a.replace(n, c)
 			if a.emit {
 				a.placeFold(b, c, n)
 				a.g.RemoveNode(n)
@@ -256,7 +260,7 @@ func (a *analyzer) transferNode(b *ir.Block, n *ir.Node, st *peaState) {
 			}
 			return
 		}
-		delete(a.replaced, n)
+		a.replace(n, nil)
 		a.defaultTransfer(b, n, st)
 
 	case ir.OpInvoke:
@@ -398,7 +402,7 @@ func (a *analyzer) reaches(st *peaState, from, to objID) bool {
 	if from == to {
 		return true
 	}
-	seen := make(map[objID]bool)
+	seen := make([]bool, len(a.objs))
 	var walk func(id objID) bool
 	walk = func(id objID) bool {
 		if id == to {
@@ -408,7 +412,7 @@ func (a *analyzer) reaches(st *peaState, from, to objID) bool {
 			return false
 		}
 		seen[id] = true
-		os := st.objs[id]
+		os := st.get(id)
 		if os == nil || !os.virtual {
 			return false
 		}
@@ -438,6 +442,9 @@ func (a *analyzer) materializeAt(st *peaState, id objID, b *ir.Block, before *ir
 	key := matKey{site: siteKey(b, before), id: id}
 	mat, ok := a.matMemo[key]
 	if !ok {
+		if a.matMemo == nil {
+			a.matMemo = make(map[matKey]*ir.Node)
+		}
 		oi := a.objs[id]
 		mat = a.g.NewNode(ir.OpMaterialize, bc.KindRef)
 		mat.Class = oi.class

@@ -8,15 +8,13 @@ import (
 	"pea/internal/testprog"
 )
 
-// TestQuickDominatorProperties checks dominator-tree and loop-forest
-// invariants on generated control-flow graphs:
+// TestQuickDominatorProperties checks dominator-tree invariants on
+// generated control-flow graphs:
 //
 //   - the entry dominates every block and has no idom;
 //   - idom(b) strictly dominates b;
-//   - every predecessor of a non-header block is dominated-after it in
-//     RPO terms (forward edges only);
-//   - loop headers dominate all blocks of their loop, including the back
-//     edges; nested loops are fully contained in their parents.
+//   - every predecessor of a block precedes it in RPO unless the block
+//     dominates it (a back edge).
 func TestQuickDominatorProperties(t *testing.T) {
 	check := func(seed uint16) bool {
 		p := testprog.Generate(int64(seed) + 200_000)
@@ -49,25 +47,11 @@ func TestQuickDominatorProperties(t *testing.T) {
 					}
 				}
 			}
-			for _, l := range cfg.Loops {
-				for blk := range l.Blocks {
-					if !cfg.Dominates(l.Header, blk) {
-						t.Logf("seed %d: header %s !dom member %s", seed, l.Header, blk)
+			for _, b := range cfg.RPO {
+				for _, p := range b.Preds {
+					if cfg.Index(p) >= cfg.Index(b) && !cfg.Dominates(b, p) {
+						t.Logf("seed %d: pred %s of %s follows it in RPO but is no back edge", seed, p, b)
 						return false
-					}
-				}
-				for _, be := range l.BackEdges {
-					if !l.Blocks[be] {
-						t.Logf("seed %d: back edge source outside loop", seed)
-						return false
-					}
-				}
-				if l.Parent != nil {
-					for blk := range l.Blocks {
-						if !l.Parent.Blocks[blk] {
-							t.Logf("seed %d: nested loop escapes parent", seed)
-							return false
-						}
 					}
 				}
 			}

@@ -27,6 +27,20 @@ func graphFor(t *testing.T, name string) (*ir.Graph, *CFG) {
 	return nil, nil
 }
 
+// backEdges returns the loop back edges of c as source -> header pairs: the
+// edges into a block that dominates their source.
+func backEdges(c *CFG) [][2]*ir.Block {
+	var out [][2]*ir.Block
+	for _, u := range c.RPO {
+		for _, h := range u.Succs {
+			if c.Dominates(h, u) {
+				out = append(out, [2]*ir.Block{u, h})
+			}
+		}
+	}
+	return out
+}
+
 func TestRPOStartsAtEntryAndCoversAll(t *testing.T) {
 	for _, p := range testprog.Corpus() {
 		g, err := build.Build(p.Entry)
@@ -46,7 +60,7 @@ func TestRPOStartsAtEntryAndCoversAll(t *testing.T) {
 		// RPO property: every non-back-edge predecessor precedes the block.
 		for _, b := range c.RPO {
 			for _, pr := range b.Preds {
-				if c.IsBackEdge(pr, b) {
+				if c.Dominates(b, pr) {
 					continue
 				}
 				if c.Index(pr) >= c.Index(b) {
@@ -86,82 +100,72 @@ func TestDominatorsBasics(t *testing.T) {
 	}
 }
 
+// The loop tests read loops off the dominator tree: a back edge is an edge
+// into a block that dominates its source, and that block is a loop header.
+
 func TestLoopDetectionSimple(t *testing.T) {
 	_, c := graphFor(t, "loopSum")
-	if len(c.Loops) != 1 {
-		t.Fatalf("loops = %d, want 1", len(c.Loops))
+	be := backEdges(c)
+	if len(be) != 1 {
+		t.Fatalf("back edges = %d, want 1", len(be))
 	}
-	l := c.Loops[0]
-	if l.Depth != 1 {
-		t.Fatalf("depth = %d", l.Depth)
-	}
-	if len(l.BackEdges) != 1 {
-		t.Fatalf("back edges = %d, want 1", len(l.BackEdges))
-	}
-	if !c.LoopHeader(l.Header) {
-		t.Fatal("header not recognized")
-	}
-	if len(l.Exits) == 0 {
-		t.Fatal("loop has no exits")
-	}
-	for _, e := range l.Exits {
-		if l.Blocks[e] {
-			t.Fatalf("exit %s is inside the loop", e)
-		}
-	}
-	// The header must have exactly one non-back-edge pred.
+	h := be[0][1]
+	// The header has exactly one forward pred, which precedes it in RPO,
+	// and the back edge's source follows it.
 	fwd := 0
-	for _, p := range l.Header.Preds {
-		if !c.IsBackEdge(p, l.Header) {
+	for _, p := range h.Preds {
+		if !c.Dominates(h, p) {
 			fwd++
+			if c.Index(p) >= c.Index(h) {
+				t.Fatalf("forward pred %s follows header %s in RPO", p, h)
+			}
 		}
 	}
 	if fwd != 1 {
 		t.Fatalf("header has %d forward preds", fwd)
 	}
+	if c.Index(be[0][0]) < c.Index(h) {
+		t.Fatalf("back edge source %s precedes header %s in RPO", be[0][0], h)
+	}
+	// The header branches out of the loop: one of its successors does not
+	// dominate the back edge's source.
+	exits := 0
+	for _, s := range h.Succs {
+		if !c.Dominates(s, be[0][0]) {
+			exits++
+		}
+	}
+	if exits == 0 {
+		t.Fatal("loop has no exits")
+	}
 }
 
 func TestLoopNesting(t *testing.T) {
 	_, c := graphFor(t, "nestedLoops")
-	if len(c.Loops) != 2 {
-		t.Fatalf("loops = %d, want 2", len(c.Loops))
+	be := backEdges(c)
+	if len(be) != 2 || be[0][1] == be[1][1] {
+		t.Fatalf("back edges = %v, want two into distinct headers", be)
 	}
-	var outer, inner *Loop
-	for _, l := range c.Loops {
-		switch l.Depth {
-		case 1:
-			outer = l
-		case 2:
-			inner = l
-		}
+	outer, inner := be[0][1], be[1][1]
+	if c.Index(inner) < c.Index(outer) {
+		outer, inner = inner, outer
 	}
-	if outer == nil || inner == nil {
-		t.Fatalf("depths wrong: %+v", c.Loops)
-	}
-	if inner.Parent != outer {
+	// The outer header dominates the inner loop, header and back edge.
+	if !c.Dominates(outer, inner) || c.Dominates(inner, outer) {
 		t.Fatal("inner loop not nested in outer")
 	}
-	if !outer.Blocks[inner.Header] {
-		t.Fatal("outer loop does not contain inner header")
-	}
-	if inner.Depth <= outer.Depth {
-		t.Fatal("inner loop depth should exceed outer")
+	for _, e := range be {
+		if e[1] == inner && !c.Dominates(outer, e[0]) {
+			t.Fatal("inner back edge outside the outer loop")
+		}
 	}
 }
 
 func TestLoopTwoBackEdges(t *testing.T) {
 	_, c := graphFor(t, "loopTwoBackEdges")
-	if len(c.Loops) != 1 {
-		t.Fatalf("loops = %d, want 1", len(c.Loops))
-	}
-	l := c.Loops[0]
-	if len(l.BackEdges) != 2 {
-		t.Fatalf("back edges = %d, want 2 (paper Figure 7 shape)", len(l.BackEdges))
-	}
-	for _, u := range l.BackEdges {
-		if !c.IsBackEdge(u, l.Header) {
-			t.Fatalf("IsBackEdge(%s, %s) = false", u, l.Header)
-		}
+	be := backEdges(c)
+	if len(be) != 2 || be[0][1] != be[1][1] {
+		t.Fatalf("back edges = %v, want two into one header (paper Figure 7 shape)", be)
 	}
 }
 
@@ -180,7 +184,7 @@ func TestDominanceAntisymmetry(t *testing.T) {
 
 func TestNoLoopsInStraightLine(t *testing.T) {
 	_, c := graphFor(t, "straightLine")
-	if len(c.Loops) != 0 {
-		t.Fatalf("loops = %d, want 0", len(c.Loops))
+	if be := backEdges(c); len(be) != 0 {
+		t.Fatalf("back edges = %v, want none", be)
 	}
 }

@@ -145,15 +145,17 @@ func TestGraphIdentityGolden(t *testing.T) {
 
 // TestCompileBuildsOneDomTreePerAnalysis pins what a compile pays for
 // control-flow analysis with the sanitizer off: one dominator tree per GVN
-// run and one for PEA's block order — none for DCE, the canonicalizer, the
-// inliner or a checker that is off. A compile that asks for the program's
-// escape summaries also pays for the trees the whole-program summary
-// analysis builds, once; those are counted apart, by running the analysis
-// alone.
+// run and one for PEA's block order when PEA analyzes the graph (it has an
+// allocation PEA may virtualize; PEA's pea_round events show it did) —
+// none for an allocation-free graph, DCE, the canonicalizer, the inliner
+// or a checker that is off. A compile that asks for the program's escape
+// summaries also pays for the trees the whole-program summary analysis
+// builds, once; those are counted apart, by running the analysis alone.
 func TestCompileBuildsOneDomTreePerAnalysis(t *testing.T) {
 	if check.Effective(check.Off) != check.Off {
 		t.Skip("PEA_CHECK floors the sanitizer; strict checking builds dominator trees of its own")
 	}
+	analyzed := map[string]bool{}
 	for _, p := range testprog.Corpus() {
 		before := ir.DomTreesBuilt()
 		summary.Compute(p.Prog, summary.Options{})
@@ -168,7 +170,8 @@ func TestCompileBuildsOneDomTreePerAnalysis(t *testing.T) {
 				t.Fatalf("%s: %v", p.Name, err)
 			}
 			want := metrics.Phase("gvn").Count
-			if mode == EAPartial {
+			if mode == EAPartial && metrics.Counter(obs.KindPEARound) > 0 {
+				analyzed[p.Name] = true
 				want++
 			}
 			if metrics.Counter(obs.KindSummary) > 0 {
@@ -180,6 +183,10 @@ func TestCompileBuildsOneDomTreePerAnalysis(t *testing.T) {
 			}
 			machine.Close()
 		}
+	}
+	// Both kinds of graph are in the corpus.
+	if analyzed["straightLine"] || !analyzed["partialEscape"] {
+		t.Errorf("PEA analyzed %v; want partialEscape and not the allocation-free straightLine", analyzed)
 	}
 }
 

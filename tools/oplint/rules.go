@@ -104,6 +104,10 @@ var rules = []rule{
 	{35, flagName, []string{"jit-async"}, []string{"pea/cmd/..."}, 0},
 	// Nothing called them.
 	{36, decl, []string{"pea/internal/vm.VM.CompileOSR", "pea/internal/bc.Program.NumStatics"}, wholeModule, 0},
+	// PEA finds its first loop header by RPO position; the loop forest nothing
+	// read stays deleted.
+	{37, decl, []string{"pea/internal/sched.CFG.Loops", "pea/internal/sched.CFG.LoopOf", "pea/internal/sched.Loop",
+		"pea/internal/sched.CFG.IsBackEdge", "pea/internal/sched.CFG.LoopHeader", "computeLoops", "loopWithHeader"}, wholeModule, 0},
 }
 
 // A site is where an occurrence is: its package, file and enclosing
