@@ -97,12 +97,12 @@ const DefaultCacheEntries = DefaultCacheBytes
 
 // codeBytesPerNode is what a backend's lowered code keeps reachable per
 // node of the graph it was lowered from: the closure backend's per-block op
-// sequences and node-to-slot map. It is the heap difference between closure
-// and oracle artifacts of the example programs' cold variants (84 bytes per
-// node on amd64), so that Artifact needs no second method to report its
-// code size; TestChargeTracksTheHeap checks the whole charge against the
-// heap.
-const codeBytesPerNode = 84
+// sequences and node-to-slot table. It is the heap difference between
+// closure and oracle artifacts of the example programs' cold variants (63
+// bytes per node on amd64), so that Artifact needs no second method to
+// report its code size; TestChargeTracksTheHeap checks the whole charge
+// against the heap.
+const codeBytesPerNode = 63
 
 // entryBytes is the cache's own cost per entry: the entry, its map slot
 // (key and pointer) and its ring slot.

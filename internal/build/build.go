@@ -91,11 +91,13 @@ type builder struct {
 	leaders []bool
 	// reach[pc] is true if pc is reachable from the entry.
 	reach []bool
-	// blockAt maps a leader pc to its IR block.
-	blockAt map[int]*ir.Block
+	// leaderPCs lists the reachable leaders in pc order, one per block.
+	leaderPCs []int
+	// blockAt holds, by pc, the IR block a leader pc starts.
+	blockAt []*ir.Block
 	// succs lists, per leader pc, the successor leader pcs in edge order
 	// (taken target first for conditional branches).
-	succs map[int][]int
+	succs [][]int
 	// exsuccs lists, per leader pc whose block ends in a covered trapping
 	// instruction, the handler pcs its dispatch chain can reach (table
 	// order, up to and including the first catch-all entry). These edges
@@ -107,8 +109,9 @@ type builder struct {
 	// liveAt[pc] has one bool per local slot: live before executing pc.
 	liveAt [][]bool
 
-	// exit holds the abstract state at the end of each processed block.
-	exit map[*ir.Block]*absState
+	// exit holds, by block ID, the abstract state at the end of each
+	// processed block.
+	exit []*absState
 	// pendingPhis records merge-block phis whose inputs are filled once
 	// every predecessor's exit state exists.
 	pendingPhis []pendingPhi
@@ -240,8 +243,7 @@ func (b *builder) build() (*ir.Graph, error) {
 	b.computeLiveness()
 
 	b.g = ir.NewGraph(m)
-	b.blockAt = make(map[int]*ir.Block)
-	b.exit = make(map[*ir.Block]*absState)
+	b.blockAt = make([]*ir.Block, len(m.Code))
 	b.zeroOf = make(map[zeroKey]*ir.Node)
 
 	// Create IR blocks for every reachable leader. The graph's entry block
@@ -250,12 +252,7 @@ func (b *builder) build() (*ir.Graph, error) {
 	// IS the hot loop header), in which case a preamble block holding the
 	// parameters is kept as the entry, since the IR entry block must have
 	// no predecessors.
-	leaderPCs := []int{}
-	for pc := range m.Code {
-		if b.reach[pc] && b.leaders[pc] {
-			leaderPCs = append(leaderPCs, pc)
-		}
-	}
+	leaderPCs := b.leaderPCs
 	entryIsTarget := false
 	for _, ss := range b.succs {
 		for _, s := range ss {
@@ -287,17 +284,36 @@ func (b *builder) build() (*ir.Graph, error) {
 	}
 
 	// Wire predecessor lists up front, in deterministic (pc, edge) order,
-	// so that merge-block phi inputs have a fixed correspondence.
+	// so that merge-block phi inputs have a fixed correspondence. The
+	// preamble edge is predecessor 0 of the entry's block. The edges are
+	// counted first, so that the lists share one allocation.
+	npreds := make([]int32, len(m.Code))
+	edges := 0
+	for _, pc := range leaderPCs {
+		for _, s := range b.succs[pc] {
+			npreds[s]++
+		}
+		edges += len(b.succs[pc])
+	}
+	if preamble != nil {
+		npreds[b.entry]++
+		edges++
+	}
+	preds := make([]*ir.Block, edges)
+	for _, pc := range leaderPCs {
+		if n := npreds[pc]; n > 0 {
+			b.blockAt[pc].Preds, preds = preds[:0:n], preds[n:]
+		}
+	}
+	if preamble != nil {
+		entry := b.blockAt[b.entry]
+		entry.Preds = append(entry.Preds, preamble)
+	}
 	for _, pc := range leaderPCs {
 		from := b.blockAt[pc]
 		for _, s := range b.succs[pc] {
 			b.blockAt[s].Preds = append(b.blockAt[s].Preds, from)
 		}
-	}
-	if preamble != nil {
-		b.blockAt[b.entry].Preds = append([]*ir.Block{preamble}, b.blockAt[b.entry].Preds...)
-		// Keep edge-order bookkeeping consistent: the preamble edge is
-		// predecessor 0 of the entry's block.
 	}
 
 	// Synthesize one dispatch chain per block ending in a covered trapping
@@ -310,6 +326,8 @@ func (b *builder) build() (*ir.Graph, error) {
 		last := b.blockEnd(pc) - 1
 		b.chains[pc] = b.newChain(last, b.blockAt[pc], b.coveringEntries(last))
 	}
+	// Every block of the graph exists now.
+	b.exit = make([]*absState, b.g.NumBlockIDs())
 
 	// Place parameters (and the preamble jump) in the entry block. A
 	// regular build parameterizes on the method arguments; an OSR build
@@ -365,7 +383,7 @@ func (b *builder) build() (*ir.Graph, error) {
 		// Recording the preamble's exit state here lets the entry block
 		// (a loop header) be handled by the ordinary merge path in
 		// entryState.
-		b.exit[preamble] = initial
+		b.exit[preamble.ID] = initial
 	}
 
 	// Translate blocks in reverse postorder so every forward predecessor
@@ -429,17 +447,26 @@ func (b *builder) findBlocks() {
 		}
 	}
 
-	// Block successor edges, per leader.
-	b.succs = make(map[int][]int)
-	for pc := 0; pc < len(code); pc++ {
-		if !b.reach[pc] || !b.leaders[pc] {
-			continue
+	for pc := range code {
+		if b.reach[pc] && b.leaders[pc] {
+			b.leaderPCs = append(b.leaderPCs, pc)
 		}
+	}
+
+	// Block successor edges, per leader. A block has at most two, and
+	// the lists share one allocation.
+	b.succs = make([][]int, len(code))
+	targets := make([]int, 2*len(b.leaderPCs))
+	edges := func(pc int, to ...int) {
+		b.succs[pc] = targets[:len(to):len(to)]
+		targets = targets[copy(targets, to):]
+	}
+	for _, pc := range b.leaderPCs {
 		end := pc
 		for !code[end].Op.IsTerminator() && !code[end].Op.IsBranch() {
 			if end+1 < len(code) && b.reach[end+1] && b.leaders[end+1] {
 				// Falls through into the next block.
-				b.succs[pc] = []int{end + 1}
+				edges(pc, end+1)
 				break
 			}
 			end++
@@ -450,22 +477,18 @@ func (b *builder) findBlocks() {
 		in := &code[end]
 		switch {
 		case in.Op == bc.OpGoto:
-			b.succs[pc] = []int{in.Target()}
+			edges(pc, in.Target())
 		case in.Op.IsBranch():
-			b.succs[pc] = []int{in.Target(), end + 1}
-		default: // return/returnvalue/throw
-			b.succs[pc] = nil
+			edges(pc, in.Target(), end+1)
 		}
+		// A return or throw has no successor.
 	}
 
 	// Exceptional successor edges, per leader: the block's last
 	// instruction is a covered trapping op (the leader-marking above
 	// guarantees such an op ends its block).
 	b.exsuccs = make(map[int][]int)
-	for pc := 0; pc < len(code); pc++ {
-		if !b.reach[pc] || !b.leaders[pc] {
-			continue
-		}
+	for _, pc := range b.leaderPCs {
 		last := b.blockEnd(pc) - 1
 		if hs := b.handlerPCs(last); len(hs) > 0 {
 			b.exsuccs[pc] = hs
@@ -519,81 +542,94 @@ func (b *builder) reversePostorder(leaders []int) []int {
 // computeLiveness computes, for every reachable pc, which local slots are
 // live immediately before executing it (classic backward dataflow at block
 // granularity, then a backward sweep within each block). FrameStates use
-// this to nil out dead slots.
+// this to nil out dead slots. The blocks' use, def and live-out sets share
+// one allocation, the per-pc rows another, and the fixpoint allocates
+// nothing.
 func (b *builder) computeLiveness() {
 	code := b.m.Code
 	nLocals := b.m.NumLocals()
 	b.liveAt = make([][]bool, len(code))
 
 	type blockInfo struct {
-		leader, end int
-		use, def    []bool
-		liveOut     []bool
+		leader, end       int
+		use, def, liveOut []bool
 	}
-	var blocks []*blockInfo
-	byLeader := make(map[int]*blockInfo)
-	for pc := 0; pc < len(code); pc++ {
-		if b.reach[pc] && b.leaders[pc] {
-			bi := &blockInfo{
-				leader:  pc,
-				end:     b.blockEnd(pc),
-				use:     make([]bool, nLocals),
-				def:     make([]bool, nLocals),
-				liveOut: make([]bool, nLocals),
+	nBlocks := len(b.leaderPCs)
+	blocks := make([]blockInfo, 0, nBlocks)
+	byLeader := make([]int32, len(code)) // index into blocks, by leader pc
+	sets := make([]bool, 3*nBlocks*nLocals)
+	set := func() []bool {
+		r := sets[:nLocals:nLocals]
+		sets = sets[nLocals:]
+		return r
+	}
+	pcs := 0
+	for _, pc := range b.leaderPCs {
+		bi := blockInfo{leader: pc, end: b.blockEnd(pc), use: set(), def: set(), liveOut: set()}
+		for i := pc; i < bi.end; i++ {
+			in := &code[i]
+			// oplint:ignore — liveness only cares about local
+			// slot traffic; every other op is a no-op here.
+			switch in.Op {
+			case bc.OpLoad:
+				if !bi.def[in.A] {
+					bi.use[in.A] = true
+				}
+			case bc.OpStore:
+				bi.def[in.A] = true
 			}
-			for i := pc; i < bi.end; i++ {
-				in := &code[i]
-				// oplint:ignore — liveness only cares about local
-				// slot traffic; every other op is a no-op here.
-				switch in.Op {
-				case bc.OpLoad:
-					if !bi.def[in.A] {
-						bi.use[in.A] = true
-					}
-				case bc.OpStore:
-					bi.def[in.A] = true
+		}
+		byLeader[pc] = int32(len(blocks))
+		pcs += bi.end - pc
+		blocks = append(blocks, bi)
+	}
+	// flow adds what is live into the blocks led by succs to bi's
+	// live-out set and reports whether that grew.
+	flow := func(bi *blockInfo, succs []int) bool {
+		grew := false
+		for _, s := range succs {
+			si := &blocks[byLeader[s]]
+			for k, out := range bi.liveOut {
+				if !out && (si.use[k] || (si.liveOut[k] && !si.def[k])) {
+					bi.liveOut[k] = true
+					grew = true
 				}
 			}
-			blocks = append(blocks, bi)
-			byLeader[pc] = bi
 		}
-	}
-	liveIn := func(bi *blockInfo) []bool {
-		in := make([]bool, nLocals)
-		for s := 0; s < nLocals; s++ {
-			in[s] = bi.use[s] || (bi.liveOut[s] && !bi.def[s])
-		}
-		return in
+		return grew
 	}
 	for changed := true; changed; {
 		changed = false
 		for i := len(blocks) - 1; i >= 0; i-- {
-			bi := blocks[i]
-			for _, s := range append(append([]int(nil), b.succs[bi.leader]...), b.exsuccs[bi.leader]...) {
-				sin := liveIn(byLeader[s])
-				for k, v := range sin {
-					if v && !bi.liveOut[k] {
-						bi.liveOut[k] = true
-						changed = true
-					}
-				}
+			bi := &blocks[i]
+			if flow(bi, b.succs[bi.leader]) {
+				changed = true
+			}
+			if flow(bi, b.exsuccs[bi.leader]) {
+				changed = true
 			}
 		}
 	}
-	// Per-pc backward sweep.
-	for _, bi := range blocks {
-		live := append([]bool(nil), bi.liveOut...)
+	// Per-pc backward sweep: each row starts as the row after it.
+	rows := make([]bool, pcs*nLocals)
+	for i := range blocks {
+		bi := &blocks[i]
+		live := bi.liveOut
 		for pc := bi.end - 1; pc >= bi.leader; pc-- {
+			row := rows[:nLocals:nLocals]
+			rows = rows[nLocals:]
+			copy(row, live)
 			in := &code[pc]
 			// oplint:ignore — backward liveness transfer: only local
 			// slot kills and uses matter.
 			switch in.Op {
 			case bc.OpStore:
-				live[in.A] = false
+				row[in.A] = false
 			case bc.OpLoad:
-				live[in.A] = true
+				row[in.A] = true
 			}
-			b.liveAt[pc] = append([]bool(nil), live...)
+			b.liveAt[pc] = row
+			live = row
 		}
 	}
 }
@@ -662,7 +698,7 @@ func (b *builder) entryState(leader int, blk *ir.Block) (*absState, error) {
 		copy(st.locals, b.params)
 		return st, nil
 	case len(blk.Preds) == 1:
-		ex := b.exit[blk.Preds[0]]
+		ex := b.exit[blk.Preds[0].ID]
 		if ex == nil {
 			return nil, fmt.Errorf("build: %s: predecessor of block at pc %d not translated", b.m.QualifiedName(), leader)
 		}
@@ -675,7 +711,7 @@ func (b *builder) entryState(leader int, blk *ir.Block) (*absState, error) {
 	// provides the stack depth and kinds.
 	var model *absState
 	for _, p := range blk.Preds {
-		if ex := b.exit[p]; ex != nil {
+		if ex := b.exit[p.ID]; ex != nil {
 			model = ex
 			break
 		}
@@ -710,7 +746,7 @@ func (b *builder) fillPhis() error {
 		blk, phi := pp.block, pp.phi
 		phi.Inputs = make([]*ir.Node, len(blk.Preds))
 		for i, pred := range blk.Preds {
-			ex := b.exit[pred]
+			ex := b.exit[pred.ID]
 			if ex == nil {
 				return fmt.Errorf("build: %s: phi v%d input from untranslated %s", b.m.QualifiedName(), phi.ID, pred)
 			}
@@ -768,13 +804,15 @@ func (b *builder) zeroIn(pred *ir.Block, kind bc.Kind) *ir.Node {
 // frameState captures the bytecode-level state before executing pc: the
 // full operand stack (the instruction at pc is re-executed after
 // deoptimization, so its operands must be present) and the local slots
-// pruned to those live at pc.
+// pruned to those live at pc. The locals and the stack share one
+// allocation.
 func (b *builder) frameState(pc int, st *absState) *ir.FrameState {
-	fs := &ir.FrameState{
-		Method: b.m,
-		BCI:    pc,
-		Locals: make([]*ir.Node, len(st.locals)),
-		Stack:  append([]*ir.Node(nil), st.stack...),
+	nl := len(st.locals)
+	vals := make([]*ir.Node, nl+len(st.stack))
+	fs := &ir.FrameState{Method: b.m, BCI: pc, Locals: vals[:nl:nl]}
+	if len(st.stack) > 0 {
+		fs.Stack = vals[nl:]
+		copy(fs.Stack, st.stack)
 	}
 	live := b.liveAt[pc]
 	for i, v := range st.locals {
@@ -1034,7 +1072,7 @@ func (b *builder) translateBlock(leader int) error {
 			stack:  []*ir.Node{ch.excObj},
 		}
 		for _, cb := range ch.blocks {
-			b.exit[cb] = exitSt
+			b.exit[cb.ID] = exitSt
 		}
 	}
 
@@ -1043,6 +1081,6 @@ func (b *builder) translateBlock(leader int) error {
 	if blk.Term == nil {
 		setTerm(end-1, b.g.NewNode(ir.OpGoto, bc.KindVoid), b.succs[leader][0])
 	}
-	b.exit[blk] = st
+	b.exit[blk.ID] = st
 	return nil
 }

@@ -18,7 +18,7 @@
 // Traps and invoke errors propagate by panicking with an abort wrapper,
 // recovered once per Run — the steady-state loop carries no error returns.
 // Deoptimization reuses the engine's shared transfer path: the lowered code
-// exposes an eval hook backed by the node→slot map recorded at compile
+// exposes an eval hook backed by the node→slot table recorded at compile
 // time, which the deopt runtime uses to read FrameState inputs out of the
 // live frame.
 package closure
@@ -77,13 +77,17 @@ type Code struct {
 	nArgs        int // widest invoke; sizes the frame's argument scratch
 	params       []paramSlot
 	consts       []constSlot
-	// slot maps value nodes to their index in the array their Kind selects.
-	// Used at compile time to resolve operands and at deopt time to serve
-	// the eval hook; never touched by steady-state dispatch.
-	slot map[*ir.Node]int32
+	// slot holds, by node ID, each value node's index in the array its
+	// Kind selects, or noSlot. Used at compile time to resolve operands and
+	// at deopt time to serve the eval hook; never touched by steady-state
+	// dispatch.
+	slot []int32
 
 	pool sync.Pool
 }
+
+// noSlot marks a node that owns no slot.
+const noSlot = -1
 
 type paramSlot struct {
 	arg  int
@@ -175,7 +179,7 @@ func (c *Code) Run(e *exec.Engine, args []rt.Value) (ret rt.Value, err error) {
 // rt.Value: the deopt runtime's eval hook. ok is false for nodes that own no
 // slot (virtual objects, void nodes).
 func (f *frame) value(x *ir.Node) (rt.Value, bool) {
-	s, ok := f.code.slot[x]
+	s, ok := f.code.slotOf(x)
 	if !ok {
 		return rt.Value{}, false
 	}
@@ -220,11 +224,20 @@ func cannotTrap(n *ir.Node) bool {
 	return d != nil && d.Op == ir.OpConst && d.AuxInt != 0
 }
 
+// slotOf returns x's slot, if it owns one.
+func (c *Code) slotOf(x *ir.Node) (int32, bool) {
+	if x.ID >= len(c.slot) || c.slot[x.ID] == noSlot {
+		return 0, false
+	}
+	return c.slot[x.ID], true
+}
+
 // compiler carries the per-compile lowering state.
 type compiler struct {
-	g      *ir.Graph
-	code   *Code
-	blkIdx map[*ir.Block]int
+	g    *ir.Graph
+	code *Code
+	// blkIdx is each block's dense index, by block ID.
+	blkIdx []int
 	// fusedIf[i] says block i's If tests the operands of its condition (a
 	// compare placed in that block) directly; the compare then owns no slot
 	// and no closure.
@@ -238,14 +251,13 @@ func compile(g *ir.Graph) (*Code, error) {
 	if len(g.Blocks) == 0 {
 		return nil, fmt.Errorf("closure: %s has no blocks", g.Method.QualifiedName())
 	}
-	values := 0
-	for _, b := range g.Blocks {
-		values += len(b.Phis) + len(b.Nodes)
+	c := &Code{g: g, slot: make([]int32, g.NumNodeIDs())}
+	for i := range c.slot {
+		c.slot[i] = noSlot
 	}
-	c := &Code{g: g, slot: make(map[*ir.Node]int32, values)}
 	cc := &compiler{
 		g: g, code: c,
-		blkIdx:     make(map[*ir.Block]int, len(g.Blocks)),
+		blkIdx:     make([]int, g.NumBlockIDs()),
 		fusedIf:    fusedIfs(g),
 		scratchInt: -1, scratchRef: -1,
 	}
@@ -256,7 +268,7 @@ func compile(g *ir.Graph) (*Code, error) {
 	// compares; constants and parameters additionally record their
 	// initialization so no per-node op is needed for them at run time.
 	for i, b := range g.Blocks {
-		cc.blkIdx[b] = i
+		cc.blkIdx[b.ID] = i
 		for _, phi := range b.Phis {
 			if _, err := cc.assign(phi); err != nil {
 				return nil, err
@@ -291,7 +303,7 @@ func compile(g *ir.Graph) (*Code, error) {
 	if len(entry.Phis) > 0 {
 		return nil, fmt.Errorf("closure: %s entry block has phis", g.Method.QualifiedName())
 	}
-	c.entry = cc.blkIdx[entry]
+	c.entry = cc.blkIdx[entry.ID]
 
 	// Pass 2: lower every block to its closure sequence and pre-linked
 	// terminator.
@@ -354,13 +366,13 @@ func isCompare(n *ir.Node) bool {
 // states; a frame-state reference counts double, so it always disqualifies
 // (deopt must be able to read the value out of a slot).
 func fusedIfs(g *ir.Graph) []bool {
-	var uses map[*ir.Node]int
-	use := func(n *ir.Node, by int) {
+	var uses []int32 // by node ID, made at the first compare
+	use := func(n *ir.Node, by int32) {
 		if isCompare(n) {
 			if uses == nil {
-				uses = make(map[*ir.Node]int)
+				uses = make([]int32, g.NumNodeIDs())
 			}
-			uses[n] += by
+			uses[n.ID] += by
 		}
 	}
 	inFrameState := func(n *ir.Node) { use(n, 2) }
@@ -376,7 +388,7 @@ func fusedIfs(g *ir.Graph) []bool {
 	for i, b := range g.Blocks {
 		if t := b.Term; t != nil && t.Op == ir.OpIf && len(t.Inputs) == 1 {
 			c := t.Inputs[0]
-			fused[i] = isCompare(c) && c.Block == b && uses[c] == 1
+			fused[i] = isCompare(c) && c.Block == b && uses[c.ID] == 1
 		}
 	}
 	return fused
@@ -399,7 +411,7 @@ func (cc *compiler) assign(n *ir.Node) (int32, error) {
 	default:
 		return 0, fmt.Errorf("closure: %s: %s has no value kind", cc.g.Method.QualifiedName(), n)
 	}
-	cc.code.slot[n] = s
+	cc.code.slot[n.ID] = s
 	return s, nil
 }
 
@@ -428,7 +440,7 @@ func (cc *compiler) slotOf(x *ir.Node, k bc.Kind) (int32, error) {
 	if x.Kind != k {
 		return 0, cc.kindErr(x, k)
 	}
-	s, ok := cc.code.slot[x]
+	s, ok := cc.code.slotOf(x)
 	if !ok {
 		return 0, fmt.Errorf("closure: %s: operand %s has no slot (unscheduled?)",
 			cc.g.Method.QualifiedName(), x)

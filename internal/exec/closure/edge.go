@@ -59,7 +59,7 @@ func (cc *compiler) edge(from, to *ir.Block) (edge, error) {
 	for hops := 0; hops < maxThread && cc.forwards(to); hops++ {
 		from, to = to, to.Succs[0]
 	}
-	e := edge{next: cc.blkIdx[to]}
+	e := edge{next: cc.blkIdx[to.ID]}
 	if len(to.Phis) == 0 {
 		return e, nil
 	}

@@ -539,7 +539,7 @@ func (cc *compiler) lowerTerm(b *ir.Block, t *ir.Node) (term, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cc.fusedIf[cc.blkIdx[b]] {
+		if cc.fusedIf[cc.blkIdx[b.ID]] {
 			return cc.lowerFusedIf(t.Inputs[0], yes, no)
 		}
 		c, err := cc.intIn(t, 0)

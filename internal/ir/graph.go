@@ -161,6 +161,10 @@ func (g *Graph) NumNodes() int {
 // size their per-node tables by it.
 func (g *Graph) NumNodeIDs() int { return g.nextNodeID }
 
+// NumBlockIDs bounds the graph's block IDs as NumNodeIDs bounds its node
+// IDs.
+func (g *Graph) NumBlockIDs() int { return g.nextBlockID }
+
 // Footprint estimates the heap bytes the graph occupies: its blocks with
 // their node and edge lists, its nodes with their input slices, and its
 // frame states with their virtual-object descriptions, each state once
@@ -189,56 +193,45 @@ func (g *Graph) Footprint() int64 {
 // forEachUse calls f with the address of every slot that references a
 // node: the inputs of every placed node and the locals, stack entries and
 // virtual-object descriptions of every frame state reachable from one
-// (through Outer). user is the node whose input the slot is, nil for a
-// frame-state slot. A frame state shared by several nodes or chains is
+// (through Outer). A frame state shared by several nodes or chains is
 // visited once: it is stamped with the walk's epoch, which costs nothing to
 // reset.
-func (g *Graph) forEachUse(f func(user *Node, slot **Node)) {
+func (g *Graph) forEachUse(f func(slot **Node)) {
 	g.epoch++
 	g.ForEachNode(func(_ *Block, n *Node) {
 		for i := range n.Inputs {
-			f(n, &n.Inputs[i])
+			f(&n.Inputs[i])
 		}
 		for fs := n.FrameState; fs != nil && fs.epoch != g.epoch; fs = fs.Outer {
 			fs.epoch = g.epoch
 			for i := range fs.Locals {
-				f(nil, &fs.Locals[i])
+				f(&fs.Locals[i])
 			}
 			for i := range fs.Stack {
-				f(nil, &fs.Stack[i])
+				f(&fs.Stack[i])
 			}
 			for _, vo := range fs.VirtualObjects {
-				f(nil, &vo.Object)
+				f(&vo.Object)
 				for i := range vo.Values {
-					f(nil, &vo.Values[i])
+					f(&vo.Values[i])
 				}
 			}
 		}
 	})
 }
 
-// ReplaceAllUsages replaces every use of old with new throughout the graph:
-// node inputs and all FrameState references (locals, stack, virtual object
-// field values, recursively through outer states). It walks the whole
-// graph; a phase that replaces many nodes collects them in a Substitution.
-func (g *Graph) ReplaceAllUsages(old, new *Node) {
-	g.forEachUse(func(user *Node, slot **Node) {
-		if *slot == old && user != old {
-			*slot = new
-		}
-	})
-}
-
-// Substitution maps nodes to the nodes that replace them, by node ID. A
-// phase that finds many replacements in one sweep records them here, reads
-// the inputs it inspects through Resolve, and applies the lot with one
-// Graph.Substitute. The zero value is empty and allocates on the first Add.
+// Substitution maps nodes to the nodes that replace them, by node ID. It is
+// the one way a phase rewrites uses: the phase records its replacements
+// here, reads the inputs it inspects through Resolve, and applies the lot
+// with one Graph.Substitute. The zero value is empty and allocates on the
+// first Add.
 type Substitution []*Node
 
-// Add records that by replaces n, a node of g.
+// Add records that by replaces n, a node of g. n may have been created
+// after earlier Adds: the table grows to cover every node g has numbered.
 func (s *Substitution) Add(g *Graph, n, by *Node) {
-	if *s == nil {
-		*s = make(Substitution, g.nextNodeID)
+	if n.ID >= len(*s) {
+		*s = append(*s, make(Substitution, g.nextNodeID-len(*s))...)
 	}
 	(*s)[n.ID] = by
 }
@@ -256,7 +249,7 @@ func (s Substitution) Resolve(n *Node) *Node {
 // in one walk of the graph. The replaced nodes themselves must already be
 // out of their blocks.
 func (g *Graph) Substitute(s Substitution) {
-	g.forEachUse(func(_ *Node, slot **Node) {
+	g.forEachUse(func(slot **Node) {
 		*slot = s.Resolve(*slot)
 	})
 }
@@ -266,7 +259,7 @@ func (g *Graph) Substitute(s Substitution) {
 // ID.
 func (g *Graph) UseCounts() []int32 {
 	counts := make([]int32, g.nextNodeID)
-	g.forEachUse(func(_ *Node, slot **Node) {
+	g.forEachUse(func(slot **Node) {
 		if *slot != nil {
 			counts[(*slot).ID]++
 		}

@@ -97,7 +97,9 @@ func TestVerifyRejections(t *testing.T) {
 	}
 }
 
-func TestReplaceAllUsagesIncludingFrameStates(t *testing.T) {
+// TestSubstituteIncludingFrameStates: a substitution rewrites node inputs
+// and frame-state references alike.
+func TestSubstituteIncludingFrameStates(t *testing.T) {
 	g, p, c, mul := straightGraph(t)
 	fs := &FrameState{
 		Method: g.Method,
@@ -110,7 +112,10 @@ func TestReplaceAllUsagesIncludingFrameStates(t *testing.T) {
 	g.InsertBefore(g.Entry(), eff, g.Entry().Nodes[2])
 
 	repl := g.ConstInt(g.Entry(), 99)
-	g.ReplaceAllUsages(p, repl)
+	g.RemoveNode(p)
+	var sub Substitution
+	sub.Add(g, p, repl)
+	g.Substitute(sub)
 	if mul.Inputs[0] != repl {
 		t.Fatal("node input not replaced")
 	}
@@ -125,9 +130,9 @@ func TestReplaceAllUsagesIncludingFrameStates(t *testing.T) {
 	}
 }
 
-// TestSubstituteFollowsChains: one walk leaves what ReplaceAllUsages, called
-// once per entry, would — through a chain of substitutions, and in a frame
-// state that two nodes and two chains share.
+// TestSubstituteFollowsChains: one walk leaves what one walk per entry would
+// — through a chain of substitutions, and in a frame state that two nodes
+// and two chains share.
 func TestSubstituteFollowsChains(t *testing.T) {
 	g, p, c, mul := straightGraph(t)
 	outer := &FrameState{Method: g.Method, Locals: []*Node{p}}
@@ -161,6 +166,22 @@ func TestSubstituteFollowsChains(t *testing.T) {
 	if got := g.UseCounts(); got[end.ID] != 6 || got[p.ID] != 3 || got[c.ID] != 0 {
 		t.Fatalf("use counts: end %d (want 6: mul, three prints, two states), p %d (want 3: mul, shared, outer once), c %d",
 			got[end.ID], got[p.ID], got[c.ID])
+	}
+}
+
+// TestSubstitutionGrowsForNewNodes: a node created after a substitution's
+// first Add can still be replaced, and resolves through the chain it joins.
+func TestSubstitutionGrowsForNewNodes(t *testing.T) {
+	g, p, c, _ := straightGraph(t)
+	var sub Substitution
+	sub.Add(g, c, p)
+	late := g.NewNode(OpConst, bc.KindInt)
+	sub.Add(g, late, c)
+	if got := sub.Resolve(late); got != p {
+		t.Fatalf("late node resolves to %s, want %s", got, p)
+	}
+	if got := sub.Resolve(g.NewNode(OpConst, bc.KindInt)); got == p {
+		t.Fatal("a node never added resolves to a replacement")
 	}
 }
 

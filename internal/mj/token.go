@@ -6,7 +6,11 @@
 // written as source instead of hand-assembled bytecode.
 package mj
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 type tokenKind uint8
 
@@ -157,26 +161,46 @@ scan:
 		}
 		return token{kind: tokInt, text: text, val: v, line: line, col: col}, nil
 	default:
-		// Multi-character operators, longest first.
-		for _, op := range []string{
-			">>>=", "<<=", ">>=", ">>>", "&&", "||", "==", "!=", "<=",
-			">=", "<<", ">>", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
-		} {
-			if len(lx.src)-lx.pos >= len(op) && lx.src[lx.pos:lx.pos+len(op)] == op {
-				for range op {
-					lx.advance()
-				}
-				return token{kind: tokPunct, text: op, line: line, col: col}, nil
+		if op := punctuation(lx.src[lx.pos:]); op != "" {
+			for range op {
+				lx.advance()
 			}
-		}
-		switch c {
-		case '+', '-', '*', '/', '%', '<', '>', '=', '!', '&', '|', '^',
-			'(', ')', '{', '}', '[', ']', ';', ',', '.', '~':
-			lx.advance()
-			return token{kind: tokPunct, text: string(c), line: line, col: col}, nil
+			return token{kind: tokPunct, text: op, line: line, col: col}, nil
 		}
 		return token{}, errf(line, col, "unexpected character %q", string(c))
 	}
+}
+
+// punctuators lists, by first byte, the operator and punctuation tokens
+// that start with it, longest first. The token text is the listed string
+// itself, so scanning one allocates nothing.
+var punctuators = func() (t [128][]string) {
+	for _, op := range []string{
+		">>>=", "<<=", ">>=", ">>>", "&&", "||", "==", "!=", "<=",
+		">=", "<<", ">>", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
+		"+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^",
+		"(", ")", "{", "}", "[", "]", ";", ",", ".", "~",
+	} {
+		t[op[0]] = append(t[op[0]], op)
+	}
+	for _, ops := range t {
+		slices.SortStableFunc(ops, func(a, b string) int { return len(b) - len(a) })
+	}
+	return t
+}()
+
+// punctuation returns the longest operator or punctuation token src starts
+// with, or "" if it starts with none.
+func punctuation(src string) string {
+	if src[0] >= 128 {
+		return ""
+	}
+	for _, op := range punctuators[src[0]] {
+		if strings.HasPrefix(src, op) {
+			return op
+		}
+	}
+	return ""
 }
 
 // lexAll tokenizes the whole source.

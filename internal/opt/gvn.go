@@ -47,8 +47,18 @@ func (GVN) Run(g *ir.Graph) (bool, error) {
 	// RPO visits dominators before dominated blocks, so one global table
 	// of representatives works: a candidate with the same key stands for
 	// n if its block dominates n's. table holds the first candidate of
-	// each key and next chains later ones, in insertion order.
-	table := make(map[gvnKey]*ir.Node)
+	// each key and next chains later ones, in insertion order. It is made
+	// once, with room for every phi and pure node, so it never grows.
+	candidates := 0
+	for _, b := range dom.RPO {
+		candidates += len(b.Phis)
+		for _, n := range b.Nodes {
+			if n.Pure() && n.Op != ir.OpPhi && n.Op != ir.OpVirtualObject {
+				candidates++
+			}
+		}
+	}
+	table := make(map[gvnKey]*ir.Node, candidates)
 	next := make([]*ir.Node, g.NumNodeIDs())
 	var sub ir.Substitution
 	// replaced reports whether an earlier node stands for n; if none does,

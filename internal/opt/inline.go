@@ -94,15 +94,25 @@ func (in *Inliner) maxDepth() int {
 }
 
 // Run implements Phase. It repeatedly inlines eligible call sites until
-// none remain or budgets are exhausted.
+// none remain or budgets are exhausted. Each spliced invoke's replacement by
+// its result is recorded in one substitution, read through while sites are
+// picked and spliced, and applied to the graph in one walk when Run returns.
+// The node budget is counted once and kept up to date as sites splice.
 func (in *Inliner) Run(g *ir.Graph) (bool, error) {
+	var sub ir.Substitution
+	defer func() {
+		if sub != nil {
+			g.Substitute(sub)
+		}
+	}()
+	nodes := g.NumNodes()
 	changed := false
-	for rounds := 0; rounds < 10; rounds++ {
-		site := in.pickSite(g)
+	for rounds := 0; rounds < 10 && nodes <= in.maxGraphNodes(); rounds++ {
+		site := in.pickSite(g, sub)
 		if site == nil {
 			return changed, nil
 		}
-		if err := in.inlineSite(g, site); err != nil {
+		if err := in.inlineSite(g, site, &sub, &nodes); err != nil {
 			return changed, err
 		}
 		changed = true
@@ -110,11 +120,9 @@ func (in *Inliner) Run(g *ir.Graph) (bool, error) {
 	return changed, nil
 }
 
-// pickSite returns the first inlinable invoke in block order, or nil.
-func (in *Inliner) pickSite(g *ir.Graph) *ir.Node {
-	if g.NumNodes() > in.maxGraphNodes() {
-		return nil
-	}
+// pickSite returns the first inlinable invoke in block order, or nil. sub
+// holds the replacements of the sites spliced so far.
+func (in *Inliner) pickSite(g *ir.Graph, sub ir.Substitution) *ir.Node {
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
 			if n.Op != ir.OpInvoke {
@@ -126,7 +134,7 @@ func (in *Inliner) pickSite(g *ir.Graph) *ir.Node {
 			if b.Term != nil && b.Term.Op == ir.OpOnException && b.Term.Inputs[0] == n {
 				continue
 			}
-			if in.resolveTarget(n) == nil || n.FrameState.Depth() > in.maxDepth() {
+			if in.resolveTarget(n, sub) == nil || n.FrameState.Depth() > in.maxDepth() {
 				continue
 			}
 			return n
@@ -137,7 +145,7 @@ func (in *Inliner) pickSite(g *ir.Graph) *ir.Node {
 
 // resolveTarget returns the unique callee implementation for the invoke,
 // or nil if the site cannot be inlined.
-func (in *Inliner) resolveTarget(n *ir.Node) *bc.Method {
+func (in *Inliner) resolveTarget(n *ir.Node, sub ir.Substitution) *bc.Method {
 	callee := n.Method
 	// oplint:ignore — n is an OpInvoke, so Aux2 is one of the three
 	// invoke kinds by construction.
@@ -145,7 +153,7 @@ func (in *Inliner) resolveTarget(n *ir.Node) *bc.Method {
 	case bc.OpInvokeStatic, bc.OpInvokeDirect:
 		// Direct: the target is exact.
 	case bc.OpInvokeVirtual:
-		callee = in.devirtualize(n)
+		callee = in.devirtualize(n, sub)
 		if callee == nil {
 			return nil
 		}
@@ -180,10 +188,11 @@ func (in *Inliner) resolveTarget(n *ir.Node) *bc.Method {
 
 // devirtualize resolves a virtual call to a unique target using the exact
 // receiver type when the receiver is an allocation, else class hierarchy
-// analysis (all loaded classes implementing the slot agree).
-func (in *Inliner) devirtualize(n *ir.Node) *bc.Method {
+// analysis (all loaded classes implementing the slot agree). The receiver is
+// read through sub.
+func (in *Inliner) devirtualize(n *ir.Node, sub ir.Substitution) *bc.Method {
 	decl := n.Method
-	recv := n.Inputs[0]
+	recv := sub.Resolve(n.Inputs[0])
 	if recv.Op == ir.OpNew || (recv.Op == ir.OpMaterialize && recv.Class != nil) {
 		return recv.Class.VTable[decl.VSlot]
 	}
@@ -198,9 +207,10 @@ func (in *Inliner) devirtualize(n *ir.Node) *bc.Method {
 	return nil
 }
 
-// inlineSite splices the callee's body in place of the invoke.
-func (in *Inliner) inlineSite(g *ir.Graph, invoke *ir.Node) error {
-	callee := in.resolveTarget(invoke)
+// inlineSite splices the callee's body in place of the invoke, records the
+// invoke's replacement in sub, and adds the placed nodes it gains to nodes.
+func (in *Inliner) inlineSite(g *ir.Graph, invoke *ir.Node, sub *ir.Substitution, nodes *int) error {
+	callee := in.resolveTarget(invoke, *sub)
 	if callee == nil {
 		return fmt.Errorf("inline: unresolvable site %s", invoke)
 	}
@@ -256,22 +266,32 @@ func (in *Inliner) inlineSite(g *ir.Graph, invoke *ir.Node) error {
 	head.Term = nil
 	head.Succs = nil
 
-	// Clone the callee graph into g.
+	// Clone the callee graph into g. The arguments are read through sub:
+	// an earlier site's invoke may still stand in the invoke's inputs.
+	args := make([]*ir.Node, len(invoke.Inputs))
+	for i, a := range invoke.Inputs {
+		args[i] = sub.Resolve(a)
+	}
 	cl := &cloner{
 		g:      g,
 		callee: callee,
-		args:   invoke.Inputs,
+		args:   args,
 		outer:  during,
-		nodes:  make(map[*ir.Node]*ir.Node),
-		blocks: make(map[*ir.Block]*ir.Block),
+		nodes:  make([]*ir.Node, cg.NumNodeIDs()),
+		blocks: make([]*ir.Block, cg.NumBlockIDs()),
 		states: make(map[*ir.FrameState]*ir.FrameState),
 	}
 	for _, cb := range cg.Blocks {
-		cl.blocks[cb] = g.NewBlock()
+		cl.blocks[cb.ID] = g.NewBlock()
 	}
+	// placed counts what the splice adds to g's placed nodes: every cloned
+	// phi, placed node and terminator, and the merge phi. The invoke that
+	// leaves cancels head's new goto, as each return cancels its goto.
+	placed := 0
 	var returns []*ir.Node // cloned return terminators
 	for _, cb := range cg.Blocks {
-		nb := cl.blocks[cb]
+		nb := cl.blocks[cb.ID]
+		nb.Nodes = make([]*ir.Node, 0, len(cb.Nodes))
 		for _, p := range cb.Phis {
 			np := cl.node(p)
 			np.Block = nb
@@ -282,18 +302,20 @@ func (in *Inliner) inlineSite(g *ir.Graph, invoke *ir.Node) error {
 			if nx.Block == nil { // params map to args and are not re-placed
 				nx.Block = nb
 				nb.Nodes = append(nb.Nodes, nx)
+				placed++
 			}
 		}
 		nt := cl.node(cb.Term)
 		nt.Block = nb
 		nb.Term = nt
+		placed += len(cb.Phis) + 1
 		nb.Preds = make([]*ir.Block, len(cb.Preds))
 		for i, p := range cb.Preds {
-			nb.Preds[i] = cl.blocks[p]
+			nb.Preds[i] = cl.blocks[p.ID]
 		}
 		nb.Succs = make([]*ir.Block, len(cb.Succs))
 		for i, s := range cb.Succs {
-			nb.Succs[i] = cl.blocks[s]
+			nb.Succs[i] = cl.blocks[s.ID]
 		}
 		if nt.Op == ir.OpReturn {
 			returns = append(returns, nt)
@@ -303,7 +325,7 @@ func (in *Inliner) inlineSite(g *ir.Graph, invoke *ir.Node) error {
 	// head jumps into the cloned entry.
 	entryGoto := g.NewNode(ir.OpGoto, bc.KindVoid)
 	entryGoto.BCI = invoke.BCI
-	g.SetTerm(head, entryGoto, cl.blocks[cg.Entry()])
+	g.SetTerm(head, entryGoto, cl.blocks[cg.Entry().ID])
 
 	// Rewire returns to cont, merging return values with a phi.
 	var result *ir.Node
@@ -316,6 +338,7 @@ func (in *Inliner) inlineSite(g *ir.Graph, invoke *ir.Node) error {
 		var phi *ir.Node
 		if callee.Ret != bc.KindVoid && len(returns) > 1 {
 			phi = g.AddPhi(cont, callee.Ret)
+			placed++
 		}
 		for _, ret := range returns {
 			rb := ret.Block
@@ -340,11 +363,14 @@ func (in *Inliner) inlineSite(g *ir.Graph, invoke *ir.Node) error {
 
 	// Replace the invoke's value with the result and drop the invoke.
 	if result != nil {
-		g.ReplaceAllUsages(invoke, result)
+		sub.Add(g, invoke, result)
 	}
 	g.RemoveNode(invoke)
-	if len(returns) == 0 {
-		g.RemoveDeadBlocks()
+	*nodes += placed
+	if len(returns) == 0 && g.RemoveDeadBlocks() {
+		// A callee that never returns leaves cont unreachable; what the
+		// pruned blocks held is counted by walking what is left.
+		*nodes = g.NumNodes()
 	}
 	return nil
 }
@@ -355,8 +381,8 @@ type cloner struct {
 	callee *bc.Method
 	args   []*ir.Node
 	outer  *ir.FrameState
-	nodes  map[*ir.Node]*ir.Node
-	blocks map[*ir.Block]*ir.Block
+	nodes  []*ir.Node  // by callee node ID
+	blocks []*ir.Block // by callee block ID
 	states map[*ir.FrameState]*ir.FrameState
 }
 
@@ -365,16 +391,16 @@ func (cl *cloner) node(x *ir.Node) *ir.Node {
 	if x == nil {
 		return nil
 	}
-	if n, ok := cl.nodes[x]; ok {
+	if n := cl.nodes[x.ID]; n != nil {
 		return n
 	}
 	if x.Op == ir.OpParam {
 		a := cl.args[x.AuxInt]
-		cl.nodes[x] = a
+		cl.nodes[x.ID] = a
 		return a
 	}
 	n := cl.g.NewNode(x.Op, x.Kind)
-	cl.nodes[x] = n
+	cl.nodes[x.ID] = n
 	n.AuxInt = x.AuxInt
 	n.AuxLen = x.AuxLen
 	n.AuxLock = x.AuxLock

@@ -56,7 +56,7 @@ func TestPickSiteTakesBlockOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := &Inliner{BuildGraph: build.Build, Program: p}
-	if got := calleeOf(in.pickSite(g)); got != "C.noesc" {
+	if got := calleeOf(in.pickSite(g, nil)); got != "C.noesc" {
 		t.Fatalf("pickSite = %s, want C.noesc (first in block order)", got)
 	}
 	if _, err := in.Run(g); err != nil {

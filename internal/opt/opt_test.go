@@ -322,6 +322,54 @@ func TestInlineDevirtualizesExactType(t *testing.T) {
 	}
 }
 
+// TestInlineDevirtualizesThroughPendingRewrite: a virtual call whose
+// receiver is the value of a call spliced earlier in the same Run is
+// devirtualized by the receiver's exact type, read through the Run's
+// pending substitution, although class hierarchy analysis finds two
+// targets:
+//
+//	make() { return new One }
+//	m()    { return make().get() }   // One.get and Two.get override Base.get
+func TestInlineDevirtualizesThroughPendingRewrite(t *testing.T) {
+	a := bc.NewAssembler()
+	base := a.Class("Base", "")
+	bget := base.Method("get", nil, bc.KindInt, false)
+	bget.Const(0).ReturnValue()
+	one := a.Class("One", "Base")
+	one.Method("get", nil, bc.KindInt, false).Const(1).ReturnValue()
+	two := a.Class("Two", "Base")
+	two.Method("get", nil, bc.KindInt, false).Const(2).ReturnValue()
+	c := a.Class("C", "")
+	mk := c.Method("make", nil, bc.KindRef, true)
+	mk.New(one.Ref()).ReturnValue()
+	m := c.Method("m", nil, bc.KindInt, true)
+	m.InvokeStatic(mk.Ref()).InvokeVirtual(bget.Ref()).ReturnValue()
+	prog, err := a.Finish("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := build.Build(m.Ref())
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &Inliner{BuildGraph: build.Build, Program: prog}
+	if _, err := in.Run(g); err != nil {
+		t.Fatal(err)
+	}
+	if got := countOps(g, ir.OpInvoke); got != 0 {
+		t.Fatalf("virtual call on a spliced call's exact type not inlined:\n%s", ir.Dump(g))
+	}
+	env := rt.NewEnv(prog, 1)
+	eng := &exec.Engine{Env: env}
+	got, err := eng.Run(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.I != 1 {
+		t.Fatalf("devirtualized to wrong target: %d", got.I)
+	}
+}
+
 func TestCHARefusesPolymorphicSite(t *testing.T) {
 	a := bc.NewAssembler()
 	base := a.Class("Base", "")

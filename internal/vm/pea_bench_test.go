@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pea/internal/bc"
+	"pea/internal/exec/closure"
 	"pea/internal/ir"
 	"pea/internal/obs"
 	"pea/internal/pea"
@@ -22,13 +23,9 @@ func BenchmarkPEA(b *testing.B) {
 		payload []byte
 		conf    pea.Config
 	}
-	files, err := filepath.Glob("../../benchmarks/programs/*.mj")
-	if err != nil || len(files) == 0 {
-		b.Fatalf("no benchmark programs (%v)", err)
-	}
 	var units []unit
-	for _, f := range files {
-		prog := loadExample(b, f)
+	var err error
+	for _, prog := range frozenPrograms(b) {
 		var payload []byte
 		sink := obs.NewSink(obs.FuncBackend(func(*obs.Event) {}))
 		sink.OnSnapshot(func(phase, _ string, g *ir.Graph) {
@@ -65,6 +62,56 @@ func BenchmarkPEA(b *testing.B) {
 		for k, u := range units {
 			if _, err := pea.Run(graphs[k], u.conf); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// frozenPrograms compiles every frozen benchmark program from source. The
+// benchmarks here only read them.
+func frozenPrograms(b *testing.B) []*bc.Program {
+	files, err := filepath.Glob("../../benchmarks/programs/*.mj")
+	if err != nil || len(files) == 0 {
+		b.Fatalf("no benchmark programs (%v)", err)
+	}
+	progs := make([]*bc.Program, len(files))
+	for i, f := range files {
+		progs[i] = loadExample(b, f)
+	}
+	return progs
+}
+
+// BenchmarkCompileFrozen is one vm.Compile plus closure lowering of every
+// method of the frozen benchmark programs under Partial Escape Analysis:
+// the work the compile workload times when it recompiles installed methods,
+// over every method rather than the installed ones, so that its allocation
+// count is exact and independent of warm-up.
+func BenchmarkCompileFrozen(b *testing.B) {
+	type unit struct {
+		machine *VM
+		m       *bc.Method
+	}
+	var units []unit
+	for _, prog := range frozenPrograms(b) {
+		machine := New(prog, Options{EA: EAPartial, Interpret: true})
+		b.Cleanup(machine.Close)
+		for _, m := range prog.Methods {
+			if len(m.Code) > 0 {
+				units = append(units, unit{machine, m})
+			}
+		}
+	}
+	backend := closure.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, u := range units {
+			g, err := u.machine.Compile(u.m)
+			if err != nil {
+				b.Fatalf("%s: %v", u.m.QualifiedName(), err)
+			}
+			if _, err := backend.Compile(g); err != nil {
+				b.Fatalf("lowering %s: %v", u.m.QualifiedName(), err)
 			}
 		}
 	}

@@ -108,6 +108,9 @@ var rules = []rule{
 	// read stays deleted.
 	{37, decl, []string{"pea/internal/sched.CFG.Loops", "pea/internal/sched.CFG.LoopOf", "pea/internal/sched.Loop",
 		"pea/internal/sched.CFG.IsBackEdge", "pea/internal/sched.CFG.LoopHeader", "computeLoops", "loopWithHeader"}, wholeModule, 0},
+	// A Substitution is the one way to rewrite uses: no per-edit graph walk
+	// beside it.
+	{40, decl, []string{"pea/internal/ir.Graph.ReplaceAllUsages"}, wholeModule, 0},
 }
 
 // A site is where an occurrence is: its package, file and enclosing

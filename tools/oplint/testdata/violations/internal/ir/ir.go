@@ -1,4 +1,5 @@
-// Package ir stubs the opcode enum whose switches must be exhaustive.
+// Package ir stubs the opcode enum whose switches must be exhaustive, and
+// the graph.
 package ir
 
 type Op int
@@ -8,3 +9,7 @@ const (
 	OpA
 	OpB
 )
+
+type Graph struct{}
+
+func (g *Graph) ReplaceAllUsages(old, new int) {}
