@@ -580,6 +580,9 @@ func (c *checker) classNamed(name string) *classInfo {
 }
 
 func (c *checker) expr(e Expr) (*Type, error) {
+	if t := e.typ(); t != nil { // checked already: x op= v shares x with its left operand
+		return t, nil
+	}
 	switch e := e.(type) {
 	case *IntLit:
 		e.T = typeInt
@@ -828,23 +831,22 @@ func (c *checker) binaryExpr(e *BinaryExpr) (*Type, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch e.Op {
-	case "&&", "||":
+	class := binaryOpOf(e.Op).class
+	switch class {
+	case logic:
 		if lt.Kind != TypeBool || rt.Kind != TypeBool {
 			return nil, errf(e.Line, 1, "%s expects booleans, got %s and %s", e.Op, lt, rt)
 		}
 		e.T = typeBool
-	case "+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", ">>>":
+	case arith, order:
 		if lt.Kind != TypeInt || rt.Kind != TypeInt {
 			return nil, errf(e.Line, 1, "%s expects ints, got %s and %s", e.Op, lt, rt)
 		}
 		e.T = typeInt
-	case "<", "<=", ">", ">=":
-		if lt.Kind != TypeInt || rt.Kind != TypeInt {
-			return nil, errf(e.Line, 1, "%s expects ints, got %s and %s", e.Op, lt, rt)
+		if class == order {
+			e.T = typeBool
 		}
-		e.T = typeBool
-	case "==", "!=":
+	case equality:
 		ok := (lt.Kind == TypeInt && rt.Kind == TypeInt) ||
 			(lt.Kind == TypeBool && rt.Kind == TypeBool) ||
 			(lt.isRef() && rt.isRef() &&

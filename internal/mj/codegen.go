@@ -586,17 +586,6 @@ func (f *fngen) assign(s *AssignStmt) error {
 	}
 }
 
-var arithOps = map[string]bc.Op{
-	"+": bc.OpAdd, "-": bc.OpSub, "*": bc.OpMul, "/": bc.OpDiv, "%": bc.OpRem,
-	"&": bc.OpAnd, "|": bc.OpOr, "^": bc.OpXor,
-	"<<": bc.OpShl, ">>": bc.OpShr, ">>>": bc.OpUShr,
-}
-
-var cmpOps = map[string]bc.Cond{
-	"==": bc.CondEQ, "!=": bc.CondNE,
-	"<": bc.CondLT, "<=": bc.CondLE, ">": bc.CondGT, ">=": bc.CondGE,
-}
-
 // expr generates code leaving the expression's value on the stack.
 func (f *fngen) expr(e Expr) error {
 	switch e := e.(type) {
@@ -705,36 +694,20 @@ func (f *fngen) expr(e Expr) error {
 			f.ma.Const(1).Arith(bc.OpXor)
 		}
 	case *BinaryExpr:
-		switch e.Op {
-		case "&&", "||":
+		op := binaryOpOf(e.Op)
+		if op.class == logic || op.class == equality && e.L.typ().isRef() {
 			return f.boolViaBranches(e)
-		case "==", "!=":
-			if e.L.typ().isRef() {
-				return f.boolViaBranches(e)
-			}
-			if err := f.expr(e.L); err != nil {
-				return err
-			}
-			if err := f.expr(e.R); err != nil {
-				return err
-			}
-			f.ma.Cmp(cmpOps[e.Op])
-		case "<", "<=", ">", ">=":
-			if err := f.expr(e.L); err != nil {
-				return err
-			}
-			if err := f.expr(e.R); err != nil {
-				return err
-			}
-			f.ma.Cmp(cmpOps[e.Op])
-		default:
-			if err := f.expr(e.L); err != nil {
-				return err
-			}
-			if err := f.expr(e.R); err != nil {
-				return err
-			}
-			f.ma.Arith(arithOps[e.Op])
+		}
+		if err := f.expr(e.L); err != nil {
+			return err
+		}
+		if err := f.expr(e.R); err != nil {
+			return err
+		}
+		if op.class == arith {
+			f.ma.Arith(op.op)
+		} else {
+			f.ma.Cmp(op.cond)
 		}
 	case *InstanceOfExpr:
 		if err := f.expr(e.X); err != nil {
@@ -780,45 +753,33 @@ func (f *fngen) condJump(e Expr, label string, whenTrue bool) error {
 			return f.condJump(e.X, label, !whenTrue)
 		}
 	case *BinaryExpr:
-		switch e.Op {
-		case "&&":
-			if whenTrue {
-				skip := f.label()
-				if err := f.condJump(e.L, skip, false); err != nil {
+		switch op := binaryOpOf(e.Op); op.class {
+		case logic:
+			// An && that jumps when false, or an || that jumps when true,
+			// jumps from either operand; otherwise the left one skips the
+			// right.
+			if whenTrue != (e.Op == "&&") {
+				if err := f.condJump(e.L, label, whenTrue); err != nil {
 					return err
 				}
-				if err := f.condJump(e.R, label, true); err != nil {
-					return err
-				}
-				f.ma.Label(skip)
-				return nil
-			}
-			if err := f.condJump(e.L, label, false); err != nil {
-				return err
-			}
-			return f.condJump(e.R, label, false)
-		case "||":
-			if whenTrue {
-				if err := f.condJump(e.L, label, true); err != nil {
-					return err
-				}
-				return f.condJump(e.R, label, true)
+				return f.condJump(e.R, label, whenTrue)
 			}
 			skip := f.label()
-			if err := f.condJump(e.L, skip, true); err != nil {
+			if err := f.condJump(e.L, skip, !whenTrue); err != nil {
 				return err
 			}
-			if err := f.condJump(e.R, label, false); err != nil {
+			if err := f.condJump(e.R, label, whenTrue); err != nil {
 				return err
 			}
 			f.ma.Label(skip)
 			return nil
-		case "==", "!=":
-			cond := cmpOps[e.Op]
+		case order, equality:
+			cond := op.cond
 			if !whenTrue {
 				cond = cond.Negate()
 			}
-			if e.L.typ().isRef() {
+			ref := op.class == equality && e.L.typ().isRef()
+			if ref {
 				// Prefer IfNull when one side is the null literal.
 				if _, ok := e.R.(*NullLit); ok {
 					if err := f.expr(e.L); err != nil {
@@ -834,35 +795,18 @@ func (f *fngen) condJump(e Expr, label string, whenTrue bool) error {
 					f.ma.IfNull(cond, label)
 					return nil
 				}
-				if err := f.expr(e.L); err != nil {
-					return err
-				}
-				if err := f.expr(e.R); err != nil {
-					return err
-				}
+			}
+			if err := f.expr(e.L); err != nil {
+				return err
+			}
+			if err := f.expr(e.R); err != nil {
+				return err
+			}
+			if ref {
 				f.ma.IfRef(cond, label)
-				return nil
+			} else {
+				f.ma.IfCmp(cond, label)
 			}
-			if err := f.expr(e.L); err != nil {
-				return err
-			}
-			if err := f.expr(e.R); err != nil {
-				return err
-			}
-			f.ma.IfCmp(cond, label)
-			return nil
-		case "<", "<=", ">", ">=":
-			cond := cmpOps[e.Op]
-			if !whenTrue {
-				cond = cond.Negate()
-			}
-			if err := f.expr(e.L); err != nil {
-				return err
-			}
-			if err := f.expr(e.R); err != nil {
-				return err
-			}
-			f.ma.IfCmp(cond, label)
 			return nil
 		}
 	}

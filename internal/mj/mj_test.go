@@ -56,9 +56,20 @@ func TestHelloArithmetic(t *testing.T) {
 				print(12 | 10);
 				print(12 ^ 10);
 				print(~0);
+				print(1 - 2 - 3);
+				print(100 / 10 / 5);
+				print(2 + 3 * 4);
+				print(7 - 2 * 3 % 4);
+				print(1 << 2 + 1);
+				print(8 >> 1 >> 1);
+				print(6 & 3 ^ 1 | 8);
+				print(1 + 2 < 4 == 2 * 3 > 5);
+				print(false && false || true);
+				print(true || true && false);
 			}
 		}`,
-		42, 4, 14, 3, 2, -4, 1024, -4, 3, 8, 14, 6, -1)
+		42, 4, 14, 3, 2, -4, 1024, -4, 3, 8, 14, 6, -1,
+		-4, 2, 14, 5, 8, 2, 11, 1, 1, 1)
 }
 
 func TestControlFlow(t *testing.T) {
@@ -298,6 +309,7 @@ func TestThrowAborts(t *testing.T) {
 
 func TestCompoundAssignAndIncrement(t *testing.T) {
 	wantOutput(t, `
+		class S { static int n; }
 		class Main {
 			static void main() {
 				int x = 10;
@@ -309,9 +321,10 @@ func TestCompoundAssignAndIncrement(t *testing.T) {
 				x++; print(x);
 				x--; x--; print(x);
 				x <<= 4; print(x);
+				S.n += 4; S.n++; print(S.n);
 			}
 		}`,
-		15, 12, 24, 6, 2, 3, 1, 16)
+		15, 12, 24, 6, 2, 3, 1, 16, 5)
 }
 
 func TestCheckerErrors(t *testing.T) {
@@ -352,10 +365,23 @@ func TestParserErrors(t *testing.T) {
 		{"stray token", `class Main { static void main() { print(1) } }`, "expected"},
 		{"bad char", `class Main { static void main() { print(@); } }`, "unexpected character"},
 		{"unterminated comment", `class Main { /*`, "unterminated"},
+		// instanceof binds as the order operators, once, and only a looser
+		// operator may follow it. An empty want means the source compiles.
+		{"order after instanceof", `class C { } class Main { static void main() { C x = null; print(x instanceof C < 1); } }`,
+			`expected ")", found "<"`},
+		{"instanceof twice", `class C { } class Main { static void main() { C a = null; print(a == a instanceof C instanceof C); } }`,
+			`expected ")", found "instanceof"`},
+		{"equality after instanceof", `class C { } class Main { static void main() { C x = null; print(x instanceof C == true); } }`, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Compile(tc.src, "Main.main")
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("got %v, want it to compile", err)
+				}
+				return
+			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got %v, want %q", err, tc.want)
 			}
@@ -369,19 +395,7 @@ func TestParserErrors(t *testing.T) {
 // bound compiles and runs. The 300 000-paren case overflowed the goroutine
 // stack in the parser before the bound existed.
 func TestNestingBound(t *testing.T) {
-	body := func(stmt string) string {
-		return "class Main { static void main() { int x = 1; int[] a = new int[1]; " + stmt + " } }"
-	}
-	deep := []struct{ name, src string }{
-		{"parentheses", body("print(" + strings.Repeat("(", 300_000) + "1" + strings.Repeat(")", 300_000) + ");")},
-		{"unary", body("print(" + strings.Repeat("- ", 5_000) + "1);")},
-		{"binary chain", body("print(1" + strings.Repeat(" + 1", 5_000) + ");")},
-		{"index chain", body("print(a[0]" + strings.Repeat("[0]", 5_000) + ");")},
-		{"blocks", body(strings.Repeat("{", 5_000) + strings.Repeat("}", 5_000))},
-		{"ifs", body(strings.Repeat("if (x > 0) ", 5_000) + "x = 2;")},
-		{"array type", body("int" + strings.Repeat("[]", 5_000) + " b = null;")},
-	}
-	for _, tc := range deep {
+	for _, tc := range tooDeep() {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Compile(tc.src, "Main.main")
 			if err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
@@ -392,11 +406,29 @@ func TestNestingBound(t *testing.T) {
 	// Each level of the nested sum counts twice: a parenthesized expression
 	// and a link of the + chain.
 	const n = maxDepth / 3
-	if got := runMain(t, body("print("+strings.Repeat("(", n)+"1"+strings.Repeat(" + 1)", n)+");")); len(got) != 1 || got[0] != n+1 {
+	if got := runMain(t, nestingBody("print("+strings.Repeat("(", n)+"1"+strings.Repeat(" + 1)", n)+");")); len(got) != 1 || got[0] != n+1 {
 		t.Fatalf("nested sum printed %v, want [%d]", got, n+1)
 	}
-	if got := runMain(t, body("print(1"+strings.Repeat(" + 1", n)+");")); len(got) != 1 || got[0] != n+1 {
+	if got := runMain(t, nestingBody("print(1"+strings.Repeat(" + 1", n)+");")); len(got) != 1 || got[0] != n+1 {
 		t.Fatalf("left-deep sum printed %v, want [%d]", got, n+1)
+	}
+}
+
+// nestingBody wraps a statement in a Main.main that has x and a in scope.
+func nestingBody(stmt string) string {
+	return "class Main { static void main() { int x = 1; int[] a = new int[1]; " + stmt + " } }"
+}
+
+// tooDeep returns one source per way of nesting, each deeper than maxDepth.
+func tooDeep() []struct{ name, src string } {
+	return []struct{ name, src string }{
+		{"parentheses", nestingBody("print(" + strings.Repeat("(", 300_000) + "1" + strings.Repeat(")", 300_000) + ");")},
+		{"unary", nestingBody("print(" + strings.Repeat("- ", 5_000) + "1);")},
+		{"binary chain", nestingBody("print(1" + strings.Repeat(" + 1", 5_000) + ");")},
+		{"index chain", nestingBody("print(a[0]" + strings.Repeat("[0]", 5_000) + ");")},
+		{"blocks", nestingBody(strings.Repeat("{", 5_000) + strings.Repeat("}", 5_000))},
+		{"ifs", nestingBody(strings.Repeat("if (x > 0) ", 5_000) + "x = 2;")},
+		{"array type", nestingBody("int" + strings.Repeat("[]", 5_000) + " b = null;")},
 	}
 }
 

@@ -1,5 +1,11 @@
 package mj
 
+import (
+	"math"
+
+	"pea/internal/bc"
+)
+
 // maxDepth bounds how deeply the AST of a source file may nest. The parser,
 // the checker and the code generator all walk the tree recursively, so this
 // bound is what keeps hostile source — a few hundred thousand parentheses
@@ -91,7 +97,12 @@ func (p *parser) expect(kind tokenKind, text string) (token, error) {
 	if !p.at(kind, text) {
 		want := text
 		if want == "" {
-			want = map[tokenKind]string{tokIdent: "identifier", tokInt: "integer"}[kind]
+			switch kind {
+			case tokIdent:
+				want = "identifier"
+			case tokInt:
+				want = "integer"
+			}
 		}
 		return t, errf(t.line, t.col, "expected %q, found %s", want, t)
 	}
@@ -584,95 +595,113 @@ func (p *parser) forStmt() (Stmt, error) {
 
 // Expression parsing with Java-like precedence.
 
+// An opClass is what a binary operator takes and gives.
+type opClass uint8
+
+const (
+	logic    opClass = iota + 1 // booleans to boolean, short-circuit
+	arith                       // ints to int, by the entry's bc.Op
+	order                       // ints to boolean, by the entry's bc.Cond
+	equality                    // two ints, booleans or references to boolean, by the entry's bc.Cond
+	typeTest                    // instanceof: a class name, not an operand, on the right
+)
+
+// A binaryOp is one binary operator: how tightly it binds (a higher prec
+// binds tighter; every level associates to the left), what it takes and
+// what it emits.
+type binaryOp struct {
+	text  string
+	prec  int
+	class opClass
+	op    bc.Op
+	cond  bc.Cond
+}
+
+// binaryOps is every binary operator of MiniJava. The parser, the checker
+// and codegen all read it. Precedence starts at 1: the zero binaryOp, which
+// binaryOpOf returns for any other token, binds looser than every level.
+var binaryOps = []binaryOp{
+	{text: "||", prec: 1, class: logic},
+	{text: "&&", prec: 2, class: logic},
+	{text: "|", prec: 3, class: arith, op: bc.OpOr},
+	{text: "^", prec: 4, class: arith, op: bc.OpXor},
+	{text: "&", prec: 5, class: arith, op: bc.OpAnd},
+	{text: "==", prec: 6, class: equality, cond: bc.CondEQ},
+	{text: "!=", prec: 6, class: equality, cond: bc.CondNE},
+	{text: "<", prec: 7, class: order, cond: bc.CondLT},
+	{text: "<=", prec: 7, class: order, cond: bc.CondLE},
+	{text: ">", prec: 7, class: order, cond: bc.CondGT},
+	{text: ">=", prec: 7, class: order, cond: bc.CondGE},
+	{text: "instanceof", prec: 7, class: typeTest},
+	{text: "<<", prec: 8, class: arith, op: bc.OpShl},
+	{text: ">>", prec: 8, class: arith, op: bc.OpShr},
+	{text: ">>>", prec: 8, class: arith, op: bc.OpUShr},
+	{text: "+", prec: 9, class: arith, op: bc.OpAdd},
+	{text: "-", prec: 9, class: arith, op: bc.OpSub},
+	{text: "*", prec: 10, class: arith, op: bc.OpMul},
+	{text: "/", prec: 10, class: arith, op: bc.OpDiv},
+	{text: "%", prec: 10, class: arith, op: bc.OpRem},
+}
+
+// binaryOpOf returns the operator spelled text, or the zero binaryOp.
+func binaryOpOf(text string) binaryOp {
+	for i := range binaryOps {
+		if binaryOps[i].text == text {
+			return binaryOps[i]
+		}
+	}
+	return binaryOp{}
+}
+
 func (p *parser) expr() (Expr, error) {
 	if err := p.enter(); err != nil {
 		return nil, err
 	}
 	defer p.leave()
-	return p.orExpr()
+	return p.binary(1)
 }
 
-func (p *parser) binaryLevel(ops []string, sub func() (Expr, error)) (Expr, error) {
+// binary parses a unary expression followed by every binary operator that
+// binds at least as tightly as minPrec, by precedence climbing: the right
+// operand of an operator is parsed at the next tighter level, so an
+// operator of the same level folds into the left operand. Each
+// BinaryExpr is one link of the depth bound.
+func (p *parser) binary(minPrec int) (Expr, error) {
 	defer p.done(p.subtree())
-	l, err := sub()
+	l, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
 	}
+	// ceiling is the tightest operator that may take l as its left
+	// operand. It is the last operator combined, and one level looser
+	// after an instanceof: only a looser operator may follow instanceof.
+	ceiling := math.MaxInt
 	for {
-		matched := false
-		for _, op := range ops {
-			if p.at(tokPunct, op) {
-				line := p.cur().line
-				p.pos++
-				r, err := sub()
-				if err != nil {
-					return nil, err
-				}
-				l = &BinaryExpr{Op: op, L: l, R: r, Line: line}
-				if err := p.link(); err != nil {
-					return nil, err
-				}
-				matched = true
-				break
-			}
-		}
-		if !matched {
+		t := p.cur()
+		op := binaryOpOf(t.text)
+		if op.prec < minPrec || op.prec > ceiling {
 			return l, nil
 		}
-	}
-}
-
-func (p *parser) orExpr() (Expr, error) {
-	return p.binaryLevel([]string{"||"}, p.andExpr)
-}
-
-func (p *parser) andExpr() (Expr, error) {
-	return p.binaryLevel([]string{"&&"}, p.bitOrExpr)
-}
-
-func (p *parser) bitOrExpr() (Expr, error) {
-	return p.binaryLevel([]string{"|"}, p.bitXorExpr)
-}
-
-func (p *parser) bitXorExpr() (Expr, error) {
-	return p.binaryLevel([]string{"^"}, p.bitAndExpr)
-}
-
-func (p *parser) bitAndExpr() (Expr, error) {
-	return p.binaryLevel([]string{"&"}, p.eqExpr)
-}
-
-func (p *parser) eqExpr() (Expr, error) {
-	return p.binaryLevel([]string{"==", "!="}, p.relExpr)
-}
-
-func (p *parser) relExpr() (Expr, error) {
-	l, err := p.binaryLevel([]string{"<=", ">=", "<", ">"}, p.shiftExpr)
-	if err != nil {
-		return nil, err
-	}
-	if p.at(tokKeyword, "instanceof") {
-		line := p.cur().line
 		p.pos++
-		cls, err := p.expect(tokIdent, "")
+		if op.class == typeTest {
+			cls, err := p.expect(tokIdent, "")
+			if err != nil {
+				return nil, err
+			}
+			l = &InstanceOfExpr{X: l, Class: cls.text, Line: t.line}
+			ceiling = op.prec - 1
+			continue
+		}
+		r, err := p.binary(op.prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		return &InstanceOfExpr{X: l, Class: cls.text, Line: line}, nil
+		l = &BinaryExpr{Op: op.text, L: l, R: r, Line: t.line}
+		if err := p.link(); err != nil {
+			return nil, err
+		}
+		ceiling = op.prec
 	}
-	return l, nil
-}
-
-func (p *parser) shiftExpr() (Expr, error) {
-	return p.binaryLevel([]string{">>>", "<<", ">>"}, p.addExpr)
-}
-
-func (p *parser) addExpr() (Expr, error) {
-	return p.binaryLevel([]string{"+", "-"}, p.mulExpr)
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	return p.binaryLevel([]string{"*", "/", "%"}, p.unaryExpr)
 }
 
 func (p *parser) unaryExpr() (Expr, error) {
@@ -864,11 +893,4 @@ func (p *parser) parseTypeNoArray() (*Type, error) {
 	}
 	c := p.cur()
 	return nil, errf(c.line, c.col, "expected a type, found %s", c)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

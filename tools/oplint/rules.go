@@ -111,6 +111,10 @@ var rules = []rule{
 	// A Substitution is the one way to rewrite uses: no per-edit graph walk
 	// beside it.
 	{40, decl, []string{"pea/internal/ir.Graph.ReplaceAllUsages"}, wholeModule, 0},
+	// One operator table: binaryOps states each binary operator's precedence,
+	// class and opcode; no level function or op map restates them.
+	{42, decl, []string{"binaryLevel", "orExpr", "andExpr", "bitOrExpr", "bitXorExpr", "bitAndExpr", "eqExpr",
+		"relExpr", "shiftExpr", "addExpr", "mulExpr", "arithOps", "cmpOps"}, []string{"pea/internal/mj"}, 0},
 }
 
 // A site is where an occurrence is: its package, file and enclosing
