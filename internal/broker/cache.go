@@ -96,13 +96,13 @@ const DefaultCacheBytes int64 = 16 << 20
 const DefaultCacheEntries = DefaultCacheBytes
 
 // codeBytesPerNode is what a backend's lowered code keeps reachable per
-// node of the graph it was lowered from: the closure backend's per-block op
-// sequences and node-to-slot table. It is the heap difference between
-// closure and oracle artifacts of the example programs' cold variants (63
-// bytes per node on amd64), so that Artifact needs no second method to
-// report its code size; TestChargeTracksTheHeap checks the whole charge
-// against the heap.
-const codeBytesPerNode = 63
+// node of the graph it was lowered from: the closure backend's block funcs,
+// the op closures they call and its node-to-slot table. It is the heap
+// difference between closure and oracle artifacts of the example programs'
+// cold variants (58.6 bytes per node on amd64), so that Artifact needs no
+// second method to report its code size; TestChargeTracksTheHeap checks the
+// whole charge against the heap.
+const codeBytesPerNode = 59
 
 // entryBytes is the cache's own cost per entry: the entry, its map slot
 // (key and pointer) and its ring slot.

@@ -1,13 +1,16 @@
 // Package closure is the template-JIT execution backend: it compiles each
-// scheduled ir.Graph once, at install time, into flat per-block closure
-// sequences (threaded code). Every node becomes a small Go func with its
-// operands pre-resolved to dense slot indices in one of two typed arrays
-// (ints, refs — a node's array is fixed by its Kind) and constants folded
-// into captures; block successors are pre-linked, so steady-state dispatch
-// is a tight loop over []func(*frame) plus one terminator func per block
-// returning the next block index — no map lookups, no switch on n.Op, no
-// tagged values, and zero allocations per invocation (slots and the invoke
-// argument scratch live in a pooled frame).
+// scheduled ir.Graph once, at install time, into one Go func per block
+// (threaded code). Every node becomes a small Go func with its operands
+// pre-resolved to dense slot indices in one of two typed arrays (ints, refs —
+// a node's array is fixed by its Kind) and constants folded into captures; a
+// block's ops and its terminator are fused into one func(*frame) int
+// returning the next block index, so steady-state dispatch is one indirect
+// call per block — no map lookups, no switch on n.Op, no tagged values, and
+// zero allocations per invocation (slots and the invoke argument scratch
+// live in a pooled frame). A loop phi shares its back-edge input's slot where
+// their live ranges allow, and a copy-free jump into a block with no ops runs
+// that block's terminator itself, so a counted loop is one dispatch and no
+// copy per iteration.
 //
 // What an operation does — its checks, its trap reason, the counters it
 // bumps — is not decided here: every closure calls the guest-operation kernel
@@ -51,18 +54,20 @@ func (Backend) Compile(g *ir.Graph) (exec.Code, error) { return compile(g) }
 type op func(f *frame)
 
 // term executes a block terminator, performing the successor edge's phi
-// copy, and returns the next dense block index (done = -1).
+// copy, and returns the next dense block index (done = -1). A whole lowered
+// block — its ops, then its terminator — has the same shape.
 type term func(f *frame) int
 
 const done = -1
 
 // block is one lowered basic block.
 type block struct {
-	ops  []op
-	term term
+	run term
 	// steps is the node count charged against Env.MaxSteps per entry
-	// (nodes + terminator, mirroring the oracle's per-node accounting
-	// closely enough for the budget to stay a runaway guard).
+	// (nodes + terminator, plus those of the op-less blocks whose
+	// terminators run chained to this one's, mirroring the oracle's
+	// per-node accounting closely enough for the budget to stay a runaway
+	// guard).
 	steps int64
 }
 
@@ -158,21 +163,16 @@ func (c *Code) Run(e *exec.Engine, args []rt.Value) (ret rt.Value, err error) {
 		}
 	}()
 	bounded := env.MaxSteps > 0
-	bi := c.entry
-	for {
+	for bi := c.entry; bi != done; {
 		b := &c.blocks[bi]
 		if bounded {
 			if serr := env.ChargeSteps(b.steps, c.g.Method); serr != nil {
 				return rt.Value{}, serr
 			}
 		}
-		for _, o := range b.ops {
-			o(f)
-		}
-		if bi = b.term(f); bi < 0 {
-			return f.ret, nil
-		}
+		bi = b.run(f)
 	}
+	return f.ret, nil
 }
 
 // value reads x's current runtime value out of the frame as a tagged
@@ -238,13 +238,29 @@ type compiler struct {
 	code *Code
 	// blkIdx is each block's dense index, by block ID.
 	blkIdx []int
-	// fusedIf[i] says block i's If tests the operands of its condition (a
-	// compare placed in that block) directly; the compare then owns no slot
-	// and no closure.
-	fusedIf []bool
+	useScan
+	// ops holds every block's lowered ops, in block order; terms holds each
+	// block's end in ops and its terminator, lowered on demand (termOf).
+	ops   []op
+	terms []lowered
 	// scratch is the cycle-breaking slot of each typed array, -1 until an
 	// edge first needs one.
 	scratchInt, scratchRef int32
+	// intMoves and refMoves are edge's working buffers.
+	intMoves, refMoves []move
+}
+
+// lowered is one block's terminator, as far as it has been lowered.
+type lowered struct {
+	t term
+	// opEnd is the end of the block's ops in compiler.ops.
+	opEnd int32
+	// steps is what the terminator charges: 1, plus the nodes and
+	// terminators of the op-less blocks whose terminators it runs.
+	steps int64
+	// busy marks a terminator being lowered: a jump into a busy block (a
+	// self-edge, a cycle of op-less blocks) dispatches instead of chaining.
+	busy bool
 }
 
 func compile(g *ir.Graph) (*Code, error) {
@@ -258,17 +274,21 @@ func compile(g *ir.Graph) (*Code, error) {
 	cc := &compiler{
 		g: g, code: c,
 		blkIdx:     make([]int, g.NumBlockIDs()),
-		fusedIf:    fusedIfs(g),
+		useScan:    scanUses(g),
 		scratchInt: -1, scratchRef: -1,
 	}
 
 	// Pass 1: dense block numbering and slot assignment. Every phi and
 	// every placed value node gets a slot in the array of its Kind, except
 	// OpVirtualObject (which exists only inside frame states) and fused
-	// compares; constants and parameters additionally record their
-	// initialization so no per-node op is needed for them at run time.
+	// compares; a back-edge input that shares its phi's slot takes that one.
+	// Constants and parameters additionally record their initialization so
+	// no per-node op is needed for them at run time.
+	nNodes, maxPhis := 0, 0
 	for i, b := range g.Blocks {
 		cc.blkIdx[b.ID] = i
+		nNodes += len(b.Nodes)
+		maxPhis = max(maxPhis, len(b.Phis))
 		for _, phi := range b.Phis {
 			if _, err := cc.assign(phi); err != nil {
 				return nil, err
@@ -305,14 +325,18 @@ func compile(g *ir.Graph) (*Code, error) {
 	}
 	c.entry = cc.blkIdx[entry.ID]
 
-	// Pass 2: lower every block to its closure sequence and pre-linked
-	// terminator.
-	c.blocks = make([]block, len(g.Blocks))
+	if maxPhis > 0 {
+		buf := make([]move, 2*maxPhis+2) // one cycle break each, without growing
+		cc.intMoves, cc.refMoves = buf[:0:maxPhis+1], buf[maxPhis+1:maxPhis+1]
+	}
+
+	// Pass 2: lower every block's ops.
+	cc.ops = make([]op, 0, nNodes)
+	cc.terms = make([]lowered, len(g.Blocks))
 	for i, b := range g.Blocks {
 		if b.Term == nil {
 			return nil, fmt.Errorf("closure: %s has no terminator", b)
 		}
-		ops := make([]op, 0, len(b.Nodes))
 		for _, n := range b.Nodes {
 			if cc.fused(i, n) {
 				continue
@@ -331,13 +355,20 @@ func compile(g *ir.Graph) (*Code, error) {
 			if b.Term.Op == ir.OpOnException && b.Term.Inputs[0] == n && !cannotTrap(n) {
 				o = guarded(o)
 			}
-			ops = append(ops, o)
+			cc.ops = append(cc.ops, o)
 		}
-		t, err := cc.lowerTerm(b, b.Term)
+		cc.terms[i].opEnd = int32(len(cc.ops))
+	}
+
+	// Pass 3: fuse each block's ops and its terminator into one func. The
+	// terminators come last because a jump may run another block's.
+	c.blocks = make([]block, len(g.Blocks))
+	for i, b := range g.Blocks {
+		l, err := cc.termOf(i)
 		if err != nil {
 			return nil, err
 		}
-		c.blocks[i] = block{ops: ops, term: t, steps: int64(len(b.Nodes)) + 1}
+		c.blocks[i] = block{run: fuse(cc.opsOf(i), l.t), steps: int64(len(b.Nodes)) + l.steps}
 	}
 
 	c.pool.New = func() any {
@@ -355,43 +386,249 @@ func compile(g *ir.Graph) (*Code, error) {
 	return c, nil
 }
 
+// termOf lowers block i's terminator, once.
+func (cc *compiler) termOf(i int) (*lowered, error) {
+	l := &cc.terms[i]
+	if l.t == nil {
+		l.busy, l.steps = true, 1
+		t, err := cc.lowerTerm(cc.g.Blocks[i], cc.g.Blocks[i].Term)
+		l.busy = false
+		if err != nil {
+			return nil, err
+		}
+		l.t = t
+	}
+	return l, nil
+}
+
+// opsOf returns block i's lowered ops.
+func (cc *compiler) opsOf(i int) []op {
+	start, end := int32(0), cc.terms[i].opEnd
+	if i > 0 {
+		start = cc.terms[i-1].opEnd
+	}
+	return cc.ops[start:end:end]
+}
+
+// fuse makes one func of a block's ops and its terminator: straight calls
+// for up to four ops, a loop beyond.
+func fuse(ops []op, t term) term {
+	switch len(ops) {
+	case 0:
+		return t
+	case 1:
+		o0 := ops[0]
+		return func(f *frame) int { o0(f); return t(f) }
+	case 2:
+		o0, o1 := ops[0], ops[1]
+		return func(f *frame) int { o0(f); o1(f); return t(f) }
+	case 3:
+		o0, o1, o2 := ops[0], ops[1], ops[2]
+		return func(f *frame) int { o0(f); o1(f); o2(f); return t(f) }
+	case 4:
+		o0, o1, o2, o3 := ops[0], ops[1], ops[2], ops[3]
+		return func(f *frame) int { o0(f); o1(f); o2(f); o3(f); return t(f) }
+	}
+	return func(f *frame) int {
+		for _, o := range ops {
+			o(f)
+		}
+		return t(f)
+	}
+}
+
 // isCompare reports whether n is a node an If can absorb.
 func isCompare(n *ir.Node) bool {
 	return n != nil && (n.Op == ir.OpCmp || n.Op == ir.OpRefEq)
 }
 
-// fusedIfs decides, per block, whether its OpIf absorbs its condition: an
-// OpCmp/OpRefEq placed in the same block whose only use in the whole graph is
-// that If. Compare uses are counted in one walk over inputs and frame
-// states; a frame-state reference counts double, so it always disqualifies
-// (deopt must be able to read the value out of a slot).
-func fusedIfs(g *ir.Graph) []bool {
-	var uses []int32 // by node ID, made at the first compare
-	use := func(n *ir.Node, by int32) {
-		if isCompare(n) {
-			if uses == nil {
-				uses = make([]int32, g.NumNodeIDs())
+// useScan is what lowering learns from its one walk over the graph's uses.
+type useScan struct {
+	// fusedIf[i] says block i's If tests the operands of its condition (a
+	// compare placed in that block) directly; the compare then owns no slot
+	// and no closure.
+	fusedIf []bool
+	// tab holds, by node ID, what the walk counts; nil until a graph has a
+	// compare or a slot-sharing candidate. A compare's entry counts its
+	// uses, a frame-state reference counting two. A candidate input's entry
+	// is -(1 + the index in cands of its pair), a phi's that of its first
+	// pair; a compare that is a candidate feeds a phi, so it is never fused
+	// and needs no count.
+	tab []int32
+	// cands are the (phi, input) pairs that may share a slot.
+	cands []shareCand
+}
+
+// shareCand is a phi p and its input x over the Goto edge from x's block
+// into p's block.
+type shareCand struct {
+	x, p *ir.Node
+	idx  int32 // the index of x's block in p's block's Preds
+	next int32 // 1 + the index of p's next pair, 0 for none
+	// defined says the walk has passed x; ok that no read seen so far
+	// rules the pair out.
+	defined, ok bool
+}
+
+// useWalk is scanUses' state: the block and the node whose reads it counts.
+type useWalk struct {
+	useScan
+	g  *ir.Graph
+	at *ir.Block
+	by *ir.Node
+}
+
+// scanUses makes lowering's one walk over every node input and every
+// FrameState value, and decides two things from it.
+//
+// An OpIf absorbs its condition when that is an OpCmp/OpRefEq placed in the
+// If's block whose only use in the whole graph is the If. A frame-state
+// reference counts double, so it always disqualifies: deopt must be able to
+// read the value out of a slot.
+//
+// A phi p of block H shares the slot of its input x over a Goto edge B → H
+// when all of these hold: x is computed by an op placed in B; x is read only
+// in B and by p over that edge; nothing in B reads p after x is defined; no
+// phi of H reads p over that edge. The slot then holds x from its definition
+// to B's end and p everywhere else, the two are never both wanted, and the
+// edge copies nothing for p. Reads count node inputs and frame-state values
+// alike, so a deopt anywhere reads the value it names.
+func scanUses(g *ir.Graph) useScan {
+	w := useWalk{g: g}
+	phis := 0
+	for _, h := range g.Blocks {
+		phis += len(h.Phis)
+	}
+	for _, h := range g.Blocks {
+		if len(h.Phis) == 0 {
+			continue
+		}
+		for idx, b := range h.Preds {
+			if b.Term == nil || b.Term.Op != ir.OpGoto {
+				continue
 			}
-			uses[n.ID] += by
+			for _, p := range h.Phis {
+				x := p.Inputs[idx]
+				if x == nil || x.Block != b || x.Kind != p.Kind || !computed(x) {
+					continue
+				}
+				if w.tab == nil {
+					w.table()
+					w.cands = make([]shareCand, 0, phis)
+				}
+				if w.tab[x.ID] < 0 {
+					continue // x feeds a second phi: the walk rules the first out
+				}
+				w.cands = append(w.cands, shareCand{x: x, p: p, idx: int32(idx), next: -w.tab[p.ID], ok: true})
+				w.tab[x.ID] = -int32(len(w.cands))
+				w.tab[p.ID] = -int32(len(w.cands))
+			}
 		}
 	}
-	inFrameState := func(n *ir.Node) { use(n, 2) }
-	g.ForEachNode(func(_ *ir.Block, n *ir.Node) {
-		for _, in := range n.Inputs {
-			use(in, 1)
+	for _, b := range g.Blocks {
+		w.at = b
+		for _, n := range b.Phis {
+			w.node(n)
 		}
-		if n.FrameState != nil {
-			n.FrameState.ForEachValue(inFrameState)
+		for _, n := range b.Nodes {
+			w.node(n)
+			if w.tab != nil && w.tab[n.ID] < 0 {
+				cd := &w.cands[-w.tab[n.ID]-1]
+				cd.defined = b == cd.x.Block
+			}
 		}
-	})
-	fused := make([]bool, len(g.Blocks))
+		if b.Term != nil {
+			w.node(b.Term)
+		}
+	}
+
+	w.fusedIf = make([]bool, len(g.Blocks))
 	for i, b := range g.Blocks {
 		if t := b.Term; t != nil && t.Op == ir.OpIf && len(t.Inputs) == 1 {
 			c := t.Inputs[0]
-			fused[i] = isCompare(c) && c.Block == b && uses[c.ID] == 1
+			w.fusedIf[i] = isCompare(c) && c.Block == b && w.tab[c.ID] == 1
 		}
 	}
-	return fused
+	return w.useScan
+}
+
+// table makes the walk's table at its first compare or candidate.
+func (w *useWalk) table() {
+	if w.tab == nil {
+		w.tab = make([]int32, w.g.NumNodeIDs())
+	}
+}
+
+// node counts n's reads: its inputs, then its frame state's values.
+func (w *useWalk) node(n *ir.Node) {
+	w.by = n
+	for k, in := range n.Inputs {
+		if isCompare(in) || (w.tab != nil && w.tab[in.ID] < 0) {
+			w.read(in, k)
+		}
+	}
+	if n.FrameState != nil {
+		n.FrameState.ForEachValue(func(v *ir.Node) {
+			if isCompare(v) || (w.tab != nil && w.tab[v.ID] < 0) {
+				w.read(v, -1)
+			}
+		})
+	}
+}
+
+// read counts one read of v, a compare or a candidate, by w.by: as its
+// input k, or k = -1 for a frame-state value.
+func (w *useWalk) read(v *ir.Node, k int) {
+	w.table()
+	c := -w.tab[v.ID]
+	if c <= 0 {
+		if k < 0 {
+			w.tab[v.ID] += 2
+		} else {
+			w.tab[v.ID]++
+		}
+		return
+	}
+	byPhi := w.by.Op == ir.OpPhi
+	if v.Op != ir.OpPhi {
+		// v is a candidate input: only its own block and p over the edge
+		// may read it.
+		cd := &w.cands[c-1]
+		if (byPhi && (w.by != cd.p || k != int(cd.idx))) || (!byPhi && w.at != v.Block) {
+			cd.ok = false
+		}
+		return
+	}
+	for ; c != 0; c = w.cands[c-1].next {
+		cd := &w.cands[c-1]
+		if (byPhi && w.at == v.Block && k == int(cd.idx)) || (!byPhi && w.at == cd.x.Block && cd.defined) {
+			cd.ok = false
+		}
+	}
+}
+
+// computed reports whether n is a value a lowered op writes where it is
+// placed: not a phi, nor a parameter or constant (whose slots are filled
+// when a run starts or a frame is built), nor a virtual object.
+func computed(n *ir.Node) bool {
+	// oplint:ignore — a yes/no over the four ops whose slots no placed op
+	// writes.
+	switch n.Op {
+	case ir.OpPhi, ir.OpParam, ir.OpConst, ir.OpConstNull, ir.OpVirtualObject:
+		return false
+	}
+	return n.Kind == bc.KindInt || n.Kind == bc.KindRef
+}
+
+// mate returns the phi whose slot n shares, or nil.
+func (u *useScan) mate(n *ir.Node) *ir.Node {
+	if u.tab == nil || n.Op == ir.OpPhi {
+		return nil
+	}
+	if c := -u.tab[n.ID]; c > 0 && u.cands[c-1].ok && u.cands[c-1].defined {
+		return u.cands[c-1].p
+	}
+	return nil
 }
 
 // fused reports whether n, a node of block i, is the compare that block's If
@@ -400,8 +637,17 @@ func (cc *compiler) fused(i int, n *ir.Node) bool {
 	return cc.fusedIf[i] && n == cc.g.Blocks[i].Term.Inputs[0]
 }
 
-// assign gives n the next slot of the array its Kind selects.
+// assign gives n a slot in the array its Kind selects: the one it shares
+// with its phi, if it has one yet, or else the next.
 func (cc *compiler) assign(n *ir.Node) (int32, error) {
+	if s := cc.code.slot[n.ID]; s != noSlot {
+		return s, nil // a phi whose back-edge input came first
+	}
+	p := cc.mate(n)
+	if p != nil && cc.code.slot[p.ID] != noSlot {
+		cc.code.slot[n.ID] = cc.code.slot[p.ID]
+		return cc.code.slot[n.ID], nil
+	}
 	var s int32
 	switch n.Kind {
 	case bc.KindInt:
@@ -412,6 +658,9 @@ func (cc *compiler) assign(n *ir.Node) (int32, error) {
 		return 0, fmt.Errorf("closure: %s: %s has no value kind", cc.g.Method.QualifiedName(), n)
 	}
 	cc.code.slot[n.ID] = s
+	if p != nil {
+		cc.code.slot[p.ID] = s
+	}
 	return s, nil
 }
 

@@ -67,13 +67,7 @@ func (cc *compiler) edge(from, to *ir.Block) (edge, error) {
 	if idx < 0 {
 		return e, fmt.Errorf("closure: %s is not a predecessor of %s", from, to)
 	}
-	nRefs := 0
-	for _, phi := range to.Phis {
-		if phi.Kind == bc.KindRef {
-			nRefs++
-		}
-	}
-	ints, refs := make([]move, 0, len(to.Phis)-nRefs), make([]move, 0, nRefs)
+	ints, refs := cc.intMoves[:0], cc.refMoves[:0]
 	for _, phi := range to.Phis {
 		in := phi.Inputs[idx]
 		if in == nil {
@@ -93,18 +87,27 @@ func (cc *compiler) edge(from, to *ir.Block) (edge, error) {
 			ints = append(ints, move{src: src, dst: dst})
 		}
 	}
-	e.ints = sequentialize(ints, func() int32 {
+	cc.intMoves = sequentialize(ints, func() int32 {
 		if cc.scratchInt < 0 {
 			cc.scratchInt = cc.newInt()
 		}
 		return cc.scratchInt
 	})
-	e.refs = sequentialize(refs, func() int32 {
+	cc.refMoves = sequentialize(refs, func() int32 {
 		if cc.scratchRef < 0 {
 			cc.scratchRef = cc.newRef()
 		}
 		return cc.scratchRef
 	})
+	// The moves were ordered in the compiler's reused buffers; an edge that
+	// still copies gets one exact allocation for both kinds.
+	ni, nr := len(cc.intMoves), len(cc.refMoves)
+	if ni+nr > 0 {
+		mv := make([]move, ni+nr)
+		copy(mv, cc.intMoves)
+		copy(mv[ni:], cc.refMoves)
+		e.ints, e.refs = mv[:ni:ni], mv[ni:]
+	}
 	return e, nil
 }
 

@@ -512,7 +512,8 @@ func (f *frame) call(s *callSite) rt.Value {
 }
 
 // lowerTerm lowers a block terminator: successor indices are pre-linked and
-// each outgoing edge's phi copy is baked into the returned func.
+// each outgoing edge's phi copy is baked into the returned func. Only
+// termOf calls it.
 func (cc *compiler) lowerTerm(b *ir.Block, t *ir.Node) (term, error) {
 	m, bci := t.OriginMethod(cc.g.Method), t.BCI
 	// oplint:ignore — intentionally partial: only terminators reach
@@ -524,11 +525,23 @@ func (cc *compiler) lowerTerm(b *ir.Block, t *ir.Node) (term, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(e.ints) == 0 && len(e.refs) == 0 {
-			next := e.next
-			return func(f *frame) int { return next }, nil
+		if len(e.ints) != 0 || len(e.refs) != 0 {
+			return func(f *frame) int { return f.take(e.ints, e.refs, e.next) }, nil
 		}
-		return func(f *frame) int { return f.take(e.ints, e.refs, e.next) }, nil
+		// A copy-free jump into a block with no ops runs that block's
+		// terminator as its own and charges that block's steps too. A jump
+		// into a busy block (a self-edge, a cycle of op-less blocks)
+		// dispatches.
+		if len(cc.opsOf(e.next)) == 0 && !cc.terms[e.next].busy {
+			to, err := cc.termOf(e.next)
+			if err != nil {
+				return nil, err
+			}
+			cc.terms[cc.blkIdx[b.ID]].steps += int64(len(cc.g.Blocks[e.next].Nodes)) + to.steps
+			return to.t, nil
+		}
+		next := e.next
+		return func(f *frame) int { return next }, nil
 
 	case ir.OpIf:
 		yes, err := cc.edge(b, b.Succs[0])

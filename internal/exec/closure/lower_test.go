@@ -1,6 +1,7 @@
 package closure
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -291,7 +292,7 @@ func compareAndDeopt(m *bc.Method, inFrameState bool) (*ir.Graph, *ir.Node) {
 func TestFusedCompare(t *testing.T) {
 	prog, m := twoIntMethod(t)
 	g, c := compareAndDeopt(m, false)
-	if !fusedIfs(g)[0] {
+	if !scanUses(g).fusedIf[0] {
 		t.Fatalf("compare used only by its block's If is not fused")
 	}
 	eng := &exec.Engine{Env: rt.NewEnv(prog, 1)}
@@ -309,7 +310,7 @@ func TestFusedCompare(t *testing.T) {
 	}
 
 	g, c = compareAndDeopt(m, true)
-	if fusedIfs(g)[0] {
+	if scanUses(g).fusedIf[0] {
 		t.Fatalf("compare referenced by a frame state was fused")
 	}
 	eng.Deopt = func(_ *ir.Graph, n *ir.Node, eval func(*ir.Node) (rt.Value, bool)) (rt.Value, error) {
@@ -372,6 +373,272 @@ func TestGuardedConstDivisor(t *testing.T) {
 		got, err := run(t, g, eng, rt.IntValue(tc.x), rt.IntValue(tc.y))
 		if err != nil || got.I != tc.want {
 			t.Fatalf("m(%d,%d) = %v, %v; want %d", tc.x, tc.y, got, err, tc.want)
+		}
+	}
+}
+
+// arith and cmp append x op y and x cond y to b.
+func arith(g *ir.Graph, b *ir.Block, op bc.Op, x, y *ir.Node) *ir.Node {
+	n := g.NewNode(ir.OpArith, bc.KindInt, x, y)
+	n.Aux2 = op
+	return g.Append(b, n)
+}
+
+func cmp(g *ir.Graph, b *ir.Block, cond bc.Cond, x, y *ir.Node) *ir.Node {
+	n := g.NewNode(ir.OpCmp, bc.KindInt, x, y)
+	n.Cond = cond
+	return g.Append(b, n)
+}
+
+// loop is a hand-built loop: entry jumps to head, head tests i < n, n a
+// parameter, and branches to body or exit. The caller adds head's other
+// phis, fills body and exit, and wires body's way back.
+type loop struct {
+	g                       *ir.Graph
+	entry, head, body, exit *ir.Block
+	i                       *ir.Node // head's counter phi; its back-edge input is the caller's
+}
+
+// newLoop builds entry and head, with n the parameter numbered nArg. The
+// counter starts at what start places in entry; head's phis take their
+// back-edge input from the second predecessor wired into head, which the
+// caller creates.
+func newLoop(m *bc.Method, start func(g *ir.Graph, entry *ir.Block) *ir.Node, nArg int) *loop {
+	g := ir.NewGraph(m)
+	l := &loop{g: g, entry: g.Entry(), head: g.NewBlock(), body: g.NewBlock(), exit: g.NewBlock()}
+	x := param(g, int64(nArg), bc.KindInt)
+	s := start(g, l.entry)
+	g.SetTerm(l.entry, g.NewNode(ir.OpGoto, bc.KindVoid), l.head)
+	l.i = g.AddPhi(l.head, bc.KindInt, s, nil)
+	g.SetTerm(l.head, g.NewNode(ir.OpIf, bc.KindVoid, cmp(g, l.head, bc.CondLT, l.i, x)), l.body, l.exit)
+	return l
+}
+
+func zero(g *ir.Graph, entry *ir.Block) *ir.Node { return g.ConstInt(entry, 0) }
+
+// shares reports whether the code gives a and b one slot.
+func shares(c *Code, a, b *ir.Node) bool {
+	sa, oka := c.slotOf(a)
+	sb, okb := c.slotOf(b)
+	return oka && okb && sa == sb
+}
+
+// TestEntryInputReadAfterLoopKeepsItsSlot: a phi's entry-edge input that is
+// read again after the loop must not share the phi's slot, or the read sees
+// the phi's last value (the shape of a fuzzed program whose entry-edge Box
+// was unlocked after the loop: "monitor exit on unlocked Box").
+func TestEntryInputReadAfterLoopKeepsItsSlot(t *testing.T) {
+	prog, m := twoIntMethod(t)
+	var a *ir.Node
+	l := newLoop(m, func(g *ir.Graph, entry *ir.Block) *ir.Node {
+		a = arith(g, entry, bc.OpAdd, param(g, 0, bc.KindInt), g.ConstInt(entry, 1))
+		return a
+	}, 1)
+	g := l.g
+	q := arith(g, l.body, bc.OpAdd, l.i, g.ConstInt(l.body, 2))
+	g.SetTerm(l.body, g.NewNode(ir.OpGoto, bc.KindVoid), l.head)
+	l.i.Inputs[1] = q
+	r := arith(g, l.exit, bc.OpMul, a, g.ConstInt(l.exit, 1000))
+	g.SetTerm(l.exit, g.NewNode(ir.OpReturn, bc.KindVoid, arith(g, l.exit, bc.OpAdd, r, l.i)))
+
+	c, err := compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shares(c, a, l.i) {
+		t.Errorf("entry input %s shares phi %s's slot though the exit reads it", a, l.i)
+	}
+	if !shares(c, q, l.i) {
+		t.Errorf("back-edge input %s does not share phi %s's slot", q, l.i)
+	}
+	got, err := c.Run(&exec.Engine{Env: rt.NewEnv(prog, 1)}, []rt.Value{rt.IntValue(0), rt.IntValue(5)})
+	if err != nil || got.I != 1005 {
+		t.Fatalf("m(0, 5) = %v, %v; want 1005 (a = 1, the loop ends at 5)", got, err)
+	}
+}
+
+// TestLatchReadingPhiAfterItsInputKeepsItsSlot: a latch that reads the phi
+// after defining its back-edge input (j = i + 1; print(i); i = j) needs both
+// values at once, so they must not share.
+func TestLatchReadingPhiAfterItsInputKeepsItsSlot(t *testing.T) {
+	prog, m := twoIntMethod(t)
+	l := newLoop(m, zero, 1)
+	g := l.g
+	j := arith(g, l.body, bc.OpAdd, l.i, g.ConstInt(l.body, 1))
+	g.Append(l.body, g.NewNode(ir.OpPrint, bc.KindVoid, l.i))
+	g.SetTerm(l.body, g.NewNode(ir.OpGoto, bc.KindVoid), l.head)
+	l.i.Inputs[1] = j
+	g.SetTerm(l.exit, g.NewNode(ir.OpReturn, bc.KindVoid, l.i))
+
+	c, err := compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shares(c, j, l.i) {
+		t.Errorf("%s shares %s's slot though the latch prints %s after defining it", j, l.i, l.i)
+	}
+	eng := &exec.Engine{Env: rt.NewEnv(prog, 1)}
+	got, err := c.Run(eng, []rt.Value{rt.IntValue(0), rt.IntValue(3)})
+	if err != nil || got.I != 3 || fmt.Sprint(eng.Env.Output) != "[0 1 2]" {
+		t.Fatalf("m(0, 3) = %v, %v, printed %v; want 3 and [0 1 2]", got, err, eng.Env.Output)
+	}
+}
+
+// TestPhiReadBySiblingOverBackEdgeKeepsItsSlot: q = phi(0, p) reads p over
+// the back edge, where p's input x is written; if p shared x's slot, q would
+// read x instead of p's old value.
+func TestPhiReadBySiblingOverBackEdgeKeepsItsSlot(t *testing.T) {
+	prog, m := twoIntMethod(t)
+	l := newLoop(m, zero, 1)
+	g := l.g
+	q := g.AddPhi(l.head, bc.KindInt, l.i.Inputs[0], l.i)
+	x := arith(g, l.body, bc.OpAdd, l.i, g.ConstInt(l.body, 1))
+	g.SetTerm(l.body, g.NewNode(ir.OpGoto, bc.KindVoid), l.head)
+	l.i.Inputs[1] = x
+	r := arith(g, l.exit, bc.OpMul, l.i, g.ConstInt(l.exit, 100))
+	g.SetTerm(l.exit, g.NewNode(ir.OpReturn, bc.KindVoid, arith(g, l.exit, bc.OpAdd, r, q)))
+
+	c, err := compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shares(c, x, l.i) {
+		t.Errorf("%s shares %s's slot though sibling phi %s reads it over the back edge", x, l.i, q)
+	}
+	got, err := c.Run(&exec.Engine{Env: rt.NewEnv(prog, 1)}, []rt.Value{rt.IntValue(0), rt.IntValue(5)})
+	if err != nil || got.I != 504 {
+		t.Fatalf("m(0, 5) = %v, %v; want 504 (i = 5, q = 4)", got, err)
+	}
+}
+
+// TestDeoptAfterLatchInputReadsOldPhi: a deopt reached from the latch after
+// the phi's back-edge input is defined, whose frame state holds the phi, must
+// read the phi's old value through the eval hook. The latch branches to the
+// deopt, so its way back to the header is either a forwarding block (the
+// graph builder's split critical edge) or the If itself.
+func TestDeoptAfterLatchInputReadsOldPhi(t *testing.T) {
+	prog, m := twoIntMethod(t)
+	for _, split := range []bool{true, false} {
+		l := newLoop(m, zero, 1)
+		g := l.g
+		x := arith(g, l.body, bc.OpAdd, l.i, g.ConstInt(l.body, 1))
+		hot := g.NewBlock()
+		back := l.head
+		if split {
+			back = g.NewBlock()
+			g.SetTerm(back, g.NewNode(ir.OpGoto, bc.KindVoid), l.head)
+		}
+		g.SetTerm(l.body, g.NewNode(ir.OpIf, bc.KindVoid, cmp(g, l.body, bc.CondEQ, x, param(g, 0, bc.KindInt))), hot, back)
+		l.i.Inputs[1] = x
+		deopt := g.NewNode(ir.OpDeopt, bc.KindVoid)
+		deopt.FrameState = &ir.FrameState{Method: m, BCI: 0, Locals: []*ir.Node{l.i}}
+		g.SetTerm(hot, deopt)
+		g.SetTerm(l.exit, g.NewNode(ir.OpReturn, bc.KindVoid, l.i))
+
+		c, err := compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shares(c, x, l.i) {
+			t.Errorf("split %v: %s shares %s's slot across the deopt's branch", split, x, l.i)
+		}
+		eng := &exec.Engine{Env: rt.NewEnv(prog, 1)}
+		eng.Deopt = func(_ *ir.Graph, n *ir.Node, eval func(*ir.Node) (rt.Value, bool)) (rt.Value, error) {
+			v, _ := eval(n.FrameState.Locals[0])
+			return v, nil
+		}
+		got, err := c.Run(eng, []rt.Value{rt.IntValue(4), rt.IntValue(10)})
+		if err != nil || got.I != 3 {
+			t.Fatalf("split %v: deopt read i = %v, %v; want 3, the value before x = i + 1 = 4", split, got, err)
+		}
+	}
+}
+
+// countedLoop builds `s = 0; for (i = 0; i < n; i++) s += i; return s`
+// with both loop phis' back-edge inputs computed in the body, so both share
+// their phis' slots and the body's jump runs the header's fused test.
+func countedLoop(m *bc.Method) (l *loop, s *ir.Node) {
+	l = newLoop(m, zero, 0)
+	g := l.g
+	s = g.AddPhi(l.head, bc.KindInt, l.i.Inputs[0], nil)
+	t := arith(g, l.body, bc.OpAdd, s, l.i)
+	j := arith(g, l.body, bc.OpAdd, l.i, g.ConstInt(l.entry, 1))
+	g.SetTerm(l.body, g.NewNode(ir.OpGoto, bc.KindVoid), l.head)
+	l.i.Inputs[1], s.Inputs[1] = j, t
+	g.SetTerm(l.exit, g.NewNode(ir.OpReturn, bc.KindVoid, s))
+	return l, s
+}
+
+// stepsCharged is the exact step count a run of c charges: the smallest
+// budget it completes under.
+func stepsCharged(t *testing.T, prog *bc.Program, c *Code, args ...rt.Value) int64 {
+	t.Helper()
+	lo, hi := int64(0), int64(1<<20)
+	for lo+1 < hi {
+		mid := (lo + hi) / 2
+		env := rt.NewEnv(prog, 1)
+		env.MaxSteps = mid
+		if _, err := c.Run(&exec.Engine{Env: env}, args); err != nil {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
+// TestCountedLoopStepsPerIteration: the body's jump runs the header's test
+// and charges the header's steps with its own, so an iteration is one
+// dispatch and charges what it did when the header was dispatched apart:
+// the header's compare and If (2) plus the body's two adds and Goto (3).
+func TestCountedLoopStepsPerIteration(t *testing.T) {
+	prog, m := twoIntMethod(t)
+	l, s := countedLoop(m)
+	c, err := compile(l.g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !shares(c, l.i, l.i.Inputs[1]) || !shares(c, s, s.Inputs[1]) {
+		t.Fatalf("loop phis do not share their back-edge inputs' slots\n%s", ir.Dump(l.g))
+	}
+	if got := c.blocks[2].steps; got != 5 { // entry, head, body, exit
+		t.Errorf("body charges %d steps per entry, want 5 (its own 3 and the header's 2)", got)
+	}
+	at := func(n int64) int64 { return stepsCharged(t, prog, c, rt.IntValue(n), rt.IntValue(0)) }
+	if per := (at(20) - at(10)) / 10; per != 5 {
+		t.Fatalf("%d steps per iteration, want 5", per)
+	}
+	got, err := c.Run(&exec.Engine{Env: rt.NewEnv(prog, 1)}, []rt.Value{rt.IntValue(10), rt.IntValue(0)})
+	if err != nil || got.I != 45 {
+		t.Fatalf("sum below 10 = %v, %v; want 45", got, err)
+	}
+}
+
+// TestChainedLoopsStopOnStepBudget: a jump that runs its target's terminator
+// must not leave a loop uncharged — neither a counted loop with a body, whose
+// every iteration is now one dispatch, nor a loop of two blocks with no ops,
+// each of which would run the other's jump if a cycle did not dispatch.
+func TestChainedLoopsStopOnStepBudget(t *testing.T) {
+	prog, m := twoIntMethod(t)
+	l, _ := countedLoop(m)
+
+	g := ir.NewGraph(m)
+	a, b := g.NewBlock(), g.NewBlock()
+	g.SetTerm(g.Entry(), g.NewNode(ir.OpGoto, bc.KindVoid), a)
+	g.ConstInt(a, 1)
+	g.SetTerm(a, g.NewNode(ir.OpGoto, bc.KindVoid), b)
+	g.ConstInt(b, 2)
+	g.SetTerm(b, g.NewNode(ir.OpGoto, bc.KindVoid), a)
+
+	for _, tc := range []struct {
+		name string
+		g    *ir.Graph
+	}{{"counted loop", l.g}, {"op-less cycle", g}} {
+		eng := &exec.Engine{Env: rt.NewEnv(prog, 1)}
+		eng.Env.MaxSteps = 10_000
+		_, err := run(t, tc.g, eng, rt.IntValue(1<<40), rt.IntValue(0))
+		if err == nil || !strings.Contains(err.Error(), "step budget") {
+			t.Fatalf("%s: Run = %v, want the step-budget error", tc.name, err)
 		}
 	}
 }

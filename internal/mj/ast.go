@@ -112,7 +112,11 @@ type VarDeclStmt struct {
 type AssignStmt struct {
 	Target Expr // IdentExpr, FieldExpr, or IndexExpr
 	Value  Expr
-	Line   int
+	// Compound marks x op= y, x++ and x--: Value is a BinaryExpr whose left
+	// operand is Target itself, and codegen evaluates Target's object or
+	// array and index once.
+	Compound bool
+	Line     int
 }
 
 // IfStmt is if/else.

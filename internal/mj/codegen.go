@@ -527,6 +527,11 @@ func (f *fngen) tryStmt(s *TryStmt) error {
 }
 
 func (f *fngen) assign(s *AssignStmt) error {
+	if s.Compound {
+		if done, err := f.compoundAssign(s); done || err != nil {
+			return err
+		}
+	}
 	switch t := s.Target.(type) {
 	case *IdentExpr:
 		switch b := t.Binding.(type) {
@@ -584,6 +589,49 @@ func (f *fngen) assign(s *AssignStmt) error {
 	default:
 		return fmt.Errorf("mj: codegen: bad assignment target %T", t)
 	}
+}
+
+// compoundAssign generates x op= y where x is an instance field or an array
+// element, evaluating x's object, or its array and index, once: Java's
+// order, in which a null array or a bad index traps after both are
+// evaluated and before y is. It reports false for any other target, whose
+// reads have no effects, so the plain assignment of x op y serves.
+func (f *fngen) compoundAssign(s *AssignStmt) (bool, error) {
+	bin := s.Value.(*BinaryExpr)
+	op := binaryOpOf(bin.Op).op
+	switch t := s.Target.(type) {
+	case *FieldExpr:
+		fi := t.Ref.(*fieldInfo)
+		if fi.static {
+			return false, nil
+		}
+		if err := f.expr(t.Obj); err != nil {
+			return true, err
+		}
+		f.ma.Dup().GetField(f.g.fields[fi])
+		if err := f.expr(bin.R); err != nil {
+			return true, err
+		}
+		f.ma.Arith(op).PutField(f.g.fields[fi])
+		return true, nil
+	case *IndexExpr:
+		arr, idx := f.ma.NewLocal(bc.KindRef), f.ma.NewLocal(bc.KindInt)
+		if err := f.expr(t.Arr); err != nil {
+			return true, err
+		}
+		f.ma.Store(arr)
+		if err := f.expr(t.Idx); err != nil {
+			return true, err
+		}
+		f.ma.Store(idx)
+		f.ma.Load(arr).Load(idx).Load(arr).Load(idx).ArrayLoad(kindOf(t.T))
+		if err := f.expr(bin.R); err != nil {
+			return true, err
+		}
+		f.ma.Arith(op).ArrayStore(kindOf(t.T))
+		return true, nil
+	}
+	return false, nil
 }
 
 // expr generates code leaving the expression's value on the stack.

@@ -1,6 +1,7 @@
 package mj
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -325,6 +326,57 @@ func TestCompoundAssignAndIncrement(t *testing.T) {
 			}
 		}`,
 		15, 12, 24, 6, 2, 3, 1, 16, 5)
+
+	// A field or element target's object, array and index are evaluated
+	// once: each call below prints once, not twice.
+	const calls = `
+		class Box { int f; }
+		class Main {
+			static int n;
+			static int[] arr;
+			static Box box;
+			static int idx(int i) { n++; print(100 + n); return i; }
+			static int[] a() { print(200); return arr; }
+			static Box o() { print(300); return box; }
+			static int rhs() { print(400); return 1; }
+			static void main() {
+				arr = new int[3];
+				box = new Box();
+				MAIN
+			}
+		}`
+	wantOutput(t, strings.Replace(calls, "MAIN", `
+		arr[idx(1)] += 5; print(arr[1]);
+		arr[idx(1)]++; print(arr[1]);
+		o().f -= 2; print(box.f);
+		o().f++; print(box.f);
+		a()[idx(2)] *= 3; print(arr[2]);
+		a()[idx(1)] <<= rhs(); print(arr[1]);`, 1),
+		101, 5, 102, 6, 300, -2, 300, -1, 200, 103, 0, 200, 104, 400, 12)
+
+	// Java's order: a null array or a bad index traps once the array and
+	// the index are evaluated, before the right-hand side is.
+	for _, tc := range []struct {
+		name, main, trap string
+		out              []int64
+	}{
+		{"null array", `arr = null; a()[idx(0)] += rhs();`, "null", []int64{200, 101}},
+		{"bad index", `a()[idx(3)] -= rhs();`, "out of range", []int64{200, 101}},
+		{"null object", `box = null; o().f += rhs();`, "null", []int64{300}},
+	} {
+		prog, err := Compile(strings.Replace(calls, "MAIN", tc.main, 1), "Main.main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := rt.NewEnv(prog, 1)
+		_, err = interp.New(env).Run()
+		if err == nil || !strings.Contains(err.Error(), tc.trap) {
+			t.Fatalf("%s: got %v, want a trap containing %q", tc.name, err, tc.trap)
+		}
+		if fmt.Sprint(env.Output) != fmt.Sprint(tc.out) {
+			t.Errorf("%s: printed %v before the trap, want %v", tc.name, env.Output, tc.out)
+		}
+	}
 }
 
 func TestCheckerErrors(t *testing.T) {

@@ -422,9 +422,10 @@ func (p *parser) simpleStmt() (Stmt, error) {
 			}
 			op := cur.text[:len(cur.text)-1]
 			return &AssignStmt{
-				Target: lhs,
-				Value:  &BinaryExpr{Op: op, L: lhs, R: rhs, Line: cur.line},
-				Line:   t.line,
+				Target:   lhs,
+				Value:    &BinaryExpr{Op: op, L: lhs, R: rhs, Line: cur.line},
+				Compound: true,
+				Line:     t.line,
 			}, nil
 		case "++", "--":
 			p.pos++
@@ -434,9 +435,10 @@ func (p *parser) simpleStmt() (Stmt, error) {
 			}
 			one := &IntLit{Val: 1, Line: cur.line}
 			return &AssignStmt{
-				Target: lhs,
-				Value:  &BinaryExpr{Op: op, L: lhs, R: one, Line: cur.line},
-				Line:   t.line,
+				Target:   lhs,
+				Value:    &BinaryExpr{Op: op, L: lhs, R: one, Line: cur.line},
+				Compound: true,
+				Line:     t.line,
 			}, nil
 		}
 	}
