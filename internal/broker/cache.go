@@ -99,10 +99,10 @@ const DefaultCacheEntries = DefaultCacheBytes
 // node of the graph it was lowered from: the closure backend's block funcs,
 // the op closures they call and its node-to-slot table. It is the heap
 // difference between closure and oracle artifacts of the example programs'
-// cold variants (58.6 bytes per node on amd64), so that Artifact needs no
+// cold variants (54.5 bytes per node on amd64), so that Artifact needs no
 // second method to report its code size; TestChargeTracksTheHeap checks the
 // whole charge against the heap.
-const codeBytesPerNode = 59
+const codeBytesPerNode = 54
 
 // entryBytes is the cache's own cost per entry: the entry, its map slot
 // (key and pointer) and its ring slot.

@@ -8,9 +8,11 @@
 // call per block — no map lookups, no switch on n.Op, no tagged values, and
 // zero allocations per invocation (slots and the invoke argument scratch
 // live in a pooled frame). A loop phi shares its back-edge input's slot where
-// their live ranges allow, and a copy-free jump into a block with no ops runs
-// that block's terminator itself, so a counted loop is one dispatch and no
-// copy per iteration.
+// their live ranges allow, a copy-free jump into a block with no ops runs
+// that block's terminator itself, and a block that can jump to itself loops
+// in place unless a step bound is set, so a counted loop is one dispatch in
+// all and no copy per iteration. Single-use arithmetic that cannot trap folds
+// into the arithmetic that reads it in its block, evaluated in place.
 //
 // What an operation does — its checks, its trap reason, the counters it
 // bumps — is not decided here: every closure calls the guest-operation kernel
@@ -126,6 +128,9 @@ type frame struct {
 	// read by ExceptionObject, re-raised by Unwind. Guarded ops clear it
 	// before executing, so a stale value can never misroute a later guard.
 	pending *rt.Trap
+	// bounded says Env.MaxSteps is set: a block that jumps to itself then
+	// returns to Run, which charges its steps, instead of running in place.
+	bounded bool
 }
 
 // abort carries a trap or invoke error out of the dispatch loop; Run
@@ -162,10 +167,10 @@ func (c *Code) Run(e *exec.Engine, args []rt.Value) (ret rt.Value, err error) {
 			ret, err = rt.Value{}, ab.err
 		}
 	}()
-	bounded := env.MaxSteps > 0
+	f.bounded = env.MaxSteps > 0
 	for bi := c.entry; bi != done; {
 		b := &c.blocks[bi]
-		if bounded {
+		if f.bounded {
 			if serr := env.ChargeSteps(b.steps, c.g.Method); serr != nil {
 				return rt.Value{}, serr
 			}
@@ -175,7 +180,7 @@ func (c *Code) Run(e *exec.Engine, args []rt.Value) (ret rt.Value, err error) {
 	return f.ret, nil
 }
 
-// value reads x's current runtime value out of the frame as a tagged
+// value reads x's current runtime value out of the frame as an
 // rt.Value: the deopt runtime's eval hook. ok is false for nodes that own no
 // slot (virtual objects, void nodes).
 func (f *frame) value(x *ir.Node) (rt.Value, bool) {
@@ -261,6 +266,9 @@ type lowered struct {
 	// busy marks a terminator being lowered: a jump into a busy block (a
 	// self-edge, a cycle of op-less blocks) dispatches instead of chaining.
 	busy bool
+	// next holds the block indices the terminator may return, done where
+	// it has fewer than two.
+	next [2]int
 }
 
 func compile(g *ir.Graph) (*Code, error) {
@@ -280,8 +288,9 @@ func compile(g *ir.Graph) (*Code, error) {
 
 	// Pass 1: dense block numbering and slot assignment. Every phi and
 	// every placed value node gets a slot in the array of its Kind, except
-	// OpVirtualObject (which exists only inside frame states) and fused
-	// compares; a back-edge input that shares its phi's slot takes that one.
+	// OpVirtualObject (which exists only inside frame states), fused
+	// compares and folded arithmetic; a back-edge input that shares its
+	// phi's slot takes that one.
 	// Constants and parameters additionally record their initialization so
 	// no per-node op is needed for them at run time.
 	nNodes, maxPhis := 0, 0
@@ -295,7 +304,7 @@ func compile(g *ir.Graph) (*Code, error) {
 			}
 		}
 		for _, n := range b.Nodes {
-			if n.Kind == bc.KindVoid || n.Op == ir.OpVirtualObject || cc.fused(i, n) {
+			if n.Kind == bc.KindVoid || n.Op == ir.OpVirtualObject || cc.absorbed(i, n) {
 				continue
 			}
 			s, err := cc.assign(n)
@@ -338,7 +347,7 @@ func compile(g *ir.Graph) (*Code, error) {
 			return nil, fmt.Errorf("closure: %s has no terminator", b)
 		}
 		for _, n := range b.Nodes {
-			if cc.fused(i, n) {
+			if cc.absorbed(i, n) {
 				continue
 			}
 			o, err := cc.lowerNode(n)
@@ -368,7 +377,8 @@ func compile(g *ir.Graph) (*Code, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.blocks[i] = block{run: fuse(cc.opsOf(i), l.t), steps: int64(len(b.Nodes)) + l.steps}
+		spins := l.next[0] == i || l.next[1] == i
+		c.blocks[i] = block{run: fuse(cc.opsOf(i), l.t, i, spins), steps: int64(len(b.Nodes)) + l.steps}
 	}
 
 	c.pool.New = func() any {
@@ -390,7 +400,7 @@ func compile(g *ir.Graph) (*Code, error) {
 func (cc *compiler) termOf(i int) (*lowered, error) {
 	l := &cc.terms[i]
 	if l.t == nil {
-		l.busy, l.steps = true, 1
+		l.busy, l.steps, l.next = true, 1, [2]int{done, done}
 		t, err := cc.lowerTerm(cc.g.Blocks[i], cc.g.Blocks[i].Term)
 		l.busy = false
 		if err != nil {
@@ -411,29 +421,97 @@ func (cc *compiler) opsOf(i int) []op {
 }
 
 // fuse makes one func of a block's ops and its terminator: straight calls
-// for up to four ops, a loop beyond.
-func fuse(ops []op, t term) term {
+// for up to four ops, a loop beyond. A block that spins, as block self may
+// return its own index, runs in place while it does and no step bound is set.
+func fuse(ops []op, t term, self int, spins bool) term {
 	switch len(ops) {
 	case 0:
-		return t
+		if !spins {
+			return t
+		}
+		return func(f *frame) int {
+			for {
+				if n := t(f); n != self || f.bounded {
+					return n
+				}
+			}
+		}
 	case 1:
 		o0 := ops[0]
-		return func(f *frame) int { o0(f); return t(f) }
+		if !spins {
+			return func(f *frame) int { o0(f); return t(f) }
+		}
+		return func(f *frame) int {
+			for {
+				o0(f)
+				if n := t(f); n != self || f.bounded {
+					return n
+				}
+			}
+		}
 	case 2:
 		o0, o1 := ops[0], ops[1]
-		return func(f *frame) int { o0(f); o1(f); return t(f) }
+		if !spins {
+			return func(f *frame) int { o0(f); o1(f); return t(f) }
+		}
+		return func(f *frame) int {
+			for {
+				o0(f)
+				o1(f)
+				if n := t(f); n != self || f.bounded {
+					return n
+				}
+			}
+		}
 	case 3:
 		o0, o1, o2 := ops[0], ops[1], ops[2]
-		return func(f *frame) int { o0(f); o1(f); o2(f); return t(f) }
+		if !spins {
+			return func(f *frame) int { o0(f); o1(f); o2(f); return t(f) }
+		}
+		return func(f *frame) int {
+			for {
+				o0(f)
+				o1(f)
+				o2(f)
+				if n := t(f); n != self || f.bounded {
+					return n
+				}
+			}
+		}
 	case 4:
 		o0, o1, o2, o3 := ops[0], ops[1], ops[2], ops[3]
-		return func(f *frame) int { o0(f); o1(f); o2(f); o3(f); return t(f) }
+		if !spins {
+			return func(f *frame) int { o0(f); o1(f); o2(f); o3(f); return t(f) }
+		}
+		return func(f *frame) int {
+			for {
+				o0(f)
+				o1(f)
+				o2(f)
+				o3(f)
+				if n := t(f); n != self || f.bounded {
+					return n
+				}
+			}
+		}
+	}
+	if !spins {
+		return func(f *frame) int {
+			for _, o := range ops {
+				o(f)
+			}
+			return t(f)
+		}
 	}
 	return func(f *frame) int {
-		for _, o := range ops {
-			o(f)
+		for {
+			for _, o := range ops {
+				o(f)
+			}
+			if n := t(f); n != self || f.bounded {
+				return n
+			}
 		}
-		return t(f)
 	}
 }
 
@@ -448,12 +526,12 @@ type useScan struct {
 	// compare placed in that block) directly; the compare then owns no slot
 	// and no closure.
 	fusedIf []bool
-	// tab holds, by node ID, what the walk counts; nil until a graph has a
-	// compare or a slot-sharing candidate. A compare's entry counts its
-	// uses, a frame-state reference counting two. A candidate input's entry
-	// is -(1 + the index in cands of its pair), a phi's that of its first
-	// pair; a compare that is a candidate feeds a phi, so it is never fused
-	// and needs no count.
+	// tab holds, by node ID, what the walk counts. A compare's or foldable
+	// node's entry counts its reads, two for a frame-state reference or a
+	// read that cannot fold, plus phiRead if a foldable subtree reads a
+	// candidate phi. A candidate input's entry is -(1 + the index in cands
+	// of its pair), a phi's that of its first pair; a candidate feeds a phi,
+	// so it is never fused or folded and needs no count.
 	tab []int32
 	// cands are the (phi, input) pairs that may share a slot.
 	cands []shareCand
@@ -470,12 +548,16 @@ type shareCand struct {
 	defined, ok bool
 }
 
-// useWalk is scanUses' state: the block and the node whose reads it counts.
+// phiRead marks a foldable node whose subtree reads a candidate phi.
+const phiRead = 1 << 30
+
+// useWalk is scanUses' state: the block and the node whose reads it counts,
+// and how many candidate inputs the walk has passed in that block.
 type useWalk struct {
 	useScan
-	g  *ir.Graph
-	at *ir.Block
-	by *ir.Node
+	at   *ir.Block
+	by   *ir.Node
+	defs int
 }
 
 // scanUses makes lowering's one walk over every node input and every
@@ -493,12 +575,20 @@ type useWalk struct {
 // to B's end and p everywhere else, the two are never both wanted, and the
 // edge copies nothing for p. Reads count node inputs and frame-state values
 // alike, so a deopt anywhere reads the value it names.
+//
+// A foldable node n (pure arithmetic that cannot trap) folds into its reader
+// r when r is the one read of n in the whole graph, r is foldable and placed
+// in n's block, and the move of n's reads to r's position changes nothing
+// they see: n's subtree reads no candidate phi, or no candidate input is
+// defined in the block before r. n then owns no slot and no op; r evaluates
+// it in place.
 func scanUses(g *ir.Graph) useScan {
-	w := useWalk{g: g}
+	w := useWalk{useScan: useScan{tab: make([]int32, g.NumNodeIDs())}}
 	phis := 0
 	for _, h := range g.Blocks {
 		phis += len(h.Phis)
 	}
+	w.cands = make([]shareCand, 0, phis)
 	for _, h := range g.Blocks {
 		if len(h.Phis) == 0 {
 			continue
@@ -512,10 +602,6 @@ func scanUses(g *ir.Graph) useScan {
 				if x == nil || x.Block != b || x.Kind != p.Kind || !computed(x) {
 					continue
 				}
-				if w.tab == nil {
-					w.table()
-					w.cands = make([]shareCand, 0, phis)
-				}
 				if w.tab[x.ID] < 0 {
 					continue // x feeds a second phi: the walk rules the first out
 				}
@@ -526,15 +612,16 @@ func scanUses(g *ir.Graph) useScan {
 		}
 	}
 	for _, b := range g.Blocks {
-		w.at = b
+		w.at, w.defs = b, 0
 		for _, n := range b.Phis {
 			w.node(n)
 		}
 		for _, n := range b.Nodes {
 			w.node(n)
-			if w.tab != nil && w.tab[n.ID] < 0 {
+			if w.tab[n.ID] < 0 {
 				cd := &w.cands[-w.tab[n.ID]-1]
 				cd.defined = b == cd.x.Block
+				w.defs++
 			}
 		}
 		if b.Term != nil {
@@ -552,44 +639,48 @@ func scanUses(g *ir.Graph) useScan {
 	return w.useScan
 }
 
-// table makes the walk's table at its first compare or candidate.
-func (w *useWalk) table() {
-	if w.tab == nil {
-		w.tab = make([]int32, w.g.NumNodeIDs())
-	}
-}
-
 // node counts n's reads: its inputs, then its frame state's values.
 func (w *useWalk) node(n *ir.Node) {
 	w.by = n
 	for k, in := range n.Inputs {
-		if isCompare(in) || (w.tab != nil && w.tab[in.ID] < 0) {
+		if isCompare(in) || foldable(in) || w.tab[in.ID] < 0 {
 			w.read(in, k)
 		}
 	}
 	if n.FrameState != nil {
 		n.FrameState.ForEachValue(func(v *ir.Node) {
-			if isCompare(v) || (w.tab != nil && w.tab[v.ID] < 0) {
+			if isCompare(v) || foldable(v) || w.tab[v.ID] < 0 {
 				w.read(v, -1)
 			}
 		})
 	}
 }
 
-// read counts one read of v, a compare or a candidate, by w.by: as its
-// input k, or k = -1 for a frame-state value.
+// read counts one read of v, a compare, a foldable node or a candidate, by
+// w.by: as its input k, or k = -1 for a frame-state value.
 func (w *useWalk) read(v *ir.Node, k int) {
-	w.table()
 	c := -w.tab[v.ID]
 	if c <= 0 {
-		if k < 0 {
+		folds := k >= 0 && foldable(w.by) && w.at == v.Block
+		switch {
+		case folds && w.tab[v.ID]&phiRead != 0 && w.defs > 0:
+			w.tab[v.ID] += 2 // w.by would read v's phi after a write to its slot
+		case folds:
+			w.tab[v.ID]++
+			if w.tab[w.by.ID] >= 0 {
+				w.tab[w.by.ID] |= w.tab[v.ID] & phiRead
+			}
+		case k < 0 || foldable(v):
 			w.tab[v.ID] += 2
-		} else {
+		default:
 			w.tab[v.ID]++
 		}
 		return
 	}
 	byPhi := w.by.Op == ir.OpPhi
+	if !byPhi && foldable(w.by) && w.tab[w.by.ID] >= 0 && v.Op == ir.OpPhi {
+		w.tab[w.by.ID] |= phiRead
+	}
 	if v.Op != ir.OpPhi {
 		// v is a candidate input: only its own block and p over the edge
 		// may read it.
@@ -620,9 +711,28 @@ func computed(n *ir.Node) bool {
 	return n.Kind == bc.KindInt || n.Kind == bc.KindRef
 }
 
+// foldable reports whether n is arithmetic that cannot trap and may fold
+// into its reader.
+func foldable(n *ir.Node) bool {
+	if n.Op != ir.OpArith || n.Kind != bc.KindInt {
+		return false
+	}
+	// oplint:ignore — a yes/no over the arithmetic opcodes that cannot trap.
+	switch n.Aux2 {
+	case bc.OpAdd, bc.OpSub, bc.OpMul, bc.OpAnd, bc.OpOr, bc.OpXor:
+		return true
+	}
+	return false
+}
+
+// folded reports whether n folds into its reader: it owns no slot and no op.
+func (u *useScan) folded(n *ir.Node) bool {
+	return foldable(n) && u.tab[n.ID]&^phiRead == 1
+}
+
 // mate returns the phi whose slot n shares, or nil.
 func (u *useScan) mate(n *ir.Node) *ir.Node {
-	if u.tab == nil || n.Op == ir.OpPhi {
+	if n.Op == ir.OpPhi {
 		return nil
 	}
 	if c := -u.tab[n.ID]; c > 0 && u.cands[c-1].ok && u.cands[c-1].defined {
@@ -631,10 +741,10 @@ func (u *useScan) mate(n *ir.Node) *ir.Node {
 	return nil
 }
 
-// fused reports whether n, a node of block i, is the compare that block's If
-// absorbed.
-func (cc *compiler) fused(i int, n *ir.Node) bool {
-	return cc.fusedIf[i] && n == cc.g.Blocks[i].Term.Inputs[0]
+// absorbed reports whether n, a node of block i, is the compare that block's
+// If absorbed or arithmetic its reader folded: it owns no slot and no op.
+func (cc *compiler) absorbed(i int, n *ir.Node) bool {
+	return (cc.fusedIf[i] && n == cc.g.Blocks[i].Term.Inputs[0]) || cc.folded(n)
 }
 
 // assign gives n a slot in the array its Kind selects: the one it shares
@@ -724,7 +834,7 @@ func (cc *compiler) operandOf(x *ir.Node) (operand, error) {
 	return operand{slot: s, ref: x.Kind == bc.KindRef}, err
 }
 
-// load builds the tagged value of o for the heap or a callee.
+// load builds the value of o for the heap or a callee.
 func (f *frame) load(o operand) rt.Value {
 	if o.ref {
 		return rt.RefValue(f.refs[o.slot])

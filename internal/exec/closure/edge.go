@@ -54,12 +54,19 @@ func (cc *compiler) forwards(b *ir.Block) bool {
 // edge lands on the first block with work to do and performs the last
 // forwarder's outgoing phi copy itself (a forwarder has no phis, so nothing
 // is copied on the way into it). Self-moves are dropped and the rest are
-// sequentialized per typed array.
+// sequentialized per typed array. The block it lands on joins the targets
+// of from's terminator.
 func (cc *compiler) edge(from, to *ir.Block) (edge, error) {
+	l := &cc.terms[cc.blkIdx[from.ID]]
 	for hops := 0; hops < maxThread && cc.forwards(to); hops++ {
 		from, to = to, to.Succs[0]
 	}
 	e := edge{next: cc.blkIdx[to.ID]}
+	if l.next[0] == done {
+		l.next[0] = e.next
+	} else {
+		l.next[1] = e.next
+	}
 	if len(to.Phis) == 0 {
 		return e, nil
 	}

@@ -347,6 +347,9 @@ func (cc *compiler) refPair(n *ir.Node) (a, b int32, err error) {
 // lowerArith specializes each arithmetic opcode into its own closure around
 // the kernel's definition of it.
 func (cc *compiler) lowerArith(n *ir.Node) (op, error) {
+	if foldable(n) && (cc.folded(n.Inputs[0]) || cc.folded(n.Inputs[1])) {
+		return cc.lowerFoldRoot(n)
+	}
 	a, b, d, err := cc.intBin(n)
 	if err != nil {
 		return nil, err
@@ -392,6 +395,131 @@ func (cc *compiler) lowerArith(n *ir.Node) (op, error) {
 	default:
 		return nil, fmt.Errorf("closure: %s: not an arithmetic op: %s", cc.g.Method.QualifiedName(), n.Aux2)
 	}
+}
+
+// ival is an int operand of folded arithmetic: slot s, or, if v is set, the
+// value of a folded subtree.
+type ival struct {
+	s int32
+	v func(*frame) int64
+}
+
+// ivalOf resolves x as an int operand, evaluated in place if it is folded.
+func (cc *compiler) ivalOf(x *ir.Node) (ival, error) {
+	if x == nil || !cc.folded(x) {
+		s, err := cc.slotOf(x, bc.KindInt)
+		return ival{s: s}, err
+	}
+	a, b, err := cc.ivalPair(x)
+	return ival{v: foldedValue(x.Aux2, a, b)}, err
+}
+
+// ivalPair resolves both operands of foldable n, a commutative op's slot
+// operand first, so only subtraction needs the shape subtree-then-slot.
+func (cc *compiler) ivalPair(n *ir.Node) (a, b ival, err error) {
+	if a, err = cc.ivalOf(n.Inputs[0]); err == nil {
+		b, err = cc.ivalOf(n.Inputs[1])
+	}
+	if n.Aux2 != bc.OpSub && a.v != nil && b.v == nil {
+		a, b = b, a
+	}
+	return a, b, err
+}
+
+// lowerFoldRoot lowers foldable n, which owns a slot, when folded subtrees
+// feed it: it evaluates them in place and stores the result.
+func (cc *compiler) lowerFoldRoot(n *ir.Node) (op, error) {
+	a, b, err := cc.ivalPair(n)
+	if err != nil {
+		return nil, err
+	}
+	d, err := cc.intDst(n)
+	if err != nil {
+		return nil, err
+	}
+	x, y, u, v := a.s, b.s, a.v, b.v
+	switch {
+	case u == nil: // a slot and a subtree
+		switch n.Aux2 { // oplint:ignore — foldable's opcodes; xor follows
+		case bc.OpAdd:
+			return func(f *frame) { f.ints[d] = f.ints[x] + v(f) }, nil
+		case bc.OpSub:
+			return func(f *frame) { f.ints[d] = f.ints[x] - v(f) }, nil
+		case bc.OpMul:
+			return func(f *frame) { f.ints[d] = f.ints[x] * v(f) }, nil
+		case bc.OpAnd:
+			return func(f *frame) { f.ints[d] = f.ints[x] & v(f) }, nil
+		case bc.OpOr:
+			return func(f *frame) { f.ints[d] = f.ints[x] | v(f) }, nil
+		}
+		return func(f *frame) { f.ints[d] = f.ints[x] ^ v(f) }, nil
+	case v == nil: // subtraction of a slot from a subtree
+		return func(f *frame) { f.ints[d] = u(f) - f.ints[y] }, nil
+	}
+	switch n.Aux2 { // oplint:ignore — foldable's opcodes; xor follows
+	case bc.OpAdd:
+		return func(f *frame) { f.ints[d] = u(f) + v(f) }, nil
+	case bc.OpSub:
+		return func(f *frame) { f.ints[d] = u(f) - v(f) }, nil
+	case bc.OpMul:
+		return func(f *frame) { f.ints[d] = u(f) * v(f) }, nil
+	case bc.OpAnd:
+		return func(f *frame) { f.ints[d] = u(f) & v(f) }, nil
+	case bc.OpOr:
+		return func(f *frame) { f.ints[d] = u(f) | v(f) }, nil
+	}
+	return func(f *frame) { f.ints[d] = u(f) ^ v(f) }, nil
+}
+
+// foldedValue is the value closure of a folded node with operands a and b,
+// as ivalPair orders them.
+func foldedValue(o bc.Op, a, b ival) func(*frame) int64 {
+	x, y, u, v := a.s, b.s, a.v, b.v
+	switch {
+	case u == nil && v == nil:
+		switch o { // oplint:ignore — foldable's opcodes; xor follows
+		case bc.OpAdd:
+			return func(f *frame) int64 { return f.ints[x] + f.ints[y] }
+		case bc.OpSub:
+			return func(f *frame) int64 { return f.ints[x] - f.ints[y] }
+		case bc.OpMul:
+			return func(f *frame) int64 { return f.ints[x] * f.ints[y] }
+		case bc.OpAnd:
+			return func(f *frame) int64 { return f.ints[x] & f.ints[y] }
+		case bc.OpOr:
+			return func(f *frame) int64 { return f.ints[x] | f.ints[y] }
+		}
+		return func(f *frame) int64 { return f.ints[x] ^ f.ints[y] }
+	case u == nil:
+		switch o { // oplint:ignore — foldable's opcodes; xor follows
+		case bc.OpAdd:
+			return func(f *frame) int64 { return f.ints[x] + v(f) }
+		case bc.OpSub:
+			return func(f *frame) int64 { return f.ints[x] - v(f) }
+		case bc.OpMul:
+			return func(f *frame) int64 { return f.ints[x] * v(f) }
+		case bc.OpAnd:
+			return func(f *frame) int64 { return f.ints[x] & v(f) }
+		case bc.OpOr:
+			return func(f *frame) int64 { return f.ints[x] | v(f) }
+		}
+		return func(f *frame) int64 { return f.ints[x] ^ v(f) }
+	case v == nil:
+		return func(f *frame) int64 { return u(f) - f.ints[y] }
+	}
+	switch o { // oplint:ignore — foldable's opcodes; xor follows
+	case bc.OpAdd:
+		return func(f *frame) int64 { return u(f) + v(f) }
+	case bc.OpSub:
+		return func(f *frame) int64 { return u(f) - v(f) }
+	case bc.OpMul:
+		return func(f *frame) int64 { return u(f) * v(f) }
+	case bc.OpAnd:
+		return func(f *frame) int64 { return u(f) & v(f) }
+	case bc.OpOr:
+		return func(f *frame) int64 { return u(f) | v(f) }
+	}
+	return func(f *frame) int64 { return u(f) ^ v(f) }
 }
 
 // lowerMaterialize validates the shape at compile time (a field/value count
@@ -537,7 +665,9 @@ func (cc *compiler) lowerTerm(b *ir.Block, t *ir.Node) (term, error) {
 			if err != nil {
 				return nil, err
 			}
-			cc.terms[cc.blkIdx[b.ID]].steps += int64(len(cc.g.Blocks[e.next].Nodes)) + to.steps
+			l := &cc.terms[cc.blkIdx[b.ID]]
+			l.steps += int64(len(cc.g.Blocks[e.next].Nodes)) + to.steps
+			l.next = to.next
 			return to.t, nil
 		}
 		next := e.next

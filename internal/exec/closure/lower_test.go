@@ -642,3 +642,296 @@ func TestChainedLoopsStopOnStepBudget(t *testing.T) {
 		}
 	}
 }
+
+// folds reports whether the code folded n into its reader: n owns no slot.
+func folds(c *Code, n *ir.Node) bool {
+	_, ok := c.slotOf(n)
+	return !ok
+}
+
+// TestFoldedSubtreeReadingSharedPhiKeepsItsSlot: in the latch
+// `n = i * 3; j = i + 1; t = s + n`, j shares i's slot, so folding n into t
+// would move its read of i past j's write and sum 3·(i+1) instead of 3·i.
+// With j placed after t the same n folds. Deep, the subtree is
+// `m = n ^ 5` over n, read by t: n folds into m, placed before j, and m
+// keeps its slot only when j comes between m and t.
+func TestFoldedSubtreeReadingSharedPhiKeepsItsSlot(t *testing.T) {
+	prog, m := twoIntMethod(t)
+	for _, tc := range []struct {
+		jFirst, deep bool
+		want         int64 // m(0, 4)
+	}{
+		{true, false, 18}, {false, false, 18}, // 3·(0+1+2+3)
+		{true, true, 26}, {false, true, 26}, // (0^5)+(3^5)+(6^5)+(9^5)
+	} {
+		l := newLoop(m, zero, 1)
+		g := l.g
+		s := g.AddPhi(l.head, bc.KindInt, l.i.Inputs[0], nil)
+		var j *ir.Node
+		n := arith(g, l.body, bc.OpMul, l.i, g.ConstInt(l.entry, 3))
+		top := n
+		if tc.deep {
+			top = arith(g, l.body, bc.OpXor, n, g.ConstInt(l.entry, 5))
+		}
+		if tc.jFirst {
+			j = arith(g, l.body, bc.OpAdd, l.i, g.ConstInt(l.entry, 1))
+		}
+		sum := arith(g, l.body, bc.OpAdd, s, top)
+		if !tc.jFirst {
+			j = arith(g, l.body, bc.OpAdd, l.i, g.ConstInt(l.entry, 1))
+		}
+		g.SetTerm(l.body, g.NewNode(ir.OpGoto, bc.KindVoid), l.head)
+		l.i.Inputs[1], s.Inputs[1] = j, sum
+		g.SetTerm(l.exit, g.NewNode(ir.OpReturn, bc.KindVoid, s))
+
+		c, err := compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !shares(c, j, l.i) || !shares(c, sum, s) {
+			t.Fatalf("%+v: loop phis do not share their inputs' slots\n%s", tc, ir.Dump(g))
+		}
+		if folds(c, top) == tc.jFirst || folds(c, n) != (tc.deep || !tc.jFirst) {
+			t.Errorf("%+v: %s folded %v, %s folded %v", tc, top, folds(c, top), n, folds(c, n))
+		}
+		got, err := c.Run(&exec.Engine{Env: rt.NewEnv(prog, 1)}, []rt.Value{rt.IntValue(0), rt.IntValue(4)})
+		if err != nil || got.I != tc.want {
+			t.Fatalf("%+v: m(0, 4) = %v, %v; want %d", tc, got, err, tc.want)
+		}
+	}
+}
+
+// TestFrameStateReadsKeepFoldableSlots: a frame-state read counts double, so
+// arithmetic a deopt may read keeps its slot, whether an arithmetic reader
+// could fold it (n) or the frame state is its only read (k).
+func TestFrameStateReadsKeepFoldableSlots(t *testing.T) {
+	prog, m := twoIntMethod(t)
+	g := ir.NewGraph(m)
+	entry, hot, cold := g.Entry(), g.NewBlock(), g.NewBlock()
+	x, y := param(g, 0, bc.KindInt), param(g, 1, bc.KindInt)
+	n := arith(g, entry, bc.OpAdd, x, y)
+	r := arith(g, entry, bc.OpMul, n, g.ConstInt(entry, 2))
+	k := arith(g, entry, bc.OpSub, x, y)
+	g.SetTerm(entry, g.NewNode(ir.OpIf, bc.KindVoid, cmp(g, entry, bc.CondLT, r, g.ConstInt(entry, 100))), hot, cold)
+	deopt := g.NewNode(ir.OpDeopt, bc.KindVoid)
+	deopt.FrameState = &ir.FrameState{Method: m, BCI: 0, Locals: []*ir.Node{n, k}}
+	g.SetTerm(hot, deopt)
+	g.SetTerm(cold, g.NewNode(ir.OpReturn, bc.KindVoid, r))
+
+	c, err := compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if folds(c, n) || folds(c, k) {
+		t.Fatalf("a frame state's value folded: n %v, k %v", folds(c, n), folds(c, k))
+	}
+	eng := &exec.Engine{Env: rt.NewEnv(prog, 1)}
+	eng.Deopt = func(_ *ir.Graph, d *ir.Node, eval func(*ir.Node) (rt.Value, bool)) (rt.Value, error) {
+		a, oka := eval(d.FrameState.Locals[0])
+		b, okb := eval(d.FrameState.Locals[1])
+		if !oka || !okb {
+			t.Errorf("deopt cannot read its frame state: %v %v", oka, okb)
+		}
+		return rt.IntValue(a.I*1000 + b.I), nil
+	}
+	got, err := c.Run(eng, []rt.Value{rt.IntValue(9), rt.IntValue(4)})
+	if err != nil || got.I != 13005 {
+		t.Fatalf("deopt read %v, %v; want 13005 (n = 13, k = 5)", got, err)
+	}
+}
+
+// TestFoldStaysInItsBlock: arithmetic placed before a loop and read once in
+// its body keeps its slot; folded, it would be recomputed every iteration.
+func TestFoldStaysInItsBlock(t *testing.T) {
+	prog, m := twoIntMethod(t)
+	var n *ir.Node
+	l := newLoop(m, func(g *ir.Graph, entry *ir.Block) *ir.Node {
+		n = arith(g, entry, bc.OpMul, param(g, 0, bc.KindInt), g.ConstInt(entry, 3))
+		return g.ConstInt(entry, 0)
+	}, 1)
+	g := l.g
+	s := g.AddPhi(l.head, bc.KindInt, l.i.Inputs[0], nil)
+	sum := arith(g, l.body, bc.OpAdd, s, n)
+	j := arith(g, l.body, bc.OpAdd, l.i, g.ConstInt(l.entry, 1))
+	g.SetTerm(l.body, g.NewNode(ir.OpGoto, bc.KindVoid), l.head)
+	l.i.Inputs[1], s.Inputs[1] = j, sum
+	g.SetTerm(l.exit, g.NewNode(ir.OpReturn, bc.KindVoid, s))
+
+	c, err := compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if folds(c, n) {
+		t.Errorf("%s folded into %s in another block", n, sum)
+	}
+	got, err := c.Run(&exec.Engine{Env: rt.NewEnv(prog, 1)}, []rt.Value{rt.IntValue(7), rt.IntValue(5)})
+	if err != nil || got.I != 105 {
+		t.Fatalf("m(7, 5) = %v, %v; want 105", got, err)
+	}
+}
+
+// dispatches runs c on eng the way Run does and counts the block funcs it
+// calls: a block that jumps to itself counts once however often it runs.
+func dispatches(c *Code, eng *exec.Engine, args ...rt.Value) (int, rt.Value) {
+	f := c.pool.Get().(*frame)
+	defer c.pool.Put(f)
+	f.eng, f.env, f.pending, f.bounded = eng, eng.Env, nil, eng.Env.MaxSteps > 0
+	for _, p := range c.params {
+		f.ints[p.slot] = args[p.arg].I
+	}
+	n := 0
+	for bi := c.entry; bi != done; bi = c.blocks[bi].run(f) {
+		if f.bounded {
+			if err := eng.Env.ChargeSteps(c.blocks[bi].steps, c.g.Method); err != nil {
+				return n, rt.Value{}
+			}
+		}
+		n++
+	}
+	return n, f.ret
+}
+
+// selfLoop builds entry → B, and B: i1 = i + 1; s1 = s + i; if i1 < n go
+// back to B, over a forwarding block when split (edge threading makes B's
+// target B itself), else exit and return s1.
+func selfLoop(m *bc.Method, split bool) *ir.Graph {
+	g := ir.NewGraph(m)
+	entry, b := g.Entry(), g.NewBlock()
+	n := param(g, 0, bc.KindInt)
+	zero, one := g.ConstInt(entry, 0), g.ConstInt(entry, 1)
+	g.SetTerm(entry, g.NewNode(ir.OpGoto, bc.KindVoid), b)
+	i := g.AddPhi(b, bc.KindInt, zero, nil)
+	s := g.AddPhi(b, bc.KindInt, zero, nil)
+	i1 := arith(g, b, bc.OpAdd, i, one)
+	s1 := arith(g, b, bc.OpAdd, s, i)
+	i.Inputs[1], s.Inputs[1] = i1, s1
+	back, exit := b, g.NewBlock()
+	if split {
+		back = g.NewBlock()
+	}
+	g.SetTerm(b, g.NewNode(ir.OpIf, bc.KindVoid, cmp(g, b, bc.CondLT, i1, n)), back, exit)
+	if split {
+		g.SetTerm(back, g.NewNode(ir.OpGoto, bc.KindVoid), b)
+	}
+	g.SetTerm(exit, g.NewNode(ir.OpReturn, bc.KindVoid, s1))
+	return g
+}
+
+// TestSelfLoopingBlockRunsInPlace: a block that can jump to itself — through
+// its own If, an If whose edge is threaded through a forwarding block, or a
+// copy-free jump running an op-less header's test — runs its loop in one
+// dispatch. Under a step bound it returns every iteration, so each is
+// charged, and the budget stops it.
+func TestSelfLoopingBlockRunsInPlace(t *testing.T) {
+	prog, m := twoIntMethod(t)
+	counted, _ := countedLoop(m)
+	for _, tc := range []struct {
+		name    string
+		g       *ir.Graph
+		calls   int // entry, the loop, exit, and for the counted loop its header once
+		perIter int64
+	}{
+		{"own If", selfLoop(m, false), 3, 4},
+		{"threaded If", selfLoop(m, true), 3, 4},
+		{"chained header", counted.g, 4, 5},
+	} {
+		c, err := compile(tc.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int64{10, 100} {
+			eng := &exec.Engine{Env: rt.NewEnv(prog, 1)}
+			d, got := dispatches(c, eng, rt.IntValue(n), rt.IntValue(0))
+			if d != tc.calls || got.I != n*(n-1)/2 {
+				t.Errorf("%s, n = %d: %d dispatches returning %v, want %d returning %d", tc.name, n, d, got, tc.calls, n*(n-1)/2)
+			}
+			eng.Env = rt.NewEnv(prog, 1)
+			eng.Env.MaxSteps = 1 << 20
+			if d, got = dispatches(c, eng, rt.IntValue(n), rt.IntValue(0)); d < int(n) || got.I != n*(n-1)/2 {
+				t.Fatalf("%s, n = %d, bounded: %d dispatches returning %v, want one per iteration", tc.name, n, d, got)
+			}
+		}
+		at := func(n int64) int64 { return stepsCharged(t, prog, c, rt.IntValue(n), rt.IntValue(0)) }
+		if per := (at(20) - at(10)) / 10; per != tc.perIter {
+			t.Fatalf("%s: %d steps charged per iteration, want %d", tc.name, per, tc.perIter)
+		}
+		eng := &exec.Engine{Env: rt.NewEnv(prog, 1)}
+		eng.Env.MaxSteps = 10_000
+		if _, err := c.Run(eng, []rt.Value{rt.IntValue(1 << 40), rt.IntValue(0)}); err == nil || !strings.Contains(err.Error(), "step budget") {
+			t.Errorf("%s: Run = %v, want the step-budget error", tc.name, err)
+		}
+	}
+}
+
+// TestTrapInSpinningBlockReachesHandler: B = {i1 = i + 1; s1 = s + p;
+// q = 100 / (x - i1)} guarded, its normal edge back to B itself, spins until
+// the division traps; the trap must leave the loop for the handler block.
+func TestTrapInSpinningBlockReachesHandler(t *testing.T) {
+	prog, m := twoIntMethod(t)
+	g := ir.NewGraph(m)
+	entry, b, h := g.Entry(), g.NewBlock(), g.NewBlock()
+	x := param(g, 0, bc.KindInt)
+	zero := g.ConstInt(entry, 0)
+	g.SetTerm(entry, g.NewNode(ir.OpGoto, bc.KindVoid), b)
+	i := g.AddPhi(b, bc.KindInt, zero, nil)
+	s := g.AddPhi(b, bc.KindInt, zero, nil)
+	p := g.AddPhi(b, bc.KindInt, zero, nil)
+	i1 := arith(g, b, bc.OpAdd, i, g.ConstInt(entry, 1))
+	s1 := arith(g, b, bc.OpAdd, s, p)
+	q := g.NewNode(ir.OpArith, bc.KindInt, g.ConstInt(entry, 100), arith(g, b, bc.OpSub, x, i1))
+	q.Aux2 = bc.OpDiv
+	g.Append(b, q)
+	g.SetTerm(b, g.NewNode(ir.OpOnException, bc.KindVoid, q), b, h)
+	i.Inputs[1], s.Inputs[1], p.Inputs[1] = i1, s1, q
+	g.Append(h, g.NewNode(ir.OpExceptionObject, bc.KindRef))
+	g.SetTerm(h, g.NewNode(ir.OpReturn, bc.KindVoid,
+		arith(g, h, bc.OpAdd, arith(g, h, bc.OpMul, s1, g.ConstInt(entry, 1000)), i1)))
+
+	c, err := compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &exec.Engine{Env: rt.NewEnv(prog, 1)}
+	if d, got := dispatches(c, eng, rt.IntValue(5), rt.IntValue(0)); d != 3 || got.I != 208005 {
+		t.Fatalf("%d dispatches returning %v, want 3 returning 208005 (s1 = 25+33+50+100, i1 = 5)", d, got)
+	}
+	got, err := c.Run(eng, []rt.Value{rt.IntValue(5), rt.IntValue(0)})
+	if err != nil || got.I != 208005 {
+		t.Fatalf("Run = %v, %v; want 208005", got, err)
+	}
+}
+
+// TestDeoptFromSpinningBlock: B = {s1 = s + i; i1 = i + 1} loops to itself
+// over its If until i1 == x, then deoptimizes; the deopt must see the last
+// iteration's values.
+func TestDeoptFromSpinningBlock(t *testing.T) {
+	prog, m := twoIntMethod(t)
+	g := ir.NewGraph(m)
+	entry, b, hot := g.Entry(), g.NewBlock(), g.NewBlock()
+	x := param(g, 0, bc.KindInt)
+	zero := g.ConstInt(entry, 0)
+	g.SetTerm(entry, g.NewNode(ir.OpGoto, bc.KindVoid), b)
+	i := g.AddPhi(b, bc.KindInt, zero, nil)
+	s := g.AddPhi(b, bc.KindInt, zero, nil)
+	s1 := arith(g, b, bc.OpAdd, s, i)
+	i1 := arith(g, b, bc.OpAdd, i, g.ConstInt(entry, 1))
+	g.SetTerm(b, g.NewNode(ir.OpIf, bc.KindVoid, cmp(g, b, bc.CondEQ, i1, x)), hot, b)
+	i.Inputs[1], s.Inputs[1] = i1, s1
+	deopt := g.NewNode(ir.OpDeopt, bc.KindVoid)
+	deopt.FrameState = &ir.FrameState{Method: m, BCI: 0, Locals: []*ir.Node{s1, i1}}
+	g.SetTerm(hot, deopt)
+
+	c, err := compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &exec.Engine{Env: rt.NewEnv(prog, 1)}
+	eng.Deopt = func(_ *ir.Graph, d *ir.Node, eval func(*ir.Node) (rt.Value, bool)) (rt.Value, error) {
+		a, _ := eval(d.FrameState.Locals[0])
+		b, _ := eval(d.FrameState.Locals[1])
+		return rt.IntValue(a.I*100 + b.I), nil
+	}
+	if d, got := dispatches(c, eng, rt.IntValue(4), rt.IntValue(0)); d != 3 || got.I != 604 {
+		t.Fatalf("%d dispatches returning %v, want 3 returning 604 (s1 = 0+1+2+3, i1 = 4)", d, got)
+	}
+}

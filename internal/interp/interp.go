@@ -25,12 +25,7 @@ type Frame struct {
 // (receiver first for instance methods).
 func NewFrame(m *bc.Method, args []rt.Value) *Frame {
 	f := &Frame{Method: m, Locals: make([]rt.Value, m.NumLocals())}
-	copy(f.Locals, args)
-	for i := len(args); i < len(f.Locals); i++ {
-		if m.LocalKinds[i] == bc.KindRef {
-			f.Locals[i] = rt.Null
-		}
-	}
+	copy(f.Locals, args) // the zero value is both 0 and null
 	f.Stack = make([]rt.Value, 0, m.MaxStack)
 	return f
 }

@@ -1,5 +1,5 @@
 // Package rt is the guest runtime every engine shares. rt.go holds the data
-// model: tagged values, heap objects and arrays, static fields, the
+// model: untagged values, heap objects and arrays, static fields, the
 // deterministic PRNG, traps and handler matching, and the allocation/lock
 // counters that the evaluation harness reports (the paper's "MB / iteration",
 // "MAllocs / iteration" and lock-operation metrics). ops.go holds the
@@ -14,13 +14,13 @@ import (
 	"pea/internal/bc"
 )
 
-// Value is a bytecode-level value: either an integer or a reference.
-// The zero Value is the integer 0.
+// Value is a bytecode-level value: an integer in I or a reference in Ref.
+// Which of the two a value is follows from the static kind of whatever holds
+// it (an IR node, a field, a local), so the value carries no tag: the zero
+// Value is both the integer 0 and the null reference.
 type Value struct {
 	I   int64
 	Ref *Object
-	// isRef distinguishes the null reference from the integer 0.
-	isRef bool
 }
 
 // IntValue returns an integer value.
@@ -35,45 +35,25 @@ func BoolValue(b bool) Value {
 }
 
 // RefValue returns a reference value (obj may be nil for null).
-func RefValue(obj *Object) Value { return Value{Ref: obj, isRef: true} }
+func RefValue(obj *Object) Value { return Value{Ref: obj} }
 
-// Null is the null reference.
-var Null = Value{isRef: true}
+// Null is the null reference: the zero Value.
+var Null = Value{}
 
-// IsRef reports whether the value is a reference (possibly null).
-func (v Value) IsRef() bool { return v.isRef }
+// IsNull reports whether a reference value is null.
+func (v Value) IsNull() bool { return v.Ref == nil }
 
-// IsNull reports whether the value is the null reference.
-func (v Value) IsNull() bool { return v.isRef && v.Ref == nil }
+// Equal reports bit-level equality of both words (used by differential
+// tests).
+func (v Value) Equal(o Value) bool { return v.I == o.I && v.Ref == o.Ref }
 
-// Kind returns the bytecode kind of the value.
-func (v Value) Kind() bc.Kind {
-	if v.isRef {
-		return bc.KindRef
-	}
-	return bc.KindInt
-}
-
-// Equal reports bit-level equality (used by differential tests).
-func (v Value) Equal(o Value) bool {
-	if v.isRef != o.isRef {
-		return false
-	}
-	if v.isRef {
-		return v.Ref == o.Ref
-	}
-	return v.I == o.I
-}
-
-// String renders the value for diagnostics.
+// String renders the value for diagnostics: the object if it holds one,
+// otherwise the integer (null renders as 0).
 func (v Value) String() string {
-	if !v.isRef {
-		return fmt.Sprintf("%d", v.I)
+	if v.Ref != nil {
+		return v.Ref.String()
 	}
-	if v.Ref == nil {
-		return "null"
-	}
-	return v.Ref.String()
+	return fmt.Sprintf("%d", v.I)
 }
 
 // Object is a heap object or array. Class is nil for arrays, in which case
@@ -181,13 +161,7 @@ func NewEnv(p *bc.Program, seed uint64) *Env {
 	e := &Env{Program: p, rngState: seed}
 	e.statics = make([][]Value, len(p.Classes))
 	for _, c := range p.Classes {
-		slots := make([]Value, len(c.Statics))
-		for _, f := range c.Statics {
-			if f.Kind == bc.KindRef {
-				slots[f.Offset] = Null
-			}
-		}
-		e.statics[c.ID] = slots
+		e.statics[c.ID] = make([]Value, len(c.Statics)) // zero is 0 and null
 	}
 	return e
 }
@@ -230,8 +204,8 @@ func (e *Env) SetStatic(f *bc.Field, v Value) { e.statics[f.Class.ID][f.Offset] 
 
 // Small objects embed their slot storage: one Go allocation holds the header
 // and the Fields backing array, instead of one each. The combined object never
-// rounds up to more bytes than the two pieces did (80/112/128/160 against
-// 64 + 24/48/80/96), so this halves the mallocgc calls and the objects the
+// rounds up to more bytes than the two pieces did (80/96/112/128 against
+// 64 + 16/32/48/64), so this halves the mallocgc calls and the objects the
 // collector marks at no cost in memory.
 type (
 	object1 struct {
@@ -283,11 +257,6 @@ func (e *Env) AllocObject(c *bc.Class) *Object {
 	e.serial++
 	o := newObject(int64(c.NumFields()))
 	o.Class, o.Serial = c, e.serial
-	for _, f := range c.Fields {
-		if f.Kind == bc.KindRef {
-			o.Fields[f.Offset] = Null
-		}
-	}
 	e.Stats.Allocations++
 	e.Stats.AllocatedBytes += c.InstanceSize()
 	return o
@@ -299,11 +268,6 @@ func (e *Env) allocArray(kind bc.Kind, n int64) *Object {
 	e.serial++
 	o := newObject(n)
 	o.ElemKind, o.Serial = kind, e.serial
-	if kind == bc.KindRef {
-		for i := range o.Fields {
-			o.Fields[i] = Null
-		}
-	}
 	e.Stats.Allocations++
 	e.Stats.AllocatedBytes += bc.ArraySize(n)
 	return o

@@ -24,21 +24,28 @@ func prog(t *testing.T) *bc.Program {
 	return p
 }
 
+// TestValueBasics pins the untagged contract: a value's kind is its
+// holder's static kind, so the zero Value is both the integer 0 and null, and
+// Equal compares both words.
 func TestValueBasics(t *testing.T) {
-	i := IntValue(42)
-	if i.IsRef() || i.IsNull() || i.Kind() != bc.KindInt || i.I != 42 {
+	if i := IntValue(42); i.I != 42 || i.Ref != nil {
 		t.Fatalf("int value wrong: %+v", i)
 	}
-	if !Null.IsRef() || !Null.IsNull() || Null.Kind() != bc.KindRef {
-		t.Fatalf("null wrong: %+v", Null)
+	if Null != (Value{}) || !Null.IsNull() || IntValue(0) != Null || !IntValue(0).Equal(Null) {
+		t.Fatalf("the zero value must be both 0 and null: %+v", Null)
 	}
 	if !BoolValue(true).Equal(IntValue(1)) || !BoolValue(false).Equal(IntValue(0)) {
 		t.Fatal("bool encoding wrong")
 	}
-	if IntValue(0).Equal(Null) {
-		t.Fatal("int 0 must differ from null")
+	o, p := &Object{Serial: 1}, &Object{Serial: 2}
+	if !RefValue(o).Equal(RefValue(o)) || RefValue(o).Equal(RefValue(p)) || RefValue(o).Equal(Null) ||
+		RefValue(o).IsNull() || IntValue(1).Equal(IntValue(2)) {
+		t.Fatal("Equal must compare both words")
 	}
-	if IntValue(5).String() != "5" || Null.String() != "null" {
+	if (Value{I: 1, Ref: o}).Equal(RefValue(o)) {
+		t.Fatal("Equal ignored the integer word")
+	}
+	if IntValue(5).String() != "5" || Null.String() != "0" {
 		t.Fatal("String() wrong")
 	}
 }

@@ -86,6 +86,11 @@ func Corpus() []Program {
 		catchAllIntrinsic(),
 		catchPartialEscape(),
 		uncaughtTrap(),
+		latchReadsPhi(),
+		entryInputAfterLoop(),
+		foldSharedPhi(),
+		trapInLoopHandler(),
+		exitReadsOldPhi(),
 	}
 }
 
@@ -1082,4 +1087,115 @@ func uncaughtTrap() Program {
 	p := mustFinish(a, "uncaughtTrap")
 	return Program{"uncaughtTrap", p, entry(p, "P", "run"),
 		[][]int64{{4}, {0}, {-1}}}
+}
+
+// latchReadsPhi: `j = i + 1; print(i); i = j` — the latch reads the loop
+// phi after computing its back-edge input, so the two are live at once and
+// must not share a slot.
+func latchReadsPhi() Program {
+	a := bc.NewAssembler()
+	c := a.Class("P", "")
+	m := c.Method("run", []bc.Kind{bc.KindInt}, bc.KindInt, true)
+	i := m.NewLocal(bc.KindInt)
+	j := m.NewLocal(bc.KindInt)
+	s := m.NewLocal(bc.KindInt)
+	m.Const(0).Store(i).Const(1).Store(s)
+	m.Label("head").Load(i).Load(0).IfCmp(bc.CondGE, "done")
+	m.Load(i).Const(1).Add().Store(j)
+	m.Load(i).Print()
+	m.Load(s).Const(31).Mul().Load(j).Arith(bc.OpXor).Store(s)
+	m.Load(j).Store(i)
+	m.Goto("head")
+	m.Label("done").Load(s).Load(i).Add().ReturnValue()
+	p := mustFinish(a, "latchReadsPhi")
+	return Program{"latchReadsPhi", p, entry(p, "P", "run"),
+		[][]int64{{0}, {1}, {7}, {40}}}
+}
+
+// entryInputAfterLoop: the loop phi's entry-edge input is read again after
+// the loop, so it must keep a slot of its own.
+func entryInputAfterLoop() Program {
+	a := bc.NewAssembler()
+	c := a.Class("P", "")
+	m := c.Method("run", []bc.Kind{bc.KindInt, bc.KindInt}, bc.KindInt, true)
+	x := m.NewLocal(bc.KindInt)
+	i := m.NewLocal(bc.KindInt)
+	m.Load(0).Const(3).Mul().Const(1).Add().Store(x)
+	m.Load(x).Store(i)
+	m.Label("head").Load(i).Load(1).IfCmp(bc.CondGE, "done")
+	m.Load(i).Const(2).Add().Store(i)
+	m.Goto("head")
+	m.Label("done").Load(x).Const(1000).Mul().Load(i).Add().ReturnValue()
+	p := mustFinish(a, "entryInputAfterLoop")
+	return Program{"entryInputAfterLoop", p, entry(p, "P", "run"),
+		[][]int64{{0, 0}, {0, 9}, {2, 30}, {5, 3}}}
+}
+
+// foldSharedPhi: `t = i * 3; i = i + 1; s = s + (t ^ i)` — t reads the
+// counter phi before its back-edge input is computed and is read once,
+// after it, by arithmetic that could evaluate t in place.
+func foldSharedPhi() Program {
+	a := bc.NewAssembler()
+	c := a.Class("P", "")
+	m := c.Method("run", []bc.Kind{bc.KindInt}, bc.KindInt, true)
+	i := m.NewLocal(bc.KindInt)
+	s := m.NewLocal(bc.KindInt)
+	t := m.NewLocal(bc.KindInt)
+	m.Const(0).Store(i).Const(0).Store(s)
+	m.Label("head").Load(i).Load(0).IfCmp(bc.CondGE, "done")
+	m.Load(i).Const(3).Mul().Store(t)
+	m.Load(i).Const(1).Add().Store(i)
+	m.Load(s).Load(t).Load(i).Arith(bc.OpXor).Add().Store(s)
+	m.Goto("head")
+	m.Label("done").Load(s).ReturnValue()
+	p := mustFinish(a, "foldSharedPhi")
+	return Program{"foldSharedPhi", p, entry(p, "P", "run"),
+		[][]int64{{0}, {1}, {5}, {64}}}
+}
+
+// trapInLoopHandler: a loop body whose division traps into a catch-all
+// handler on every fourth iteration and carries on.
+func trapInLoopHandler() Program {
+	a := bc.NewAssembler()
+	c := a.Class("P", "")
+	m := c.Method("run", []bc.Kind{bc.KindInt}, bc.KindInt, true)
+	i := m.NewLocal(bc.KindInt)
+	s := m.NewLocal(bc.KindInt)
+	m.Const(0).Store(i).Const(0).Store(s)
+	m.Label("head").Load(i).Load(0).IfCmp(bc.CondGE, "done")
+	m.Label("ts")
+	m.Load(s).Const(100).Load(i).Const(4).Rem().Div().Add().Store(s)
+	m.Label("te").Goto("next")
+	m.Label("h").Pop()
+	m.Load(s).Const(7).Add().Store(s)
+	m.Label("next").Load(i).Const(1).Add().Store(i)
+	m.Goto("head")
+	m.Label("done").Load(s).ReturnValue()
+	m.Exception("ts", "te", "h", nil)
+	p := mustFinish(a, "trapInLoopHandler")
+	return Program{"trapInLoopHandler", p, entry(p, "P", "run"),
+		[][]int64{{0}, {1}, {4}, {9}, {50}}}
+}
+
+// exitReadsOldPhi: `j = i + 1; if (j % 5 == 4) return i; i = j` — the
+// latch computes the phi's next value, then may leave the loop through an
+// exit that reads the phi's old one; the way back to the header is a split
+// critical edge, so the Goto into the header is not in j's block.
+func exitReadsOldPhi() Program {
+	a := bc.NewAssembler()
+	c := a.Class("P", "")
+	m := c.Method("run", []bc.Kind{bc.KindInt, bc.KindInt}, bc.KindInt, true)
+	i := m.NewLocal(bc.KindInt)
+	j := m.NewLocal(bc.KindInt)
+	m.Load(1).Store(i)
+	m.Label("head").Load(i).Load(0).IfCmp(bc.CondGE, "done")
+	m.Load(i).Const(1).Add().Store(j)
+	m.Load(j).Const(5).Rem().Const(4).IfCmp(bc.CondEQ, "out")
+	m.Load(j).Store(i)
+	m.Goto("head")
+	m.Label("out").Load(i).Const(100).Mul().ReturnValue()
+	m.Label("done").Load(i).ReturnValue()
+	p := mustFinish(a, "exitReadsOldPhi")
+	return Program{"exitReadsOldPhi", p, entry(p, "P", "run"),
+		[][]int64{{0, 0}, {2, 0}, {10, 0}, {10, 5}, {3, 9}}}
 }

@@ -52,7 +52,7 @@ func (vm *VM) deopt(g *ir.Graph, n *ir.Node, eval func(x *ir.Node) (rt.Value, bo
 	}
 
 	materialized := make(map[*ir.Node]*rt.Object)
-	var valueOf func(n *ir.Node, kind bc.Kind) (rt.Value, error)
+	var valueOf func(n *ir.Node) (rt.Value, error)
 	var materializeVO func(n *ir.Node) (*rt.Object, error)
 
 	materializeVO = func(n *ir.Node) (*rt.Object, error) {
@@ -68,13 +68,7 @@ func (vm *VM) deopt(g *ir.Graph, n *ir.Node, eval func(x *ir.Node) (rt.Value, bo
 		// acyclic by construction, but self-maps stay cheap this way.
 		materialized[n] = obj
 		for i, v := range vo.Values {
-			kind := bc.KindInt
-			if n.Class != nil {
-				kind = n.Class.Fields[i].Kind
-			} else {
-				kind = n.ElemKind
-			}
-			fv, err := valueOf(v, kind)
+			fv, err := valueOf(v)
 			if err != nil {
 				return nil, err
 			}
@@ -96,14 +90,11 @@ func (vm *VM) deopt(g *ir.Graph, n *ir.Node, eval func(x *ir.Node) (rt.Value, bo
 		return obj, nil
 	}
 
-	valueOf = func(n *ir.Node, kind bc.Kind) (rt.Value, error) {
+	valueOf = func(n *ir.Node) (rt.Value, error) {
 		if n == nil {
-			// Dead slot: the interpreter never reads it; restore
-			// the kind's default.
-			if kind == bc.KindRef {
-				return rt.Null, nil
-			}
-			return rt.IntValue(0), nil
+			// Dead slot: the interpreter never reads it; the zero
+			// value is 0 and null alike.
+			return rt.Value{}, nil
 		}
 		if n.Op == ir.OpVirtualObject {
 			obj, err := materializeVO(n)
@@ -128,20 +119,14 @@ func (vm *VM) deopt(g *ir.Graph, n *ir.Node, eval func(x *ir.Node) (rt.Value, bo
 			Stack:  make([]rt.Value, 0, len(s.Stack)),
 		}
 		for i, n := range s.Locals {
-			v, err := valueOf(n, s.Method.LocalKinds[i])
+			v, err := valueOf(n)
 			if err != nil {
 				return nil, err
 			}
 			f.Locals[i] = v
 		}
 		for _, n := range s.Stack {
-			// Stack slots are never nil; their kind is recovered
-			// from the node itself.
-			kind := bc.KindInt
-			if n != nil {
-				kind = n.Kind
-			}
-			v, err := valueOf(n, kind)
+			v, err := valueOf(n)
 			if err != nil {
 				return nil, err
 			}

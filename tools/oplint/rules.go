@@ -115,6 +115,8 @@ var rules = []rule{
 	// class and opcode; no level function or op map restates them.
 	{42, decl, []string{"binaryLevel", "orExpr", "andExpr", "bitOrExpr", "bitXorExpr", "bitAndExpr", "eqExpr",
 		"relExpr", "shiftExpr", "addExpr", "mulExpr", "arithOps", "cmpOps"}, []string{"pea/internal/mj"}, 0},
+	// A value's kind is its holder's static kind: rt.Value carries no tag.
+	{45, decl, []string{"pea/internal/rt.Value.isRef", "pea/internal/rt.Value.IsRef", "pea/internal/rt.Value.Kind"}, wholeModule, 0},
 }
 
 // A site is where an occurrence is: its package, file and enclosing
